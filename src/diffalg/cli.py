@@ -4,7 +4,8 @@
                              [--order-bound k]
 
 Commands: charset, dimpoly, decompose, tangent, reduce, count.
-Exit codes: 0 ok, 2 parse error, 3 point not on variety, 4 unsupported
+Exit codes: 0 ok, 1 any other diffalg error (e.g. count with leaders that
+are not an antichain), 2 parse error, 3 point not on variety, 4 unsupported
 operation (e.g. decompose with m >= 2).
 """
 
@@ -18,7 +19,7 @@ from .errors import (DiffAlgError, DivisionByZero, OrderlyRequired,
                      ParseError, PointNotOnVariety, UnsupportedForPartial)
 from .diffmodule import characteristic_set, reduce as nf_reduce
 from .dimension import dimension_report, leader_antichain
-from .normalform import OreMatrix, classify_tangent, diagonalize
+from .normalform import OreMatrix, TangentClass, diagonalize
 from .numpoly import count_cofilter
 from .parsing import (orepoly_str, parse_input, vector_str, modelement_str)
 from .variety import tangent_pipeline
@@ -46,8 +47,11 @@ def _build_argparser():
 def main(argv=None):
     args = _build_argparser().parse_args(argv)
     try:
-        text = sys.stdin.read() if args.file == "-" else \
-            open(args.file, "r", encoding="utf-8").read()
+        if args.file == "-":
+            text = sys.stdin.read()
+        else:
+            with open(args.file, "r", encoding="utf-8") as fh:
+                text = fh.read()
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -138,10 +142,9 @@ def _dispatch(command, problem, args):
         columns = [w.operator_vector() for w in problem.gens
                    if not w.is_zero()]
         matrix = OreMatrix.from_columns(config, columns, n)
-        tc = classify_tangent(matrix)
-        res = diagonalize(matrix.transpose_data()) if columns else None
-        diag = ([orepoly_str(e, config) for e in res.D.diagonal()]
-                if res else [])
+        diagonal = diagonalize(matrix.transpose_data()).D.diagonal()
+        tc = TangentClass.from_diagonal(n, diagonal)
+        diag = [orepoly_str(e, config) for e in diagonal]
         return {"json": {**tc.to_json(), "diagonal": diag},
                 "text": f"d = {tc.d}, k = {tc.k}, torsion degrees "
                         f"{list(tc.torsion_degrees)}\n"

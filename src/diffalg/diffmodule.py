@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from .errors import ConfigMismatch, ZeroElement
 from .field import RatFun
-from .ore import OrePoly, monomial_ord, ore_apply, _as_ratfun
+from .ore import OrePoly, monomial_ord, ore_apply, _acc, _as_ratfun
 
 
 @dataclass(frozen=True)
@@ -134,12 +134,7 @@ class ModElement:
         self._check(other)
         terms = dict(self.terms)
         for key, coeff in other.terms.items():
-            c = terms.get(key)
-            c = coeff if c is None else c + coeff
-            if c:
-                terms[key] = c
-            else:
-                terms.pop(key, None)
+            _acc(terms, key, coeff)
         return ModElement(self.config, self.n, terms)
 
     def __neg__(self):
@@ -200,15 +195,6 @@ class ModElement:
 
     def __repr__(self):
         return f"ModElement(n={self.n}, {self.terms!r})"
-
-
-def _acc(terms, key, value):
-    c = terms.get(key)
-    c = value if c is None else c + value
-    if c:
-        terms[key] = c
-    else:
-        terms.pop(key, None)
 
 
 def leader(w, rk):
@@ -337,7 +323,6 @@ class CharSet:
     generators: tuple
     config: object
     n: int
-    complete: bool = True
 
     @property
     def ranking(self):
@@ -435,6 +420,4 @@ def eval_point(w, xs):
 
 def member(w, charset):
     """Exact membership of w in the submodule presented by the CharSet."""
-    if not charset.complete:
-        raise ValueError("membership needs a complete characteristic set")
     return reduce(w, list(charset.elements), charset.ranking).is_zero()

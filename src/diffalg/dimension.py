@@ -71,8 +71,7 @@ def _require_orderly(charset):
 
 def dimension_polynomial(charset, n=None):
     """phi(k) = dim_K M_k for M = K[Delta]^n / N."""
-    _require_orderly(charset)
-    return count_cofilter(leader_antichain(charset, n))
+    return dimension_report(charset, n).dimpoly
 
 
 def diff_dimension(charset, n=None):
@@ -81,18 +80,7 @@ def diff_dimension(charset, n=None):
     Cross-checked against the count of components without leaders; the two
     agree for any complete characteristic set under an orderly ranking.
     """
-    _require_orderly(charset)
-    if n is None:
-        n = charset.n
-    anti = leader_antichain(charset, n)
-    phi = count_cofilter(anti)
-    m = anti.m
-    d = phi.coeffs[m] if len(phi.coeffs) > m else 0
-    led = sum(1 for E in anti.components if E)
-    if d != n - led:
-        raise AssertionError(
-            f"dimension mismatch: a_m = {d}, free components = {n - led}")
-    return d
+    return dimension_report(charset, n).diff_dimension
 
 
 def free_split(charset, n=None):
@@ -101,32 +89,26 @@ def free_split(charset, n=None):
     free components carry no leader; B sums the leader orders, i.e. the
     number of derivative terms strictly below a leader on its component.
     """
-    _require_orderly(charset)
-    anti = leader_antichain(charset, n)
-    if anti.m != 1:
+    report = dimension_report(charset, n)
+    if report.below_leader_count is None:
         raise UnsupportedForPartial("free/torsion split needs m = 1")
-    free = tuple(i for i, E in enumerate(anti.components) if not E)
-    below = 0
-    for E in anti.components:
-        for exps in E:
-            below += monomial_ord(exps)
-    return free, below
+    return report.free_components, report.below_leader_count
 
 
 def dimension_report(charset, n=None):
-    """Assemble the full report for K[Delta]^n / N."""
+    """Assemble the full report for K[Delta]^n / N from one staircase count."""
     _require_orderly(charset)
-    if n is None:
-        n = charset.n
     anti = leader_antichain(charset, n)
     phi = count_cofilter(anti)
-    d = diff_dimension(charset, n)
-    level, d_l, _ = type_and_heights(phi, anti.m)
-    if anti.m == 1:
-        free, below = free_split(charset, n)
-    else:
-        free = tuple(i for i, E in enumerate(anti.components) if not E)
-        below = None
+    m = anti.m
+    d = phi.coeffs[m] if len(phi.coeffs) > m else 0
+    free = tuple(i for i, E in enumerate(anti.components) if not E)
+    if d != len(free):
+        raise AssertionError(
+            f"dimension mismatch: a_m = {d}, free components = {len(free)}")
+    level, d_l, _ = type_and_heights(phi, m)
+    below = (sum(monomial_ord(exps) for E in anti.components for exps in E)
+             if m == 1 else None)
     return DimensionReport(dimpoly=phi, diff_dimension=d, type=level,
                            typical_height=d_l, free_components=free,
                            below_leader_count=below)

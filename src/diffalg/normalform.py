@@ -126,6 +126,13 @@ class TangentClass:
     k: int
     torsion_degrees: tuple
 
+    @classmethod
+    def from_diagonal(cls, n, diagonal):
+        """Read the class of K[delta]^n / (diagonal relations) off D."""
+        nonzero = [e for e in diagonal if not e.is_zero()]
+        degrees = sorted(e.degree() for e in nonzero if e.degree() > 0)
+        return cls(n - len(nonzero), sum(degrees), tuple(degrees))
+
     def to_json(self):
         return {"d": self.d, "k": self.k,
                 "torsion_degrees": list(self.torsion_degrees)}
@@ -258,18 +265,7 @@ def classify_tangent(R):
     and is not constructed here.
     """
     _require_ordinary(R.config)
-    n = R.rows
     if R.cols == 0:
-        return TangentClass(n, 0, ())
-    res = diagonalize(R.transpose_data())
-    degrees = []
-    nonzero = 0
-    for e in res.D.diagonal():
-        if e.is_zero():
-            continue
-        nonzero += 1
-        deg = e.degree()
-        if deg > 0:
-            degrees.append(deg)
-    degrees.sort()
-    return TangentClass(n - nonzero, sum(degrees), tuple(degrees))
+        return TangentClass.from_diagonal(R.rows, [])
+    return TangentClass.from_diagonal(
+        R.rows, diagonalize(R.transpose_data()).D.diagonal())

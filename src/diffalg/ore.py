@@ -101,12 +101,7 @@ class OrePoly:
         self._check(other)
         terms = dict(self.terms)
         for exps, coeff in other.terms.items():
-            c = terms.get(exps)
-            c = coeff if c is None else c + coeff
-            if c:
-                terms[exps] = c
-            else:
-                terms.pop(exps, None)
+            _acc(terms, exps, coeff)
         return OrePoly(self.config, terms)
 
     __radd__ = __add__

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 from .errors import ConfigMismatch, PointNotOnVariety
 from .field import RatFun
-from .ore import _as_ratfun
+from .ore import _acc, _as_ratfun
 from .diffmodule import ModElement, characteristic_set, orderly_ranking
 from .dimension import dimension_report
 from .normalform import OreMatrix, classify_tangent
@@ -72,12 +72,7 @@ class DiffPoly:
         self._check(other)
         terms = dict(self.terms)
         for mono, coeff in other.terms.items():
-            c = terms.get(mono)
-            c = coeff if c is None else c + coeff
-            if c:
-                terms[mono] = c
-            else:
-                terms.pop(mono, None)
+            _acc(terms, mono, coeff)
         return DiffPoly(self.config, self.n, terms)
 
     __radd__ = __add__
@@ -103,14 +98,7 @@ class DiffPoly:
         terms = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
-                mono = _merge_monomials(m1, m2)
-                c = terms.get(mono)
-                prod = c1 * c2
-                c = prod if c is None else c + prod
-                if c:
-                    terms[mono] = c
-                else:
-                    terms.pop(mono, None)
+                _acc(terms, _merge_monomials(m1, m2), c1 * c2)
         return DiffPoly(self.config, self.n, terms)
 
     __rmul__ = __mul__
@@ -172,14 +160,7 @@ class DiffPoly:
                 del entries[key]
             else:
                 entries[key] = power - 1
-            new_mono = tuple(sorted(entries.items()))
-            c = terms.get(new_mono, None)
-            add = coeff * power
-            c = add if c is None else c + add
-            if c:
-                terms[new_mono] = c
-            else:
-                terms.pop(new_mono, None)
+            _acc(terms, tuple(sorted(entries.items())), coeff * power)
         return DiffPoly(self.config, self.n, terms)
 
 

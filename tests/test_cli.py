@@ -1,9 +1,12 @@
 """End-to-end command-line behavior: outputs, formats, and exit codes."""
 
 import json
+import warnings
 
 import pytest
 
+import diffalg.cli
+import diffalg.normalform
 from diffalg import DiffFieldConfig
 from diffalg.cli import main
 from diffalg.parsing import orepoly_str, parse_orepoly
@@ -109,6 +112,34 @@ class TestModuleCommands:
         assert "d = 1, k = 1, torsion degrees [1]" in out
         assert "diagonal: ['t*d - 1']" in out
 
+    def test_decompose_diagonalizes_once(self, capsys, tmp_path,
+                                         monkeypatch):
+        original = diffalg.normalform.diagonalize
+        calls = []
+
+        def counted(A):
+            calls.append(A)
+            return original(A)
+
+        monkeypatch.setattr(diffalg.normalform, "diagonalize", counted)
+        monkeypatch.setattr(diffalg.cli, "diagonalize", counted)
+        text = "field: Q(t)\nmodule: 2\ngens: [0, t*d - 1]\n"
+        code, out, _ = run(capsys, tmp_path, text, "decompose")
+        assert code == 0
+        assert "d = 1, k = 1, torsion degrees [1]" in out
+        assert len(calls) == 1
+
+    def test_decompose_without_relations(self, capsys, tmp_path):
+        text = "field: Q(t)\nmodule: 2\ngens: [0, 0]\n"
+        code, out, _ = run(capsys, tmp_path, text, "decompose")
+        assert code == 0
+        assert out == "d = 2, k = 0, torsion degrees []\ndiagonal: []\n"
+        code, out, _ = run(capsys, tmp_path, text, "decompose",
+                           "--format", "json")
+        assert code == 0
+        assert json.loads(out) == {"d": 2, "k": 0, "torsion_degrees": [],
+                                   "diagonal": []}
+
     def test_decompose_partial_exits_4(self, capsys, tmp_path):
         text = "field: Q(t1,t2)\nmodule: 1\ngens: [d1]\n"
         code, _, err = run(capsys, tmp_path, text, "decompose")
@@ -154,6 +185,20 @@ class TestErrorHandling:
         code = main(["charset", str(tmp_path / "absent.txt")])
         captured = capsys.readouterr()
         assert code == 2 and captured.err.startswith("error:")
+
+    def test_leaders_not_an_antichain_exit_1(self, capsys, tmp_path):
+        text = "field: Q derivations: 2\nleaders: [(0,0), (1,1)]\n"
+        code, out, err = run(capsys, tmp_path, text, "count")
+        assert code == 1 and out == ""
+        assert err == "error: (0, 0) <= (1, 1) componentwise\n"
+
+    def test_problem_file_is_closed(self, capsys, tmp_path):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            code, _, _ = run(capsys, tmp_path, MODULE, "charset")
+        assert code == 0
+        assert not [w for w in caught
+                    if issubclass(w.category, ResourceWarning)]
 
     def test_malformed_section_exits_2(self, capsys, tmp_path):
         code, _, err = run(capsys, tmp_path, "field Q(t)\n", "charset")

@@ -4,11 +4,12 @@ import random
 
 import pytest
 
+import diffalg.dimension
 from diffalg import (DiffFieldConfig, ModElement, OrderlyRequired, Ranking,
-                     RatFun, brute_count, characteristic_set, diff_dimension,
-                     dimension_polynomial, dimension_report,
-                     elimination_ranking, free_split, leader_antichain,
-                     orderly_ranking)
+                     RatFun, UnsupportedForPartial, brute_count,
+                     characteristic_set, diff_dimension, dimension_polynomial,
+                     dimension_report, elimination_ranking, free_split,
+                     leader_antichain, orderly_ranking)
 from helpers import rand_modelement, truncated_module_dims
 
 CFG1 = DiffFieldConfig(1, 1)
@@ -120,6 +121,23 @@ class TestReport:
         cs = characteristic_set([g], orderly_ranking(1))
         report = dimension_report(cs)
         assert report.below_leader_count is None and report.free_term is None
+        with pytest.raises(UnsupportedForPartial):
+            free_split(cs)
+
+    def test_one_antichain_and_one_count_per_report(self, monkeypatch):
+        calls = {"leader_antichain": 0, "count_cofilter": 0}
+        for name in calls:
+            original = getattr(diffalg.dimension, name)
+
+            def counted(*args, _name=name, _original=original):
+                calls[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(diffalg.dimension, name, counted)
+        g = elem(2, {(1, (1,)): T, (0, (0,)): 1, (1, (0,)): -1})
+        report = dimension_report(charset([g], 2))
+        assert report.diff_dimension == 1 and report.below_leader_count == 1
+        assert calls == {"leader_antichain": 1, "count_cofilter": 1}
 
 
 class TestBruteForceAgreement:

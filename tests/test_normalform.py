@@ -86,6 +86,13 @@ class TestClassifyTangent:
         R = OreMatrix.from_columns(CFG1, [], 2)
         assert classify_tangent(R) == TangentClass(2, 0, ())
 
+    def test_class_from_diagonal(self):
+        d = delta()
+        diagonal = [op(1), d * d - op(T), OrePoly.zero(CFG1), d - 1]
+        assert TangentClass.from_diagonal(5, diagonal) \
+            == TangentClass(2, 3, (1, 2))
+        assert TangentClass.from_diagonal(2, []) == TangentClass(2, 0, ())
+
     def test_invariance_under_relation_recombination(self):
         rng = random.Random(62)
         for _ in range(8):
