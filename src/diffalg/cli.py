@@ -20,7 +20,7 @@ from .errors import (DiffAlgError, DivisionByZero, OrderlyRequired,
 from .diffmodule import characteristic_set, reduce as nf_reduce
 from .dimension import dimension_report, leader_antichain
 from .normalform import OreMatrix, TangentClass, diagonalize
-from .numpoly import count_cofilter
+from .numpoly import _weight_bounded, count_cofilter
 from .parsing import (orepoly_str, parse_input, vector_str, modelement_str)
 from .variety import tangent_pipeline
 
@@ -101,16 +101,11 @@ def _charset_of(problem):
                      "section")
 
 
-def _standard_terms(charset, n, bound):
+def _standard_terms(anti, bound):
     """Derivative terms of order <= bound outside the leader staircase."""
-    anti = leader_antichain(charset, n)
-    from itertools import product
-    m = charset.config.m
     out = []
     for comp, E in enumerate(anti.components):
-        for exps in product(range(bound + 1), repeat=m):
-            if sum(exps) > bound:
-                continue
+        for exps in _weight_bounded(anti.m, bound):
             if any(all(a >= b for a, b in zip(exps, e)) for e in E):
                 continue
             out.append((comp, exps))
@@ -184,7 +179,11 @@ def _dispatch(command, problem, args):
             out_json["tangent"] = tc.to_json()
             lines.append(f"tangent space: K^{tc.d} x C^{tc.k} "
                          f"(torsion degrees {list(tc.torsion_degrees)})")
-        _append_basis_dump(out_json, lines, charset, problem, args)
+        # the report counts the orderly charset; with an elimination
+        # ranking the standard terms come from the printed one
+        _append_basis_dump(out_json, lines, charset, problem, args,
+                           report.antichain
+                           if charset.ranking.kind == "orderly" else None)
         return {"json": out_json, "text": "\n".join(lines)}
 
     # charset / dimpoly share the setup
@@ -215,18 +214,23 @@ def _dispatch(command, problem, args):
         lines.append("free components: "
                      + (", ".join(names[i] for i in report.free_components)
                         or "none"))
-        _append_basis_dump(out_json, lines, charset, problem, args)
+        _append_basis_dump(out_json, lines, charset, problem, args,
+                           report.antichain)
         return {"json": out_json, "text": "\n".join(lines)}
 
     raise AssertionError(f"unhandled command {command}")
 
 
-def _append_basis_dump(out_json, lines, charset, problem, args):
+def _append_basis_dump(out_json, lines, charset, problem, args, anti=None):
+    """Add the standard terms up to --order-bound, read off `anti` or, if
+    that is None, off the leaders of `charset`."""
     if args.order_bound is None:
         return
+    if anti is None:
+        anti = leader_antichain(charset, problem.n)
     names = _component_names(problem)
-    terms = _standard_terms(charset, problem.n, args.order_bound)
-    labels = [_term_label(t, names, charset.config.m) for t in terms]
+    terms = _standard_terms(anti, args.order_bound)
+    labels = [_term_label(t, names, anti.m) for t in terms]
     out_json["standard_terms"] = labels
     lines.append(f"standard terms up to order {args.order_bound} "
                  f"({len(labels)}): " + ", ".join(labels))

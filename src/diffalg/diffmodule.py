@@ -33,19 +33,23 @@ class Ranking:
             raise ValueError(f"unknown ranking kind {self.kind!r}")
         if sorted(self.component_order) != list(range(len(self.component_order))):
             raise ValueError("component_order must be a permutation of 0..n-1")
+        # inverse permutation; an attribute, not a field, so equality,
+        # hashing and repr still see only kind and component_order
+        object.__setattr__(self, "_position",
+                           {c: i for i, c in enumerate(self.component_order)})
 
     @property
     def n(self):
         return len(self.component_order)
 
     def position(self, comp):
-        return self.component_order.index(comp)
+        return self._position[comp]
 
     def key(self, term):
         comp, exps = term
         if self.kind == "orderly":
-            return (monomial_ord(exps), self.position(comp), exps)
-        return (self.position(comp), monomial_ord(exps), exps)
+            return (monomial_ord(exps), self._position[comp], exps)
+        return (self._position[comp], monomial_ord(exps), exps)
 
     def compare(self, a, b):
         ka, kb = self.key(a), self.key(b)

@@ -31,6 +31,7 @@ class DimensionReport:
     typical_height: int
     free_components: tuple
     below_leader_count: int | None  # defined for m = 1 only
+    antichain: Antichain  # the leader staircase counted; not in to_json
 
     @property
     def free_term(self):
@@ -111,4 +112,4 @@ def dimension_report(charset, n=None):
              if m == 1 else None)
     return DimensionReport(dimpoly=phi, diff_dimension=d, type=level,
                            typical_height=d_l, free_components=free,
-                           below_leader_count=below)
+                           below_leader_count=below, antichain=anti)

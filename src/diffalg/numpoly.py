@@ -1,20 +1,24 @@
 """Integer-valued numerical polynomials and the staircase-counting kernel.
 
 phi(t) counts lattice points of N^m of weight <= t avoiding the staircase
-above each leader exponent; by inclusion-exclusion over subsets of each
-component's antichain,
+above each leader exponent.  The points of component i that avoid the
+staircase of E_i are the standard monomials of the monomial ideal (E_i), so
+their Hilbert series is N_i(z) / (1 - z)^m and
 
-    phi(t) = sum_i sum_{S subseteq E_i} (-1)^|S| C(t - |max S| + m, m),
+    phi(t) = sum_i sum_c n_ic C(t - c + m, m),   N_i(z) = sum_c n_ic z^c,
 
-valid for t >= max_S |max S|.  Polynomials are stored in the binomial
-basis C(t+i, i), whose coefficients are the Kolchin invariants directly.
+valid for t >= max_i |join(E_i)|.  The numerators come from the pivot
+recursion for Hilbert series of monomial ideals (Bayer and Stillman,
+"Computation of Hilbert functions", JSC 1992; Bigatti, "Computation of
+Hilbert-Poincare series", JPAA 1997) instead of a sum over all 2^|E_i|
+subsets of leaders.  Polynomials are stored in the binomial basis C(t+i, i),
+whose coefficients are the Kolchin invariants directly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from math import comb, factorial
 
 from .errors import NotAntichain
@@ -167,35 +171,68 @@ class Antichain:
         return len(self.components)
 
 
+def _minimalize(gens):
+    """The generators not divisible by another one, smallest weight first."""
+    out = []
+    for g in sorted(set(gens), key=sum):
+        if not any(all(a <= b for a, b in zip(h, g)) for h in out):
+            out.append(g)
+    return out
+
+
+def _numerator(gens, m):
+    """Hilbert-series numerator {c: n_c} of k[x_1..x_m] / (gens).
+
+    gens must be minimal.  When their supports are pairwise disjoint the
+    numerator is prod (1 - z^|g|); otherwise split on the pivot p = x_i^e,
+    with x_i the variable in the most generators and e the median exponent
+    of x_i over the generators that are not powers of x_i (so p is not in
+    the ideal):  N(I) = N(I + (p)) + z^e N(I : p).
+    """
+    counts = [sum(1 for g in gens if g[i]) for i in range(m)]
+    most = max(counts, default=0)
+    if most <= 1:
+        num = {0: 1}
+        for g in gens:
+            d = sum(g)
+            shifted = dict(num)
+            for c, n in num.items():
+                shifted[c + d] = shifted.get(c + d, 0) - n
+            num = shifted
+        return num
+    i = counts.index(most)
+    exps = sorted(g[i] for g in gens if 0 < g[i] < sum(g))
+    e = exps[len(exps) // 2]
+    pivot = tuple(e if j == i else 0 for j in range(m))
+    plus = [g for g in gens if g[i] < e] + [pivot]
+    colon = _minimalize(g[:i] + (max(g[i] - e, 0),) + g[i + 1:]
+                        for g in gens)
+    num = _numerator(plus, m)
+    for c, n in _numerator(colon, m).items():
+        num[c + e] = num.get(c + e, 0) + n
+    return num
+
+
 def count_cofilter(antichain):
     """Numerical polynomial counting staircase-free lattice points.
 
     For each component, counts {v in N^m : |v| <= t, v >= e for no e in E_i}
-    by inclusion-exclusion over subsets of E_i.
+    from the Hilbert-series numerator of the ideal (E_i); with
+    N(z) = sum_c n_c z^c summed over components, the binomial-basis
+    coefficients are a_i = (-1)^(m-i) sum_c n_c C(c, m-i).
     """
     m = antichain.m
-    total = [Fraction(0)] * (m + 1)
+    num = {}
     valid_from = 0
     for E in antichain.components:
-        vectors = sorted(E)
-        for size in range(len(vectors) + 1):
-            for subset in combinations(vectors, size):
-                join = [0] * m
-                for e in subset:
-                    join = [max(a, b) for a, b in zip(join, e)]
-                c = sum(join)
-                valid_from = max(valid_from, c)
-                sign = -1 if size % 2 else 1
-                # C(t - c + m, m) = prod_{j=1..m} (t - c + j) / m!
-                poly = [Fraction(1)]
-                for j in range(1, m + 1):
-                    poly = [Fraction(0)] + poly
-                    for k in range(len(poly) - 1):
-                        poly[k] += (j - c) * poly[k + 1]
-                inv = Fraction(sign, factorial(m))
-                for k in range(len(poly)):
-                    total[k] += poly[k] * inv
-    return NumericalPolynomial.from_monomial(total, valid_from)
+        if E:
+            valid_from = max(valid_from, sum(map(max, zip(*E))))
+        for c, n in _numerator(list(E), m).items():
+            num[c] = num.get(c, 0) + n
+    coeffs = tuple((-1) ** (m - i) * sum(n * comb(c, m - i)
+                                         for c, n in num.items())
+                   for i in range(m + 1))
+    return NumericalPolynomial(coeffs, valid_from)
 
 
 def brute_count(antichain, t):
@@ -210,12 +247,17 @@ def brute_count(antichain, t):
 
 
 def _weight_bounded(m, t):
+    """Exponent tuples in N^m of weight <= t, in lexicographic order."""
     if m == 0:
         yield ()
         return
-    for head in range(t + 1):
-        for tail in _weight_bounded(m - 1, t - head):
-            yield (head,) + tail
+    prefixes = [((), t)]  # (first coordinates, weight left)
+    for _ in range(m - 1):
+        prefixes = [(p + (h,), r - h) for p, r in prefixes
+                    for h in range(r + 1)]
+    for p, r in prefixes:
+        for h in range(r + 1):
+            yield p + (h,)
 
 
 def eval_numpoly(p, t):

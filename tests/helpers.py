@@ -1,14 +1,17 @@
 """Shared test utilities: random generators and independent oracles.
 
 The oracles deliberately avoid the library's own fast paths: operator
-products are re-derived from the closed binomial commutation formula, and
-module dimensions are recomputed by exact Gaussian elimination over the
-base field on truncated derivative spans.
+products are re-derived from the closed binomial commutation formula,
+staircase counts are re-derived by inclusion-exclusion over subsets of
+leaders, and module dimensions are recomputed by exact Gaussian elimination
+over the base field on truncated derivative spans.
 """
 
-from math import comb
+from fractions import Fraction
+from itertools import combinations
+from math import comb, factorial
 
-from diffalg import MPoly, ModElement, OrePoly, RatFun
+from diffalg import MPoly, ModElement, NumericalPolynomial, OrePoly, RatFun
 
 
 # ---------------------------------------------------------------------------
@@ -159,6 +162,38 @@ class RowReducer:
                 else:
                     vec.pop(k, None)
         return True
+
+
+# ---------------------------------------------------------------------------
+# inclusion-exclusion staircase oracle
+
+def inclusion_exclusion_count(antichain):
+    """count_cofilter by inclusion-exclusion over all 2^|E_i| subsets:
+
+        phi(t) = sum_i sum_{S subseteq E_i} (-1)^|S| C(t - |max S| + m, m).
+    """
+    m = antichain.m
+    total = [Fraction(0)] * (m + 1)
+    valid_from = 0
+    for E in antichain.components:
+        vectors = sorted(E)
+        for size in range(len(vectors) + 1):
+            for subset in combinations(vectors, size):
+                join = [0] * m
+                for e in subset:
+                    join = [max(a, b) for a, b in zip(join, e)]
+                c = sum(join)
+                valid_from = max(valid_from, c)
+                # C(t - c + m, m) = prod_{j=1..m} (t - c + j) / m!
+                poly = [Fraction(1)]
+                for j in range(1, m + 1):
+                    poly = [Fraction(0)] + poly
+                    for k in range(len(poly) - 1):
+                        poly[k] += (j - c) * poly[k + 1]
+                inv = Fraction(-1 if size % 2 else 1, factorial(m))
+                for k in range(len(poly)):
+                    total[k] += poly[k] * inv
+    return NumericalPolynomial.from_monomial(total, valid_from)
 
 
 # ---------------------------------------------------------------------------

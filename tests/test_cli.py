@@ -6,6 +6,7 @@ import warnings
 import pytest
 
 import diffalg.cli
+import diffalg.dimension
 import diffalg.normalform
 from diffalg import DiffFieldConfig
 from diffalg.cli import main
@@ -152,6 +153,27 @@ class TestModuleCommands:
                            "--order-bound", "2")
         assert code == 0
         assert "standard terms up to order 2 (4): e1, e1', e1'', e2" in out
+
+
+    @pytest.mark.parametrize("command, text", [("dimpoly", MODULE),
+                                               ("tangent", GENERIC)],
+                             ids=["dimpoly", "tangent"])
+    def test_order_bound_builds_one_antichain(self, capsys, tmp_path,
+                                              monkeypatch, command, text):
+        original = diffalg.dimension.leader_antichain
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(diffalg.dimension, "leader_antichain", counted)
+        monkeypatch.setattr(diffalg.cli, "leader_antichain", counted)
+        code, out, _ = run(capsys, tmp_path, text, command,
+                           "--order-bound", "3")
+        assert code == 0
+        assert "standard terms up to order 3" in out
+        assert len(calls) == 1
 
 
 class TestCountCommand:

@@ -1,12 +1,15 @@
 """Numerical polynomials and the staircase-counting kernel."""
 
 import random
+import time
 
 import pytest
 
 from diffalg import (Antichain, NotAntichain, NumericalPolynomial, ZERO_TYPE,
                      brute_count, count_cofilter, eval_numpoly,
                      type_and_heights)
+
+from helpers import inclusion_exclusion_count, multiindices
 
 
 def anti(m, *components):
@@ -49,6 +52,92 @@ class TestCountCofilter:
     def test_multiple_components_sum(self):
         phi = count_cofilter(anti(2, {(1, 1), (0, 2)}, {(2, 0)}))
         assert str(phi) == "3*t + 3"
+
+
+def wide_antichain(rng, size, width):
+    """`size` leaders in N^2, the first coordinate increasing and the second
+    decreasing: every antichain of N^2 has this shape."""
+    firsts = sorted(rng.sample(range(width), size))
+    seconds = sorted(rng.sample(range(width), size), reverse=True)
+    return list(zip(firsts, seconds))
+
+
+def layer_antichain(rng, m, size, weight, bumps=0):
+    """`size` distinct leaders of one total weight, then up to `bumps`
+    random unit raises that keep the set an antichain."""
+    leaders = rng.sample(multiindices(m, weight), size)
+    for _ in range(bumps):
+        k = rng.randrange(size)
+        i = rng.randrange(m)
+        raised = leaders[k][:i] + (leaders[k][i] + 1,) + leaders[k][i + 1:]
+        if not any(all(a <= b for a, b in zip(e, raised))
+                   for j, e in enumerate(leaders) if j != k):
+            leaders[k] = raised
+    return leaders
+
+
+class TestPivotCountAgainstInclusionExclusion:
+    def test_random_multi_component(self):
+        rng = random.Random(45)
+        for _ in range(150):
+            m = rng.choice((1, 2, 3))
+            E = rand_antichain(rng, m, max_entry=4 if m < 3 else 3,
+                               max_vectors=7, components=rng.randint(1, 3))
+            assert count_cofilter(E) == inclusion_exclusion_count(E)
+
+    def test_empty_components(self):
+        for m in (1, 2, 3):
+            E = anti(m, set(), {(1,) * m}, set())
+            assert count_cofilter(E) == inclusion_exclusion_count(E)
+
+    def test_zero_leader(self):
+        rng = random.Random(46)
+        for m in (1, 2, 3):
+            others = rand_antichain(rng, m, max_vectors=5).components[0]
+            E = anti(m, {(0,) * m}, others, {(0,) * m})
+            phi = count_cofilter(E)
+            assert phi == inclusion_exclusion_count(E)
+            assert phi == count_cofilter(anti(m, others))
+
+    def test_pure_powers(self):
+        for E in (anti(2, {(3, 0), (0, 2)}),
+                  anti(2, {(3, 0), (0, 2), (1, 1)}),
+                  anti(3, {(2, 0, 0), (0, 4, 0), (0, 0, 1)}),
+                  anti(3, {(5, 0, 0), (1, 1, 0), (0, 3, 0), (2, 0, 2)}),
+                  anti(3, {(3, 0, 0)}, {(0, 0, 2), (1, 1, 1)})):
+            assert count_cofilter(E) == inclusion_exclusion_count(E)
+
+    def test_pairwise_coprime(self):
+        for E in (anti(2, {(2, 0), (0, 5)}),
+                  anti(3, {(1, 2, 0), (0, 0, 3)}),
+                  anti(3, {(4, 0, 0), (0, 1, 0), (0, 0, 2)}, {(1, 0, 1)})):
+            assert count_cofilter(E) == inclusion_exclusion_count(E)
+
+    def test_seeded_layers(self):
+        rng = random.Random(47)
+        for m, weight, size in ((2, 9, 8), (3, 4, 9), (3, 6, 10)):
+            E = anti(m, layer_antichain(rng, m, size, weight, bumps=10),
+                     layer_antichain(rng, m, 5, weight + 2))
+            assert count_cofilter(E) == inclusion_exclusion_count(E)
+        E = anti(2, wide_antichain(rng, 12, 20))
+        assert count_cofilter(E) == inclusion_exclusion_count(E)
+
+
+class TestThirtyLeaders:
+    @pytest.mark.parametrize("m, leaders", [
+        (2, lambda rng: wide_antichain(rng, 30, 40)),
+        (3, lambda rng: layer_antichain(rng, 3, 30, 7)),
+        (3, lambda rng: layer_antichain(rng, 3, 30, 8, bumps=60)),
+    ], ids=["m2-wide", "m3-layer", "m3-bumped"])
+    def test_against_brute_count(self, m, leaders):
+        E = anti(m, leaders(random.Random(48)))
+        assert len(E.components[0]) == 30
+        start = time.perf_counter()
+        phi = count_cofilter(E)
+        elapsed = time.perf_counter() - start
+        assert elapsed < 1.0, f"30 leaders at m = {m} took {elapsed:.2f}s"
+        for t in range(phi.valid_from, phi.valid_from + 4):
+            assert eval_numpoly(phi, t) == brute_count(E, t)
 
 
 class TestBruteCount:
