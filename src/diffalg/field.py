@@ -1,9 +1,11 @@
 """Exact arithmetic in the base field K = Q(t1,...,tv) with partial derivations.
 
-Elements are reduced fractions of sparse multivariate polynomials over Q.
-Every RatFun is kept in a canonical form (numerator and denominator coprime,
-denominator monic under lex order), so equal values have identical
-representations and compare bit-identically.
+Polynomials are sparse over the integers, in Z[t1..tv].  An element of K is
+a numerator/denominator pair of them, coprime in Z[t] (integer content
+included) with the denominator's lex-leading coefficient positive.  That
+form is unique, so equal values have identical representations and compare
+bit-identically.  The familiar form with a monic denominator is built only
+for output (`parsing.ratfun_str`).
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd as _int_gcd
+from operator import add, sub
 
 from .errors import BadDerivation, DivisionByZero
 
@@ -47,7 +50,7 @@ class DiffFieldConfig:
 
 
 class MPoly:
-    """Sparse polynomial in Q[t1..tv]: exponent tuple -> Fraction."""
+    """Sparse polynomial in Z[t1..tv]: exponent tuple -> nonzero int."""
 
     __slots__ = ("nvars", "terms", "_hash")
 
@@ -59,7 +62,9 @@ class MPoly:
                 if coeff:
                     if len(exps) != nvars:
                         raise ValueError("exponent vector of wrong length")
-                    clean[exps] = Fraction(coeff)
+                    if int(coeff) != coeff:
+                        raise ValueError(f"non-integer coefficient {coeff}")
+                    clean[exps] = int(coeff)
         self.terms = clean
         self._hash = None
 
@@ -71,15 +76,12 @@ class MPoly:
 
     @classmethod
     def const(cls, nvars, value):
-        value = Fraction(value)
-        if not value:
-            return cls(nvars)
         return cls(nvars, {(0,) * nvars: value})
 
     @classmethod
     def var(cls, nvars, i):
         exps = tuple(1 if j == i else 0 for j in range(nvars))
-        return cls(nvars, {exps: Fraction(1)})
+        return cls(nvars, {exps: 1})
 
     # -- predicates and views ------------------------------------------
 
@@ -89,10 +91,11 @@ class MPoly:
     def is_const(self):
         return all(not any(e) for e in self.terms)
 
+    def is_one(self):
+        return len(self.terms) == 1 and self.terms.get((0,) * self.nvars) == 1
+
     def const_value(self):
-        if self.is_zero():
-            return Fraction(0)
-        return self.terms[(0,) * self.nvars]
+        return self.terms.get((0,) * self.nvars, 0)
 
     def lex_leading(self):
         """(exponents, coefficient) of the lex-maximal term."""
@@ -104,11 +107,6 @@ class MPoly:
             return -1
         return max(e[i] for e in self.terms)
 
-    def total_degree(self):
-        if self.is_zero():
-            return -1
-        return max(sum(e) for e in self.terms)
-
     # -- ring operations -----------------------------------------------
 
     def __add__(self, other):
@@ -118,45 +116,35 @@ class MPoly:
             if c:
                 terms[exps] = c
             else:
-                terms.pop(exps, None)
-        return MPoly(self.nvars, terms)
+                del terms[exps]
+        return _poly(self.nvars, terms)
 
     def __neg__(self):
-        return MPoly(self.nvars, {e: -c for e, c in self.terms.items()})
+        return _poly(self.nvars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int):
             return self.scale(other)
-        if self.is_zero() or other.is_zero():
-            return MPoly(self.nvars)
-        x = _main_var(self, other)
-        if x is not None and _univariate_in(self, x) \
-                and _univariate_in(other, x):
-            return _mul_univariate(self, other, x)
         terms = {}
+        get = terms.get
+        right = list(other.terms.items())
         for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                c = terms.get(e, 0) + c1 * c2
-                if c:
-                    terms[e] = c
-                else:
-                    del terms[e]
-        return MPoly(self.nvars, terms)
+            for e2, c2 in right:
+                e = tuple(map(add, e1, e2))
+                terms[e] = get(e, 0) + c1 * c2
+        return _poly(self.nvars, {e: c for e, c in terms.items() if c})
 
     def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int):
             return self.scale(other)
         return NotImplemented
 
-    def scale(self, q):
-        q = Fraction(q)
-        if not q:
-            return MPoly(self.nvars)
-        return MPoly(self.nvars, {e: c * q for e, c in self.terms.items()})
+    def scale(self, k):
+        """Multiply every coefficient by the integer k."""
+        return MPoly(self.nvars, {e: c * k for e, c in self.terms.items()})
 
     def __pow__(self, k):
         if k < 0:
@@ -174,42 +162,37 @@ class MPoly:
         """Derivative with respect to t_i (0-based)."""
         terms = {}
         for exps, coeff in self.terms.items():
-            if exps[i]:
-                e = list(exps)
-                e[i] -= 1
-                terms[tuple(e)] = terms.get(tuple(e), 0) + coeff * exps[i]
-        return MPoly(self.nvars, terms)
+            k = exps[i]
+            if k:
+                terms[exps[:i] + (k - 1,) + exps[i + 1:]] = coeff * k
+        return _poly(self.nvars, terms)
 
     # -- exact division and gcd ----------------------------------------
 
     def divexact(self, other):
-        """Quotient self/other, assuming the division is exact."""
+        """Quotient self/other in Z[t], assuming the division is exact."""
         if other.is_zero():
             raise DivisionByZero("polynomial division by zero")
-        if other.is_const():
-            return self.scale(1 / other.const_value())
-        x = _main_var(self, other)
-        if x is not None and _univariate_in(self, x) \
-                and _univariate_in(other, x):
-            return _divexact_univariate(self, other, x)
-        rem = self
-        quo = {}
         lead_e, lead_c = other.lex_leading()
-        while not rem.is_zero():
-            re, rc = rem.lex_leading()
-            qe = tuple(a - b for a, b in zip(re, lead_e))
-            if any(x < 0 for x in qe):
+        tail = [(e, c) for e, c in other.terms.items() if e != lead_e]
+        rem = dict(self.terms)
+        quo = {}
+        while rem:
+            re = max(rem)
+            qc, r = divmod(rem.pop(re), lead_c)
+            qe = tuple(map(sub, re, lead_e))
+            if r or min(qe, default=0) < 0:
                 raise ArithmeticError("inexact polynomial division")
-            qc = rc / lead_c
-            quo[qe] = quo.get(qe, 0) + qc
-            rem = rem - MPoly(self.nvars, {qe: qc}) * other
-        return MPoly(self.nvars, quo)
-
-    def monic_lex(self):
-        if self.is_zero():
-            return self
-        _, c = self.lex_leading()
-        return self.scale(1 / c)
+            quo[qe] = qc
+            # every term of qc*t^qe*tail lies lex-below re
+            for e, c in tail:
+                e = tuple(map(add, qe, e))
+                c = rem.get(e, 0) - qc * c
+                if c:
+                    rem[e] = c
+                else:
+                    del rem[e]
+        return _poly(self.nvars, quo)
 
     # -- comparisons -----------------------------------------------------
 
@@ -230,6 +213,20 @@ class MPoly:
         return f"MPoly({self.nvars}, {self.terms!r})"
 
 
+def _poly(nvars, terms):
+    """MPoly over a dict of nonzero ints, taken as is (no checks, no copy)."""
+    p = object.__new__(MPoly)
+    p.nvars = nvars
+    p.terms = terms
+    p._hash = None
+    return p
+
+
+def _lex_positive(p):
+    """p or -p, whichever has a positive lex-leading coefficient."""
+    return -p if p.terms and p.lex_leading()[1] < 0 else p
+
+
 def _main_var(f, g):
     """Largest variable index occurring in f or g, or None."""
     best = None
@@ -246,34 +243,17 @@ def _coeffs_in(f, x):
     """View f as univariate in t_x: degree -> MPoly coefficient (t_x-free)."""
     out = {}
     for exps, coeff in f.terms.items():
-        d = exps[x]
-        e = list(exps)
-        e[x] = 0
-        key = tuple(e)
-        bucket = out.setdefault(d, {})
-        bucket[key] = bucket.get(key, 0) + coeff
-    return {d: MPoly(f.nvars, t) for d, t in out.items()}
-
-
-def _from_coeffs(nvars, x, coeffs):
-    terms = {}
-    for d, poly in coeffs.items():
-        for exps, coeff in poly.terms.items():
-            e = list(exps)
-            e[x] = d
-            terms[tuple(e)] = coeff
-    return MPoly(nvars, terms)
+        out.setdefault(exps[x], {})[exps[:x] + (0,) + exps[x + 1:]] = coeff
+    return {d: _poly(f.nvars, t) for d, t in out.items()}
 
 
 def _content_pp(f, x):
-    """Content (gcd of t_x-coefficients) and primitive part of f."""
-    coeffs = _coeffs_in(f, x)
+    """Content over Z[other variables] (lex-positive) and primitive part."""
     content = MPoly.zero(f.nvars)
-    for poly in coeffs.values():
+    for poly in _coeffs_in(f, x).values():
         content = mpoly_gcd(content, poly)
-        if content.is_const():
-            break
-    content = content.monic_lex()
+        if content.is_one():
+            return content, f
     return content, f.divexact(content)
 
 
@@ -285,8 +265,8 @@ def _prem(f, g, x):
     while not rem.is_zero() and rem.degree_in(x) >= dg:
         dr = rem.degree_in(x)
         lc_r = _coeffs_in(rem, x)[dr]
-        shift = MPoly(f.nvars, {tuple(dr - dg if i == x else 0
-                                      for i in range(f.nvars)): Fraction(1)})
+        shift = _poly(f.nvars, {tuple(dr - dg if i == x else 0
+                                      for i in range(f.nvars)): 1})
         rem = rem * lc_g - lc_r * shift * g
     return rem
 
@@ -296,89 +276,12 @@ def _univariate_in(f, x):
     return all(not e for exps in f.terms for i, e in enumerate(exps) if i != x)
 
 
-def _dense_int_coeffs(f, x):
-    """(ascending integer coefficients, denominator) of a t_x-univariate f."""
-    coeffs = [Fraction(0)] * (f.degree_in(x) + 1)
-    for exps, c in f.terms.items():
-        coeffs[exps[x]] = c
-    scale = 1
-    for c in coeffs:
-        scale = scale * c.denominator // _int_gcd(scale, c.denominator)
-    return [int(c * scale) for c in coeffs], scale
-
-
-def _mul_univariate(f, g, x):
-    """Dense integer convolution for t_x-univariate factors."""
-    a, sa = _dense_int_coeffs(f, x)
-    b, sb = _dense_int_coeffs(g, x)
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                if bj:
-                    out[i + j] += ai * bj
-    scale = Fraction(1, sa * sb)
-    return MPoly(f.nvars, {tuple(k if i == x else 0 for i in range(f.nvars)):
-                           c * scale for k, c in enumerate(out) if c})
-
-
-def _divexact_univariate(f, g, x):
-    """Dense synthetic division for t_x-univariate polynomials.
-
-    On primitive integer parts an exact quotient is again an integer
-    polynomial (Gauss), so the whole division runs over Z; the rational
-    contents are reattached at the end.
-    """
-    a, sa = _dense_int_coeffs(f, x)
-    b, sb = _dense_int_coeffs(g, x)
-    da, db = len(a) - 1, len(b) - 1
-    if da < db:
-        raise ArithmeticError("inexact polynomial division")
-    ca, cb = 0, 0
-    for c in a:
-        ca = _int_gcd(ca, c)
-    for c in b:
-        cb = _int_gcd(cb, c)
-    if ca > 1:
-        a = [c // ca for c in a]
-    if cb > 1:
-        b = [c // cb for c in b]
-    lb = b[-1]
-    quo = [0] * (da - db + 1)
-    for k in range(da - db, -1, -1):
-        c, r = divmod(a[db + k], lb)
-        if r:
-            raise ArithmeticError("inexact polynomial division")
-        quo[k] = c
-        if c:
-            for i, bc in enumerate(b):
-                if bc:
-                    a[i + k] -= c * bc
-    if any(a):
-        raise ArithmeticError("inexact polynomial division")
-    scale = Fraction(ca * sb, cb * sa)
-    return MPoly(f.nvars, {tuple(k if i == x else 0 for i in range(f.nvars)):
-                           c * scale for k, c in enumerate(quo) if c})
-
-
-def _uni_int_coeffs(f, x):
-    """Primitive integer coefficient list (ascending) of a t_x-univariate f."""
-    coeffs = [Fraction(0)] * (f.degree_in(x) + 1)
-    for exps, c in f.terms.items():
-        coeffs[exps[x]] = c
-    scale = 1
-    for c in coeffs:
-        scale = scale * c.denominator // _int_gcd(scale, c.denominator)
-    return _int_primitive([int(c * scale) for c in coeffs])
-
-
 def _int_primitive(coeffs):
-    content = 0
-    for c in coeffs:
-        content = _int_gcd(content, c)
+    """(content, primitive part) of an integer coefficient list."""
+    content = _int_gcd(*coeffs)
     if content > 1:
         coeffs = [c // content for c in coeffs]
-    return coeffs
+    return content, coeffs
 
 
 def _int_prem(a, b):
@@ -396,40 +299,49 @@ def _int_prem(a, b):
         while r and not r[-1]:
             r.pop()
         if r:
-            r = _int_primitive(r)
+            r = _int_primitive(r)[1]
         else:
             break
     return r
 
 
 def _gcd_univariate(f, g, x):
-    """Monic gcd via a primitive integer remainder sequence in Z[t_x]."""
-    a = _uni_int_coeffs(f, x)
-    b = _uni_int_coeffs(g, x)
+    """Gcd via a primitive integer remainder sequence on dense t_x-lists."""
+    dense = []
+    for p in (f, g):
+        coeffs = [0] * (p.degree_in(x) + 1)
+        for exps, c in p.terms.items():
+            coeffs[exps[x]] = c
+        dense.append(_int_primitive(coeffs))
+    (ca, a), (cb, b) = dense
     if len(a) < len(b):
         a, b = b, a
     while b:
         a, b = b, _int_prem(a, b)
-    lead = Fraction(a[-1])
-    terms = {tuple(i if j == x else 0 for j in range(f.nvars)):
-             Fraction(c) / lead for i, c in enumerate(a) if c}
-    return MPoly(f.nvars, terms)
+    scale = _int_gcd(ca, cb)
+    if a[-1] < 0:
+        scale = -scale
+    return _poly(f.nvars, {tuple(i if j == x else 0 for j in range(f.nvars)):
+                           scale * c for i, c in enumerate(a) if c})
 
 
 def mpoly_gcd(f, g):
-    """Gcd in Q[t1..tv], normalized monic under lex order.
+    """Gcd in Z[t1..tv], integer content included, lex-leading coefficient
+    positive; gcd(0, 0) = 0.
 
-    Univariate inputs use the ordinary Euclidean algorithm; the general
-    case uses primitive pseudo-remainder sequences recursing on the main
-    variable, adequate at the small degrees this toolkit targets.
+    Univariate inputs use a primitive remainder sequence on dense integer
+    lists; the general case uses primitive pseudo-remainder sequences
+    recursing on the main variable, adequate at the small degrees this
+    toolkit targets.
     """
     if f.is_zero():
-        return g.monic_lex()
+        return _lex_positive(g)
     if g.is_zero():
-        return f.monic_lex()
+        return _lex_positive(f)
+    if f.is_const() or g.is_const():
+        return MPoly.const(f.nvars, _int_gcd(*f.terms.values(),
+                                             *g.terms.values()))
     x = _main_var(f, g)
-    if x is None:
-        return MPoly.const(f.nvars, 1)
     if _univariate_in(f, x) and _univariate_in(g, x):
         return _gcd_univariate(f, g, x)
     cf, pf = _content_pp(f, x)
@@ -437,18 +349,16 @@ def mpoly_gcd(f, g):
     c = mpoly_gcd(cf, cg)
     if pf.degree_in(x) < pg.degree_in(x):
         pf, pg = pg, pf
-    while not pg.is_zero():
+    while True:
         r = _prem(pf, pg, x)
         if r.is_zero():
-            pf = pg
-            break
-        _, r = _content_pp(r, x)
-        pf, pg = pg, r
-    return (c * pf).monic_lex()
+            return c * _lex_positive(pg)
+        pf, pg = pg, _content_pp(r, x)[1]
 
 
 class RatFun:
-    """Element of K = Q(t1..tv) in canonical form (monic denominator)."""
+    """Element of K = Q(t1..tv) in canonical form: a coprime pair over Z
+    with lex-positive denominator."""
 
     __slots__ = ("num", "den", "_hash")
 
@@ -467,8 +377,9 @@ class RatFun:
 
     @classmethod
     def from_const(cls, nvars, value):
-        return cls(MPoly.const(nvars, value), MPoly.const(nvars, 1),
-                   _canonical=True)
+        value = Fraction(value)
+        return cls(MPoly.const(nvars, value.numerator),
+                   MPoly.const(nvars, value.denominator), _canonical=True)
 
     @classmethod
     def var(cls, nvars, i):
@@ -479,16 +390,20 @@ class RatFun:
         return self.num.is_zero()
 
     def is_one(self):
-        return (self.num.is_const() and self.den.is_const()
-                and self.num.const_value() == self.den.const_value() == 1)
+        return self.num.is_one() and self.den.is_one()
 
     def is_const(self):
         return self.num.is_const() and self.den.is_const()
 
     def const_value(self):
-        return self.num.const_value() / self.den.const_value()
+        return Fraction(self.num.const_value(), self.den.const_value())
 
     # -- field arithmetic -----------------------------------------------
+    #
+    # Products of lex-positive polynomials, and their quotients by the
+    # (lex-positive) gcds, are lex-positive, so the results below are
+    # canonical once they are coprime; a constant gcd such as 2 is not a
+    # unit over Z, so only a gcd of 1 skips a cancellation.
 
     def __add__(self, other):
         other = _coerce(other, self.nvars)
@@ -501,19 +416,20 @@ class RatFun:
         # with coprime inputs, any common factor of the raw sum divides
         # g = gcd of the denominators, so only small gcds are ever taken
         g = mpoly_gcd(self.den, other.den)
-        if g.is_const():
+        if g.is_one():
+            # coprime denominators: a zero sum has denominator 1*1 = 1
             return RatFun(self.num * other.den + other.num * self.den,
-                          self.den * other.den, _coprime=True)
+                          self.den * other.den, _canonical=True)
         d2r = other.den.divexact(g)
         num = self.num * d2r + other.num * self.den.divexact(g)
         if num.is_zero():
             return RatFun.from_const(self.nvars, 0)
         den = self.den * d2r
         h = mpoly_gcd(num, g)
-        if not h.is_const():
+        if not h.is_one():
             num = num.divexact(h)
             den = den.divexact(h)
-        return RatFun(num, den, _coprime=True)
+        return RatFun(num, den, _canonical=True)
 
     __radd__ = __add__
 
@@ -539,14 +455,14 @@ class RatFun:
         n1, d1 = self.num, self.den
         n2, d2 = other.num, other.den
         g1 = mpoly_gcd(n1, d2)
-        if not g1.is_const():
+        if not g1.is_one():
             n1 = n1.divexact(g1)
             d2 = d2.divexact(g1)
         g2 = mpoly_gcd(n2, d1)
-        if not g2.is_const():
+        if not g2.is_one():
             n2 = n2.divexact(g2)
             d1 = d1.divexact(g2)
-        return RatFun(n1 * n2, d1 * d2, _coprime=True)
+        return RatFun(n1 * n2, d1 * d2, _canonical=True)
 
     __rmul__ = __mul__
 
@@ -572,7 +488,7 @@ class RatFun:
     def __pow__(self, k):
         if k < 0:
             return self.inverse() ** (-k)
-        return RatFun(self.num ** k, self.den ** k, _coprime=True)
+        return RatFun(self.num ** k, self.den ** k, _canonical=True)
 
     def derive(self, i):
         """Partial derivative; zero for indices past the variable count."""
@@ -588,11 +504,11 @@ class RatFun:
         # cancellation against it reach the coprime form
         for _ in range(2):
             h = mpoly_gcd(num, self.den)
-            if h.is_const():
+            if h.is_one():
                 break
             num = num.divexact(h)
             den = den.divexact(h)
-        return RatFun(num, den, _coprime=True)
+        return RatFun(num, den, _canonical=True)
 
     # -- comparisons -----------------------------------------------------
 
@@ -623,22 +539,18 @@ def _coerce(value, nvars):
 
 
 def _normalize(num, den, coprime=False):
-    """Reduced form with monic denominator; zero is 0/1."""
+    """Coprime pair over Z with lex-positive denominator; zero is 0/1."""
     if den.is_zero():
         raise DivisionByZero("zero denominator")
     if num.is_zero():
-        one = MPoly.const(num.nvars, 1)
-        return MPoly.zero(num.nvars), one
+        return num, MPoly.const(num.nvars, 1)
     if not coprime:
         g = mpoly_gcd(num, den)
-        if not (g.is_const() and g.const_value() == 1):
+        if not g.is_one():
             num = num.divexact(g)
             den = den.divexact(g)
-    _, lead = den.lex_leading()
-    if lead != 1:
-        inv = 1 / lead
-        num = num.scale(inv)
-        den = den.scale(inv)
+    if den.lex_leading()[1] < 0:
+        return -num, -den
     return num, den
 
 

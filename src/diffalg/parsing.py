@@ -9,6 +9,7 @@ variables, `d`/`d1..dm` for derivation operators, and `y'`, `y''` or
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from fractions import Fraction
 
 from .errors import ParseError
 from .field import DiffFieldConfig, RatFun
@@ -336,16 +337,13 @@ def _split_tokens(tokens, sep):
 # ---------------------------------------------------------------------------
 # pretty printers (round-trip with the parsers above)
 
-def fraction_str(q):
-    return str(q)
-
-
-def mpoly_str(p, names):
-    if p.is_zero():
+def mpoly_str(terms, names):
+    """Sum of {exponents: rational coefficient} terms, lex-descending."""
+    if not terms:
         return "0"
     parts = []
-    for exps in sorted(p.terms, reverse=True):
-        coeff = p.terms[exps]
+    for exps in sorted(terms, reverse=True):
+        coeff = terms[exps]
         factors = []
         for name, e in zip(names, exps):
             if e == 1:
@@ -355,11 +353,11 @@ def mpoly_str(p, names):
         body = "*".join(factors)
         mag = abs(coeff)
         if not body:
-            piece = fraction_str(mag)
+            piece = str(mag)
         elif mag == 1:
             piece = body
         else:
-            piece = f"{fraction_str(mag)}*{body}"
+            piece = f"{mag}*{body}"
         if not parts:
             parts.append(piece if coeff > 0 else "-" + piece)
         else:
@@ -367,21 +365,23 @@ def mpoly_str(p, names):
     return " ".join(parts)
 
 
-def _needs_parens(p):
-    return len(p.terms) > 1
-
-
 def ratfun_str(r, config=None):
+    """Printed with a monic denominator: numerator and denominator are both
+    divided by the denominator's lex-leading coefficient."""
     names = field_var_names(config) if config is not None \
         else [f"t{i + 1}" for i in range(r.nvars)] if r.nvars > 1 \
         else ["t"]
-    num = mpoly_str(r.num, names)
-    if r.den.is_const() and r.den.const_value() == 1:
-        return num
-    den = mpoly_str(r.den, names)
-    num_s = f"({num})" if _needs_parens(r.num) or " " in num else num
-    den_s = f"({den})" if _needs_parens(r.den) or "*" in den or "^" in den \
-        else den
+    _, lead = r.den.lex_leading()
+    num, den = ({e: Fraction(c, lead) for e, c in p.terms.items()}
+                for p in (r.num, r.den))
+    num_s = mpoly_str(num, names)
+    if r.den.is_const():
+        return num_s
+    den_s = mpoly_str(den, names)
+    if len(num) > 1 or " " in num_s:
+        num_s = f"({num_s})"
+    if len(den) > 1 or "*" in den_s or "^" in den_s:
+        den_s = f"({den_s})"
     return f"{num_s}/{den_s}"
 
 

@@ -121,7 +121,7 @@ def test_staircase_counts_match_brute_force(capsys):
         phi = count_cofilter(anti)
         for t in range(phi.valid_from, phi.valid_from + 7):
             assert phi(t) == brute_count(anti, t)
-    _report(capsys, "inclusion-exclusion counts match 200 brute enumerations",
+    _report(capsys, "staircase counts match 200 brute enumerations",
             30, started)
 
 

@@ -113,6 +113,15 @@ class TestModuleCommands:
         assert "d = 1, k = 1, torsion degrees [1]" in out
         assert "diagonal: ['t*d - 1']" in out
 
+    def test_non_monic_denominators_print_monic(self, capsys, tmp_path):
+        text = "field: Q(t)\nmodule: 1\ngens: [(2*t+1)*d - 3/(4*t^2+2)]\n"
+        code, out, _ = run(capsys, tmp_path, text, "charset")
+        assert code == 0
+        assert "[d + -3/8/(t^3 + 1/2*t^2 + 1/2*t + 1/4)]" in out
+        code, out, _ = run(capsys, tmp_path, text, "decompose")
+        assert code == 0
+        assert "diagonal: ['(2*t + 1)*d + -3/4/(t^2 + 1/2)']" in out
+
     def test_decompose_diagonalizes_once(self, capsys, tmp_path,
                                          monkeypatch):
         original = diffalg.normalform.diagonalize

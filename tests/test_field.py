@@ -1,11 +1,12 @@
 """Base-field arithmetic: canonical forms, field axioms, derivations."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
 from diffalg import (BadDerivation, DiffFieldConfig, DivisionByZero, MPoly,
-                     RatFun, normalize)
+                     RatFun, mpoly_gcd, normalize)
 from helpers import rand_ratfun
 
 CFG1 = DiffFieldConfig(1, 1)
@@ -49,6 +50,10 @@ class TestArith:
             assert a * (b + c) == a * b + a * c
             if a:
                 assert a * a.inverse() == one
+            # canonical form: coprime over Z, lex-positive denominator
+            for x in (a + b, a * b, a - c, a.derive(0), a.derive(1)):
+                assert mpoly_gcd(x.num, x.den).is_one()
+                assert x.den.lex_leading()[1] > 0
 
     def test_canonical_uniqueness(self):
         t = t_()
@@ -58,6 +63,11 @@ class TestArith:
         assert x == y
         assert x.num.terms == y.num.terms and x.den.terms == y.den.terms
         assert hash(x) == hash(y)
+        # over Z a constant gcd such as 2 is not a unit: 1/2 * 2 and
+        # 1/2 + 1/2 must cancel it to 1/1, not stop at 2/2
+        half = RatFun.from_const(1, Fraction(1, 2))
+        for one in (half * 2, half + half):
+            assert one.num.terms == one.den.terms == {(0,): 1}
 
 
 class TestDerive:
@@ -68,6 +78,12 @@ class TestDerive:
     def test_quotient_rule(self):
         t = t_()
         assert (1 / t).derive(0) == -1 / (t * t)
+
+    def test_integer_content_cancels(self):
+        t = t_()
+        d = (t ** 2 / 4).derive(0)
+        assert d == t / 2
+        assert d.num.terms == {(1,): 1} and d.den.terms == {(0,): 2}
 
     def test_independent_variable(self):
         t1 = RatFun.var(2, 0)
@@ -98,6 +114,12 @@ class TestNormalize:
         two_t = MPoly(1, {(1,): 2})
         two = MPoly.const(1, 2)
         assert normalize(two_t, two) == t_()
+        # the gcd is taken over Z, integer content included
+        assert mpoly_gcd(two_t, MPoly.const(1, 4)) == two
+
+    def test_integer_coefficients_only(self):
+        with pytest.raises(ValueError):
+            MPoly(1, {(1,): Fraction(1, 2)})
 
     def test_common_polynomial_factor(self):
         num = MPoly(1, {(2,): 1, (0,): -1})   # t^2 - 1
