@@ -6,14 +6,25 @@ included) with the denominator's lex-leading coefficient positive.  That
 form is unique, so equal values have identical representations and compare
 bit-identically.  The familiar form with a monic denominator is built only
 for output (`parsing.ratfun_str`).
+
+Every field operation ends in a gcd over Z[t], taken together with both
+exact cofactors.  It is the heuristic gcd GCDHEU of Char, Geddes and
+Gonnet (1989) in its recursive multivariate form (Liao and Fateman, 1995):
+evaluate the main variable at an integer xi, take the gcd of the images,
+rebuild a candidate from its symmetric base-xi digits and accept its
+primitive part only if it divides both inputs exactly, which the theorem
+behind GCDHEU makes sufficient for xi >= 2*min(|f|, |g|) + 2.  The exact
+quotients of that check are the cofactors.  After a few evaluation points,
+or past its size guards, the primitive pseudo-remainder sequence (PRS)
+takes over; it is also the tests' oracle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd as _int_gcd
-from operator import add, sub
+from math import gcd as _int_gcd, isqrt
+from operator import add, gt, sub
 
 from .errors import BadDerivation, DivisionByZero
 
@@ -173,26 +184,10 @@ class MPoly:
         """Quotient self/other in Z[t], assuming the division is exact."""
         if other.is_zero():
             raise DivisionByZero("polynomial division by zero")
-        lead_e, lead_c = other.lex_leading()
-        tail = [(e, c) for e, c in other.terms.items() if e != lead_e]
-        rem = dict(self.terms)
-        quo = {}
-        while rem:
-            re = max(rem)
-            qc, r = divmod(rem.pop(re), lead_c)
-            qe = tuple(map(sub, re, lead_e))
-            if r or min(qe, default=0) < 0:
-                raise ArithmeticError("inexact polynomial division")
-            quo[qe] = qc
-            # every term of qc*t^qe*tail lies lex-below re
-            for e, c in tail:
-                e = tuple(map(add, qe, e))
-                c = rem.get(e, 0) - qc * c
-                if c:
-                    rem[e] = c
-                else:
-                    del rem[e]
-        return _poly(self.nvars, quo)
+        quo = _quotient(self, other)
+        if quo is None:
+            raise ArithmeticError("inexact polynomial division")
+        return quo
 
     # -- comparisons -----------------------------------------------------
 
@@ -222,9 +217,63 @@ def _poly(nvars, terms):
     return p
 
 
+def _sign(p):
+    """Sign of the lex-leading coefficient of a nonzero p."""
+    return -1 if p.lex_leading()[1] < 0 else 1
+
+
 def _lex_positive(p):
     """p or -p, whichever has a positive lex-leading coefficient."""
     return -p if p.terms and p.lex_leading()[1] < 0 else p
+
+
+def _div_int(p, k):
+    """p with every coefficient divided by the integer k, which divides all."""
+    if k == 1:
+        return p
+    return _poly(p.nvars, {e: c // k for e, c in p.terms.items()})
+
+
+def _norm(p):
+    """Largest absolute value of a coefficient of a nonzero p."""
+    return max(map(abs, p.terms.values()))
+
+
+def _degrees(p):
+    """Degree of a nonzero p in each variable."""
+    return [max(column) for column in zip(*p.terms)]
+
+
+def _quotient(f, h):
+    """Exact quotient f/h in Z[t] for nonzero h, or None if h does not
+    divide f."""
+    if not f.terms:
+        return f
+    # f = h*q gives deg_i q = deg_i f - deg_i h for every variable, which
+    # bounds the steps of a division that turns out inexact
+    box = [a - b for a, b in zip(_degrees(f), _degrees(h))]
+    if min(box, default=0) < 0:
+        return None
+    lead_e, lead_c = h.lex_leading()
+    tail = [(e, c) for e, c in h.terms.items() if e != lead_e]
+    rem = dict(f.terms)
+    quo = {}
+    while rem:
+        re = max(rem)
+        qc, r = divmod(rem.pop(re), lead_c)
+        qe = tuple(map(sub, re, lead_e))
+        if r or min(qe, default=0) < 0 or any(map(gt, qe, box)):
+            return None
+        quo[qe] = qc
+        # every term of qc*t^qe*tail lies lex-below re
+        for e, c in tail:
+            e = tuple(map(add, qe, e))
+            c = rem.get(e, 0) - qc * c
+            if c:
+                rem[e] = c
+            else:
+                del rem[e]
+    return _poly(f.nvars, quo)
 
 
 def _main_var(f, g):
@@ -239,6 +288,130 @@ def _main_var(f, g):
     return best
 
 
+# -- gcd: GCDHEU with cofactors -------------------------------------------
+
+# GCDHEU leaves the gcd to the PRS after _HEU_TRIES evaluation points, or
+# before evaluating where an image would pass _HEU_MAX_BITS bits (a gcd of
+# two 2^20-bit integers takes about a second) or the main variable's
+# degree passes _HEU_MAX_DEGREE (rebuilding a candidate costs a big-integer
+# division per digit, while the PRS is fast on sparse inputs of huge
+# degree).
+_HEU_TRIES = 6
+_HEU_MAX_BITS = 1 << 20
+_HEU_MAX_DEGREE = 1 << 12
+
+# Number of gcds left to the PRS so far in this process.
+prs_fallbacks = 0
+
+
+def _evaluate(f, x, xi):
+    """f with t_x replaced by the integer xi."""
+    powers = {}
+    out = {}
+    for exps, c in f.terms.items():
+        k = exps[x]
+        if k:
+            p = powers.get(k)
+            if p is None:
+                p = powers[k] = xi ** k
+            c *= p
+            exps = exps[:x] + (0,) + exps[x + 1:]
+        out[exps] = out.get(exps, 0) + c
+    return _poly(f.nvars, {e: c for e, c in out.items() if c})
+
+
+def _interpolate(gamma, x, xi):
+    """The polynomial in t_x whose coefficients are the symmetric base-xi
+    digits of gamma's coefficients (gamma is free of t_x)."""
+    half = xi // 2
+    terms = {}
+    for exps, c in gamma.terms.items():
+        k = 0
+        while c:
+            digit = c % xi
+            if digit > half:
+                digit -= xi
+            if digit:
+                terms[exps[:x] + (k,) + exps[x + 1:]] = digit
+            c = (c - digit) // xi
+            k += 1
+    return _poly(gamma.nvars, terms)
+
+
+def _heuristic(f, g):
+    """(h, f/h, g/h) by GCDHEU for nonconstant f, g with no common integer
+    content, or None when it gives up.
+
+    An accepted h is the gcd: h divides both inputs exactly, and with
+    xi >= 2*min(|f|, |g|) + 2 every common factor that h missed would
+    make the image gcd too large to be h's image (Char, Geddes and
+    Gonnet 1989).  The images' gcd comes from _gcd_cofactors again, so
+    the other variables are handled recursively.
+    """
+    x = _main_var(f, g)
+    width = max(f.degree_in(x), g.degree_in(x))
+    if width > _HEU_MAX_DEGREE:
+        return None
+    nf, ng = _norm(f), _norm(g)
+    xi = 2 * min(nf, ng) + 2
+    bits = max(nf, ng).bit_length()
+    for _ in range(_HEU_TRIES):
+        if width * xi.bit_length() + bits > _HEU_MAX_BITS:
+            return None
+        fe, ge = _evaluate(f, x, xi), _evaluate(g, x, xi)
+        if fe and ge:
+            h = _interpolate(_gcd_cofactors(fe, ge)[0], x, xi)
+            h = _div_int(h, _int_gcd(*h.terms.values()) * _sign(h))
+            if h.is_one():
+                return h, f, g
+            cf = _quotient(f, h)
+            if cf is not None:
+                cg = _quotient(g, h)
+                if cg is not None:
+                    return h, cf, cg
+        xi = 73794 * xi * isqrt(isqrt(xi)) // 27011
+    return None
+
+
+def _gcd_cofactors(f, g):
+    """(h, f/h, g/h) with h = mpoly_gcd(f, g); all three are 0 when f and
+    g are."""
+    if f.is_one() or g.is_one():
+        return (f if f.is_one() else g), f, g
+    if f.is_zero() or g.is_zero() or f == g:
+        p = g if f.is_zero() else f
+        if p.is_zero():
+            return p, p, p
+        s = _sign(p)
+        return (p if s > 0 else -p, MPoly.const(p.nvars, s if f else 0),
+                MPoly.const(p.nvars, s if g else 0))
+    content = _int_gcd(*f.terms.values(), *g.terms.values())
+    f, g = _div_int(f, content), _div_int(g, content)
+    if f.is_const() or g.is_const():
+        return MPoly.const(f.nvars, content), f, g
+    found = _heuristic(f, g)
+    if found is None:
+        global prs_fallbacks
+        prs_fallbacks += 1
+        h = _prs_gcd(f, g)
+        found = h, f.divexact(h), g.divexact(h)
+    h, cf, cg = found
+    return (h if content == 1 else h.scale(content)), cf, cg
+
+
+def mpoly_gcd(f, g):
+    """Gcd in Z[t1..tv], integer content included, lex-leading coefficient
+    positive; gcd(0, 0) = 0.
+
+    Computed by GCDHEU with the PRS as fallback (see the module
+    docstring).  The gcd over Z is unique up to sign, so both routes give
+    the same polynomial.
+    """
+    return _gcd_cofactors(f, g)[0]
+
+
+# -- gcd: primitive PRS, the fallback and the tests' oracle ---------------
+
 def _coeffs_in(f, x):
     """View f as univariate in t_x: degree -> MPoly coefficient (t_x-free)."""
     out = {}
@@ -251,7 +424,7 @@ def _content_pp(f, x):
     """Content over Z[other variables] (lex-positive) and primitive part."""
     content = MPoly.zero(f.nvars)
     for poly in _coeffs_in(f, x).values():
-        content = mpoly_gcd(content, poly)
+        content = _prs_gcd(content, poly)
         if content.is_one():
             return content, f
     return content, f.divexact(content)
@@ -325,15 +498,10 @@ def _gcd_univariate(f, g, x):
                            scale * c for i, c in enumerate(a) if c})
 
 
-def mpoly_gcd(f, g):
-    """Gcd in Z[t1..tv], integer content included, lex-leading coefficient
-    positive; gcd(0, 0) = 0.
-
-    Univariate inputs use a primitive remainder sequence on dense integer
-    lists; the general case uses primitive pseudo-remainder sequences
-    recursing on the main variable, adequate at the small degrees this
-    toolkit targets.
-    """
+def _prs_gcd(f, g):
+    """mpoly_gcd by primitive pseudo-remainder sequences alone: on dense
+    integer lists for univariate inputs, otherwise recursing on the main
+    variable."""
     if f.is_zero():
         return _lex_positive(g)
     if g.is_zero():
@@ -346,7 +514,7 @@ def mpoly_gcd(f, g):
         return _gcd_univariate(f, g, x)
     cf, pf = _content_pp(f, x)
     cg, pg = _content_pp(g, x)
-    c = mpoly_gcd(cf, cg)
+    c = _prs_gcd(cf, cg)
     if pf.degree_in(x) < pg.degree_in(x):
         pf, pg = pg, pf
     while True:
@@ -360,7 +528,8 @@ class RatFun:
     """Element of K = Q(t1..tv) in canonical form: a coprime pair over Z
     with lex-positive denominator."""
 
-    __slots__ = ("num", "den", "_hash")
+    # _derived memoizes derive: derivation index -> derivative
+    __slots__ = ("num", "den", "_hash", "_derived")
 
     def __init__(self, num, den=None, _canonical=False, _coprime=False):
         if den is None:
@@ -370,6 +539,7 @@ class RatFun:
         self.num = num
         self.den = den
         self._hash = None
+        self._derived = None
 
     @property
     def nvars(self):
@@ -415,21 +585,15 @@ class RatFun:
             return self
         # with coprime inputs, any common factor of the raw sum divides
         # g = gcd of the denominators, so only small gcds are ever taken
-        g = mpoly_gcd(self.den, other.den)
+        g, d1r, d2r = _gcd_cofactors(self.den, other.den)
+        num = self.num * d2r + other.num * d1r
         if g.is_one():
             # coprime denominators: a zero sum has denominator 1*1 = 1
-            return RatFun(self.num * other.den + other.num * self.den,
-                          self.den * other.den, _canonical=True)
-        d2r = other.den.divexact(g)
-        num = self.num * d2r + other.num * self.den.divexact(g)
+            return RatFun(num, d1r * d2r, _canonical=True)
         if num.is_zero():
             return RatFun.from_const(self.nvars, 0)
-        den = self.den * d2r
-        h = mpoly_gcd(num, g)
-        if not h.is_one():
-            num = num.divexact(h)
-            den = den.divexact(h)
-        return RatFun(num, den, _canonical=True)
+        _, num, g = _gcd_cofactors(num, g)
+        return RatFun(num, g * d1r * d2r, _canonical=True)
 
     __radd__ = __add__
 
@@ -452,16 +616,8 @@ class RatFun:
         if self.is_zero() or other.is_zero():
             return RatFun.from_const(self.nvars, 0)
         # cross-cancel before multiplying: the result is already coprime
-        n1, d1 = self.num, self.den
-        n2, d2 = other.num, other.den
-        g1 = mpoly_gcd(n1, d2)
-        if not g1.is_one():
-            n1 = n1.divexact(g1)
-            d2 = d2.divexact(g1)
-        g2 = mpoly_gcd(n2, d1)
-        if not g2.is_one():
-            n2 = n2.divexact(g2)
-            d1 = d1.divexact(g2)
+        _, n1, d2 = _gcd_cofactors(self.num, other.den)
+        _, n2, d1 = _gcd_cofactors(other.num, self.den)
         return RatFun(n1 * n2, d1 * d2, _canonical=True)
 
     __rmul__ = __mul__
@@ -494,21 +650,28 @@ class RatFun:
         """Partial derivative; zero for indices past the variable count."""
         if i < 0:
             raise BadDerivation(f"derivation index {i} is negative")
-        if i >= self.nvars:
+        if self._derived is None:
+            self._derived = {}
+        result = self._derived.get(i)
+        if result is None:
+            result = self._derived[i] = self._derive(i)
+        return result
+
+    def _derive(self, i):
+        if i >= self.nvars or self.is_const():
             return RatFun.from_const(self.nvars, 0)
-        num = self.num.partial(i) * self.den - self.num * self.den.partial(i)
+        den = self.den
+        num = self.num.partial(i) * den - self.num * den.partial(i)
         if num.is_zero():
             return RatFun.from_const(self.nvars, 0)
-        den = self.den * self.den
         # common factors all divide the original denominator; two rounds of
-        # cancellation against it reach the coprime form
-        for _ in range(2):
-            h = mpoly_gcd(num, self.den)
-            if h.is_one():
-                break
-            num = num.divexact(h)
-            den = den.divexact(h)
-        return RatFun(num, den, _canonical=True)
+        # cancellation against it reach the coprime form: den^2/h = r*den,
+        # then r*den/h2 = r*r2
+        h, num, r = _gcd_cofactors(num, den)
+        if h.is_one():
+            return RatFun(num, den * den, _canonical=True)
+        _, num, r2 = _gcd_cofactors(num, den)
+        return RatFun(num, r * r2, _canonical=True)
 
     # -- comparisons -----------------------------------------------------
 
@@ -545,10 +708,7 @@ def _normalize(num, den, coprime=False):
     if num.is_zero():
         return num, MPoly.const(num.nvars, 1)
     if not coprime:
-        g = mpoly_gcd(num, den)
-        if not g.is_one():
-            num = num.divexact(g)
-            den = den.divexact(g)
+        _, num, den = _gcd_cofactors(num, den)
     if den.lex_leading()[1] < 0:
         return -num, -den
     return num, den

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import ConfigMismatch, PointNotOnVariety
+from .errors import ConfigMismatch, DiffAlgError, PointNotOnVariety
 from .field import RatFun
 from .ore import _acc, _as_ratfun
 from .diffmodule import ModElement, characteristic_set, orderly_ranking
@@ -252,7 +252,9 @@ def tangent_pipeline(eqs, x, rk=None):
 
     Every equation must vanish at x.  The TangentClass is computed only
     for m = 1 (the operator ring is Euclidean there); callers with m >= 2
-    receive None in that slot.
+    receive None in that slot.  For m = 1 the class is cross-checked
+    against the report: DiffAlgError unless d equals the differential
+    dimension and k <= B.
     """
     eqs = list(eqs)
     if not eqs:
@@ -276,4 +278,12 @@ def tangent_pipeline(eqs, x, rk=None):
         columns = [w.operator_vector() for w in lins if not w.is_zero()]
         matrix = OreMatrix.from_columns(config, columns, n)
         tangent = classify_tangent(matrix)
+        # both read the same module: the free ranks agree and the torsion
+        # fits below the leaders
+        if (tangent.d != report.diff_dimension
+                or tangent.k > report.below_leader_count):
+            raise DiffAlgError(
+                f"tangent class K^{tangent.d} x C^{tangent.k} contradicts "
+                f"the dimension report (d = {report.diff_dimension}, "
+                f"B = {report.below_leader_count})")
     return charset, report, tangent

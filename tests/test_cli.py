@@ -1,6 +1,7 @@
 """End-to-end command-line behavior: outputs, formats, and exit codes."""
 
 import json
+import time
 import warnings
 
 import pytest
@@ -121,6 +122,15 @@ class TestModuleCommands:
         code, out, _ = run(capsys, tmp_path, text, "decompose")
         assert code == 0
         assert "diagonal: ['(2*t + 1)*d + -3/4/(t^2 + 1/2)']" in out
+
+    def test_decompose_hostile_degree(self, capsys, tmp_path):
+        text = ("field: Q(t)\nmodule: 1\n"
+                "gens: [(t^3000 + 1)*d + 1/(t^3000 - 1)]\n")
+        start = time.perf_counter()
+        code, out, _ = run(capsys, tmp_path, text, "decompose")
+        assert time.perf_counter() - start < 1.0
+        assert code == 0
+        assert "d = 0, k = 1, torsion degrees [1]" in out
 
     def test_decompose_diagonalizes_once(self, capsys, tmp_path,
                                          monkeypatch):

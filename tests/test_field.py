@@ -1,13 +1,15 @@
 """Base-field arithmetic: canonical forms, field axioms, derivations."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
 from diffalg import (BadDerivation, DiffFieldConfig, DivisionByZero, MPoly,
-                     RatFun, mpoly_gcd, normalize)
-from helpers import rand_ratfun
+                     RatFun, field, mpoly_gcd, normalize)
+from diffalg.field import _gcd_cofactors, _prs_gcd
+from helpers import rand_mpoly, rand_ratfun
 
 CFG1 = DiffFieldConfig(1, 1)
 CFG22 = DiffFieldConfig(2, 2)
@@ -85,6 +87,16 @@ class TestDerive:
         assert d == t / 2
         assert d.num.terms == {(1,): 1} and d.den.terms == {(0,): 2}
 
+    def test_memoized_per_object(self):
+        t = t_()
+        a = t ** 3 / (t + 2)
+        seen = (repr(a), hash(a))
+        d = a.derive(0)
+        assert a.derive(0) is d
+        assert d == (t ** 3 / (t + 2)).derive(0)
+        assert (repr(a), hash(a)) == seen and a == t ** 3 / (t + 2)
+        assert const(Fraction(3, 7)).derive(0) == const(0)
+
     def test_independent_variable(self):
         t1 = RatFun.var(2, 0)
         assert t1.derive(1) == const(0, 2)
@@ -107,6 +119,68 @@ class TestDerive:
                 assert (a + b).derive(i) == a.derive(i) + b.derive(i)
                 assert (a * b).derive(i) == a * b.derive(i) + b * a.derive(i)
             assert a.derive(0).derive(1) == a.derive(1).derive(0)
+
+
+def gcd_against_prs(f, g):
+    """GCDHEU's (h, f/h, g/h), checked against the primitive PRS."""
+    h, cf, cg = _gcd_cofactors(f, g)
+    assert h == _prs_gcd(f, g)
+    assert h * cf == f and h * cg == g
+    return h
+
+
+def hostile_pair(a, b, degree=3000):
+    """(t^degree + 1)*(t + a) and (t^degree + 1)*(t + b)."""
+    p = MPoly(1, {(degree,): 1, (0,): 1})
+    return p, p * MPoly(1, {(1,): 1, (0,): a}), p * MPoly(1, {(1,): 1, (0,): b})
+
+
+class TestGcd:
+    @pytest.mark.parametrize("v", [1, 2, 3])
+    def test_heuristic_matches_prs(self, v):
+        rng = random.Random(40 + v)
+        before = field.prs_fallbacks
+        for _ in range(25):
+            a, b, c = (rand_mpoly(rng, v, max_deg=3 - v // 2, max_terms=3)
+                       for _ in range(3))
+            c = c * rng.choice([2, 3, 6, 10])
+            pairs = [(a, b),                        # coprime, mostly
+                     (a * c, b * c),                # planted factor
+                     (a * c * 4, b * c * 6),        # ... and integer content
+                     (-(a * c), -(b * c)),          # negative leading coeffs
+                     (a * c, c), (c, b * c),        # one divides the other
+                     (a, a), (-b, -b)]              # equal inputs
+            for f, g in pairs:
+                gcd_against_prs(f, g)
+            if c:
+                # the planted factor divides the gcd
+                h = mpoly_gcd(a * c, b * c)
+                assert h.divexact(c) * c == h
+        # the heuristic settled every pair itself
+        assert field.prs_fallbacks == before
+
+    def test_zero_inputs(self):
+        p = MPoly(2, {(1, 0): -2, (0, 1): 4})
+        zero = MPoly.zero(2)
+        assert gcd_against_prs(p, zero) == -p
+        assert gcd_against_prs(zero, p) == -p
+        assert _gcd_cofactors(zero, zero) == (zero, zero, zero)
+
+    @pytest.mark.parametrize("a, b, degree", [
+        (2 ** 400, 3 ** 260, 3000),     # xi > 2^400: image over 2^20 bits
+        (2, 3, 20000),                  # degree over 2^12
+    ])
+    def test_fallback_past_the_size_guards(self, a, b, degree):
+        p, f, g = hostile_pair(a, b, degree)
+        before = field.prs_fallbacks
+        assert gcd_against_prs(f, g) == p
+        assert field.prs_fallbacks == before + 1
+
+    def test_hostile_degree(self):
+        p, f, g = hostile_pair(2, 3)
+        start = time.perf_counter()
+        assert gcd_against_prs(f, g) == p
+        assert time.perf_counter() - start < 1.0
 
 
 class TestNormalize:

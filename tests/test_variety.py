@@ -1,13 +1,15 @@
 """Differential polynomials, evaluation at points, and linearization."""
 
+import dataclasses
 import random
 
 import pytest
 
-from diffalg import (DiffFieldConfig, DiffPoly, ModElement, OrePoly,
-                     PointNotOnVariety, RatFun, TangentClass, VarietyPoint,
-                     eval_diffpoly, formal_derive, linearize_at_point, ore_mul,
-                     tangent_pipeline)
+import diffalg.normalform
+from diffalg import (DiffAlgError, DiffFieldConfig, DiffPoly, ModElement,
+                     OreMatrix, OrePoly, PointNotOnVariety, RatFun,
+                     TangentClass, VarietyPoint, eval_diffpoly, formal_derive,
+                     linearize_at_point, ore_mul, tangent_pipeline)
 from diffalg.parsing import parse_diffpoly, parse_ratfun
 
 CFG1 = DiffFieldConfig(1, 1)
@@ -158,6 +160,23 @@ class TestTangentPipeline:
         with pytest.raises(PointNotOnVariety) as exc:
             tangent_pipeline([dp("z - 1"), dp("z*y' - y")], point("1", "1"))
         assert exc.value.equation_index == 1
+
+    @pytest.mark.parametrize("entry", ["zero", "delta^5"])
+    def test_cross_check_rejects_a_wrong_diagonal(self, monkeypatch, entry):
+        # the report gives d = 1, B = 1; a zero diagonal entry claims d = 2,
+        # a delta^5 entry claims k = 5 > B
+        real = diffalg.normalform.diagonalize
+
+        def wrong(A):
+            result = real(A)
+            D = OreMatrix.zero(A.config, A.rows, A.cols)
+            if entry == "delta^5":
+                D.entries[0][0] = OrePoly.delta(A.config, 0) ** 5
+            return dataclasses.replace(result, D=D)
+
+        monkeypatch.setattr(diffalg.normalform, "diagonalize", wrong)
+        with pytest.raises(DiffAlgError, match="contradicts"):
+            tangent_pipeline([dp("z*y' - y")], point("t", "t"))
 
     def test_nonlinear_system_two_equations(self):
         # z = y' and y'' = 2 at the parabola point
