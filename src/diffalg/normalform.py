@@ -105,7 +105,11 @@ class OreMatrix:
 
 @dataclass(frozen=True)
 class Diagonalization:
-    """U * A * V = D, with tracked inverses; all identities exact."""
+    """U * A * V = D, with tracked inverses; all identities exact.
+
+    D is canonical up to the pivot path: each nonzero diagonal entry is
+    monic (leading coefficient 1), so a unit entry is exactly 1.
+    """
 
     U: OreMatrix
     D: OreMatrix
@@ -150,8 +154,10 @@ def diagonalize(A):
     Row operations (left multiplications) recombine rows with left
     coefficients via right division; column operations (right
     multiplications) use left division.  Degree descent on the working
-    corner terminates by the Euclidean property.  Verifies U*A*V = D and
-    the unit inverses before returning.
+    corner terminates by the Euclidean property.  Whenever the pivot
+    changes, its row is left-scaled by the inverse of its leading
+    coefficient, so every nonzero entry of D is monic and a unit entry is
+    1.  Verifies the result exactly (see _verify) before returning.
     """
     _require_ordinary(A.config)
     config = A.config
@@ -194,6 +200,18 @@ def diagonalize(A):
         V_inv.entries[j] = [a + ore_mul(q, b)
                             for a, b in zip(V_inv.entries[j], V_inv.entries[i])]
 
+    def make_monic(p):
+        """row_p = row_p / lc; column p of U_inv takes lc on the right."""
+        _, lc = work.entries[p][p].leading()
+        if lc.is_one():
+            return
+        inv = OrePoly.from_scalar(config, lc.inverse())
+        for mat in (work, U):
+            mat.entries[p] = [ore_mul(inv, b) for b in mat.entries[p]]
+        lc = OrePoly.from_scalar(config, lc)
+        for row in U_inv.entries:
+            row[p] = ore_mul(row[p], lc)
+
     size = min(work.rows, work.cols)
     for p in range(size):
         # move a minimal-degree nonzero entry of the trailing block to (p,p)
@@ -209,6 +227,7 @@ def diagonalize(A):
         swap_rows(p, pivot[0])
         swap_cols(p, pivot[1])
         while True:
+            make_monic(p)
             # clear the column below/above the pivot with row operations
             dirty = False
             for i in range(work.rows):
@@ -246,15 +265,23 @@ def diagonalize(A):
 
 
 def _verify(A, res):
+    """Check the diagonalization exactly, without forming U*A*V.
+
+    D is diagonal, U*U_inv = I, V_inv*V = I and U*A = D*V_inv; then
+    U*A*V = D*V_inv*V = D.  A one-sided inverse of a square matrix over
+    the Noetherian domain K[delta] is two-sided, so U and V are unimodular.
+    Comparing U*A with D*V_inv avoids multiplying U*A by V: D*V_inv only
+    left-multiplies each row of V_inv by one diagonal entry.
+    """
     config = A.config
     if not res.D.is_diagonal():
         raise AssertionError("result is not diagonal")
-    if res.U * A * res.V != res.D:
-        raise AssertionError("re-multiplication U*A*V != D")
     if res.U * res.U_inv != OreMatrix.identity(config, A.rows):
         raise AssertionError("U inverse check failed")
-    if res.V * res.V_inv != OreMatrix.identity(config, A.cols):
+    if res.V_inv * res.V != OreMatrix.identity(config, A.cols):
         raise AssertionError("V inverse check failed")
+    if res.U * A != res.D * res.V_inv:
+        raise AssertionError("U*A != D*V_inv, so U*A*V != D")
 
 
 def classify_tangent(R):

@@ -85,6 +85,10 @@ class OrePoly:
         exps = max(self.terms, key=lambda e: (monomial_ord(e), e))
         return exps, self.terms[exps]
 
+    def is_one(self):
+        c = self.terms.get((0,) * self.config.m)
+        return len(self.terms) == 1 and c is not None and c.is_one()
+
     def is_unit(self):
         return not self.is_zero() and self.degree() == 0
 
@@ -224,14 +228,39 @@ def ore_mul(f, g):
     """Exact product in K[Delta]."""
     if f.config != g.config:
         raise ConfigMismatch("operators over different configurations")
-    result = OrePoly.zero(f.config)
+    if g.is_one():
+        return f
+    if f.is_one():
+        return g
+    shifts = _shifts(g, f.terms)
+    terms = {}
     for exps, coeff in f.terms.items():
-        shifted = g
-        for i, k in enumerate(exps):
-            for _ in range(k):
-                shifted = shifted.apply_delta(i)
-        result = result + shifted.scale_left(coeff)
-    return result
+        for e, a in shifts[exps].terms.items():
+            _acc(terms, e, coeff * a)
+    return OrePoly(f.config, terms)
+
+
+def _shifts(g, keys):
+    """{theta: delta^theta * g} for each theta in keys.
+
+    Each theta is reached from the nearest key below it on the chain that
+    lowers the last nonzero exponent; keys are visited in increasing lex
+    order, so that key is already built and for m = 1 the whole product
+    costs max(k) applications of delta instead of sum(k).
+    """
+    built = {(0,) * g.config.m: g}
+    for theta in sorted(keys):
+        path = []
+        cur = theta
+        while cur not in built:
+            i = max(j for j, k in enumerate(cur) if k)
+            path.append(i)
+            cur = cur[:i] + (cur[i] - 1,) + cur[i + 1:]
+        shifted = built[cur]
+        for i in reversed(path):
+            shifted = shifted.apply_delta(i)
+        built[theta] = shifted
+    return built
 
 
 def ore_divmod(f, g, side="right"):

@@ -112,7 +112,7 @@ class TestModuleCommands:
         code, out, _ = run(capsys, tmp_path, text, "decompose")
         assert code == 0
         assert "d = 1, k = 1, torsion degrees [1]" in out
-        assert "diagonal: ['t*d - 1']" in out
+        assert "diagonal: ['d - 1/t']" in out
 
     def test_non_monic_denominators_print_monic(self, capsys, tmp_path):
         text = "field: Q(t)\nmodule: 1\ngens: [(2*t+1)*d - 3/(4*t^2+2)]\n"
@@ -121,7 +121,33 @@ class TestModuleCommands:
         assert "[d + -3/8/(t^3 + 1/2*t^2 + 1/2*t + 1/4)]" in out
         code, out, _ = run(capsys, tmp_path, text, "decompose")
         assert code == 0
-        assert "diagonal: ['(2*t + 1)*d + -3/4/(t^2 + 1/2)']" in out
+        assert "diagonal: ['d + -3/8/(t^3 + 1/2*t^2 + 1/2*t + 1/4)']" in out
+
+    def test_decompose_unit_entries_print_one(self, capsys, tmp_path):
+        # torsion presentation 33 of the seeded acceptance draw
+        text = ("field: Q(t)\nmodule: 3\n"
+                "gens: [(3), (-3)*d^2, 0]; "
+                "[(2)*d, (-2*t + 3) + (-t - 3)*d, 0]; [(-3*t)*d^3, 0, 0]\n")
+        code, out, _ = run(capsys, tmp_path, text, "decompose")
+        assert code == 0
+        assert out == ("d = 1, k = 0, torsion degrees []\n"
+                       "diagonal: ['1', '1', '0']\n")
+
+    def test_decompose_swelling_transforms_in_budget(self, capsys,
+                                                     tmp_path):
+        # torsion presentation 80 of the seeded acceptance draw: its
+        # transforms grow to thousands of characters per entry
+        text = ("field: Q(t)\nmodule: 3\n"
+                "gens: [(3)*d^3, (1), (-t)/(-t)*d^3]; "
+                "[(2*t)*d^3, (2*t)/(-1)*d^3, (-t - 2)*d]; "
+                "[0, 0, (3*t)*d^3]\n")
+        start = time.perf_counter()
+        code, out, _ = run(capsys, tmp_path, text, "decompose")
+        assert time.perf_counter() - start < 10.0
+        assert code == 0
+        first, second = out.splitlines()
+        assert first == "d = 0, k = 9, torsion degrees [9]"
+        assert second.startswith("diagonal: ['1', '1', 'd^9 + ")
 
     def test_decompose_hostile_degree(self, capsys, tmp_path):
         text = ("field: Q(t)\nmodule: 1\n"

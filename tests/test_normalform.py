@@ -1,6 +1,7 @@
 """Matrix diagonalization over K[delta] and tangent-space classification."""
 
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -8,6 +9,7 @@ from diffalg import (DiffFieldConfig, OreMatrix, OrePoly, RatFun, TangentClass,
                      UnsupportedForPartial, characteristic_set,
                      classify_tangent, diagonalize, dimension_report,
                      ore_mul, orderly_ranking)
+from diffalg.normalform import _verify
 from helpers import rand_modelement, rand_orepoly
 
 CFG1 = DiffFieldConfig(1, 1)
@@ -62,6 +64,40 @@ class TestDiagonalize:
             assert res.U * A * res.V == res.D
             assert res.U * res.U_inv == OreMatrix.identity(CFG1, rows)
             assert res.V * res.V_inv == OreMatrix.identity(CFG1, cols)
+            assert res.V_inv * res.V == OreMatrix.identity(CFG1, cols)
+
+    def test_diagonal_is_monic(self):
+        rng = random.Random(64)
+        for _ in range(12):
+            rows = rng.randint(1, 3)
+            cols = rng.randint(1, 3)
+            A = OreMatrix(CFG1, [[rand_orepoly(rng, CFG1, max_deg=2)
+                                  for _ in range(cols)]
+                                 for _ in range(rows)])
+            for e in diagonalize(A).D.diagonal():
+                if not e.is_zero():
+                    assert e.leading()[1].is_one()
+                    if e.is_unit():
+                        assert e == OrePoly.one(CFG1)
+
+    @pytest.mark.parametrize("field", ["U", "V", "U_inv", "V_inv", "D"])
+    def test_verify_rejects_corrupted_entry(self, field):
+        rng = random.Random(65)
+        for _ in range(6):
+            rows = rng.randint(1, 3)
+            cols = rng.randint(1, 3)
+            A = OreMatrix(CFG1, [[rand_orepoly(rng, CFG1, max_deg=2)
+                                  for _ in range(cols)]
+                                 for _ in range(rows)])
+            res = diagonalize(A)
+            _verify(A, res)
+            mat = getattr(res, field).copy()
+            i = rng.randrange(mat.rows)
+            j = rng.randrange(mat.cols)
+            mat.entries[i][j] = mat.entries[i][j] + rand_orepoly(
+                rng, CFG1, max_deg=1, nonzero=True)
+            with pytest.raises(AssertionError):
+                _verify(A, replace(res, **{field: mat}))
 
     def test_partial_rejected(self):
         cfg = DiffFieldConfig(2, 1)

@@ -52,6 +52,45 @@ class TestProduct:
                 g = rand_orepoly(rng, cfg)
                 assert ore_mul(f, g) == ore_mul_binomial(f, g)
 
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_shared_shifts_match_binomial(self, m):
+        # many terms of f per product, so the shifts delta^theta * g are
+        # reused across terms
+        rng = random.Random(24 + m)
+        cfg = DiffFieldConfig(m, 1)
+        for _ in range(20):
+            f = rand_orepoly(rng, cfg, max_deg=4, max_terms=5)
+            g = rand_orepoly(rng, cfg, max_deg=2, max_terms=3)
+            assert ore_mul(f, g) == ore_mul_binomial(f, g)
+
+    def test_one_shift_per_order(self, monkeypatch):
+        calls = []
+        original = OrePoly.apply_delta
+
+        def counted(self, i):
+            calls.append(i)
+            return original(self, i)
+
+        monkeypatch.setattr(OrePoly, "apply_delta", counted)
+        d = OrePoly.delta(CFG1, 0)
+        t = t_scalar()
+        f = d ** 4 + t * d ** 3 + d + 1
+        calls.clear()
+        product = ore_mul(f, t)
+        assert len(calls) == 4
+        assert product == ore_mul_binomial(f, t)
+
+    def test_identity_factor(self):
+        rng = random.Random(28)
+        one = OrePoly.one(CFG1)
+        assert one.is_one()
+        assert not OrePoly.zero(CFG1).is_one()
+        assert not OrePoly.delta(CFG1, 0).is_one()
+        assert not OrePoly.from_scalar(CFG1, 2).is_one()
+        for _ in range(10):
+            f = rand_orepoly(rng, CFG1)
+            assert ore_mul(one, f) == f == ore_mul(f, one)
+
     def test_degree_additivity(self):
         rng = random.Random(23)
         cfg = DiffFieldConfig(2, 2)
