@@ -1,9 +1,11 @@
 """Free differential modules K[Delta]^n: rankings, reduction, characteristic sets.
 
-A module term is a pair (component, derivation exponents); a module element
-is a sparse map from terms to base-field coefficients.  Characteristic sets
-are computed by a Buchberger-style completion for left submodules, with
-S-pairs formed only between elements whose leaders share a component.
+A module element is a `ModElement`, a `TermMap` (the sparse kernel shared
+with `ore.OrePoly`) keyed by module terms (component, derivation
+exponents).  Left multiplication by an operator runs the product loop of
+`ore_mul` over the same shift chain.  Characteristic sets are computed by a
+Buchberger-style completion for left submodules, with S-pairs formed only
+between elements whose leaders share a component.
 """
 
 from __future__ import annotations
@@ -12,7 +14,8 @@ from dataclasses import dataclass
 
 from .errors import ConfigMismatch, ZeroElement
 from .field import RatFun
-from .ore import OrePoly, monomial_ord, ore_apply, _acc, _as_ratfun
+from .ore import (OrePoly, TermMap, monomial_ord, ore_apply, _as_ratfun,
+                  _left_mul, _raise_exponent)
 
 
 @dataclass(frozen=True)
@@ -64,10 +67,17 @@ def elimination_ranking(n):
     return Ranking("elimination", tuple(range(n)))
 
 
-class ModElement:
+def _raise_term(term, i):
+    comp, exps = term
+    return comp, _raise_exponent(exps, i)
+
+
+class ModElement(TermMap):
     """Element of K[Delta]^n: (component, exponents) -> RatFun."""
 
-    __slots__ = ("config", "n", "terms", "_hash")
+    __slots__ = ()
+
+    _raise_delta = staticmethod(_raise_term)
 
     def __init__(self, config, n, terms=None):
         self.config = config
@@ -120,82 +130,14 @@ class ModElement:
 
     # -- views -----------------------------------------------------------
 
-    def is_zero(self):
-        return not self.terms
-
     def max_order(self):
         if not self.terms:
             return -1
         return max(monomial_ord(e) for (_, e) in self.terms)
 
-    # -- linear structure ----------------------------------------------------
-
-    def _check(self, other):
-        if self.config != other.config or self.n != other.n:
-            raise ConfigMismatch("elements of different modules")
-
-    def __add__(self, other):
-        self._check(other)
-        terms = dict(self.terms)
-        for key, coeff in other.terms.items():
-            _acc(terms, key, coeff)
-        return ModElement(self.config, self.n, terms)
-
-    def __neg__(self):
-        return ModElement(self.config, self.n,
-                          {k: -c for k, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale_left(self, c):
-        c = _as_ratfun(c, self.config)
-        if not c:
-            return ModElement.zero(self.config, self.n)
-        return ModElement(self.config, self.n,
-                          {k: c * a for k, a in self.terms.items()})
-
-    def apply_delta(self, i):
-        self.config.check_derivation(i)
-        terms = {}
-        for (comp, exps), coeff in self.terms.items():
-            shifted = list(exps)
-            shifted[i] += 1
-            _acc(terms, (comp, tuple(shifted)), coeff)
-            if i < self.config.v:
-                der = coeff.derive(i)
-                if der:
-                    _acc(terms, (comp, exps), der)
-        return ModElement(self.config, self.n, terms)
-
-    def apply_theta(self, exps):
-        out = self
-        for i, k in enumerate(exps):
-            for _ in range(k):
-                out = out.apply_delta(i)
-        return out
-
     def op_mul(self, op):
         """Left action of an OrePoly: op * self."""
-        result = ModElement.zero(self.config, self.n)
-        for exps, coeff in op.terms.items():
-            result = result + self.apply_theta(exps).scale_left(coeff)
-        return result
-
-    def __eq__(self, other):
-        if not isinstance(other, ModElement):
-            return NotImplemented
-        return (self.config == other.config and self.n == other.n
-                and self.terms == other.terms)
-
-    def __hash__(self):
-        if self._hash is None:
-            self._hash = hash((self.config, self.n,
-                               frozenset(self.terms.items())))
-        return self._hash
-
-    def __bool__(self):
-        return bool(self.terms)
+        return _left_mul(op, self)
 
     def __repr__(self):
         return f"ModElement(n={self.n}, {self.terms!r})"

@@ -1,9 +1,14 @@
 """The skew polynomial ring K[Delta] with commutation delta_i * a = a*delta_i + da/dt_i.
 
-Operators are sparse maps from derivation monomials (exponent tuples of
-length m) to base-field coefficients.  Products are computed by iterated
-single-delta commutation; the closed binomial formula lives in the test
-suite as an independent oracle.
+`TermMap` is the sparse kernel shared by `OrePoly`, `diffmodule.ModElement`
+and `variety.DiffPoly`: a map from keys to nonzero base-field coefficients,
+with addition, negation, left scaling, equality and hashing written once,
+and the left action of delta_i for the classes whose keys carry derivation
+exponents.  An `OrePoly` key is a derivation monomial, an exponent tuple of
+length m.  Products are computed by iterated single-delta commutation over
+one shared shift chain (`_left_mul`), for operators and module elements
+alike; the closed binomial formula lives in the test suite as an
+independent oracle.  Powers use repeated squaring.
 """
 
 from __future__ import annotations
@@ -18,13 +23,139 @@ def monomial_ord(exps):
     return sum(exps)
 
 
-class OrePoly:
+def _raise_exponent(exps, i):
+    return exps[:i] + (exps[i] + 1,) + exps[i + 1:]
+
+
+class TermMap:
+    """Sparse map from keys to nonzero RatFun coefficients over one ring.
+
+    The ring is fixed by `config` and the rank `n` (None for an operator).
+    Subclasses validate their keys in `__init__` and set the hooks below.
+    """
+
+    __slots__ = ("config", "n", "terms", "_hash")
+
+    # key with its delta_i exponent raised by one; None for a ring on
+    # which Delta does not act by left multiplication
+    _raise_delta = None
+
+    def _new(self, terms):
+        """Element of this ring from terms already nonzero and well formed."""
+        out = object.__new__(type(self))
+        out.config = self.config
+        out.n = self.n
+        out.terms = terms
+        out._hash = None
+        return out
+
+    def _lift(self, value):
+        """A base-field scalar as an element of this ring, or NotImplemented."""
+        return NotImplemented
+
+    def _coerce(self, other):
+        if type(other) is type(self):
+            return other
+        if isinstance(other, (int, Fraction, RatFun)):
+            return self._lift(other)
+        return NotImplemented
+
+    def _check(self, other):
+        if self.config != other.config or self.n != other.n:
+            raise ConfigMismatch(
+                f"{type(self).__name__} operands over different rings")
+
+    def is_zero(self):
+        return not self.terms
+
+    # -- linear structure ----------------------------------------------------
+
+    def __add__(self, other):
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        self._check(other)
+        terms = dict(self.terms)
+        for key, coeff in other.terms.items():
+            _acc(terms, key, coeff)
+        return self._new(terms)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return self._new({k: -c for k, c in self.terms.items()})
+
+    def __sub__(self, other):
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return self + (-other)
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def scale_left(self, c):
+        """Left multiplication by a base-field scalar."""
+        c = _as_ratfun(c, self.config)
+        if not c:
+            return self._new({})
+        return self._new({k: c * a for k, a in self.terms.items()})
+
+    # -- delta action ----------------------------------------------------
+
+    def apply_delta(self, i):
+        """Left multiplication by delta_i via the commutation rule."""
+        raise_delta = self._raise_delta
+        if raise_delta is None:
+            raise TypeError(f"Delta does not act on {type(self).__name__}")
+        self.config.check_derivation(i)
+        derive = i < self.config.v
+        terms = {}
+        for key, coeff in self.terms.items():
+            _acc(terms, raise_delta(key, i), coeff)
+            if derive:
+                der = coeff.derive(i)
+                if der:
+                    _acc(terms, key, der)
+        return self._new(terms)
+
+    def apply_theta(self, exps):
+        """Left multiplication by delta^exps."""
+        out = self
+        for i, k in enumerate(exps):
+            for _ in range(k):
+                out = out.apply_delta(i)
+        return out
+
+    # -- comparisons -----------------------------------------------------
+
+    def __eq__(self, other):
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        self._check(other)
+        return self.terms == other.terms
+
+    def __hash__(self):
+        if self._hash is None:
+            self._hash = hash((self.config, self.n,
+                               frozenset(self.terms.items())))
+        return self._hash
+
+    def __bool__(self):
+        return bool(self.terms)
+
+
+class OrePoly(TermMap):
     """Element of K[Delta]: derivation-monomial exponents -> RatFun."""
 
-    __slots__ = ("config", "terms", "_hash")
+    __slots__ = ()
+
+    _raise_delta = staticmethod(_raise_exponent)
 
     def __init__(self, config, terms=None):
         self.config = config
+        self.n = None
         clean = {}
         if terms:
             for exps, coeff in terms.items():
@@ -61,10 +192,10 @@ class OrePoly:
     def monomial(cls, config, exps, coeff=1):
         return cls(config, {tuple(exps): _as_ratfun(coeff, config)})
 
-    # -- views -----------------------------------------------------------
+    def _lift(self, value):
+        return OrePoly.from_scalar(self.config, value)
 
-    def is_zero(self):
-        return not self.terms
+    # -- views -----------------------------------------------------------
 
     def is_scalar(self):
         return all(not any(e) for e in self.terms)
@@ -92,74 +223,23 @@ class OrePoly:
     def is_unit(self):
         return not self.is_zero() and self.degree() == 0
 
-    # -- additive structure ------------------------------------------------
-
-    def _check(self, other):
-        if self.config != other.config:
-            raise ConfigMismatch("operators over different configurations")
-
-    def __add__(self, other):
-        other = _coerce_ore(other, self.config)
-        if other is NotImplemented:
-            return NotImplemented
-        self._check(other)
-        terms = dict(self.terms)
-        for exps, coeff in other.terms.items():
-            _acc(terms, exps, coeff)
-        return OrePoly(self.config, terms)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return OrePoly(self.config, {e: -c for e, c in self.terms.items()})
-
-    def __sub__(self, other):
-        other = _coerce_ore(other, self.config)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def scale_left(self, c):
-        """Left multiplication by a base-field scalar."""
-        c = _as_ratfun(c, self.config)
-        if not c:
-            return OrePoly.zero(self.config)
-        return OrePoly(self.config, {e: c * a for e, a in self.terms.items()})
-
     # -- multiplicative structure -------------------------------------------
 
-    def apply_delta(self, i):
-        """Left multiplication by delta_i via the commutation rule."""
-        self.config.check_derivation(i)
-        terms = {}
-        for exps, coeff in self.terms.items():
-            shifted = list(exps)
-            shifted[i] += 1
-            shifted = tuple(shifted)
-            _acc(terms, shifted, coeff)
-            der = coeff.derive(i) if i < self.config.v else None
-            if der:
-                _acc(terms, exps, der)
-        return OrePoly(self.config, terms)
-
     def __mul__(self, other):
-        other = _coerce_ore(other, self.config)
+        other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
         return ore_mul(self, other)
 
     def __rmul__(self, other):
-        other = _coerce_ore(other, self.config)
+        other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
         return ore_mul(other, self)
 
     def __truediv__(self, other):
         """Right multiplication by the inverse of a scalar operator."""
-        other = _coerce_ore(other, self.config)
+        other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
         if other.is_zero():
@@ -170,28 +250,7 @@ class OrePoly:
             self.config, other.scalar_value().inverse()))
 
     def __pow__(self, k):
-        if k < 0:
-            raise ValueError("negative power of an operator")
-        result = OrePoly.one(self.config)
-        for _ in range(k):
-            result = ore_mul(result, self)
-        return result
-
-    # -- comparisons -----------------------------------------------------
-
-    def __eq__(self, other):
-        other = _coerce_ore(other, self.config)
-        if other is NotImplemented:
-            return NotImplemented
-        return self.config == other.config and self.terms == other.terms
-
-    def __hash__(self):
-        if self._hash is None:
-            self._hash = hash((self.config, frozenset(self.terms.items())))
-        return self._hash
-
-    def __bool__(self):
-        return bool(self.terms)
+        return _power(self, k, OrePoly.one(self.config))
 
     def __repr__(self):
         return f"OrePoly({self.terms!r})"
@@ -216,12 +275,18 @@ def _as_ratfun(value, config):
     raise TypeError(f"cannot use {value!r} as a base-field coefficient")
 
 
-def _coerce_ore(value, config):
-    if isinstance(value, OrePoly):
-        return value
-    if isinstance(value, (int, Fraction, RatFun)):
-        return OrePoly.from_scalar(config, _as_ratfun(value, config))
-    return NotImplemented
+def _power(x, k, one):
+    """x**k by repeated squaring; one is the identity of x's ring."""
+    if k < 0:
+        raise ValueError(f"negative power of {type(x).__name__}")
+    result = one
+    while k:
+        if k & 1:
+            result = result * x
+        k >>= 1
+        if k:
+            x = x * x
+    return result
 
 
 def ore_mul(f, g):
@@ -232,12 +297,17 @@ def ore_mul(f, g):
         return f
     if f.is_one():
         return g
+    return _left_mul(f, g)
+
+
+def _left_mul(f, g):
+    """f * g for an operator f and g an operator or a module element."""
     shifts = _shifts(g, f.terms)
     terms = {}
     for exps, coeff in f.terms.items():
-        for e, a in shifts[exps].terms.items():
-            _acc(terms, e, coeff * a)
-    return OrePoly(f.config, terms)
+        for key, a in shifts[exps].terms.items():
+            _acc(terms, key, coeff * a)
+    return g._new(terms)
 
 
 def _shifts(g, keys):

@@ -1,29 +1,28 @@
 """Differential polynomials, K-rational points, and the tangent-space pipeline.
 
 A differential polynomial lives in K{y_1..y_n}: a sum of monomials in the
-derivative indeterminates theta*y_i with base-field coefficients.  At a
-K-rational point every derivative of a coordinate is induced by the field
-derivations, so evaluation is a differential homomorphism.
+derivative indeterminates theta*y_i with base-field coefficients.  `DiffPoly`
+is a `TermMap` (the sparse kernel of `ore.OrePoly`) keyed by monomials: a
+monomial is a sorted tuple of ((component, theta exponents), power).  Delta
+acts on it by `formal_derive`, not by left multiplication.  At a K-rational
+point every derivative of a coordinate is induced by the field derivations,
+so evaluation is a differential homomorphism.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .errors import ConfigMismatch, DiffAlgError, PointNotOnVariety
 from .field import RatFun
-from .ore import _acc, _as_ratfun
+from .ore import TermMap, _acc, _as_ratfun, _power
 from .diffmodule import ModElement, characteristic_set, orderly_ranking
 from .dimension import dimension_report
 from .normalform import OreMatrix, classify_tangent
 
-# A monomial is a sorted tuple of ((component, theta exponents), power).
 
-
-class DiffPoly:
+class DiffPoly(TermMap):
     """Element of K{y_1,...,y_n}."""
 
-    __slots__ = ("config", "n", "terms", "_hash")
+    __slots__ = ()
 
     def __init__(self, config, n, terms=None):
         self.config = config
@@ -59,36 +58,10 @@ class DiffPoly:
             exps = (0,) * config.m
         return cls(config, n, {(((comp, tuple(exps)), 1),): 1})
 
+    def _lift(self, value):
+        return DiffPoly.const(self.config, self.n, value)
+
     # -- ring structure (commutative) --------------------------------------
-
-    def _check(self, other):
-        if self.config != other.config or self.n != other.n:
-            raise ConfigMismatch("differential polynomials of different rings")
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        self._check(other)
-        terms = dict(self.terms)
-        for mono, coeff in other.terms.items():
-            _acc(terms, mono, coeff)
-        return DiffPoly(self.config, self.n, terms)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return DiffPoly(self.config, self.n,
-                        {m: -c for m, c in self.terms.items()})
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
 
     def __mul__(self, other):
         other = self._coerce(other)
@@ -99,7 +72,7 @@ class DiffPoly:
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
                 _acc(terms, _merge_monomials(m1, m2), c1 * c2)
-        return DiffPoly(self.config, self.n, terms)
+        return self._new(terms)
 
     __rmul__ = __mul__
 
@@ -112,35 +85,7 @@ class DiffPoly:
         return self * _as_ratfun(other, self.config).inverse()
 
     def __pow__(self, k):
-        if k < 0:
-            raise ValueError("negative power of a differential polynomial")
-        result = DiffPoly.const(self.config, self.n, 1)
-        for _ in range(k):
-            result = result * self
-        return result
-
-    def _coerce(self, value):
-        if isinstance(value, DiffPoly):
-            return value
-        if isinstance(value, (int, Fraction, RatFun)):
-            return DiffPoly.const(self.config, self.n, value)
-        return NotImplemented
-
-    def __eq__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return (self.config == other.config and self.n == other.n
-                and self.terms == other.terms)
-
-    def __hash__(self):
-        if self._hash is None:
-            self._hash = hash((self.config, self.n,
-                               frozenset(self.terms.items())))
-        return self._hash
-
-    def __bool__(self):
-        return bool(self.terms)
+        return _power(self, k, DiffPoly.const(self.config, self.n, 1))
 
     def __repr__(self):
         return f"DiffPoly(n={self.n}, {self.terms!r})"
@@ -161,7 +106,7 @@ class DiffPoly:
             else:
                 entries[key] = power - 1
             _acc(terms, tuple(sorted(entries.items())), coeff * power)
-        return DiffPoly(self.config, self.n, terms)
+        return self._new(terms)
 
 
 def _merge_monomials(m1, m2):

@@ -158,6 +158,17 @@ class TestModuleCommands:
         assert code == 0
         assert "d = 0, k = 1, torsion degrees [1]" in out
 
+    @pytest.mark.parametrize("command, line", [
+        ("decompose", "diagonal: ['d^100000']"),
+        ("dimpoly", "dimension polynomial: 100000")])
+    def test_hostile_power(self, capsys, tmp_path, command, line):
+        text = "field: Q(t)\nmodule: 1\ngens: [d^100000]\n"
+        start = time.perf_counter()
+        code, out, _ = run(capsys, tmp_path, text, command)
+        assert time.perf_counter() - start < 2.0
+        assert code == 0
+        assert line in out
+
     def test_decompose_diagonalizes_once(self, capsys, tmp_path,
                                          monkeypatch):
         original = diffalg.normalform.diagonalize

@@ -4,9 +4,11 @@ import random
 
 import pytest
 
-from diffalg import (DiffFieldConfig, DivisionByZero, OrePoly, RatFun,
-                     UnsupportedForPartial, ore_apply, ore_divmod, ore_mul)
-from helpers import ore_mul_binomial, rand_orepoly, rand_ratfun
+from diffalg import (ConfigMismatch, DiffFieldConfig, DiffPoly, DivisionByZero,
+                     ModElement, OrePoly, RatFun, UnsupportedForPartial,
+                     ore_apply, ore_divmod, ore_mul)
+from helpers import (ore_mul_binomial, rand_modelement, rand_orepoly,
+                     rand_ratfun)
 
 CFG1 = DiffFieldConfig(1, 1)
 
@@ -63,22 +65,41 @@ class TestProduct:
             g = rand_orepoly(rng, cfg, max_deg=2, max_terms=3)
             assert ore_mul(f, g) == ore_mul_binomial(f, g)
 
-    def test_one_shift_per_order(self, monkeypatch):
+    @pytest.mark.parametrize("cls", [OrePoly, ModElement])
+    def test_one_shift_per_order(self, monkeypatch, cls):
         calls = []
-        original = OrePoly.apply_delta
+        original = cls.apply_delta
 
         def counted(self, i):
             calls.append(i)
             return original(self, i)
 
-        monkeypatch.setattr(OrePoly, "apply_delta", counted)
+        monkeypatch.setattr(cls, "apply_delta", counted)
         d = OrePoly.delta(CFG1, 0)
         t = t_scalar()
         f = d ** 4 + t * d ** 3 + d + 1
-        calls.clear()
-        product = ore_mul(f, t)
+        if cls is OrePoly:
+            calls.clear()
+            product = ore_mul(f, t)
+            expected = ore_mul_binomial(f, t)
+        else:
+            w = ModElement.from_operator_vector([t, d + 1])
+            calls.clear()
+            product = w.op_mul(f)
+            expected = ModElement.from_operator_vector(
+                [ore_mul_binomial(f, c) for c in w.operator_vector()])
         assert len(calls) == 4
-        assert product == ore_mul_binomial(f, t)
+        assert product == expected
+
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_module_product_matches_binomial(self, m):
+        rng = random.Random(30 + m)
+        cfg = DiffFieldConfig(m, 1)
+        for _ in range(20):
+            op = rand_orepoly(rng, cfg, max_deg=3, max_terms=4)
+            w = rand_modelement(rng, cfg, rng.randint(1, 3))
+            expected = [ore_mul_binomial(op, c) for c in w.operator_vector()]
+            assert w.op_mul(op) == ModElement.from_operator_vector(expected)
 
     def test_identity_factor(self):
         rng = random.Random(28)
@@ -117,6 +138,69 @@ class TestProduct:
             f = rand_orepoly(rng, cfg)
             g = rand_orepoly(rng, cfg)
             assert f * g == g * f
+
+
+def rand_diffpoly(rng, cfg, n):
+    x = DiffPoly.zero(cfg, n)
+    for _ in range(rng.randint(1, 3)):
+        term = DiffPoly.const(cfg, n, rand_ratfun(rng, cfg))
+        for _ in range(rng.randint(0, 2)):
+            exps = tuple(rng.randint(0, 1) for _ in range(cfg.m))
+            term = term * DiffPoly.indeterminate(cfg, n, rng.randrange(n), exps)
+        x = x + term
+    return x
+
+
+class TestPower:
+    @pytest.mark.parametrize("kind", ["ore1", "ore2", "diffpoly"])
+    def test_power_is_repeated_product(self, kind):
+        rng = random.Random(29)
+        cfg = DiffFieldConfig(2 if kind == "ore2" else 1, 1)
+        for _ in range(5):
+            if kind == "diffpoly":
+                x = rand_diffpoly(rng, cfg, 2)
+                product = DiffPoly.const(cfg, 2, 1)
+            else:
+                x = rand_orepoly(rng, cfg)
+                product = OrePoly.one(cfg)
+            for k in range(8):
+                assert x ** k == product
+                product = product * x
+
+    def test_negative_power_rejected(self):
+        x = OrePoly.delta(CFG1, 0)
+        with pytest.raises(ValueError):
+            x ** -1
+        with pytest.raises(ValueError):
+            DiffPoly.indeterminate(CFG1, 1, 0) ** -1
+
+
+class TestRingMismatch:
+    @pytest.mark.parametrize("pair", ["ore", "module", "diffpoly"])
+    @pytest.mark.parametrize("op", ["add", "sub", "eq"])
+    def test_operands_over_different_rings(self, pair, op):
+        if pair == "ore":
+            a = OrePoly.delta(CFG1, 0)
+            b = OrePoly.delta(DiffFieldConfig(1, 0), 0)
+        elif pair == "module":
+            a = ModElement.basis(CFG1, 1, 0)
+            b = ModElement.basis(CFG1, 2, 0)
+        else:
+            a = DiffPoly.indeterminate(CFG1, 1, 0)
+            b = DiffPoly.indeterminate(CFG1, 2, 0)
+        with pytest.raises(ConfigMismatch):
+            if op == "add":
+                a + b
+            elif op == "sub":
+                a - b
+            else:
+                a == b
+
+    def test_operator_plus_module_element(self):
+        with pytest.raises(TypeError):
+            OrePoly.delta(CFG1, 0) + ModElement.basis(CFG1, 1, 0)
+        with pytest.raises(TypeError):
+            ModElement.basis(CFG1, 1, 0) + OrePoly.delta(CFG1, 0)
 
 
 class TestDivmod:
