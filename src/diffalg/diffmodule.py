@@ -67,9 +67,9 @@ def elimination_ranking(n):
     return Ranking("elimination", tuple(range(n)))
 
 
-def _raise_term(term, i):
+def _raise_term(term, i, k=1):
     comp, exps = term
-    return comp, _raise_exponent(exps, i)
+    return comp, _raise_exponent(exps, i, k)
 
 
 class ModElement(TermMap):

@@ -9,14 +9,23 @@ for output (`parsing.ratfun_str`).
 
 Every field operation ends in a gcd over Z[t], taken together with both
 exact cofactors.  It is the heuristic gcd GCDHEU of Char, Geddes and
-Gonnet (1989) in its recursive multivariate form (Liao and Fateman, 1995):
-evaluate the main variable at an integer xi, take the gcd of the images,
-rebuild a candidate from its symmetric base-xi digits and accept its
-primitive part only if it divides both inputs exactly, which the theorem
-behind GCDHEU makes sufficient for xi >= 2*min(|f|, |g|) + 2.  The exact
-quotients of that check are the cofactors.  After a few evaluation points,
-or past its size guards, the primitive pseudo-remainder sequence (PRS)
-takes over; it is also the tests' oracle.
+Gonnet (1989): evaluate the main variable at an integer xi, take the gcd of
+the images, rebuild a candidate from its symmetric base-xi digits and
+accept its primitive part only if it divides both inputs exactly, which the
+theorem behind GCDHEU makes sufficient for xi >= 2*min(|f|, |g|) + 2.  The
+exact quotients of that check are the cofactors.  Inputs in one variable
+run on dense ascending integer lists: Horner evaluation, the digits straight
+into a list and one exact dense division per cofactor.  Inputs in more
+variables take the sparse recursive form (Liao and Fateman, 1995): the
+images are gcds in one variable fewer, so the recursion ends in the dense
+level.  After a few evaluation points, or past its size guards, the
+primitive pseudo-remainder sequence (PRS) takes over; it is also the tests'
+oracle.
+
+Products by a unit cost nothing: an MPoly product with a constant factor
+scales the other factor (returns it when the constant is 1), and a RatFun
+product with the factor 1 returns the other factor.  MPoly and RatFun
+values are never changed in place, so results may share them.
 """
 
 from __future__ import annotations
@@ -100,13 +109,15 @@ class MPoly:
         return not self.terms
 
     def is_const(self):
-        return all(not any(e) for e in self.terms)
+        terms = self.terms
+        return not terms or (len(terms) == 1 and _ORIGIN[self.nvars] in terms)
 
     def is_one(self):
-        return len(self.terms) == 1 and self.terms.get((0,) * self.nvars) == 1
+        terms = self.terms
+        return len(terms) == 1 and terms.get(_ORIGIN[self.nvars]) == 1
 
     def const_value(self):
-        return self.terms.get((0,) * self.nvars, 0)
+        return self.terms.get(_ORIGIN[self.nvars], 0)
 
     def lex_leading(self):
         """(exponents, coefficient) of the lex-maximal term."""
@@ -139,10 +150,17 @@ class MPoly:
     def __mul__(self, other):
         if isinstance(other, int):
             return self.scale(other)
+        # a constant factor scales the other one; a factor 1 returns it
+        origin = _ORIGIN[self.nvars]
+        left, right = self.terms, other.terms
+        if len(right) == 1 and origin in right:
+            return _scaled(self, right[origin])
+        if len(left) == 1 and origin in left:
+            return _scaled(other, left[origin])
         terms = {}
         get = terms.get
-        right = list(other.terms.items())
-        for e1, c1 in self.terms.items():
+        right = list(right.items())
+        for e1, c1 in left.items():
             for e2, c2 in right:
                 e = tuple(map(add, e1, e2))
                 terms[e] = get(e, 0) + c1 * c2
@@ -208,13 +226,35 @@ class MPoly:
         return f"MPoly({self.nvars}, {self.terms!r})"
 
 
+class _Origins(dict):
+    """nvars -> the exponent tuple of the constant term, built once."""
+
+    def __missing__(self, nvars):
+        origin = self[nvars] = (0,) * nvars
+        return origin
+
+
+_ORIGIN = _Origins()
+
+
 def _poly(nvars, terms):
-    """MPoly over a dict of nonzero ints, taken as is (no checks, no copy)."""
+    """MPoly over a dict of nonzero ints, taken as is (no checks, no copy).
+
+    No operation changes an MPoly's `terms` in place once it is built, so
+    results may share a dict with an operand (`p * 1` is `p` itself).
+    """
     p = object.__new__(MPoly)
     p.nvars = nvars
     p.terms = terms
     p._hash = None
     return p
+
+
+def _scaled(p, k):
+    """p times the nonzero integer k; p itself when k is 1."""
+    if k == 1:
+        return p
+    return _poly(p.nvars, {e: c * k for e, c in p.terms.items()})
 
 
 def _sign(p):
@@ -320,22 +360,90 @@ def _evaluate(f, x, xi):
     return _poly(f.nvars, {e: c for e, c in out.items() if c})
 
 
+def _digits(gamma, xi):
+    """Symmetric base-xi digits of the integer gamma, lowest first."""
+    half = xi // 2
+    digits = []
+    while gamma:
+        digit = gamma % xi
+        if digit > half:
+            digit -= xi
+        digits.append(digit)
+        gamma = (gamma - digit) // xi
+    return digits
+
+
 def _interpolate(gamma, x, xi):
     """The polynomial in t_x whose coefficients are the symmetric base-xi
     digits of gamma's coefficients (gamma is free of t_x)."""
-    half = xi // 2
     terms = {}
     for exps, c in gamma.terms.items():
-        k = 0
-        while c:
-            digit = c % xi
-            if digit > half:
-                digit -= xi
+        for k, digit in enumerate(_digits(c, xi)):
             if digit:
                 terms[exps[:x] + (k,) + exps[x + 1:]] = digit
-            c = (c - digit) // xi
-            k += 1
     return _poly(gamma.nvars, terms)
+
+
+def _horner(coeffs, xi):
+    """Value at xi of the polynomial with ascending coefficient list coeffs."""
+    value = 0
+    for c in reversed(coeffs):
+        value = value * xi + c
+    return value
+
+
+def _dense_quotient(f, h):
+    """Exact quotient f/h of ascending integer lists, or None if h does not
+    divide f."""
+    top = len(h) - 1
+    if len(f) <= top:
+        return None
+    lead = h[-1]
+    rem = list(f)
+    quo = [0] * (len(f) - top)
+    for k in range(len(quo) - 1, -1, -1):
+        c, r = divmod(rem[k + top], lead)
+        if r:
+            return None
+        if c:
+            quo[k] = c
+            for j in range(top):
+                rem[k + j] -= c * h[j]
+    if any(rem[:top]):
+        return None
+    return quo
+
+
+def _heuristic_dense(a, b):
+    """GCDHEU at the innermost level: (h, a/h, b/h) on ascending integer
+    lists, with the cofactors `a` and `b` themselves when h is 1, or None
+    when it gives up."""
+    width = max(len(a), len(b)) - 1
+    if width > _HEU_MAX_DEGREE:
+        return None
+    na, nb = max(map(abs, a)), max(map(abs, b))
+    xi = 2 * min(na, nb) + 2
+    bits = max(na, nb).bit_length()
+    for _ in range(_HEU_TRIES):
+        if width * xi.bit_length() + bits > _HEU_MAX_BITS:
+            return None
+        ae, be = _horner(a, xi), _horner(b, xi)
+        if ae and be:
+            h = _digits(_int_gcd(ae, be), xi)
+            content = _int_gcd(*h)
+            if h[-1] < 0:
+                content = -content
+            if content != 1:
+                h = [c // content for c in h]
+            if len(h) == 1:
+                return h, a, b
+            ca = _dense_quotient(a, h)
+            if ca is not None:
+                cb = _dense_quotient(b, h)
+                if cb is not None:
+                    return h, ca, cb
+        xi = 73794 * xi * isqrt(isqrt(xi)) // 27011
+    return None
 
 
 def _heuristic(f, g):
@@ -345,10 +453,18 @@ def _heuristic(f, g):
     An accepted h is the gcd: h divides both inputs exactly, and with
     xi >= 2*min(|f|, |g|) + 2 every common factor that h missed would
     make the image gcd too large to be h's image (Char, Geddes and
-    Gonnet 1989).  The images' gcd comes from _gcd_cofactors again, so
-    the other variables are handled recursively.
+    Gonnet 1989).  Inputs in one variable run on dense integer lists;
+    otherwise the images' gcd comes from _gcd_cofactors again, so the
+    other variables are handled recursively down to that dense level.
     """
-    x = _main_var(f, g)
+    x = 0 if f.nvars == 1 else _main_var(f, g)
+    if _univariate_in(f, x) and _univariate_in(g, x):
+        found = _heuristic_dense(_dense(f, x), _dense(g, x))
+        if found is None:
+            return None
+        if len(found[0]) == 1:
+            return MPoly.const(f.nvars, 1), f, g
+        return tuple(_sparse(p, f.nvars, x) for p in found)
     width = max(f.degree_in(x), g.degree_in(x))
     if width > _HEU_MAX_DEGREE:
         return None
@@ -446,7 +562,24 @@ def _prem(f, g, x):
 
 def _univariate_in(f, x):
     """True when f involves no variable other than t_x."""
+    if f.nvars == 1:
+        return True
     return all(not e for exps in f.terms for i, e in enumerate(exps) if i != x)
+
+
+def _dense(p, x):
+    """Ascending integer coefficient list of a nonzero p univariate in t_x."""
+    coeffs = [0] * (p.degree_in(x) + 1)
+    for exps, c in p.terms.items():
+        coeffs[exps[x]] = c
+    return coeffs
+
+
+def _sparse(coeffs, nvars, x):
+    """The MPoly in t_x with the ascending integer coefficient list coeffs."""
+    head, tail = (0,) * x, (0,) * (nvars - x - 1)
+    return _poly(nvars, {head + (i,) + tail: c
+                         for i, c in enumerate(coeffs) if c})
 
 
 def _int_primitive(coeffs):
@@ -480,13 +613,8 @@ def _int_prem(a, b):
 
 def _gcd_univariate(f, g, x):
     """Gcd via a primitive integer remainder sequence on dense t_x-lists."""
-    dense = []
-    for p in (f, g):
-        coeffs = [0] * (p.degree_in(x) + 1)
-        for exps, c in p.terms.items():
-            coeffs[exps[x]] = c
-        dense.append(_int_primitive(coeffs))
-    (ca, a), (cb, b) = dense
+    ca, a = _int_primitive(_dense(f, x))
+    cb, b = _int_primitive(_dense(g, x))
     if len(a) < len(b):
         a, b = b, a
     while b:
@@ -494,8 +622,7 @@ def _gcd_univariate(f, g, x):
     scale = _int_gcd(ca, cb)
     if a[-1] < 0:
         scale = -scale
-    return _poly(f.nvars, {tuple(i if j == x else 0 for j in range(f.nvars)):
-                           scale * c for i, c in enumerate(a) if c})
+    return _sparse([scale * c for c in a], f.nvars, x)
 
 
 def _prs_gcd(f, g):
@@ -615,6 +742,10 @@ class RatFun:
             return NotImplemented
         if self.is_zero() or other.is_zero():
             return RatFun.from_const(self.nvars, 0)
+        if other.is_one():
+            return self
+        if self.is_one():
+            return other
         # cross-cancel before multiplying: the result is already coprime
         _, n1, d2 = _gcd_cofactors(self.num, other.den)
         _, n2, d1 = _gcd_cofactors(other.num, self.den)

@@ -23,8 +23,8 @@ def monomial_ord(exps):
     return sum(exps)
 
 
-def _raise_exponent(exps, i):
-    return exps[:i] + (exps[i] + 1,) + exps[i + 1:]
+def _raise_exponent(exps, i, k=1):
+    return exps[:i] + (exps[i] + k,) + exps[i + 1:]
 
 
 class TermMap:
@@ -316,9 +316,21 @@ def _shifts(g, keys):
     Each theta is reached from the nearest key below it on the chain that
     lowers the last nonzero exponent; keys are visited in increasing lex
     order, so that key is already built and for m = 1 the whole product
-    costs max(k) applications of delta instead of sum(k).
+    costs max(k) applications of delta instead of sum(k).  When every
+    coefficient of g is a constant, delta^theta * g only shifts its keys.
     """
     built = {(0,) * g.config.m: g}
+    if all(c.is_const() for c in g.terms.values()):
+        raise_delta = g._raise_delta
+        for theta in keys:
+            terms = {}
+            for key, c in g.terms.items():
+                for i, k in enumerate(theta):
+                    if k:
+                        key = raise_delta(key, i, k)
+                terms[key] = c
+            built[theta] = g._new(terms)
+        return built
     for theta in sorted(keys):
         path = []
         cur = theta

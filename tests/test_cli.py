@@ -169,6 +169,18 @@ class TestModuleCommands:
         assert code == 0
         assert line in out
 
+    @pytest.mark.parametrize("command, line", [
+        ("decompose", "diagonal: ['d^10000000']"),
+        ("dimpoly", "dimension polynomial: 10000000")])
+    def test_hostile_constant_power(self, capsys, tmp_path, command, line):
+        # d^k has constant coefficients: its shifts are built directly
+        text = "field: Q(t)\nmodule: 1\ngens: [d^10000000]\n"
+        start = time.perf_counter()
+        code, out, _ = run(capsys, tmp_path, text, command)
+        assert time.perf_counter() - start < 1.0
+        assert code == 0
+        assert line in out
+
     def test_decompose_diagonalizes_once(self, capsys, tmp_path,
                                          monkeypatch):
         original = diffalg.normalform.diagonalize

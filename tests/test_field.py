@@ -2,6 +2,7 @@
 
 import random
 import time
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -181,6 +182,142 @@ class TestGcd:
         start = time.perf_counter()
         assert gcd_against_prs(f, g) == p
         assert time.perf_counter() - start < 1.0
+
+
+def upoly(nvars, x, coeffs):
+    """The MPoly in t_x with the ascending coefficient list coeffs."""
+    return MPoly(nvars, {tuple(i if j == x else 0 for j in range(nvars)): c
+                         for i, c in enumerate(coeffs)})
+
+
+def rand_upoly(rng, nvars, x, degree):
+    coeffs = [rng.randint(-9, 9) for _ in range(degree)]
+    return upoly(nvars, x, coeffs + [rng.choice([-3, -1, 1, 2])])
+
+
+def counting(monkeypatch, *names):
+    """Count the calls of the named functions of `field` per name."""
+    calls = Counter()
+    for name in names:
+        original = getattr(field, name)
+
+        def counted(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(field, name, counted)
+    return calls
+
+
+UNIVARIATE_CASES = [(nvars, x) for nvars in (1, 2, 3) for x in range(nvars)]
+
+
+class TestDenseHeuristic:
+    """GCDHEU on inputs in one variable t_x: dense integer lists."""
+
+    @pytest.mark.parametrize("nvars, x", UNIVARIATE_CASES)
+    def test_matches_prs(self, nvars, x):
+        rng = random.Random(60 + 3 * nvars + x)
+        before = field.prs_fallbacks
+        for _ in range(20):
+            a, b = (rand_upoly(rng, nvars, x, rng.randint(1, 5))
+                    for _ in range(2))
+            for h in (upoly(nvars, x, [rng.choice([-6, 1, 2, 10])]),
+                      upoly(nvars, x, [rng.randint(-5, 5), 1]),
+                      upoly(nvars, x, [rng.randint(-5, 5), -3]),
+                      rand_upoly(rng, nvars, x, 3)):
+                for f, g in ((h * a, h * b),              # planted factor
+                             (-(h * a), h * b),           # negative lc
+                             (h * a * 6, h * b * 4),      # integer content
+                             (h * a, h)):                 # h divides f
+                    gcd_against_prs(f, g)
+                    assert mpoly_gcd(f, g).divexact(h)
+        assert field.prs_fallbacks == before
+
+    @pytest.mark.parametrize("nvars, x", UNIVARIATE_CASES)
+    def test_second_evaluation_point(self, monkeypatch, nvars, x):
+        # f = 2t(t + 1), g = (t - 2)(t + 1): at xi = 6 the images 84 and
+        # 28 have gcd 28, whose digits give t^2 - t - 2 = g, which does not
+        # divide f; the second xi settles it
+        calls = counting(monkeypatch, "_horner")
+        h = upoly(nvars, x, [1, 1])
+        f, g = upoly(nvars, x, [0, 2]) * h, upoly(nvars, x, [-2, 1]) * h
+        assert gcd_against_prs(f, g) == h
+        assert calls["_horner"] == 4
+
+    @pytest.mark.parametrize("nvars, x", [(1, 0), (2, 1), (3, 0)])
+    def test_sparse_pair_past_the_degree_guard(self, nvars, x):
+        degree = field._HEU_MAX_DEGREE + 1
+        p = upoly(nvars, x, [1] + [0] * (degree - 1) + [1])
+        f, g = p * upoly(nvars, x, [2, 1]), p * upoly(nvars, x, [3, 1])
+        before = field.prs_fallbacks
+        assert gcd_against_prs(f, g) == p
+        assert field.prs_fallbacks == before + 1
+
+    def test_univariate_inputs_stay_dense(self, monkeypatch):
+        calls = counting(monkeypatch, "_evaluate", "_interpolate",
+                         "_heuristic_dense")
+        rng = random.Random(70)
+        for nvars, x in UNIVARIATE_CASES:
+            h = rand_upoly(rng, nvars, x, 2)
+            a, b = (rand_upoly(rng, nvars, x, 3) for _ in range(2))
+            gcd_against_prs(h * a, h * b)
+        assert calls["_evaluate"] == calls["_interpolate"] == 0
+        assert calls["_heuristic_dense"] >= len(UNIVARIATE_CASES)
+
+    def test_two_variables_end_in_the_dense_level(self, monkeypatch):
+        calls = counting(monkeypatch, "_evaluate", "_heuristic_dense")
+        h = MPoly(2, {(1, 1): 1, (0, 0): 3})
+        f = h * MPoly(2, {(2, 0): 1, (0, 1): -2})
+        g = h * MPoly(2, {(0, 2): 1, (1, 0): 5})
+        assert gcd_against_prs(f, g) == h
+        assert calls["_evaluate"] >= 2
+        assert calls["_heuristic_dense"] >= 1
+
+
+class TestUnitShortcuts:
+    def test_ratfun_times_one(self, monkeypatch):
+        a = (t_() ** 2 + 1) / (2 * t_() - 3)
+        one = const(1)
+        calls = counting(monkeypatch, "_gcd_cofactors")
+        assert a * one is a
+        assert one * a is a
+        assert a * 1 is a
+        assert 1 * a is a
+        assert not calls
+
+    def test_mpoly_constant_factor(self):
+        p = MPoly(2, {(2, 1): 3, (0, 1): -2, (0, 0): 5})
+        for c in (1, 2, -3):
+            k = MPoly.const(2, c)
+            assert p * k == p.scale(c) == k * p
+        assert p * MPoly.const(2, 1) is p
+        assert MPoly.const(2, 1) * p is p
+        assert p * MPoly.zero(2) == MPoly.zero(2) == MPoly.zero(2) * p
+
+    def test_shared_operand_is_never_changed(self):
+        p = MPoly(2, {(2, 1): 3, (0, 1): -2, (0, 0): 5})
+        snapshot = dict(p.terms)
+        q = p * MPoly.const(2, 1)
+        assert q + p == p.scale(2)
+        assert q - p == MPoly.zero(2)
+        assert (q * q).divexact(q) == p
+        assert q.divexact(p) == MPoly.const(2, 1)
+        assert gcd_against_prs(q, p * p) == p
+        assert p.terms == snapshot
+
+    @pytest.mark.parametrize("nvars", [0, 1, 3])
+    def test_constant_predicates(self, nvars):
+        one, five = MPoly.const(nvars, 1), MPoly.const(nvars, 5)
+        zero = MPoly.zero(nvars)
+        assert one.is_one() and one.is_const() and one.const_value() == 1
+        assert not five.is_one() and five.const_value() == 5
+        assert zero.is_const() and not zero.is_one()
+        assert zero.const_value() == 0
+        if nvars:
+            t = MPoly.var(nvars, nvars - 1)
+            assert not t.is_const() and t.const_value() == 0
+            assert not (t + one).is_const() and (t + one).const_value() == 1
 
 
 class TestNormalize:

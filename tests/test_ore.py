@@ -101,6 +101,32 @@ class TestProduct:
             expected = [ore_mul_binomial(op, c) for c in w.operator_vector()]
             assert w.op_mul(op) == ModElement.from_operator_vector(expected)
 
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_constant_coefficient_shifts(self, monkeypatch, m):
+        # with constant coefficients, delta^theta * g is a shift of g's keys,
+        # built without applying delta
+        calls = []
+        for cls in (OrePoly, ModElement):
+            original = cls.apply_delta
+
+            def counted(self, i, _original=original):
+                calls.append(i)
+                return _original(self, i)
+
+            monkeypatch.setattr(cls, "apply_delta", counted)
+        rng = random.Random(34 + m)
+        cfg = DiffFieldConfig(m, 1)
+        for _ in range(20):
+            f = rand_orepoly(rng, cfg, max_deg=4, max_terms=4)
+            g = rand_orepoly(rng, cfg, max_deg=3, max_terms=3,
+                             frac_prob=0.0, coeff_deg=0)
+            w = rand_modelement(rng, cfg, rng.randint(1, 3), frac_prob=0.0,
+                                coeff_deg=0)
+            assert ore_mul(f, g) == ore_mul_binomial(f, g)
+            expected = [ore_mul_binomial(f, c) for c in w.operator_vector()]
+            assert w.op_mul(f) == ModElement.from_operator_vector(expected)
+        assert not calls
+
     def test_identity_factor(self):
         rng = random.Random(28)
         one = OrePoly.one(CFG1)
