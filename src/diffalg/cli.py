@@ -5,15 +5,21 @@
 
 Commands: charset, dimpoly, decompose, tangent, reduce, count.
 Exit codes: 0 ok, 1 any other diffalg error (e.g. count with leaders that
-are not an antichain), 2 parse error, 3 point not on variety, 4 unsupported
-operation (e.g. decompose with m >= 2).
+are not an antichain, or an --order-bound that would list more than
+MAX_LISTED_TERMS derivative terms), 2 parse error, 3 point not on variety,
+4 unsupported operation (e.g. decompose with m >= 2).
+
+The argument parser is built on the first call of `main` and reused by
+later calls in the same process.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
+from math import comb
 
 from .errors import (DiffAlgError, DivisionByZero, OrderlyRequired,
                      ParseError, PointNotOnVariety, UnsupportedForPartial)
@@ -24,8 +30,15 @@ from .numpoly import _weight_bounded, count_cofilter
 from .parsing import (orepoly_str, parse_input, vector_str, modelement_str)
 from .variety import tangent_pipeline
 
+# Most derivative terms --order-bound may walk through: n*C(K+m, m) terms
+# have order <= K, and listing 585,276 of them (K = 150, m = 3) takes
+# 1.4 s.
+MAX_LISTED_TERMS = 250_000
 
+
+@functools.cache
 def _build_argparser():
+    """The argument parser, built on the first call and then reused."""
     parser = argparse.ArgumentParser(
         prog="diffalg",
         description="Exact linear differential algebra: characteristic sets, "
@@ -103,6 +116,11 @@ def _charset_of(problem):
 
 def _standard_terms(anti, bound):
     """Derivative terms of order <= bound outside the leader staircase."""
+    total = len(anti.components) * comb(max(bound + anti.m, 0), anti.m)
+    if total > MAX_LISTED_TERMS:
+        raise DiffAlgError(f"--order-bound {bound} would list {total} "
+                           f"derivative terms; the limit is "
+                           f"{MAX_LISTED_TERMS}")
     out = []
     for comp, E in enumerate(anti.components):
         for exps in _weight_bounded(anti.m, bound):

@@ -674,6 +674,10 @@ class RatFun:
 
     @classmethod
     def from_const(cls, nvars, value):
+        if type(value) is int:
+            origin = _ORIGIN[nvars]
+            return cls(_poly(nvars, {origin: value} if value else {}),
+                       _poly(nvars, {origin: 1}), _canonical=True)
         value = Fraction(value)
         return cls(MPoly.const(nvars, value.numerator),
                    MPoly.const(nvars, value.denominator), _canonical=True)

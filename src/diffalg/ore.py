@@ -8,7 +8,8 @@ exponents.  An `OrePoly` key is a derivation monomial, an exponent tuple of
 length m.  Products are computed by iterated single-delta commutation over
 one shared shift chain (`_left_mul`), for operators and module elements
 alike; the closed binomial formula lives in the test suite as an
-independent oracle.  Powers use repeated squaring.
+independent oracle.  A scalar times an operator only scales coefficients,
+since no delta stands to its left.  Powers use repeated squaring.
 """
 
 from __future__ import annotations
@@ -232,10 +233,10 @@ class OrePoly(TermMap):
         return ore_mul(self, other)
 
     def __rmul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return ore_mul(other, self)
+        """A base-field scalar times self: left scaling, no commutation."""
+        if isinstance(other, (RatFun, int, Fraction)):
+            return self.scale_left(other)
+        return NotImplemented
 
     def __truediv__(self, other):
         """Right multiplication by the inverse of a scalar operator."""

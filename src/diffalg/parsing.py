@@ -4,14 +4,24 @@ plus the line-oriented problem-file format consumed by the CLI.
 Expressions use `+ - * / ^`, integer literals, `t`/`t1..tv` for field
 variables, `d`/`d1..dm` for derivation operators, and `y'`, `y''` or
 `y_(2,1)` for derivatives of the differential indeterminates.
+
+Literals and field variables evaluate in the base field: a subexpression is
+a `RatFun` until it meets a `d`/`d_i` or an indeterminate, and the result is
+lifted to the operator or polynomial ring once, at the end.  A product of a
+field element and an operator goes through the operator's own `__mul__` or
+`__rmul__`, so `d*t` is still `t*d + 1`.  Division is by base-field
+elements only, negative powers exist only in the base field, and a power of
+an operator other than one constant-coefficient term may not pass
+`MAX_POWER_ORDER`; each of these is a `ParseError` with its position.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
-from .errors import ParseError
+from .errors import DivisionByZero, ParseError
 from .field import DiffFieldConfig, RatFun
 from .ore import OrePoly
 from .diffmodule import ModElement, Ranking, orderly_ranking
@@ -76,15 +86,30 @@ def tokenize(text, line=1, column_offset=0):
 # ---------------------------------------------------------------------------
 # recursive-descent expression parser
 
-class _ExprParser:
-    """Parses tokens into values of whatever algebra `resolve`/`const` build."""
+# Highest order of a power of an operator, unless the operator is a single
+# term with a constant coefficient.  Repeated squaring applies delta to every
+# term of the right factor once per order of the left one, so (t*d)^k costs
+# about k^2 derivations: k = 100 takes 0.1 s and k = 3000 runs past 10 s.
+# With constant coefficients delta only shifts exponents, but (d + 1)^k
+# still has k + 1 terms and costs about k^2 products.  A single constant
+# term stays one term and has no cap (`d^10000000` is fine).
+MAX_POWER_ORDER = 100
 
-    def __init__(self, tokens, resolve, const, line=1):
+
+class _ExprParser:
+    """Parses tokens into values of whatever algebra `resolve`/`const` build.
+
+    `divide` and `power` carry the rules for `/` and `^`; `zero_message` is
+    the text of the DivisionByZero raised for a zero divisor.
+    """
+
+    def __init__(self, tokens, resolve, const, line, zero_message):
         self.tokens = tokens
         self.pos = 0
         self.resolve = resolve
         self.const = const
         self.line = line
+        self.zero_message = zero_message
 
     def peek(self):
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -119,11 +144,39 @@ class _ExprParser:
         while (tok := self.peek()) and tok.kind in ("*", "/"):
             self.next()
             rhs = self.parse_unary()
-            try:
-                value = value * rhs if tok.kind == "*" else value / rhs
-            except ZeroDivisionError:
-                raise ParseError("division by zero", tok.line, tok.column)
+            value = value * rhs if tok.kind == "*" \
+                else self.divide(value, rhs, tok)
         return value
+
+    def divide(self, value, rhs, tok):
+        divisor = _field_value(rhs)
+        if divisor is None:
+            raise ParseError("can only divide by a base-field element",
+                             tok.line, tok.column)
+        if not divisor:
+            raise DivisionByZero(self.zero_message)
+        return value * divisor.inverse()
+
+    def power(self, base, k, tok):
+        """base^k, with negative powers taken in the base field."""
+        if isinstance(base, RatFun):
+            return base ** k
+        if k < 0:
+            scalar = _field_value(base)
+            if scalar is None:
+                raise ParseError("negative power of an expression outside "
+                                 "the base field", tok.line, tok.column)
+            return scalar ** k
+        if isinstance(base, OrePoly):
+            order = k * base.degree()
+            if order > MAX_POWER_ORDER and not (
+                    len(base.terms) == 1
+                    and next(iter(base.terms.values())).is_const()):
+                raise ParseError(f"power of order {order} of an operator "
+                                 f"that is not one constant-coefficient "
+                                 f"term; the limit is {MAX_POWER_ORDER}",
+                                 tok.line, tok.column)
+        return base ** k
 
     def parse_unary(self):
         tok = self.peek()
@@ -145,7 +198,7 @@ class _ExprParser:
                 self.next()
                 sign = -sign
             exp_tok = self.expect("num")
-            return base ** (sign * int(exp_tok.text))
+            return self.power(base, sign * int(exp_tok.text), tok)
         return base
 
     def parse_atom(self):
@@ -189,8 +242,20 @@ def _split_suffix(tok):
     return base, dexps
 
 
-def _parse_with(tokens, resolve, const, line=1):
-    parser = _ExprParser(tokens, resolve, const, line)
+def _field_value(value):
+    """The base-field element that `value` is, or None when it holds a
+    derivation operator or an indeterminate."""
+    if isinstance(value, RatFun):
+        return value
+    one = (0,) * value.config.m if isinstance(value, OrePoly) else ()
+    if value.terms.keys() <= {one}:
+        return value.terms.get(one, RatFun.from_const(value.config.v, 0))
+    return None
+
+
+def _parse_with(tokens, resolve, const, line=1,
+                zero_message="division by zero in the base field"):
+    parser = _ExprParser(tokens, resolve, const, line, zero_message)
     value = parser.parse_expr()
     if not parser.done():
         tok = parser.peek()
@@ -235,6 +300,20 @@ def _delta_index(name, config):
     return None
 
 
+@functools.lru_cache(maxsize=256)
+def _symbol(config, name):
+    """The derivation operator or field variable `name` over `config`, or
+    None.  Both are immutable values, so every parse may share them; the
+    cache holds the names of a few dozen field layouts (m + v each)."""
+    i = _delta_index(name, config)
+    if i is not None:
+        return OrePoly.delta(config, i)
+    i = _field_var_index(name, config)
+    if i is not None:
+        return RatFun.var(config.v, i)
+    return None
+
+
 # ---------------------------------------------------------------------------
 # expression entry points
 
@@ -245,11 +324,11 @@ def parse_ratfun(text, config, line=1):
         if dexps is not None:
             raise ParseError(f"{name!r} cannot carry a derivative suffix",
                              tok.line, tok.column)
-        i = _field_var_index(name, config)
-        if i is None:
+        value = _symbol(config, name)
+        if not isinstance(value, RatFun):
             raise ParseError(f"unknown field variable {name!r}",
                              tok.line, tok.column)
-        return RatFun.var(config.v, i)
+        return value
 
     tokens = tokenize(text, line) if isinstance(text, str) else text
     return _parse_with(tokens, resolve,
@@ -263,17 +342,18 @@ def parse_orepoly(text, config, line=1):
         if dexps is not None:
             raise ParseError(f"{name!r} cannot carry a derivative suffix",
                              tok.line, tok.column)
-        i = _delta_index(name, config)
-        if i is not None:
-            return OrePoly.delta(config, i)
-        i = _field_var_index(name, config)
-        if i is not None:
-            return OrePoly.from_scalar(config, RatFun.var(config.v, i))
-        raise ParseError(f"unknown symbol {name!r}", tok.line, tok.column)
+        value = _symbol(config, name)
+        if value is None:
+            raise ParseError(f"unknown symbol {name!r}", tok.line, tok.column)
+        return value
 
     tokens = tokenize(text, line) if isinstance(text, str) else text
-    return _parse_with(tokens, resolve,
-                       lambda k: OrePoly.from_scalar(config, k), line)
+    value = _parse_with(tokens, resolve,
+                        lambda k: RatFun.from_const(config.v, k), line,
+                        zero_message="division by the zero operator")
+    if isinstance(value, RatFun):
+        return OrePoly.from_scalar(config, value)
+    return value
 
 
 def parse_diffpoly(text, config, var_names, line=1):
@@ -294,14 +374,17 @@ def parse_diffpoly(text, config, var_names, line=1):
                     tok.line, tok.column)
             return DiffPoly.indeterminate(config, n, index[name], exps)
         if dexps is None:
-            i = _field_var_index(name, config)
-            if i is not None:
-                return DiffPoly.const(config, n, RatFun.var(config.v, i))
+            value = _symbol(config, name)
+            if isinstance(value, RatFun):
+                return value
         raise ParseError(f"unknown variable {name!r}", tok.line, tok.column)
 
     tokens = tokenize(text, line) if isinstance(text, str) else text
-    return _parse_with(tokens, resolve,
-                       lambda k: DiffPoly.const(config, n, k), line)
+    value = _parse_with(tokens, resolve,
+                        lambda k: RatFun.from_const(config.v, k), line)
+    if isinstance(value, RatFun):
+        return DiffPoly.const(config, n, value)
+    return value
 
 
 def parse_generator_vector(text, config, n, line=1):

@@ -3,15 +3,20 @@
 The oracles deliberately avoid the library's own fast paths: operator
 products are re-derived from the closed binomial commutation formula,
 staircase counts are re-derived by inclusion-exclusion over subsets of
-leaders, and module dimensions are recomputed by exact Gaussian elimination
-over the base field on truncated derivative spans.
+leaders, module dimensions are recomputed by exact Gaussian elimination
+over the base field on truncated derivative spans, and expressions are
+evaluated with every literal and field variable lifted to the operator or
+polynomial ring before any operation.
 """
 
 from fractions import Fraction
 from itertools import combinations
 from math import comb, factorial
 
-from diffalg import MPoly, ModElement, NumericalPolynomial, OrePoly, RatFun
+from diffalg import (DiffPoly, DivisionByZero, MPoly, ModElement,
+                     NumericalPolynomial, OrePoly, ParseError, RatFun)
+from diffalg.parsing import (_ExprParser, _delta_index, _field_var_index,
+                             _split_tokens, tokenize)
 
 
 # ---------------------------------------------------------------------------
@@ -105,6 +110,89 @@ def ore_mul_binomial(f, g):
                 else:
                     terms.pop(key, None)
     return OrePoly(config, terms)
+
+
+# ---------------------------------------------------------------------------
+# lifted expression oracle
+
+class _LiftedParser(_ExprParser):
+    """The library's expression grammar with `/` and `^` run in the ring:
+    division by the ring's own `__truediv__`, and a negative power only of
+    a lifted scalar, as the lift of its coefficient's power."""
+
+    def __init__(self, tokens, resolve, lift, scalar_key, zero_message):
+        super().__init__(tokens, resolve, lift, 1, zero_message)
+        self.lift = lift
+        self.scalar_key = scalar_key
+
+    def divide(self, value, rhs, tok):
+        if rhs.is_zero():
+            raise DivisionByZero(self.zero_message)
+        try:
+            return value / rhs
+        except ValueError:
+            raise ParseError("can only divide by a base-field element",
+                             tok.line, tok.column)
+
+    def power(self, base, k, tok):
+        if k >= 0:
+            return base ** k
+        if base.terms.keys() - {self.scalar_key}:
+            raise ParseError("negative power of an expression outside the "
+                             "base field", tok.line, tok.column)
+        scalar = base.terms.get(self.scalar_key,
+                                RatFun.from_const(base.config.v, 0))
+        return self.lift(scalar ** k)
+
+
+def parse_lifted(text, config, var_names=None):
+    """An operator (or, given var_names, a differential polynomial) parsed
+    from text or tokens with every literal and field variable lifted to
+    that ring first, so that each operation runs in the ring rather than in
+    the base field."""
+    if var_names is None:
+        scalar_key = (0,) * config.m
+        zero_message = "division by the zero operator"
+
+        def lift(value):
+            return OrePoly.from_scalar(config, value)
+    else:
+        n = len(var_names)
+        scalar_key = ()
+        zero_message = "division by zero in the base field"
+
+        def lift(value):
+            return DiffPoly.const(config, n, value)
+
+    def resolve(name, dexps, tok):
+        if var_names is not None and name in var_names:
+            exps = dexps if dexps is not None else (0,) * config.m
+            return DiffPoly.indeterminate(config, n, var_names.index(name),
+                                          exps)
+        if var_names is None and dexps is None:
+            i = _delta_index(name, config)
+            if i is not None:
+                return OrePoly.delta(config, i)
+        i = _field_var_index(name, config)
+        if i is not None and dexps is None:
+            return lift(RatFun.var(config.v, i))
+        raise ParseError(f"unknown symbol {name!r}", tok.line, tok.column)
+
+    tokens = tokenize(text) if isinstance(text, str) else text
+    parser = _LiftedParser(tokens, resolve, lift, scalar_key, zero_message)
+    value = parser.parse_expr()
+    if not parser.done():
+        tok = tokens[parser.pos]
+        raise ParseError(f"trailing input {tok.text!r}", tok.line, tok.column)
+    return value
+
+
+def parse_lifted_vector(text, config, n):
+    """`[expr, ..., expr]` with each coordinate parsed by parse_lifted."""
+    coords = [parse_lifted(group, config) if group else OrePoly.zero(config)
+              for group in _split_tokens(tokenize(text)[1:-1], ",")]
+    assert len(coords) == n
+    return ModElement.from_operator_vector(coords, n)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,13 @@
 """End-to-end command-line behavior: outputs, formats, and exit codes."""
 
+import argparse
 import json
+import os
+import subprocess
+import sys
 import time
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -294,6 +299,122 @@ class TestErrorHandling:
         code, _, err = run(capsys, tmp_path, "field Q(t)\n", "charset")
         assert code == 2
         assert "section" in err
+
+
+class TestRefusedInput:
+    @pytest.mark.parametrize("section, command, message", [
+        ("module: 1\ngens: [1/d]", "charset",
+         "line 3, column 3: can only divide by a base-field element"),
+        ("module: 1\ngens: [d^-1]", "charset", "line 3, column 3: negative "
+         "power of an expression outside the base field"),
+        ("vars: y\npoint: y = 0\neqs: y/y'", "tangent",
+         "line 4, column 2: can only divide by a base-field element"),
+        ("vars: y\npoint: y = 0\neqs: y^-1", "tangent", "line 4, column 2: "
+         "negative power of an expression outside the base field"),
+    ], ids=["divide-by-d", "d-inverse", "divide-by-y", "y-inverse"])
+    def test_exit_2_with_position(self, capsys, tmp_path, section, command,
+                                  message):
+        text = f"field: Q(t)\n{section}\n"
+        code, out, err = run(capsys, tmp_path, text, command)
+        assert (code, out) == (2, "")
+        assert err == f"error: {message}\n"
+
+    def test_negative_field_power_is_a_field_element(self, capsys, tmp_path):
+        code, out, _ = run(capsys, tmp_path,
+                           "field: Q(t)\nmodule: 1\ngens: [t^-2*d + t]\n",
+                           "charset")
+        assert code == 0
+        assert out == "characteristic set (1 elements):\n  [d + t^3]\n"
+
+    def test_division_by_zero_text_is_kept(self, capsys, tmp_path):
+        code, _, err = run(capsys, tmp_path,
+                           "field: Q(t)\nmodule: 1\ngens: [t/0]\n",
+                           "charset")
+        assert code == 2
+        assert err == "error: division by the zero operator\n"
+
+    def test_order_bound_over_the_term_cap_exits_1(self, capsys, tmp_path):
+        text = "field: Q derivations: 3\nmodule: 1\ngens: [d1*d2*d3]\n"
+        start = time.perf_counter()
+        code, out, err = run(capsys, tmp_path, text, "charset",
+                             "--order-bound", "400")
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (1, "")
+        assert err == ("error: --order-bound 400 would list 10827401 "
+                       f"derivative terms; the limit is "
+                       f"{diffalg.cli.MAX_LISTED_TERMS}\n")
+
+    @pytest.mark.parametrize("base", ["(t*d)", "(d + 1)"],
+                             ids=["t-times-d", "d-plus-1"])
+    def test_power_over_the_order_cap_exits_2(self, capsys, tmp_path, base):
+        text = f"field: Q(t)\nmodule: 1\ngens: [{base}^3000]\n"
+        start = time.perf_counter()
+        code, out, err = run(capsys, tmp_path, text, "decompose")
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: line 3, column {len(base) + 2}: "
+                              f"power of order 3000 ")
+
+
+def _python(args, cwd):
+    """`python args` in a new process that imports this diffalg."""
+    src = str(Path(diffalg.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, *args], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=60)
+
+
+def _fresh_run(argv, cwd):
+    """Exit code and stdout of `python -m diffalg argv` in a new process."""
+    done = _python(["-m", "diffalg", *argv], cwd)
+    return done.returncode, done.stdout
+
+
+class TestRepeatedCalls:
+    def test_parser_built_once_and_calls_independent(self, capsys, tmp_path,
+                                                     monkeypatch):
+        (tmp_path / "module.txt").write_text(MODULE)
+        (tmp_path / "generic.txt").write_text(GENERIC)
+        calls = [["charset", "module.txt"],
+                 ["charset"],
+                 ["dimpoly", "module.txt", "--order-bound", "3"],
+                 ["dimpoly", "module.txt"],
+                 ["tangent", "generic.txt", "--format", "json"],
+                 ["tangent", "generic.txt"],
+                 ["charset", "module.txt", "--order-bound", "2"]]
+        built = []
+        original = argparse.ArgumentParser.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(1)
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+        monkeypatch.chdir(tmp_path)
+        diffalg.cli._build_argparser.cache_clear()
+        try:
+            for argv in calls:
+                try:
+                    code = main(argv)
+                except SystemExit as exc:
+                    code = exc.code
+                out = capsys.readouterr().out
+                assert (code, out) == _fresh_run(argv, tmp_path), argv
+        finally:
+            diffalg.cli._build_argparser.cache_clear()
+        assert len(built) == 1
+
+    def test_python_m_runs_the_cli(self, capsys, tmp_path):
+        (tmp_path / "module.txt").write_text(MODULE)
+        argv = ["reduce", str(tmp_path / "module.txt"), "--format", "json"]
+        code = main(argv)
+        assert (code, capsys.readouterr().out) == _fresh_run(argv, tmp_path)
+        assert _fresh_run(["count"], tmp_path) == (2, "")
+        probe = _python(["-c", "import sys, diffalg.cli; "
+                         "print('diffalg.__main__' in sys.modules)"], tmp_path)
+        assert probe.stdout == "False\n"
 
 
 class TestDeterminism:

@@ -275,6 +275,23 @@ class TestDenseHeuristic:
         assert calls["_heuristic_dense"] >= 1
 
 
+class TestFromConst:
+    @pytest.mark.parametrize("nvars", [0, 1, 3])
+    @pytest.mark.parametrize("value", [0, 1, -1, 7 ** 40, -(3 ** 50),
+                                       Fraction(-6, 4)])
+    def test_matches_the_checked_constructor(self, nvars, value):
+        value = Fraction(value)
+        expected = RatFun(MPoly.const(nvars, value.numerator),
+                          MPoly.const(nvars, value.denominator))
+        given = value if value.denominator != 1 else value.numerator
+        r = RatFun.from_const(nvars, given)
+        assert r == expected
+        assert r.num.terms == expected.num.terms
+        assert r.den.terms == expected.den.terms
+        assert all(type(c) is int for c in r.num.terms.values())
+        assert r.is_zero() == (value == 0) and r.is_one() == (value == 1)
+
+
 class TestUnitShortcuts:
     def test_ratfun_times_one(self, monkeypatch):
         a = (t_() ** 2 + 1) / (2 * t_() - 3)

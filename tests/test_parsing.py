@@ -1,0 +1,143 @@
+"""Expression parsing in the base field, checked against the lifted oracle."""
+
+import random
+
+import pytest
+
+from diffalg import DiffAlgError, DiffFieldConfig, OrePoly, ParseError, RatFun
+from diffalg.parsing import (MAX_POWER_ORDER, parse_diffpoly,
+                             parse_generator_vector, parse_orepoly,
+                             parse_ratfun)
+from helpers import parse_lifted, parse_lifted_vector
+
+CFG1 = DiffFieldConfig(1, 1)
+CFG22 = DiffFieldConfig(2, 2)
+CFG20 = DiffFieldConfig(2, 0)
+NAMES = ["y", "z"]
+
+
+def outcome(parse, *args):
+    """The parsed value, or the type and text of the error it raised."""
+    try:
+        return parse(*args)
+    except DiffAlgError as exc:
+        return type(exc), str(exc)
+
+
+def field_atoms(config):
+    names = ["t"] if config.v == 1 else [f"t{i + 1}" for i in range(config.v)]
+    return names + ["0", "1", "2", "3"]
+
+
+def operator_atoms(config):
+    return ["d"] if config.m == 1 else [f"d{i + 1}" for i in range(config.m)]
+
+
+def polynomial_atoms(config):
+    if config.m == 1:
+        return ["y", "y'", "z", "y''"]
+    return ["y", "z", "y_(1,0)", "z_(0,2)"]
+
+
+def rand_expr(rng, field, ring, depth):
+    """Random expression text over field atoms and ring atoms (d or y);
+    the second value tells whether it holds a ring atom."""
+    if depth == 0 or rng.random() < 0.25:
+        if ring and rng.random() < 0.4:
+            return rng.choice(ring), True
+        return rng.choice(field), False
+    op = rng.choice("+-*/^n")
+    a, in_ring = rand_expr(rng, field, ring, depth - 1)
+    if op == "n":
+        return f"-({a})", in_ring
+    if op == "^":
+        low = -2 if not in_ring or rng.random() < 0.1 else 0
+        return f"({a})^{rng.randint(low, 3 if not in_ring else 2)}", in_ring
+    # divisors are mostly field expressions; the rest must be refused
+    b, b_ring = rand_expr(rng, field, ring if op != "/" or
+                          rng.random() < 0.1 else [], depth - 1)
+    return f"({a}) {op} ({b})", in_ring or b_ring
+
+
+FIXED = ["d*t", "t*d", "(t*d)^2", "d*t - t*d", "(t^2 + 1)^-1*d",
+         "((1/t)/(t/(t + 1)))*d^2", "t^-2*d", "(t + 1)^-1*d^2 - d*t^-1",
+         "d/(2*t)", "(d - d + t)^-1*d", "(2*t + 2)/(-3)*d", "-(d + t)^2",
+         "1/d", "d^-1", "t/0", "d/(t - t)", "0^-1", "(d - d)^-1", "t/d"]
+
+
+class TestBaseFieldEvaluation:
+    @pytest.mark.parametrize("text", FIXED)
+    def test_fixed_cases(self, text):
+        assert outcome(parse_orepoly, text, CFG1) == \
+            outcome(parse_lifted, text, CFG1)
+
+    @pytest.mark.parametrize("config", [CFG1, CFG22, CFG20],
+                             ids=["m1v1", "m2v2", "m2v0"])
+    def test_random_operators(self, config):
+        rng = random.Random(1000 + 10 * config.m + config.v)
+        field, ring = field_atoms(config), operator_atoms(config)
+        for _ in range(150):
+            text, _ = rand_expr(rng, field, ring, 3)
+            assert outcome(parse_orepoly, text, config) == \
+                outcome(parse_lifted, text, config), text
+
+    @pytest.mark.parametrize("config", [CFG1, CFG22], ids=["m1v1", "m2v2"])
+    def test_random_vectors(self, config):
+        rng = random.Random(2000 + config.m)
+        field, ring = field_atoms(config), operator_atoms(config)
+        for _ in range(60):
+            coords = [rand_expr(rng, field, ring, 2)[0]
+                      if rng.random() < 0.8 else "" for _ in range(2)]
+            text = "[" + ", ".join(coords) + "]"
+            assert outcome(parse_generator_vector, text, config, 2) == \
+                outcome(parse_lifted_vector, text, config, 2), text
+
+    @pytest.mark.parametrize("config", [CFG1, CFG22], ids=["m1v1", "m2v2"])
+    def test_random_differential_polynomials(self, config):
+        rng = random.Random(3000 + config.m)
+        field, ring = field_atoms(config), polynomial_atoms(config)
+        for _ in range(150):
+            text, _ = rand_expr(rng, field, ring, 3)
+            assert outcome(parse_diffpoly, text, config, NAMES) == \
+                outcome(parse_lifted, text, config, NAMES), text
+
+    def test_left_and_right_field_factors(self):
+        d, t = OrePoly.delta(CFG1, 0), RatFun.var(1, 0)
+        assert parse_orepoly("d*t", CFG1) == t * d + 1
+        assert parse_orepoly("t*d", CFG1) == OrePoly.monomial(CFG1, (1,), t)
+        assert parse_orepoly("t^-2*d", CFG1) == \
+            OrePoly.monomial(CFG1, (1,), 1 / (t * t))
+
+    def test_division_is_right_multiplication(self):
+        op = parse_orepoly("d^2 + t*d", CFG1)
+        divisor = parse_ratfun("t^2 + 1", CFG1)
+        assert parse_orepoly("(d^2 + t*d)/(t^2 + 1)", CFG1) == op / divisor
+        assert parse_orepoly("d/t", CFG1) != \
+            OrePoly.monomial(CFG1, (1,), 1 / RatFun.var(1, 0))
+
+
+class TestRefusedInput:
+    @pytest.mark.parametrize("text, message", [
+        ("1/d", "line 1, column 2: can only divide by a base-field element"),
+        ("d^-1", "line 1, column 2: negative power of an expression "
+                 "outside the base field"),
+    ])
+    def test_operator_errors_carry_a_position(self, text, message):
+        with pytest.raises(ParseError) as caught:
+            parse_orepoly(text, CFG1)
+        assert str(caught.value) == message
+
+    def test_power_cap_counts_the_order(self):
+        limit = MAX_POWER_ORDER
+        assert parse_orepoly(f"(t*d)^{limit}", CFG1).degree() == limit
+        with pytest.raises(ParseError, match="limit"):
+            parse_orepoly(f"(t*d)^{limit + 1}", CFG1)
+        with pytest.raises(ParseError, match="limit"):
+            parse_orepoly(f"(t*d^2)^{limit // 2 + 1}", CFG1)
+        # one constant-coefficient term stays one term: no cap
+        assert parse_orepoly(f"(2*d)^{10 * limit}", CFG1).degree() == \
+            10 * limit
+        # several constant-coefficient terms grow with the power
+        assert parse_orepoly(f"(d + 1)^{limit}", CFG1).degree() == limit
+        with pytest.raises(ParseError, match="limit"):
+            parse_orepoly(f"(d + 1)^{limit + 1}", CFG1)
