@@ -5,11 +5,18 @@ with `ore.OrePoly`) keyed by module terms (component, derivation
 exponents).  Left multiplication by an operator runs the product loop of
 `ore_mul` over the same shift chain.  Characteristic sets are computed by a
 Buchberger-style completion for left submodules, with S-pairs formed only
-between elements whose leaders share a component.
+between elements whose leaders share a component.  Each pair is ranked
+once, by its lcm term, in a heap; Buchberger's chain criterion (Buchberger
+1979; Gebauer and Moeller, JSC 1988) skips the pairs whose S-pair is a
+combination of pairs already treated, and one pass of interreduction turns
+the complete basis into the reduced one.  The completeness check that ends
+every completion still reduces every generator and every same-component
+S-pair of the result, with no criterion.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 
 from .errors import ConfigMismatch, ZeroElement
@@ -177,6 +184,11 @@ def reduce(w, A, rk, want_cofactors=False):
     """
     active = [(idx, f, leader(f, rk)) for idx, f in enumerate(A)
               if not f.is_zero()]
+    return _reduce(w, active, rk, want_cofactors)
+
+
+def _reduce(w, active, rk, want_cofactors=False):
+    """`reduce` by (index, element, leader) triples with known leaders."""
     cofactors = {}
     current = w
     while True:
@@ -285,31 +297,66 @@ class CharSet:
         return len(self.elements)
 
 
-def _spair(f, g, rk):
-    """S-pair at the exponentwise max of the two leaders (same component)."""
-    (comp, ef) = leader(f, rk)
-    (_, eg) = leader(g, rk)
-    gamma = tuple(max(a, b) for a, b in zip(ef, eg))
-    sf = f.apply_theta(tuple(a - b for a, b in zip(gamma, ef)))
-    sg = g.apply_theta(tuple(a - b for a, b in zip(gamma, eg)))
-    lt = (comp, gamma)
+def _lcm(a, b):
+    """The least common multiple of two terms of one component."""
+    return a[0], tuple(max(x, y) for x, y in zip(a[1], b[1]))
+
+
+def _spair(f, lf, g, lg):
+    """S-pair of f and g, whose leaders lf and lg share a component."""
+    lt = _lcm(lf, lg)
+    sf = f.apply_theta(tuple(a - b for a, b in zip(lt[1], lf[1])))
+    sg = g.apply_theta(tuple(a - b for a, b in zip(lt[1], lg[1])))
     return sf.scale_left(sf.terms[lt].inverse()) \
         - sg.scale_left(sg.terms[lt].inverse())
 
 
-def _lcm_term(f, g, rk):
-    (comp, ef) = leader(f, rk)
-    (_, eg) = leader(g, rk)
-    return (comp, tuple(max(a, b) for a, b in zip(ef, eg)))
+def _pair(i, j):
+    return (i, j) if i < j else (j, i)
+
+
+def _chain_skips(i, j, lcm, leads, queued):
+    """Buchberger's chain criterion for the pair (i, j) with lcm term lcm.
+
+    True when some other leader divides lcm and neither of its pairs with
+    i and j is still queued: the S-pair of (i, j) is then a combination
+    of theirs, which were already treated.  It holds for left modules over
+    K[Delta] because the basis is monic and delta monomials commute.
+    """
+    for k, lead in enumerate(leads):
+        if (k != i and k != j and _divides(lead, lcm)
+                and _pair(i, k) not in queued and _pair(j, k) not in queued):
+            return True
+    return False
+
+
+def _reduced_basis(basis, leads, rk):
+    """The unique reduced basis of a complete monic basis, in one pass.
+
+    Only the elements whose leaders are minimal are kept, one per leader,
+    and each tail is reduced once by the other kept elements.  No step
+    reaches a kept leader, so every element stays monic.
+    """
+    keep = [i for i, lead in enumerate(leads)
+            if not any(_divides(other, lead) and (other != lead or j < i)
+                       for j, other in enumerate(leads) if j != i)]
+    keep.sort(key=lambda i: rk.key(leads[i]))
+    active = [(i, basis[i], leads[i]) for i in keep]
+    return AutoreducedSet(
+        tuple(_reduce(basis[i], [a for a in active if a[0] != i], rk)
+              for i in keep), rk)
 
 
 def characteristic_set(gens, rk, config=None, n=None):
     """Characteristic set of the left submodule generated by gens.
 
-    Buchberger-style completion: S-pairs only between elements whose
-    leaders share a component, processed in increasing rank of the lcm
-    term; the final basis is interreduced and monic.  config and n are
-    inferred from the generators when any are present.
+    Buchberger-style completion of the autoreduced generators.  S-pairs
+    form only between elements whose leaders share a component; each is
+    ranked once, by its lcm term, in a heap, and processed in increasing
+    rank unless the chain criterion shows it redundant.  Each leader is
+    computed once, when its element enters the basis.  When the basis
+    grew, one pass of interreduction gives the final reduced monic basis.
+    config and n are inferred from the generators when any are present.
     """
     gens = list(gens)
     for g in gens:
@@ -317,40 +364,65 @@ def characteristic_set(gens, rk, config=None, n=None):
         n = n if n is not None else g.n
     if config is None or n is None:
         raise ValueError("need config and n for an empty generator list")
-    basis = [monic(g, rk) for g in gens if not g.is_zero()]
-    basis = list(autoreduce(basis, rk).elements)
-    pairs = [(i, j) for i in range(len(basis)) for j in range(i + 1, len(basis))
-             if leader(basis[i], rk)[0] == leader(basis[j], rk)[0]]
-    while pairs:
-        pairs.sort(key=lambda p: rk.key(_lcm_term(basis[p[0]], basis[p[1]], rk)))
-        i, j = pairs.pop(0)
-        s = _spair(basis[i], basis[j], rk)
-        nf = reduce(s, basis, rk)
-        if nf.is_zero():
-            continue
-        nf = monic(nf, rk)
-        new_idx = len(basis)
-        basis.append(nf)
-        nf_comp = leader(nf, rk)[0]
-        pairs.extend((k, new_idx) for k in range(new_idx)
-                     if leader(basis[k], rk)[0] == nf_comp)
-    final = autoreduce(basis, rk)
+    start = autoreduce(gens, rk)
+    basis = list(start.elements)
+    leads = start.leaders()
+    heap = []
+    for j in range(len(basis)):
+        for i in range(j):
+            if leads[i][0] == leads[j][0]:
+                lcm = _lcm(leads[i], leads[j])
+                heap.append((rk.key(lcm), i, j, lcm))
+    final = start
+    if heap:
+        heapq.heapify(heap)
+        queued = {(i, j) for _, i, j, _ in heap}
+        active = list(zip(range(len(basis)), basis, leads))
+        while heap:
+            _, i, j, lcm = heapq.heappop(heap)
+            queued.remove((i, j))
+            if _chain_skips(i, j, lcm, leads, queued):
+                continue
+            s = _spair(basis[i], leads[i], basis[j], leads[j])
+            nf = _reduce(s, active, rk)
+            if nf.is_zero():
+                continue
+            nf = monic(nf, rk)
+            k, lead = len(basis), leader(nf, rk)
+            basis.append(nf)
+            leads.append(lead)
+            active.append((k, nf, lead))
+            for h in range(k):
+                if leads[h][0] == lead[0]:
+                    lcm = _lcm(leads[h], lead)
+                    heapq.heappush(heap, (rk.key(lcm), h, k, lcm))
+                    queued.add((h, k))
+        if len(basis) > len(start):
+            final = _reduced_basis(basis, leads, rk)
     charset = CharSet(final, tuple(gens), config, n)
     _verify_complete(charset)
     return charset
 
 
 def _verify_complete(charset):
+    """Every generator and every same-component S-pair reduces to zero.
+
+    No criterion applies here, so a pair wrongly skipped during the
+    completion raises instead of giving a wrong basis.
+    """
     rk = charset.ranking
     elems = list(charset.elements)
+    leads = charset.autoreduced.leaders()
+    active = list(zip(range(len(elems)), elems, leads))
     for g in charset.generators:
-        if not reduce(g, elems, rk).is_zero():
+        if not _reduce(g, active, rk).is_zero():
             raise AssertionError("generator does not reduce to zero")
     for i in range(len(elems)):
         for j in range(i + 1, len(elems)):
-            if leader(elems[i], rk)[0] != leader(elems[j], rk)[0]:
+            if leads[i][0] != leads[j][0]:
                 continue
-            if not reduce(_spair(elems[i], elems[j], rk), elems, rk).is_zero():
+            s = _spair(elems[i], leads[i], elems[j], leads[j])
+            if not _reduce(s, active, rk).is_zero():
                 raise AssertionError("S-pair does not reduce to zero")
 
 

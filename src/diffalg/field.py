@@ -176,16 +176,7 @@ class MPoly:
         return MPoly(self.nvars, {e: c * k for e, c in self.terms.items()})
 
     def __pow__(self, k):
-        if k < 0:
-            raise ValueError("negative power of a polynomial")
-        result = MPoly.const(self.nvars, 1)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
+        return _power(self, k, MPoly.const(self.nvars, 1))
 
     def partial(self, i):
         """Derivative with respect to t_i (0-based)."""
@@ -235,6 +226,24 @@ class _Origins(dict):
 
 
 _ORIGIN = _Origins()
+
+
+def _power(x, k, one):
+    """x**k by repeated squaring; one is the identity of x's ring.
+
+    The base is squared only while bits of k remain, so the last and
+    largest square is never formed in vain.
+    """
+    if k < 0:
+        raise ValueError(f"negative power of {type(x).__name__}")
+    result = one
+    while k:
+        if k & 1:
+            result = result * x
+        k >>= 1
+        if k:
+            x = x * x
+    return result
 
 
 def _poly(nvars, terms):

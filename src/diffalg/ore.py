@@ -9,7 +9,8 @@ length m.  Products are computed by iterated single-delta commutation over
 one shared shift chain (`_left_mul`), for operators and module elements
 alike; the closed binomial formula lives in the test suite as an
 independent oracle.  A scalar times an operator only scales coefficients,
-since no delta stands to its left.  Powers use repeated squaring.
+since no delta stands to its left.  Powers use repeated squaring
+(`field._power`).
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import ConfigMismatch, DivisionByZero, UnsupportedForPartial
-from .field import RatFun
+from .field import RatFun, _power
 
 
 def monomial_ord(exps):
@@ -274,20 +275,6 @@ def _as_ratfun(value, config):
     if isinstance(value, (int, Fraction)):
         return RatFun.from_const(config.v, value)
     raise TypeError(f"cannot use {value!r} as a base-field coefficient")
-
-
-def _power(x, k, one):
-    """x**k by repeated squaring; one is the identity of x's ring."""
-    if k < 0:
-        raise ValueError(f"negative power of {type(x).__name__}")
-    result = one
-    while k:
-        if k & 1:
-            result = result * x
-        k >>= 1
-        if k:
-            x = x * x
-    return result
 
 
 def ore_mul(f, g):

@@ -12,8 +12,8 @@ so evaluation is a differential homomorphism.
 from __future__ import annotations
 
 from .errors import ConfigMismatch, DiffAlgError, PointNotOnVariety
-from .field import RatFun
-from .ore import TermMap, _acc, _as_ratfun, _power
+from .field import RatFun, _power
+from .ore import TermMap, _acc, _as_ratfun
 from .diffmodule import ModElement, characteristic_set, orderly_ranking
 from .dimension import dimension_report
 from .normalform import OreMatrix, classify_tangent

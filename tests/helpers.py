@@ -3,7 +3,8 @@
 The oracles deliberately avoid the library's own fast paths: operator
 products are re-derived from the closed binomial commutation formula,
 staircase counts are re-derived by inclusion-exclusion over subsets of
-leaders, module dimensions are recomputed by exact Gaussian elimination
+leaders, characteristic sets by a completion that reduces every S-pair,
+module dimensions are recomputed by exact Gaussian elimination
 over the base field on truncated derivative spans, and expressions are
 evaluated with every literal and field variable lifted to the operator or
 polynomial ring before any operation.
@@ -14,7 +15,8 @@ from itertools import combinations
 from math import comb, factorial
 
 from diffalg import (DiffPoly, DivisionByZero, MPoly, ModElement,
-                     NumericalPolynomial, OrePoly, ParseError, RatFun)
+                     NumericalPolynomial, OrePoly, ParseError, RatFun,
+                     autoreduce, leader, monic, reduce)
 from diffalg.parsing import (_ExprParser, _delta_index, _field_var_index,
                              _split_tokens, tokenize)
 
@@ -282,6 +284,46 @@ def inclusion_exclusion_count(antichain):
                 for k in range(len(poly)):
                     total[k] += poly[k] * inv
     return NumericalPolynomial.from_monomial(total, valid_from)
+
+
+# ---------------------------------------------------------------------------
+# criterion-free completion oracle
+
+def _lcm_term(f, g, rk):
+    (comp, ef) = leader(f, rk)
+    (_, eg) = leader(g, rk)
+    return (comp, tuple(max(a, b) for a, b in zip(ef, eg)))
+
+
+def _spair_plain(f, g, rk):
+    lt = _lcm_term(f, g, rk)
+    sf = f.apply_theta(tuple(a - b for a, b in zip(lt[1], leader(f, rk)[1])))
+    sg = g.apply_theta(tuple(a - b for a, b in zip(lt[1], leader(g, rk)[1])))
+    return sf.scale_left(sf.terms[lt].inverse()) \
+        - sg.scale_left(sg.terms[lt].inverse())
+
+
+def completion_oracle(gens, rk):
+    """Elements of the characteristic set, by a completion with no pair
+    criterion: every same-component S-pair is reduced, the pair list is
+    re-sorted by the rank of the lcm term each round, and the final basis
+    is interreduced by `autoreduce`, which restarts after every change."""
+    basis = [monic(g, rk) for g in gens if not g.is_zero()]
+    basis = list(autoreduce(basis, rk).elements)
+    pairs = [(i, j) for i in range(len(basis)) for j in range(i + 1, len(basis))
+             if leader(basis[i], rk)[0] == leader(basis[j], rk)[0]]
+    while pairs:
+        pairs.sort(key=lambda p: rk.key(_lcm_term(basis[p[0]], basis[p[1]],
+                                                  rk)))
+        i, j = pairs.pop(0)
+        nf = reduce(_spair_plain(basis[i], basis[j], rk), basis, rk)
+        if nf.is_zero():
+            continue
+        basis.append(monic(nf, rk))
+        comp = leader(basis[-1], rk)[0]
+        pairs.extend((k, len(basis) - 1) for k in range(len(basis) - 1)
+                     if leader(basis[k], rk)[0] == comp)
+    return autoreduce(basis, rk).elements
 
 
 # ---------------------------------------------------------------------------

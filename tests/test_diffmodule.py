@@ -4,11 +4,14 @@ import random
 
 import pytest
 
-from diffalg import (CharSet, DiffFieldConfig, ModElement, OrePoly, Ranking,
-                     RatFun, ZeroElement, autoreduce, characteristic_set,
-                     compare_autoreduced, elimination_ranking, eval_point,
-                     leader, member, monic, orderly_ranking, reduce)
-from helpers import in_span_truncated, rand_modelement, rand_orepoly
+from diffalg import (AutoreducedSet, CharSet, DiffFieldConfig, ModElement,
+                     OrePoly, Ranking, RatFun, ZeroElement, autoreduce,
+                     characteristic_set, compare_autoreduced,
+                     elimination_ranking, eval_point, leader, member, monic,
+                     orderly_ranking, reduce)
+from diffalg.diffmodule import _verify_complete
+from helpers import (completion_oracle, in_span_truncated, rand_modelement,
+                     rand_orepoly)
 
 CFG1 = DiffFieldConfig(1, 1)
 T = RatFun.var(1, 0)
@@ -184,6 +187,52 @@ class TestCharacteristicSet:
         cs = characteristic_set(gens, rk)
         assert {leader(f, rk) for f in cs.elements} == {(0, (1, 0)),
                                                         (0, (0, 1))}
+
+    def test_matches_criterion_free_completion(self):
+        # the chain criterion skips pairs and the final interreduction is
+        # one pass; the reduced basis is unique, so the elements must be
+        # exactly those of the completion that reduces every S-pair
+        rng = random.Random(37)
+        for _ in range(150):
+            m, v, n = rng.choice((2, 3)), rng.randint(0, 2), rng.randint(1, 2)
+            cfg = DiffFieldConfig(m, v)
+            gens = [rand_modelement(rng, cfg, n, max_ord=2, nonzero=True,
+                                    frac_prob=0.1, coeff_deg=1)
+                    for _ in range(rng.randint(1, 3))]
+            order = tuple(rng.sample(range(n), n))
+            for kind in ("orderly", "elimination"):
+                rk = Ranking(kind, order)
+                assert characteristic_set(gens, rk).elements == \
+                    completion_oracle(gens, rk)
+
+    def test_chain_criterion_waits_for_queued_pairs(self):
+        # the completion of d1^3 and d1^2*d2 - d1*d2 + 2 meets pairs of
+        # equal lcm term; a skip that relied on a pair still queued would
+        # lose the unit vector and fail the completeness check
+        cfg = DiffFieldConfig(2, 0)
+        gens = [ModElement(cfg, 1, {(0, (3, 0)): 1}),
+                ModElement(cfg, 1, {(0, (2, 1)): 1, (0, (1, 1)): -1,
+                                    (0, (0, 0)): 2})]
+        one = ModElement.basis(cfg, 1, 0)
+        for rk in (orderly_ranking(1), elimination_ranking(1)):
+            assert characteristic_set(gens, rk).elements == (one,)
+            assert completion_oracle(gens, rk) == (one,)
+
+    def test_verify_complete_rejects_a_missing_element(self):
+        # d1 - 1 and d2 - t1 are autoreduced, but their S-pair
+        # d2*(d1 - 1) - d1*(d2 - t1) reduces to the unit vector, which the
+        # basis lacks
+        cfg = DiffFieldConfig(2, 1)
+        rk = orderly_ranking(1)
+        d1, d2 = OrePoly.delta(cfg, 0), OrePoly.delta(cfg, 1)
+        t1 = OrePoly.from_scalar(cfg, RatFun.var(1, 0))
+        gens = (ModElement.from_operator_vector([d1 - 1]),
+                ModElement.from_operator_vector([d2 - t1]))
+        incomplete = CharSet(AutoreducedSet(gens, rk), gens, cfg, 1)
+        with pytest.raises(AssertionError, match="S-pair"):
+            _verify_complete(incomplete)
+        one = ModElement.basis(cfg, 1, 0)
+        assert characteristic_set(gens, rk).elements == (one,)
 
 
 class TestEvalPoint:
