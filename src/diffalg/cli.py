@@ -152,10 +152,9 @@ def _dispatch(command, problem, args):
         if problem.gens is None:
             raise ParseError("'decompose' needs a 'module:'+'gens:' section")
         n = problem.module_rank
-        columns = [w.operator_vector() for w in problem.gens
-                   if not w.is_zero()]
-        matrix = OreMatrix.from_columns(config, columns, n)
-        diagonal = diagonalize(matrix.transpose_data()).D.diagonal()
+        relations = OreMatrix(config, [w.operator_vector()
+                                       for w in problem.gens if w], cols=n)
+        diagonal = diagonalize(relations).D.diagonal()
         tc = TangentClass.from_diagonal(n, diagonal)
         diag = [orepoly_str(e, config) for e in diagonal]
         return {"json": {**tc.to_json(), "diagonal": diag},

@@ -4,14 +4,16 @@ A module element is a `ModElement`, a `TermMap` (the sparse kernel shared
 with `ore.OrePoly`) keyed by module terms (component, derivation
 exponents).  Left multiplication by an operator runs the product loop of
 `ore_mul` over the same shift chain.  Characteristic sets are computed by a
-Buchberger-style completion for left submodules, with S-pairs formed only
-between elements whose leaders share a component.  Each pair is ranked
-once, by its lcm term, in a heap; Buchberger's chain criterion (Buchberger
-1979; Gebauer and Moeller, JSC 1988) skips the pairs whose S-pair is a
-combination of pairs already treated, and one pass of interreduction turns
-the complete basis into the reduced one.  The completeness check that ends
-every completion still reduces every generator and every same-component
-S-pair of the result, with no criterion.
+Buchberger-style completion for left submodules that starts from the monic
+generators, with S-pairs formed only between elements whose leaders share a
+component; the S-pairs do the interreduction, so the generators need no
+`autoreduce` pass.  Each pair is ranked once, by its lcm term, in a heap;
+Buchberger's chain criterion (Buchberger 1979; Gebauer and Moeller, JSC
+1988) skips the pairs whose S-pair is a combination of pairs already
+treated, and one pass of interreduction turns the complete basis into the
+unique reduced one.  The completeness check that ends every completion
+still reduces every generator and every same-component S-pair of the
+result, with no criterion.
 """
 
 from __future__ import annotations
@@ -350,13 +352,14 @@ def _reduced_basis(basis, leads, rk):
 def characteristic_set(gens, rk, config=None, n=None):
     """Characteristic set of the left submodule generated by gens.
 
-    Buchberger-style completion of the autoreduced generators.  S-pairs
-    form only between elements whose leaders share a component; each is
-    ranked once, by its lcm term, in a heap, and processed in increasing
-    rank unless the chain criterion shows it redundant.  Each leader is
-    computed once, when its element enters the basis.  When the basis
-    grew, one pass of interreduction gives the final reduced monic basis.
-    config and n are inferred from the generators when any are present.
+    Buchberger-style completion that starts from the nonzero generators,
+    each made monic; their S-pairs do the interreduction.  Each element
+    enters the basis once, with its leader, and queues its pairs with the
+    elements whose leaders share its component, ranked by their lcm term
+    in a heap.  Pairs are processed in increasing rank unless the chain
+    criterion shows them redundant, and one pass of interreduction turns
+    the complete basis into the final reduced monic one.  config and n
+    are inferred from the generators when any are present.
     """
     gens = list(gens)
     for g in gens:
@@ -364,42 +367,34 @@ def characteristic_set(gens, rk, config=None, n=None):
         n = n if n is not None else g.n
     if config is None or n is None:
         raise ValueError("need config and n for an empty generator list")
-    start = autoreduce(gens, rk)
-    basis = list(start.elements)
-    leads = start.leaders()
-    heap = []
-    for j in range(len(basis)):
-        for i in range(j):
-            if leads[i][0] == leads[j][0]:
-                lcm = _lcm(leads[i], leads[j])
-                heap.append((rk.key(lcm), i, j, lcm))
-    final = start
-    if heap:
-        heapq.heapify(heap)
-        queued = {(i, j) for _, i, j, _ in heap}
-        active = list(zip(range(len(basis)), basis, leads))
-        while heap:
-            _, i, j, lcm = heapq.heappop(heap)
-            queued.remove((i, j))
-            if _chain_skips(i, j, lcm, leads, queued):
-                continue
-            s = _spair(basis[i], leads[i], basis[j], leads[j])
-            nf = _reduce(s, active, rk)
-            if nf.is_zero():
-                continue
-            nf = monic(nf, rk)
-            k, lead = len(basis), leader(nf, rk)
-            basis.append(nf)
-            leads.append(lead)
-            active.append((k, nf, lead))
-            for h in range(k):
-                if leads[h][0] == lead[0]:
-                    lcm = _lcm(leads[h], lead)
-                    heapq.heappush(heap, (rk.key(lcm), h, k, lcm))
-                    queued.add((h, k))
-        if len(basis) > len(start):
-            final = _reduced_basis(basis, leads, rk)
-    charset = CharSet(final, tuple(gens), config, n)
+    basis, leads, active, heap, queued = [], [], [], [], set()
+
+    def insert(w):
+        k, lead = len(basis), leader(w, rk)
+        w = w.scale_left(w.terms[lead].inverse())
+        basis.append(w)
+        leads.append(lead)
+        active.append((k, w, lead))
+        for h in range(k):
+            if leads[h][0] == lead[0]:
+                lcm = _lcm(leads[h], lead)
+                heapq.heappush(heap, (rk.key(lcm), h, k, lcm))
+                queued.add((h, k))
+
+    for g in gens:
+        if not g.is_zero():
+            insert(g)
+    while heap:
+        _, i, j, lcm = heapq.heappop(heap)
+        queued.remove((i, j))
+        if _chain_skips(i, j, lcm, leads, queued):
+            continue
+        nf = _reduce(_spair(basis[i], leads[i], basis[j], leads[j]),
+                     active, rk)
+        if not nf.is_zero():
+            insert(nf)
+    charset = CharSet(_reduced_basis(basis, leads, rk), tuple(gens),
+                      config, n)
     _verify_complete(charset)
     return charset
 

@@ -291,8 +291,9 @@ def classify_tangent(R):
     that trivializes the torsion part lives over the differential closure
     and is not constructed here.
     """
-    _require_ordinary(R.config)
-    if R.cols == 0:
-        return TangentClass.from_diagonal(R.rows, [])
-    return TangentClass.from_diagonal(
-        R.rows, diagonalize(R.transpose_data()).D.diagonal())
+    return _classify_relations(R.transpose_data())
+
+
+def _classify_relations(A):
+    """The class of K[delta]^n / leftspan(rows of A), A with n columns."""
+    return TangentClass.from_diagonal(A.cols, diagonalize(A).D.diagonal())

@@ -552,7 +552,6 @@ class ProblemFile:
     ranking_kind: str = "orderly"
     leaders: Antichain | None = None
     element: ModElement | None = None
-    _pending: dict = dc_field(default_factory=dict, repr=False)
 
     @property
     def n(self):
@@ -587,6 +586,7 @@ def parse_input(text):
         raise ParseError("missing 'field:' line", 1)
 
     pf = ProblemFile(config=config)
+    pending = {}
     seen = set()
     for head, body, lineno in sections:
         if head in seen and head != "field":
@@ -616,11 +616,11 @@ def parse_input(text):
             if pf.module_rank < 1:
                 raise ParseError("module rank must be positive", lineno)
         elif head in ("point", "eqs", "gens", "leaders", "element"):
-            pf._pending[head] = (body, lineno)
+            pending[head] = (body, lineno)
         else:
             raise ParseError(f"unknown section {head!r}", lineno)
 
-    _finish_sections(pf)
+    _finish_sections(pf, pending)
     if (pf.eqs is not None) and (pf.gens is not None):
         raise ParseError("give either equations+point or a raw module, "
                          "not both", 1)
@@ -659,9 +659,9 @@ def _parse_field_line(body, lineno):
     return DiffFieldConfig(num_derivations=m, num_vars=v)
 
 
-def _finish_sections(pf):
+def _finish_sections(pf, pending):
+    """Parse the deferred sections, given as {head: (body, lineno)}."""
     config = pf.config
-    pending = pf._pending
     if "point" in pending:
         body, lineno = pending["point"]
         coords = {}
@@ -709,8 +709,6 @@ def _finish_sections(pf):
         for group in _split_tokens(tokens, ";"):
             comps.append(frozenset(_parse_leader_group(group, config, lineno)))
         pf.leaders = Antichain(config.m, tuple(comps))
-    del pf._pending
-    pf._pending = {}
 
 
 def _parse_leader_group(tokens, config, lineno):

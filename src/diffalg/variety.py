@@ -16,7 +16,7 @@ from .field import RatFun, _power
 from .ore import TermMap, _acc, _as_ratfun
 from .diffmodule import ModElement, characteristic_set, orderly_ranking
 from .dimension import dimension_report
-from .normalform import OreMatrix, classify_tangent
+from .normalform import OreMatrix, _classify_relations
 
 
 class DiffPoly(TermMap):
@@ -220,9 +220,9 @@ def tangent_pipeline(eqs, x, rk=None):
         n)
     tangent = None
     if config.m == 1:
-        columns = [w.operator_vector() for w in lins if not w.is_zero()]
-        matrix = OreMatrix.from_columns(config, columns, n)
-        tangent = classify_tangent(matrix)
+        relations = OreMatrix(config, [w.operator_vector()
+                                       for w in lins if w], cols=n)
+        tangent = _classify_relations(relations)
         # both read the same module: the free ranks agree and the torsion
         # fits below the leaders
         if (tangent.d != report.diff_dimension

@@ -9,6 +9,7 @@ from diffalg import (AutoreducedSet, CharSet, DiffFieldConfig, ModElement,
                      characteristic_set, compare_autoreduced,
                      elimination_ranking, eval_point, leader, member, monic,
                      orderly_ranking, reduce)
+from diffalg import diffmodule
 from diffalg.diffmodule import _verify_complete
 from helpers import (completion_oracle, in_span_truncated, rand_modelement,
                      rand_orepoly)
@@ -204,6 +205,43 @@ class TestCharacteristicSet:
                 rk = Ranking(kind, order)
                 assert characteristic_set(gens, rk).elements == \
                     completion_oracle(gens, rk)
+
+    @pytest.mark.parametrize("case", ["duplicate", "scalar multiple",
+                                      "zero mixed in", "equal leaders",
+                                      "leader divides leader"])
+    def test_non_autoreduced_generators(self, monkeypatch, case):
+        # the completion starts from the raw generators, made monic, and
+        # leaves their interreduction to the S-pairs and the one final
+        # pass; autoreduce must not run
+        d = OrePoly.delta(CFG1, 0)
+        t = OrePoly.from_scalar(CFG1, T)
+        zero, one = OrePoly.zero(CFG1), OrePoly.one(CFG1)
+
+        def vec(*ops):
+            return ModElement.from_operator_vector(list(ops))
+
+        g = vec(t * d + one, d ** 2 - t)
+        gens = {
+            "duplicate": [g, g, vec(d, one)],
+            "scalar multiple": [g, g.scale_left(T + 3), vec(one, d + t)],
+            "zero mixed in": [vec(zero, zero), g, vec(zero, zero), vec(d, one)],
+            # e2' leads both under either ranking
+            "equal leaders": [vec(one, d + t), vec(t, d - 1)],
+            # (d - 1) is the right gcd, reached only by the S-pairs
+            "leader divides leader": [vec((d ** 2 + t) * (d - 1), zero),
+                                      vec((d + 1) * (d - 1), zero)],
+        }[case]
+        expected = {rk: completion_oracle(gens, rk)
+                    for rk in (orderly_ranking(2), elimination_ranking(2))}
+
+        def no_autoreduce(*args):
+            raise AssertionError("characteristic_set called autoreduce")
+
+        monkeypatch.setattr(diffmodule, "autoreduce", no_autoreduce)
+        for rk, elements in expected.items():
+            assert characteristic_set(gens, rk).elements == elements
+            if case == "leader divides leader":
+                assert elements == (vec(d - 1, zero),)
 
     def test_chain_criterion_waits_for_queued_pairs(self):
         # the completion of d1^3 and d1^2*d2 - d1*d2 + 2 meets pairs of
