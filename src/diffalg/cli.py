@@ -5,9 +5,11 @@
 
 Commands: charset, dimpoly, decompose, tangent, reduce, count.
 Exit codes: 0 ok, 1 any other diffalg error (e.g. count with leaders that
-are not an antichain, or an --order-bound that would list more than
-MAX_LISTED_TERMS derivative terms), 2 parse error, 3 point not on variety,
-4 unsupported operation (e.g. decompose with m >= 2).
+are not an antichain, an --order-bound that would list more than
+MAX_LISTED_TERMS derivative terms, or a result with an integer of more
+digits than the interpreter will print, `sys.get_int_max_str_digits()`),
+2 parse error, 3 point not on variety, 4 unsupported operation (e.g.
+decompose with m >= 2).
 
 The argument parser is built on the first call of `main` and reused by
 later calls in the same process.
@@ -27,7 +29,8 @@ from .diffmodule import characteristic_set, reduce as nf_reduce
 from .dimension import dimension_report, leader_antichain
 from .normalform import OreMatrix, TangentClass, diagonalize
 from .numpoly import _weight_bounded, count_cofilter
-from .parsing import (orepoly_str, parse_input, vector_str, modelement_str)
+from .parsing import (modelement_str, orepoly_str, parse_input, term_label,
+                      vector_str)
 from .variety import tangent_pipeline
 
 # Most derivative terms --order-bound may walk through: n*C(K+m, m) terms
@@ -74,6 +77,8 @@ def main(argv=None):
             problem.ranking_kind = ("orderly" if args.ranking == "orderly"
                                     else "elimination")
         payload = _dispatch(args.command, problem, args)
+        out = json.dumps(payload["json"], sort_keys=True) \
+            if args.format == "json" else payload["text"]
     except (ParseError, DivisionByZero) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -86,10 +91,13 @@ def main(argv=None):
     except DiffAlgError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    if args.format == "json":
-        print(json.dumps(payload["json"], sort_keys=True))
-    else:
-        print(payload["text"])
+    except ValueError as exc:      # only int -> str past the digit limit
+        if "integer string conversion" not in str(exc):
+            raise
+        print(f"error: the result has an integer of more than "
+              f"{sys.get_int_max_str_digits()} digits", file=sys.stderr)
+        return 1
+    print(out)
     return 0
 
 
@@ -128,15 +136,6 @@ def _standard_terms(anti, bound):
                 continue
             out.append((comp, exps))
     return out
-
-
-def _term_label(term, names, m):
-    comp, exps = term
-    order = sum(exps)
-    if m == 1:
-        return names[comp] + "'" * order
-    return names[comp] + ("_(" + ",".join(map(str, exps)) + ")" if order
-                          else "")
 
 
 def _dispatch(command, problem, args):
@@ -247,7 +246,7 @@ def _append_basis_dump(out_json, lines, charset, problem, args, anti=None):
         anti = leader_antichain(charset, problem.n)
     names = _component_names(problem)
     terms = _standard_terms(anti, args.order_bound)
-    labels = [_term_label(t, names, anti.m) for t in terms]
+    labels = [term_label(names[comp], exps) for comp, exps in terms]
     out_json["standard_terms"] = labels
     lines.append(f"standard terms up to order {args.order_bound} "
                  f"({len(labels)}): " + ", ".join(labels))

@@ -305,12 +305,12 @@ def _lcm(a, b):
 
 
 def _spair(f, lf, g, lg):
-    """S-pair of f and g, whose leaders lf and lg share a component."""
+    """S-pair of the monic f and g, whose leaders lf and lg share a
+    component: a shift of a monic element is monic at the shifted leader,
+    so the S-pair is the plain difference of the two shifts."""
     lt = _lcm(lf, lg)
-    sf = f.apply_theta(tuple(a - b for a, b in zip(lt[1], lf[1])))
-    sg = g.apply_theta(tuple(a - b for a, b in zip(lt[1], lg[1])))
-    return sf.scale_left(sf.terms[lt].inverse()) \
-        - sg.scale_left(sg.terms[lt].inverse())
+    return f.apply_theta(tuple(a - b for a, b in zip(lt[1], lf[1]))) \
+        - g.apply_theta(tuple(a - b for a, b in zip(lt[1], lg[1])))
 
 
 def _pair(i, j):
@@ -400,7 +400,8 @@ def characteristic_set(gens, rk, config=None, n=None):
 
 
 def _verify_complete(charset):
-    """Every generator and every same-component S-pair reduces to zero.
+    """Every element is monic, and every generator and every same-component
+    S-pair reduces to zero.
 
     No criterion applies here, so a pair wrongly skipped during the
     completion raises instead of giving a wrong basis.
@@ -408,6 +409,8 @@ def _verify_complete(charset):
     rk = charset.ranking
     elems = list(charset.elements)
     leads = charset.autoreduced.leaders()
+    if not all(w.terms[lead].is_one() for w, lead in zip(elems, leads)):
+        raise AssertionError("element not monic at its leader")
     active = list(zip(range(len(elems)), elems, leads))
     for g in charset.generators:
         if not _reduce(g, active, rk).is_zero():

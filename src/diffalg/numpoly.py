@@ -12,7 +12,9 @@ recursion for Hilbert series of monomial ideals (Bayer and Stillman,
 "Computation of Hilbert functions", JSC 1992; Bigatti, "Computation of
 Hilbert-Poincare series", JPAA 1997) instead of a sum over all 2^|E_i|
 subsets of leaders.  Polynomials are stored in the binomial basis C(t+i, i),
-whose coefficients are the Kolchin invariants directly.
+whose coefficients are the Kolchin invariants directly; `str` prints their
+ordinary coefficients in t with the front end's polynomial printer
+(`parsing.mpoly_str`).
 """
 
 from __future__ import annotations
@@ -123,26 +125,9 @@ class NumericalPolynomial:
                 "valid_from": self.valid_from}
 
     def __str__(self):
-        mono = self.monomial_coeffs()
-        parts = []
-        for k in range(len(mono) - 1, -1, -1):
-            c = mono[k]
-            if not c:
-                continue
-            if k == 0:
-                term = str(c)
-            elif k == 1:
-                term = "t" if c == 1 else ("-t" if c == -1 else f"{c}*t")
-            else:
-                term = (f"t^{k}" if c == 1
-                        else (f"-t^{k}" if c == -1 else f"{c}*t^{k}"))
-            if parts and not term.startswith("-"):
-                parts.append("+ " + term)
-            elif parts:
-                parts.append("- " + term.lstrip("-"))
-            else:
-                parts.append(term)
-        return " ".join(parts) if parts else "0"
+        from .parsing import mpoly_str      # parsing imports this module
+        return mpoly_str({(k,): c for k, c in
+                          enumerate(self.monomial_coeffs()) if c}, ("t",))
 
 
 @dataclass(frozen=True)

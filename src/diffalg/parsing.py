@@ -1,9 +1,13 @@
 """Input grammar: rational, operator, and differential-polynomial expressions,
 plus the line-oriented problem-file format consumed by the CLI.
 
-Expressions use `+ - * / ^`, integer literals, `t`/`t1..tv` for field
-variables, `d`/`d1..dm` for derivation operators, and `y'`, `y''` or
-`y_(2,1)` for derivatives of the differential indeterminates.
+Expressions use `+ - * / ^`, numerals of ASCII digits, field variables `t`
+(one) or `t1..tv`, derivations `d` (one) or `d1..dm`, with `t1` and `d1`
+the only aliases of a single `t` or `d`, and `y'`, `y''` or `y_(2,1)` for
+derivatives of the differential indeterminates.  The symbol table
+(`_symbols`), the derivative labels (`term_label`) and the printers'
+signed-sum joiner, which takes each term's sign as data, are each written
+once here.  A numeral too long to convert is a `ParseError`.
 
 Literals and field variables evaluate in the base field: a subexpression is
 a `RatFun` until it meets a `d`/`d_i` or an indeterminate, and the result is
@@ -18,6 +22,7 @@ an operator other than one constant-coefficient term may not pass
 from __future__ import annotations
 
 import functools
+import sys
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
@@ -33,6 +38,7 @@ from .variety import DiffPoly, VarietyPoint
 # tokenizer
 
 _SYMBOLS = set("+-*/^()[],;='")
+_DIGITS = set("0123456789")
 
 
 @dataclass
@@ -43,7 +49,7 @@ class Token:
     column: int
 
 
-def tokenize(text, line=1, column_offset=0):
+def tokenize(text, line=1):
     tokens = []
     i = 0
     while i < len(text):
@@ -51,10 +57,10 @@ def tokenize(text, line=1, column_offset=0):
         if c.isspace():
             i += 1
             continue
-        col = i + 1 + column_offset
-        if c.isdigit():
+        col = i + 1
+        if c in _DIGITS:
             j = i
-            while j < len(text) and text[j].isdigit():
+            while j < len(text) and text[j] in _DIGITS:
                 j += 1
             tokens.append(Token("num", text[i:j], line, col))
             i = j
@@ -81,6 +87,17 @@ def tokenize(text, line=1, column_offset=0):
         else:
             raise ParseError(f"unexpected character {c!r}", line, col)
     return tokens
+
+
+def _int(tok):
+    """The value of a numeral token; one too long for the interpreter to
+    convert (`sys.get_int_max_str_digits`) is a ParseError at the token."""
+    try:
+        return int(tok.text)
+    except ValueError:
+        raise ParseError(f"numeral of {len(tok.text)} digits; the limit is "
+                         f"{sys.get_int_max_str_digits()} digits",
+                         tok.line, tok.column) from None
 
 
 # ---------------------------------------------------------------------------
@@ -198,13 +215,13 @@ class _ExprParser:
                 self.next()
                 sign = -sign
             exp_tok = self.expect("num")
-            return self.power(base, sign * int(exp_tok.text), tok)
+            return self.power(base, sign * _int(exp_tok), tok)
         return base
 
     def parse_atom(self):
         tok = self.next()
         if tok.kind == "num":
-            return self.const(int(tok.text))
+            return self.const(_int(tok))
         if tok.kind == "name":
             name, dexps = _split_suffix(tok)
             primes = 0
@@ -253,9 +270,18 @@ def _field_value(value):
     return None
 
 
-def _parse_with(tokens, resolve, const, line=1,
+def _tokens(text, line):
+    """`text` as tokens; a token list (a group split off a line) is kept."""
+    return tokenize(text, line) if isinstance(text, str) else text
+
+
+def _parse_with(text, config, resolve, line,
                 zero_message="division by zero in the base field"):
-    parser = _ExprParser(tokens, resolve, const, line, zero_message)
+    """Parse one expression whose numerals are constants of the base field
+    of `config`; text may also be a token list."""
+    parser = _ExprParser(_tokens(text, line), resolve,
+                         lambda k: RatFun.from_const(config.v, k), line,
+                         zero_message)
     value = parser.parse_expr()
     if not parser.done():
         tok = parser.peek()
@@ -264,93 +290,61 @@ def _parse_with(tokens, resolve, const, line=1,
 
 
 # ---------------------------------------------------------------------------
-# name tables
+# symbols
 
 def field_var_names(config):
-    if config.v == 0:
-        return []
-    if config.v == 1:
-        return ["t"]
-    return [f"t{i + 1}" for i in range(config.v)]
+    return ["t"] if config.v == 1 else [f"t{i + 1}" for i in range(config.v)]
 
 
 def delta_names(config):
-    if config.m == 1:
-        return ["d"]
-    return [f"d{i + 1}" for i in range(config.m)]
+    return ["d"] if config.m == 1 else [f"d{i + 1}" for i in range(config.m)]
 
 
-def _field_var_index(name, config):
-    if config.v == 1 and name in ("t", "t1"):
-        return 0
-    if config.v >= 2 and name.startswith("t") and name[1:].isdigit():
-        i = int(name[1:]) - 1
-        if 0 <= i < config.v:
-            return i
-    return None
-
-
-def _delta_index(name, config):
-    if config.m == 1 and name in ("d", "d1"):
-        return 0
-    if config.m >= 2 and name.startswith("d") and name[1:].isdigit():
-        i = int(name[1:]) - 1
-        if 0 <= i < config.m:
-            return i
-    return None
-
-
-@functools.lru_cache(maxsize=256)
-def _symbol(config, name):
-    """The derivation operator or field variable `name` over `config`, or
-    None.  Both are immutable values, so every parse may share them; the
-    cache holds the names of a few dozen field layouts (m + v each)."""
-    i = _delta_index(name, config)
-    if i is not None:
-        return OrePoly.delta(config, i)
-    i = _field_var_index(name, config)
-    if i is not None:
-        return RatFun.var(config.v, i)
-    return None
+@functools.lru_cache(maxsize=64)
+def _symbols(config):
+    """{name: field variable (RatFun) or derivation operator (OrePoly)} over
+    `config`, with `t1` and `d1` as aliases of a single `t` or `d`.  The
+    values are immutable, so every parse may share them."""
+    table = {name: RatFun.var(config.v, i)
+             for i, name in enumerate(field_var_names(config))}
+    table.update((name, OrePoly.delta(config, i))
+                 for i, name in enumerate(delta_names(config)))
+    for single in ("t", "d"):
+        if single in table:
+            table[single + "1"] = table[single]
+    return table
 
 
 # ---------------------------------------------------------------------------
 # expression entry points
 
-def parse_ratfun(text, config, line=1):
-    """Rational expression over the field variables."""
+def _symbol_resolver(config, kinds, unknown):
+    """Resolves the names of `_symbols(config)` whose values are `kinds`;
+    any other name is a ParseError "<unknown> 'name'"."""
 
     def resolve(name, dexps, tok):
         if dexps is not None:
             raise ParseError(f"{name!r} cannot carry a derivative suffix",
                              tok.line, tok.column)
-        value = _symbol(config, name)
-        if not isinstance(value, RatFun):
-            raise ParseError(f"unknown field variable {name!r}",
-                             tok.line, tok.column)
+        value = _symbols(config).get(name)
+        if not isinstance(value, kinds):
+            raise ParseError(f"{unknown} {name!r}", tok.line, tok.column)
         return value
 
-    tokens = tokenize(text, line) if isinstance(text, str) else text
-    return _parse_with(tokens, resolve,
-                       lambda k: RatFun.from_const(config.v, k), line)
+    return resolve
+
+
+def parse_ratfun(text, config, line=1):
+    """Rational expression over the field variables."""
+    return _parse_with(text, config, _symbol_resolver(
+        config, RatFun, "unknown field variable"), line)
 
 
 def parse_orepoly(text, config, line=1):
     """Operator expression over field variables and d / d1..dm."""
-
-    def resolve(name, dexps, tok):
-        if dexps is not None:
-            raise ParseError(f"{name!r} cannot carry a derivative suffix",
-                             tok.line, tok.column)
-        value = _symbol(config, name)
-        if value is None:
-            raise ParseError(f"unknown symbol {name!r}", tok.line, tok.column)
-        return value
-
-    tokens = tokenize(text, line) if isinstance(text, str) else text
-    value = _parse_with(tokens, resolve,
-                        lambda k: RatFun.from_const(config.v, k), line,
-                        zero_message="division by the zero operator")
+    value = _parse_with(text, config, _symbol_resolver(
+        config, (RatFun, OrePoly), "unknown symbol"), line,
+        zero_message="division by the zero operator")
     if isinstance(value, RatFun):
         return OrePoly.from_scalar(config, value)
     return value
@@ -374,14 +368,12 @@ def parse_diffpoly(text, config, var_names, line=1):
                     tok.line, tok.column)
             return DiffPoly.indeterminate(config, n, index[name], exps)
         if dexps is None:
-            value = _symbol(config, name)
+            value = _symbols(config).get(name)
             if isinstance(value, RatFun):
                 return value
         raise ParseError(f"unknown variable {name!r}", tok.line, tok.column)
 
-    tokens = tokenize(text, line) if isinstance(text, str) else text
-    value = _parse_with(tokens, resolve,
-                        lambda k: RatFun.from_const(config.v, k), line)
+    value = _parse_with(text, config, resolve, line)
     if isinstance(value, RatFun):
         return DiffPoly.const(config, n, value)
     return value
@@ -389,7 +381,7 @@ def parse_diffpoly(text, config, var_names, line=1):
 
 def parse_generator_vector(text, config, n, line=1):
     """`[oreexpr, ..., oreexpr]` with exactly n coordinates -> ModElement."""
-    tokens = tokenize(text, line) if isinstance(text, str) else text
+    tokens = _tokens(text, line)
     if not tokens or tokens[0].kind != "[" or tokens[-1].kind != "]":
         raise ParseError("generator vector must be bracketed", line)
     groups = _split_tokens(tokens[1:-1], ",")
@@ -420,40 +412,59 @@ def _split_tokens(tokens, sep):
 # ---------------------------------------------------------------------------
 # pretty printers (round-trip with the parsers above)
 
+def _signed_sum(pieces):
+    """`a + b - c` from (negative, text) pieces, with a bare `-` before a
+    negative first piece; `0` for no pieces."""
+    out = ""
+    for negative, text in pieces:
+        if out:
+            out += " - " if negative else " + "
+        elif negative:
+            out = "-"
+        out += text
+    return out or "0"
+
+
+def _monomial(names, exps):
+    """`name^e` factors joined by `*`; empty for the unit monomial."""
+    return "*".join(name if e == 1 else f"{name}^{e}"
+                    for name, e in zip(names, exps) if e)
+
+
+def _times(cs, body, wrap_quotients=False):
+    """cs*body: a coefficient 1 is left out, a missing body leaves cs alone,
+    and cs is parenthesized when it holds a space or, with wrap_quotients,
+    a quotient of anything but numerals."""
+    if not body:
+        return cs
+    if cs == "1":
+        return body
+    if " " in cs or (wrap_quotients and "/" in cs
+                     and not cs.replace("/", "").isdigit()):
+        cs = f"({cs})"
+    return f"{cs}*{body}"
+
+
+def _term(coeff, body, config, wrap_quotients=False):
+    """(negative, text) of the term coeff*body.  A quotient of two monomials
+    with a negative coefficient gives its sign to the sum; any other
+    coefficient prints whole, with its own signs."""
+    negative = len(coeff.num.terms) == 1 == len(coeff.den.terms) \
+        and coeff.num.lex_leading()[1] < 0
+    return negative, _times(ratfun_str(-coeff if negative else coeff,
+                                       config), body, wrap_quotients)
+
+
 def mpoly_str(terms, names):
     """Sum of {exponents: rational coefficient} terms, lex-descending."""
-    if not terms:
-        return "0"
-    parts = []
-    for exps in sorted(terms, reverse=True):
-        coeff = terms[exps]
-        factors = []
-        for name, e in zip(names, exps):
-            if e == 1:
-                factors.append(name)
-            elif e > 1:
-                factors.append(f"{name}^{e}")
-        body = "*".join(factors)
-        mag = abs(coeff)
-        if not body:
-            piece = str(mag)
-        elif mag == 1:
-            piece = body
-        else:
-            piece = f"{mag}*{body}"
-        if not parts:
-            parts.append(piece if coeff > 0 else "-" + piece)
-        else:
-            parts.append(("+ " if coeff > 0 else "- ") + piece)
-    return " ".join(parts)
+    return _signed_sum((c < 0, _times(str(abs(c)), _monomial(names, e)))
+                       for e, c in sorted(terms.items(), reverse=True))
 
 
-def ratfun_str(r, config=None):
+def ratfun_str(r, config):
     """Printed with a monic denominator: numerator and denominator are both
     divided by the denominator's lex-leading coefficient."""
-    names = field_var_names(config) if config is not None \
-        else [f"t{i + 1}" for i in range(r.nvars)] if r.nvars > 1 \
-        else ["t"]
+    names = field_var_names(config)
     _, lead = r.den.lex_leading()
     num, den = ({e: Fraction(c, lead) for e, c in p.terms.items()}
                 for p in (r.num, r.den))
@@ -469,37 +480,10 @@ def ratfun_str(r, config=None):
 
 
 def orepoly_str(op, config):
-    if op.is_zero():
-        return "0"
     dnames = delta_names(config)
-    parts = []
     keys = sorted(op.terms, key=lambda e: (sum(e), e), reverse=True)
-    for exps in keys:
-        coeff = op.terms[exps]
-        factors = []
-        for name, e in zip(dnames, exps):
-            if e == 1:
-                factors.append(name)
-            elif e > 1:
-                factors.append(f"{name}^{e}")
-        body = "*".join(factors)
-        cs = ratfun_str(coeff, config)
-        negative = cs.startswith("-") and "+" not in cs and " - " not in cs
-        if negative:
-            cs = cs[1:]
-        if not body:
-            piece = cs
-        elif cs == "1":
-            piece = body
-        else:
-            if " " in cs or ("/" in cs and not cs.replace("/", "").isdigit()):
-                cs = f"({cs})"
-            piece = f"{cs}*{body}"
-        if not parts:
-            parts.append(("-" if negative else "") + piece)
-        else:
-            parts.append(("- " if negative else "+ ") + piece)
-    return " ".join(parts)
+    return _signed_sum(_term(op.terms[e], _monomial(dnames, e), config,
+                             wrap_quotients=True) for e in keys)
 
 
 def vector_str(w, config):
@@ -507,33 +491,21 @@ def vector_str(w, config):
                            for op in w.operator_vector()) + "]"
 
 
+def term_label(name, exps):
+    """`y`, `y'`, `y''` with one derivation; `y_(1,2)` with several."""
+    if len(exps) == 1:
+        return name + "'" * exps[0]
+    return name + ("_(" + ",".join(map(str, exps)) + ")" if any(exps)
+                   else "")
+
+
 def modelement_str(w, config, var_names):
     """Human-oriented form: sum of coeff*theta(e_var) pieces."""
-    if w.is_zero():
-        return "0"
-    pieces = []
     rk = orderly_ranking(w.n)
-    for (comp, exps) in sorted(w.terms, key=rk.key, reverse=True):
-        coeff = w.terms[(comp, exps)]
-        order = sum(exps)
-        if w.config.m == 1:
-            suffix = "'" * order
-        else:
-            suffix = "_(" + ",".join(str(e) for e in exps) + ")" if order else ""
-        name = f"d{var_names[comp]}{suffix}"
-        cs = ratfun_str(coeff, config)
-        if cs == "1":
-            pieces.append(name)
-        elif cs == "-1":
-            pieces.append(f"-{name}")
-        else:
-            if " " in cs:
-                cs = f"({cs})"
-            pieces.append(f"{cs}*{name}")
-    out = pieces[0]
-    for p in pieces[1:]:
-        out += " - " + p[1:] if p.startswith("-") else " + " + p
-    return out
+    return _signed_sum(
+        _term(w.terms[key], "d" + term_label(var_names[key[0]], key[1]),
+              config)
+        for key in sorted(w.terms, key=rk.key, reverse=True))
 
 
 # ---------------------------------------------------------------------------
@@ -560,9 +532,7 @@ class ProblemFile:
         return len(self.var_names)
 
     def ranking(self):
-        n = self.n
-        kind = "orderly" if self.ranking_kind == "orderly" else "elimination"
-        return Ranking(kind, tuple(range(n)))
+        return Ranking(self.ranking_kind, tuple(range(self.n)))
 
 
 def parse_input(text):
@@ -599,8 +569,7 @@ def parse_input(text):
             for name in pf.var_names:
                 if not name.isalnum() or not name[0].isalpha():
                     raise ParseError(f"bad variable name {name!r}", lineno)
-                if _field_var_index(name, config) is not None \
-                        or _delta_index(name, config) is not None:
+                if name in _symbols(config):
                     raise ParseError(
                         f"variable name {name!r} collides with a built-in",
                         lineno)
@@ -642,15 +611,12 @@ def _parse_field_line(body, lineno):
     elif body.startswith("Q(") and body.endswith(")"):
         inner = body[2:-1]
         names = [p.strip() for p in inner.split(",") if p.strip()]
-        if names == ["t"]:
-            v = 1
-        else:
-            for i, name in enumerate(names):
-                if name != f"t{i + 1}":
-                    raise ParseError(
-                        f"field variables must be t or t1..tv, got {name!r}",
-                        lineno)
-            v = len(names)
+        v = len(names)
+        for i, name in enumerate(names):
+            if name != f"t{i + 1}" and names != ["t"]:
+                raise ParseError(
+                    f"field variables must be t or t1..tv, got {name!r}",
+                    lineno)
     else:
         raise ParseError(f"unrecognized field {body!r}", lineno)
     m = m_override if m_override is not None else max(v, 1)
@@ -700,15 +666,13 @@ def _finish_sections(pf, pending):
         if pf.module_rank is None:
             raise ParseError("'element:' needs a preceding 'module:' line",
                              lineno)
-        pf.element = parse_generator_vector(tokenize(body, lineno), config,
-                                            pf.module_rank, lineno)
+        pf.element = parse_generator_vector(body, config, pf.module_rank,
+                                            lineno)
     if "leaders" in pending:
         body, lineno = pending["leaders"]
-        tokens = tokenize(body, lineno)
-        comps = []
-        for group in _split_tokens(tokens, ";"):
-            comps.append(frozenset(_parse_leader_group(group, config, lineno)))
-        pf.leaders = Antichain(config.m, tuple(comps))
+        pf.leaders = Antichain(config.m, tuple(
+            frozenset(_parse_leader_group(group, config, lineno))
+            for group in _split_tokens(tokenize(body, lineno), ";")))
 
 
 def _parse_leader_group(tokens, config, lineno):
@@ -728,7 +692,7 @@ def _parse_leader_group(tokens, config, lineno):
             entries = []
             while j < len(inner) and inner[j].kind != ")":
                 if inner[j].kind == "num":
-                    entries.append(int(inner[j].text))
+                    entries.append(_int(inner[j]))
                 elif inner[j].kind != ",":
                     raise ParseError(f"unexpected {inner[j].text!r} in leader",
                                      inner[j].line, inner[j].column)
@@ -738,7 +702,7 @@ def _parse_leader_group(tokens, config, lineno):
             vectors.append(tuple(entries))
             i = j + 1
         elif tok.kind == "num":
-            vectors.append((int(tok.text),))
+            vectors.append((_int(tok),))
             i += 1
         else:
             raise ParseError(f"unexpected {tok.text!r} in leaders",

@@ -17,8 +17,7 @@ from math import comb, factorial
 from diffalg import (DiffPoly, DivisionByZero, MPoly, ModElement,
                      NumericalPolynomial, OrePoly, ParseError, RatFun,
                      autoreduce, leader, monic, reduce)
-from diffalg.parsing import (_ExprParser, _delta_index, _field_var_index,
-                             _split_tokens, tokenize)
+from diffalg.parsing import _ExprParser, _split_tokens, tokenize
 
 
 # ---------------------------------------------------------------------------
@@ -147,6 +146,15 @@ class _LiftedParser(_ExprParser):
         return self.lift(scalar ** k)
 
 
+def _symbol_index(name, letter, count):
+    """Index of `name` among `count` symbols spelled letter1..letterN, with
+    the bare letter for a single one; None for any other name."""
+    spelled = {f"{letter}{i + 1}": i for i in range(count)}
+    if count == 1:
+        spelled[letter] = 0
+    return spelled.get(name)
+
+
 def parse_lifted(text, config, var_names=None):
     """An operator (or, given var_names, a differential polynomial) parsed
     from text or tokens with every literal and field variable lifted to
@@ -172,10 +180,10 @@ def parse_lifted(text, config, var_names=None):
             return DiffPoly.indeterminate(config, n, var_names.index(name),
                                           exps)
         if var_names is None and dexps is None:
-            i = _delta_index(name, config)
+            i = _symbol_index(name, "d", config.m)
             if i is not None:
                 return OrePoly.delta(config, i)
-        i = _field_var_index(name, config)
+        i = _symbol_index(name, "t", config.v)
         if i is not None and dexps is None:
             return lift(RatFun.var(config.v, i))
         raise ParseError(f"unknown symbol {name!r}", tok.line, tok.column)

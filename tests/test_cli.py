@@ -356,6 +356,80 @@ class TestRefusedInput:
                               f"power of order 3000 ")
 
 
+class TestSymbolsAndNumerals:
+    @pytest.mark.parametrize("field, gens, column, message", [
+        ("Q(t)", "[d^²]", 4, "unexpected character '²'"),
+        ("Q(t)", "[²*d]", 2, "unexpected character '²'"),
+        ("Q(t1,t2)", "[t¹*d1]", 2, "unknown symbol 't¹'"),
+        ("Q(t1,t2)", "[d1 + " + "9" * 5000 + "]", 7,
+         f"numeral of 5000 digits; the limit is "
+         f"{sys.get_int_max_str_digits()} digits"),
+        ("Q(t1,t2)", "[t01*d1]", 2, "unknown symbol 't01'"),
+        ("Q(t1,t2)", "[d01]", 2, "unknown symbol 'd01'"),
+        ("Q(t)", "[d01]", 2, "unknown symbol 'd01'"),
+    ], ids=["superscript-exponent", "superscript-factor",
+            "superscript-variable", "5000-digits", "t01", "d01",
+            "d01-one-derivation"])
+    def test_exit_2_with_position(self, capsys, tmp_path, field, gens,
+                                  column, message):
+        text = f"field: {field}\nmodule: 1\ngens: {gens}\n"
+        start = time.perf_counter()
+        code, out, err = run(capsys, tmp_path, text, "charset")
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (2, "")
+        assert err == f"error: line 3, column {column}: {message}\n"
+
+    @pytest.mark.parametrize("field, gens, printed", [
+        ("Q(t)", "[d1 - t1]", "[d - t]"),
+        ("Q(t) derivations: 2", "[d2 - t1]", "[d2 - t]")])
+    def test_single_symbols_have_a_numbered_alias(
+            self, capsys, tmp_path, field, gens, printed):
+        text = f"field: {field}\nmodule: 1\ngens: {gens}\n"
+        code, out, _ = run(capsys, tmp_path, text, "charset")
+        assert (code, out) == (0, "characteristic set (1 elements):\n"
+                                  f"  {printed}\n")
+
+    def test_t01_is_a_legal_variable_name(self, capsys, tmp_path):
+        text = ("field: Q(t1,t2)\nvars: t01\npoint: t01 = t1\n"
+                "eqs: t01_(1,0) - 1\n")
+        code, out, _ = run(capsys, tmp_path, text, "charset")
+        assert (code, out) == (0, "characteristic set (1 elements):\n"
+                                  "  dt01_(1,0)\n")
+        code, _, err = run(capsys, tmp_path,
+                           text.replace("t01", "t1"), "charset")
+        assert code == 2
+        assert err == ("error: line 2: variable name 't1' collides with a "
+                       "built-in\n")
+
+
+class TestOversizedResults:
+    @pytest.mark.parametrize("command, body, fmt", [
+        ("charset", "module: 1\ngens: [d - (2*t)^20000]", "text"),
+        ("reduce", "module: 1\ngens: [d]\nelement: [(2*t)^20000]", "text"),
+        ("count", "leaders: [(1" + "0" * 3000 + ", 1)]", "text"),
+        ("count", "leaders: [(1" + "0" * 3000 + ", 1)]", "json"),
+    ], ids=["charset", "reduce", "count-text", "count-json"])
+    def test_exit_1_naming_the_limit(self, capsys, tmp_path, command, body,
+                                     fmt):
+        field = "Q derivations: 2" if command == "count" else "Q(t)"
+        start = time.perf_counter()
+        code, out, err = run(capsys, tmp_path, f"field: {field}\n{body}\n",
+                             command, "--format", fmt)
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (1, "")
+        assert err == (f"error: the result has an integer of more than "
+                       f"{sys.get_int_max_str_digits()} digits\n")
+
+    def test_other_value_errors_still_raise(self, capsys, tmp_path,
+                                            monkeypatch):
+        def broken(*args):
+            raise ValueError("not a printing limit")
+
+        monkeypatch.setattr(diffalg.cli, "_dispatch", broken)
+        with pytest.raises(ValueError, match="not a printing limit"):
+            run(capsys, tmp_path, MODULE, "charset")
+
+
 def _python(args, cwd):
     """`python args` in a new process that imports this diffalg."""
     src = str(Path(diffalg.__file__).resolve().parent.parent)

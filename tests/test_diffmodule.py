@@ -272,6 +272,28 @@ class TestCharacteristicSet:
         one = ModElement.basis(cfg, 1, 0)
         assert characteristic_set(gens, rk).elements == (one,)
 
+    def test_verify_complete_rejects_a_non_monic_element(self):
+        # t*d - 1 spans the same module as its monic form d - 1/t, and its
+        # generator reduces to zero, but S-pairs are plain differences only
+        # of monic elements
+        rk = orderly_ranking(1)
+        d = OrePoly.delta(CFG1, 0)
+        gens = (ModElement.from_operator_vector([T * d - 1]),)
+        loose = CharSet(AutoreducedSet(gens, rk), gens, CFG1, 1)
+        with pytest.raises(AssertionError, match="not monic"):
+            _verify_complete(loose)
+        _verify_complete(characteristic_set(gens, rk))
+
+    def test_spair_of_monic_elements_is_the_difference_of_shifts(self):
+        # the leaders d^2 and d^3 have the lcm d^3, so the S-pair is
+        # d*(d^2 - t) - (d^3 + 1) = -t*d - 2
+        rk = orderly_ranking(1)
+        d, t = OrePoly.delta(CFG1, 0), OrePoly.from_scalar(CFG1, T)
+        f = ModElement.from_operator_vector([d ** 2 - t])
+        g = ModElement.from_operator_vector([d ** 3 + 1])
+        s = diffmodule._spair(f, leader(f, rk), g, leader(g, rk))
+        assert s == ModElement.from_operator_vector([-t * d - 2])
+
 
 class TestEvalPoint:
     def test_derivative_relation(self):

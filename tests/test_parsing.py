@@ -1,18 +1,22 @@
-"""Expression parsing in the base field, checked against the lifted oracle."""
+"""Expression parsing in the base field, checked against the lifted oracle;
+the symbol table, numerals and the exact text of the printers."""
 
 import random
+import sys
 
 import pytest
 
-from diffalg import DiffAlgError, DiffFieldConfig, OrePoly, ParseError, RatFun
-from diffalg.parsing import (MAX_POWER_ORDER, parse_diffpoly,
-                             parse_generator_vector, parse_orepoly,
-                             parse_ratfun)
+from diffalg import (DiffAlgError, DiffFieldConfig, ModElement,
+                     NumericalPolynomial, OrePoly, ParseError, RatFun)
+from diffalg.parsing import (MAX_POWER_ORDER, modelement_str, orepoly_str,
+                             parse_diffpoly, parse_generator_vector,
+                             parse_orepoly, parse_ratfun, term_label)
 from helpers import parse_lifted, parse_lifted_vector
 
 CFG1 = DiffFieldConfig(1, 1)
 CFG22 = DiffFieldConfig(2, 2)
 CFG20 = DiffFieldConfig(2, 0)
+CFG2 = DiffFieldConfig(2, 1)
 NAMES = ["y", "z"]
 
 
@@ -141,3 +145,108 @@ class TestRefusedInput:
         assert parse_orepoly(f"(d + 1)^{limit}", CFG1).degree() == limit
         with pytest.raises(ParseError, match="limit"):
             parse_orepoly(f"(d + 1)^{limit + 1}", CFG1)
+
+
+class TestSymbolTable:
+    @pytest.mark.parametrize("config, name", [
+        (CFG1, "t"), (CFG1, "t1"), (CFG22, "t1"), (CFG22, "t2")])
+    def test_field_variables(self, config, name):
+        i = 0 if name in ("t", "t1") else 1
+        assert parse_ratfun(name, config) == RatFun.var(config.v, i)
+
+    @pytest.mark.parametrize("config, name", [
+        (CFG1, "d"), (CFG1, "d1"), (CFG22, "d1"), (CFG22, "d2")])
+    def test_derivations(self, config, name):
+        i = 0 if name in ("d", "d1") else 1
+        assert parse_orepoly(name, config) == OrePoly.delta(config, i)
+
+    @pytest.mark.parametrize("config, name", [
+        (CFG22, "t"), (CFG22, "d"), (CFG2, "t2"), (CFG22, "t3"),
+        (CFG22, "t0"), (CFG22, "d3"), (CFG22, "t01"), (CFG22, "d01"),
+        (CFG1, "t01"), (CFG1, "d01"), (CFG1, "t2"), (CFG20, "t"),
+        (CFG20, "t1"), (CFG22, "t¹"), (CFG22, "d²"),
+        (CFG22, "t١")])
+    def test_other_spellings_are_unknown(self, config, name):
+        with pytest.raises(ParseError) as caught:
+            parse_orepoly(name, config)
+        assert str(caught.value) == \
+            f"line 1, column 1: unknown symbol {name!r}"
+
+    def test_field_variable_is_not_an_operator_in_the_base_field(self):
+        with pytest.raises(ParseError, match="unknown field variable 'd'"):
+            parse_ratfun("d", CFG1)
+
+
+class TestNumerals:
+    @pytest.mark.parametrize("text, column, char", [
+        ("d^²", 3, "²"), ("²*d", 1, "²"),
+        ("2٣", 2, "٣")])
+    def test_digits_are_ascii(self, text, column, char):
+        with pytest.raises(ParseError) as caught:
+            parse_orepoly(text, CFG1)
+        assert str(caught.value) == \
+            f"line 1, column {column}: unexpected character {char!r}"
+
+    @pytest.mark.parametrize("text", ["d + {}", "d^{}", "t^{}*d"])
+    def test_numeral_past_the_conversion_limit(self, text):
+        big = "7" * (sys.get_int_max_str_digits() + 1)
+        column = text.index("{") + 1
+        with pytest.raises(ParseError) as caught:
+            parse_orepoly(text.format(big), CFG1)
+        assert str(caught.value) == (
+            f"line 1, column {column}: numeral of {len(big)} digits; the "
+            f"limit is {sys.get_int_max_str_digits()} digits")
+
+    def test_numeral_at_the_conversion_limit(self):
+        big = "7" * sys.get_int_max_str_digits()
+        assert parse_ratfun(big, CFG1) == RatFun.from_const(1, int(big))
+
+
+class TestPrinters:
+    """The exact text the printers give, quirks included."""
+
+    @pytest.mark.parametrize("text, printed", [
+        ("d + 1 - t", "d + -t + 1"),
+        ("-(t^2+1)/(t-1)*d^2 + t", "((-t^2 - 1)/(t - 1))*d^2 + t"),
+        ("-d^2 - 2*d - 1/t", "-d^2 - 2*d - 1/t"),
+        ("-1/t*d + 1/(t+1)", "-(1/t)*d + 1/(t + 1)"),
+        ("(2*t+1)*d - 3/(4*t^2+2)",
+         "(2*t + 1)*d + -3/4/(t^2 + 1/2)"),
+        ("-3/2*t^2*d - 1/(t^2)", "-(3/2*t^2)*d - 1/(t^2)"),
+        ("0", "0")])
+    def test_operators(self, text, printed):
+        assert orepoly_str(parse_orepoly(text, CFG1), CFG1) == printed
+
+    def test_partial_operator(self):
+        op = parse_orepoly("-t1/t2*d1*d2^2 - d2 + 1/(t1*t2)", CFG22)
+        assert orepoly_str(op, CFG22) == \
+            "-(t1/t2)*d1*d2^2 - d2 + 1/(t1*t2)"
+
+    def test_module_elements(self):
+        t = RatFun.var(1, 0)
+        one = RatFun.from_const(1, 1)
+        w = ModElement(CFG1, 2, {(0, (2,)): -one, (1, (1,)): -2 * one,
+                                 (0, (0,)): -1 / t, (1, (0,)): 1 / (t + 1) - 1})
+        assert modelement_str(w, CFG1, ["y", "z"]) == \
+            "-dy'' - 2*dz' + (-t/(t + 1))*dz - 1/t*dy"
+        w = ModElement(CFG2, 2, {(0, (1, 1)): -one, (1, (0, 2)): -2 * one,
+                                 (0, (0, 0)): -1 / t})
+        assert modelement_str(w, CFG2, ["y", "z"]) == \
+            "-2*dz_(0,2) - dy_(1,1) - 1/t*dy"
+        assert modelement_str(ModElement.zero(CFG1, 2), CFG1, ["y", "z"]) \
+            == "0"
+
+    @pytest.mark.parametrize("coeffs, printed", [
+        ((1, -1, -1), "-1/2*t^2 - 5/2*t - 1"),
+        ((0, -3, 1), "1/2*t^2 - 3/2*t - 2"),
+        ((-2, 0, -1, 1), "1/6*t^3 + 1/2*t^2 + 1/3*t - 2"),
+        ((5, -7), "-7*t - 2"), ((-1, 1), "t"), ((0, -1), "-t - 1"),
+        ((), "0")])
+    def test_numerical_polynomials(self, coeffs, printed):
+        assert str(NumericalPolynomial(coeffs)) == printed
+
+    @pytest.mark.parametrize("exps, label", [
+        ((0,), "y"), ((2,), "y''"), ((0, 0), "y"), ((1, 2), "y_(1,2)"),
+        ((0, 0, 3), "y_(0,0,3)"), ((), "y")])
+    def test_term_labels(self, exps, label):
+        assert term_label("y", exps) == label
