@@ -12,14 +12,14 @@ digits than the interpreter will print, `sys.get_int_max_str_digits()`),
 decompose with m >= 2).
 
 The argument parser is built on the first call of `main` and reused by
-later calls in the same process.
+later calls in the same process; `json` is imported only by a call with
+`--format json`.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
 from math import comb
 
@@ -77,8 +77,11 @@ def main(argv=None):
             problem.ranking_kind = ("orderly" if args.ranking == "orderly"
                                     else "elimination")
         payload = _dispatch(args.command, problem, args)
-        out = json.dumps(payload["json"], sort_keys=True) \
-            if args.format == "json" else payload["text"]
+        if args.format == "json":
+            import json     # here, so that text calls never load it
+            out = json.dumps(payload["json"], sort_keys=True)
+        else:
+            out = payload["text"]
     except (ParseError, DivisionByZero) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

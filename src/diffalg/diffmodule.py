@@ -19,16 +19,15 @@ result, with no criterion.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
 
 from .errors import ConfigMismatch, ZeroElement
 from .field import RatFun
 from .ore import (OrePoly, TermMap, monomial_ord, ore_apply, _as_ratfun,
                   _left_mul, _raise_exponent)
+from .record import FrozenRecord
 
 
-@dataclass(frozen=True)
-class Ranking:
+class Ranking(FrozenRecord):
     """Total order on module terms (component, exponents).
 
     orderly: order of derivation dominates, ties broken by component
@@ -37,18 +36,19 @@ class Ranking:
     component_order lists 0-based components from lowest to highest.
     """
 
-    kind: str
-    component_order: tuple
+    _fields = ("kind", "component_order")
+    # _position, the inverse permutation, is not a field: equality,
+    # hashing and repr see only kind and component_order
+    __slots__ = _fields + ("_position",)
 
-    def __post_init__(self):
-        if self.kind not in ("orderly", "elimination"):
-            raise ValueError(f"unknown ranking kind {self.kind!r}")
-        if sorted(self.component_order) != list(range(len(self.component_order))):
+    def __init__(self, kind: str, component_order: tuple):
+        if kind not in ("orderly", "elimination"):
+            raise ValueError(f"unknown ranking kind {kind!r}")
+        if sorted(component_order) != list(range(len(component_order))):
             raise ValueError("component_order must be a permutation of 0..n-1")
-        # inverse permutation; an attribute, not a field, so equality,
-        # hashing and repr still see only kind and component_order
+        self._set_fields(kind, component_order)
         object.__setattr__(self, "_position",
-                           {c: i for i, c in enumerate(self.component_order)})
+                           {c: i for i, c in enumerate(component_order)})
 
     @property
     def n(self):
@@ -217,12 +217,13 @@ def _reduce(w, active, rk, want_cofactors=False):
     return current
 
 
-@dataclass(frozen=True)
-class AutoreducedSet:
+class AutoreducedSet(FrozenRecord):
     """Monic, pairwise-reduced elements sorted by increasing leader rank."""
 
-    elements: tuple
-    ranking: Ranking
+    __slots__ = _fields = ("elements", "ranking")
+
+    def __init__(self, elements: tuple, ranking: Ranking):
+        self._set_fields(elements, ranking)
 
     def leaders(self):
         return [leader(f, self.ranking) for f in self.elements]
@@ -275,14 +276,14 @@ def compare_autoreduced(A, B):
     return "equal"
 
 
-@dataclass(frozen=True)
-class CharSet:
+class CharSet(FrozenRecord):
     """Complete characteristic set: an autoreduced Groebner-style basis."""
 
-    autoreduced: AutoreducedSet
-    generators: tuple
-    config: object
-    n: int
+    __slots__ = _fields = ("autoreduced", "generators", "config", "n")
+
+    def __init__(self, autoreduced: AutoreducedSet, generators: tuple,
+                 config: object, n: int):
+        self._set_fields(autoreduced, generators, config, n)
 
     @property
     def ranking(self):

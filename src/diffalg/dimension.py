@@ -7,17 +7,15 @@ polynomial is the staircase count of the leader antichain.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import OrderlyRequired, UnsupportedForPartial
 from .numpoly import (Antichain, NumericalPolynomial, count_cofilter,
                       type_and_heights)
 from .diffmodule import leader
 from .ore import monomial_ord
+from .record import FrozenRecord
 
 
-@dataclass(frozen=True)
-class DimensionReport:
+class DimensionReport(FrozenRecord):
     """Dimension polynomial plus the m = 1 free/torsion bookkeeping.
 
     For m = 1 the polynomial decomposes as phi(t) = d*(t+1) + B, where d is
@@ -25,13 +23,17 @@ class DimensionReport:
     below the leaders; the free term is r = d + B.
     """
 
-    dimpoly: NumericalPolynomial
-    diff_dimension: int
-    type: object  # int, or the ZERO_TYPE sentinel
-    typical_height: int
-    free_components: tuple
-    below_leader_count: int | None  # defined for m = 1 only
-    antichain: Antichain  # the leader staircase counted; not in to_json
+    __slots__ = _fields = ("dimpoly", "diff_dimension", "type",
+                           "typical_height", "free_components",
+                           "below_leader_count", "antichain")
+
+    # type: an int, or the ZERO_TYPE sentinel; below_leader_count: defined
+    # for m = 1 only; antichain: the leader staircase counted, not in to_json
+    def __init__(self, dimpoly: NumericalPolynomial, diff_dimension: int,
+                 type: object, typical_height: int, free_components: tuple,
+                 below_leader_count: int | None, antichain: Antichain):
+        self._set_fields(dimpoly, diff_dimension, type, typical_height,
+                         free_components, below_leader_count, antichain)
 
     @property
     def free_term(self):

@@ -7,9 +7,10 @@ form is unique, so equal values have identical representations and compare
 bit-identically.  The familiar form with a monic denominator is built only
 for output (`parsing.ratfun_str`).
 
-Every field operation ends in a gcd over Z[t], taken together with both
-exact cofactors.  It is the heuristic gcd GCDHEU of Char, Geddes and
-Gonnet (1989): evaluate the main variable at an integer xi, take the gcd of
+Every field operation but the sum and the product of two polynomials
+(denominator 1) ends in a gcd over Z[t], taken together with both exact
+cofactors.  It is the heuristic gcd GCDHEU of Char, Geddes and Gonnet
+(1989): evaluate the main variable at an integer xi, take the gcd of
 the images, rebuild a candidate from its symmetric base-xi digits and
 accept its primitive part only if it divides both inputs exactly, which the
 theorem behind GCDHEU makes sufficient for xi >= 2*min(|f|, |g|) + 2.  The
@@ -30,16 +31,15 @@ values are never changed in place, so results may share them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd as _int_gcd, isqrt
 from operator import add, gt, sub
 
 from .errors import BadDerivation, DivisionByZero
+from .record import FrozenRecord
 
 
-@dataclass(frozen=True)
-class DiffFieldConfig:
+class DiffFieldConfig(FrozenRecord):
     """Base field layout: m commuting derivations over Q(t1..tv), v <= m.
 
     Derivation i acts as d/dt_i for i < num_vars and as zero otherwise,
@@ -47,14 +47,37 @@ class DiffFieldConfig:
     Indices are 0-based throughout the Python API.
     """
 
-    num_derivations: int
-    num_vars: int
+    __slots__ = _fields = ("num_derivations", "num_vars")
 
-    def __post_init__(self):
-        if self.num_derivations < 1:
+    def __init__(self, num_derivations: int, num_vars: int):
+        if num_derivations < 1:
             raise ValueError("need at least one derivation")
-        if not 0 <= self.num_vars <= self.num_derivations:
+        if not 0 <= num_vars <= num_derivations:
             raise ValueError("need 0 <= num_vars <= num_derivations")
+        self._set_fields(num_derivations, num_vars)
+
+    # Term maps compare configs (with !=) on every operation, often two
+    # equal ones built apart (the parser's symbol cache hands out operators
+    # of an earlier equal config), so both tests check identity and then
+    # the two ints, with no tuple built.
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is self.__class__:
+            return (self.num_derivations == other.num_derivations
+                    and self.num_vars == other.num_vars)
+        return NotImplemented
+
+    def __ne__(self, other):
+        if self is other:
+            return False
+        if other.__class__ is self.__class__:
+            return (self.num_derivations != other.num_derivations
+                    or self.num_vars != other.num_vars)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.num_derivations, self.num_vars))
 
     @property
     def m(self):
@@ -723,6 +746,9 @@ class RatFun:
             return other
         if other.is_zero():
             return self
+        if self.den.is_one() and other.den.is_one():
+            # polynomials: their sum over 1 is already canonical
+            return RatFun(self.num + other.num, self.den, _canonical=True)
         # with coprime inputs, any common factor of the raw sum divides
         # g = gcd of the denominators, so only small gcds are ever taken
         g, d1r, d2r = _gcd_cofactors(self.den, other.den)
@@ -759,6 +785,8 @@ class RatFun:
             return self
         if self.is_one():
             return other
+        if self.den.is_one() and other.den.is_one():
+            return RatFun(self.num * other.num, self.den, _canonical=True)
         # cross-cancel before multiplying: the result is already coprime
         _, n1, d2 = _gcd_cofactors(self.num, other.den)
         _, n2, d1 = _gcd_cofactors(other.num, self.den)

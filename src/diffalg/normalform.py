@@ -10,10 +10,9 @@ ordinary matrix products.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import UnsupportedForPartial
 from .ore import OrePoly, ore_divmod, ore_mul
+from .record import FrozenRecord
 
 
 class OreMatrix:
@@ -103,32 +102,31 @@ class OreMatrix:
         return f"OreMatrix({self.rows}x{self.cols})"
 
 
-@dataclass(frozen=True)
-class Diagonalization:
+class Diagonalization(FrozenRecord):
     """U * A * V = D, with tracked inverses; all identities exact.
 
     D is canonical up to the pivot path: each nonzero diagonal entry is
     monic (leading coefficient 1), so a unit entry is exactly 1.
     """
 
-    U: OreMatrix
-    D: OreMatrix
-    V: OreMatrix
-    U_inv: OreMatrix
-    V_inv: OreMatrix
+    __slots__ = _fields = ("U", "D", "V", "U_inv", "V_inv")
+
+    def __init__(self, U: OreMatrix, D: OreMatrix, V: OreMatrix,
+                 U_inv: OreMatrix, V_inv: OreMatrix):
+        self._set_fields(U, D, V, U_inv, V_inv)
 
 
-@dataclass(frozen=True)
-class TangentClass:
+class TangentClass(FrozenRecord):
     """T_y = K^d x C^k: free rank d, torsion K-dimension k.
 
     torsion_degrees lists the degrees of the nonunit diagonal entries; the
     multiset may depend on the diagonalization path, k = sum does not.
     """
 
-    d: int
-    k: int
-    torsion_degrees: tuple
+    __slots__ = _fields = ("d", "k", "torsion_degrees")
+
+    def __init__(self, d: int, k: int, torsion_degrees: tuple):
+        self._set_fields(d, k, torsion_degrees)
 
     @classmethod
     def from_diagonal(cls, n, diagonal):

@@ -19,11 +19,11 @@ ordinary coefficients in t with the front end's polynomial printer
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
 
 from .errors import NotAntichain
+from .record import FrozenRecord
 
 #: Sentinel differential type of the zero polynomial.
 ZERO_TYPE = float("-inf")
@@ -59,21 +59,19 @@ def _to_binomial(mono):
     return coeffs
 
 
-@dataclass(frozen=True)
-class NumericalPolynomial:
+class NumericalPolynomial(FrozenRecord):
     """phi(t) = sum_i coeffs[i] * C(t+i, i), exact for all t >= valid_from."""
 
-    coeffs: tuple
-    valid_from: int = 0
+    __slots__ = _fields = ("coeffs", "valid_from")
 
-    def __post_init__(self):
-        coeffs = list(self.coeffs)
+    def __init__(self, coeffs: tuple, valid_from: int = 0):
+        coeffs = list(coeffs)
         while coeffs and coeffs[-1] == 0:
             coeffs.pop()
         for c in coeffs:
             if c != int(c):
                 raise ValueError("binomial-basis coefficients must be integers")
-        object.__setattr__(self, "coeffs", tuple(int(c) for c in coeffs))
+        self._set_fields(tuple(int(c) for c in coeffs), valid_from)
 
     @classmethod
     def zero(cls):
@@ -130,26 +128,25 @@ class NumericalPolynomial:
                           enumerate(self.monomial_coeffs()) if c}, ("t",))
 
 
-@dataclass(frozen=True)
-class Antichain:
+class Antichain(FrozenRecord):
     """Per-component sets of pairwise incomparable exponent vectors in N^m."""
 
-    m: int
-    components: tuple  # tuple of frozensets of exponent tuples
+    __slots__ = _fields = ("m", "components")
 
-    def __post_init__(self):
+    # components: tuple of frozensets of exponent tuples
+    def __init__(self, m: int, components: tuple):
         comps = []
-        for E in self.components:
+        for E in components:
             E = frozenset(tuple(e) for e in E)
             for e in E:
-                if len(e) != self.m:
+                if len(e) != m:
                     raise NotAntichain("exponent vector of wrong length")
             for a in E:
                 for b in E:
                     if a != b and all(x <= y for x, y in zip(a, b)):
                         raise NotAntichain(f"{a} <= {b} componentwise")
             comps.append(E)
-        object.__setattr__(self, "components", tuple(comps))
+        self._set_fields(m, tuple(comps))
 
     @property
     def n(self):

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import functools
 import sys
-from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
 from .errors import DivisionByZero, ParseError
@@ -31,6 +30,7 @@ from .field import DiffFieldConfig, RatFun
 from .ore import OrePoly
 from .diffmodule import ModElement, Ranking, orderly_ranking
 from .numpoly import Antichain
+from .record import Record
 from .variety import DiffPoly, VarietyPoint
 
 
@@ -41,12 +41,17 @@ _SYMBOLS = set("+-*/^()[],;='")
 _DIGITS = set("0123456789")
 
 
-@dataclass
-class Token:
-    kind: str  # "num", "name", or the symbol itself
-    text: str
-    line: int
-    column: int
+class Token(Record):
+    """One token of problem text, with its 1-based line and column."""
+
+    __slots__ = _fields = ("kind", "text", "line", "column")
+
+    # kind: "num", "name", or the symbol itself
+    def __init__(self, kind: str, text: str, line: int, column: int):
+        self.kind = kind
+        self.text = text
+        self.line = line
+        self.column = column
 
 
 def tokenize(text, line=1):
@@ -247,9 +252,15 @@ def _split_suffix(tok):
     if "_(" not in name:
         return name, None
     base, rest = name.split("_(", 1)
-    body = rest.rstrip(")")
+    entries = rest.rstrip(")").split(",")
+    # ASCII digits, as in numerals, after an optional '-' that is refused
+    # below; int() alone would also take '1_0', '+1', Unicode digits and
+    # whitespace
     try:
-        dexps = tuple(int(p) for p in body.split(","))
+        if not all(p.lstrip("-") and _DIGITS.issuperset(p.lstrip("-"))
+                   for p in entries):
+            raise ValueError
+        dexps = tuple(int(p) for p in entries)
     except ValueError:
         raise ParseError(f"bad multi-index in {tok.text!r}",
                          tok.line, tok.column)
@@ -511,19 +522,32 @@ def modelement_str(w, config, var_names):
 # ---------------------------------------------------------------------------
 # problem files
 
-@dataclass
-class ProblemFile:
-    """Parsed input: field layout plus one of equations+point or raw module."""
+class ProblemFile(Record):
+    """Parsed input: field layout plus one of equations+point or raw module.
 
-    config: DiffFieldConfig
-    var_names: list = dc_field(default_factory=list)
-    point: VarietyPoint | None = None
-    eqs: list | None = None
-    module_rank: int | None = None
-    gens: list | None = None
-    ranking_kind: str = "orderly"
-    leaders: Antichain | None = None
-    element: ModElement | None = None
+    A ProblemFile built without `var_names` gets a new empty list.
+    """
+
+    __slots__ = _fields = ("config", "var_names", "point", "eqs",
+                           "module_rank", "gens", "ranking_kind", "leaders",
+                           "element")
+
+    def __init__(self, config: DiffFieldConfig,
+                 var_names: list | None = None,
+                 point: VarietyPoint | None = None, eqs: list | None = None,
+                 module_rank: int | None = None, gens: list | None = None,
+                 ranking_kind: str = "orderly",
+                 leaders: Antichain | None = None,
+                 element: ModElement | None = None):
+        self.config = config
+        self.var_names = [] if var_names is None else var_names
+        self.point = point
+        self.eqs = eqs
+        self.module_rank = module_rank
+        self.gens = gens
+        self.ranking_kind = ranking_kind
+        self.leaders = leaders
+        self.element = element
 
     @property
     def n(self):

@@ -389,6 +389,23 @@ class TestSymbolsAndNumerals:
         assert (code, out) == (0, "characteristic set (1 elements):\n"
                                   f"  {printed}\n")
 
+    @pytest.mark.parametrize("index, message", [
+        ("1_0,0", "bad multi-index in 'y_(1_0,0)'"),
+        ("\u0661,0", "bad multi-index in 'y_(\u0661,0)'"),
+        ("+1,0", "bad multi-index in 'y_(+1,0)'"),
+        ("1,\t0", "bad multi-index in 'y_(1,\\t0)'"),
+        ("-1,0", "negative entry in multi-index"),
+    ], ids=["underscore", "arabic-indic-digit", "plus", "tab", "negative"])
+    def test_multi_index_entries_are_ascii_digits(self, capsys, tmp_path,
+                                                  index, message):
+        text = ("field: Q(t1,t2)\nvars: y\npoint: y = 0\n"
+                f"eqs: y_(0,1) + y_({index})\n")
+        start = time.perf_counter()
+        code, out, err = run(capsys, tmp_path, text, "charset")
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (2, "")
+        assert err == f"error: line 4, column 11: {message}\n"
+
     def test_t01_is_a_legal_variable_name(self, capsys, tmp_path):
         text = ("field: Q(t1,t2)\nvars: t01\npoint: t01 = t1\n"
                 "eqs: t01_(1,0) - 1\n")
@@ -489,6 +506,25 @@ class TestRepeatedCalls:
         probe = _python(["-c", "import sys, diffalg.cli; "
                          "print('diffalg.__main__' in sys.modules)"], tmp_path)
         assert probe.stdout == "False\n"
+
+
+class TestColdStart:
+    def test_import_loads_no_dataclasses_inspect_or_json(self, tmp_path):
+        # json loads on the first --format json call, and only then
+        (tmp_path / "module.txt").write_text(MODULE)
+        probe = _python(["-c", """\
+import sys
+watched = {"dataclasses", "inspect", "json"}
+before = set(sys.modules)
+import diffalg.cli
+loaded = [sorted(watched & (set(sys.modules) - before))]
+for fmt in ("text", "json"):
+    diffalg.cli.main(["dimpoly", "module.txt", "--format", fmt])
+    loaded.append(sorted(watched & (set(sys.modules) - before)))
+print(loaded, file=sys.stderr)
+"""], tmp_path)
+        assert probe.returncode == 0
+        assert probe.stderr == "[[], [], ['json']]\n"
 
 
 class TestDeterminism:

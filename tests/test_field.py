@@ -293,6 +293,33 @@ class TestFromConst:
 
 
 class TestUnitShortcuts:
+    @pytest.mark.parametrize("nvars", [0, 1, 3])
+    def test_polynomial_sum_and_product(self, monkeypatch, nvars):
+        # over the denominator 1 the numerators are added or multiplied
+        # with no gcd; the checked constructor is the general path
+        rng = random.Random(170 + nvars)
+        pairs = []
+        for _ in range(150):
+            a = RatFun(rand_mpoly(rng, nvars, max_deg=3, max_terms=4))
+            b = RatFun(rand_mpoly(rng, nvars, max_deg=3, max_terms=4))
+            pairs += [(a, b), (a, -a)]
+        calls = counting(monkeypatch, "_gcd_cofactors")
+        results = [(a + b, a * b) for a, b in pairs]
+        assert not calls
+        monkeypatch.undo()
+        for (a, b), (total, product) in zip(pairs, results):
+            for got, expected in [
+                    (total, normalize(a.num * b.den + b.num * a.den,
+                                      a.den * b.den)),
+                    (product, normalize(a.num * b.num, a.den * b.den))]:
+                assert got == expected
+                assert got.num.terms == expected.num.terms
+                assert got.den.terms == expected.den.terms
+        zero = [total for (a, b), (total, _) in zip(pairs, results)
+                if b == -a]
+        assert len(zero) >= 150
+        assert all(z.is_zero() and z.den.is_one() for z in zero)
+
     def test_ratfun_times_one(self, monkeypatch):
         a = (t_() ** 2 + 1) / (2 * t_() - 3)
         one = const(1)

@@ -1,14 +1,13 @@
 """Matrix diagonalization over K[delta] and tangent-space classification."""
 
 import random
-from dataclasses import replace
 
 import pytest
 
-from diffalg import (DiffFieldConfig, OreMatrix, OrePoly, RatFun, TangentClass,
-                     UnsupportedForPartial, characteristic_set,
-                     classify_tangent, diagonalize, dimension_report,
-                     ore_mul, orderly_ranking)
+from diffalg import (Diagonalization, DiffFieldConfig, OreMatrix, OrePoly,
+                     RatFun, TangentClass, UnsupportedForPartial,
+                     characteristic_set, classify_tangent, diagonalize,
+                     dimension_report, ore_mul, orderly_ranking)
 from diffalg.normalform import _verify
 from helpers import rand_modelement, rand_orepoly
 
@@ -96,8 +95,11 @@ class TestDiagonalize:
             j = rng.randrange(mat.cols)
             mat.entries[i][j] = mat.entries[i][j] + rand_orepoly(
                 rng, CFG1, max_deg=1, nonzero=True)
+            parts = {name: getattr(res, name)
+                     for name in ("U", "D", "V", "U_inv", "V_inv")}
+            parts[field] = mat
             with pytest.raises(AssertionError):
-                _verify(A, replace(res, **{field: mat}))
+                _verify(A, Diagonalization(**parts))
 
     def test_partial_rejected(self):
         cfg = DiffFieldConfig(2, 1)
