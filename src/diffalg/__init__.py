@@ -12,7 +12,8 @@ from .diffmodule import (AutoreducedSet, CharSet, ModElement, Ranking,
                          elimination_ranking, eval_point, leader, member,
                          monic, orderly_ranking, reduce)
 from .numpoly import (Antichain, NumericalPolynomial, ZERO_TYPE, brute_count,
-                      count_cofilter, eval_numpoly, type_and_heights)
+                      count_cofilter, eval_numpoly, standard_terms,
+                      type_and_heights)
 from .dimension import (DimensionReport, diff_dimension, dimension_polynomial,
                         dimension_report, free_split, leader_antichain)
 from .normalform import (Diagonalization, OreMatrix, TangentClass,

@@ -217,6 +217,43 @@ def count_cofilter(antichain):
     return NumericalPolynomial(coeffs, valid_from)
 
 
+def standard_terms(antichain, bound):
+    """The terms (component, exponents) of weight <= bound outside the
+    staircase of their component's leaders, by component and then in
+    lexicographic order of the exponents: the points `count_cofilter`
+    counts, listed.
+
+    Walks the complement of the staircase, not the box of all terms: the
+    first m - 1 exponents run in lexicographic order and carry down the
+    leaders whose leading coordinates are <= the prefix, and the last
+    exponent runs below the smallest last coordinate among them.  A prefix
+    that reaches a whole carried leader ends its coordinate's loop, since
+    every larger value lies in that leader's staircase too.  The cost is
+    the number of prefixes times the number of leaders, plus the output.
+    """
+    m = antichain.m
+    if m == 0:                          # only the empty term, of weight 0
+        return [(comp, ()) for comp, E in enumerate(antichain.components)
+                if not E and bound >= 0]
+    out = []
+
+    def walk(comp, prefix, left, carried):
+        if len(prefix) == m - 1:
+            top = min([left + 1] + [e[0] for e in carried])
+            out.extend((comp, prefix + (h,)) for h in range(top))
+            return
+        reached = (0,) * (m - 1 - len(prefix))
+        for h in range(left + 1):
+            rest = [e[1:] for e in carried if e[0] <= h]
+            if reached in rest:
+                break
+            walk(comp, prefix + (h,), left - h, rest)
+
+    for comp, E in enumerate(antichain.components):
+        walk(comp, (), bound, list(E))
+    return out
+
+
 def brute_count(antichain, t):
     """Direct enumeration of the counted set (testing oracle)."""
     m = antichain.m

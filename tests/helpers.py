@@ -3,7 +3,8 @@
 The oracles deliberately avoid the library's own fast paths: operator
 products are re-derived from the closed binomial commutation formula,
 staircase counts are re-derived by inclusion-exclusion over subsets of
-leaders, characteristic sets by a completion that reduces every S-pair,
+leaders, standard terms by testing every term of bounded order against
+every leader, characteristic sets by a completion that reduces every S-pair,
 module dimensions are recomputed by exact Gaussian elimination
 over the base field on truncated derivative spans, and expressions are
 evaluated with every literal and field variable lifted to the operator or
@@ -263,7 +264,7 @@ class RowReducer:
 
 
 # ---------------------------------------------------------------------------
-# inclusion-exclusion staircase oracle
+# inclusion-exclusion and box-walk staircase oracles
 
 def inclusion_exclusion_count(antichain):
     """count_cofilter by inclusion-exclusion over all 2^|E_i| subsets:
@@ -292,6 +293,28 @@ def inclusion_exclusion_count(antichain):
                 for k in range(len(poly)):
                     total[k] += poly[k] * inv
     return NumericalPolynomial.from_monomial(total, valid_from)
+
+
+def _weight_bounded(m, t):
+    """Exponent tuples in N^m (m >= 1) of weight <= t, in lexicographic
+    order."""
+    prefixes = [((), t)]    # (first coordinates, weight left)
+    for _ in range(m):
+        prefixes = [(p + (h,), r - h) for p, r in prefixes
+                    for h in range(r + 1)]
+    return [p for p, _ in prefixes]
+
+
+def box_standard_terms(antichain, bound):
+    """numpoly.standard_terms by walking every term of weight <= bound and
+    testing it against every leader of its component."""
+    out = []
+    for comp, E in enumerate(antichain.components):
+        for exps in _weight_bounded(antichain.m, bound):
+            if any(all(a >= b for a, b in zip(exps, e)) for e in E):
+                continue
+            out.append((comp, exps))
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -344,6 +344,39 @@ class TestRefusedInput:
                        f"derivative terms; the limit is "
                        f"{diffalg.cli.MAX_LISTED_TERMS}\n")
 
+    def test_order_bound_just_under_the_term_cap(self, capsys, tmp_path):
+        # the cap counts all 246,905 terms of order <= 112; the listing
+        # walks only the one outside the staircase
+        text = "field: Q derivations: 3\nmodule: 1\ngens: [d1]; [d2]; [d3]\n"
+        start = time.perf_counter()
+        code, out, err = run(capsys, tmp_path, text, "charset",
+                             "--order-bound", "112")
+        assert time.perf_counter() - start < 0.5
+        assert (code, err) == (0, "")
+        assert out.endswith("\nstandard terms up to order 112 (1): e1\n")
+
+    def test_negative_order_bound_is_a_usage_error(self, capsys, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            run(capsys, tmp_path, MODULE, "charset", "--order-bound", "-5")
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith("diffalg: error: argument --order-bound: "
+                                     "K must be >= 0, got -5\n")
+
+    @pytest.mark.parametrize("command, text", [
+        ("count", "field: Q derivations: 2\nleaders: [(1,1)]\n"),
+        ("decompose", MODULE),
+        ("reduce", MODULE),
+    ], ids=["count", "decompose", "reduce"])
+    def test_order_bound_with_a_command_that_lists_nothing_exits_2(
+            self, capsys, tmp_path, command, text):
+        code, out, err = run(capsys, tmp_path, text, command,
+                             "--order-bound", "2")
+        assert (code, out) == (2, "")
+        assert err == ("error: --order-bound is taken only by charset, "
+                       "dimpoly, tangent\n")
+
     @pytest.mark.parametrize("base", ["(t*d)", "(d + 1)"],
                              ids=["t-times-d", "d-plus-1"])
     def test_power_over_the_order_cap_exits_2(self, capsys, tmp_path, base):

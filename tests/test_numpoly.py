@@ -7,9 +7,10 @@ import pytest
 
 from diffalg import (Antichain, NotAntichain, NumericalPolynomial, ZERO_TYPE,
                      brute_count, count_cofilter, eval_numpoly,
-                     type_and_heights)
+                     standard_terms, type_and_heights)
 
-from helpers import inclusion_exclusion_count, multiindices
+from helpers import (box_standard_terms, inclusion_exclusion_count,
+                     multiindices)
 
 
 def anti(m, *components):
@@ -149,6 +150,49 @@ class TestBruteCount:
 
     def test_truncated_line(self):
         assert brute_count(anti(1, {(2,)}), 5) == 2
+
+
+class TestStandardTerms:
+    def test_matches_box_walk_and_counts(self):
+        # 216 antichains x K = -1..12: about 3,000 listings
+        rng = random.Random(45)
+        cases = 0
+        for m in range(1, 5):
+            for n in range(1, 4):
+                for _ in range(18):
+                    comps = []
+                    for _ in range(n):
+                        kind = rng.random()
+                        if kind < 0.15:             # a free component
+                            comps.append(frozenset())
+                        elif kind < 0.2:            # the origin leader
+                            comps.append(frozenset({(0,) * m}))
+                        else:                       # some beyond K = 12
+                            comps.append(rand_antichain(
+                                rng, m, max_entry=rng.choice((3, 6, 15)),
+                                max_vectors=5).components[0])
+                    E = Antichain(m, tuple(comps))
+                    phi = count_cofilter(E)
+                    for K in range(-1, 13):
+                        terms = standard_terms(E, K)
+                        assert terms == box_standard_terms(E, K), (E, K)
+                        assert len(terms) == brute_count(E, K)
+                        if K >= phi.valid_from:
+                            assert len(terms) == phi(K)
+                        cases += 1
+        assert cases == 3024
+
+    def test_edge_cases(self):
+        assert standard_terms(anti(2, set(), {(0, 0)}), 1) == [
+            (0, (0, 0)), (0, (0, 1)), (0, (1, 0))]
+        assert standard_terms(anti(3, {(1, 1, 1)}), -1) == []
+        assert standard_terms(anti(1, {(20,)}), 2) == [
+            (0, (0,)), (0, (1,)), (0, (2,))]
+        assert standard_terms(anti(2, {(1, 0), (0, 2)}), 9) == [
+            (0, (0, 0)), (0, (0, 1))]
+        assert standard_terms(anti(0, set(), {()}, set()), 4) == [
+            (0, ()), (2, ())]
+        assert standard_terms(anti(0, set()), -1) == []
 
 
 class TestEval:
