@@ -5,17 +5,15 @@ from .errors import (BadDerivation, ConfigMismatch, DiffAlgError,
                      DivisionByZero, NotAntichain, OrderlyRequired,
                      ParseError, PointNotOnVariety, UnsupportedForPartial,
                      ZeroElement)
-from .field import DiffFieldConfig, MPoly, RatFun, mpoly_gcd, normalize
+from .field import DiffFieldConfig, MPoly, RatFun, mpoly_gcd
 from .ore import OrePoly, ore_apply, ore_divmod, ore_mul
 from .diffmodule import (AutoreducedSet, CharSet, ModElement, Ranking,
-                         autoreduce, characteristic_set, compare_autoreduced,
-                         elimination_ranking, eval_point, leader, member,
-                         monic, orderly_ranking, reduce)
-from .numpoly import (Antichain, NumericalPolynomial, ZERO_TYPE, brute_count,
-                      count_cofilter, eval_numpoly, standard_terms,
-                      type_and_heights)
+                         autoreduce, characteristic_set, elimination_ranking,
+                         leader, member, monic, orderly_ranking, reduce)
+from .numpoly import (Antichain, NumericalPolynomial, ZERO_TYPE,
+                      count_cofilter, standard_terms, type_and_heights)
 from .dimension import (DimensionReport, diff_dimension, dimension_polynomial,
-                        dimension_report, free_split, leader_antichain)
+                        dimension_report, leader_antichain)
 from .normalform import (Diagonalization, OreMatrix, TangentClass,
                          classify_tangent, diagonalize)
 from .variety import (DiffPoly, VarietyPoint, eval_diffpoly, formal_derive,

@@ -21,9 +21,8 @@ from __future__ import annotations
 import heapq
 
 from .errors import ConfigMismatch, ZeroElement
-from .field import RatFun
-from .ore import (OrePoly, TermMap, monomial_ord, ore_apply, _as_ratfun,
-                  _left_mul, _raise_exponent)
+from .ore import (OrePoly, TermMap, monomial_ord, _as_ratfun, _left_mul,
+                  _raise_exponent)
 from .record import FrozenRecord
 
 
@@ -139,11 +138,6 @@ class ModElement(TermMap):
 
     # -- views -----------------------------------------------------------
 
-    def max_order(self):
-        if not self.terms:
-            return -1
-        return max(monomial_ord(e) for (_, e) in self.terms)
-
     def op_mul(self, op):
         """Left action of an OrePoly: op * self."""
         return _left_mul(op, self)
@@ -176,45 +170,36 @@ def _divides(lead, term):
     return lc == tc and all(a <= b for a, b in zip(le, te))
 
 
-def reduce(w, A, rk, want_cofactors=False):
+def reduce(w, A, rk):
     """Normal form of w modulo the left span of A.
 
     Cancels the highest reducible term first; the result is free of every
-    derivative theta*u_f (theta = identity included) of every leader in A.
-    With want_cofactors=True also returns {index in A: OrePoly q} with
-    w = sum q_i * A[i] + normal_form, exactly.
+    derivative theta*u_f (theta = identity included) of every leader in A,
+    and differs from w by an element of the span.
     """
     active = [(idx, f, leader(f, rk)) for idx, f in enumerate(A)
               if not f.is_zero()]
-    return _reduce(w, active, rk, want_cofactors)
+    return _reduce(w, active, rk)
 
 
-def _reduce(w, active, rk, want_cofactors=False):
+def _reduce(w, active, rk):
     """`reduce` by (index, element, leader) triples with known leaders."""
-    cofactors = {}
     current = w
     while True:
         target = None
         for term in sorted(current.terms, key=rk.key, reverse=True):
-            for idx, f, lead in active:
+            for _, f, lead in active:
                 if _divides(lead, term):
-                    target = (term, idx, f, lead)
+                    target = (term, f, lead)
                     break
             if target:
                 break
         if target is None:
-            break
-        term, idx, f, lead = target
-        theta = tuple(a - b for a, b in zip(term[1], lead[1]))
-        shifted = f.apply_theta(theta)
-        factor = current.terms[term] / shifted.terms[term]
-        current = current - shifted.scale_left(factor)
-        if want_cofactors:
-            q = OrePoly.monomial(w.config, theta, factor)
-            cofactors[idx] = cofactors.get(idx, OrePoly.zero(w.config)) + q
-    if want_cofactors:
-        return current, cofactors
-    return current
+            return current
+        term, f, lead = target
+        shifted = f.apply_theta(tuple(a - b for a, b in zip(term[1], lead[1])))
+        current = current - shifted.scale_left(current.terms[term]
+                                               / shifted.terms[term])
 
 
 class AutoreducedSet(FrozenRecord):
@@ -254,26 +239,6 @@ def autoreduce(S, rk):
         if not changed:
             break
     return AutoreducedSet(tuple(elems), rk)
-
-
-def compare_autoreduced(A, B):
-    """'lower' / 'equal' / 'higher': the Ritt-Kolchin rank order on sets."""
-    if A.ranking != B.ranking:
-        raise ConfigMismatch("autoreduced sets under different rankings")
-    rk = A.ranking
-    ua = A.leaders()
-    ub = B.leaders()
-    for la, lb in zip(ua, ub):
-        c = rk.compare(la, lb)
-        if c < 0:
-            return "lower"
-        if c > 0:
-            return "higher"
-    if len(ua) > len(ub):
-        return "lower"
-    if len(ua) < len(ub):
-        return "higher"
-    return "equal"
 
 
 class CharSet(FrozenRecord):
@@ -423,16 +388,6 @@ def _verify_complete(charset):
             s = _spair(elems[i], leads[i], elems[j], leads[j])
             if not _reduce(s, active, rk).is_zero():
                 raise AssertionError("S-pair does not reduce to zero")
-
-
-def eval_point(w, xs):
-    """xi(x) = sum_i xi_i(x_i) for a point with n base-field coordinates."""
-    if len(xs) != w.n:
-        raise ConfigMismatch(f"point of length {len(xs)}, module rank {w.n}")
-    result = RatFun.from_const(w.config.v, 0)
-    for op, x in zip(w.operator_vector(), xs):
-        result = result + ore_apply(op, x)
-    return result
 
 
 def member(w, charset):

@@ -7,7 +7,7 @@ polynomial is the staircase count of the leader antichain.
 
 from __future__ import annotations
 
-from .errors import OrderlyRequired, UnsupportedForPartial
+from .errors import OrderlyRequired
 from .numpoly import (Antichain, NumericalPolynomial, count_cofilter,
                       type_and_heights)
 from .diffmodule import leader
@@ -84,18 +84,6 @@ def diff_dimension(charset, n=None):
     agree for any complete characteristic set under an orderly ranking.
     """
     return dimension_report(charset, n).diff_dimension
-
-
-def free_split(charset, n=None):
-    """(free components, B) for m = 1 modules.
-
-    free components carry no leader; B sums the leader orders, i.e. the
-    number of derivative terms strictly below a leader on its component.
-    """
-    report = dimension_report(charset, n)
-    if report.below_leader_count is None:
-        raise UnsupportedForPartial("free/torsion split needs m = 1")
-    return report.free_components, report.below_leader_count
 
 
 def dimension_report(charset, n=None):

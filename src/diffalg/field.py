@@ -884,8 +884,3 @@ def _normalize(num, den, coprime=False):
     if den.lex_leading()[1] < 0:
         return -num, -den
     return num, den
-
-
-def normalize(num, den):
-    """Public canonicalizer: build a RatFun from a numerator/denominator pair."""
-    return RatFun(num, den)

@@ -45,16 +45,6 @@ class OreMatrix:
             m.entries[i][i] = one
         return m
 
-    @classmethod
-    def from_columns(cls, config, columns, rows):
-        """Columns given as lists of OrePoly of length rows."""
-        z = OrePoly.zero(config)
-        entries = [[z] * len(columns) for _ in range(rows)]
-        for j, col in enumerate(columns):
-            for i, e in enumerate(col):
-                entries[i][j] = e
-        return cls(config, entries, rows, len(columns))
-
     def __getitem__(self, ij):
         i, j = ij
         return self.entries[i][j]

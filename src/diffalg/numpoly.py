@@ -29,36 +29,6 @@ from .record import FrozenRecord
 ZERO_TYPE = float("-inf")
 
 
-def _binomial_basis_poly(i):
-    """Monomial coefficients (Fractions, ascending) of C(t+i, i)."""
-    coeffs = [Fraction(1)]
-    for j in range(1, i + 1):
-        # multiply by (t + j)
-        coeffs = [Fraction(0)] + coeffs
-        for k in range(len(coeffs) - 1):
-            coeffs[k] += j * coeffs[k + 1]
-    inv = Fraction(1, factorial(i))
-    return [c * inv for c in coeffs]
-
-
-def _to_binomial(mono):
-    """Convert ascending monomial Fraction coefficients to the binomial basis."""
-    mono = list(mono)
-    while mono and not mono[-1]:
-        mono.pop()
-    coeffs = []
-    for i in range(len(mono) - 1, -1, -1):
-        a_i = mono[i] * factorial(i)
-        basis = _binomial_basis_poly(i)
-        for k in range(i + 1):
-            mono[k] -= a_i * basis[k]
-        coeffs.append(a_i)
-    coeffs.reverse()
-    if any(mono):
-        raise AssertionError("binomial-basis conversion left a remainder")
-    return coeffs
-
-
 class NumericalPolynomial(FrozenRecord):
     """phi(t) = sum_i coeffs[i] * C(t+i, i), exact for all t >= valid_from."""
 
@@ -76,10 +46,6 @@ class NumericalPolynomial(FrozenRecord):
     @classmethod
     def zero(cls):
         return cls(())
-
-    @classmethod
-    def from_monomial(cls, mono_coeffs, valid_from=0):
-        return cls(tuple(_to_binomial(mono_coeffs)), valid_from)
 
     def degree(self):
         """Degree, or the ZERO_TYPE sentinel for the zero polynomial."""
@@ -103,20 +69,24 @@ class NumericalPolynomial(FrozenRecord):
                                    max(self.valid_from, other.valid_from))
 
     def monomial_coeffs(self):
-        """Ascending ordinary coefficients, as Fractions."""
-        out = [Fraction(0)] * max(len(self.coeffs), 1)
-        for i, a in enumerate(self.coeffs):
-            for k, b in enumerate(_binomial_basis_poly(i)):
-                out[k] += a * b
-        return out
+        """Ascending ordinary coefficients, as Fractions.
 
-    def first_difference(self):
-        """phi(t) - phi(t-1) in the binomial basis (drop the constant shift)."""
-        # C(t+i, i) - C(t-1+i, i) = C(t-1+i, i-1) = C(t + (i-1), i-1) at t-1;
-        # evaluate directly instead: delta coefficients are the shifted ones.
-        if len(self.coeffs) <= 1:
-            return NumericalPolynomial((), self.valid_from + 1)
-        return NumericalPolynomial(self.coeffs[1:], self.valid_from + 1)
+        With d the degree, d! * C(t+i, i) = (d!/i!) * (t+1)...(t+i) has
+        integer coefficients, so the rising products run in integers and
+        one division by d! ends the conversion.
+        """
+        top = factorial(max(len(self.coeffs) - 1, 0))
+        out = [0] * max(len(self.coeffs), 1)
+        rising = [1]                # (t+1)...(t+i), ascending
+        for i, a in enumerate(self.coeffs):
+            if i:
+                rising = [0] + rising
+                for k in range(i):
+                    rising[k] += i * rising[k + 1]
+            scale = a * (top // factorial(i))
+            for k, b in enumerate(rising):
+                out[k] += scale * b
+        return [Fraction(c, top) for c in out]
 
     def to_json(self):
         return {"binomial_coeffs": list(self.coeffs),
@@ -252,38 +222,6 @@ def standard_terms(antichain, bound):
     for comp, E in enumerate(antichain.components):
         walk(comp, (), bound, list(E))
     return out
-
-
-def brute_count(antichain, t):
-    """Direct enumeration of the counted set (testing oracle)."""
-    m = antichain.m
-    count = 0
-    for E in antichain.components:
-        for v in _weight_bounded(m, t):
-            if not any(all(x >= y for x, y in zip(v, e)) for e in E):
-                count += 1
-    return count
-
-
-def _weight_bounded(m, t):
-    """Exponent tuples in N^m of weight <= t, in lexicographic order."""
-    if m == 0:
-        yield ()
-        return
-    prefixes = [((), t)]  # (first coordinates, weight left)
-    for _ in range(m - 1):
-        prefixes = [(p + (h,), r - h) for p, r in prefixes
-                    for h in range(r + 1)]
-    for p, r in prefixes:
-        for h in range(r + 1):
-            yield p + (h,)
-
-
-def eval_numpoly(p, t):
-    """Exact integer value of p at a nonnegative integer t."""
-    if t < 0:
-        raise ValueError("evaluation point must be nonnegative")
-    return p(t)
 
 
 def type_and_heights(p, m):

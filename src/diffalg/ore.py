@@ -122,12 +122,8 @@ class TermMap:
         return self._new(terms)
 
     def apply_theta(self, exps):
-        """Left multiplication by delta^exps."""
-        out = self
-        for i, k in enumerate(exps):
-            for _ in range(k):
-                out = out.apply_delta(i)
-        return out
+        """Left multiplication by delta^exps (a tuple), by one `_shifts`."""
+        return _shifts(self, (exps,))[exps]
 
     # -- comparisons -----------------------------------------------------
 
@@ -222,9 +218,6 @@ class OrePoly(TermMap):
         c = self.terms.get((0,) * self.config.m)
         return len(self.terms) == 1 and c is not None and c.is_one()
 
-    def is_unit(self):
-        return not self.is_zero() and self.degree() == 0
-
     # -- multiplicative structure -------------------------------------------
 
     def __mul__(self, other):
@@ -307,6 +300,8 @@ def _shifts(g, keys):
     costs max(k) applications of delta instead of sum(k).  When every
     coefficient of g is a constant, delta^theta * g only shifts its keys.
     """
+    if g._raise_delta is None:
+        raise TypeError(f"Delta does not act on {type(g).__name__}")
     built = {(0,) * g.config.m: g}
     if all(c.is_const() for c in g.terms.values()):
         raise_delta = g._raise_delta

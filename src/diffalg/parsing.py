@@ -16,7 +16,9 @@ field element and an operator goes through the operator's own `__mul__` or
 `__rmul__`, so `d*t` is still `t*d + 1`.  Division is by base-field
 elements only, negative powers exist only in the base field, and a power of
 an operator other than one constant-coefficient term may not pass
-`MAX_POWER_ORDER`; each of these is a `ParseError` with its position.
+`MAX_POWER_ORDER`, and a power of a base-field element other than a
+quotient of two monomials may not pass `MAX_FIELD_POWER_DEGREE`; each of
+these is a `ParseError` with its position.
 """
 
 from __future__ import annotations
@@ -117,6 +119,15 @@ def _int(tok):
 # term stays one term and has no cap (`d^10000000` is fine).
 MAX_POWER_ORDER = 100
 
+# Highest total degree, |k| times the larger of the numerator's and the
+# denominator's, of a power of a base-field element whose numerator or
+# denominator has more than one term.  (t + 1)^500 takes 0.1 s of CPU and
+# (t + 1)^2000 took 3.9 s (2-core shared machine).  The cap is on the
+# degree alone, so with several variables the term count still grows as
+# degree^v under it.  A quotient of two monomials stays one term and has no
+# cap (`(2*t)^20000` is fine).
+MAX_FIELD_POWER_DEGREE = 500
+
 
 class _ExprParser:
     """Parses tokens into values of whatever algebra `resolve`/`const` build.
@@ -181,10 +192,19 @@ class _ExprParser:
 
     def power(self, base, k, tok):
         """base^k, with negative powers taken in the base field."""
+        scalar = _field_value(base)
+        if scalar is not None and (len(scalar.num.terms) > 1
+                                   or len(scalar.den.terms) > 1):
+            degree = abs(k) * max(max(map(sum, p.terms))
+                                  for p in (scalar.num, scalar.den))
+            if degree > MAX_FIELD_POWER_DEGREE:
+                raise ParseError(f"power of degree {degree} of a base-field "
+                                 f"element of more than one term; the limit "
+                                 f"is {MAX_FIELD_POWER_DEGREE}",
+                                 tok.line, tok.column)
         if isinstance(base, RatFun):
             return base ** k
         if k < 0:
-            scalar = _field_value(base)
             if scalar is None:
                 raise ParseError("negative power of an expression outside "
                                  "the base field", tok.line, tok.column)

@@ -3,22 +3,26 @@
 The oracles deliberately avoid the library's own fast paths: operator
 products are re-derived from the closed binomial commutation formula,
 staircase counts are re-derived by inclusion-exclusion over subsets of
-leaders, standard terms by testing every term of bounded order against
-every leader, characteristic sets by a completion that reduces every S-pair,
-module dimensions are recomputed by exact Gaussian elimination
-over the base field on truncated derivative spans, and expressions are
-evaluated with every literal and field variable lifted to the operator or
-polynomial ring before any operation.
+leaders, staircase counts at one bound and standard terms by testing every
+term of bounded order against every leader, characteristic sets by a
+completion that reduces every S-pair, module dimensions are recomputed by
+exact Gaussian elimination over the base field on truncated derivative
+spans, and expressions are evaluated by a tokenizer and parser of this
+module's own, with every literal and field variable lifted to the operator
+or polynomial ring before any operation.
+
+Every oracle and every tool that only the tests use lives here, and only
+public diffalg names are imported: the library holds no test-only code.
 """
 
+import re
 from fractions import Fraction
 from itertools import combinations
 from math import comb, factorial
 
 from diffalg import (DiffPoly, DivisionByZero, MPoly, ModElement,
-                     NumericalPolynomial, OrePoly, ParseError, RatFun,
-                     autoreduce, leader, monic, reduce)
-from diffalg.parsing import _ExprParser, _split_tokens, tokenize
+                     NumericalPolynomial, OreMatrix, OrePoly, ParseError,
+                     RatFun, autoreduce, leader, monic, ore_apply, reduce)
 
 
 # ---------------------------------------------------------------------------
@@ -77,6 +81,47 @@ def rand_modelement(rng, config, n, max_ord=3, max_terms=3, nonzero=False,
 
 
 # ---------------------------------------------------------------------------
+# module, matrix and point tools
+
+def max_order(w):
+    """Highest derivation order among the terms of w; -1 for zero."""
+    return max((sum(exps) for _, exps in w.terms), default=-1)
+
+
+def from_columns(config, columns, rows):
+    """The OreMatrix with the given columns, lists of `rows` operators."""
+    entries = [[OrePoly.zero(config)] * len(columns) for _ in range(rows)]
+    for j, col in enumerate(columns):
+        for i, e in enumerate(col):
+            entries[i][j] = e
+    return OreMatrix(config, entries, rows, len(columns))
+
+
+def compare_autoreduced(A, B):
+    """'lower' / 'equal' / 'higher': the Ritt-Kolchin rank order on two
+    autoreduced sets under one ranking."""
+    assert A.ranking == B.ranking
+    rk = A.ranking
+    ua, ub = A.leaders(), B.leaders()
+    for la, lb in zip(ua, ub):
+        c = rk.compare(la, lb)
+        if c:
+            return "lower" if c < 0 else "higher"
+    if len(ua) == len(ub):
+        return "equal"
+    return "lower" if len(ua) > len(ub) else "higher"
+
+
+def eval_point(w, xs):
+    """xi(x) = sum_i xi_i(x_i) for a point with n base-field coordinates."""
+    assert len(xs) == w.n
+    result = RatFun.from_const(w.config.v, 0)
+    for op, x in zip(w.operator_vector(), xs):
+        result = result + ore_apply(op, x)
+    return result
+
+
+# ---------------------------------------------------------------------------
 # closed-form product oracle
 
 def _sub_indices(theta):
@@ -117,34 +162,116 @@ def ore_mul_binomial(f, g):
 # ---------------------------------------------------------------------------
 # lifted expression oracle
 
-class _LiftedParser(_ExprParser):
-    """The library's expression grammar with `/` and `^` run in the ring:
-    division by the ring's own `__truediv__`, and a negative power only of
-    a lifted scalar, as the lift of its coefficient's power."""
+# One token: a numeral, a name with an optional `_(...)` multi-index, or
+# any other character but a blank; `finditer` skips the blanks.
+_TOKEN = re.compile(r"(\d+)|([A-Za-z][A-Za-z0-9]*(?:_\([^)]*\))?)|\S")
+
+
+def _lifted_tokens(text):
+    """(kind, text, column) triples, kind "num", "name" or the character."""
+    return [({1: "num", 2: "name"}.get(m.lastindex, m.group()), m.group(),
+             m.start() + 1) for m in _TOKEN.finditer(text)]
+
+
+class _LiftedParser:
+    """Recursive descent over `+ - * / ^`, numerals and names, with every
+    operation run in one ring: `lift` carries numerals and field variables
+    into it, `/` is the ring's own `__truediv__`, and a negative power is
+    taken only of a lifted scalar, as the lift of its coefficient's power."""
 
     def __init__(self, tokens, resolve, lift, scalar_key, zero_message):
-        super().__init__(tokens, resolve, lift, 1, zero_message)
+        self.tokens = tokens
+        self.pos = 0
+        self.resolve = resolve
         self.lift = lift
         self.scalar_key = scalar_key
+        self.zero_message = zero_message
 
-    def divide(self, value, rhs, tok):
+    def peek(self):
+        return self.tokens[self.pos][0] if self.pos < len(self.tokens) \
+            else None
+
+    def next(self):
+        if self.pos == len(self.tokens):
+            raise ParseError("unexpected end of expression", 1)
+        self.pos += 1
+        return self.tokens[self.pos - 1]
+
+    def expr(self):
+        value = self.term()
+        while self.peek() in ("+", "-"):
+            sign = self.next()[0]
+            rhs = self.term()
+            value = value + rhs if sign == "+" else value - rhs
+        return value
+
+    def term(self):
+        value = self.unary()
+        while self.peek() in ("*", "/"):
+            op, _, column = self.next()
+            rhs = self.unary()
+            value = value * rhs if op == "*" else \
+                self.divide(value, rhs, column)
+        return value
+
+    def divide(self, value, rhs, column):
         if rhs.is_zero():
             raise DivisionByZero(self.zero_message)
         try:
             return value / rhs
         except ValueError:
             raise ParseError("can only divide by a base-field element",
-                             tok.line, tok.column)
+                             1, column)
 
-    def power(self, base, k, tok):
+    def unary(self):
+        if self.peek() == "-":
+            self.next()
+            return -self.unary()
+        if self.peek() == "+":
+            self.next()
+            return self.unary()
+        base = self.atom()
+        if self.peek() != "^":
+            return base
+        column = self.next()[2]
+        sign = 1
+        while self.peek() == "-":
+            self.next()
+            sign = -sign
+        kind, text, at = self.next()
+        if kind != "num":
+            raise ParseError(f"expected 'num', found {text!r}", 1, at)
+        k = sign * int(text)
         if k >= 0:
             return base ** k
         if base.terms.keys() - {self.scalar_key}:
             raise ParseError("negative power of an expression outside the "
-                             "base field", tok.line, tok.column)
+                             "base field", 1, column)
         scalar = base.terms.get(self.scalar_key,
                                 RatFun.from_const(base.config.v, 0))
         return self.lift(scalar ** k)
+
+    def atom(self):
+        kind, text, column = self.next()
+        if kind == "num":
+            return self.lift(int(text))
+        if kind == "name":
+            name, _, index = text.partition("_(")
+            dexps = tuple(map(int, index[:-1].split(","))) if index else None
+            primes = 0
+            while self.peek() == "'":
+                self.next()
+                primes += 1
+            if primes:
+                dexps = (primes,)
+            return self.resolve(name, dexps, column)
+        if kind == "(":
+            value = self.expr()
+            kind, text, at = self.next()
+            if kind != ")":
+                raise ParseError(f"expected ')', found {text!r}", 1, at)
+            return value
+        raise ParseError(f"unexpected token {text!r}", 1, column)
 
 
 def _symbol_index(name, letter, count):
@@ -175,7 +302,7 @@ def parse_lifted(text, config, var_names=None):
         def lift(value):
             return DiffPoly.const(config, n, value)
 
-    def resolve(name, dexps, tok):
+    def resolve(name, dexps, column):
         if var_names is not None and name in var_names:
             exps = dexps if dexps is not None else (0,) * config.m
             return DiffPoly.indeterminate(config, n, var_names.index(name),
@@ -187,22 +314,30 @@ def parse_lifted(text, config, var_names=None):
         i = _symbol_index(name, "t", config.v)
         if i is not None and dexps is None:
             return lift(RatFun.var(config.v, i))
-        raise ParseError(f"unknown symbol {name!r}", tok.line, tok.column)
+        raise ParseError(f"unknown symbol {name!r}", 1, column)
 
-    tokens = tokenize(text) if isinstance(text, str) else text
+    tokens = _lifted_tokens(text) if isinstance(text, str) else text
     parser = _LiftedParser(tokens, resolve, lift, scalar_key, zero_message)
-    value = parser.parse_expr()
-    if not parser.done():
-        tok = tokens[parser.pos]
-        raise ParseError(f"trailing input {tok.text!r}", tok.line, tok.column)
+    value = parser.expr()
+    if parser.pos < len(tokens):
+        _, rest, column = tokens[parser.pos]
+        raise ParseError(f"trailing input {rest!r}", 1, column)
     return value
 
 
 def parse_lifted_vector(text, config, n):
-    """`[expr, ..., expr]` with each coordinate parsed by parse_lifted."""
+    """`[expr, ..., expr]` with each coordinate parsed by parse_lifted from
+    its tokens, split at the commas outside parentheses."""
+    groups, depth = [[]], 0
+    for tok in _lifted_tokens(text)[1:-1]:
+        depth += {"(": 1, ")": -1}.get(tok[0], 0)
+        if tok[0] == "," and depth == 0:
+            groups.append([])
+        else:
+            groups[-1].append(tok)
+    assert len(groups) == n
     coords = [parse_lifted(group, config) if group else OrePoly.zero(config)
-              for group in _split_tokens(tokenize(text)[1:-1], ",")]
-    assert len(coords) == n
+              for group in groups]
     return ModElement.from_operator_vector(coords, n)
 
 
@@ -292,17 +427,55 @@ def inclusion_exclusion_count(antichain):
                 inv = Fraction(-1 if size % 2 else 1, factorial(m))
                 for k in range(len(poly)):
                     total[k] += poly[k] * inv
-    return NumericalPolynomial.from_monomial(total, valid_from)
+    return from_monomial(total, valid_from)
+
+
+def _binomial_basis_poly(i):
+    """Monomial coefficients (Fractions, ascending) of C(t+i, i)."""
+    coeffs = [Fraction(1)]
+    for j in range(1, i + 1):
+        # multiply by (t + j)
+        coeffs = [Fraction(0)] + coeffs
+        for k in range(len(coeffs) - 1):
+            coeffs[k] += j * coeffs[k + 1]
+    inv = Fraction(1, factorial(i))
+    return [c * inv for c in coeffs]
+
+
+def from_monomial(mono, valid_from=0):
+    """The NumericalPolynomial with ascending ordinary coefficients mono,
+    converted to the binomial basis from the top degree down."""
+    mono = list(mono)
+    while mono and not mono[-1]:
+        mono.pop()
+    coeffs = []
+    for i in range(len(mono) - 1, -1, -1):
+        a_i = mono[i] * factorial(i)
+        for k, b in enumerate(_binomial_basis_poly(i)):
+            mono[k] -= a_i * b
+        coeffs.append(a_i)
+    assert not any(mono), "binomial-basis conversion left a remainder"
+    return NumericalPolynomial(tuple(reversed(coeffs)), valid_from)
 
 
 def _weight_bounded(m, t):
-    """Exponent tuples in N^m (m >= 1) of weight <= t, in lexicographic
-    order."""
+    """Exponent tuples in N^m of weight <= t, in lexicographic order; none
+    when t < 0, for m = 0 too."""
+    if t < 0:
+        return []
     prefixes = [((), t)]    # (first coordinates, weight left)
     for _ in range(m):
         prefixes = [(p + (h,), r - h) for p, r in prefixes
                     for h in range(r + 1)]
     return [p for p, _ in prefixes]
+
+
+def brute_count(antichain, t):
+    """count_cofilter at t by testing every term of weight <= t against
+    every leader of its component."""
+    return sum(not any(all(x >= y for x, y in zip(v, e)) for e in E)
+               for E in antichain.components
+               for v in _weight_bounded(antichain.m, t))
 
 
 def box_standard_terms(antichain, bound):
@@ -381,7 +554,7 @@ def truncated_module_dims(gens, n, config, kmax, extra_pad=2, stable_runs=2):
     m = config.m
     if not gens:
         return [n * comb(k + m, m) for k in range(kmax + 1)]
-    maxord = max(g.max_order() for g in gens)
+    maxord = max(max_order(g) for g in gens)
     full = RowReducer()
     projections = [RowReducer() for _ in range(kmax + 1)]
     min_pad = kmax + maxord + extra_pad
@@ -418,7 +591,7 @@ def in_span_truncated(w, gens, config, extra_pad=3, stable_runs=3):
     reducer = RowReducer()
     answer = None
     stable = 0
-    min_pad = w.max_order() + max(g.max_order() for g in gens) + extra_pad
+    min_pad = max_order(w) + max(max_order(g) for g in gens) + extra_pad
     pad = 0
     while True:
         for theta in multiindices(config.m, pad):

@@ -13,15 +13,14 @@ from pathlib import Path
 import pytest
 
 from diffalg import (Antichain, DiffFieldConfig, OreMatrix, RatFun,
-                     TangentClass, VarietyPoint, brute_count,
-                     characteristic_set, classify_tangent, count_cofilter,
-                     diagonalize, dimension_report, eval_diffpoly,
-                     leader_antichain, linearize_at_point, ore_divmod,
-                     ore_mul, orderly_ranking, tangent_pipeline,
-                     type_and_heights)
+                     TangentClass, VarietyPoint, characteristic_set,
+                     classify_tangent, count_cofilter, diagonalize,
+                     dimension_report, eval_diffpoly, leader_antichain,
+                     linearize_at_point, ore_divmod, ore_mul,
+                     orderly_ranking, tangent_pipeline, type_and_heights)
 from diffalg.parsing import parse_diffpoly, parse_ratfun
-from helpers import (ore_mul_binomial, rand_modelement, rand_orepoly,
-                     truncated_module_dims)
+from helpers import (brute_count, from_columns, ore_mul_binomial,
+                     rand_modelement, rand_orepoly, truncated_module_dims)
 
 CFG1 = DiffFieldConfig(1, 1)
 
@@ -90,8 +89,7 @@ def test_torsion_bounds_on_random_presentations(capsys):
                 for _ in range(rng.randint(1, 3))]
         cs = characteristic_set(gens, orderly_ranking(n), config=CFG1, n=n)
         report = dimension_report(cs)
-        R = OreMatrix.from_columns(CFG1, [g.operator_vector() for g in gens],
-                                   n)
+        R = from_columns(CFG1, [g.operator_vector() for g in gens], n)
         tc = classify_tangent(R)
         assert tc.d == report.diff_dimension
         assert tc.k <= report.free_term

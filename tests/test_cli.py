@@ -16,7 +16,8 @@ import diffalg.dimension
 import diffalg.normalform
 from diffalg import DiffFieldConfig
 from diffalg.cli import main
-from diffalg.parsing import orepoly_str, parse_orepoly
+from diffalg.parsing import (MAX_FIELD_POWER_DEGREE, orepoly_str,
+                             parse_orepoly)
 
 GENERIC = """\
 field: Q(t)
@@ -387,6 +388,31 @@ class TestRefusedInput:
         assert (code, out) == (2, "")
         assert err.startswith(f"error: line 3, column {len(base) + 2}: "
                               f"power of order 3000 ")
+
+    @pytest.mark.parametrize("gens, column, degree", [
+        ("[(t + 1)^2000*d]", 9, 2000),
+        ("[d + ((t^2 + 1)/(t - 1))^-251]", 25, 502),
+        ("[(d - d + t + 1)^501]", 17, 501),
+    ], ids=["field-power", "negative-power", "scalar-operator"])
+    def test_field_power_over_the_degree_cap_exits_2(self, capsys, tmp_path,
+                                                     gens, column, degree):
+        text = f"field: Q(t)\nmodule: 1\ngens: {gens}\n"
+        start = time.perf_counter()
+        code, out, err = run(capsys, tmp_path, text, "charset")
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (2, "")
+        assert err == (f"error: line 3, column {column}: power of degree "
+                       f"{degree} of a base-field element of more than one "
+                       f"term; the limit is {MAX_FIELD_POWER_DEGREE}\n")
+
+    def test_field_powers_under_the_degree_cap_or_of_monomials(
+            self, capsys, tmp_path):
+        for gens in ("[(t + 1)^500*d]", "[((t + 1)/t)^-250*d]",
+                     "[(2*t)^5000*d + (3/t^2)^-900]"):
+            text = f"field: Q(t)\nmodule: 1\ngens: {gens}\n"
+            code, out, _ = run(capsys, tmp_path, text, "charset")
+            assert code == 0 and out.startswith("characteristic set (1 "), \
+                gens
 
 
 class TestSymbolsAndNumerals:

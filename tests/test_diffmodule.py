@@ -6,13 +6,12 @@ import pytest
 
 from diffalg import (AutoreducedSet, CharSet, DiffFieldConfig, ModElement,
                      OrePoly, Ranking, RatFun, ZeroElement, autoreduce,
-                     characteristic_set, compare_autoreduced,
-                     elimination_ranking, eval_point, leader, member, monic,
-                     orderly_ranking, reduce)
+                     characteristic_set, elimination_ranking, leader, member,
+                     monic, orderly_ranking, reduce)
 from diffalg import diffmodule
 from diffalg.diffmodule import _verify_complete
-from helpers import (completion_oracle, in_span_truncated, rand_modelement,
-                     rand_orepoly)
+from helpers import (compare_autoreduced, completion_oracle, eval_point,
+                     in_span_truncated, rand_modelement, rand_orepoly)
 
 CFG1 = DiffFieldConfig(1, 1)
 T = RatFun.var(1, 0)
@@ -77,18 +76,15 @@ class TestReduce:
         g = elem(2, {(1, (1,)): 1})
         assert reduce(w, [g], rk) == w
 
-    def test_cofactor_soundness_random(self):
+    def test_difference_lies_in_the_span_random(self):
+        # w - nf is checked by padded linear algebra, not by the reduction
         rng = random.Random(32)
         rk = orderly_ranking(2)
         for _ in range(25):
             w = rand_modelement(rng, CFG1, 2)
             A = [rand_modelement(rng, CFG1, 2, nonzero=True)
                  for _ in range(rng.randint(1, 2))]
-            nf, cof = reduce(w, A, rk, want_cofactors=True)
-            back = nf
-            for idx, q in cof.items():
-                back = back + A[idx].op_mul(q)
-            assert back == w
+            assert in_span_truncated(w - reduce(w, A, rk), A, CFG1)
 
     def test_idempotence_random(self):
         rng = random.Random(33)

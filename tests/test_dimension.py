@@ -6,11 +6,10 @@ import pytest
 
 import diffalg.dimension
 from diffalg import (DiffFieldConfig, ModElement, OrderlyRequired, Ranking,
-                     RatFun, UnsupportedForPartial, brute_count,
-                     characteristic_set, diff_dimension, dimension_polynomial,
-                     dimension_report, elimination_ranking, free_split,
-                     leader_antichain, orderly_ranking)
-from helpers import rand_modelement, truncated_module_dims
+                     RatFun, characteristic_set, diff_dimension,
+                     dimension_polynomial, dimension_report,
+                     elimination_ranking, leader_antichain, orderly_ranking)
+from helpers import brute_count, rand_modelement, truncated_module_dims
 
 CFG1 = DiffFieldConfig(1, 1)
 T = RatFun.var(1, 0)
@@ -77,16 +76,19 @@ class TestDiffDimension:
 class TestFreeSplit:
     def test_single_relation(self):
         g = elem(2, {(1, (1,)): 1, (1, (0,)): -1})
-        free, below = free_split(charset([g], 2))
-        assert free == (0,) and below == 1
+        report = dimension_report(charset([g], 2))
+        assert report.free_components == (0,)
+        assert report.below_leader_count == 1
 
     def test_zero_submodule(self):
-        free, below = free_split(charset([], 3))
-        assert free == (0, 1, 2) and below == 0
+        report = dimension_report(charset([], 3))
+        assert report.free_components == (0, 1, 2)
+        assert report.below_leader_count == 0
 
     def test_second_order_leader(self):
-        free, below = free_split(charset([elem(1, {(0, (2,)): 1})], 1))
-        assert free == () and below == 2
+        report = dimension_report(charset([elem(1, {(0, (2,)): 1})], 1))
+        assert report.free_components == ()
+        assert report.below_leader_count == 2
 
 
 class TestReport:
@@ -121,8 +123,6 @@ class TestReport:
         cs = characteristic_set([g], orderly_ranking(1))
         report = dimension_report(cs)
         assert report.below_leader_count is None and report.free_term is None
-        with pytest.raises(UnsupportedForPartial):
-            free_split(cs)
 
     def test_one_antichain_and_one_count_per_report(self, monkeypatch):
         calls = {"leader_antichain": 0, "count_cofilter": 0}

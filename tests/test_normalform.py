@@ -9,7 +9,7 @@ from diffalg import (Diagonalization, DiffFieldConfig, OreMatrix, OrePoly,
                      characteristic_set, classify_tangent, diagonalize,
                      dimension_report, ore_mul, orderly_ranking)
 from diffalg.normalform import _verify
-from helpers import rand_modelement, rand_orepoly
+from helpers import from_columns, rand_modelement, rand_orepoly
 
 CFG1 = DiffFieldConfig(1, 1)
 T = RatFun.var(1, 0)
@@ -48,7 +48,7 @@ class TestDiagonalize:
         d = delta()
         A = relation_matrix([OrePoly.one(CFG1), op(T) * d - 1])
         res = diagonalize(A)
-        assert res.D[0, 0].is_unit() and res.D[0, 1].is_zero()
+        assert res.D[0, 0].degree() == 0 and res.D[0, 1].is_zero()
 
     def test_identities_exact(self):
         rng = random.Random(61)
@@ -76,7 +76,7 @@ class TestDiagonalize:
             for e in diagonalize(A).D.diagonal():
                 if not e.is_zero():
                     assert e.leading()[1].is_one()
-                    if e.is_unit():
+                    if e.degree() == 0:
                         assert e == OrePoly.one(CFG1)
 
     @pytest.mark.parametrize("field", ["U", "V", "U_inv", "V_inv", "D"])
@@ -111,17 +111,16 @@ class TestDiagonalize:
 class TestClassifyTangent:
     def test_mixed_free_and_torsion(self):
         d = delta()
-        R = OreMatrix.from_columns(CFG1, [[OrePoly.zero(CFG1), d - 1]], 2)
+        R = from_columns(CFG1, [[OrePoly.zero(CFG1), d - 1]], 2)
         assert classify_tangent(R) == TangentClass(1, 1, (1,))
 
     def test_unit_coordinate_gives_free_quotient(self):
         d = delta()
-        R = OreMatrix.from_columns(CFG1, [[OrePoly.one(CFG1),
-                                           op(T) * d - 1]], 2)
+        R = from_columns(CFG1, [[OrePoly.one(CFG1), op(T) * d - 1]], 2)
         assert classify_tangent(R) == TangentClass(1, 0, ())
 
     def test_zero_submodule(self):
-        R = OreMatrix.from_columns(CFG1, [], 2)
+        R = from_columns(CFG1, [], 2)
         assert classify_tangent(R) == TangentClass(2, 0, ())
 
     def test_class_from_diagonal(self):
@@ -137,8 +136,7 @@ class TestClassifyTangent:
             n = rng.randint(2, 3)
             gens = [rand_modelement(rng, CFG1, n, max_ord=2, nonzero=True)
                     for _ in range(rng.randint(1, 2))]
-            R = OreMatrix.from_columns(
-                CFG1, [g.operator_vector() for g in gens], n)
+            R = from_columns(CFG1, [g.operator_vector() for g in gens], n)
             base = classify_tangent(R)
 
             # appending a left combination of existing relations
@@ -147,7 +145,7 @@ class TestClassifyTangent:
                 q = rand_orepoly(rng, CFG1, max_deg=1)
                 for i, e in enumerate(g.operator_vector()):
                     combo[i] = combo[i] + ore_mul(q, e)
-            R2 = OreMatrix.from_columns(
+            R2 = from_columns(
                 CFG1, [g.operator_vector() for g in gens] + [combo], n)
             appended = classify_tangent(R2)
             assert (appended.d, appended.k) == (base.d, base.k)
@@ -174,8 +172,7 @@ class TestClassifyTangent:
             cs = characteristic_set(gens, orderly_ranking(n),
                                     config=CFG1, n=n)
             report = dimension_report(cs)
-            R = OreMatrix.from_columns(
-                CFG1, [g.operator_vector() for g in gens], n)
+            R = from_columns(CFG1, [g.operator_vector() for g in gens], n)
             tc = classify_tangent(R)
             assert tc.d == report.diff_dimension
             assert tc.k <= report.free_term

@@ -6,11 +6,10 @@ import time
 import pytest
 
 from diffalg import (Antichain, NotAntichain, NumericalPolynomial, ZERO_TYPE,
-                     brute_count, count_cofilter, eval_numpoly,
-                     standard_terms, type_and_heights)
+                     count_cofilter, standard_terms, type_and_heights)
 
-from helpers import (box_standard_terms, inclusion_exclusion_count,
-                     multiindices)
+from helpers import (box_standard_terms, brute_count, from_monomial,
+                     inclusion_exclusion_count, multiindices)
 
 
 def anti(m, *components):
@@ -138,7 +137,7 @@ class TestThirtyLeaders:
         elapsed = time.perf_counter() - start
         assert elapsed < 1.0, f"30 leaders at m = {m} took {elapsed:.2f}s"
         for t in range(phi.valid_from, phi.valid_from + 4):
-            assert eval_numpoly(phi, t) == brute_count(E, t)
+            assert phi(t) == brute_count(E, t)
 
 
 class TestBruteCount:
@@ -150,6 +149,18 @@ class TestBruteCount:
 
     def test_truncated_line(self):
         assert brute_count(anti(1, {(2,)}), 5) == 2
+
+    def test_matches_standard_terms_at_small_and_negative_bounds(self):
+        # at m = 0 the only term is the empty one, of weight 0: no bound
+        # below 0 counts it
+        cases = [anti(0, set()), anti(0, {()}), anti(0, set(), {()}, set()),
+                 anti(1, set()), anti(1, {(0,)}), anti(1, {(2,)}, set()),
+                 anti(2, set()), anti(2, {(1, 1)}), anti(2, {(0, 2), (3, 0)},
+                                                         set())]
+        for E in cases:
+            for K in range(-2, 4):
+                assert brute_count(E, K) == len(standard_terms(E, K)), (E, K)
+        assert brute_count(anti(0, set()), -1) == 0
 
 
 class TestStandardTerms:
@@ -198,14 +209,14 @@ class TestStandardTerms:
 class TestEval:
     def test_affine(self):
         phi = NumericalPolynomial((1, 1))
-        assert eval_numpoly(phi, 3) == 5
+        assert phi(3) == 5
 
     def test_zero(self):
-        assert eval_numpoly(NumericalPolynomial.zero(), 10) == 0
+        assert NumericalPolynomial.zero()(10) == 0
 
     def test_quadratic(self):
         phi = NumericalPolynomial((0, 0, 2))
-        assert eval_numpoly(phi, 2) == 12
+        assert phi(2) == 12
 
 
 class TestTypeAndHeights:
@@ -232,7 +243,7 @@ class TestProperties:
                                components=rng.randint(1, 2))
             phi = count_cofilter(E)
             for t in range(phi.valid_from, phi.valid_from + 5):
-                assert eval_numpoly(phi, t) == brute_count(E, t)
+                assert phi(t) == brute_count(E, t)
 
     def test_integrality_and_type_bound(self):
         rng = random.Random(42)
@@ -257,24 +268,21 @@ class TestProperties:
             phi1, phi2 = count_cofilter(E), count_cofilter(bigger)
             start = max(phi1.valid_from, phi2.valid_from)
             for t in range(start, start + 6):
-                assert eval_numpoly(phi2, t) <= eval_numpoly(phi1, t)
-
-    def test_first_difference_integral(self):
-        rng = random.Random(44)
-        for _ in range(25):
-            m = rng.choice((1, 2, 3))
-            phi = count_cofilter(rand_antichain(rng, m))
-            diff = phi.first_difference()
-            assert all(isinstance(c, int) for c in diff.coeffs)
-            for t in range(diff.valid_from, diff.valid_from + 5):
-                assert eval_numpoly(diff, t) == \
-                    eval_numpoly(phi, t) - eval_numpoly(phi, t - 1)
+                assert phi2(t) <= phi1(t)
 
     def test_binomial_basis_round_trip(self):
-        phi = NumericalPolynomial((3, -1, 2))
-        back = NumericalPolynomial.from_monomial(phi.monomial_coeffs(),
-                                                 phi.valid_from)
-        assert back.coeffs == phi.coeffs
+        # the integer conversion to ordinary coefficients against the value
+        # of phi and against the oracle's Fraction-based conversion back
+        phi = NumericalPolynomial((3, -1, 2), 4)
+        assert from_monomial(phi.monomial_coeffs(), phi.valid_from) == phi
+        rng = random.Random(49)
+        for _ in range(200):
+            phi = NumericalPolynomial(tuple(rng.randint(-30, 30)
+                                            for _ in range(rng.randint(0, 6))))
+            mono = phi.monomial_coeffs()
+            for t in range(6):
+                assert sum(c * t ** k for k, c in enumerate(mono)) == phi(t)
+            assert from_monomial(mono) == phi
 
     def test_non_integer_coefficients_rejected(self):
         with pytest.raises(ValueError):

@@ -177,6 +177,78 @@ def rand_diffpoly(rng, cfg, n):
     return x
 
 
+class TestApplyTheta:
+    """Left multiplication by delta^theta runs on the product's shift walk."""
+
+    @staticmethod
+    def counting(monkeypatch):
+        calls = []
+        for cls in (OrePoly, ModElement):
+            original = cls.apply_delta
+
+            def counted(self, i, _original=original):
+                calls.append(i)
+                return _original(self, i)
+
+            monkeypatch.setattr(cls, "apply_delta", counted)
+        return calls
+
+    @staticmethod
+    def stepwise(g, theta):
+        for i, k in enumerate(theta):
+            for _ in range(k):
+                g = g.apply_delta(i)
+        return g
+
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_constant_coefficients_only_shift(self, monkeypatch, m):
+        rng = random.Random(40 + m)
+        cfg = DiffFieldConfig(m, 1)
+        cases = []
+        for _ in range(20):
+            theta = tuple(rng.randint(0, 3) for _ in range(m))
+            for g in (rand_orepoly(rng, cfg, max_deg=3, max_terms=3,
+                                   frac_prob=0.0, coeff_deg=0),
+                      rand_modelement(rng, cfg, 2, frac_prob=0.0,
+                                      coeff_deg=0)):
+                cases.append((g, theta, self.stepwise(g, theta)))
+        calls = self.counting(monkeypatch)
+        for g, theta, expected in cases:
+            assert g.apply_theta(theta) == expected
+        assert not calls
+
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_one_delta_per_order_with_field_coefficients(self, monkeypatch,
+                                                         m):
+        rng = random.Random(50 + m)
+        cfg = DiffFieldConfig(m, 1)
+        t = RatFun.var(1, 0)
+        cases = []
+        for _ in range(20):
+            theta = tuple(rng.randint(0, 3) for _ in range(m))
+            op = rand_orepoly(rng, cfg, max_deg=2) + OrePoly.from_scalar(cfg,
+                                                                        t)
+            w = rand_modelement(rng, cfg, 2) + ModElement.basis(
+                cfg, 2, 0, coeff=t)
+            for g in (op, w):
+                cases.append((g, theta, self.stepwise(g, theta)))
+            assert cases[-2][2] == ore_mul_binomial(
+                OrePoly.monomial(cfg, theta), op)
+        calls = self.counting(monkeypatch)
+        for g, theta, expected in cases:
+            calls.clear()
+            assert g.apply_theta(theta) == expected
+            assert sorted(calls) == [i for i, k in enumerate(theta)
+                                     for _ in range(k)]
+
+    def test_differential_polynomials_refuse_delta(self):
+        y = DiffPoly.indeterminate(CFG1, 1, 0)
+        with pytest.raises(TypeError, match="Delta does not act on DiffPoly"):
+            y.apply_theta((1,))
+        with pytest.raises(TypeError, match="Delta does not act on DiffPoly"):
+            DiffPoly.const(CFG1, 1, 2).apply_theta((0,))
+
+
 class TestPower:
     @pytest.mark.parametrize("kind", ["ore1", "ore2", "diffpoly"])
     def test_power_is_repeated_product(self, kind):
