@@ -9,14 +9,17 @@ for output (`parsing.ratfun_str`).
 
 Every field operation but the sum and the product of two polynomials
 (denominator 1) ends in a gcd over Z[t], taken together with both exact
-cofactors.  It is the heuristic gcd GCDHEU of Char, Geddes and Gonnet
-(1989): evaluate the main variable at an integer xi, take the gcd of
-the images, rebuild a candidate from its symmetric base-xi digits and
-accept its primitive part only if it divides both inputs exactly, which the
-theorem behind GCDHEU makes sufficient for xi >= 2*min(|f|, |g|) + 2.  The
-exact quotients of that check are the cofactors.  Inputs in one variable
-run on dense ascending integer lists: Horner evaluation, the digits straight
-into a list and one exact dense division per cofactor.  Inputs in more
+cofactors.  The integer content comes out first; an operand that is then
+a constant or a single term c*t^a has the gcd in closed form, the content
+times the largest monomial dividing both operands.  Every other gcd is the
+heuristic gcd GCDHEU of Char, Geddes and Gonnet (1989): evaluate the main
+variable at an integer xi, take the gcd of the images, rebuild a candidate
+from its symmetric base-xi digits and accept its primitive part only if it
+divides both inputs exactly, which the theorem behind GCDHEU makes
+sufficient for xi >= 2*min(|f|, |g|) + 2.  The exact quotients of that
+check are the cofactors.  Inputs in one variable run on dense ascending
+integer lists: Horner evaluation, the digits straight into a list and one
+exact dense division per cofactor.  Inputs in more
 variables take the sparse recursive form (Liao and Fateman, 1995): the
 images are gcds in one variable fewer, so the recursion ends in the dense
 level.  After a few evaluation points, or past its size guards, the
@@ -306,6 +309,14 @@ def _div_int(p, k):
     return _poly(p.nvars, {e: c // k for e, c in p.terms.items()})
 
 
+def _shifted_down(p, low):
+    """p divided by the monomial t^low, which divides every term of p."""
+    if not any(low):
+        return p
+    return _poly(p.nvars, {tuple(map(sub, e, low)): c
+                           for e, c in p.terms.items()})
+
+
 def _norm(p):
     """Largest absolute value of a coefficient of a nonzero p."""
     return max(map(abs, p.terms.values()))
@@ -537,6 +548,13 @@ def _gcd_cofactors(f, g):
     f, g = _div_int(f, content), _div_int(g, content)
     if f.is_const() or g.is_const():
         return MPoly.const(f.nvars, content), f, g
+    if len(f.terms) == 1 or len(g.terms) == 1:
+        # the divisors of a single term are single terms, so with the
+        # integer content gone the gcd is t^low, the largest monomial
+        # dividing every term of f and g
+        low = tuple(map(min, zip(*f.terms, *g.terms)))
+        return (_poly(f.nvars, {low: content}), _shifted_down(f, low),
+                _shifted_down(g, low))
     found = _heuristic(f, g)
     if found is None:
         global prs_fallbacks

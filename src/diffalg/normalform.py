@@ -11,7 +11,8 @@ ordinary matrix products.
 from __future__ import annotations
 
 from .errors import UnsupportedForPartial
-from .ore import OrePoly, ore_divmod, ore_mul
+from .field import _gcd_cofactors
+from .ore import OrePoly, _shifts, ore_divmod, ore_mul
 from .record import FrozenRecord
 
 
@@ -259,17 +260,77 @@ def _verify(A, res):
     U*A*V = D*V_inv*V = D.  A one-sided inverse of a square matrix over
     the Noetherian domain K[delta] is two-sided, so U and V are unimodular.
     Comparing U*A with D*V_inv avoids multiplying U*A by V: D*V_inv only
-    left-multiplies each row of V_inv by one diagonal entry.
+    left-multiplies each row of V_inv by one diagonal entry.  Each product
+    identity is tested by `_product_is`, entry by entry and in full.
     """
     config = A.config
     if not res.D.is_diagonal():
         raise AssertionError("result is not diagonal")
-    if res.U * res.U_inv != OreMatrix.identity(config, A.rows):
+    if not _product_is(res.U, res.U_inv, OreMatrix.identity(config, A.rows)):
         raise AssertionError("U inverse check failed")
-    if res.V_inv * res.V != OreMatrix.identity(config, A.cols):
+    if not _product_is(res.V_inv, res.V, OreMatrix.identity(config, A.cols)):
         raise AssertionError("V inverse check failed")
-    if res.U * A != res.D * res.V_inv:
+    if not _product_is(res.U, A, res.D * res.V_inv):
         raise AssertionError("U*A != D*V_inv, so U*A*V != D")
+
+
+def _product_is(X, Y, Z):
+    """True exactly when X*Y == Z, decided without normalizing a sum.
+
+    Entry (i, j) of X*Y - Z is, at each delta-key, a sum of base-field
+    products c*d, with c a coefficient of X[i][k] at delta^e and d one of
+    delta^e * Y[k][j], minus Z[i][j]'s coefficient.  The products are kept
+    as unnormalized numerator/denominator pairs, grouped by denominator,
+    and the groups are combined over the lcm of their denominators: the sum
+    is zero exactly when that numerator is the zero polynomial.  Each shift
+    delta^e * Y[k][j] is built once per (k, j), over the keys of column k
+    of X, and serves every row of X.
+    """
+    if (X.cols, X.rows, Y.cols) != (Y.rows, Z.rows, Z.cols):
+        return False
+    shifts = []
+    for k in range(X.cols):
+        keys = {e for row in X.entries for e in row[k].terms}
+        shifts.append([_shifts(y, keys) if keys and y else None
+                       for y in Y.entries[k]])
+    for x_row, z_row in zip(X.entries, Z.entries):
+        for j, z in enumerate(z_row):
+            sums = {}       # delta-key -> {denominator: numerator}
+            for x, column in zip(x_row, shifts):
+                by_key = column[j]
+                if by_key is None:
+                    continue
+                for e, c in x.terms.items():
+                    for key, d in by_key[e].terms.items():
+                        _add_fraction(sums.setdefault(key, {}),
+                                      c.num * d.num, c.den * d.den)
+            for key, c in z.terms.items():
+                _add_fraction(sums.setdefault(key, {}), -c.num, c.den)
+            if not all(map(_sums_to_zero, sums.values())):
+                return False
+    return True
+
+
+def _add_fraction(groups, num, den):
+    """Add num/den to the sum held as {denominator: numerator}."""
+    acc = groups.get(den)
+    groups[den] = num if acc is None else acc + num
+
+
+def _sums_to_zero(groups):
+    """True when the sum of num/den over {den: num} is zero: its numerator
+    over the lcm of the denominators is the zero polynomial."""
+    num = den = None
+    for d, n in groups.items():
+        if not n:
+            continue
+        if num is None:
+            num, den = n, d
+            continue
+        _, den_r, d_r = _gcd_cofactors(den, d)
+        num = num * d_r + n * den_r
+        den = den * d_r
+    return num is None or not num
 
 
 def classify_tangent(R):

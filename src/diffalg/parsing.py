@@ -17,8 +17,9 @@ field element and an operator goes through the operator's own `__mul__` or
 elements only, negative powers exist only in the base field, and a power of
 an operator other than one constant-coefficient term may not pass
 `MAX_POWER_ORDER`, and a power of a base-field element other than a
-quotient of two monomials may not pass `MAX_FIELD_POWER_DEGREE`; each of
-these is a `ParseError` with its position.
+quotient of two monomials may not pass `MAX_FIELD_POWER_DEGREE` in degree
+or `MAX_FIELD_POWER_TERMS` in a bound on its term count; each of these is a
+`ParseError` with its position.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from __future__ import annotations
 import functools
 import sys
 from fractions import Fraction
+from math import comb
 
 from .errors import DivisionByZero, ParseError
 from .field import DiffFieldConfig, RatFun
@@ -119,14 +121,30 @@ def _int(tok):
 # term stays one term and has no cap (`d^10000000` is fine).
 MAX_POWER_ORDER = 100
 
-# Highest total degree, |k| times the larger of the numerator's and the
-# denominator's, of a power of a base-field element whose numerator or
-# denominator has more than one term.  (t + 1)^500 takes 0.1 s of CPU and
-# (t + 1)^2000 took 3.9 s (2-core shared machine).  The cap is on the
-# degree alone, so with several variables the term count still grows as
-# degree^v under it.  A quotient of two monomials stays one term and has no
-# cap (`(2*t)^20000` is fine).
+# Caps on a power of a base-field element whose numerator or denominator
+# has more than one term.  Its total degree is |k| times the larger of the
+# numerator's and the denominator's.  Its term count is bounded by
+# `_power_terms`: p^|k| has at most C(|k|*D + v, v) terms, D the total
+# degree of p and v the number of field variables it holds, and at most
+# C(|k| + n - 1, n - 1), n the number of terms of p.  Both caps are checked
+# before the power is computed.  In CPU time on a 2-core shared machine:
+# (t + 1)^500 takes 0.12 s and (t + 1)^2000 took 3.9 s; (t1 + t2 + 1)^50
+# (1,326 terms) takes 0.15 s, ^69 (2,485) 0.40 s, ^80 (3,321) 0.75 s and
+# ^100 (5,151) 2.3 s; (t1 + t2 + t3 + 1)^22 (2,300) takes 0.13 s and ^30
+# (5,456) 0.84 s.  With one variable the degree cap allows at most 501
+# terms, so the term cap binds only with two or more.  A quotient of two
+# monomials stays one term and has no cap (`(2*t)^20000` is fine).
 MAX_FIELD_POWER_DEGREE = 500
+MAX_FIELD_POWER_TERMS = 2500
+
+
+def _power_terms(p, k):
+    """Upper bound on the number of terms of p^k, for a nonzero MPoly p: the
+    dense count in the variables p holds, or the number of products of k of
+    p's terms, whichever is smaller."""
+    nvars = sum(map(any, zip(*p.terms)))
+    degree = k * max(map(sum, p.terms))
+    return min(comb(degree + nvars, nvars), comb(k + len(p.terms) - 1, k))
 
 
 class _ExprParser:
@@ -201,6 +219,13 @@ class _ExprParser:
                 raise ParseError(f"power of degree {degree} of a base-field "
                                  f"element of more than one term; the limit "
                                  f"is {MAX_FIELD_POWER_DEGREE}",
+                                 tok.line, tok.column)
+            terms = max(_power_terms(p, abs(k))
+                        for p in (scalar.num, scalar.den))
+            if terms > MAX_FIELD_POWER_TERMS:
+                raise ParseError(f"power of degree {degree} with up to "
+                                 f"{terms} terms; the limit is "
+                                 f"{MAX_FIELD_POWER_TERMS} terms",
                                  tok.line, tok.column)
         if isinstance(base, RatFun):
             return base ** k

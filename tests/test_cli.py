@@ -16,7 +16,8 @@ import diffalg.dimension
 import diffalg.normalform
 from diffalg import DiffFieldConfig
 from diffalg.cli import main
-from diffalg.parsing import (MAX_FIELD_POWER_DEGREE, orepoly_str,
+from diffalg.parsing import (MAX_FIELD_POWER_DEGREE, MAX_FIELD_POWER_TERMS,
+                             orepoly_str,
                              parse_orepoly)
 
 GENERIC = """\
@@ -404,6 +405,22 @@ class TestRefusedInput:
         assert err == (f"error: line 3, column {column}: power of degree "
                        f"{degree} of a base-field element of more than one "
                        f"term; the limit is {MAX_FIELD_POWER_DEGREE}\n")
+
+    @pytest.mark.parametrize("field, gens, column, degree, terms", [
+        ("Q(t1,t2)", "[(t1 + t2 + 1)^100*d1]", 15, 100, 5151),
+        ("Q(t1,t2,t3)", "[(t1 + t2 + t3 + 1)^50*d1]", 20, 50, 23426),
+        ("Q(t1,t2,t3)", "[d2 + ((t1 + t2 + 1)/t3)^-80]", 25, 80, 3321),
+    ], ids=["two-variables", "three-variables", "negative-power"])
+    def test_field_power_over_the_term_cap_exits_2(
+            self, capsys, tmp_path, field, gens, column, degree, terms):
+        text = f"field: {field}\nmodule: 1\ngens: {gens}\n"
+        start = time.perf_counter()
+        code, out, err = run(capsys, tmp_path, text, "charset")
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (2, "")
+        assert err == (f"error: line 3, column {column}: power of degree "
+                       f"{degree} with up to {terms} terms; the limit is "
+                       f"{MAX_FIELD_POWER_TERMS} terms\n")
 
     def test_field_powers_under_the_degree_cap_or_of_monomials(
             self, capsys, tmp_path):

@@ -160,6 +160,29 @@ class TestGcd:
         # the heuristic settled every pair itself
         assert field.prs_fallbacks == before
 
+    @pytest.mark.parametrize("v", [1, 2, 3])
+    def test_single_term_in_closed_form(self, monkeypatch, v):
+        calls = counting(monkeypatch, "_heuristic")
+        rng = random.Random(90 + v)
+        before = field.prs_fallbacks
+        monomial_gcds = 0
+        for _ in range(40):
+            # zero exponents in some variables, negative coefficients
+            exps = tuple(rng.choice([0, 0, 1, 3]) for _ in range(v))
+            mono = MPoly(v, {exps: rng.choice([-6, -1, 1, 2, 5])})
+            other = rand_mpoly(rng, v, max_deg=3, max_terms=4)
+            k = rng.choice([2, 3, 6])
+            for f, g in ((mono * k, other * k),         # shared content
+                         (other * mono, -mono),         # mono divides
+                         (mono * 3, other * mono * 6),
+                         (other, mono), (mono, other)):
+                h = gcd_against_prs(f, g)
+                assert h.is_zero() or h.lex_leading()[1] > 0
+                monomial_gcds += len(h.terms) == 1 and not h.is_const()
+        assert monomial_gcds > 40
+        assert calls["_heuristic"] == 0
+        assert field.prs_fallbacks == before
+
     def test_zero_inputs(self):
         p = MPoly(2, {(1, 0): -2, (0, 1): 4})
         zero = MPoly.zero(2)
@@ -191,7 +214,11 @@ def upoly(nvars, x, coeffs):
 
 
 def rand_upoly(rng, nvars, x, degree):
+    """A random polynomial of the given degree >= 1 in t_x with a nonzero
+    constant term, so never a single term: a single-term operand has its
+    gcd in closed form and would not reach GCDHEU."""
     coeffs = [rng.randint(-9, 9) for _ in range(degree)]
+    coeffs[0] = coeffs[0] or 1
     return upoly(nvars, x, coeffs + [rng.choice([-3, -1, 1, 2])])
 
 
@@ -223,8 +250,8 @@ class TestDenseHeuristic:
             a, b = (rand_upoly(rng, nvars, x, rng.randint(1, 5))
                     for _ in range(2))
             for h in (upoly(nvars, x, [rng.choice([-6, 1, 2, 10])]),
-                      upoly(nvars, x, [rng.randint(-5, 5), 1]),
-                      upoly(nvars, x, [rng.randint(-5, 5), -3]),
+                      upoly(nvars, x, [rng.randint(-5, 5) or 1, 1]),
+                      upoly(nvars, x, [rng.randint(-5, 5) or 1, -3]),
                       rand_upoly(rng, nvars, x, 3)):
                 for f, g in ((h * a, h * b),              # planted factor
                              (-(h * a), h * b),           # negative lc

@@ -4,14 +4,15 @@ import random
 
 import pytest
 
-from diffalg import (Diagonalization, DiffFieldConfig, OreMatrix, OrePoly,
-                     RatFun, TangentClass, UnsupportedForPartial,
+from diffalg import (Diagonalization, DiffFieldConfig, MPoly, OreMatrix,
+                     OrePoly, RatFun, TangentClass, UnsupportedForPartial,
                      characteristic_set, classify_tangent, diagonalize,
                      dimension_report, ore_mul, orderly_ranking)
-from diffalg.normalform import _verify
+from diffalg.normalform import _product_is, _verify
 from helpers import from_columns, rand_modelement, rand_orepoly
 
 CFG1 = DiffFieldConfig(1, 1)
+CFG10 = DiffFieldConfig(1, 0)
 T = RatFun.var(1, 0)
 
 
@@ -106,6 +107,80 @@ class TestDiagonalize:
         A = OreMatrix(cfg, [[OrePoly.delta(cfg, 0)]])
         with pytest.raises(UnsupportedForPartial):
             diagonalize(A)
+
+
+def corrupted(rng, mat, kind):
+    """A copy of mat with one entry changed by one corruption of `kind`,
+    or None when mat has no entry that kind applies to."""
+    config = mat.config
+    cells = [(i, j) for i in range(mat.rows) for j in range(mat.cols)]
+    if kind == "zero made nonzero":
+        cells = [(i, j) for i, j in cells if mat[i, j].is_zero()]
+    else:
+        cells = [(i, j) for i, j in cells if not mat[i, j].is_zero()]
+    if not cells:
+        return None
+    i, j = rng.choice(cells)
+    e = mat[i, j]
+    if kind == "zero made nonzero":
+        e = rand_orepoly(rng, config, max_deg=2, nonzero=True)
+    elif kind == "extra delta term":
+        e = e + OrePoly.monomial(config, (e.degree() + 1,),
+                                 rng.choice([1, -2, 3]))
+    else:
+        key = rng.choice(sorted(e.terms))
+        c = e.terms[key]
+        if kind == "numerator +-1":
+            c = RatFun(c.num + MPoly.const(config.v, rng.choice([1, -1])),
+                       c.den)
+        else:
+            # "denominator times (t+1)"; over Q, with no t, times 2
+            factor = (T + 1).num if config.v else MPoly.const(0, 2)
+            c = RatFun(c.num, c.den * factor)
+        terms = dict(e.terms)
+        terms[key] = c
+        e = OrePoly(config, terms)
+    out = mat.copy()
+    out.entries[i][j] = e
+    return out
+
+
+CORRUPTIONS = ("numerator +-1", "denominator times (t+1)",
+               "extra delta term", "zero made nonzero")
+
+
+class TestProductIs:
+    @pytest.mark.parametrize("config", [CFG1, CFG10], ids=["v1", "v0"])
+    def test_agrees_with_the_normalized_product(self, config):
+        rng = random.Random(67 + config.v)
+        zero = OrePoly.zero(config)
+        verdicts = []
+        for _ in range(30):
+            rows, cols = rng.randint(0, 3), rng.randint(0, 3)
+            A = OreMatrix(config, [[rand_orepoly(rng, config, max_deg=1)
+                                    if rng.random() < 0.7 else zero
+                                    for _ in range(cols)]
+                                   for _ in range(rows)], rows, cols)
+            res = diagonalize(A)
+            identities = [
+                (res.U, res.U_inv, OreMatrix.identity(config, rows)),
+                (res.U_inv, res.U, OreMatrix.identity(config, rows)),
+                (res.V_inv, res.V, OreMatrix.identity(config, cols)),
+                (res.U, A, res.D * res.V_inv),
+                (res.U * A, res.V, res.D)]
+            for X, Y, Z in identities:
+                cases = [(X, Y, Z)]
+                for kind in CORRUPTIONS:
+                    for which in range(3):
+                        triple = [X, Y, Z]
+                        triple[which] = corrupted(rng, triple[which], kind)
+                        if triple[which] is not None:
+                            cases.append(tuple(triple))
+                for x, y, z in cases:
+                    verdict = _product_is(x, y, z)
+                    assert verdict == (x * y == z)
+                    verdicts.append(verdict)
+        assert verdicts.count(True) > 150 and verdicts.count(False) > 600
 
 
 class TestClassifyTangent:

@@ -5,7 +5,8 @@ of `bench/run.py` are left out, as in the timed passes) runs through
 `diffalg.cli.main` in this process, and a sha256 over its (name, exit code,
 stdout) rows must equal the digest recorded for the workload.  A change
 that means to alter the output records the new digests and says why in
-CHANGES.md.
+CHANGES.md.  A fourth digest pins the ode-torsion named rows, the heaviest
+diagonalizations of that corpus.
 """
 
 import hashlib
@@ -50,3 +51,23 @@ def test_timed_corpus_output_is_unchanged(workload):
         digest.update(json.dumps([problem.name, rc, stdout]).encode() + b"\n")
         calls += 1
     assert (calls, digest.hexdigest()) == DIGESTS[workload]
+
+
+# The three named ode-torsion rows, in corpus order; recorded at commit
+# 4a18f98.
+NAMED_DECOMPOSITIONS = ("torsion31.decompose", "torsion33.decompose",
+                        "torsion80.decompose")
+NAMED_DIGEST = (3, "d234e6b50ff49fa6295a4511805ef1a0"
+                   "2a20553c818e306a43d7c7766a1a4393")
+
+
+def test_named_diagonalizations_output_is_unchanged():
+    digest = hashlib.sha256()
+    calls = 0
+    for problem in corpus.WORKLOADS["ode-torsion"](SEED):
+        if problem.name not in NAMED_DECOMPOSITIONS:
+            continue
+        rc, stdout = run_cli(diffalg.cli.main, problem.argv, problem.text)
+        digest.update(json.dumps([problem.name, rc, stdout]).encode() + b"\n")
+        calls += 1
+    assert (calls, digest.hexdigest()) == NAMED_DIGEST

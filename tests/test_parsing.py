@@ -8,7 +8,8 @@ import pytest
 
 from diffalg import (DiffAlgError, DiffFieldConfig, ModElement,
                      NumericalPolynomial, OrePoly, ParseError, RatFun)
-from diffalg.parsing import (MAX_POWER_ORDER, modelement_str, orepoly_str,
+from diffalg.parsing import (MAX_FIELD_POWER_TERMS, MAX_POWER_ORDER,
+                             modelement_str, orepoly_str,
                              parse_diffpoly, parse_generator_vector,
                              parse_orepoly, parse_ratfun, term_label)
 from helpers import parse_lifted, parse_lifted_vector
@@ -146,6 +147,20 @@ class TestRefusedInput:
         with pytest.raises(ParseError, match="limit"):
             parse_orepoly(f"(d + 1)^{limit + 1}", CFG1)
 
+
+    def test_field_power_term_cap_counts_the_variables_held(self):
+        cfg = DiffFieldConfig(3, 3)
+        # C(69 + 2, 2) = 2485 terms, under the cap; ^70 would be 2556
+        p = parse_ratfun("(t1 + t2 + 1)^69", cfg)
+        assert len(p.num.terms) == 2485 <= MAX_FIELD_POWER_TERMS
+        with pytest.raises(ParseError, match="up to 2556 terms"):
+            parse_ratfun("(t1 + t2 + 1)^70", cfg)
+        # a base in one of the three variables has at most 501 terms, and a
+        # binomial's power at most |k| + 1, however many variables it holds
+        assert len(parse_ratfun("(t3 + 1)^500", cfg).num.terms) == 501
+        assert len(parse_ratfun("(t2*t3 + 1)^250", cfg).num.terms) == 251
+        assert parse_ratfun("((t1 + t3)/t2)^-70", cfg).den.terms \
+            == parse_ratfun("(t1 + t3)^70", cfg).num.terms
 
 class TestSymbolTable:
     @pytest.mark.parametrize("config, name", [
