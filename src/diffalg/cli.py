@@ -4,13 +4,13 @@
                              [--order-bound k]
 
 Commands: charset, dimpoly, decompose, tangent, reduce, count.
-Exit codes: 0 ok, 1 any other diffalg error (e.g. count with leaders that
-are not an antichain, an --order-bound that would list more than
-MAX_LISTED_TERMS derivative terms, or a result with an integer of more
-digits than the interpreter will print, `sys.get_int_max_str_digits()`),
-2 parse error or usage error (a negative --order-bound, or --order-bound
-with a command other than charset, dimpoly or tangent), 3 point not on
-variety, 4 unsupported operation (e.g. decompose with m >= 2).
+Exit codes: 0 ok; a diffalg error exits with its class's `exit_code`, from
+the table in `diffalg.errors` (1 by default, 2 parse error, 3 point not on
+the variety, 4 unsupported operation).  Besides those, a usage error (a
+negative --order-bound, or --order-bound with a command other than
+charset, dimpoly or tangent) and a file that cannot be read exit 2, and a
+result with an integer of more digits than the interpreter will print,
+`sys.get_int_max_str_digits()`, exits 1.
 
 The argument parser is built on the first call of `main` and reused by
 later calls in the same process; `json` is imported only by a call with
@@ -24,8 +24,7 @@ import functools
 import sys
 from math import comb
 
-from .errors import (DiffAlgError, DivisionByZero, OrderlyRequired,
-                     ParseError, PointNotOnVariety, UnsupportedForPartial)
+from .errors import DiffAlgError, ParseError
 from .diffmodule import characteristic_set, reduce as nf_reduce
 from .dimension import dimension_report, leader_antichain
 from .normalform import OreMatrix, TangentClass, diagonalize
@@ -96,18 +95,9 @@ def main(argv=None):
             out = json.dumps(payload["json"], sort_keys=True)
         else:
             out = payload["text"]
-    except (ParseError, DivisionByZero) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except PointNotOnVariety as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except (UnsupportedForPartial, OrderlyRequired) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
     except DiffAlgError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return exc.exit_code
     except ValueError as exc:      # only int -> str past the digit limit
         if "integer string conversion" not in str(exc):
             raise

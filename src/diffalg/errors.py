@@ -1,12 +1,29 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit, and the CLI exit code of each.
+
+The command line prints `error: <message>` for every diffalg error and exits
+with the class's `exit_code`:
+
+    1  any diffalg error not listed below (e.g. leaders that are not an
+       antichain, or an --order-bound over its cap)
+    2  ParseError, DivisionByZero
+    3  PointNotOnVariety
+    4  UnsupportedForPartial, OrderlyRequired
+
+The CLI itself also exits 2 on a usage error or a file it cannot read, and
+1 on a result with an integer of more digits than the interpreter prints.
+"""
 
 
 class DiffAlgError(Exception):
     """Base class for all toolkit errors."""
 
+    exit_code = 1
+
 
 class DivisionByZero(DiffAlgError):
     """Division by a zero field element or zero operator."""
+
+    exit_code = 2
 
 
 class BadDerivation(DiffAlgError):
@@ -20,6 +37,8 @@ class ConfigMismatch(DiffAlgError):
 class UnsupportedForPartial(DiffAlgError):
     """Operation requires a single derivation (m = 1)."""
 
+    exit_code = 4
+
 
 class ZeroElement(DiffAlgError):
     """The zero module element has no leader."""
@@ -32,9 +51,13 @@ class NotAntichain(DiffAlgError):
 class OrderlyRequired(DiffAlgError):
     """Dimension computations require an orderly ranking."""
 
+    exit_code = 4
+
 
 class PointNotOnVariety(DiffAlgError):
     """A supplied point does not annihilate every equation."""
+
+    exit_code = 3
 
     def __init__(self, equation_index, value):
         self.equation_index = equation_index
@@ -47,6 +70,8 @@ class PointNotOnVariety(DiffAlgError):
 
 class ParseError(DiffAlgError):
     """Syntax error in an input file or expression."""
+
+    exit_code = 2
 
     def __init__(self, message, line=None, column=None):
         self.line = line

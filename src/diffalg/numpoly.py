@@ -111,10 +111,13 @@ class Antichain(FrozenRecord):
             for e in E:
                 if len(e) != m:
                     raise NotAntichain("exponent vector of wrong length")
-            for a in E:
-                for b in E:
-                    if a != b and all(x <= y for x, y in zip(a, b)):
-                        raise NotAntichain(f"{a} <= {b} componentwise")
+            # an antichain is exactly its own set of minimal elements
+            minimal = _minimalize(E)
+            if len(minimal) < len(E):
+                b = min(E.difference(minimal))
+                a = next(a for a in minimal
+                         if all(x <= y for x, y in zip(a, b)))
+                raise NotAntichain(f"{a} <= {b} componentwise")
             comps.append(E)
         self._set_fields(m, tuple(comps))
 
@@ -124,9 +127,20 @@ class Antichain(FrozenRecord):
 
 
 def _minimalize(gens):
-    """The generators not divisible by another one, smallest weight first."""
-    out = []
-    for g in sorted(set(gens), key=sum):
+    """The generators not divisible by another one.
+
+    In N^2 one pass in lexicographic order suffices: every earlier vector
+    has a first coordinate no larger, so a vector is divisible by one of
+    them exactly when its second coordinate is no smaller than the least
+    second coordinate kept so far.  Otherwise the vectors are taken
+    smallest weight first, each tested against the ones kept."""
+    gens, out = set(gens), []
+    if all(len(g) == 2 for g in gens):
+        for g in sorted(gens):
+            if not out or g[1] < out[-1][1]:
+                out.append(g)
+        return out
+    for g in sorted(gens, key=sum):
         if not any(all(a <= b for a, b in zip(h, g)) for h in out):
             out.append(g)
     return out

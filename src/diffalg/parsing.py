@@ -20,6 +20,15 @@ an operator other than one constant-coefficient term may not pass
 quotient of two monomials may not pass `MAX_FIELD_POWER_DEGREE` in degree
 or `MAX_FIELD_POWER_TERMS` in a bound on its term count; each of these is a
 `ParseError` with its position.
+
+A problem file is read a line at a time.  Each section body is tokenized
+once, where it sits in its line, so every error inside it names the column
+of the line, not of a piece; and every list in it (`;` between generators,
+equations or leader groups, `,` between coordinates, point entries,
+leaders, the entries of a leader tuple and field variables) is split by one
+rule, `_split_tokens`, at bracket depth zero.  The counts in the header,
+`module:` and `derivations:`, are numerals of ASCII digits like any other,
+capped by `MAX_MODULE_RANK` and `MAX_DERIVATIONS`.
 """
 
 from __future__ import annotations
@@ -58,7 +67,9 @@ class Token(Record):
         self.column = column
 
 
-def tokenize(text, line=1):
+def tokenize(text, line=1, column=1):
+    """The tokens of `text`, found on line `line` with its first character
+    at column `column`; every column counts from the start of that line."""
     tokens = []
     i = 0
     while i < len(text):
@@ -66,7 +77,7 @@ def tokenize(text, line=1):
         if c.isspace():
             i += 1
             continue
-        col = i + 1
+        col = i + column
         if c in _DIGITS:
             j = i
             while j < len(text) and text[j] in _DIGITS:
@@ -136,6 +147,21 @@ MAX_POWER_ORDER = 100
 # monomials stays one term and has no cap (`(2*t)^20000` is fine).
 MAX_FIELD_POWER_DEGREE = 500
 MAX_FIELD_POWER_TERMS = 2500
+
+# Caps on the counts in a problem file's header, checked as it is read,
+# before any symbol table or ranking is built.  The derivation count m (from
+# `derivations:`, or the number of field variables, which m may not be
+# below) costs about m^2: every d_i is keyed by an m-tuple, and the dimension
+# polynomial has degree up to m.  The rank n (`module:`, or the number of
+# `vars:`) costs about n^3 in the diagonalization's n x n transforms and in
+# the tangent pipeline.  Process wall times on a 2-core shared machine,
+# about 0.1 s of each the interpreter's start: `dimpoly` of `gens: [d1]`
+# takes 0.33 s at m = 500, 1.1 s at m = 1000 and 4.3 s at m = 2000;
+# `decompose` of one generator `[d, 0, ..., 0]` takes 0.17 s at n = 100,
+# 0.44 s at n = 200, 1.5 s at n = 300 and 58 s at n = 1000, and `tangent`
+# with 100, 200 and 1000 `vars:` 0.17 s, 0.48 s and 59 s.
+MAX_DERIVATIONS = 500
+MAX_MODULE_RANK = 100
 
 
 def _power_terms(p, k):
@@ -438,12 +464,13 @@ def parse_diffpoly(text, config, var_names, line=1):
 def parse_generator_vector(text, config, n, line=1):
     """`[oreexpr, ..., oreexpr]` with exactly n coordinates -> ModElement."""
     tokens = _tokens(text, line)
+    column = tokens[0].column if tokens else None
     if not tokens or tokens[0].kind != "[" or tokens[-1].kind != "]":
-        raise ParseError("generator vector must be bracketed", line)
+        raise ParseError("generator vector must be bracketed", line, column)
     groups = _split_tokens(tokens[1:-1], ",")
     if len(groups) != n:
         raise ParseError(f"expected {n} coordinates, found {len(groups)}",
-                         line)
+                         line, column)
     coords = [parse_orepoly(g, config, line) if g
               else OrePoly.zero(config) for g in groups]
     return ModElement.from_operator_vector(coords, n)
@@ -605,29 +632,29 @@ class ProblemFile(Record):
 
 
 def parse_input(text):
-    """Parse a problem file; `#` starts a comment, sections are line-oriented."""
-    lines = text.splitlines()
+    """Parse a problem file; `#` starts a comment, sections are line-oriented.
+    Each section body is tokenized once, with the columns of its line."""
     sections = []
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0]
+        if not line.strip():
             continue
         if ":" not in line:
             raise ParseError("expected 'section: content'", lineno)
         head, body = line.split(":", 1)
-        sections.append((head.strip(), body.strip(), lineno))
+        sections.append((head.strip(), body, lineno, len(head) + 2))
 
     config = None
-    for head, body, lineno in sections:
+    for head, body, lineno, column in sections:
         if head == "field":
-            config = _parse_field_line(body, lineno)
+            config = _parse_field_line(body, lineno, column)
     if config is None:
         raise ParseError("missing 'field:' line", 1)
 
     pf = ProblemFile(config=config)
     pending = {}
     seen = set()
-    for head, body, lineno in sections:
+    for head, body, lineno, column in sections:
         if head in seen and head != "field":
             raise ParseError(f"duplicate section {head!r}", lineno)
         seen.add(head)
@@ -635,6 +662,9 @@ def parse_input(text):
             continue
         elif head == "vars":
             pf.var_names = body.split()
+            if len(pf.var_names) > MAX_MODULE_RANK:
+                raise ParseError(f"{len(pf.var_names)} variables; the limit "
+                                 f"is {MAX_MODULE_RANK}", lineno)
             for name in pf.var_names:
                 if not name.isalnum() or not name[0].isalpha():
                     raise ParseError(f"bad variable name {name!r}", lineno)
@@ -643,18 +673,17 @@ def parse_input(text):
                         f"variable name {name!r} collides with a built-in",
                         lineno)
         elif head == "ranking":
+            body = body.strip()
             if body not in ("orderly", "elim", "elimination"):
                 raise ParseError(f"unknown ranking {body!r}", lineno)
             pf.ranking_kind = "orderly" if body == "orderly" else "elimination"
         elif head == "module":
-            try:
-                pf.module_rank = int(body)
-            except ValueError:
-                raise ParseError("module rank must be an integer", lineno)
+            pf.module_rank = _header_number(body, lineno, column,
+                                            "module rank", MAX_MODULE_RANK)
             if pf.module_rank < 1:
                 raise ParseError("module rank must be positive", lineno)
         elif head in ("point", "eqs", "gens", "leaders", "element"):
-            pending[head] = (body, lineno)
+            pending[head] = (tokenize(body, lineno, column), lineno)
         else:
             raise ParseError(f"unknown section {head!r}", lineno)
 
@@ -665,120 +694,145 @@ def parse_input(text):
     return pf
 
 
-def _parse_field_line(body, lineno):
-    body = body.strip()
-    m_override = None
+def _header_number(text, line, column, what, limit):
+    """The count in a header: one numeral of ASCII digits, at most `limit`;
+    `text` starts at `column` of line `line`."""
+    tokens = tokenize(text, line, column)
+    if len(tokens) != 1 or tokens[0].kind != "num":
+        raise ParseError(f"{what} must be an integer", line)
+    value = _int(tokens[0])
+    if value > limit:
+        raise ParseError(f"{what} {value}; the limit is {limit}", line,
+                         tokens[0].column)
+    return value
+
+
+def _parse_field_line(body, lineno, column):
+    """`Q`, `Q(t)` or `Q(t1, ..., tv)`, then optionally `derivations: m`."""
+    m = None
     if "derivations" in body:
-        base, _, mpart = body.partition("derivations:")
-        body = base.strip()
-        try:
-            m_override = int(mpart.strip())
-        except ValueError:
-            raise ParseError("derivation count must be an integer", lineno)
-    if body == "Q":
-        v = 0
-    elif body.startswith("Q(") and body.endswith(")"):
-        inner = body[2:-1]
-        names = [p.strip() for p in inner.split(",") if p.strip()]
-        v = len(names)
-        for i, name in enumerate(names):
-            if name != f"t{i + 1}" and names != ["t"]:
-                raise ParseError(
-                    f"field variables must be t or t1..tv, got {name!r}",
-                    lineno)
-    else:
-        raise ParseError(f"unrecognized field {body!r}", lineno)
-    m = m_override if m_override is not None else max(v, 1)
+        body, _, count = body.partition("derivations:")
+        m = _header_number(count, lineno,
+                           column + len(body) + len("derivations:"),
+                           "derivation count", MAX_DERIVATIONS)
+    tokens = tokenize(body, lineno, column)
+    groups = []
+    if [tok.text for tok in tokens[:2]] == ["Q", "("] \
+            and tokens[-1].kind == ")":
+        groups = _split_tokens(tokens[2:-1], ",")
+    elif [tok.text for tok in tokens] != ["Q"]:
+        raise ParseError(f"unrecognized field {body.strip()!r}", lineno)
+    names = [" ".join(tok.text for tok in group) for group in groups]
+    for i, (name, group) in enumerate(zip(names, groups)):
+        if name != f"t{i + 1}" and names != ["t"]:
+            raise ParseError(
+                f"field variables must be t or t1..tv, got {name!r}",
+                lineno, group[0].column if group else None)
+    v = len(names)
+    if v > MAX_DERIVATIONS:
+        raise ParseError(f"{v} field variables; the limit is "
+                         f"{MAX_DERIVATIONS}", lineno)
+    m = max(v, 1) if m is None else m
+    if m < 1:
+        raise ParseError("derivation count must be positive", lineno)
     if m < v:
         raise ParseError("derivation count below the variable count", lineno)
     return DiffFieldConfig(num_derivations=m, num_vars=v)
 
 
 def _finish_sections(pf, pending):
-    """Parse the deferred sections, given as {head: (body, lineno)}."""
+    """Parse the deferred sections, given as {head: (tokens, lineno)}; each
+    list in them is split by `_split_tokens`."""
     config = pf.config
     if "point" in pending:
-        body, lineno = pending["point"]
+        tokens, lineno = pending["point"]
         coords = {}
-        for part in body.split(","):
-            if "=" not in part:
-                raise ParseError("point entries look like 'y = expr'", lineno)
-            name, expr = part.split("=", 1)
-            name = name.strip()
-            if name not in pf.var_names:
-                raise ParseError(f"unknown variable {name!r} in point", lineno)
-            coords[name] = parse_ratfun(expr, config, lineno)
+        for entry in _split_tokens(tokens, ","):
+            if len(entry) < 2 or entry[1].kind != "=":
+                raise ParseError("point entries look like 'y = expr'", lineno,
+                                 entry[0].column if entry else None)
+            name = entry[0]
+            if name.text not in pf.var_names:
+                raise ParseError(f"unknown variable {name.text!r} in point",
+                                 name.line, name.column)
+            coords[name.text] = parse_ratfun(entry[2:], config, lineno)
         missing = [v for v in pf.var_names if v not in coords]
         if missing:
             raise ParseError(f"point misses coordinates for {missing}", lineno)
         pf.point = VarietyPoint(config,
                                 [coords[v] for v in pf.var_names])
     if "eqs" in pending:
-        body, lineno = pending["eqs"]
+        tokens, lineno = pending["eqs"]
         if not pf.var_names:
             raise ParseError("'eqs:' needs a preceding 'vars:' line", lineno)
-        pf.eqs = [parse_diffpoly(part, config, pf.var_names, lineno)
-                  for part in body.split(";") if part.strip()]
+        pf.eqs = [parse_diffpoly(group, config, pf.var_names, lineno)
+                  for group in _split_tokens(tokens, ";") if group]
         if not pf.eqs:
             raise ParseError("empty equation list", lineno)
+    for head in ("gens", "element"):
+        if head in pending and pf.module_rank is None:
+            raise ParseError(f"'{head}:' needs a preceding 'module:' line",
+                             pending[head][1])
     if "gens" in pending:
-        body, lineno = pending["gens"]
-        if pf.module_rank is None:
-            raise ParseError("'gens:' needs a preceding 'module:' line",
-                             lineno)
-        tokens = tokenize(body, lineno)
+        tokens, lineno = pending["gens"]
         pf.gens = [parse_generator_vector(group, config, pf.module_rank,
                                           lineno)
                    for group in _split_tokens(tokens, ";") if group]
     if "element" in pending:
-        body, lineno = pending["element"]
-        if pf.module_rank is None:
-            raise ParseError("'element:' needs a preceding 'module:' line",
-                             lineno)
-        pf.element = parse_generator_vector(body, config, pf.module_rank,
+        tokens, lineno = pending["element"]
+        pf.element = parse_generator_vector(tokens, config, pf.module_rank,
                                             lineno)
     if "leaders" in pending:
-        body, lineno = pending["leaders"]
+        tokens, lineno = pending["leaders"]
         pf.leaders = Antichain(config.m, tuple(
-            frozenset(_parse_leader_group(group, config, lineno))
-            for group in _split_tokens(tokenize(body, lineno), ";")))
+            frozenset(_parse_leader_group(group, config.m, lineno))
+            for group in _split_tokens(tokens, ";")))
 
 
-def _parse_leader_group(tokens, config, lineno):
-    """`[(1,1), (0,2)]` -> set of exponent tuples; `[2]` works for m = 1."""
+def _parse_leader_group(tokens, m, lineno):
+    """`[(1,1), (0,2)]` -> set of exponent tuples; `[2]` works for m = 1,
+    and `[]` is a component without leaders."""
     if not tokens or tokens[0].kind != "[" or tokens[-1].kind != "]":
-        raise ParseError("leader group must be bracketed", lineno)
-    inner = tokens[1:-1]
-    vectors = []
-    i = 0
-    while i < len(inner):
-        tok = inner[i]
-        if tok.kind == ",":
-            i += 1
-            continue
-        if tok.kind == "(":
-            j = i + 1
-            entries = []
-            while j < len(inner) and inner[j].kind != ")":
-                if inner[j].kind == "num":
-                    entries.append(_int(inner[j]))
-                elif inner[j].kind != ",":
-                    raise ParseError(f"unexpected {inner[j].text!r} in leader",
-                                     inner[j].line, inner[j].column)
-                j += 1
-            if j >= len(inner):
-                raise ParseError("unterminated leader tuple", lineno)
-            vectors.append(tuple(entries))
-            i = j + 1
-        elif tok.kind == "num":
-            vectors.append((_int(tok),))
-            i += 1
-        else:
-            raise ParseError(f"unexpected {tok.text!r} in leaders",
-                             tok.line, tok.column)
-    for vec in vectors:
-        if len(vec) != config.m:
-            raise ParseError(
-                f"leader {vec} has length {len(vec)}, expected {config.m}",
-                lineno)
+        raise ParseError("leader group must be bracketed", lineno,
+                         tokens[0].column if tokens else None)
+    vectors = set()
+    for entry in _leader_list(tokens[1:-1], tokens[-1]):
+        first, coords = entry[0], [entry]
+        if first.kind == "(":
+            end = next((i for i, tok in enumerate(entry) if tok.kind == ")"),
+                       None)
+            if end is None:
+                raise ParseError("unterminated leader tuple", lineno,
+                                 first.column)
+            if end + 1 < len(entry):
+                raise _unexpected_in_leaders(entry[end + 1])
+            coords = _leader_list(entry[1:end], entry[end])
+        for coord in coords:
+            if coord[0].kind != "num" or len(coord) > 1:
+                raise _unexpected_in_leaders(
+                    coord[1] if coord[0].kind == "num" else coord[0])
+        vec = tuple(_int(coord[0]) for coord in coords)
+        if len(vec) != m:
+            raise ParseError(f"leader {vec} has length {len(vec)}, "
+                             f"expected {m}", lineno, first.column)
+        vectors.add(vec)
     return vectors
+
+
+def _leader_list(tokens, after):
+    """The comma-separated entries of `tokens`, none when it is empty; an
+    empty entry is an error at the token after it, `after` for the last."""
+    if not tokens:
+        return []
+    entries = _split_tokens(tokens, ",")
+    end = -1
+    for entry in entries:
+        end += len(entry) + 1
+        if not entry:
+            raise _unexpected_in_leaders((tokens + [after])[end])
+    return entries
+
+
+def _unexpected_in_leaders(tok):
+    return ParseError(f"unexpected {tok.text!r} in leaders", tok.line,
+                     tok.column)

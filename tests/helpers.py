@@ -401,6 +401,15 @@ class RowReducer:
 # ---------------------------------------------------------------------------
 # inclusion-exclusion and box-walk staircase oracles
 
+def all_pairs_minimal(gens):
+    """The set of vectors in `gens` that no other one is componentwise
+    below, by testing every pair."""
+    gens = set(gens)
+    return {g for g in gens
+            if not any(h != g and all(a <= b for a, b in zip(h, g))
+                       for h in gens)}
+
+
 def inclusion_exclusion_count(antichain):
     """count_cofilter by inclusion-exclusion over all 2^|E_i| subsets:
 

@@ -16,9 +16,9 @@ import diffalg.dimension
 import diffalg.normalform
 from diffalg import DiffFieldConfig
 from diffalg.cli import main
-from diffalg.parsing import (MAX_FIELD_POWER_DEGREE, MAX_FIELD_POWER_TERMS,
-                             orepoly_str,
-                             parse_orepoly)
+from diffalg.parsing import (MAX_DERIVATIONS, MAX_FIELD_POWER_DEGREE,
+                             MAX_FIELD_POWER_TERMS, MAX_MODULE_RANK,
+                             orepoly_str, parse_orepoly)
 
 GENERIC = """\
 field: Q(t)
@@ -48,6 +48,15 @@ def run(capsys, tmp_path, text, *argv):
     code = main([*argv[:1], str(path), *argv[1:]])
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def unmarked(text):
+    """`text` without its one `!`, and the line and column of the character
+    the `!` stood before."""
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        if "!" in line:
+            return text.replace("!", ""), lineno, line.index("!") + 1
+    raise AssertionError(f"no marker in {text!r}")
 
 
 class TestTangentCommand:
@@ -264,6 +273,25 @@ class TestCountCommand:
         assert code == 0
         assert out.strip() == "3 (valid for t >= 2)"
 
+    @pytest.mark.parametrize("leaders, printed", [
+        ("[]; [2]", "t + 3 (valid for t >= 2)"),
+        ("[ ]", "t + 1 (valid for t >= 0)"),
+    ], ids=["empty-and-one", "blank"])
+    def test_empty_group_is_a_component_without_leaders(
+            self, capsys, tmp_path, leaders, printed):
+        code, out, _ = run(capsys, tmp_path,
+                           f"field: Q(t)\nleaders: {leaders}\n", "count")
+        assert (code, out) == (0, printed + "\n")
+
+    def test_two_thousand_and_one_leaders_in_under_a_second(self, capsys,
+                                                            tmp_path):
+        leaders = ", ".join(f"({i},{2000 - i})" for i in range(2001))
+        start = time.perf_counter()
+        code, out, _ = run(capsys, tmp_path, "field: Q derivations: 2\n"
+                           f"leaders: [{leaders}]\n", "count")
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (0, "2001000 (valid for t >= 4000)\n")
+
 
 class TestErrorHandling:
     def test_division_by_zero_exits_2(self, capsys, tmp_path):
@@ -289,6 +317,13 @@ class TestErrorHandling:
         assert code == 1 and out == ""
         assert err == "error: (0, 0) <= (1, 1) componentwise\n"
 
+    def test_dimension_from_an_elimination_ranking_exits_4(self, capsys,
+                                                           tmp_path):
+        code, out, err = run(capsys, tmp_path, MODULE, "dimpoly",
+                             "--ranking", "elim")
+        assert (code, out) == (4, "")
+        assert err == "error: dimension computations need an orderly ranking\n"
+
     def test_problem_file_is_closed(self, capsys, tmp_path):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always", ResourceWarning)
@@ -304,22 +339,24 @@ class TestErrorHandling:
 
 
 class TestRefusedInput:
-    @pytest.mark.parametrize("section, command, message", [
-        ("module: 1\ngens: [1/d]", "charset",
-         "line 3, column 3: can only divide by a base-field element"),
-        ("module: 1\ngens: [d^-1]", "charset", "line 3, column 3: negative "
-         "power of an expression outside the base field"),
-        ("vars: y\npoint: y = 0\neqs: y/y'", "tangent",
-         "line 4, column 2: can only divide by a base-field element"),
-        ("vars: y\npoint: y = 0\neqs: y^-1", "tangent", "line 4, column 2: "
+    @pytest.mark.parametrize("section, command, char, message", [
+        ("module: 1\ngens: [1/d]", "charset", "/",
+         "can only divide by a base-field element"),
+        ("module: 1\ngens: [d^-1]", "charset", "^", "negative power of an "
+         "expression outside the base field"),
+        ("vars: y\npoint: y = 0\neqs: y/y'", "tangent", "/",
+         "can only divide by a base-field element"),
+        ("vars: y\npoint: y = 0\neqs: y^-1", "tangent", "^",
          "negative power of an expression outside the base field"),
     ], ids=["divide-by-d", "d-inverse", "divide-by-y", "y-inverse"])
     def test_exit_2_with_position(self, capsys, tmp_path, section, command,
-                                  message):
+                                  char, message):
         text = f"field: Q(t)\n{section}\n"
+        lineno = section.count("\n") + 2
+        column = text.splitlines()[-1].index(char) + 1
         code, out, err = run(capsys, tmp_path, text, command)
         assert (code, out) == (2, "")
-        assert err == f"error: {message}\n"
+        assert err == f"error: line {lineno}, column {column}: {message}\n"
 
     def test_negative_field_power_is_a_field_element(self, capsys, tmp_path):
         code, out, _ = run(capsys, tmp_path,
@@ -382,22 +419,25 @@ class TestRefusedInput:
     @pytest.mark.parametrize("base", ["(t*d)", "(d + 1)"],
                              ids=["t-times-d", "d-plus-1"])
     def test_power_over_the_order_cap_exits_2(self, capsys, tmp_path, base):
-        text = f"field: Q(t)\nmodule: 1\ngens: [{base}^3000]\n"
+        line = f"gens: [{base}^3000]"
         start = time.perf_counter()
-        code, out, err = run(capsys, tmp_path, text, "decompose")
+        code, out, err = run(capsys, tmp_path,
+                             f"field: Q(t)\nmodule: 1\n{line}\n", "decompose")
         assert time.perf_counter() - start < 1.0
         assert (code, out) == (2, "")
-        assert err.startswith(f"error: line 3, column {len(base) + 2}: "
+        assert err.startswith(f"error: line 3, column {line.index('^') + 1}: "
                               f"power of order 3000 ")
 
-    @pytest.mark.parametrize("gens, column, degree", [
-        ("[(t + 1)^2000*d]", 9, 2000),
-        ("[d + ((t^2 + 1)/(t - 1))^-251]", 25, 502),
-        ("[(d - d + t + 1)^501]", 17, 501),
+    @pytest.mark.parametrize("gens, degree", [
+        ("[(t + 1)^2000*d]", 2000),
+        ("[d + ((t^2 + 1)/(t - 1))^-251]", 502),
+        ("[(d - d + t + 1)^501]", 501),
     ], ids=["field-power", "negative-power", "scalar-operator"])
     def test_field_power_over_the_degree_cap_exits_2(self, capsys, tmp_path,
-                                                     gens, column, degree):
-        text = f"field: Q(t)\nmodule: 1\ngens: {gens}\n"
+                                                     gens, degree):
+        line = f"gens: {gens}"
+        column = line.rindex("^") + 1       # the outermost power
+        text = f"field: Q(t)\nmodule: 1\n{line}\n"
         start = time.perf_counter()
         code, out, err = run(capsys, tmp_path, text, "charset")
         assert time.perf_counter() - start < 1.0
@@ -406,14 +446,16 @@ class TestRefusedInput:
                        f"{degree} of a base-field element of more than one "
                        f"term; the limit is {MAX_FIELD_POWER_DEGREE}\n")
 
-    @pytest.mark.parametrize("field, gens, column, degree, terms", [
-        ("Q(t1,t2)", "[(t1 + t2 + 1)^100*d1]", 15, 100, 5151),
-        ("Q(t1,t2,t3)", "[(t1 + t2 + t3 + 1)^50*d1]", 20, 50, 23426),
-        ("Q(t1,t2,t3)", "[d2 + ((t1 + t2 + 1)/t3)^-80]", 25, 80, 3321),
+    @pytest.mark.parametrize("field, gens, degree, terms", [
+        ("Q(t1,t2)", "[(t1 + t2 + 1)^100*d1]", 100, 5151),
+        ("Q(t1,t2,t3)", "[(t1 + t2 + t3 + 1)^50*d1]", 50, 23426),
+        ("Q(t1,t2,t3)", "[d2 + ((t1 + t2 + 1)/t3)^-80]", 80, 3321),
     ], ids=["two-variables", "three-variables", "negative-power"])
     def test_field_power_over_the_term_cap_exits_2(
-            self, capsys, tmp_path, field, gens, column, degree, terms):
-        text = f"field: {field}\nmodule: 1\ngens: {gens}\n"
+            self, capsys, tmp_path, field, gens, degree, terms):
+        line = f"gens: {gens}"
+        column = line.index("^") + 1
+        text = f"field: {field}\nmodule: 1\n{line}\n"
         start = time.perf_counter()
         code, out, err = run(capsys, tmp_path, text, "charset")
         assert time.perf_counter() - start < 1.0
@@ -433,22 +475,24 @@ class TestRefusedInput:
 
 
 class TestSymbolsAndNumerals:
-    @pytest.mark.parametrize("field, gens, column, message", [
-        ("Q(t)", "[d^²]", 4, "unexpected character '²'"),
-        ("Q(t)", "[²*d]", 2, "unexpected character '²'"),
-        ("Q(t1,t2)", "[t¹*d1]", 2, "unknown symbol 't¹'"),
-        ("Q(t1,t2)", "[d1 + " + "9" * 5000 + "]", 7,
+    @pytest.mark.parametrize("field, gens, token, message", [
+        ("Q(t)", "[d^²]", "²", "unexpected character '²'"),
+        ("Q(t)", "[²*d]", "²", "unexpected character '²'"),
+        ("Q(t1,t2)", "[t¹*d1]", "t¹", "unknown symbol 't¹'"),
+        ("Q(t1,t2)", "[d1 + " + "9" * 5000 + "]", "9",
          f"numeral of 5000 digits; the limit is "
          f"{sys.get_int_max_str_digits()} digits"),
-        ("Q(t1,t2)", "[t01*d1]", 2, "unknown symbol 't01'"),
-        ("Q(t1,t2)", "[d01]", 2, "unknown symbol 'd01'"),
-        ("Q(t)", "[d01]", 2, "unknown symbol 'd01'"),
+        ("Q(t1,t2)", "[t01*d1]", "t01", "unknown symbol 't01'"),
+        ("Q(t1,t2)", "[d01]", "d01", "unknown symbol 'd01'"),
+        ("Q(t)", "[d01]", "d01", "unknown symbol 'd01'"),
     ], ids=["superscript-exponent", "superscript-factor",
             "superscript-variable", "5000-digits", "t01", "d01",
             "d01-one-derivation"])
     def test_exit_2_with_position(self, capsys, tmp_path, field, gens,
-                                  column, message):
-        text = f"field: {field}\nmodule: 1\ngens: {gens}\n"
+                                  token, message):
+        line = f"gens: {gens}"
+        column = line.index(token) + 1
+        text = f"field: {field}\nmodule: 1\n{line}\n"
         start = time.perf_counter()
         code, out, err = run(capsys, tmp_path, text, "charset")
         assert time.perf_counter() - start < 1.0
@@ -474,13 +518,14 @@ class TestSymbolsAndNumerals:
     ], ids=["underscore", "arabic-indic-digit", "plus", "tab", "negative"])
     def test_multi_index_entries_are_ascii_digits(self, capsys, tmp_path,
                                                   index, message):
-        text = ("field: Q(t1,t2)\nvars: y\npoint: y = 0\n"
-                f"eqs: y_(0,1) + y_({index})\n")
+        line = f"eqs: y_(0,1) + y_({index})"
+        column = line.rindex("y_(") + 1
+        text = f"field: Q(t1,t2)\nvars: y\npoint: y = 0\n{line}\n"
         start = time.perf_counter()
         code, out, err = run(capsys, tmp_path, text, "charset")
         assert time.perf_counter() - start < 1.0
         assert (code, out) == (2, "")
-        assert err == f"error: line 4, column 11: {message}\n"
+        assert err == f"error: line 4, column {column}: {message}\n"
 
     def test_t01_is_a_legal_variable_name(self, capsys, tmp_path):
         text = ("field: Q(t1,t2)\nvars: t01\npoint: t01 = t1\n"
@@ -493,6 +538,137 @@ class TestSymbolsAndNumerals:
         assert code == 2
         assert err == ("error: line 2: variable name 't1' collides with a "
                        "built-in\n")
+
+
+class TestSectionPositions:
+    """Every error in a section body names the line and column of its
+    token, counted from the start of the line; `!` marks the token."""
+
+    @pytest.mark.parametrize("text, command, message", [
+        ("field: Q(t)\nmodule: 1\ngens:    [d]; [t*d + !q]\n", "charset",
+         "unknown symbol 'q'"),
+        ("field: Q(t)\nmodule: 1\ngens: [d]\nelement:    [t*d + !q]\n",
+         "reduce", "unknown symbol 'q'"),
+        ("field: Q(t)\nvars: y z\npoint: y = t, z = t\n"
+         "eqs:    y - t;   z + !q\n", "tangent", "unknown variable 'q'"),
+        ("field: Q(t)\nvars: y z\npoint:    y = t,   z = t + !q\n"
+         "eqs: y - t\n", "tangent", "unknown field variable 'q'"),
+        ("field: Q(t)\nvars: y z\npoint:    y = t,   !q = t\n"
+         "eqs: y - t\n", "tangent", "unknown variable 'q' in point"),
+        ("field: Q derivations: 2\nleaders:    [(1,1)];   [(0,2) !(2,0)]\n",
+         "count", "unexpected '(' in leaders"),
+    ], ids=["gens", "element", "eqs", "point", "point-name", "leaders"])
+    def test_line_and_column_of_the_token(self, capsys, tmp_path, text,
+                                          command, message):
+        text, lineno, column = unmarked(text)
+        code, out, err = run(capsys, tmp_path, text, command)
+        assert (code, out) == (2, "")
+        assert err == f"error: line {lineno}, column {column}: {message}\n"
+
+    @pytest.mark.parametrize("group", [
+        "[(1 !2)]", "[(1,!,2)]", "[(1,1) !(0,2)]", "[!,(1,1),]", "[(1,1),!]",
+        "[(1,1)!)]", "[(1!;2)]"],
+        ids=["no-comma", "double-comma", "no-comma-between-tuples",
+             "leading-comma", "trailing-comma", "extra-paren", "semicolon"])
+    def test_leaders_are_split_like_every_list(self, capsys, tmp_path, group):
+        text, lineno, column = unmarked(
+            f"field: Q derivations: 2\nleaders: {group}\n")
+        start = time.perf_counter()
+        code, out, err = run(capsys, tmp_path, text, "count")
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (2, "")
+        char = group[group.index("!") + 1]
+        assert err == (f"error: line {lineno}, column {column}: unexpected "
+                       f"{char!r} in leaders\n")
+
+    @pytest.mark.parametrize("group, message", [
+        ("[!(1,1]", "unterminated leader tuple"),
+        ("[(0,2), !(1,1,1)]", "leader (1, 1, 1) has length 3, expected 2"),
+    ], ids=["unterminated", "wrong-length"])
+    def test_leader_tuples(self, capsys, tmp_path, group, message):
+        text, lineno, column = unmarked(
+            f"field: Q derivations: 2\nleaders: {group}\n")
+        code, out, err = run(capsys, tmp_path, text, "count")
+        assert (code, out) == (2, "")
+        assert err == f"error: line {lineno}, column {column}: {message}\n"
+
+
+    @pytest.mark.parametrize("field, message", [
+        ("Q(t1,   !t3)", "field variables must be t or t1..tv, got 't3'"),
+        ("Q(t1, t2, !t2)", "field variables must be t or t1..tv, got 't2'"),
+        ("Q(t1,,t2)", "field variables must be t or t1..tv, got ''"),
+        ("Q(,t)", "field variables must be t or t1..tv, got ''"),
+        ("Q()", "field variables must be t or t1..tv, got ''"),
+    ], ids=["skipped-index", "repeated-index", "double-comma",
+            "leading-comma", "no-variable"])
+    def test_field_variables(self, capsys, tmp_path, field, message):
+        text = f"field: {field}\nmodule: 1\ngens: [1]\n"
+        position = "line 1"
+        if "!" in text:
+            text, _, column = unmarked(text)
+            position += f", column {column}"
+        code, out, err = run(capsys, tmp_path, text, "charset")
+        assert (code, out, err) == (2, "", f"error: {position}: {message}\n")
+
+
+class TestHeaderNumbers:
+    @pytest.mark.parametrize("text, message", [
+        ("field: Q(t)\nmodule: !\u0661\ngens:\n",
+         "unexpected character '\u0661'"),
+        ("field: Q(t)\nmodule: 0!_1\ngens:\n", "stray '_' outside a name"),
+        ("field: Q(t) derivations: !\u0662\nmodule: 1\ngens:\n",
+         "unexpected character '\u0662'"),
+        (f"field: Q(t)\nmodule:  !{MAX_MODULE_RANK + 1}\ngens:\n",
+         f"module rank {MAX_MODULE_RANK + 1}; the limit is "
+         f"{MAX_MODULE_RANK}"),
+        (f"field: Q derivations: !{MAX_DERIVATIONS + 1}\nmodule: 1\n"
+         f"gens: [d1]\n", f"derivation count {MAX_DERIVATIONS + 1}; the "
+         f"limit is {MAX_DERIVATIONS}"),
+    ], ids=["arabic-indic-rank", "underscore-rank", "arabic-indic-count",
+            "rank-over-the-cap", "count-over-the-cap"])
+    def test_exit_2_at_the_number(self, capsys, tmp_path, text, message):
+        text, lineno, column = unmarked(text)
+        start = time.perf_counter()
+        code, out, err = run(capsys, tmp_path, text, "dimpoly")
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (2, "")
+        assert err == f"error: line {lineno}, column {column}: {message}\n"
+
+    @pytest.mark.parametrize("text, message", [
+        ("field: Q(t) derivations: +1\nmodule: 1\ngens:\n",
+         "line 1: derivation count must be an integer"),
+        ("field: Q derivations: 0\nmodule: 1\ngens:\n",
+         "line 1: derivation count must be positive"),
+        ("field: Q(t)\nmodule: -1\ngens:\n",
+         "line 2: module rank must be an integer"),
+        ("field: Q(t)\nvars: " + " ".join(
+            f"y{i}" for i in range(MAX_MODULE_RANK + 1)) + "\n",
+         f"line 2: {MAX_MODULE_RANK + 1} variables; the limit is "
+         f"{MAX_MODULE_RANK}"),
+        ("field: Q(" + ",".join(f"t{i + 1}" for i in range(
+            MAX_DERIVATIONS + 1)) + ")\nmodule: 1\ngens:\n",
+         f"line 1: {MAX_DERIVATIONS + 1} field variables; the limit is "
+         f"{MAX_DERIVATIONS}"),
+    ], ids=["plus-sign", "no-derivation", "negative-rank",
+            "variables-over-the-rank-cap", "field-variables-over-the-cap"])
+    def test_exit_2_at_the_line(self, capsys, tmp_path, text, message):
+        start = time.perf_counter()
+        code, out, err = run(capsys, tmp_path, text, "dimpoly")
+        assert time.perf_counter() - start < 1.0
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("text, command", [
+        (f"field: Q derivations: {MAX_DERIVATIONS}\nmodule: 1\n"
+         f"gens: [d1]\n", "dimpoly"),
+        (f"field: Q(t)\nmodule: {MAX_MODULE_RANK}\n"
+         f"gens: [d{',' * (MAX_MODULE_RANK - 1)}]\n", "decompose"),
+    ], ids=["derivations", "module-rank"])
+    def test_largest_accepted_headers_in_under_a_second(
+            self, capsys, tmp_path, text, command):
+        start = time.perf_counter()
+        code, _, err = run(capsys, tmp_path, text, command)
+        assert time.perf_counter() - start < 1.0
+        assert (code, err) == (0, "")
 
 
 class TestOversizedResults:

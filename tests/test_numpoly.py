@@ -1,5 +1,6 @@
 """Numerical polynomials and the staircase-counting kernel."""
 
+import ast
 import random
 import time
 
@@ -7,9 +8,10 @@ import pytest
 
 from diffalg import (Antichain, NotAntichain, NumericalPolynomial, ZERO_TYPE,
                      count_cofilter, standard_terms, type_and_heights)
+from diffalg.numpoly import _minimalize
 
-from helpers import (box_standard_terms, brute_count, from_monomial,
-                     inclusion_exclusion_count, multiindices)
+from helpers import (all_pairs_minimal, box_standard_terms, brute_count,
+                     from_monomial, inclusion_exclusion_count, multiindices)
 
 
 def anti(m, *components):
@@ -52,6 +54,43 @@ class TestCountCofilter:
     def test_multiple_components_sum(self):
         phi = count_cofilter(anti(2, {(1, 1), (0, 2)}, {(2, 0)}))
         assert str(phi) == "3*t + 3"
+
+
+class TestMinimalize:
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_against_all_pairs(self, m):
+        rng = random.Random(60 + m)
+        for _ in range(200):
+            top = rng.randint(0, 6)
+            gens = [tuple(rng.randint(0, top) for _ in range(m))
+                    for _ in range(rng.randint(0, 25))]
+            minimal = _minimalize(iter(gens))
+            assert len(minimal) == len(set(minimal))
+            assert set(minimal) == all_pairs_minimal(gens)
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_antichain_names_a_comparable_pair(self, m):
+        rng = random.Random(70 + m)
+        for _ in range(100):
+            E = {tuple(rng.randint(0, 3) for _ in range(m))
+                 for _ in range(rng.randint(1, 12))}
+            if all_pairs_minimal(E) == E:
+                assert anti(m, E).components == (frozenset(E),)
+                continue
+            with pytest.raises(NotAntichain) as caught:
+                anti(m, E)
+            a, b = map(ast.literal_eval, str(caught.value).removesuffix(
+                " componentwise").split(" <= "))
+            assert a in E and b in E and a != b
+            assert all(x <= y for x, y in zip(a, b))
+
+    def test_staircase_of_two_thousand_leaders(self):
+        E = {(i, 2000 - i) for i in range(2001)}
+        start = time.perf_counter()
+        phi = count_cofilter(anti(2, E))
+        assert time.perf_counter() - start < 1.0
+        # the staircase is every term of weight >= 2000
+        assert (str(phi), phi.valid_from) == ("2001000", 4000)
 
 
 def wide_antichain(rng, size, width):
