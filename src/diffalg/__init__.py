@@ -2,9 +2,9 @@
 polynomials, and tangent-space classification over Q(t1..tm)."""
 
 from .errors import (BadDerivation, ConfigMismatch, DiffAlgError,
-                     DivisionByZero, NotAntichain, OrderlyRequired,
-                     ParseError, PointNotOnVariety, UnsupportedForPartial,
-                     ZeroElement)
+                     DivisionByZero, ExponentOverflow, NotAntichain,
+                     OrderlyRequired, ParseError, PointNotOnVariety,
+                     UnsupportedForPartial, ZeroElement)
 from .field import DiffFieldConfig, MPoly, RatFun, mpoly_gcd
 from .ore import OrePoly, ore_apply, ore_divmod, ore_mul
 from .diffmodule import (AutoreducedSet, CharSet, ModElement, Ranking,

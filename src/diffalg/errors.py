@@ -4,7 +4,7 @@ The command line prints `error: <message>` for every diffalg error and exits
 with the class's `exit_code`:
 
     1  any diffalg error not listed below (e.g. leaders that are not an
-       antichain, or an --order-bound over its cap)
+       antichain, an --order-bound over its cap, or ExponentOverflow)
     2  ParseError, DivisionByZero
     3  PointNotOnVariety
     4  UnsupportedForPartial, OrderlyRequired
@@ -24,6 +24,15 @@ class DivisionByZero(DiffAlgError):
     """Division by a zero field element or zero operator."""
 
     exit_code = 2
+
+
+class ExponentOverflow(DiffAlgError):
+    """An exponent of 2^31 or more in a field variable other than the first,
+    past its digit of a packed monomial (see `field`)."""
+
+    def __init__(self):
+        super().__init__("exponent over 2147483647 in a field variable "
+                         "other than the first")
 
 
 class BadDerivation(DiffAlgError):

@@ -30,15 +30,30 @@ Products by a unit cost nothing: an MPoly product with a constant factor
 scales the other factor (returns it when the constant is 1), and a RatFun
 product with the factor 1 returns the other factor.  MPoly and RatFun
 values are never changed in place, so results may share them.
+
+A monomial t1^e1 ... tv^ev is one non-negative integer key (Kronecker
+substitution, the packed exponent vectors of Monagan and Pearce, 2007):
+each exponent has a 32-bit digit, t1's the most significant, so integer
+order is lex order and the constant term is key 0.  A product of monomials
+is one integer addition, and the exponent of t_i is read by a shift and a
+mask.  Every digit below the top one holds at most 2^31 - 1, so its top bit
+is a free guard: a product or interpolation that sets a guard bit (an
+exponent of 2^31 or more in any variable but t1) raises ExponentOverflow
+rather than carry into the neighbouring digit, and a subtraction of keys
+that borrows sets a guard bit or goes negative, which is the divisibility
+test of exact division.  t1 has no neighbour above, so its exponent is
+unbounded.  `MPoly(nvars, {exponent tuple: c})` and `MPoly.exponents()`
+are the tuple form at the edges.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache, reduce
 from math import gcd as _int_gcd, isqrt
-from operator import add, gt, sub
+from operator import or_
 
-from .errors import BadDerivation, DivisionByZero
+from .errors import BadDerivation, DivisionByZero, ExponentOverflow
 from .record import FrozenRecord
 
 
@@ -95,12 +110,20 @@ class DiffFieldConfig(FrozenRecord):
             raise BadDerivation(f"derivation index {i} not in [0, {self.m})")
 
 
+# Bits of one exponent digit of a packed monomial; a digit below the top
+# one stays below _GUARD, its top bit.
+_BITS = 32
+_MASK = (1 << _BITS) - 1
+_GUARD = 1 << (_BITS - 1)
+
+
 class MPoly:
-    """Sparse polynomial in Z[t1..tv]: exponent tuple -> nonzero int."""
+    """Sparse polynomial in Z[t1..tv]: packed monomial key -> nonzero int."""
 
     __slots__ = ("nvars", "terms", "_hash")
 
     def __init__(self, nvars, terms=None):
+        """`terms` maps exponent tuples of length nvars to integers."""
         self.nvars = nvars
         clean = {}
         if terms:
@@ -110,7 +133,7 @@ class MPoly:
                         raise ValueError("exponent vector of wrong length")
                     if int(coeff) != coeff:
                         raise ValueError(f"non-integer coefficient {coeff}")
-                    clean[exps] = int(coeff)
+                    clean[_pack(exps)] = int(coeff)
         self.terms = clean
         self._hash = None
 
@@ -122,12 +145,13 @@ class MPoly:
 
     @classmethod
     def const(cls, nvars, value):
-        return cls(nvars, {(0,) * nvars: value})
+        if type(value) is not int:
+            return cls(nvars, {(0,) * nvars: value})
+        return _poly(nvars, {0: value} if value else {})
 
     @classmethod
     def var(cls, nvars, i):
-        exps = tuple(1 if j == i else 0 for j in range(nvars))
-        return cls(nvars, {exps: 1})
+        return _poly(nvars, {1 << _digit(nvars, i)[0]: 1})
 
     # -- predicates and views ------------------------------------------
 
@@ -136,35 +160,41 @@ class MPoly:
 
     def is_const(self):
         terms = self.terms
-        return not terms or (len(terms) == 1 and _ORIGIN[self.nvars] in terms)
+        return not terms or (len(terms) == 1 and 0 in terms)
 
     def is_one(self):
         terms = self.terms
-        return len(terms) == 1 and terms.get(_ORIGIN[self.nvars]) == 1
+        return len(terms) == 1 and terms.get(0) == 1
 
     def const_value(self):
-        return self.terms.get(_ORIGIN[self.nvars], 0)
+        return self.terms.get(0, 0)
+
+    def exponents(self):
+        """The terms keyed by exponent tuples: {(e1, ..., ev): coefficient}."""
+        nvars = self.nvars
+        return {_unpack(e, nvars): c for e, c in self.terms.items()}
 
     def lex_leading(self):
         """(exponents, coefficient) of the lex-maximal term."""
-        exps = max(self.terms)
-        return exps, self.terms[exps]
+        key = max(self.terms)
+        return _unpack(key, self.nvars), self.terms[key]
 
     def degree_in(self, i):
         if self.is_zero():
             return -1
-        return max(e[i] for e in self.terms)
+        shift, mask = _digit(self.nvars, i)
+        return max(e >> shift & mask for e in self.terms)
 
     # -- ring operations -----------------------------------------------
 
     def __add__(self, other):
         terms = dict(self.terms)
-        for exps, coeff in other.terms.items():
-            c = terms.get(exps, 0) + coeff
+        for e, coeff in other.terms.items():
+            c = terms.get(e, 0) + coeff
             if c:
-                terms[exps] = c
+                terms[e] = c
             else:
-                del terms[exps]
+                del terms[e]
         return _poly(self.nvars, terms)
 
     def __neg__(self):
@@ -177,20 +207,19 @@ class MPoly:
         if isinstance(other, int):
             return self.scale(other)
         # a constant factor scales the other one; a factor 1 returns it
-        origin = _ORIGIN[self.nvars]
         left, right = self.terms, other.terms
-        if len(right) == 1 and origin in right:
-            return _scaled(self, right[origin])
-        if len(left) == 1 and origin in left:
-            return _scaled(other, left[origin])
+        if len(right) == 1 and 0 in right:
+            return _scaled(self, right[0])
+        if len(left) == 1 and 0 in left:
+            return _scaled(other, left[0])
         terms = {}
         get = terms.get
         right = list(right.items())
         for e1, c1 in left.items():
             for e2, c2 in right:
-                e = tuple(map(add, e1, e2))
+                e = e1 + e2
                 terms[e] = get(e, 0) + c1 * c2
-        return _poly(self.nvars, {e: c for e, c in terms.items() if c})
+        return _carry_free(self.nvars, {e: c for e, c in terms.items() if c})
 
     def __rmul__(self, other):
         if isinstance(other, int):
@@ -199,18 +228,23 @@ class MPoly:
 
     def scale(self, k):
         """Multiply every coefficient by the integer k."""
-        return MPoly(self.nvars, {e: c * k for e, c in self.terms.items()})
+        if type(k) is not int:
+            return MPoly(self.nvars, {e: c * k
+                                      for e, c in self.exponents().items()})
+        return _scaled(self, k) if k else _poly(self.nvars, {})
 
     def __pow__(self, k):
         return _power(self, k, MPoly.const(self.nvars, 1))
 
     def partial(self, i):
         """Derivative with respect to t_i (0-based)."""
+        shift, mask = _digit(self.nvars, i)
+        unit = 1 << shift
         terms = {}
-        for exps, coeff in self.terms.items():
-            k = exps[i]
+        for e, coeff in self.terms.items():
+            k = e >> shift & mask
             if k:
-                terms[exps[:i] + (k - 1,) + exps[i + 1:]] = coeff * k
+                terms[e - unit] = coeff * k
         return _poly(self.nvars, terms)
 
     # -- exact division and gcd ----------------------------------------
@@ -240,18 +274,45 @@ class MPoly:
         return bool(self.terms)
 
     def __repr__(self):
-        return f"MPoly({self.nvars}, {self.terms!r})"
+        return f"MPoly({self.nvars}, {self.exponents()!r})"
 
 
-class _Origins(dict):
-    """nvars -> the exponent tuple of the constant term, built once."""
-
-    def __missing__(self, nvars):
-        origin = self[nvars] = (0,) * nvars
-        return origin
+def _digit(nvars, i):
+    """(shift, mask) that read the exponent of t_i (0-based) from a key:
+    `key >> shift & mask`.  t1's digit is the top one, with no mask."""
+    return _BITS * (nvars - 1 - i), (_MASK if i else -1)
 
 
-_ORIGIN = _Origins()
+def _pack(exps):
+    """The key of the monomial with the exponent tuple exps."""
+    key = 0
+    for i, e in enumerate(exps):
+        if e < 0:
+            raise ValueError(f"negative exponent {e}")
+        if i and e >= _GUARD:
+            raise ExponentOverflow()
+        key = key << _BITS | e
+    return key
+
+
+def _unpack(key, nvars):
+    """The exponent tuple of a key."""
+    digits = (_digit(nvars, i) for i in range(nvars))
+    return tuple(key >> shift & mask for shift, mask in digits)
+
+
+@cache
+def _guards(nvars):
+    """The guard bits of a key: the top bit of every digit but t1's."""
+    return ((1 << _BITS * max(nvars - 1, 0)) - 1) // _MASK * _GUARD
+
+
+def _carry_free(nvars, terms):
+    """_poly(nvars, terms), or ExponentOverflow when a key has a guard bit
+    set: an exponent of 2^31 or more in a digit that has a neighbour."""
+    if nvars > 1 and reduce(or_, terms, 0) & _guards(nvars):
+        raise ExponentOverflow()
+    return _poly(nvars, terms)
 
 
 def _power(x, k, one):
@@ -292,14 +353,19 @@ def _scaled(p, k):
     return _poly(p.nvars, {e: c * k for e, c in p.terms.items()})
 
 
+def _lead_coeff(p):
+    """The lex-leading coefficient of a nonzero p."""
+    return p.terms[max(p.terms)]
+
+
 def _sign(p):
     """Sign of the lex-leading coefficient of a nonzero p."""
-    return -1 if p.lex_leading()[1] < 0 else 1
+    return -1 if _lead_coeff(p) < 0 else 1
 
 
 def _lex_positive(p):
     """p or -p, whichever has a positive lex-leading coefficient."""
-    return -p if p.terms and p.lex_leading()[1] < 0 else p
+    return -p if p.terms and _lead_coeff(p) < 0 else p
 
 
 def _div_int(p, k):
@@ -310,11 +376,10 @@ def _div_int(p, k):
 
 
 def _shifted_down(p, low):
-    """p divided by the monomial t^low, which divides every term of p."""
-    if not any(low):
+    """p divided by the monomial with key low, which divides every term."""
+    if not low:
         return p
-    return _poly(p.nvars, {tuple(map(sub, e, low)): c
-                           for e, c in p.terms.items()})
+    return _poly(p.nvars, {e - low: c for e, c in p.terms.items()})
 
 
 def _norm(p):
@@ -322,9 +387,22 @@ def _norm(p):
     return max(map(abs, p.terms.values()))
 
 
-def _degrees(p):
-    """Degree of a nonzero p in each variable."""
-    return [max(column) for column in zip(*p.terms)]
+def _digitwise(pick, keys, nvars):
+    """Key of the monomial whose exponent of each variable is `pick` (min
+    or max) of that exponent over keys, which holds at least one key."""
+    key = 0
+    for i in range(nvars):
+        shift, mask = _digit(nvars, i)
+        key |= pick(e >> shift & mask for e in keys) << shift
+    return key
+
+
+def _borrows(a, b, guards):
+    """True unless the monomial with key b divides the one with key a: a
+    digit of a below b's borrows, which sets its guard bit or, at the top
+    digit, makes a - b negative."""
+    d = a - b
+    return d < 0 or d & guards
 
 
 def _quotient(f, h):
@@ -334,23 +412,26 @@ def _quotient(f, h):
         return f
     # f = h*q gives deg_i q = deg_i f - deg_i h for every variable, which
     # bounds the steps of a division that turns out inexact
-    box = [a - b for a, b in zip(_degrees(f), _degrees(h))]
-    if min(box, default=0) < 0:
+    guards = _guards(f.nvars)
+    top_f, top_h = (_digitwise(max, p.terms, p.nvars) for p in (f, h))
+    if _borrows(top_f, top_h, guards):
         return None
-    lead_e, lead_c = h.lex_leading()
+    box = top_f - top_h
+    lead_e = max(h.terms)
+    lead_c = h.terms[lead_e]
     tail = [(e, c) for e, c in h.terms.items() if e != lead_e]
     rem = dict(f.terms)
     quo = {}
     while rem:
         re = max(rem)
         qc, r = divmod(rem.pop(re), lead_c)
-        qe = tuple(map(sub, re, lead_e))
-        if r or min(qe, default=0) < 0 or any(map(gt, qe, box)):
+        qe = re - lead_e
+        if r or _borrows(re, lead_e, guards) or _borrows(box, qe, guards):
             return None
         quo[qe] = qc
         # every term of qc*t^qe*tail lies lex-below re
         for e, c in tail:
-            e = tuple(map(add, qe, e))
+            e += qe
             c = rem.get(e, 0) - qc * c
             if c:
                 rem[e] = c
@@ -360,15 +441,12 @@ def _quotient(f, h):
 
 
 def _main_var(f, g):
-    """Largest variable index occurring in f or g, or None."""
-    best = None
-    for p in (f, g):
-        for exps in p.terms:
-            for i in range(p.nvars - 1, -1, -1):
-                if exps[i] and (best is None or i > best):
-                    best = i
-                    break
-    return best
+    """Largest variable index occurring in f or g, or None: the variable
+    of the lowest nonzero digit of any key."""
+    keys = reduce(or_, f.terms, reduce(or_, g.terms, 0))
+    if not keys:
+        return None
+    return max(f.nvars - 1 - ((keys & -keys).bit_length() - 1) // _BITS, 0)
 
 
 # -- gcd: GCDHEU with cofactors -------------------------------------------
@@ -389,17 +467,18 @@ prs_fallbacks = 0
 
 def _evaluate(f, x, xi):
     """f with t_x replaced by the integer xi."""
+    shift, mask = _digit(f.nvars, x)
     powers = {}
     out = {}
-    for exps, c in f.terms.items():
-        k = exps[x]
+    for e, c in f.terms.items():
+        k = e >> shift & mask
         if k:
             p = powers.get(k)
             if p is None:
                 p = powers[k] = xi ** k
             c *= p
-            exps = exps[:x] + (0,) + exps[x + 1:]
-        out[exps] = out.get(exps, 0) + c
+            e -= k << shift
+        out[e] = out.get(e, 0) + c
     return _poly(f.nvars, {e: c for e, c in out.items() if c})
 
 
@@ -419,12 +498,13 @@ def _digits(gamma, xi):
 def _interpolate(gamma, x, xi):
     """The polynomial in t_x whose coefficients are the symmetric base-xi
     digits of gamma's coefficients (gamma is free of t_x)."""
+    shift = _digit(gamma.nvars, x)[0]
     terms = {}
-    for exps, c in gamma.terms.items():
+    for e, c in gamma.terms.items():
         for k, digit in enumerate(_digits(c, xi)):
             if digit:
-                terms[exps[:x] + (k,) + exps[x + 1:]] = digit
-    return _poly(gamma.nvars, terms)
+                terms[e | k << shift] = digit
+    return _carry_free(gamma.nvars, terms)
 
 
 def _horner(coeffs, xi):
@@ -552,7 +632,7 @@ def _gcd_cofactors(f, g):
         # the divisors of a single term are single terms, so with the
         # integer content gone the gcd is t^low, the largest monomial
         # dividing every term of f and g
-        low = tuple(map(min, zip(*f.terms, *g.terms)))
+        low = _digitwise(min, (*f.terms, *g.terms), f.nvars)
         return (_poly(f.nvars, {low: content}), _shifted_down(f, low),
                 _shifted_down(g, low))
     found = _heuristic(f, g)
@@ -580,9 +660,11 @@ def mpoly_gcd(f, g):
 
 def _coeffs_in(f, x):
     """View f as univariate in t_x: degree -> MPoly coefficient (t_x-free)."""
+    shift, mask = _digit(f.nvars, x)
     out = {}
-    for exps, coeff in f.terms.items():
-        out.setdefault(exps[x], {})[exps[:x] + (0,) + exps[x + 1:]] = coeff
+    for e, coeff in f.terms.items():
+        k = e >> shift & mask
+        out.setdefault(k, {})[e - (k << shift)] = coeff
     return {d: _poly(f.nvars, t) for d, t in out.items()}
 
 
@@ -604,8 +686,7 @@ def _prem(f, g, x):
     while not rem.is_zero() and rem.degree_in(x) >= dg:
         dr = rem.degree_in(x)
         lc_r = _coeffs_in(rem, x)[dr]
-        shift = _poly(f.nvars, {tuple(dr - dg if i == x else 0
-                                      for i in range(f.nvars)): 1})
+        shift = _poly(f.nvars, {(dr - dg) << _digit(f.nvars, x)[0]: 1})
         rem = rem * lc_g - lc_r * shift * g
     return rem
 
@@ -614,22 +695,24 @@ def _univariate_in(f, x):
     """True when f involves no variable other than t_x."""
     if f.nvars == 1:
         return True
-    return all(not e for exps in f.terms for i, e in enumerate(exps) if i != x)
+    shift, mask = _digit(f.nvars, x)
+    keys = reduce(or_, f.terms, 0)
+    return keys == (keys >> shift & mask) << shift
 
 
 def _dense(p, x):
     """Ascending integer coefficient list of a nonzero p univariate in t_x."""
+    shift, mask = _digit(p.nvars, x)
     coeffs = [0] * (p.degree_in(x) + 1)
-    for exps, c in p.terms.items():
-        coeffs[exps[x]] = c
+    for e, c in p.terms.items():
+        coeffs[e >> shift & mask] = c
     return coeffs
 
 
 def _sparse(coeffs, nvars, x):
     """The MPoly in t_x with the ascending integer coefficient list coeffs."""
-    head, tail = (0,) * x, (0,) * (nvars - x - 1)
-    return _poly(nvars, {head + (i,) + tail: c
-                         for i, c in enumerate(coeffs) if c})
+    shift = _digit(nvars, x)[0]
+    return _poly(nvars, {i << shift: c for i, c in enumerate(coeffs) if c})
 
 
 def _int_primitive(coeffs):
@@ -725,9 +808,8 @@ class RatFun:
     @classmethod
     def from_const(cls, nvars, value):
         if type(value) is int:
-            origin = _ORIGIN[nvars]
-            return cls(_poly(nvars, {origin: value} if value else {}),
-                       _poly(nvars, {origin: 1}), _canonical=True)
+            return cls(MPoly.const(nvars, value), MPoly.const(nvars, 1),
+                       _canonical=True)
         value = Fraction(value)
         return cls(MPoly.const(nvars, value.numerator),
                    MPoly.const(nvars, value.denominator), _canonical=True)
@@ -899,6 +981,6 @@ def _normalize(num, den, coprime=False):
         return num, MPoly.const(num.nvars, 1)
     if not coprime:
         _, num, den = _gcd_cofactors(num, den)
-    if den.lex_leading()[1] < 0:
+    if _lead_coeff(den) < 0:
         return -num, -den
     return num, den

@@ -283,30 +283,34 @@ def _product_is(X, Y, Z):
     as unnormalized numerator/denominator pairs, grouped by denominator,
     and the groups are combined over the lcm of their denominators: the sum
     is zero exactly when that numerator is the zero polynomial.  Each shift
-    delta^e * Y[k][j] is built once per (k, j), over the keys of column k
-    of X, and serves every row of X.
+    delta^e * Y[k][j] is built once per nonzero Y[k][j], over the keys of
+    column k of X, and serves every row of X; a row of X meets only the
+    nonzero shifts of its nonzero entries, so the check costs the nonzero
+    products, not rows * cols^2 index triples.
     """
     if (X.cols, X.rows, Y.cols) != (Y.rows, Z.rows, Z.cols):
         return False
-    shifts = []
+    shifts = []     # k -> {j: delta-key -> delta^e * Y[k][j]}, Y[k][j] != 0
     for k in range(X.cols):
         keys = {e for row in X.entries for e in row[k].terms}
-        shifts.append([_shifts(y, keys) if keys and y else None
-                       for y in Y.entries[k]])
+        shifts.append({j: _shifts(y, keys) for j, y in enumerate(Y.entries[k])
+                       if y} if keys else {})
     for x_row, z_row in zip(X.entries, Z.entries):
-        for j, z in enumerate(z_row):
-            sums = {}       # delta-key -> {denominator: numerator}
-            for x, column in zip(x_row, shifts):
-                by_key = column[j]
-                if by_key is None:
-                    continue
+        sums = {}       # j -> delta-key -> {denominator: numerator}
+        for x, column in zip(x_row, shifts):
+            if not x:
+                continue
+            for j, by_key in column.items():
+                entry = sums.setdefault(j, {})
                 for e, c in x.terms.items():
                     for key, d in by_key[e].terms.items():
-                        _add_fraction(sums.setdefault(key, {}),
+                        _add_fraction(entry.setdefault(key, {}),
                                       c.num * d.num, c.den * d.den)
+        for j, z in enumerate(z_row):
+            entry = sums.get(j, {})
             for key, c in z.terms.items():
-                _add_fraction(sums.setdefault(key, {}), -c.num, c.den)
-            if not all(map(_sums_to_zero, sums.values())):
+                _add_fraction(entry.setdefault(key, {}), -c.num, c.den)
+            if not all(map(_sums_to_zero, entry.values())):
                 return False
     return True
 

@@ -16,10 +16,12 @@ field element and an operator goes through the operator's own `__mul__` or
 `__rmul__`, so `d*t` is still `t*d + 1`.  Division is by base-field
 elements only, negative powers exist only in the base field, and a power of
 an operator other than one constant-coefficient term may not pass
-`MAX_POWER_ORDER`, and a power of a base-field element other than a
-quotient of two monomials may not pass `MAX_FIELD_POWER_DEGREE` in degree
-or `MAX_FIELD_POWER_TERMS` in a bound on its term count; each of these is a
-`ParseError` with its position.
+`MAX_POWER_ORDER`, nor a power of an operator with a coefficient over a
+denominator of several terms `MAX_POWER_COEFF_DEGREE` in predicted
+coefficient degree, and a power of a base-field element other
+than a quotient of two monomials may not pass `MAX_FIELD_POWER_DEGREE` in
+degree or `MAX_FIELD_POWER_TERMS` in a bound on its term count; each of
+these is a `ParseError` with its position.
 
 A problem file is read a line at a time.  Each section body is tokenized
 once, where it sits in its line, so every error inside it names the column
@@ -132,6 +134,20 @@ def _int(tok):
 # term stays one term and has no cap (`d^10000000` is fine).
 MAX_POWER_ORDER = 100
 
+# Cap on the predicted coefficient degree of a power base^k, k >= 2, of an
+# operator: its order times the largest numerator or denominator degree
+# among its coefficients whose denominator has more than one term.  Each
+# order of the power derives the coefficients once more, and derivatives
+# of such a quotient swell.  Measured without the cap (in-process CPU
+# time, 2-core shared machine): ((t^2+1)/(t-1)*d + t)^k, predicted 2k,
+# takes 0.05 s at k = 10, 0.5 s at k = 20 and 4.7 s at k = 40; with m = 2
+# ((t1^2+t2)/(t1-t2)*d1 + t2*d2)^k takes 0.9 s at k = 10 and 3.2 s at
+# k = 12.  Polynomial coefficients, and those over a monomial, grow in
+# degree only linearly with the order and count as degree 0: ((t + 1)*d)^21
+# takes 0.007 s.  The cap is a first bound, not a cost model:
+# `((t + 1)*d)^100` takes 0.6 s and `(1/t*d + t)^100` seconds.
+MAX_POWER_COEFF_DEGREE = 20
+
 # Caps on a power of a base-field element whose numerator or denominator
 # has more than one term.  Its total degree is |k| times the larger of the
 # numerator's and the denominator's.  Its term count is bounded by
@@ -164,13 +180,19 @@ MAX_DERIVATIONS = 500
 MAX_MODULE_RANK = 100
 
 
+def _total_degree(p):
+    """Total degree of a nonzero MPoly p."""
+    return max(map(sum, p.exponents()))
+
+
 def _power_terms(p, k):
     """Upper bound on the number of terms of p^k, for a nonzero MPoly p: the
     dense count in the variables p holds, or the number of products of k of
     p's terms, whichever is smaller."""
-    nvars = sum(map(any, zip(*p.terms)))
-    degree = k * max(map(sum, p.terms))
-    return min(comb(degree + nvars, nvars), comb(k + len(p.terms) - 1, k))
+    exps = p.exponents()
+    nvars = sum(map(any, zip(*exps)))
+    degree = k * max(map(sum, exps))
+    return min(comb(degree + nvars, nvars), comb(k + len(exps) - 1, k))
 
 
 class _ExprParser:
@@ -239,8 +261,8 @@ class _ExprParser:
         scalar = _field_value(base)
         if scalar is not None and (len(scalar.num.terms) > 1
                                    or len(scalar.den.terms) > 1):
-            degree = abs(k) * max(max(map(sum, p.terms))
-                                  for p in (scalar.num, scalar.den))
+            degree = abs(k) * max(map(_total_degree,
+                                      (scalar.num, scalar.den)))
             if degree > MAX_FIELD_POWER_DEGREE:
                 raise ParseError(f"power of degree {degree} of a base-field "
                                  f"element of more than one term; the limit "
@@ -268,6 +290,14 @@ class _ExprParser:
                 raise ParseError(f"power of order {order} of an operator "
                                  f"that is not one constant-coefficient "
                                  f"term; the limit is {MAX_POWER_ORDER}",
+                                 tok.line, tok.column)
+            degree = order * max((max(map(_total_degree, (c.num, c.den)))
+                                  for c in base.terms.values()
+                                  if len(c.den.terms) > 1), default=0)
+            if k > 1 and degree > MAX_POWER_COEFF_DEGREE:
+                raise ParseError(f"power of order {order} with coefficients "
+                                 f"of predicted degree {degree}; the limit "
+                                 f"is {MAX_POWER_COEFF_DEGREE}",
                                  tok.line, tok.column)
         return base ** k
 
@@ -549,7 +579,7 @@ def ratfun_str(r, config):
     divided by the denominator's lex-leading coefficient."""
     names = field_var_names(config)
     _, lead = r.den.lex_leading()
-    num, den = ({e: Fraction(c, lead) for e, c in p.terms.items()}
+    num, den = ({e: Fraction(c, lead) for e, c in p.exponents().items()}
                 for p in (r.num, r.den))
     num_s = mpoly_str(num, names)
     if r.den.is_const():

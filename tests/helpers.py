@@ -1,6 +1,7 @@
 """Shared test utilities: random generators and independent oracles.
 
-The oracles deliberately avoid the library's own fast paths: operator
+The oracles deliberately avoid the library's own fast paths: base-field
+products and exact quotients are re-derived on exponent tuples, operator
 products are re-derived from the closed binomial commutation formula,
 staircase counts are re-derived by inclusion-exclusion over subsets of
 leaders, staircase counts at one bound and standard terms by testing every
@@ -119,6 +120,54 @@ def eval_point(w, xs):
     for op, x in zip(w.operator_vector(), xs):
         result = result + ore_apply(op, x)
     return result
+
+
+# ---------------------------------------------------------------------------
+# tuple-keyed polynomial oracle
+#
+# Polynomials in Z[t1..tv] as {exponent tuple: nonzero int} dicts: the sparse
+# product and the exact quotient as MPoly computed them before monomials were
+# packed into integer keys.
+
+def tuple_mul(f, g):
+    """The product of two tuple-keyed polynomials."""
+    terms = {}
+    for e1, c1 in f.items():
+        for e2, c2 in g.items():
+            e = tuple(a + b for a, b in zip(e1, e2))
+            terms[e] = terms.get(e, 0) + c1 * c2
+    return {e: c for e, c in terms.items() if c}
+
+
+def tuple_quotient(f, h):
+    """Exact quotient f/h of tuple-keyed polynomials, h nonzero, by sparse
+    division in lex order; None if h does not divide f."""
+    if not f:
+        return {}
+    # f = h*q gives deg_i q = deg_i f - deg_i h in every variable
+    box = [max(a) - max(b) for a, b in zip(zip(*f), zip(*h))]
+    if min(box, default=0) < 0:
+        return None
+    lead_e = max(h)
+    lead_c = h[lead_e]
+    rem = dict(f)
+    quo = {}
+    while rem:
+        re = max(rem)
+        qc, r = divmod(rem.pop(re), lead_c)
+        qe = tuple(a - b for a, b in zip(re, lead_e))
+        if r or min(qe, default=0) < 0 or any(map(int.__gt__, qe, box)):
+            return None
+        quo[qe] = qc
+        for e, c in h.items():
+            if e != lead_e:
+                e = tuple(a + b for a, b in zip(qe, e))
+                c = rem.get(e, 0) - qc * c
+                if c:
+                    rem[e] = c
+                else:
+                    del rem[e]
+    return quo
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,8 @@ from diffalg import DiffFieldConfig
 from diffalg.cli import main
 from diffalg.parsing import (MAX_DERIVATIONS, MAX_FIELD_POWER_DEGREE,
                              MAX_FIELD_POWER_TERMS, MAX_MODULE_RANK,
-                             orepoly_str, parse_orepoly)
+                             MAX_POWER_COEFF_DEGREE, orepoly_str,
+                             parse_orepoly)
 
 GENERIC = """\
 field: Q(t)
@@ -464,6 +465,33 @@ class TestRefusedInput:
                        f"{degree} with up to {terms} terms; the limit is "
                        f"{MAX_FIELD_POWER_TERMS} terms\n")
 
+    @pytest.mark.parametrize("field, gens, order, degree", [
+        ("Q(t)", "[((t^2+1)/(t-1)*d + t)^40]", 40, 80),
+        ("Q(t1, t2)", "[((t1^2+t2)/(t1-t2)*d1 + t2*d2)^12]", 12, 24),
+    ], ids=["one-derivation", "two-derivations"])
+    def test_operator_power_over_the_coefficient_cap_exits_2(
+            self, capsys, tmp_path, field, gens, order, degree):
+        line = f"gens: {gens}"
+        column = line.rindex("^") + 1
+        text = f"field: {field}\nmodule: 1\n{line}\n"
+        start = time.perf_counter()
+        code, out, err = run(capsys, tmp_path, text, "charset")
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (2, "")
+        assert err == (f"error: line 3, column {column}: power of order "
+                       f"{order} with coefficients of predicted degree "
+                       f"{degree}; the limit is {MAX_POWER_COEFF_DEGREE}\n")
+
+    @pytest.mark.parametrize("gens", [
+        f"[((t^{MAX_POWER_COEFF_DEGREE + 1} + 1)*d)^1]",
+        f"[((t + 1)*d)^{MAX_POWER_COEFF_DEGREE + 1}]",
+    ], ids=["first-power", "polynomial-coefficient"])
+    def test_operator_powers_outside_the_coefficient_cap_run(
+            self, capsys, tmp_path, gens):
+        text = f"field: Q(t)\nmodule: 1\ngens: {gens}\n"
+        code, out, _ = run(capsys, tmp_path, text, "charset")
+        assert code == 0 and out.startswith("characteristic set")
+
     def test_field_powers_under_the_degree_cap_or_of_monomials(
             self, capsys, tmp_path):
         for gens in ("[(t + 1)^500*d]", "[((t + 1)/t)^-250*d]",
@@ -697,6 +725,39 @@ class TestOversizedResults:
         monkeypatch.setattr(diffalg.cli, "_dispatch", broken)
         with pytest.raises(ValueError, match="not a printing limit"):
             run(capsys, tmp_path, MODULE, "charset")
+
+
+class TestExponentLimit:
+    def test_past_the_digit_of_a_later_variable_exits_1(self, capsys,
+                                                        tmp_path):
+        text = ("field: Q(t1, t2)\nmodule: 1\n"
+                "gens: [t2^2147483648*d1 + 1]\n")
+        start = time.perf_counter()
+        code, out, err = run(capsys, tmp_path, text, "dimpoly")
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (1, "")
+        assert err == ("error: exponent over 2147483647 in a field variable "
+                       "other than the first\n")
+
+    def test_first_variable_has_no_limit(self, capsys, tmp_path):
+        text = ("field: Q(t1, t2)\nmodule: 1\n"
+                "gens: [t1^1000000000000*t2^2147483647*d1 + 1]\n")
+        code, out, _ = run(capsys, tmp_path, text, "charset")
+        assert code == 0
+        assert "[d1 + 1/(t1^1000000000000*t2^2147483647)]" in out
+
+    def test_one_variable_has_no_limit(self, capsys, tmp_path):
+        text = "field: Q(t)\nmodule: 1\ngens: [t^1000000000000*d + 1]\n"
+        code, out, _ = run(capsys, tmp_path, text, "dimpoly")
+        assert code == 0
+        assert out == ("dimension polynomial: 1 (valid for t >= 1)\n"
+                       "differential dimension d = 0\n"
+                       "type = 0, typical height = 1\n"
+                       "below-leader count B = 1 (free term r = 1)\n"
+                       "free components: none\n")
+        code, out, _ = run(capsys, tmp_path, text, "charset")
+        assert (code, out) == (0, "characteristic set (1 elements):\n"
+                                  "  [d + 1/(t^1000000000000)]\n")
 
 
 def _python(args, cwd):

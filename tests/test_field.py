@@ -1,5 +1,6 @@
 """Base-field arithmetic: canonical forms, field axioms, derivations."""
 
+import math
 import random
 import time
 from collections import Counter
@@ -7,10 +8,11 @@ from fractions import Fraction
 
 import pytest
 
-from diffalg import (BadDerivation, DiffFieldConfig, DivisionByZero, MPoly,
-                     RatFun, field, mpoly_gcd)
-from diffalg.field import _gcd_cofactors, _prs_gcd
-from helpers import rand_mpoly, rand_ratfun
+from diffalg import (BadDerivation, DiffAlgError, DiffFieldConfig,
+                     DivisionByZero, ExponentOverflow, MPoly, RatFun, field,
+                     mpoly_gcd)
+from diffalg.field import _gcd_cofactors, _prs_gcd, _quotient
+from helpers import rand_mpoly, rand_ratfun, tuple_mul, tuple_quotient
 
 CFG1 = DiffFieldConfig(1, 1)
 CFG22 = DiffFieldConfig(2, 2)
@@ -70,7 +72,7 @@ class TestArith:
         # 1/2 + 1/2 must cancel it to 1/1, not stop at 2/2
         half = RatFun.from_const(1, Fraction(1, 2))
         for one in (half * 2, half + half):
-            assert one.num.terms == one.den.terms == {(0,): 1}
+            assert one.num.exponents() == one.den.exponents() == {(0,): 1}
 
 
 class TestDerive:
@@ -86,7 +88,8 @@ class TestDerive:
         t = t_()
         d = (t ** 2 / 4).derive(0)
         assert d == t / 2
-        assert d.num.terms == {(1,): 1} and d.den.terms == {(0,): 2}
+        assert (d.num.exponents() == {(1,): 1}
+                and d.den.exponents() == {(0,): 2})
 
     def test_memoized_per_object(self):
         t = t_()
@@ -366,6 +369,13 @@ class TestUnitShortcuts:
         assert MPoly.const(2, 1) * p is p
         assert p * MPoly.zero(2) == MPoly.zero(2) == MPoly.zero(2) * p
 
+    def test_scale_keeps_integer_coefficients(self):
+        p = MPoly(2, {(2, 1): 3, (0, 1): -2, (0, 0): 5})
+        assert p.scale(Fraction(4, 2)) == p.scale(2)
+        assert all(type(c) is int for c in p.scale(Fraction(2)).terms.values())
+        with pytest.raises(ValueError, match="non-integer"):
+            p.scale(Fraction(1, 2))
+
     def test_shared_operand_is_never_changed(self):
         p = MPoly(2, {(2, 1): 3, (0, 1): -2, (0, 0): 5})
         snapshot = dict(p.terms)
@@ -389,6 +399,138 @@ class TestUnitShortcuts:
             t = MPoly.var(nvars, nvars - 1)
             assert not t.is_const() and t.const_value() == 0
             assert not (t + one).is_const() and (t + one).const_value() == 1
+
+
+# The largest exponent of a variable after the first.
+LIMIT = 2 ** 31 - 1
+
+
+def rand_tuple_poly(rng, nvars, kind, offsets):
+    """A tuple-keyed polynomial of the given kind: zero, a constant, one
+    term, or two to four terms with exponents offsets[i] + 0..3."""
+    if kind == "zero":
+        return {}
+    if kind == "const":
+        return {(0,) * nvars: rng.choice([-4, -1, 1, 6])}
+    terms = {}
+    for _ in range(1 if kind == "single" else rng.randint(2, 4)):
+        exps = tuple(o + rng.randint(0, 3) for o in offsets)
+        terms[exps] = rng.choice([-5, -2, -1, 1, 3, 7])
+    return terms
+
+
+def rand_tuple_pair(rng, nvars):
+    """(f, g, small) whose product fits: f's exponents may start at 10^12
+    in t1 and at LIMIT - 6 in the other variables, g's at 0, so exponents
+    of f*g reach LIMIT but never pass it; small when f's start at 0."""
+    big = ([rng.choice([0, 10 ** 12])]
+           + [rng.choice([0, LIMIT - 6]) for _ in range(nvars - 1)])[:nvars]
+    kinds = ["zero", "const", "single", "poly", "poly"]
+    f = rand_tuple_poly(rng, nvars, rng.choice(kinds), big)
+    g = rand_tuple_poly(rng, nvars, rng.choice(kinds), [0] * nvars)
+    return f, g, not any(big)
+
+
+def tuple_partial(f, i):
+    return {e[:i] + (e[i] - 1,) + e[i + 1:]: c * e[i]
+            for e, c in f.items() if e[i]}
+
+
+class TestPackedKeys:
+    """MPoly on packed monomial keys against the tuple-keyed oracle."""
+
+    @pytest.mark.parametrize("nvars", [0, 1, 2, 3])
+    def test_matches_the_tuple_oracle(self, nvars):
+        rng = random.Random(190 + nvars)
+        verdicts = Counter()
+        for _ in range(300):
+            f, g, small = rand_tuple_pair(rng, nvars)
+            pf, pg = MPoly(nvars, f), MPoly(nvars, g)
+            assert pf.exponents() == f and pg.exponents() == g
+            product = tuple_mul(f, g)
+            verdicts["limit"] += any(LIMIT in e[1:] for e in product)
+            assert (pf * pg).exponents() == product
+            assert (pg * pf).exponents() == product
+            for p, terms in ((pf, f), (pg, g)):
+                for i in range(nvars):
+                    assert p.partial(i).exponents() == tuple_partial(terms, i)
+                    assert p.degree_in(i) == max((e[i] for e in terms),
+                                                 default=-1)
+                if terms:
+                    lead = max(terms)
+                    assert p.lex_leading() == (lead, terms[lead])
+            # f*g + 1 is divided only down to its constant term; a quotient
+            # of two unrelated operands is taken only with small exponents,
+            # since an inexact division walks the whole degree box
+            one = (0,) * nvars
+            inexact = {**product, one: product.get(one, 0) + 1}
+            inexact = {e: c for e, c in inexact.items() if c}
+            cases = [(product, g, f), (product, f, g), (inexact, g, None),
+                     (inexact, f, None)]
+            if small:
+                cases += [(f, g, None), (g, f, None)]
+            for num, den, exact in cases:
+                if not den:
+                    continue
+                expected = tuple_quotient(num, den)
+                if exact is not None:
+                    assert expected == exact
+                    assert MPoly(nvars, num).divexact(MPoly(nvars, den)) \
+                        .exponents() == exact
+                got = _quotient(MPoly(nvars, num), MPoly(nvars, den))
+                verdicts[expected is None] += 1
+                assert (got is None) == (expected is None)
+                assert got is None or got.exponents() == expected
+        assert verdicts[True] > 100 and verdicts[False] > 100
+        assert verdicts["limit"] > 10 or nvars < 2
+
+    @pytest.mark.parametrize("nvars", [1, 2, 3])
+    def test_gcd_cofactors_match_the_tuple_oracle(self, nvars):
+        rng = random.Random(195 + nvars)
+        kinds = ["const", "single", "poly"]
+        for _ in range(100):
+            # a planted common factor, small exponents: GCDHEU or the PRS
+            h0, a, b = (rand_tuple_poly(rng, nvars, rng.choice(kinds),
+                                        [0] * nvars) for _ in range(3))
+            f, g = tuple_mul(h0, a), tuple_mul(h0, b)
+            h, cf, cg = (p.exponents() for p in
+                         _gcd_cofactors(MPoly(nvars, f), MPoly(nvars, g)))
+            assert tuple_mul(h, cf) == f and tuple_mul(h, cg) == g
+            assert tuple_quotient(h, h0) is not None
+            assert h[max(h)] > 0
+            # a single-term operand, exponents up to LIMIT: the closed form
+            f, g, _ = rand_tuple_pair(rng, nvars)
+            single = rand_tuple_poly(rng, nvars, "single", [0] * nvars)
+            for f, g in ((f or single, single), (single, g or single)):
+                h, cf, cg = (p.exponents() for p in
+                             _gcd_cofactors(MPoly(nvars, f), MPoly(nvars, g)))
+                low = tuple(map(min, zip(*f, *g)))
+                content = math.gcd(*f.values(), *g.values())
+                assert h == {low: content}
+                assert tuple_mul(h, cf) == f and tuple_mul(h, cg) == g
+
+    @pytest.mark.parametrize("nvars", [2, 3])
+    def test_a_carry_raises(self, nvars):
+        for i in range(1, nvars):
+            def power(e):
+                return MPoly(nvars, {tuple(e if j == i else 0
+                                           for j in range(nvars)): 1})
+            assert issubclass(ExponentOverflow, DiffAlgError)
+            assert ExponentOverflow.exit_code == 1
+            with pytest.raises(ExponentOverflow):
+                power(LIMIT) * MPoly.var(nvars, i)
+            with pytest.raises(ExponentOverflow):
+                power(2 ** 30) * power(2 ** 30)
+            with pytest.raises(ExponentOverflow):
+                power(LIMIT + 1)
+            with pytest.raises(ExponentOverflow):
+                MPoly.var(nvars, i) ** (LIMIT + 1)
+            assert (power(2 ** 30) * power(2 ** 30 - 1)).exponents() \
+                == power(LIMIT).exponents()
+        # t1's digit is the top one and has no limit
+        t1 = MPoly.var(nvars, 0) ** (10 ** 12)
+        square = (2 * 10 ** 12,) + (0,) * (nvars - 1)
+        assert (t1 * t1).exponents() == {square: 1}
 
 
 class TestNormalize:

@@ -8,7 +8,8 @@ import pytest
 
 from diffalg import (DiffAlgError, DiffFieldConfig, ModElement,
                      NumericalPolynomial, OrePoly, ParseError, RatFun)
-from diffalg.parsing import (MAX_FIELD_POWER_TERMS, MAX_POWER_ORDER,
+from diffalg.parsing import (MAX_FIELD_POWER_TERMS, MAX_POWER_COEFF_DEGREE,
+                             MAX_POWER_ORDER,
                              modelement_str, orepoly_str,
                              parse_diffpoly, parse_generator_vector,
                              parse_orepoly, parse_ratfun, term_label)
@@ -146,6 +147,31 @@ class TestRefusedInput:
         assert parse_orepoly(f"(d + 1)^{limit}", CFG1).degree() == limit
         with pytest.raises(ParseError, match="limit"):
             parse_orepoly(f"(d + 1)^{limit + 1}", CFG1)
+
+    def test_power_coefficient_cap_counts_order_times_degree(self):
+        limit = MAX_POWER_COEFF_DEGREE
+        base = "((t^2 + 1)/(t - 1)*d + t)"         # coefficient degree 2
+        assert parse_orepoly(f"{base}^{limit // 2}", CFG1).degree() \
+            == limit // 2
+        with pytest.raises(ParseError, match=f"predicted degree "
+                                             f"{limit + 2}; the limit"):
+            parse_orepoly(f"{base}^{limit // 2 + 1}", CFG1)
+        # the larger of numerator and denominator degree counts
+        with pytest.raises(ParseError, match=f"predicted degree "
+                                             f"{3 * (limit // 3 + 1)};"):
+            parse_orepoly(f"(1/(t^3 - 1)*d)^{limit // 3 + 1}", CFG1)
+        # only coefficients over a denominator of several terms count,
+        # and only in a power that multiplies (k >= 2)
+        for text, order in [(f"(t^5/t^2*d + t)^{MAX_POWER_ORDER}",
+                             MAX_POWER_ORDER),
+                            (f"((t^{limit + 1} + 1)*d)^1", 1),
+                            (f"((t + 1)*d)^{limit + 1}", limit + 1),
+                            (f"((t^2 + 1)*d + t^3 + t)^{limit // 3 + 1}",
+                             limit // 3 + 1),
+                            (f"((t^2 + 1)/t*d + 1)^{limit + 1}", limit + 1),
+                            (f"((t^2 + 1)/(t - 1)*d^{limit + 1})^1",
+                             limit + 1)]:
+            assert parse_orepoly(text, CFG1).degree() == order
 
 
     def test_field_power_term_cap_counts_the_variables_held(self):
