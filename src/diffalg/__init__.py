@@ -1,10 +1,10 @@
 """Exact linear differential algebra: characteristic sets, dimension
 polynomials, and tangent-space classification over Q(t1..tm)."""
 
-from .errors import (BadDerivation, ConfigMismatch, DiffAlgError,
-                     DivisionByZero, ExponentOverflow, NotAntichain,
-                     OrderlyRequired, ParseError, PointNotOnVariety,
-                     UnsupportedForPartial, ZeroElement)
+from .errors import (BadDerivation, ConfigMismatch, DegreeTooLarge,
+                     DiffAlgError, DivisionByZero, ExponentOverflow,
+                     NotAntichain, OrderlyRequired, ParseError,
+                     PointNotOnVariety, UnsupportedForPartial, ZeroElement)
 from .field import DiffFieldConfig, MPoly, RatFun, mpoly_gcd
 from .ore import OrePoly, ore_apply, ore_divmod, ore_mul
 from .diffmodule import (AutoreducedSet, CharSet, ModElement, Ranking,

@@ -4,7 +4,8 @@ The command line prints `error: <message>` for every diffalg error and exits
 with the class's `exit_code`:
 
     1  any diffalg error not listed below (e.g. leaders that are not an
-       antichain, an --order-bound over its cap, or ExponentOverflow)
+       antichain, an --order-bound over its cap, ExponentOverflow or
+       DegreeTooLarge)
     2  ParseError, DivisionByZero
     3  PointNotOnVariety
     4  UnsupportedForPartial, OrderlyRequired
@@ -33,6 +34,15 @@ class ExponentOverflow(DiffAlgError):
     def __init__(self):
         super().__init__("exponent over 2147483647 in a field variable "
                          "other than the first")
+
+
+class DegreeTooLarge(DiffAlgError):
+    """A gcd in one field variable of degree over `field.MAX_PRS_DEGREE`,
+    which the dense remainder sequence would need memory for by degree."""
+
+    def __init__(self, degree, cap):
+        super().__init__(f"gcd of degree {degree} in one field variable; "
+                         f"the cap is {cap}")
 
 
 class BadDerivation(DiffAlgError):

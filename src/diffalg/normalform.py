@@ -6,6 +6,14 @@ laid out as rows: in that orientation left multiplication recombines
 relations and right multiplication changes the free-module basis, so both
 are valid for left modules and the exact identity U*A*V = D holds with
 ordinary matrix products.
+
+The elimination keeps U_inv and V_inv as matrices but U and V as the
+elementary operations that built them: when there are more relations
+than columns, U's extra rows are left syzygies and swell far past A,
+U_inv and V_inv.  The certificate checks D diagonal, U*U_inv = I and
+V_inv*V = I by replaying the operations on the small inverses, and
+A*V = U_inv*D by replaying V's operations on A; together these give
+U*A*V = D with U and V unimodular, and the big U is never formed.
 """
 
 from __future__ import annotations
@@ -58,18 +66,18 @@ class OreMatrix:
                          self.cols, self.rows)
 
     def __mul__(self, other):
+        if not isinstance(other, OreMatrix):
+            return NotImplemented
         if self.cols != other.rows:
             raise ValueError("dimension mismatch")
         out = OreMatrix.zero(self.config, self.rows, other.cols)
-        for i in range(self.rows):
-            for j in range(other.cols):
-                acc = OrePoly.zero(self.config)
-                for k in range(self.cols):
-                    a = self.entries[i][k]
-                    b = other.entries[k][j]
-                    if a and b:
-                        acc = acc + ore_mul(a, b)
-                out.entries[i][j] = acc
+        for x_row, acc in zip(self.entries, out.entries):
+            # only nonzero entries of a row meet the rows of other
+            for a, y_row in zip(x_row, other.entries):
+                if a:
+                    for j, b in enumerate(y_row):
+                        if b:
+                            acc[j] = acc[j] + ore_mul(a, b)
         return out
 
     def __eq__(self, other):
@@ -83,6 +91,11 @@ class OreMatrix:
                    for i in range(self.rows) for j in range(self.cols)
                    if i != j)
 
+    def is_identity(self):
+        return self.rows == self.cols and all(
+            e.is_one() if i == j else not e
+            for i, row in enumerate(self.entries) for j, e in enumerate(row))
+
     def diagonal(self):
         return [self.entries[i][i] for i in range(min(self.rows, self.cols))]
 
@@ -93,18 +106,78 @@ class OreMatrix:
         return f"OreMatrix({self.rows}x{self.cols})"
 
 
-class Diagonalization(FrozenRecord):
-    """U * A * V = D, with tracked inverses; all identities exact.
+class ElementaryProduct:
+    """A square matrix kept as the elementary operations that built it.
 
-    D is canonical up to the pivot path: each nonzero diagonal entry is
-    monic (leading coefficient 1), so a unit entry is exactly 1.
+    Each operation is a triple (i, j, q) as `_row_op` and `_col_op` read
+    it.  With side "rows" the matrix is E_k*...*E_1 for the row operations
+    E_1, ..., E_k in the order recorded, and X*M replays them on a copy of
+    M; with side "cols" it is F_1*...*F_k for column operations, and M*X
+    replays them on a copy of M.  `matrix` multiplies the product out.
     """
 
-    __slots__ = _fields = ("U", "D", "V", "U_inv", "V_inv")
+    __slots__ = ("config", "size", "side", "ops")
 
-    def __init__(self, U: OreMatrix, D: OreMatrix, V: OreMatrix,
-                 U_inv: OreMatrix, V_inv: OreMatrix):
-        self._set_fields(U, D, V, U_inv, V_inv)
+    def __init__(self, config, size, side):
+        self.config = config
+        self.size = size
+        self.side = side
+        self.ops = []
+
+    def _replay(self, other, side, apply):
+        if self.side != side or not isinstance(other, OreMatrix):
+            return NotImplemented
+        if (other.rows if side == "rows" else other.cols) != self.size:
+            raise ValueError("dimension mismatch")
+        out = other.copy()
+        for op in self.ops:
+            apply(out.entries, op)
+        return out
+
+    def __mul__(self, other):
+        return self._replay(other, "rows", _row_op)
+
+    def __rmul__(self, other):
+        return self._replay(other, "cols", _col_op)
+
+    def matrix(self):
+        one = OreMatrix.identity(self.config, self.size)
+        return self * one if self.side == "rows" else one * self
+
+
+class Diagonalization(FrozenRecord):
+    """U * A * V = D, with U_inv and V_inv; all identities exact.
+
+    D is canonical up to the pivot path: each nonzero diagonal entry is
+    monic (leading coefficient 1), so a unit entry is exactly 1.  U and V
+    may be given as ElementaryProducts, as `diagonalize` gives them:
+    reading the field `U` or `V` multiplies it out once and keeps the
+    matrix.  `_verify` checks either form without multiplying it out.
+    """
+
+    __slots__ = ("_U", "D", "_V", "U_inv", "V_inv")
+    _fields = ("U", "D", "V", "U_inv", "V_inv")
+
+    def __init__(self, U: OreMatrix | ElementaryProduct, D: OreMatrix,
+                 V: OreMatrix | ElementaryProduct, U_inv: OreMatrix,
+                 V_inv: OreMatrix):
+        for slot, value in zip(self.__slots__, (U, D, V, U_inv, V_inv)):
+            object.__setattr__(self, slot, value)
+
+    @property
+    def U(self):
+        return self._multiplied_out("_U")
+
+    @property
+    def V(self):
+        return self._multiplied_out("_V")
+
+    def _multiplied_out(self, slot):
+        value = getattr(self, slot)
+        if isinstance(value, ElementaryProduct):
+            value = value.matrix()
+            object.__setattr__(self, slot, value)
+        return value
 
 
 class TangentClass(FrozenRecord):
@@ -146,60 +219,45 @@ def diagonalize(A):
     corner terminates by the Euclidean property.  Whenever the pivot
     changes, its row is left-scaled by the inverse of its leading
     coefficient, so every nonzero entry of D is monic and a unit entry is
-    1.  Verifies the result exactly (see _verify) before returning.
+    1.  Each operation is applied to the working matrix, its inverse to
+    U_inv or V_inv, and the operation itself is recorded in U or V (see
+    ElementaryProduct).  Verifies the result exactly (see _verify) before
+    returning.
     """
     _require_ordinary(A.config)
     config = A.config
     work = A.copy()
-    U = OreMatrix.identity(config, A.rows)
+    U = ElementaryProduct(config, A.rows, "rows")
     U_inv = OreMatrix.identity(config, A.rows)
-    V = OreMatrix.identity(config, A.cols)
+    V = ElementaryProduct(config, A.cols, "cols")
     V_inv = OreMatrix.identity(config, A.cols)
 
+    def row_op(op, inverse):
+        """U <- E*U for the row operation E = op; U_inv <- U_inv*E^-1."""
+        _row_op(work.entries, op)
+        U.ops.append(op)
+        _col_op(U_inv.entries, inverse)
+
+    def col_op(op, inverse):
+        """V <- V*F for the column operation F = op; V_inv <- F^-1*V_inv."""
+        _col_op(work.entries, op)
+        V.ops.append(op)
+        _row_op(V_inv.entries, inverse)
+
     def swap_rows(i, j):
-        if i == j:
-            return
-        work.entries[i], work.entries[j] = work.entries[j], work.entries[i]
-        U.entries[i], U.entries[j] = U.entries[j], U.entries[i]
-        for row in U_inv.entries:
-            row[i], row[j] = row[j], row[i]
+        if i != j:
+            row_op((i, j, None), (i, j, None))
 
     def swap_cols(i, j):
-        if i == j:
-            return
-        for row in work.entries:
-            row[i], row[j] = row[j], row[i]
-        for row in V.entries:
-            row[i], row[j] = row[j], row[i]
-        V_inv.entries[i], V_inv.entries[j] = V_inv.entries[j], V_inv.entries[i]
-
-    def row_op(i, j, q):
-        """row_i -= q * row_j."""
-        for mat in (work, U):
-            mat.entries[i] = [a - ore_mul(q, b)
-                              for a, b in zip(mat.entries[i], mat.entries[j])]
-        for row in U_inv.entries:
-            row[j] = row[j] + ore_mul(row[i], q)
-
-    def col_op(i, j, q):
-        """col_i -= col_j * q."""
-        for mat in (work, V):
-            for row in mat.entries:
-                row[i] = row[i] - ore_mul(row[j], q)
-        V_inv.entries[j] = [a + ore_mul(q, b)
-                            for a, b in zip(V_inv.entries[j], V_inv.entries[i])]
+        if i != j:
+            col_op((i, j, None), (i, j, None))
 
     def make_monic(p):
         """row_p = row_p / lc; column p of U_inv takes lc on the right."""
         _, lc = work.entries[p][p].leading()
-        if lc.is_one():
-            return
-        inv = OrePoly.from_scalar(config, lc.inverse())
-        for mat in (work, U):
-            mat.entries[p] = [ore_mul(inv, b) for b in mat.entries[p]]
-        lc = OrePoly.from_scalar(config, lc)
-        for row in U_inv.entries:
-            row[p] = ore_mul(row[p], lc)
+        if not lc.is_one():
+            row_op((p, p, OrePoly.from_scalar(config, lc.inverse())),
+                   (p, p, OrePoly.from_scalar(config, lc)))
 
     size = min(work.rows, work.cols)
     for p in range(size):
@@ -224,7 +282,7 @@ def diagonalize(A):
                     continue
                 q, r = ore_divmod(work.entries[i][p], work.entries[p][p],
                                   side="right")
-                row_op(i, p, q)
+                row_op((i, p, q), (p, i, -q))
                 if not r.is_zero():
                     swap_rows(i, p)
                     dirty = True
@@ -237,7 +295,7 @@ def diagonalize(A):
                     continue
                 q, r = ore_divmod(work.entries[p][j], work.entries[p][p],
                                   side="left")
-                col_op(j, p, q)
+                col_op((j, p, q), (p, j, -q))
                 if not r.is_zero():
                     swap_cols(j, p)
                     dirty = True
@@ -253,25 +311,57 @@ def diagonalize(A):
     return result
 
 
-def _verify(A, res):
-    """Check the diagonalization exactly, without forming U*A*V.
+def _row_op(rows, op):
+    """Apply the row operation op = (i, j, q) to a list of rows in place:
+    swap rows i and j when q is None, row_i = q*row_i when i == j, and
+    row_i -= q*row_j otherwise."""
+    i, j, q = op
+    if q is None:
+        rows[i], rows[j] = rows[j], rows[i]
+    elif i == j:
+        rows[i] = [ore_mul(q, b) for b in rows[i]]
+    else:
+        rows[i] = [a - ore_mul(q, b) if b else a
+                   for a, b in zip(rows[i], rows[j])]
 
-    D is diagonal, U*U_inv = I, V_inv*V = I and U*A = D*V_inv; then
-    U*A*V = D*V_inv*V = D.  A one-sided inverse of a square matrix over
-    the Noetherian domain K[delta] is two-sided, so U and V are unimodular.
-    Comparing U*A with D*V_inv avoids multiplying U*A by V: D*V_inv only
-    left-multiplies each row of V_inv by one diagonal entry.  Each product
-    identity is tested by `_product_is`, entry by entry and in full.
+
+def _col_op(rows, op):
+    """Apply the column operation op = (i, j, q) to a list of rows in
+    place: swap columns i and j when q is None, col_i = col_i*q when
+    i == j, and col_i -= col_j*q otherwise."""
+    i, j, q = op
+    for row in rows:
+        if q is None:
+            row[i], row[j] = row[j], row[i]
+        elif i == j:
+            row[i] = ore_mul(row[i], q)
+        elif row[j]:
+            row[i] = row[i] - ore_mul(row[j], q)
+
+
+def _verify(A, res):
+    """Check the diagonalization exactly, without forming U or V.
+
+    Four identities: D is diagonal, U*U_inv = I, V_inv*V = I and
+    A*V = U_inv*D.  Together they give U*A*V = U*U_inv*D = D, and since a
+    one-sided inverse of a square matrix over the Noetherian domain
+    K[delta] is two-sided, U and V are unimodular.  When U and V are kept
+    as their elementary operations, U*U_inv replays U's row operations on
+    a copy of U_inv, and V_inv*V and A*V replay V's column operations on
+    V_inv and on A; in the inverse checks each intermediate is the inverse
+    of the operations still to come, so nothing swells the way U itself
+    does.  An explicit U or V is multiplied as an ordinary product.
+    U_inv*D only scales the columns of U_inv, and `_product_is` decides
+    it against A*V.  Every identity is decided exactly and in full.
     """
-    config = A.config
     if not res.D.is_diagonal():
         raise AssertionError("result is not diagonal")
-    if not _product_is(res.U, res.U_inv, OreMatrix.identity(config, A.rows)):
+    if not (res._U * res.U_inv).is_identity():
         raise AssertionError("U inverse check failed")
-    if not _product_is(res.V_inv, res.V, OreMatrix.identity(config, A.cols)):
+    if not (res.V_inv * res._V).is_identity():
         raise AssertionError("V inverse check failed")
-    if not _product_is(res.U, A, res.D * res.V_inv):
-        raise AssertionError("U*A != D*V_inv, so U*A*V != D")
+    if not _product_is(res.U_inv, res.D, A * res._V):
+        raise AssertionError("A*V != U_inv*D, so U*A*V != D")
 
 
 def _product_is(X, Y, Z):

@@ -169,13 +169,17 @@ MAX_FIELD_POWER_TERMS = 2500
 # `derivations:`, or the number of field variables, which m may not be
 # below) costs about m^2: every d_i is keyed by an m-tuple, and the dimension
 # polynomial has degree up to m.  The rank n (`module:`, or the number of
-# `vars:`) costs about n^3 in the diagonalization's n x n transforms and in
-# the tangent pipeline.  Process wall times on a 2-core shared machine,
-# about 0.1 s of each the interpreter's start: `dimpoly` of `gens: [d1]`
-# takes 0.33 s at m = 500, 1.1 s at m = 1000 and 4.3 s at m = 2000;
-# `decompose` of one generator `[d, 0, ..., 0]` takes 0.17 s at n = 100,
-# 0.44 s at n = 200, 1.5 s at n = 300 and 58 s at n = 1000, and `tangent`
-# with 100, 200 and 1000 `vars:` 0.17 s, 0.48 s and 59 s.
+# `vars:`) costs about n^2 per n x n matrix of the diagonalization and n^3
+# in its pivot search, which scans the trailing block for every pivot.
+# Process wall times on a 2-core shared machine, best of three, about
+# 0.1 s of each the interpreter's start: `dimpoly` of `gens: [d1]` takes
+# 0.33 s at m = 500, 1.1 s at m = 1000 and 4.3 s at m = 2000; `decompose`
+# of one generator `[d, 0, ..., 0]` takes 0.25 s at n = 100, 0.27 s at
+# n = 200, 0.30 s at n = 300 and 0.68 s at n = 1000; `tangent` with n
+# `vars:` and the one equation `y0' - 1` 0.27-0.30 s at n = 100 and 200
+# and 0.90 s at n = 1000, and with the n equations `yi' - 1` 0.37 s,
+# 0.85 s and 1.8-2.1 s at n = 100, 200 and 300, most of it the pivot
+# search.
 MAX_DERIVATIONS = 500
 MAX_MODULE_RANK = 100
 

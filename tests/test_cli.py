@@ -16,6 +16,7 @@ import diffalg.dimension
 import diffalg.normalform
 from diffalg import DiffFieldConfig
 from diffalg.cli import main
+from diffalg.field import MAX_PRS_DEGREE
 from diffalg.parsing import (MAX_DERIVATIONS, MAX_FIELD_POWER_DEGREE,
                              MAX_FIELD_POWER_TERMS, MAX_MODULE_RANK,
                              MAX_POWER_COEFF_DEGREE, orepoly_str,
@@ -214,6 +215,28 @@ class TestModuleCommands:
         assert code == 0
         assert "d = 1, k = 1, torsion degrees [1]" in out
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("command, text", [
+        ("decompose", "field: Q(t)\nmodule: 1\ngens: [d^2 - t]; [t*d - 1]\n"),
+        ("tangent", CONSTANT)])
+    def test_transforms_are_never_multiplied_out(self, capsys, tmp_path,
+                                                  monkeypatch, command,
+                                                  text):
+        # both commands read only D, so U and V stay elementary operations
+        original = diffalg.normalform.diagonalize
+        records = []
+
+        def kept(A):
+            records.append(original(A))
+            return records[-1]
+
+        monkeypatch.setattr(diffalg.normalform, "diagonalize", kept)
+        monkeypatch.setattr(diffalg.cli, "diagonalize", kept)
+        code, _, _ = run(capsys, tmp_path, text, command)
+        assert code == 0 and len(records) == 1
+        factored = diffalg.normalform.ElementaryProduct
+        assert isinstance(records[0]._U, factored)
+        assert isinstance(records[0]._V, factored)
 
     def test_decompose_without_relations(self, capsys, tmp_path):
         text = "field: Q(t)\nmodule: 2\ngens: [0, 0]\n"
@@ -758,6 +781,33 @@ class TestExponentLimit:
         code, out, _ = run(capsys, tmp_path, text, "charset")
         assert (code, out) == (0, "characteristic set (1 elements):\n"
                                   "  [d + 1/(t^1000000000000)]\n")
+
+
+class TestGcdDegreeLimit:
+    @pytest.mark.parametrize("field, t", [("Q(t)", "t^1000000000000"),
+                                          ("Q(t1, t2)",
+                                           "t1^1000000000000*t2")])
+    def test_dense_remainder_sequence_past_the_cap_exits_1(
+            self, capsys, tmp_path, field, t):
+        d = "d" if field == "Q(t)" else "d1"
+        text = f"field: {field}\nmodule: 1\ngens: [({t} + 1)*{d} + {t} + 2]\n"
+        start = time.perf_counter()
+        code, out, err = run(capsys, tmp_path, text, "dimpoly")
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (1, "")
+        assert err == (f"error: gcd of degree 1000000000000 in one field "
+                       f"variable; the cap is {MAX_PRS_DEGREE}\n")
+
+    def test_degree_under_the_cap_runs(self, capsys, tmp_path):
+        text = ("field: Q(t)\nmodule: 1\n"
+                "gens: [(t^100000 + 1)*d + t^100000 + 2]\n")
+        code, out, _ = run(capsys, tmp_path, text, "dimpoly")
+        assert code == 0
+        assert out == ("dimension polynomial: 1 (valid for t >= 1)\n"
+                       "differential dimension d = 0\n"
+                       "type = 0, typical height = 1\n"
+                       "below-leader count B = 1 (free term r = 1)\n"
+                       "free components: none\n")
 
 
 def _python(args, cwd):

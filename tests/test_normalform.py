@@ -54,7 +54,7 @@ class TestDiagonalize:
     def test_identities_exact(self):
         rng = random.Random(61)
         for _ in range(10):
-            rows = rng.randint(1, 2)
+            rows = rng.randint(1, 3)
             cols = rng.randint(1, 3)
             A = OreMatrix(CFG1, [[rand_orepoly(rng, CFG1, max_deg=2)
                                   for _ in range(cols)]
@@ -101,6 +101,31 @@ class TestDiagonalize:
             parts[field] = mat
             with pytest.raises(AssertionError):
                 _verify(A, Diagonalization(**parts))
+
+    @pytest.mark.parametrize("side", ["_U", "_V"])
+    def test_verify_rejects_a_changed_recorded_multiplier(self, side):
+        rng = random.Random(66)
+        changed = 0
+        for _ in range(12):
+            rows = rng.randint(2, 3)
+            cols = rng.randint(2, 3)
+            A = OreMatrix(CFG1, [[rand_orepoly(rng, CFG1, max_deg=2)
+                                  for _ in range(cols)]
+                                 for _ in range(rows)])
+            res = diagonalize(A)
+            ops = getattr(res, side).ops
+            subtractions = [k for k, (i, j, q) in enumerate(ops)
+                            if q is not None and i != j]
+            if not subtractions:
+                continue
+            k = rng.choice(subtractions)
+            i, j, q = ops[k]
+            ops[k] = (i, j, q + rand_orepoly(rng, CFG1, max_deg=1,
+                                             nonzero=True))
+            with pytest.raises(AssertionError):
+                _verify(A, res)
+            changed += 1
+        assert changed >= 6
 
     def test_partial_rejected(self):
         cfg = DiffFieldConfig(2, 1)
