@@ -42,9 +42,18 @@ class OreMatrix:
                     raise ValueError("entry over a different configuration")
 
     @classmethod
+    def _of(cls, config, entries, rows, cols):
+        """The matrix over the row lists `entries`, with no copy or check."""
+        out = object.__new__(cls)
+        out.config = config
+        out.entries = entries
+        out.rows, out.cols = rows, cols
+        return out
+
+    @classmethod
     def zero(cls, config, rows, cols):
         z = OrePoly.zero(config)
-        return cls(config, [[z] * cols for _ in range(rows)], rows, cols)
+        return cls._of(config, [[z] * cols for _ in range(rows)], rows, cols)
 
     @classmethod
     def identity(cls, config, size):
@@ -60,10 +69,10 @@ class OreMatrix:
 
     def transpose_data(self):
         """Plain data transpose (no adjoint); entries are shared."""
-        return OreMatrix(self.config,
-                         [[self.entries[i][j] for i in range(self.rows)]
-                          for j in range(self.cols)],
-                         self.cols, self.rows)
+        return OreMatrix._of(self.config,
+                             [[self.entries[i][j] for i in range(self.rows)]
+                              for j in range(self.cols)],
+                             self.cols, self.rows)
 
     def __mul__(self, other):
         if not isinstance(other, OreMatrix):
@@ -100,7 +109,8 @@ class OreMatrix:
         return [self.entries[i][i] for i in range(min(self.rows, self.cols))]
 
     def copy(self):
-        return OreMatrix(self.config, self.entries, self.rows, self.cols)
+        return OreMatrix._of(self.config, [list(row) for row in self.entries],
+                             self.rows, self.cols)
 
     def __repr__(self):
         return f"OreMatrix({self.rows}x{self.cols})"

@@ -9,19 +9,22 @@ derivatives of the differential indeterminates.  The symbol table
 signed-sum joiner, which takes each term's sign as data, are each written
 once here.  A numeral too long to convert is a `ParseError`.
 
-Literals and field variables evaluate in the base field: a subexpression is
-a `RatFun` until it meets a `d`/`d_i` or an indeterminate, and the result is
-lifted to the operator or polynomial ring once, at the end.  A product of a
-field element and an operator goes through the operator's own `__mul__` or
-`__rmul__`, so `d*t` is still `t*d + 1`.  Division is by base-field
-elements only, negative powers exist only in the base field, and a power of
-an operator other than one constant-coefficient term may not pass
-`MAX_POWER_ORDER`, nor a power of an operator with a coefficient over a
-denominator of several terms `MAX_POWER_COEFF_DEGREE` in predicted
-coefficient degree, and a power of a base-field element other
-than a quotient of two monomials may not pass `MAX_FIELD_POWER_DEGREE` in
-degree or `MAX_FIELD_POWER_TERMS` in a bound on its term count; each of
-these is a `ParseError` with its position.
+An expression is read by `parse_expr` and `parse_term` over one factor
+step, `parse_factor` (signs, an atom with its primes, and `^`), that reads
+the tokens by index.  A subexpression stays integer data (`_Data`):
+derivation monomials mapped to integer polynomials, keyed like `MPoly`,
+over one positive integer denominator.  Numerals, field variables,
+`d`/`d_i`, sums, signs, products that need no commutation rule, quotients
+by numerals and powers of one term stay data, so a literal costs no field
+or operator arithmetic.  Anything else builds its `RatFun`, `OrePoly` or
+`DiffPoly` once (`_ExprParser.ring`) and goes through that ring: `d*t` is
+`t*d + 1`, division is by base-field elements only and negative powers
+exist only in the base field.  The caps below are checked before a power
+or a product is computed, each a `ParseError` with its position:
+`MAX_POWER_ORDER` and `MAX_POWER_COEFF_DEGREE` on powers of operators,
+`MAX_FIELD_POWER_DEGREE` on powers of base-field elements, and
+`MAX_FIELD_POWER_TERMS` on those powers and on every product of two
+base-field polynomials of several terms.
 
 A problem file is read a line at a time.  Each section body is tokenized
 once, where it sits in its line, so every error inside it names the column
@@ -38,10 +41,12 @@ from __future__ import annotations
 import functools
 import sys
 from fractions import Fraction
-from math import comb
+from math import comb, gcd, lcm
+from operator import add
 
 from .errors import DivisionByZero, ParseError
-from .field import DiffFieldConfig, RatFun
+from .field import (DiffFieldConfig, MPoly, RatFun, _digit, _pack, _poly,
+                    _unpack)
 from .ore import OrePoly
 from .diffmodule import ModElement, Ranking, orderly_ranking
 from .numpoly import Antichain
@@ -123,7 +128,7 @@ def _int(tok):
 
 
 # ---------------------------------------------------------------------------
-# recursive-descent expression parser
+# expression parser
 
 # Highest order of a power of an operator, unless the operator is a single
 # term with a constant coefficient.  Repeated squaring applies delta to every
@@ -161,6 +166,14 @@ MAX_POWER_COEFF_DEGREE = 20
 # (5,456) 0.84 s.  With one variable the degree cap allows at most 501
 # terms, so the term cap binds only with two or more.  A quotient of two
 # monomials stays one term and has no cap (`(2*t)^20000` is fine).
+#
+# The term cap also bounds every product of two base-field polynomials of
+# two or more terms each that a `*` or `/` asks for, the coefficients of
+# an operator or a differential polynomial taken one at a time: p*q has at
+# most |p|*|q| terms, and at most C(D + v, v) for D the sum of their total
+# degrees and v the field variables they hold (`_check_product`).  So 60
+# factors (t1 + t2 + 1) pass, as ^60 does, and 120 factors
+# (t1 + t2 + t3 + 1), which took 52.6 s, are refused at the 23rd.
 MAX_FIELD_POWER_DEGREE = 500
 MAX_FIELD_POWER_TERMS = 2500
 
@@ -184,35 +197,118 @@ MAX_DERIVATIONS = 500
 MAX_MODULE_RANK = 100
 
 
-def _total_degree(p):
-    """Total degree of a nonzero MPoly p."""
-    return max(map(sum, p.exponents()))
+def _shape(p):
+    """(total degree, set of the field variables held) of a nonzero MPoly
+    p, read one digit of its packed keys at a time."""
+    nvars = p.nvars
+    columns = [[e >> shift & mask for e in p.terms]
+               for shift, mask in (_digit(nvars, i) for i in range(nvars))]
+    return (max(map(sum, zip(*columns)), default=0),
+            {i for i, column in enumerate(columns) if any(column)})
 
 
 def _power_terms(p, k):
     """Upper bound on the number of terms of p^k, for a nonzero MPoly p: the
     dense count in the variables p holds, or the number of products of k of
     p's terms, whichever is smaller."""
-    exps = p.exponents()
-    nvars = sum(map(any, zip(*exps)))
-    degree = k * max(map(sum, exps))
-    return min(comb(degree + nvars, nvars), comb(k + len(exps) - 1, k))
+    degree, held = _shape(p)
+    return min(comb(k * degree + len(held), len(held)),
+               comb(k + len(p.terms) - 1, k))
+
+
+def _check_product(p, q, tok):
+    """ParseError at `tok` when the product of the MPolys p and q may have
+    more than MAX_FIELD_POWER_TERMS terms; a factor of one term adds none."""
+    terms = len(p.terms) * len(q.terms)
+    if min(len(p.terms), len(q.terms)) > 1 and terms > MAX_FIELD_POWER_TERMS:
+        (dp, held), (dq, held_q) = _shape(p), _shape(q)
+        nvars, degree = len(held | held_q), dp + dq
+        terms = min(terms, comb(degree + nvars, nvars))
+        if terms > MAX_FIELD_POWER_TERMS:
+            raise ParseError(f"product of degree {degree} with up to "
+                             f"{terms} terms; the limit is "
+                             f"{MAX_FIELD_POWER_TERMS} terms",
+                             tok.line, tok.column)
+
+
+class _Data:
+    """A subexpression held as integers: `terms` maps a derivation monomial
+    (an exponent tuple of length m) to a base-field polynomial, a dict from
+    packed `MPoly` keys to nonzero ints, and every polynomial is over the one
+    positive integer `den`.  Each dict belongs to this value alone, so a sum
+    or a sign changes it in place."""
+
+    __slots__ = ("terms", "den")
+
+    def __init__(self, terms, den=1):
+        self.terms = terms
+        self.den = den
+
+
+def _scale(x, k):
+    """Multiply every coefficient of the _Data x by the integer k, in place."""
+    for p in x.terms.values():
+        for e in p:
+            p[e] *= k
+
+
+def _merge(terms, key, p, k=1):
+    """terms[key] += k*p in place, p a polynomial dict that is used up; an
+    entry that cancels is dropped."""
+    q = terms.get(key)
+    if q is None:
+        terms[key] = p if k == 1 else {e: c * k for e, c in p.items()}
+        return
+    for e, c in p.items():
+        c = q.get(e, 0) + c * k
+        if c:
+            q[e] = c
+        else:
+            del q[e]
+    if not q:
+        del terms[key]
+
+
+def _product(p, q, nvars, tok):
+    """p*q as a new dict, for polynomial dicts p and q in nvars variables
+    (`MPoly`'s product builds one when neither factor is a constant);
+    `tok` is the operator that asks for it."""
+    if len(q) == 1 and 0 in q:
+        p, q = q, p
+    if len(p) == 1 and 0 in p:
+        c = p[0]
+        return {e: c * a for e, a in q.items()}
+    p, q = _poly(nvars, p), _poly(nvars, q)
+    _check_product(p, q, tok)
+    return (p * q).terms
 
 
 class _ExprParser:
-    """Parses tokens into values of whatever algebra `resolve`/`const` build.
+    """Parses tokens into a value over `config`: a base-field element, an
+    operator (with `deltas`) or a differential polynomial in the names of
+    `var_names`; any other name is a ParseError "<unknown> 'name'".
 
-    `divide` and `power` carry the rules for `/` and `^`; `zero_message` is
-    the text of the DivisionByZero raised for a zero divisor.
+    A subexpression stays `_Data` under numerals, field variables, d/d_i,
+    `+`, `-`, signs, `*` unless a field factor stands right of a
+    derivation, `/` by a numeral, and `^k`, k >= 0, of one term whose field
+    or derivation part is 1.  Anything else builds its `RatFun`, `OrePoly`
+    or `DiffPoly` once (`ring`) and goes through that ring's operators and
+    the rules of `divide` and `power`, so `d*t` is still `t*d + 1`.
     """
 
-    def __init__(self, tokens, resolve, const, line, zero_message):
+    def __init__(self, tokens, config, line, unknown, deltas=False,
+                 var_names=None):
         self.tokens = tokens
         self.pos = 0
-        self.resolve = resolve
-        self.const = const
+        self.config = config
         self.line = line
-        self.zero_message = zero_message
+        self.unknown = unknown
+        self.deltas = deltas
+        self.var_names = var_names
+        self.index = {name: i for i, name in enumerate(var_names or ())}
+        self.zero_message = "division by the zero operator" if deltas \
+            else "division by zero in the base field"
+        self.scalar = (0,) * config.m
 
     def peek(self):
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -231,42 +327,105 @@ class _ExprParser:
                              tok.line, tok.column)
         return tok
 
-    def done(self):
-        return self.pos >= len(self.tokens)
+    def ring(self, value):
+        """`value` as a RatFun, OrePoly or DiffPoly; _Data is built here."""
+        if type(value) is not _Data:
+            return value
+        v, den = self.config.v, value.den
+        coeffs = {}
+        for key, p in value.terms.items():
+            g = gcd(den, *p.values()) if den > 1 else 1
+            coeffs[key] = RatFun(
+                _poly(v, {e: c // g for e, c in p.items()} if g > 1 else p),
+                MPoly.const(v, den // g), _canonical=True)
+        if coeffs.keys() <= {self.scalar}:
+            return coeffs.get(self.scalar) or RatFun.from_const(v, 0)
+        return OrePoly.zero(self.config)._new(coeffs)
 
     def parse_expr(self):
         value = self.parse_term()
         while (tok := self.peek()) and tok.kind in ("+", "-"):
-            self.next()
+            self.pos += 1
             rhs = self.parse_term()
-            value = value + rhs if tok.kind == "+" else value - rhs
+            if type(value) is _Data and type(rhs) is _Data:
+                den = lcm(value.den, rhs.den)
+                if den != value.den:
+                    _scale(value, den // value.den)
+                    value.den = den
+                k = den // rhs.den
+                for key, p in rhs.terms.items():
+                    _merge(value.terms, key, p, k if tok.kind == "+" else -k)
+            else:
+                value, rhs = self.ring(value), self.ring(rhs)
+                value = value + rhs if tok.kind == "+" else value - rhs
         return value
 
     def parse_term(self):
-        value = self.parse_unary()
+        value = self.parse_factor()
         while (tok := self.peek()) and tok.kind in ("*", "/"):
-            self.next()
-            rhs = self.parse_unary()
-            value = value * rhs if tok.kind == "*" \
+            self.pos += 1
+            rhs = self.parse_factor()
+            value = self.multiply(value, rhs, tok) if tok.kind == "*" \
                 else self.divide(value, rhs, tok)
         return value
 
+    def multiply(self, value, rhs, tok):
+        # no commutation rule is needed when value holds no derivation or
+        # rhs only constant coefficients
+        if type(value) is _Data and type(rhs) is _Data and (
+                value.terms.keys() <= {self.scalar} or all(
+                    p.keys() == {0} for p in rhs.terms.values())):
+            v = self.config.v
+            terms = {}
+            for dx, p in value.terms.items():
+                for dy, q in rhs.terms.items():
+                    _merge(terms, tuple(map(add, dx, dy)),
+                           _product(p, q, v, tok))
+            return _Data(terms, value.den * rhs.den)
+        value, rhs = self.ring(value), self.ring(rhs)
+        for x in _coefficients(value):
+            for y in _coefficients(rhs):
+                _check_product(x.num, y.num, tok)
+                _check_product(x.den, y.den, tok)
+        return value * rhs
+
     def divide(self, value, rhs, tok):
-        divisor = _field_value(rhs)
+        if type(rhs) is _Data and rhs.terms.keys() == {self.scalar} \
+                and rhs.terms[self.scalar].keys() == {0}:
+            # a nonzero numeral c: multiply by 1/c
+            c = rhs.terms[self.scalar][0]
+            return self.multiply(value, _Data(
+                {self.scalar: {0: rhs.den if c > 0 else -rhs.den}}, abs(c)),
+                tok)
+        value, divisor = self.ring(value), _field_value(self.ring(rhs))
         if divisor is None:
             raise ParseError("can only divide by a base-field element",
                              tok.line, tok.column)
         if not divisor:
             raise DivisionByZero(self.zero_message)
-        return value * divisor.inverse()
+        inverse = divisor.inverse()
+        for x in _coefficients(value):
+            _check_product(x.num, inverse.num, tok)
+            _check_product(x.den, inverse.den, tok)
+        return value * inverse
 
     def power(self, base, k, tok):
         """base^k, with negative powers taken in the base field."""
+        if type(base) is _Data and k >= 0 and len(base.terms) == 1:
+            (key, p), = base.terms.items()
+            if len(p) == 1 and (key == self.scalar or 0 in p):
+                (e, c), = p.items()
+                v = self.config.v
+                if e:
+                    e = _pack([a * k for a in _unpack(e, v)])
+                return _Data({tuple(a * k for a in key): {e: c ** k}},
+                             base.den ** k)
+        base = self.ring(base)
         scalar = _field_value(base)
         if scalar is not None and (len(scalar.num.terms) > 1
                                    or len(scalar.den.terms) > 1):
-            degree = abs(k) * max(map(_total_degree,
-                                      (scalar.num, scalar.den)))
+            degree = abs(k) * max(_shape(p)[0]
+                                  for p in (scalar.num, scalar.den))
             if degree > MAX_FIELD_POWER_DEGREE:
                 raise ParseError(f"power of degree {degree} of a base-field "
                                  f"element of more than one term; the limit "
@@ -295,7 +454,7 @@ class _ExprParser:
                                  f"that is not one constant-coefficient "
                                  f"term; the limit is {MAX_POWER_ORDER}",
                                  tok.line, tok.column)
-            degree = order * max((max(map(_total_degree, (c.num, c.den)))
+            degree = order * max((max(_shape(c.num)[0], _shape(c.den)[0])
                                   for c in base.terms.values()
                                   if len(c.den.terms) > 1), default=0)
             if k > 1 and degree > MAX_POWER_COEFF_DEGREE:
@@ -305,51 +464,71 @@ class _ExprParser:
                                  tok.line, tok.column)
         return base ** k
 
-    def parse_unary(self):
-        tok = self.peek()
-        if tok and tok.kind == "-":
-            self.next()
-            return -self.parse_unary()
-        if tok and tok.kind == "+":
-            self.next()
-            return self.parse_unary()
-        return self.parse_power()
-
-    def parse_power(self):
-        base = self.parse_atom()
-        tok = self.peek()
-        if tok and tok.kind == "^":
-            self.next()
-            sign = 1
-            while (t := self.peek()) and t.kind == "-":
-                self.next()
-                sign = -sign
-            exp_tok = self.expect("num")
-            return self.power(base, sign * _int(exp_tok), tok)
-        return base
-
-    def parse_atom(self):
+    def parse_factor(self):
+        """Signs, an atom with its primes, and `^` with its signed numeral;
+        the signs apply to the power."""
+        negative = False
+        while (tok := self.peek()) and tok.kind in ("+", "-"):
+            negative ^= tok.kind == "-"
+            self.pos += 1
         tok = self.next()
         if tok.kind == "num":
-            return self.const(_int(tok))
-        if tok.kind == "name":
-            name, dexps = _split_suffix(tok)
+            k = _int(tok)
+            value = _Data({self.scalar: {0: k}} if k else {})
+        elif tok.kind == "name":
             primes = 0
             while (t := self.peek()) and t.kind == "'":
-                self.next()
+                self.pos += 1
                 primes += 1
-            if primes and dexps is not None:
-                raise ParseError("mixed prime and multi-index suffix",
-                                 tok.line, tok.column)
-            if primes:
-                dexps = (primes,)
-            return self.resolve(name, dexps, tok)
-        if tok.kind == "(":
+            value = self.resolve(tok, primes)
+        elif tok.kind == "(":
             value = self.parse_expr()
             self.expect(")")
-            return value
-        raise ParseError(f"unexpected token {tok.text!r}",
-                         tok.line, tok.column)
+        else:
+            raise ParseError(f"unexpected token {tok.text!r}",
+                             tok.line, tok.column)
+        if (hat := self.peek()) and hat.kind == "^":
+            self.pos += 1
+            sign = 1
+            while (t := self.peek()) and t.kind == "-":
+                self.pos += 1
+                sign = -sign
+            value = self.power(value, sign * _int(self.expect("num")), hat)
+        if negative and type(value) is _Data:
+            _scale(value, -1)
+        elif negative:
+            value = -value
+        return value
+
+    def resolve(self, tok, primes):
+        """The value of the name `tok` followed by `primes` primes."""
+        name, dexps = _split_suffix(tok)
+        if primes and dexps is not None:
+            raise ParseError("mixed prime and multi-index suffix",
+                             tok.line, tok.column)
+        if primes:
+            dexps = (primes,)
+        config = self.config
+        if name in self.index:
+            exps = dexps if dexps is not None else (0,) * config.m
+            if len(exps) == 1 and config.m > 1:
+                raise ParseError(
+                    f"{name!r} needs a multi-index of length {config.m}",
+                    tok.line, tok.column)
+            if len(exps) != config.m:
+                raise ParseError(
+                    f"multi-index of wrong length for {name!r}",
+                    tok.line, tok.column)
+            return DiffPoly.indeterminate(config, len(self.var_names),
+                                          self.index[name], exps)
+        if dexps is None:
+            symbol = _symbols(config).get(name)
+            if symbol and (self.deltas or symbol[0] == self.scalar):
+                return _Data({symbol[0]: {symbol[1]: 1}})
+        elif self.var_names is None:
+            raise ParseError(f"{name!r} cannot carry a derivative suffix",
+                             tok.line, tok.column)
+        raise ParseError(f"{self.unknown} {name!r}", tok.line, tok.column)
 
 
 def _split_suffix(tok):
@@ -386,23 +565,25 @@ def _field_value(value):
     return None
 
 
+def _coefficients(value):
+    """The base-field coefficients of a ring value: a RatFun is its own."""
+    return (value,) if isinstance(value, RatFun) else value.terms.values()
+
+
 def _tokens(text, line):
     """`text` as tokens; a token list (a group split off a line) is kept."""
     return tokenize(text, line) if isinstance(text, str) else text
 
 
-def _parse_with(text, config, resolve, line,
-                zero_message="division by zero in the base field"):
-    """Parse one expression whose numerals are constants of the base field
-    of `config`; text may also be a token list."""
-    parser = _ExprParser(_tokens(text, line), resolve,
-                         lambda k: RatFun.from_const(config.v, k), line,
-                         zero_message)
+def _parse_with(text, config, line, unknown, **options):
+    """Parse one expression over `config` (see `_ExprParser` for the
+    options); text may also be a token list."""
+    parser = _ExprParser(_tokens(text, line), config, line, unknown,
+                         **options)
     value = parser.parse_expr()
-    if not parser.done():
-        tok = parser.peek()
+    if tok := parser.peek():
         raise ParseError(f"trailing input {tok.text!r}", tok.line, tok.column)
-    return value
+    return parser.ring(value)
 
 
 # ---------------------------------------------------------------------------
@@ -416,14 +597,20 @@ def delta_names(config):
     return ["d"] if config.m == 1 else [f"d{i + 1}" for i in range(config.m)]
 
 
+def _unit(i, length):
+    return tuple(int(i == j) for j in range(length))
+
+
 @functools.lru_cache(maxsize=64)
 def _symbols(config):
-    """{name: field variable (RatFun) or derivation operator (OrePoly)} over
-    `config`, with `t1` and `d1` as aliases of a single `t` or `d`.  The
-    values are immutable, so every parse may share them."""
-    table = {name: RatFun.var(config.v, i)
+    """{name: (derivation monomial, packed field monomial)} over `config`:
+    t_i is the field monomial t_i with no derivation, d_i the derivation
+    d_i with the constant monomial, and `t1` and `d1` are aliases of a
+    single `t` or `d`."""
+    scalar = (0,) * config.m
+    table = {name: (scalar, _pack(_unit(i, config.v)))
              for i, name in enumerate(field_var_names(config))}
-    table.update((name, OrePoly.delta(config, i))
+    table.update((name, (_unit(i, config.m), 0))
                  for i, name in enumerate(delta_names(config)))
     for single in ("t", "d"):
         if single in table:
@@ -434,33 +621,14 @@ def _symbols(config):
 # ---------------------------------------------------------------------------
 # expression entry points
 
-def _symbol_resolver(config, kinds, unknown):
-    """Resolves the names of `_symbols(config)` whose values are `kinds`;
-    any other name is a ParseError "<unknown> 'name'"."""
-
-    def resolve(name, dexps, tok):
-        if dexps is not None:
-            raise ParseError(f"{name!r} cannot carry a derivative suffix",
-                             tok.line, tok.column)
-        value = _symbols(config).get(name)
-        if not isinstance(value, kinds):
-            raise ParseError(f"{unknown} {name!r}", tok.line, tok.column)
-        return value
-
-    return resolve
-
-
 def parse_ratfun(text, config, line=1):
     """Rational expression over the field variables."""
-    return _parse_with(text, config, _symbol_resolver(
-        config, RatFun, "unknown field variable"), line)
+    return _parse_with(text, config, line, "unknown field variable")
 
 
 def parse_orepoly(text, config, line=1):
     """Operator expression over field variables and d / d1..dm."""
-    value = _parse_with(text, config, _symbol_resolver(
-        config, (RatFun, OrePoly), "unknown symbol"), line,
-        zero_message="division by the zero operator")
+    value = _parse_with(text, config, line, "unknown symbol", deltas=True)
     if isinstance(value, RatFun):
         return OrePoly.from_scalar(config, value)
     return value
@@ -468,30 +636,10 @@ def parse_orepoly(text, config, line=1):
 
 def parse_diffpoly(text, config, var_names, line=1):
     """Differential polynomial over the declared variables."""
-    index = {name: i for i, name in enumerate(var_names)}
-    n = len(var_names)
-
-    def resolve(name, dexps, tok):
-        if name in index:
-            exps = dexps if dexps is not None else (0,) * config.m
-            if len(exps) == 1 and config.m > 1:
-                raise ParseError(
-                    f"{name!r} needs a multi-index of length {config.m}",
-                    tok.line, tok.column)
-            if len(exps) != config.m:
-                raise ParseError(
-                    f"multi-index of wrong length for {name!r}",
-                    tok.line, tok.column)
-            return DiffPoly.indeterminate(config, n, index[name], exps)
-        if dexps is None:
-            value = _symbols(config).get(name)
-            if isinstance(value, RatFun):
-                return value
-        raise ParseError(f"unknown variable {name!r}", tok.line, tok.column)
-
-    value = _parse_with(text, config, resolve, line)
+    value = _parse_with(text, config, line, "unknown variable",
+                        var_names=var_names)
     if isinstance(value, RatFun):
-        return DiffPoly.const(config, n, value)
+        return DiffPoly.const(config, len(var_names), value)
     return value
 
 

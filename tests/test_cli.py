@@ -44,6 +44,11 @@ element: [d, t*d^2 + d - 2]
 """
 
 
+# in three variables, 22 written-out factors pass MAX_FIELD_POWER_TERMS
+# and the 23rd does not
+FACTOR = "(t1 + t2 + t3 + 1)"
+
+
 def run(capsys, tmp_path, text, *argv):
     path = tmp_path / "problem.txt"
     path.write_text(text)
@@ -317,6 +322,31 @@ class TestCountCommand:
         assert (code, out) == (0, "2001000 (valid for t >= 4000)\n")
 
 
+class TestLongSums:
+    """A sum adds each term in place: 4,000 terms parse in well under a
+    second, where copying the sum at every '+' took 0.8 s."""
+
+    def test_operator_sum(self, capsys, tmp_path):
+        terms = " + ".join(f"{k}*d^{k}" for k in range(1, 4001))
+        text = f"field: Q\nmodule: 1\ngens: [{terms}]\n"
+        start = time.perf_counter()
+        code, out, _ = run(capsys, tmp_path, text, "charset")
+        assert time.perf_counter() - start < 1.0
+        assert code == 0
+        assert out.startswith("characteristic set (1 elements):\n"
+                              "  [d^4000 + 3999/4000*d^3999 + ")
+        assert out.endswith(" + 1/2000*d^2 + 1/4000*d]\n")
+
+    def test_field_sum_as_a_coefficient(self, capsys, tmp_path):
+        terms = " + ".join(f"{k}*t^{k}" for k in range(1, 4001))
+        text = f"field: Q(t)\nmodule: 1\ngens: [({terms})*d]\n"
+        start = time.perf_counter()
+        code, out, _ = run(capsys, tmp_path, text, "charset")
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (0, "characteristic set (1 elements):\n"
+                                  "  [d]\n")
+
+
 class TestErrorHandling:
     def test_division_by_zero_exits_2(self, capsys, tmp_path):
         bad = CONSTANT.replace("y = 0", "y = 1/0")
@@ -487,6 +517,35 @@ class TestRefusedInput:
         assert err == (f"error: line 3, column {column}: power of degree "
                        f"{degree} with up to {terms} terms; the limit is "
                        f"{MAX_FIELD_POWER_TERMS} terms\n")
+
+    @pytest.mark.parametrize("gens, op, index", [
+        ("*".join([FACTOR] * 120) + "*d1", "*", 21),
+        ("1" + f"/{FACTOR}" * 120 + "*d1", "/", 22),
+        ("d1" + f"*{FACTOR}" * 120, "*", 22),
+    ], ids=["product", "quotient", "operator-first"])
+    def test_written_out_field_product_over_the_term_cap_exits_2(
+            self, capsys, tmp_path, gens, op, index):
+        # 120 factors took 52.6 s while their power ^30 was refused; the
+        # 23rd factor would make C(23 + 3, 3) = 2,600 terms
+        line = f"gens: [{gens}]"
+        column = [i for i, c in enumerate(line) if c == op][index] + 1
+        text = f"field: Q(t1, t2, t3)\nmodule: 1\n{line}\n"
+        start = time.perf_counter()
+        code, out, err = run(capsys, tmp_path, text, "charset")
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (2, "")
+        assert err == (f"error: line 3, column {column}: product of degree "
+                       f"23 with up to 2600 terms; the limit is "
+                       f"{MAX_FIELD_POWER_TERMS} terms\n")
+
+    def test_written_out_field_product_under_the_term_cap_runs(
+            self, capsys, tmp_path):
+        # 60 factors (t1 + t2 + 1), 1,891 terms, pass as ^60 does
+        gens = "[" + "*".join(["(t1 + t2 + 1)"] * 60) + "*d1]"
+        text = f"field: Q(t1, t2, t3)\nmodule: 1\ngens: {gens}\n"
+        code, out, _ = run(capsys, tmp_path, text, "charset")
+        assert (code, out) == (0, "characteristic set (1 elements):\n"
+                                  "  [d1]\n")
 
     @pytest.mark.parametrize("field, gens, order, degree", [
         ("Q(t)", "[((t^2+1)/(t-1)*d + t)^40]", 40, 80),

@@ -29,6 +29,30 @@ def relation_matrix(*rows):
     return OreMatrix(CFG1, [list(r) for r in rows])
 
 
+class TestOreMatrix:
+    def test_public_constructor_checks_every_entry(self):
+        other = OrePoly.one(DiffFieldConfig(1, 0))
+        with pytest.raises(ValueError, match="different configuration"):
+            OreMatrix(CFG1, [[delta(), op(1)], [op(T), other]])
+        with pytest.raises(ValueError, match="ragged"):
+            OreMatrix(CFG1, [[delta(), op(1)], [op(T)]])
+
+    def test_internal_copies_keep_shape_and_config(self):
+        d = delta()
+        A = relation_matrix([d, op(T)], [op(1), d * d], [op(0), d])
+        assert A.transpose_data() == OreMatrix(
+            CFG1, [[d, op(1), op(0)], [op(T), d * d, d]])
+        assert A.transpose_data().transpose_data() == A
+        B = A.copy()
+        B.entries[0][0] = op(2)
+        assert A[0, 0] == d and B == relation_matrix(
+            [op(2), op(T)], [op(1), d * d], [op(0), d])
+        one = OreMatrix.identity(CFG1, 2)
+        assert (one.rows, one.cols, one.config) == (2, 2, CFG1)
+        assert A * one == A and OreMatrix.identity(CFG1, 3) * A == A
+        assert (A * OreMatrix.zero(CFG1, 2, 4)) == OreMatrix.zero(CFG1, 3, 4)
+
+
 class TestDiagonalize:
     def test_row_swap_pivot(self):
         d = delta()

@@ -6,11 +6,13 @@ import sys
 
 import pytest
 
+import diffalg.ore
 from diffalg import (DiffAlgError, DiffFieldConfig, ModElement,
                      NumericalPolynomial, OrePoly, ParseError, RatFun)
+from diffalg.errors import ExponentOverflow
 from diffalg.parsing import (MAX_FIELD_POWER_TERMS, MAX_POWER_COEFF_DEGREE,
                              MAX_POWER_ORDER,
-                             modelement_str, orepoly_str,
+                             modelement_str, orepoly_str, parse_input,
                              parse_diffpoly, parse_generator_vector,
                              parse_orepoly, parse_ratfun, term_label)
 from helpers import parse_lifted, parse_lifted_vector
@@ -107,6 +109,36 @@ class TestBaseFieldEvaluation:
             assert outcome(parse_diffpoly, text, config, NAMES) == \
                 outcome(parse_lifted, text, config, NAMES), text
 
+    @pytest.mark.parametrize("config, text", [
+        (CFG1, "d*t*d"), (CFG22, "d1*t2*d2*t1"),
+        (CFG1, "d^0"), (CFG22, "(d1)^0"), (CFG1, "0^0"),
+        (CFG1, "1/2/3*t*d"), (CFG1, "(2/3)^-2*d"), (CFG1, "-2*-t*--d"),
+        (CFG22, "t2^2147483647*t1^2147483648*d2"),
+        (CFG22, "t2^2147483648")])
+    def test_boundaries_of_the_integer_data(self, config, text):
+        assert outcome(parse_orepoly, text, config) == \
+            outcome(parse_lifted, text, config)
+
+    def test_exponent_overflow_is_raised_at_the_power(self):
+        # before the parser reaches the bad token after it
+        for text in ("t2^2147483648", "t2^2147483648*)", "2*t2^2147483648("):
+            assert outcome(parse_orepoly, text, CFG22)[0] is ExponentOverflow
+        assert outcome(parse_orepoly, "t2^2147483647*)", CFG22)[0] \
+            is ParseError
+
+    @pytest.mark.parametrize("config", [CFG1, CFG22, CFG20],
+                             ids=["m1v1", "m2v2", "m2v0"])
+    def test_random_products_of_atoms(self, config):
+        rng = random.Random(4000 + 10 * config.m + config.v)
+        atoms = field_atoms(config) + operator_atoms(config) + [
+            f"{a}^2" for a in field_atoms(config)[:2]
+            + operator_atoms(config)] + ["-1", "(2/3)", "(-1/2)"]
+        for _ in range(200):
+            text = "*".join(rng.choice(atoms)
+                            for _ in range(rng.randint(2, 6)))
+            assert outcome(parse_orepoly, text, config) == \
+                outcome(parse_lifted, text, config), text
+
     def test_left_and_right_field_factors(self):
         d, t = OrePoly.delta(CFG1, 0), RatFun.var(1, 0)
         assert parse_orepoly("d*t", CFG1) == t * d + 1
@@ -132,6 +164,52 @@ class TestRefusedInput:
         with pytest.raises(ParseError) as caught:
             parse_orepoly(text, CFG1)
         assert str(caught.value) == message
+
+    @pytest.mark.parametrize("text, message", [
+        ("d*", "line 1: unexpected end of expression"),
+        ("(d + t", "line 1: unexpected end of expression"),
+        ("d*)", "line 1, column 3: unexpected token ')'"),
+        ("--^2", "line 1, column 3: unexpected token '^'"),
+        ("(d + t]", "line 1, column 7: expected ')', found ']'"),
+        ("d^t", "line 1, column 3: expected 'num', found 't'"),
+        ("d^--(2)", "line 1, column 5: expected 'num', found '('"),
+    ])
+    def test_factor_errors_carry_a_position(self, text, message):
+        with pytest.raises(ParseError) as caught:
+            parse_orepoly(text, CFG1)
+        assert str(caught.value) == message
+
+    def test_mixed_suffix_error_carries_a_position(self):
+        with pytest.raises(ParseError) as caught:
+            parse_diffpoly("y' + y_(1)'", CFG1, NAMES)
+        assert str(caught.value) == \
+            "line 1, column 6: mixed prime and multi-index suffix"
+
+    def test_written_out_field_products_share_the_power_term_cap(self):
+        cfg = DiffFieldConfig(3, 3)
+        # 69 factors (t1 + t2 + 1) have 2,485 terms, as the power ^69 has
+        text = "*".join(["(t1 + t2 + 1)"] * 69)
+        assert parse_ratfun(text, cfg) == parse_ratfun("(t1 + t2 + 1)^69",
+                                                       cfg)
+        # the 70th would have 2,556: refused at its '*', as ^70 is
+        text += "*(t1 + t2 + 1)"
+        with pytest.raises(ParseError) as caught:
+            parse_orepoly(text + "*d1", cfg)
+        assert str(caught.value) == (
+            f"line 1, column {text.rindex('*') + 1}: product of degree 70 "
+            f"with up to 2556 terms; the limit is {MAX_FIELD_POWER_TERMS} "
+            f"terms")
+        # the same product as a quotient, and one built outside the data
+        for text, op in [("1" + "/(t1 + t2 + 1)" * 70, "/"),
+                         ("(t1 + t2 + 1)/t3" + "*(t1 + t2 + 1)" * 69, "*")]:
+            with pytest.raises(ParseError) as caught:
+                parse_ratfun(text, cfg)
+            assert str(caught.value).startswith(
+                f"line 1, column {text.rindex(op) + 1}: product of degree 70")
+        # a factor of one term never adds terms
+        many = " + ".join(f"t1^{k}" for k in range(2 * MAX_FIELD_POWER_TERMS))
+        assert len(parse_ratfun(f"2*t2*({many})*3", cfg).num.terms) == \
+            2 * MAX_FIELD_POWER_TERMS
 
     def test_power_cap_counts_the_order(self):
         limit = MAX_POWER_ORDER
@@ -187,6 +265,39 @@ class TestRefusedInput:
         assert len(parse_ratfun("(t2*t3 + 1)^250", cfg).num.terms) == 251
         assert parse_ratfun("((t1 + t3)/t2)^-70", cfg).den.terms \
             == parse_ratfun("(t1 + t3)^70", cfg).num.terms
+
+class TestIntegerData:
+    """Literals, field variables and derivations stay integer data: the
+    ring value is built once, at the end."""
+
+    STAIR29 = (
+        "field: Q derivations: 3\nmodule: 2\ngens: [(1)*d2*d3^5, 0]; "
+        "[(1)*d1*d2^5, 0]; [(1)*d1^3*d3^3, 0]; [(1)*d1^3*d2^2*d3, 0]; "
+        "[(1)*d1^4*d2^2, 0]; [(1)*d1^6, 0]; [0, (1)*d2^2*d3^4]; "
+        "[0, (1)*d1*d2^4*d3]; [0, (1)*d1^2*d2^2*d3^2]; [0, (1)*d1^3*d3^3]; "
+        "[0, (1)*d1^3*d2*d3^2]; [0, (1)*d1^6]\n")
+
+    def test_operator_text_makes_no_ring_products(self, monkeypatch):
+        calls = {"ore_mul": 0, "RatFun.__mul__": 0}
+
+        def counted(name, function):
+            def call(*args):
+                calls[name] += 1
+                return function(*args)
+            return call
+
+        monkeypatch.setattr(diffalg.ore, "ore_mul",
+                            counted("ore_mul", diffalg.ore.ore_mul))
+        product = counted("RatFun.__mul__", RatFun.__mul__)
+        monkeypatch.setattr(RatFun, "__mul__", product)
+        monkeypatch.setattr(RatFun, "__rmul__", product)
+        pf = parse_input(self.STAIR29)
+        assert len(pf.gens) == 12
+        assert calls == {"ore_mul": 0, "RatFun.__mul__": 0}
+        # the counters do count: the commutation rule needs the ring
+        parse_orepoly("d*t", CFG1)
+        assert calls["ore_mul"] == 1 and calls["RatFun.__mul__"] > 0
+
 
 class TestSymbolTable:
     @pytest.mark.parametrize("config, name", [
