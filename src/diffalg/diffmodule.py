@@ -13,7 +13,9 @@ Buchberger's chain criterion (Buchberger 1979; Gebauer and Moeller, JSC
 treated, and one pass of interreduction turns the complete basis into the
 unique reduced one.  The completeness check that ends every completion
 still reduces every generator and every same-component S-pair of the
-result, with no criterion.
+result, with no criterion.  A reduction step and an S-pair drop the term
+they cancel without arithmetic: a shift keeps the leading coefficient,
+and the check first tests that every element is monic.
 """
 
 from __future__ import annotations
@@ -21,8 +23,8 @@ from __future__ import annotations
 import heapq
 
 from .errors import ConfigMismatch, ZeroElement
-from .ore import (OrePoly, TermMap, monomial_ord, _as_ratfun, _left_mul,
-                  _raise_exponent)
+from .field import RatFun
+from .ore import OrePoly, TermMap, monomial_ord, _as_ratfun, _raise_exponent
 from .record import FrozenRecord
 
 
@@ -136,12 +138,6 @@ class ModElement(TermMap):
             coords[comp][exps] = coeff
         return [OrePoly(self.config, c) for c in coords]
 
-    # -- views -----------------------------------------------------------
-
-    def op_mul(self, op):
-        """Left action of an OrePoly: op * self."""
-        return _left_mul(op, self)
-
     def __repr__(self):
         return f"ModElement(n={self.n}, {self.terms!r})"
 
@@ -153,14 +149,18 @@ def leader(w, rk):
     return max(w.terms, key=rk.key)
 
 
-def leader_coeff(w, rk):
-    return w.terms[leader(w, rk)]
-
-
 def monic(w, rk):
-    if w.is_zero():
+    return _monic_at(w, leader(w, rk)) if w else w
+
+
+def _monic_at(w, lead):
+    """w over its coefficient at lead, which is set to 1 uncomputed."""
+    lc = w.terms[lead]
+    if lc.is_one():
         return w
-    return w.scale_left(leader_coeff(w, rk).inverse())
+    inv, one = lc.inverse(), RatFun.from_const(w.config.v, 1)
+    return w._new({k: one if k == lead else inv * a
+                   for k, a in w.terms.items()})
 
 
 def _divides(lead, term):
@@ -198,8 +198,8 @@ def _reduce(w, active, rk):
             return current
         term, f, lead = target
         shifted = f.apply_theta(tuple(a - b for a, b in zip(term[1], lead[1])))
-        current = current - shifted.scale_left(current.terms[term]
-                                               / shifted.terms[term])
+        c, lc = current.terms[term], shifted.terms[term]
+        current = current.cancel(term, shifted, c if lc.is_one() else c / lc)
 
 
 class AutoreducedSet(FrozenRecord):
@@ -275,8 +275,8 @@ def _spair(f, lf, g, lg):
     component: a shift of a monic element is monic at the shifted leader,
     so the S-pair is the plain difference of the two shifts."""
     lt = _lcm(lf, lg)
-    return f.apply_theta(tuple(a - b for a, b in zip(lt[1], lf[1]))) \
-        - g.apply_theta(tuple(a - b for a, b in zip(lt[1], lg[1])))
+    return f.apply_theta(tuple(a - b for a, b in zip(lt[1], lf[1]))).cancel(
+        lt, g.apply_theta(tuple(a - b for a, b in zip(lt[1], lg[1]))))
 
 
 def _pair(i, j):
@@ -337,7 +337,7 @@ def characteristic_set(gens, rk, config=None, n=None):
 
     def insert(w):
         k, lead = len(basis), leader(w, rk)
-        w = w.scale_left(w.terms[lead].inverse())
+        w = _monic_at(w, lead)
         basis.append(w)
         leads.append(lead)
         active.append((k, w, lead))

@@ -13,7 +13,9 @@ than columns, U's extra rows are left syzygies and swell far past A,
 U_inv and V_inv.  The certificate checks D diagonal, U*U_inv = I and
 V_inv*V = I by replaying the operations on the small inverses, and
 A*V = U_inv*D by replaying V's operations on A; together these give
-U*A*V = D with U and V unimodular, and the big U is never formed.
+U*A*V = D with U and V unimodular, and the big U is never formed.  An
+elimination step writes the remainder of its division into the pivot
+column or row unrecomputed; the replay recomputes every entry in full.
 """
 
 from __future__ import annotations
@@ -242,15 +244,15 @@ def diagonalize(A):
     V = ElementaryProduct(config, A.cols, "cols")
     V_inv = OreMatrix.identity(config, A.cols)
 
-    def row_op(op, inverse):
+    def row_op(op, inverse, known=()):
         """U <- E*U for the row operation E = op; U_inv <- U_inv*E^-1."""
-        _row_op(work.entries, op)
+        _row_op(work.entries, op, *known)
         U.ops.append(op)
         _col_op(U_inv.entries, inverse)
 
-    def col_op(op, inverse):
+    def col_op(op, inverse, known=()):
         """V <- V*F for the column operation F = op; V_inv <- F^-1*V_inv."""
-        _col_op(work.entries, op)
+        _col_op(work.entries, op, *known)
         V.ops.append(op)
         _row_op(V_inv.entries, inverse)
 
@@ -292,7 +294,7 @@ def diagonalize(A):
                     continue
                 q, r = ore_divmod(work.entries[i][p], work.entries[p][p],
                                   side="right")
-                row_op((i, p, q), (p, i, -q))
+                row_op((i, p, q), (p, i, -q), (p, r))
                 if not r.is_zero():
                     swap_rows(i, p)
                     dirty = True
@@ -305,7 +307,7 @@ def diagonalize(A):
                     continue
                 q, r = ore_divmod(work.entries[p][j], work.entries[p][p],
                                   side="left")
-                col_op((j, p, q), (p, j, -q))
+                col_op((j, p, q), (p, j, -q), (p, r))
                 if not r.is_zero():
                     swap_cols(j, p)
                     dirty = True
@@ -321,30 +323,32 @@ def diagonalize(A):
     return result
 
 
-def _row_op(rows, op):
+def _row_op(rows, op, k=None, e=None):
     """Apply the row operation op = (i, j, q) to a list of rows in place:
     swap rows i and j when q is None, row_i = q*row_i when i == j, and
-    row_i -= q*row_j otherwise."""
+    row_i -= q*row_j otherwise; entry k of the new row_i becomes e."""
     i, j, q = op
     if q is None:
         rows[i], rows[j] = rows[j], rows[i]
     elif i == j:
         rows[i] = [ore_mul(q, b) for b in rows[i]]
     else:
-        rows[i] = [a - ore_mul(q, b) if b else a
-                   for a, b in zip(rows[i], rows[j])]
+        rows[i] = [e if c == k else a - ore_mul(q, b) if b else a
+                   for c, (a, b) in enumerate(zip(rows[i], rows[j]))]
 
 
-def _col_op(rows, op):
+def _col_op(rows, op, k=None, e=None):
     """Apply the column operation op = (i, j, q) to a list of rows in
     place: swap columns i and j when q is None, col_i = col_i*q when
-    i == j, and col_i -= col_j*q otherwise."""
+    i == j, and col_i -= col_j*q otherwise; row k of col_i becomes e."""
     i, j, q = op
-    for row in rows:
+    for c, row in enumerate(rows):
         if q is None:
             row[i], row[j] = row[j], row[i]
         elif i == j:
             row[i] = ore_mul(row[i], q)
+        elif c == k:
+            row[i] = e
         elif row[j]:
             row[i] = row[i] - ore_mul(row[j], q)
 

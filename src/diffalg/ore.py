@@ -10,7 +10,8 @@ one shared shift chain (`_left_mul`), for operators and module elements
 alike; the closed binomial formula lives in the test suite as an
 independent oracle.  A scalar times an operator only scales coefficients,
 since no delta stands to its left.  Powers use repeated squaring
-(`field._power`).
+(`field._power`).  A term that cancels by construction (in reduction,
+S-pairs, division, elimination) is dropped uncomputed, by `TermMap.cancel`.
 """
 
 from __future__ import annotations
@@ -102,6 +103,17 @@ class TermMap:
         if not c:
             return self._new({})
         return self._new({k: c * a for k, a in self.terms.items()})
+
+    def cancel(self, key, s, c=None):
+        """self - c*s, c = 1 if None; drops the term at key, which cancels."""
+        self._check(s)
+        terms = dict(self.terms)
+        del terms[key]
+        neg = None if c is None or c.is_one() else -c
+        for k, a in s.terms.items():
+            if k != key:
+                _acc(terms, k, -a if neg is None else neg * a)
+        return self._new(terms)
 
     # -- delta action ----------------------------------------------------
 
@@ -332,6 +344,7 @@ def ore_divmod(f, g, side="right"):
     """Euclidean division in K[delta] (m = 1).
 
     side="right": f = q*g + r;  side="left": f = g*q + r;  deg r < deg g.
+    Each step drops r's leading term, which cancels, uncomputed.
     """
     if f.config.m != 1:
         raise UnsupportedForPartial("Euclidean division needs m = 1")
@@ -339,21 +352,21 @@ def ore_divmod(f, g, side="right"):
         raise DivisionByZero("division by the zero operator")
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
-    config = f.config
     dg = g.degree()
     _, lc_g = g.leading()
-    q = OrePoly.zero(config)
+    quotient, shifts = {}, [g]
     r = f
     while not r.is_zero() and r.degree() >= dg:
-        dr = r.degree()
-        _, lc_r = r.leading()
-        step = OrePoly.monomial(config, (dr - dg,), lc_r / lc_g)
-        q = q + step
+        (dr,), lc_r = r.leading()
+        k = dr - dg
+        c = quotient[(k,)] = lc_r if lc_g.is_one() else lc_r / lc_g
         if side == "right":
-            r = r - ore_mul(step, g)
+            while len(shifts) <= k:
+                shifts.append(shifts[-1].apply_delta(0))
+            r = r.cancel((dr,), shifts[k], c)
         else:
-            r = r - ore_mul(g, step)
-    return q, r
+            r = r.cancel((dr,), ore_mul(g, g._new({(k,): c})))
+    return g._new(quotient), r
 
 
 def ore_apply(f, a):

@@ -34,6 +34,7 @@ leaders, the entries of a leader tuple and field variables) is split by one
 rule, `_split_tokens`, at bracket depth zero.  The counts in the header,
 `module:` and `derivations:`, are numerals of ASCII digits like any other,
 capped by `MAX_MODULE_RANK` and `MAX_DERIVATIONS`.
+`MAX_NESTING` keeps the recursion, one level per parenthesis, bounded.
 """
 
 from __future__ import annotations
@@ -195,6 +196,7 @@ MAX_FIELD_POWER_TERMS = 2500
 # search.
 MAX_DERIVATIONS = 500
 MAX_MODULE_RANK = 100
+MAX_NESTING = 100
 
 
 def _shape(p):
@@ -309,6 +311,7 @@ class _ExprParser:
         self.zero_message = "division by the zero operator" if deltas \
             else "division by zero in the base field"
         self.scalar = (0,) * config.m
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -482,8 +485,13 @@ class _ExprParser:
                 primes += 1
             value = self.resolve(tok, primes)
         elif tok.kind == "(":
+            self.depth += 1
+            if self.depth > MAX_NESTING:
+                raise ParseError(f"parentheses nested deeper than "
+                                 f"{MAX_NESTING}", tok.line, tok.column)
             value = self.parse_expr()
             self.expect(")")
+            self.depth -= 1
         else:
             raise ParseError(f"unexpected token {tok.text!r}",
                              tok.line, tok.column)

@@ -12,8 +12,14 @@ spans, and expressions are evaluated by a tokenizer and parser of this
 module's own, with every literal and field variable lifted to the operator
 or polynomial ring before any operation.
 
+Reduction, monic scaling, autoreduction and Euclidean division are
+re-derived by the generic step, which computes in full the term each step
+cancels, where the library drops that term without arithmetic.
+
 Every oracle and every tool that only the tests use lives here, and only
-public diffalg names are imported: the library holds no test-only code.
+public diffalg names are imported, with one exception: `op_mul` runs the
+library's operator product loop, `ore._left_mul`, on module elements.  The
+library holds no test-only code.
 """
 
 import re
@@ -23,7 +29,8 @@ from math import comb, factorial
 
 from diffalg import (DiffPoly, DivisionByZero, MPoly, ModElement,
                      NumericalPolynomial, OreMatrix, OrePoly, ParseError,
-                     RatFun, autoreduce, leader, monic, ore_apply, reduce)
+                     RatFun, leader, ore_apply, ore_mul)
+from diffalg.ore import _left_mul
 
 
 # ---------------------------------------------------------------------------
@@ -96,6 +103,11 @@ def from_columns(config, columns, rows):
         for i, e in enumerate(col):
             entries[i][j] = e
     return OreMatrix(config, entries, rows, len(columns))
+
+
+def op_mul(w, op):
+    """Left action of the OrePoly op on the ModElement w: op * w."""
+    return _left_mul(op, w)
 
 
 def compare_autoreduced(A, B):
@@ -549,6 +561,73 @@ def box_standard_terms(antichain, bound):
 
 
 # ---------------------------------------------------------------------------
+# generic-step oracles for reduction and division
+
+def reduce_step(current, shifted, term):
+    """current minus the multiple of shifted that cancels current's term at
+    term, by generic arithmetic: the cancelled coefficient is computed."""
+    return current - shifted.scale_left(current.terms[term]
+                                        / shifted.terms[term])
+
+
+def reduce_oracle(w, A, rk):
+    """`reduce(w, A, rk)` by `reduce_step`: the highest reducible term first,
+    by the first element of A whose leader divides it."""
+    active = [(f, leader(f, rk)) for f in A if not f.is_zero()]
+    current = w
+    while True:
+        for term in sorted(current.terms, key=rk.key, reverse=True):
+            found = [(f, lead) for f, lead in active if lead[0] == term[0]
+                     and all(a <= b for a, b in zip(lead[1], term[1]))]
+            if found:
+                break
+        else:
+            return current
+        f, lead = found[0]
+        shifted = f.apply_theta(tuple(b - a for a, b in zip(lead[1], term[1])))
+        current = reduce_step(current, shifted, term)
+
+
+def monic_oracle(w, rk):
+    """w scaled by the inverse of its leading coefficient, every term alike."""
+    return w.scale_left(w.terms[leader(w, rk)].inverse()) if w else w
+
+
+def autoreduce_oracle(S, rk):
+    """The elements of `autoreduce(S, rk)` by `reduce_oracle`, restarting
+    after every change."""
+    elems = [monic_oracle(w, rk) for w in S if not w.is_zero()]
+    while True:
+        elems.sort(key=lambda w: rk.key(leader(w, rk)))
+        for i, w in enumerate(elems):
+            r = reduce_oracle(w, elems[:i] + elems[i + 1:], rk)
+            if r != w:
+                if r:
+                    elems[i] = monic_oracle(r, rk)
+                else:
+                    del elems[i]
+                break
+        else:
+            return tuple(elems)
+
+
+def divmod_oracle(f, g, side="right"):
+    """`ore_divmod(f, g, side)` by operator arithmetic: each step adds a
+    monomial to q and subtracts its full product with g from r."""
+    dg = g.degree()
+    _, lc_g = g.leading()
+    q = OrePoly.zero(f.config)
+    r = f
+    while not r.is_zero() and r.degree() >= dg:
+        dr = r.degree()
+        _, lc_r = r.leading()
+        step = OrePoly.monomial(f.config, (dr - dg,), lc_r / lc_g)
+        q = q + step
+        r = r - (ore_mul(step, g) if side == "right" else ore_mul(g, step))
+    return q, r
+
+
+# ---------------------------------------------------------------------------
 # criterion-free completion oracle
 
 def _lcm_term(f, g, rk):
@@ -569,23 +648,22 @@ def completion_oracle(gens, rk):
     """Elements of the characteristic set, by a completion with no pair
     criterion: every same-component S-pair is reduced, the pair list is
     re-sorted by the rank of the lcm term each round, and the final basis
-    is interreduced by `autoreduce`, which restarts after every change."""
-    basis = [monic(g, rk) for g in gens if not g.is_zero()]
-    basis = list(autoreduce(basis, rk).elements)
+    is interreduced by `autoreduce_oracle`; every step is the generic one."""
+    basis = list(autoreduce_oracle(gens, rk))
     pairs = [(i, j) for i in range(len(basis)) for j in range(i + 1, len(basis))
              if leader(basis[i], rk)[0] == leader(basis[j], rk)[0]]
     while pairs:
         pairs.sort(key=lambda p: rk.key(_lcm_term(basis[p[0]], basis[p[1]],
                                                   rk)))
         i, j = pairs.pop(0)
-        nf = reduce(_spair_plain(basis[i], basis[j], rk), basis, rk)
+        nf = reduce_oracle(_spair_plain(basis[i], basis[j], rk), basis, rk)
         if nf.is_zero():
             continue
-        basis.append(monic(nf, rk))
+        basis.append(monic_oracle(nf, rk))
         comp = leader(basis[-1], rk)[0]
         pairs.extend((k, len(basis) - 1) for k in range(len(basis) - 1)
                      if leader(basis[k], rk)[0] == comp)
-    return autoreduce(basis, rk).elements
+    return autoreduce_oracle(basis, rk)
 
 
 # ---------------------------------------------------------------------------

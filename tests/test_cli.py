@@ -19,7 +19,7 @@ from diffalg.cli import main
 from diffalg.field import MAX_PRS_DEGREE
 from diffalg.parsing import (MAX_DERIVATIONS, MAX_FIELD_POWER_DEGREE,
                              MAX_FIELD_POWER_TERMS, MAX_MODULE_RANK,
-                             MAX_POWER_COEFF_DEGREE, orepoly_str,
+                             MAX_NESTING, MAX_POWER_COEFF_DEGREE, orepoly_str,
                              parse_orepoly)
 
 GENERIC = """\
@@ -411,6 +411,23 @@ class TestRefusedInput:
         code, out, err = run(capsys, tmp_path, text, command)
         assert (code, out) == (2, "")
         assert err == f"error: line {lineno}, column {column}: {message}\n"
+
+    @pytest.mark.parametrize("levels", [MAX_NESTING, 400, 10_000])
+    def test_deep_nesting_exits_2_at_the_parenthesis(self, capsys, tmp_path,
+                                                     levels):
+        text = ("field: Q(t)\nmodule: 1\ngens: ["
+                + "(" * levels + "d" + ")" * levels + "]\n")
+        start = time.perf_counter()
+        code, out, err = run(capsys, tmp_path, text, "charset")
+        assert time.perf_counter() - start < 1.0
+        if levels == MAX_NESTING:
+            assert (code, out) == (0, "characteristic set (1 elements):\n"
+                                      "  [d]\n")
+            return
+        column = len("gens: [") + MAX_NESTING + 1
+        assert (code, out) == (2, "")
+        assert err == (f"error: line 3, column {column}: parentheses nested "
+                       f"deeper than {MAX_NESTING}\n")
 
     def test_negative_field_power_is_a_field_element(self, capsys, tmp_path):
         code, out, _ = run(capsys, tmp_path,

@@ -4,14 +4,16 @@ import random
 
 import pytest
 
-from diffalg import (AutoreducedSet, CharSet, DiffFieldConfig, ModElement,
-                     OrePoly, Ranking, RatFun, ZeroElement, autoreduce,
-                     characteristic_set, elimination_ranking, leader, member,
-                     monic, orderly_ranking, reduce)
+from diffalg import (AutoreducedSet, CharSet, ConfigMismatch,
+                     DiffFieldConfig, ModElement, OrePoly, Ranking, RatFun,
+                     ZeroElement, autoreduce, characteristic_set,
+                     elimination_ranking, leader, member, monic,
+                     orderly_ranking, reduce)
 from diffalg import diffmodule
 from diffalg.diffmodule import _verify_complete
-from helpers import (compare_autoreduced, completion_oracle, eval_point,
-                     in_span_truncated, rand_modelement, rand_orepoly)
+from helpers import (autoreduce_oracle, compare_autoreduced,
+                     completion_oracle, eval_point, in_span_truncated,
+                     op_mul, rand_modelement, rand_orepoly, reduce_oracle)
 
 CFG1 = DiffFieldConfig(1, 1)
 T = RatFun.var(1, 0)
@@ -96,6 +98,50 @@ class TestReduce:
             nf = reduce(w, A, rk)
             assert reduce(nf, A, rk) == nf
 
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_matches_generic_step_oracle(self, m):
+        # A is neither monic nor autoreduced, so each step divides by the
+        # shifted leading coefficient; the oracle computes the cancelled
+        # term in full
+        rng = random.Random(40 + m)
+        for v in range(min(m, 2) + 1):
+            cfg = DiffFieldConfig(m, v)
+            for _ in range(8):
+                n = rng.randint(1, 2)
+                A = [rand_modelement(rng, cfg, n, max_ord=2, nonzero=True)
+                     for _ in range(rng.randint(1, 3))]
+                w = rand_modelement(rng, cfg, n, max_ord=3, max_terms=4)
+                for rk in (orderly_ranking(n), elimination_ranking(n)):
+                    assert reduce(w, A, rk) == reduce_oracle(w, A, rk)
+
+    def test_operands_over_different_rings(self):
+        w = ModElement.basis(CFG1, 2, 0, (2,))
+        with pytest.raises(ConfigMismatch):
+            reduce(w, [ModElement.basis(CFG1, 3, 0, (1,))], orderly_ranking(2))
+
+    def test_monic_basis_reduction_divides_by_nothing(self, monkeypatch):
+        # a shift of a monic element is monic at the shifted leader, so
+        # no step takes an inverse or a quotient
+        cfg = DiffFieldConfig(2, 2)
+        rng = random.Random(44)
+        rk = orderly_ranking(2)
+        gens = [rand_modelement(rng, cfg, 2, max_ord=1, nonzero=True)
+                for _ in range(2)]
+        basis = list(characteristic_set(gens, rk).elements)
+        ws = [rand_modelement(rng, cfg, 2, max_ord=3, max_terms=4)
+              for _ in range(6)]
+        expected = [reduce_oracle(w, basis, rk) for w in ws]
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            raise AssertionError("reduction by a monic basis divided")
+
+        monkeypatch.setattr(RatFun, "inverse", counted)
+        monkeypatch.setattr(RatFun, "__truediv__", counted)
+        assert [reduce(w, basis, rk) for w in ws] == expected
+        assert not calls and expected != ws
+
 
 class TestAutoreduce:
     def test_derivative_eliminated(self):
@@ -115,6 +161,18 @@ class TestAutoreduce:
         out = autoreduce([elem(1, {(0, (0,)): 2}),
                           elem(1, {(0, (0,)): 3})], rk)
         assert out.elements == (elem(1, {(0, (0,)): 1}),)
+
+
+    def test_matches_generic_step_oracle(self):
+        rng = random.Random(45)
+        for _ in range(20):
+            m = rng.randint(1, 3)
+            cfg = DiffFieldConfig(m, rng.randint(0, min(m, 2)))
+            n = rng.randint(1, 2)
+            S = [rand_modelement(rng, cfg, n, max_ord=2, coeff_deg=1)
+                 for _ in range(rng.randint(1, 4))]
+            for rk in (orderly_ranking(n), elimination_ranking(n)):
+                assert autoreduce(S, rk).elements == autoreduce_oracle(S, rk)
 
 
 class TestCompare:
@@ -199,6 +257,21 @@ class TestCharacteristicSet:
             order = tuple(rng.sample(range(n), n))
             for kind in ("orderly", "elimination"):
                 rk = Ranking(kind, order)
+                assert characteristic_set(gens, rk).elements == \
+                    completion_oracle(gens, rk)
+
+    def test_matches_generic_step_completion_for_every_m(self):
+        # non-monic generators over m = 1..3; the oracle's completion makes
+        # every element monic and reduces by the generic step
+        rng = random.Random(38)
+        for _ in range(30):
+            m = rng.randint(1, 3)
+            cfg = DiffFieldConfig(m, rng.randint(0, min(m, 2)))
+            n = rng.randint(1, 2)
+            gens = [rand_modelement(rng, cfg, n, max_ord=2, nonzero=True,
+                                    frac_prob=0.2, coeff_deg=1)
+                    for _ in range(rng.randint(1, 3))]
+            for rk in (orderly_ranking(n), elimination_ranking(n)):
                 assert characteristic_set(gens, rk).elements == \
                     completion_oracle(gens, rk)
 
@@ -338,8 +411,8 @@ class TestMember:
                 elem(2, {(1, (2,)): 1, (0, (0,)): -1})]
         cs = characteristic_set(gens, rk)
         for _ in range(10):
-            extra = gens[0].op_mul(rand_orepoly(rng, CFG1)) + \
-                gens[1].op_mul(rand_orepoly(rng, CFG1))
+            extra = op_mul(gens[0], rand_orepoly(rng, CFG1)) + \
+                op_mul(gens[1], rand_orepoly(rng, CFG1))
             cs2 = characteristic_set(gens + [extra], rk)
             w = rand_modelement(rng, CFG1, 2)
             assert member(w, cs) == member(w, cs2)

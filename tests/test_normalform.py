@@ -7,7 +7,9 @@ import pytest
 from diffalg import (Diagonalization, DiffFieldConfig, MPoly, OreMatrix,
                      OrePoly, RatFun, TangentClass, UnsupportedForPartial,
                      characteristic_set, classify_tangent, diagonalize,
-                     dimension_report, ore_mul, orderly_ranking)
+                     dimension_report, ore_divmod, ore_mul,
+                     orderly_ranking)
+from diffalg import normalform
 from diffalg.normalform import _product_is, _verify
 from helpers import from_columns, rand_modelement, rand_orepoly
 
@@ -150,6 +152,27 @@ class TestDiagonalize:
                 _verify(A, res)
             changed += 1
         assert changed >= 6
+
+    @pytest.mark.parametrize("side", ["right", "left"])
+    def test_verify_rejects_a_wrong_known_remainder(self, monkeypatch, side):
+        # elimination writes the remainder the division returned into the
+        # pivot column (row operations, right division) or the pivot row
+        # (column operations, left division) without recomputing it
+        calls = []
+
+        def off_by_one(f, g, side):
+            q, r = ore_divmod(f, g, side=side)
+            calls.append(side)
+            return q, (r + 1 if len(calls) == 1 else r)
+
+        monkeypatch.setattr(normalform, "ore_divmod", off_by_one)
+        d, t = delta(), op(T)
+        entries = [d * d + t, t * d - 1]
+        A = relation_matrix(*([e] for e in entries)) if side == "right" \
+            else relation_matrix(entries)
+        with pytest.raises(AssertionError, match=r"A\*V != U_inv\*D"):
+            diagonalize(A)
+        assert calls[0] == side
 
     def test_partial_rejected(self):
         cfg = DiffFieldConfig(2, 1)

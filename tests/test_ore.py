@@ -7,8 +7,8 @@ import pytest
 from diffalg import (ConfigMismatch, DiffFieldConfig, DiffPoly, DivisionByZero,
                      ModElement, OrePoly, RatFun, UnsupportedForPartial,
                      ore_apply, ore_divmod, ore_mul)
-from helpers import (ore_mul_binomial, rand_modelement, rand_orepoly,
-                     rand_ratfun)
+from helpers import (divmod_oracle, op_mul, ore_mul_binomial, rand_modelement,
+                     rand_orepoly, rand_ratfun)
 
 CFG1 = DiffFieldConfig(1, 1)
 
@@ -85,7 +85,7 @@ class TestProduct:
         else:
             w = ModElement.from_operator_vector([t, d + 1])
             calls.clear()
-            product = w.op_mul(f)
+            product = op_mul(w, f)
             expected = ModElement.from_operator_vector(
                 [ore_mul_binomial(f, c) for c in w.operator_vector()])
         assert len(calls) == 4
@@ -99,7 +99,7 @@ class TestProduct:
             op = rand_orepoly(rng, cfg, max_deg=3, max_terms=4)
             w = rand_modelement(rng, cfg, rng.randint(1, 3))
             expected = [ore_mul_binomial(op, c) for c in w.operator_vector()]
-            assert w.op_mul(op) == ModElement.from_operator_vector(expected)
+            assert op_mul(w, op) == ModElement.from_operator_vector(expected)
 
     @pytest.mark.parametrize("m", [1, 2])
     def test_constant_coefficient_shifts(self, monkeypatch, m):
@@ -124,7 +124,7 @@ class TestProduct:
                                 coeff_deg=0)
             assert ore_mul(f, g) == ore_mul_binomial(f, g)
             expected = [ore_mul_binomial(f, c) for c in w.operator_vector()]
-            assert w.op_mul(f) == ModElement.from_operator_vector(expected)
+            assert op_mul(w, f) == ModElement.from_operator_vector(expected)
         assert not calls
 
     def test_identity_factor(self):
@@ -321,6 +321,12 @@ class TestDivmod:
         with pytest.raises(DivisionByZero):
             ore_divmod(d, OrePoly.zero(CFG1))
 
+    @pytest.mark.parametrize("side", ["right", "left"])
+    def test_operands_over_different_rings(self, side):
+        d = OrePoly.delta(CFG1, 0)
+        with pytest.raises(ConfigMismatch):
+            ore_divmod(d * d, OrePoly.delta(DiffFieldConfig(1, 0), 0), side)
+
     def test_partial_case_rejected(self):
         cfg = DiffFieldConfig(2, 1)
         d1 = OrePoly.delta(cfg, 0)
@@ -337,6 +343,50 @@ class TestDivmod:
                 back = ore_mul(q, g) if side == "right" else ore_mul(g, q)
                 assert back + r == f
                 assert r.degree() < g.degree()
+
+    def test_matches_generic_division_oracle(self):
+        # each step drops the cancelled leading term without arithmetic;
+        # the oracle computes it, and the results must agree exactly
+        rng = random.Random(27)
+        for v in (0, 1):
+            cfg = DiffFieldConfig(1, v)
+            for _ in range(20):
+                f = rand_orepoly(rng, cfg, max_deg=4, max_terms=3)
+                g = rand_orepoly(rng, cfg, max_deg=2, max_terms=3,
+                                 nonzero=True)
+                for side in ("right", "left"):
+                    assert ore_divmod(f, g, side) == divmod_oracle(f, g, side)
+
+    @pytest.mark.parametrize("side", ["right", "left"])
+    def test_one_step_sums_nothing_at_the_cancelled_key(self, monkeypatch,
+                                                        side):
+        # deg f = deg g: one step, whose leading term cancels; no base-field
+        # sum comes out zero, and a right division forms no product equal
+        # to the leading coefficient it cancels
+        t = RatFun.var(1, 0)
+        f = OrePoly(CFG1, {(2,): (t + 1) / (t - 1), (1,): t, (0,): 1})
+        g = OrePoly(CFG1, {(2,): t * t + 2, (1,): 1 / t, (0,): 3 * t})
+        expected = divmod_oracle(f, g, side)
+        sums, products = [], []
+        add, mul = RatFun.__add__, RatFun.__mul__
+
+        def counted(record, op):
+            def call(a, b):
+                record.append(op(a, b))
+                return record[-1]
+            return call
+
+        monkeypatch.setattr(RatFun, "__add__", counted(sums, add))
+        monkeypatch.setattr(RatFun, "__radd__", counted(sums, add))
+        monkeypatch.setattr(RatFun, "__mul__", counted(products, mul))
+        monkeypatch.setattr(RatFun, "__rmul__", counted(products, mul))
+        q, r = ore_divmod(f, g, side)
+        assert (q, r) == expected and q.degree() == 0 and r.degree() == 1
+        assert sums and not any(s.is_zero() for s in sums)
+        if side == "right":
+            lead = f.leading()[1]
+            assert products and lead not in products \
+                and -lead not in products
 
 
 class TestApply:
