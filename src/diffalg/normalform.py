@@ -244,15 +244,15 @@ def diagonalize(A):
     V = ElementaryProduct(config, A.cols, "cols")
     V_inv = OreMatrix.identity(config, A.cols)
 
-    def row_op(op, inverse, known=()):
+    def row_op(op, inverse, k=None, e=None):
         """U <- E*U for the row operation E = op; U_inv <- U_inv*E^-1."""
-        _row_op(work.entries, op, *known)
+        _row_op(work.entries, op, k, e)
         U.ops.append(op)
         _col_op(U_inv.entries, inverse)
 
-    def col_op(op, inverse, known=()):
+    def col_op(op, inverse, k=None, e=None):
         """V <- V*F for the column operation F = op; V_inv <- F^-1*V_inv."""
-        _col_op(work.entries, op, *known)
+        _col_op(work.entries, op, k, e)
         V.ops.append(op)
         _row_op(V_inv.entries, inverse)
 
@@ -294,7 +294,7 @@ def diagonalize(A):
                     continue
                 q, r = ore_divmod(work.entries[i][p], work.entries[p][p],
                                   side="right")
-                row_op((i, p, q), (p, i, -q), (p, r))
+                row_op((i, p, q), (p, i, -q), p, r)
                 if not r.is_zero():
                     swap_rows(i, p)
                     dirty = True
@@ -307,7 +307,7 @@ def diagonalize(A):
                     continue
                 q, r = ore_divmod(work.entries[p][j], work.entries[p][p],
                                   side="left")
-                col_op((j, p, q), (p, j, -q), (p, r))
+                col_op((j, p, q), (p, j, -q), p, r)
                 if not r.is_zero():
                     swap_cols(j, p)
                     dirty = True

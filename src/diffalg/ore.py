@@ -354,16 +354,13 @@ def ore_divmod(f, g, side="right"):
         raise ValueError("side must be 'left' or 'right'")
     dg = g.degree()
     _, lc_g = g.leading()
-    quotient, shifts = {}, [g]
-    r = f
+    quotient, r = {}, f
     while not r.is_zero() and r.degree() >= dg:
         (dr,), lc_r = r.leading()
         k = dr - dg
         c = quotient[(k,)] = lc_r if lc_g.is_one() else lc_r / lc_g
         if side == "right":
-            while len(shifts) <= k:
-                shifts.append(shifts[-1].apply_delta(0))
-            r = r.cancel((dr,), shifts[k], c)
+            r = r.cancel((dr,), g.apply_theta((k,)), c)
         else:
             r = r.cancel((dr,), ore_mul(g, g._new({(k,): c})))
     return g._new(quotient), r

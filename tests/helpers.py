@@ -17,9 +17,7 @@ re-derived by the generic step, which computes in full the term each step
 cancels, where the library drops that term without arithmetic.
 
 Every oracle and every tool that only the tests use lives here, and only
-public diffalg names are imported, with one exception: `op_mul` runs the
-library's operator product loop, `ore._left_mul`, on module elements.  The
-library holds no test-only code.
+public diffalg names are imported: the library holds no test-only code.
 """
 
 import re
@@ -30,7 +28,6 @@ from math import comb, factorial
 from diffalg import (DiffPoly, DivisionByZero, MPoly, ModElement,
                      NumericalPolynomial, OreMatrix, OrePoly, ParseError,
                      RatFun, leader, ore_apply, ore_mul)
-from diffalg.ore import _left_mul
 
 
 # ---------------------------------------------------------------------------
@@ -103,11 +100,6 @@ def from_columns(config, columns, rows):
         for i, e in enumerate(col):
             entries[i][j] = e
     return OreMatrix(config, entries, rows, len(columns))
-
-
-def op_mul(w, op):
-    """Left action of the OrePoly op on the ModElement w: op * w."""
-    return _left_mul(op, w)
 
 
 def compare_autoreduced(A, B):

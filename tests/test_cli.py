@@ -204,6 +204,17 @@ class TestModuleCommands:
         assert code == 0
         assert line in out
 
+    def test_constant_division_with_a_large_degree_gap(self, capsys,
+                                                       tmp_path):
+        # clearing the column right-divides d^10000000 by d^2 in one step,
+        # whose shift of d^2 is built directly
+        text = "field: Q(t)\nmodule: 1\ngens: [d^10000000]; [d^2]\n"
+        start = time.perf_counter()
+        code, out, _ = run(capsys, tmp_path, text, "decompose")
+        assert time.perf_counter() - start < 1.0
+        assert code == 0
+        assert "diagonal: ['d^2']" in out
+
     def test_decompose_diagonalizes_once(self, capsys, tmp_path,
                                          monkeypatch):
         original = diffalg.normalform.diagonalize

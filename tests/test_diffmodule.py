@@ -11,9 +11,10 @@ from diffalg import (AutoreducedSet, CharSet, ConfigMismatch,
                      orderly_ranking, reduce)
 from diffalg import diffmodule
 from diffalg.diffmodule import _verify_complete
+from diffalg.ore import _left_mul
 from helpers import (autoreduce_oracle, compare_autoreduced,
                      completion_oracle, eval_point, in_span_truncated,
-                     op_mul, rand_modelement, rand_orepoly, reduce_oracle)
+                     rand_modelement, rand_orepoly, reduce_oracle)
 
 CFG1 = DiffFieldConfig(1, 1)
 T = RatFun.var(1, 0)
@@ -411,8 +412,8 @@ class TestMember:
                 elem(2, {(1, (2,)): 1, (0, (0,)): -1})]
         cs = characteristic_set(gens, rk)
         for _ in range(10):
-            extra = op_mul(gens[0], rand_orepoly(rng, CFG1)) + \
-                op_mul(gens[1], rand_orepoly(rng, CFG1))
+            extra = _left_mul(rand_orepoly(rng, CFG1), gens[0]) + \
+                _left_mul(rand_orepoly(rng, CFG1), gens[1])
             cs2 = characteristic_set(gens + [extra], rk)
             w = rand_modelement(rng, CFG1, 2)
             assert member(w, cs) == member(w, cs2)

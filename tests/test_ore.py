@@ -7,7 +7,8 @@ import pytest
 from diffalg import (ConfigMismatch, DiffFieldConfig, DiffPoly, DivisionByZero,
                      ModElement, OrePoly, RatFun, UnsupportedForPartial,
                      ore_apply, ore_divmod, ore_mul)
-from helpers import (divmod_oracle, op_mul, ore_mul_binomial, rand_modelement,
+from diffalg.ore import _left_mul
+from helpers import (divmod_oracle, ore_mul_binomial, rand_modelement,
                      rand_orepoly, rand_ratfun)
 
 CFG1 = DiffFieldConfig(1, 1)
@@ -85,7 +86,7 @@ class TestProduct:
         else:
             w = ModElement.from_operator_vector([t, d + 1])
             calls.clear()
-            product = op_mul(w, f)
+            product = _left_mul(f, w)
             expected = ModElement.from_operator_vector(
                 [ore_mul_binomial(f, c) for c in w.operator_vector()])
         assert len(calls) == 4
@@ -99,7 +100,8 @@ class TestProduct:
             op = rand_orepoly(rng, cfg, max_deg=3, max_terms=4)
             w = rand_modelement(rng, cfg, rng.randint(1, 3))
             expected = [ore_mul_binomial(op, c) for c in w.operator_vector()]
-            assert op_mul(w, op) == ModElement.from_operator_vector(expected)
+            assert _left_mul(op, w) == \
+                ModElement.from_operator_vector(expected)
 
     @pytest.mark.parametrize("m", [1, 2])
     def test_constant_coefficient_shifts(self, monkeypatch, m):
@@ -124,7 +126,7 @@ class TestProduct:
                                 coeff_deg=0)
             assert ore_mul(f, g) == ore_mul_binomial(f, g)
             expected = [ore_mul_binomial(f, c) for c in w.operator_vector()]
-            assert op_mul(w, f) == ModElement.from_operator_vector(expected)
+            assert _left_mul(f, w) == ModElement.from_operator_vector(expected)
         assert not calls
 
     def test_identity_factor(self):
