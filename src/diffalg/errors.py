@@ -4,8 +4,9 @@ The command line prints `error: <message>` for every diffalg error and exits
 with the class's `exit_code`:
 
     1  any diffalg error not listed below (e.g. leaders that are not an
-       antichain, an --order-bound over its cap, ExponentOverflow or
-       DegreeTooLarge)
+       antichain, an --order-bound over its cap, ExponentOverflow, or
+       DegreeTooLarge: a gcd whose remainder sequence needs a
+       pseudo-division of more than `field.MAX_PRS_STEPS` steps)
     2  ParseError, DivisionByZero
     3  PointNotOnVariety
     4  UnsupportedForPartial, OrderlyRequired
@@ -37,12 +38,13 @@ class ExponentOverflow(DiffAlgError):
 
 
 class DegreeTooLarge(DiffAlgError):
-    """A gcd in one field variable of degree over `field.MAX_PRS_DEGREE`,
-    which the dense remainder sequence would need memory for by degree."""
+    """A gcd needs a pseudo-division of more than `field.MAX_PRS_STEPS`
+    steps; one of degree D by degree E takes at most D - E + 1."""
 
-    def __init__(self, degree, cap):
-        super().__init__(f"gcd of degree {degree} in one field variable; "
-                         f"the cap is {cap}")
+    def __init__(self, degree, divisor, cap):
+        super().__init__(f"gcd needs more than {cap} steps of "
+                         f"pseudo-division (degree {degree} by degree "
+                         f"{divisor} in one field variable)")
 
 
 class BadDerivation(DiffAlgError):

@@ -24,7 +24,10 @@ variables take the sparse recursive form (Liao and Fateman, 1995): the
 images are gcds in one variable fewer, so the recursion ends in the dense
 level.  After a few evaluation points, or past its size guards, the
 primitive pseudo-remainder sequence (PRS) takes over; it is also the tests'
-oracle.
+oracle.  The PRS recurses on the main variable for every variable count,
+so its work is the steps of its pseudo-divisions, few on sparse inputs of
+huge degree; a pseudo-division past MAX_PRS_STEPS steps raises
+DegreeTooLarge.
 
 Products by a unit cost nothing: an MPoly product with a constant factor
 scales the other factor (returns it when the constant is 1), and a RatFun
@@ -456,18 +459,21 @@ def _main_var(f, g):
 # before evaluating where an image would pass _HEU_MAX_BITS bits (a gcd of
 # two 2^20-bit integers takes about a second) or the main variable's
 # degree passes _HEU_MAX_DEGREE (rebuilding a candidate costs a big-integer
-# division per digit, while the PRS is fast on sparse inputs of huge
-# degree).
+# division per digit, while the sparse PRS takes three steps on
+# t^N + 1 and t^N + 2 whatever N is).
 _HEU_TRIES = 6
 _HEU_MAX_BITS = 1 << 20
 _HEU_MAX_DEGREE = 1 << 12
 
-# The PRS in one variable works on dense lists of degree + 1 integers, so
-# it refuses a degree above this (raising DegreeTooLarge) before allocating
-# them.  `dimpoly` on `[(t^N + 1)*d + t^N + 2]` takes 0.7-0.9 s at
-# N = 10^6 and 1.0-1.2 s with an 80 MB peak at N = 2^21 (process wall
-# time, 2-core shared machine).
-MAX_PRS_DEGREE = 1 << 21
+# A pseudo-division of the PRS raises DegreeTooLarge past this many steps.
+# A step costs a few products of the remainder, whose integers grow with
+# every step, so a pseudo-division costs about the square of its steps.
+# `dimpoly` refuses `[(t^100000 + 1)*d + t - 2]` and
+# `[(t^16000 + 1)*d + 99*t^7 - 2*t^3 + 5]` in 0.24 and 0.33 s and answers
+# `[(t^8000 + 1)*d + 99*t^7 - 2*t^3 + 5]` in 0.75 s, where a cap of 2^14
+# would answer the t^16000 one in 2.0 s (process wall time, best of 5,
+# 2-core shared machine).
+MAX_PRS_STEPS = 1 << 13
 
 # Number of gcds left to the PRS so far in this process.
 prs_fallbacks = 0
@@ -513,6 +519,30 @@ def _interpolate(gamma, x, xi):
             if digit:
                 terms[e | k << shift] = digit
     return _carry_free(gamma.nvars, terms)
+
+
+def _univariate_in(f, x):
+    """True when f involves no variable other than t_x."""
+    if f.nvars == 1:
+        return True
+    shift, mask = _digit(f.nvars, x)
+    keys = reduce(or_, f.terms, 0)
+    return keys == (keys >> shift & mask) << shift
+
+
+def _dense(p, x):
+    """Ascending integer coefficient list of a nonzero p univariate in t_x."""
+    shift, mask = _digit(p.nvars, x)
+    coeffs = [0] * (p.degree_in(x) + 1)
+    for e, c in p.terms.items():
+        coeffs[e >> shift & mask] = c
+    return coeffs
+
+
+def _sparse(coeffs, nvars, x):
+    """The MPoly in t_x with the ascending integer coefficient list coeffs."""
+    shift = _digit(nvars, x)[0]
+    return _poly(nvars, {i << shift: c for i, c in enumerate(coeffs) if c})
 
 
 def _horner(coeffs, xi):
@@ -675,103 +705,51 @@ def _coeffs_in(f, x):
 
 
 def _content_pp(f, x):
-    """Content over Z[other variables] (lex-positive) and primitive part."""
+    """Content over Z[other variables] (lex-positive), an integer when f is
+    in t_x alone, and primitive part."""
     content = MPoly.zero(f.nvars)
     for poly in _coeffs_in(f, x).values():
         content = _prs_gcd(content, poly)
         if content.is_one():
             return content, f
+    if content.is_const():
+        return content, _div_int(f, content.const_value())
     return content, f.divexact(content)
 
 
+def _lead_in(f, x):
+    """(degree, coefficient) of the leading term of a nonzero f viewed as
+    univariate in t_x."""
+    shift, mask = _digit(f.nvars, x)
+    top = max(e >> shift & mask for e in f.terms)
+    low = top << shift
+    return top, _poly(f.nvars, {e - low: c for e, c in f.terms.items()
+                                if e >> shift & mask == top})
+
+
 def _prem(f, g, x):
-    """Pseudo-remainder of f by g with respect to t_x."""
-    dg = g.degree_in(x)
-    lc_g = _coeffs_in(g, x)[dg]
+    """Pseudo-remainder of f by g with respect to t_x, or DegreeTooLarge
+    past MAX_PRS_STEPS steps; a step cancels the leading t_x-degree, so
+    there are at most deg f - deg g + 1."""
+    dg, lc_g = _lead_in(g, x)
+    unit = 1 << _digit(f.nvars, x)[0]
     rem = f
-    while not rem.is_zero() and rem.degree_in(x) >= dg:
-        dr = rem.degree_in(x)
-        lc_r = _coeffs_in(rem, x)[dr]
-        shift = _poly(f.nvars, {(dr - dg) << _digit(f.nvars, x)[0]: 1})
-        rem = rem * lc_g - lc_r * shift * g
+    steps = 0
+    while rem.terms:
+        dr, lc_r = _lead_in(rem, x)
+        if dr < dg:
+            break
+        steps += 1
+        if steps > MAX_PRS_STEPS:
+            raise DegreeTooLarge(f.degree_in(x), dg, MAX_PRS_STEPS)
+        rem = rem * lc_g - lc_r * _poly(f.nvars, {(dr - dg) * unit: 1}) * g
     return rem
 
 
-def _univariate_in(f, x):
-    """True when f involves no variable other than t_x."""
-    if f.nvars == 1:
-        return True
-    shift, mask = _digit(f.nvars, x)
-    keys = reduce(or_, f.terms, 0)
-    return keys == (keys >> shift & mask) << shift
-
-
-def _dense(p, x):
-    """Ascending integer coefficient list of a nonzero p univariate in t_x."""
-    shift, mask = _digit(p.nvars, x)
-    coeffs = [0] * (p.degree_in(x) + 1)
-    for e, c in p.terms.items():
-        coeffs[e >> shift & mask] = c
-    return coeffs
-
-
-def _sparse(coeffs, nvars, x):
-    """The MPoly in t_x with the ascending integer coefficient list coeffs."""
-    shift = _digit(nvars, x)[0]
-    return _poly(nvars, {i << shift: c for i, c in enumerate(coeffs) if c})
-
-
-def _int_primitive(coeffs):
-    """(content, primitive part) of an integer coefficient list."""
-    content = _int_gcd(*coeffs)
-    if content > 1:
-        coeffs = [c // content for c in coeffs]
-    return content, coeffs
-
-
-def _int_prem(a, b):
-    """Primitive pseudo-remainder of integer coefficient lists (ascending)."""
-    db = len(b) - 1
-    lb = b[-1]
-    r = list(a)
-    while len(r) - 1 >= db:
-        shift = len(r) - 1 - db
-        lr = r[-1]
-        r = [lb * c for c in r]
-        for i, c in enumerate(b):
-            r[i + shift] -= lr * c
-        r.pop()
-        while r and not r[-1]:
-            r.pop()
-        if r:
-            r = _int_primitive(r)[1]
-        else:
-            break
-    return r
-
-
-def _gcd_univariate(f, g, x):
-    """Gcd via a primitive integer remainder sequence on dense t_x-lists,
-    refused past MAX_PRS_DEGREE before the lists are allocated."""
-    degree = max(f.degree_in(x), g.degree_in(x))
-    if degree > MAX_PRS_DEGREE:
-        raise DegreeTooLarge(degree, MAX_PRS_DEGREE)
-    ca, a = _int_primitive(_dense(f, x))
-    cb, b = _int_primitive(_dense(g, x))
-    if len(a) < len(b):
-        a, b = b, a
-    while b:
-        a, b = b, _int_prem(a, b)
-    scale = _int_gcd(ca, cb)
-    if a[-1] < 0:
-        scale = -scale
-    return _sparse([scale * c for c in a], f.nvars, x)
-
-
 def _prs_gcd(f, g):
-    """mpoly_gcd by primitive pseudo-remainder sequences alone: on dense
-    integer lists for univariate inputs, otherwise recursing on the main
-    variable."""
+    """mpoly_gcd by primitive pseudo-remainder sequences alone, recursing
+    on the main variable; in one variable the content is the integer
+    content."""
     if f.is_zero():
         return _lex_positive(g)
     if g.is_zero():
@@ -780,8 +758,6 @@ def _prs_gcd(f, g):
         return MPoly.const(f.nvars, _int_gcd(*f.terms.values(),
                                              *g.terms.values()))
     x = _main_var(f, g)
-    if _univariate_in(f, x) and _univariate_in(g, x):
-        return _gcd_univariate(f, g, x)
     cf, pf = _content_pp(f, x)
     cg, pg = _content_pp(g, x)
     c = _prs_gcd(cf, cg)

@@ -22,9 +22,10 @@ or operator arithmetic.  Anything else builds its `RatFun`, `OrePoly` or
 exist only in the base field.  The caps below are checked before a power
 or a product is computed, each a `ParseError` with its position:
 `MAX_POWER_ORDER` and `MAX_POWER_COEFF_DEGREE` on powers of operators,
-`MAX_FIELD_POWER_DEGREE` on powers of base-field elements, and
+`MAX_FIELD_POWER_DEGREE` on powers of base-field elements,
 `MAX_FIELD_POWER_TERMS` on those powers and on every product of two
-base-field polynomials of several terms.
+base-field polynomials of several terms, and `field._HEU_MAX_BITS` on the
+integers of every power.
 
 A problem file is read a line at a time.  Each section body is tokenized
 once, where it sits in its line, so every error inside it names the column
@@ -46,8 +47,8 @@ from math import comb, gcd, lcm
 from operator import add
 
 from .errors import DivisionByZero, ParseError
-from .field import (DiffFieldConfig, MPoly, RatFun, _digit, _pack, _poly,
-                    _unpack)
+from .field import (_HEU_MAX_BITS, DiffFieldConfig, MPoly, RatFun, _digit,
+                    _pack, _poly, _unpack)
 from .ore import OrePoly
 from .diffmodule import ModElement, Ranking, orderly_ranking
 from .numpoly import Antichain
@@ -233,6 +234,22 @@ def _check_product(p, q, tok):
                              tok.line, tok.column)
 
 
+def _check_power_bits(base, k, tok):
+    """ParseError at `tok` when base^k would hold an integer of more than
+    _HEU_MAX_BITS bits: |k| times the largest ceil(log2 |c|) over the
+    integers c of base, which c^k has, give or take one bit."""
+    if type(base) is _Data:
+        polys = [{0: base.den}, *base.terms.values()]
+    else:
+        polys = [p.terms for x in _coefficients(base) for p in (x.num, x.den)]
+    bits = abs(k) * max(((abs(c) - 1).bit_length() for p in polys
+                         for c in p.values()), default=0)
+    if bits > _HEU_MAX_BITS:
+        raise ParseError(f"power with integers of about {bits} bits; the "
+                         f"limit is {_HEU_MAX_BITS} bits",
+                         tok.line, tok.column)
+
+
 class _Data:
     """A subexpression held as integers: `terms` maps a derivation monomial
     (an exponent tuple of length m) to a base-field polynomial, a dict from
@@ -414,6 +431,7 @@ class _ExprParser:
 
     def power(self, base, k, tok):
         """base^k, with negative powers taken in the base field."""
+        _check_power_bits(base, k, tok)
         if type(base) is _Data and k >= 0 and len(base.terms) == 1:
             (key, p), = base.terms.items()
             if len(p) == 1 and (key == self.scalar or 0 in p):

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from .errors import ConfigMismatch, DiffAlgError, PointNotOnVariety
 from .field import RatFun, _power
-from .ore import TermMap, _acc, _as_ratfun
+from .ore import TermMap, _acc, _as_ratfun, _derivative
 from .diffmodule import ModElement, characteristic_set, orderly_ranking
 from .dimension import dimension_report
 from .normalform import OreMatrix, _classify_relations
@@ -153,12 +153,7 @@ class VarietyPoint:
         return len(self.coordinates)
 
     def derivative_of_coordinate(self, comp, exps):
-        value = self.coordinates[comp]
-        for i, k in enumerate(exps):
-            for _ in range(k):
-                value = value.derive(i) if i < self.config.v \
-                    else RatFun.from_const(self.config.v, 0)
-        return value
+        return _derivative(self.coordinates[comp], exps)
 
     def __repr__(self):
         return f"VarietyPoint({self.coordinates!r})"

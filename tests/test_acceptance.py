@@ -6,7 +6,9 @@ Gaussian elimination) and enforces a wall-clock budget.  Results are
 printed even under pytest's output capture.
 """
 
+import importlib
 import random
+import re
 import time
 from pathlib import Path
 
@@ -208,10 +210,31 @@ def test_dimension_polynomials_are_kolchin_integral(capsys):
             started)
 
 
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+# "`diffalg.<module>.<NAME>` = <value>", the value a numeral that may have
+# thousands commas (2,500) or be a power (2^21)
+QUOTED_CONSTANT = re.compile(
+    r"`diffalg\.(\w+)\.(\w+)`\s*=\s*(\d+(?:,\d{3})*)(?:\^(\d+))?")
+
+
 def test_scope_limitations_documented(capsys):
     started = time.monotonic()
-    readme = Path(__file__).resolve().parent.parent / "README.md"
-    text = readme.read_text(encoding="utf-8")
+    text = README.read_text(encoding="utf-8")
     assert "## Scope and limitations" in text
     assert "nonlinear" in text.lower()
     _report(capsys, "out-of-scope behavior documented", 5, started)
+
+
+def test_readme_constants_match_the_code(capsys):
+    started = time.monotonic()
+    quoted = QUOTED_CONSTANT.findall(README.read_text(encoding="utf-8"))
+    assert quoted
+    for module, name, base, exponent in quoted:
+        value = int(base.replace(",", "")) ** int(exponent or 1)
+        module = importlib.import_module(f"diffalg.{module}")
+        assert hasattr(module, name), f"README quotes missing {name}"
+        assert getattr(module, name) == value, \
+            f"README quotes {name} = {value}, not {getattr(module, name)}"
+    _report(capsys, f"{len(quoted)} constants quoted in README.md match the "
+            f"code", 5, started)

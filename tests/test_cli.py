@@ -16,7 +16,7 @@ import diffalg.dimension
 import diffalg.normalform
 from diffalg import DiffFieldConfig
 from diffalg.cli import main
-from diffalg.field import MAX_PRS_DEGREE
+from diffalg.field import MAX_PRS_STEPS
 from diffalg.parsing import (MAX_DERIVATIONS, MAX_FIELD_POWER_DEGREE,
                              MAX_FIELD_POWER_TERMS, MAX_MODULE_RANK,
                              MAX_NESTING, MAX_POWER_COEFF_DEGREE, orepoly_str,
@@ -92,6 +92,22 @@ class TestTangentCommand:
         assert payload["tangent"]["d"] == 1
         assert payload["tangent"]["k"] == 0
         assert payload["charset"] == ["dy' - 1/t*dy + 1/t*dz"]
+
+    def test_high_derivative_of_a_polynomial_point(self, capsys, tmp_path):
+        # y = t has derivatives t, 1 and then only zeros, which are not
+        # derived again
+        order = 1_000_000
+        text = f"field: Q(t)\nvars: y\neqs: y_({order}) - 0\npoint: y = t\n"
+        start = time.perf_counter()
+        code, out, err = run(capsys, tmp_path, text, "tangent")
+        assert time.perf_counter() - start < 1.0
+        assert (code, err) == (0, "")
+        assert out == (f"charset:\n  dy{chr(39) * order} = 0\n"
+                       f"dimension polynomial: {order} (valid for t >= "
+                       f"{order})\n"
+                       "differential dimension d = 0\n"
+                       f"tangent space: K^0 x C^{order} (torsion degrees "
+                       f"[{order}])\n")
 
     def test_point_off_variety_exits_3(self, capsys, tmp_path):
         bad = CONSTANT.replace("y = 0", "y = 1")
@@ -413,15 +429,41 @@ class TestRefusedInput:
          "can only divide by a base-field element"),
         ("vars: y\npoint: y = 0\neqs: y^-1", "tangent", "^",
          "negative power of an expression outside the base field"),
-    ], ids=["divide-by-d", "d-inverse", "divide-by-y", "y-inverse"])
+        ("module: 1\ngens: [2^9999999999*d]", "charset", "^",
+         "power with integers of about 9999999999 bits; the limit is "
+         "1048576 bits"),
+        ("module: 1\ngens: [(2*t)^9999999999*d]", "charset", "^",
+         "power with integers of about 9999999999 bits; the limit is "
+         "1048576 bits"),
+        ("module: 1\ngens: [(t^2/t^2 + 1)^9999999999*d]", "charset", ")^",
+         "power with integers of about 9999999999 bits; the limit is "
+         "1048576 bits"),
+    ], ids=["divide-by-d", "d-inverse", "divide-by-y", "y-inverse",
+            "integer-power", "monomial-power", "field-element-power"])
     def test_exit_2_with_position(self, capsys, tmp_path, section, command,
                                   char, message):
+        # the error's column is that of the last character of `char`
         text = f"field: Q(t)\n{section}\n"
         lineno = section.count("\n") + 2
-        column = text.splitlines()[-1].index(char) + 1
+        column = text.splitlines()[-1].index(char) + len(char)
+        start = time.perf_counter()
         code, out, err = run(capsys, tmp_path, text, command)
+        assert time.perf_counter() - start < 1.0
         assert (code, out) == (2, "")
         assert err == f"error: line {lineno}, column {column}: {message}\n"
+
+    def test_power_under_the_integer_size_cap_runs(self, capsys, tmp_path):
+        # 2^1000000 has 1,000,001 bits, under the 2^20 of the size check
+        text = "field: Q(t)\nmodule: 1\ngens: [(2*t)^1000000*d + 1]\n"
+        start = time.perf_counter()
+        code, out, err = run(capsys, tmp_path, text, "dimpoly")
+        assert time.perf_counter() - start < 1.0
+        assert (code, err) == (0, "")
+        assert out == ("dimension polynomial: 1 (valid for t >= 1)\n"
+                       "differential dimension d = 0\n"
+                       "type = 0, typical height = 1\n"
+                       "below-leader count B = 1 (free term r = 1)\n"
+                       "free components: none\n")
 
     @pytest.mark.parametrize("levels", [MAX_NESTING, 400, 10_000])
     def test_deep_nesting_exits_2_at_the_parenthesis(self, capsys, tmp_path,
@@ -871,19 +913,38 @@ class TestExponentLimit:
 
 
 class TestGcdDegreeLimit:
-    @pytest.mark.parametrize("field, t", [("Q(t)", "t^1000000000000"),
-                                          ("Q(t1, t2)",
-                                           "t1^1000000000000*t2")])
-    def test_dense_remainder_sequence_past_the_cap_exits_1(
-            self, capsys, tmp_path, field, t):
+    @pytest.mark.parametrize("field, t, out", [
+        ("Q(t)", "t^1000000000000",
+         "dimension polynomial: 1 (valid for t >= 1)\n"
+         "differential dimension d = 0\n"
+         "type = 0, typical height = 1\n"
+         "below-leader count B = 1 (free term r = 1)\n"
+         "free components: none\n"),
+        ("Q(t1, t2)", "t1^1000000000000*t2",
+         "dimension polynomial: t + 1 (valid for t >= 1)\n"
+         "differential dimension d = 0\n"
+         "type = 1, typical height = 1\n"
+         "free components: none\n")], ids=["one-variable", "two-variables"])
+    def test_sparse_remainder_sequence_of_huge_degree_runs(
+            self, capsys, tmp_path, field, t, out):
+        # gcd(t^N + 1, t^N + 2) takes three pseudo-division steps in all
         d = "d" if field == "Q(t)" else "d1"
         text = f"field: {field}\nmodule: 1\ngens: [({t} + 1)*{d} + {t} + 2]\n"
+        start = time.perf_counter()
+        assert run(capsys, tmp_path, text, "dimpoly") == (0, out, "")
+        assert time.perf_counter() - start < 1.0
+
+    def test_pseudo_division_past_the_step_cap_exits_1(self, capsys,
+                                                        tmp_path):
+        # t^100000 + 1 by t - 2 takes 100001 steps
+        text = "field: Q(t)\nmodule: 1\ngens: [(t^100000 + 1)*d + t - 2]\n"
         start = time.perf_counter()
         code, out, err = run(capsys, tmp_path, text, "dimpoly")
         assert time.perf_counter() - start < 1.0
         assert (code, out) == (1, "")
-        assert err == (f"error: gcd of degree 1000000000000 in one field "
-                       f"variable; the cap is {MAX_PRS_DEGREE}\n")
+        assert err == (f"error: gcd needs more than {MAX_PRS_STEPS} steps of "
+                       f"pseudo-division (degree 100000 by degree 1 in one "
+                       f"field variable)\n")
 
     def test_degree_under_the_cap_runs(self, capsys, tmp_path):
         text = ("field: Q(t)\nmodule: 1\n"

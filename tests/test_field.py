@@ -8,9 +8,9 @@ from fractions import Fraction
 
 import pytest
 
-from diffalg import (BadDerivation, DiffAlgError, DiffFieldConfig,
-                     DivisionByZero, ExponentOverflow, MPoly, RatFun, field,
-                     mpoly_gcd)
+from diffalg import (BadDerivation, DegreeTooLarge, DiffAlgError,
+                     DiffFieldConfig, DivisionByZero, ExponentOverflow, MPoly,
+                     RatFun, field, mpoly_gcd)
 from diffalg.field import _gcd_cofactors, _prs_gcd, _quotient
 from helpers import rand_mpoly, rand_ratfun, tuple_mul, tuple_quotient
 
@@ -208,6 +208,32 @@ class TestGcd:
         start = time.perf_counter()
         assert gcd_against_prs(f, g) == p
         assert time.perf_counter() - start < 1.0
+
+    @pytest.mark.parametrize("nvars", [1, 2])
+    def test_prs_on_sparse_pairs_of_huge_degree(self, nvars):
+        # (t1^N*t2 + 1)*(t1^N*t2 + a): at most two steps per pseudo-division
+        top = MPoly(nvars, {(10 ** 12,) + (1,) * (nvars - 1): 1})
+        p = top + MPoly.const(nvars, 1)
+        f, g = (p * (top + MPoly.const(nvars, a)) for a in (2, -3))
+        start = time.perf_counter()
+        assert _prs_gcd(f, g) == p
+        assert _prs_gcd(p + MPoly.const(nvars, 1), p).is_one()
+        assert time.perf_counter() - start < 1.0
+
+    def test_prs_past_the_step_cap_raises(self):
+        # t^N + 1 by t - 2 takes N + 1 steps
+        degree = field.MAX_PRS_STEPS + 1
+        f = MPoly(1, {(degree,): 1, (0,): 1})
+        g = MPoly(1, {(1,): 1, (0,): -2})
+        start = time.perf_counter()
+        with pytest.raises(DegreeTooLarge) as exc:
+            _prs_gcd(f, g)
+        assert time.perf_counter() - start < 1.0
+        assert DegreeTooLarge.exit_code == 1
+        assert str(exc.value) == (
+            f"gcd needs more than {field.MAX_PRS_STEPS} steps of "
+            f"pseudo-division (degree {degree} by degree 1 in one field "
+            f"variable)")
 
 
 def upoly(nvars, x, coeffs):
