@@ -14,18 +14,17 @@ step, `parse_factor` (signs, an atom with its primes, and `^`), that reads
 the tokens by index.  A subexpression stays integer data (`_Data`):
 derivation monomials mapped to integer polynomials, keyed like `MPoly`,
 over one positive integer denominator.  Numerals, field variables,
-`d`/`d_i`, sums, signs, products that need no commutation rule, quotients
-by numerals and powers of one term stay data, so a literal costs no field
-or operator arithmetic.  Anything else builds its `RatFun`, `OrePoly` or
+`d`/`d_i`, sums, signs, products and powers that need no commutation rule
+and quotients by numerals stay data, so a literal costs no field or
+operator arithmetic.  Anything else builds its `RatFun`, `OrePoly` or
 `DiffPoly` once (`_ExprParser.ring`) and goes through that ring: `d*t` is
 `t*d + 1`, division is by base-field elements only and negative powers
-exist only in the base field.  The caps below are checked before a power
-or a product is computed, each a `ParseError` with its position:
-`MAX_POWER_ORDER` and `MAX_POWER_COEFF_DEGREE` on powers of operators,
-`MAX_FIELD_POWER_DEGREE` on powers of base-field elements,
-`MAX_FIELD_POWER_TERMS` on those powers and on every product of two
-base-field polynomials of several terms, and `field._HEU_MAX_BITS` on the
-integers of every power.
+exist only in the base field, as powers of the inverse.  Every product the
+parser computes is charged, before it is computed, an estimate of its cost
+taken from its operands (`_work`); a power of more than one term is k
+such products, and one term raised in closed form is charged a quarter of
+the bits its integers gain.  Past `MAX_PARSE_WORK` in one expression the
+product is a `ParseError` at its operator.
 
 A problem file is read a line at a time.  Each section body is tokenized
 once, where it sits in its line, so every error inside it names the column
@@ -43,12 +42,11 @@ from __future__ import annotations
 import functools
 import sys
 from fractions import Fraction
-from math import comb, gcd, lcm
+from math import gcd, lcm
 from operator import add
 
 from .errors import DivisionByZero, ParseError
-from .field import (_HEU_MAX_BITS, DiffFieldConfig, MPoly, RatFun, _digit,
-                    _pack, _poly, _unpack)
+from .field import DiffFieldConfig, MPoly, RatFun, _pack, _poly, _unpack
 from .ore import OrePoly
 from .diffmodule import ModElement, Ranking, orderly_ranking
 from .numpoly import Antichain
@@ -132,52 +130,18 @@ def _int(tok):
 # ---------------------------------------------------------------------------
 # expression parser
 
-# Highest order of a power of an operator, unless the operator is a single
-# term with a constant coefficient.  Repeated squaring applies delta to every
-# term of the right factor once per order of the left one, so (t*d)^k costs
-# about k^2 derivations: k = 100 takes 0.1 s and k = 3000 runs past 10 s.
-# With constant coefficients delta only shifts exponents, but (d + 1)^k
-# still has k + 1 terms and costs about k^2 products.  A single constant
-# term stays one term and has no cap (`d^10000000` is fine).
-MAX_POWER_ORDER = 100
-
-# Cap on the predicted coefficient degree of a power base^k, k >= 2, of an
-# operator: its order times the largest numerator or denominator degree
-# among its coefficients whose denominator has more than one term.  Each
-# order of the power derives the coefficients once more, and derivatives
-# of such a quotient swell.  Measured without the cap (in-process CPU
-# time, 2-core shared machine): ((t^2+1)/(t-1)*d + t)^k, predicted 2k,
-# takes 0.05 s at k = 10, 0.5 s at k = 20 and 4.7 s at k = 40; with m = 2
-# ((t1^2+t2)/(t1-t2)*d1 + t2*d2)^k takes 0.9 s at k = 10 and 3.2 s at
-# k = 12.  Polynomial coefficients, and those over a monomial, grow in
-# degree only linearly with the order and count as degree 0: ((t + 1)*d)^21
-# takes 0.007 s.  The cap is a first bound, not a cost model:
-# `((t + 1)*d)^100` takes 0.6 s and `(1/t*d + t)^100` seconds.
-MAX_POWER_COEFF_DEGREE = 20
-
-# Caps on a power of a base-field element whose numerator or denominator
-# has more than one term.  Its total degree is |k| times the larger of the
-# numerator's and the denominator's.  Its term count is bounded by
-# `_power_terms`: p^|k| has at most C(|k|*D + v, v) terms, D the total
-# degree of p and v the number of field variables it holds, and at most
-# C(|k| + n - 1, n - 1), n the number of terms of p.  Both caps are checked
-# before the power is computed.  In CPU time on a 2-core shared machine:
-# (t + 1)^500 takes 0.12 s and (t + 1)^2000 took 3.9 s; (t1 + t2 + 1)^50
-# (1,326 terms) takes 0.15 s, ^69 (2,485) 0.40 s, ^80 (3,321) 0.75 s and
-# ^100 (5,151) 2.3 s; (t1 + t2 + t3 + 1)^22 (2,300) takes 0.13 s and ^30
-# (5,456) 0.84 s.  With one variable the degree cap allows at most 501
-# terms, so the term cap binds only with two or more.  A quotient of two
-# monomials stays one term and has no cap (`(2*t)^20000` is fine).
-#
-# The term cap also bounds every product of two base-field polynomials of
-# two or more terms each that a `*` or `/` asks for, the coefficients of
-# an operator or a differential polynomial taken one at a time: p*q has at
-# most |p|*|q| terms, and at most C(D + v, v) for D the sum of their total
-# degrees and v the field variables they hold (`_check_product`).  So 60
-# factors (t1 + t2 + 1) pass, as ^60 does, and 120 factors
-# (t1 + t2 + t3 + 1), which took 52.6 s, are refused at the 23rd.
-MAX_FIELD_POWER_DEGREE = 500
-MAX_FIELD_POWER_TERMS = 2500
+# The work one expression may spend on products, in the units of `_work`:
+# about one pair of terms multiplied, 0.3-0.5 us of CPU on a 2-core shared
+# machine.  The weights of `_work` were fitted on the CPU time of powers
+# and written-out products of every kind the parser builds.  Measured
+# in-process through `diffalg.cli.main` (CPU, 2-core shared machine), the
+# largest accepted inputs charge at most 310,000 and answer in at most
+# 0.1 s: `(t + 1)^500*d`, `(t*d)^100`, `(d + 1)^100`, `(t1 + t2 + 1)^69`
+# and `(2*t)^1000000*d + 1`.  Refused inputs stop at their operator within
+# 0.35 s, where they took seconds before: `((t^2+t+1)*d + t)^100` (7.8 s),
+# `(t1*d1 + t2*d2)^50` (4.6 s), `(1/t*d + t)^100` (2.0 s), `d^1000*(1/t)`
+# (19.5 s) and, in `eqs:`, `(y + z + y' + z' + t + 1)^25` (68.6 s).
+MAX_PARSE_WORK = 500_000
 
 # Caps on the counts in a problem file's header, checked as it is read,
 # before any symbol table or ranking is built.  The derivation count m (from
@@ -198,56 +162,6 @@ MAX_FIELD_POWER_TERMS = 2500
 MAX_DERIVATIONS = 500
 MAX_MODULE_RANK = 100
 MAX_NESTING = 100
-
-
-def _shape(p):
-    """(total degree, set of the field variables held) of a nonzero MPoly
-    p, read one digit of its packed keys at a time."""
-    nvars = p.nvars
-    columns = [[e >> shift & mask for e in p.terms]
-               for shift, mask in (_digit(nvars, i) for i in range(nvars))]
-    return (max(map(sum, zip(*columns)), default=0),
-            {i for i, column in enumerate(columns) if any(column)})
-
-
-def _power_terms(p, k):
-    """Upper bound on the number of terms of p^k, for a nonzero MPoly p: the
-    dense count in the variables p holds, or the number of products of k of
-    p's terms, whichever is smaller."""
-    degree, held = _shape(p)
-    return min(comb(k * degree + len(held), len(held)),
-               comb(k + len(p.terms) - 1, k))
-
-
-def _check_product(p, q, tok):
-    """ParseError at `tok` when the product of the MPolys p and q may have
-    more than MAX_FIELD_POWER_TERMS terms; a factor of one term adds none."""
-    terms = len(p.terms) * len(q.terms)
-    if min(len(p.terms), len(q.terms)) > 1 and terms > MAX_FIELD_POWER_TERMS:
-        (dp, held), (dq, held_q) = _shape(p), _shape(q)
-        nvars, degree = len(held | held_q), dp + dq
-        terms = min(terms, comb(degree + nvars, nvars))
-        if terms > MAX_FIELD_POWER_TERMS:
-            raise ParseError(f"product of degree {degree} with up to "
-                             f"{terms} terms; the limit is "
-                             f"{MAX_FIELD_POWER_TERMS} terms",
-                             tok.line, tok.column)
-
-
-def _check_power_bits(base, k, tok):
-    """ParseError at `tok` when base^k would hold an integer of more than
-    _HEU_MAX_BITS bits: |k| times the largest ceil(log2 |c|) over the
-    integers c of base, which c^k has, give or take one bit."""
-    if type(base) is _Data:
-        polys = [{0: base.den}, *base.terms.values()]
-    else:
-        polys = [p.terms for x in _coefficients(base) for p in (x.num, x.den)]
-    bits = abs(k) * max(((abs(c) - 1).bit_length() for p in polys
-                         for c in p.values()), default=0)
-    if bits > _HEU_MAX_BITS:
-        raise ParseError(f"power with integers of about {bits} bits; the "
-                         f"limit is {_HEU_MAX_BITS} bits",
-                         tok.line, tok.column)
 
 
 class _Data:
@@ -288,18 +202,67 @@ def _merge(terms, key, p, k=1):
         del terms[key]
 
 
-def _product(p, q, nvars, tok):
+def _product(p, q, nvars):
     """p*q as a new dict, for polynomial dicts p and q in nvars variables
-    (`MPoly`'s product builds one when neither factor is a constant);
-    `tok` is the operator that asks for it."""
+    (`MPoly`'s product builds one when neither factor is a constant)."""
     if len(q) == 1 and 0 in q:
         p, q = q, p
     if len(p) == 1 and 0 in p:
         c = p[0]
         return {e: c * a for e, a in q.items()}
-    p, q = _poly(nvars, p), _poly(nvars, q)
-    _check_product(p, q, tok)
-    return (p * q).terms
+    return (_poly(nvars, p) * _poly(nvars, q)).terms
+
+
+def _bits(*integers):
+    """The sum of ceil(log2 |c|) over the nonzero integers: the bits that
+    their product gains per power, give or take one each."""
+    return sum((abs(c) - 1).bit_length() for c in integers)
+
+
+def _words(p):
+    """The size of the polynomial dict p: a 64-bit word per term and one
+    per 64 bits of its coefficients."""
+    return len(p) + (sum(map(int.bit_length, p.values())) >> 6)
+
+
+def _size(value, orders=False):
+    """(coefficients, terms, words, the sum of words squared over the
+    quotients, whether a product with `value` on the right derives its
+    coefficients, the sum of the cubes of the orders) of a RatFun, OrePoly
+    or DiffPoly; a quotient is a coefficient over a denominator that is not
+    a constant.  With `orders`, a coefficient of derivation order k counts
+    k + 1 times in the first three."""
+    items = (((), value),) if isinstance(value, RatFun) \
+        else value.terms.items()
+    orders = orders and type(value) is OrePoly
+    n = terms = words = quotients = cubes = 0
+    derives = False
+    for key, c in items:
+        k = sum(key) if orders else 0
+        t = len(c.num.terms) + len(c.den.terms)
+        w = _words(c.num.terms) + _words(c.den.terms)
+        n += k + 1
+        terms += (k + 1) * t
+        words += (k + 1) * w
+        cubes += k ** 3
+        if not c.den.is_const():
+            quotients += w * w
+        derives = derives or not c.is_const()
+    return n, terms, words, quotients, derives, cubes
+
+
+def _work(left, right):
+    """Estimated cost of left*right, from the sizes of its factors: 64 for
+    the product, and each coefficient of left, of derivation order k,
+    meets every coefficient of right k + 1 times, at 16 per pair, a unit
+    per pair of terms and 1/64 per pair of words.  Deriving a quotient k
+    times costs k^3 times its words squared: each derivative grows by its
+    denominator.  The order counts only when some coefficient of right is
+    not a constant, since delta^k only shifts a constant."""
+    n, terms, words, quotients, derives, _ = _size(right)
+    n2, terms2, words2, _, _, cubes = _size(left, derives)
+    return 64 + 16 * n * n2 + terms * terms2 + (words * words2 >> 6) \
+        + cubes * quotients
 
 
 class _ExprParser:
@@ -309,10 +272,12 @@ class _ExprParser:
 
     A subexpression stays `_Data` under numerals, field variables, d/d_i,
     `+`, `-`, signs, `*` unless a field factor stands right of a
-    derivation, `/` by a numeral, and `^k`, k >= 0, of one term whose field
-    or derivation part is 1.  Anything else builds its `RatFun`, `OrePoly`
-    or `DiffPoly` once (`ring`) and goes through that ring's operators and
-    the rules of `divide` and `power`, so `d*t` is still `t*d + 1`.
+    derivation, `/` by a numeral, and `^k`, k >= 0, of a value whose
+    products with itself need no commutation rule.  Anything else builds
+    its `RatFun`, `OrePoly` or `DiffPoly` once (`ring`) and goes through
+    that ring's operators and the rules of `divide` and `power`, so `d*t`
+    is still `t*d + 1`.  Every product is charged to `work` first
+    (`spend`).
     """
 
     def __init__(self, tokens, config, line, unknown, deltas=False,
@@ -329,6 +294,7 @@ class _ExprParser:
             else "division by zero in the base field"
         self.scalar = (0,) * config.m
         self.depth = 0
+        self.work = 0
 
     def peek(self):
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -389,25 +355,34 @@ class _ExprParser:
                 else self.divide(value, rhs, tok)
         return value
 
+    def spend(self, work, tok):
+        """Charge `work` to this expression; past MAX_PARSE_WORK in all it
+        is a ParseError at `tok`, the operator that asked for it."""
+        self.work += work
+        if self.work > MAX_PARSE_WORK:
+            raise ParseError(f"the products of this expression need more "
+                             f"than {MAX_PARSE_WORK} units of work",
+                             tok.line, tok.column)
+
     def multiply(self, value, rhs, tok):
         # no commutation rule is needed when value holds no derivation or
         # rhs only constant coefficients
-        if type(value) is _Data and type(rhs) is _Data and (
+        if not (type(value) is _Data and type(rhs) is _Data and (
                 value.terms.keys() <= {self.scalar} or all(
-                    p.keys() == {0} for p in rhs.terms.values())):
-            v = self.config.v
-            terms = {}
-            for dx, p in value.terms.items():
-                for dy, q in rhs.terms.items():
-                    _merge(terms, tuple(map(add, dx, dy)),
-                           _product(p, q, v, tok))
-            return _Data(terms, value.den * rhs.den)
-        value, rhs = self.ring(value), self.ring(rhs)
-        for x in _coefficients(value):
-            for y in _coefficients(rhs):
-                _check_product(x.num, y.num, tok)
-                _check_product(x.den, y.den, tok)
-        return value * rhs
+                    p.keys() == {0} for p in rhs.terms.values()))):
+            value, rhs = self.ring(value), self.ring(rhs)
+            self.spend(_work(value, rhs), tok)
+            return value * rhs
+        # on the data, each pair is charged as `_work` charges it at order 0
+        self.work += 64
+        v = self.config.v
+        terms = {}
+        for dx, p in value.terms.items():
+            for dy, q in rhs.terms.items():
+                self.spend(16 + len(p) * len(q)
+                           + (_words(p) * _words(q) >> 6), tok)
+                _merge(terms, tuple(map(add, dx, dy)), _product(p, q, v))
+        return _Data(terms, value.den * rhs.den)
 
     def divide(self, value, rhs, tok):
         if type(rhs) is _Data and rhs.terms.keys() == {self.scalar} \
@@ -417,73 +392,43 @@ class _ExprParser:
             return self.multiply(value, _Data(
                 {self.scalar: {0: rhs.den if c > 0 else -rhs.den}}, abs(c)),
                 tok)
-        value, divisor = self.ring(value), _field_value(self.ring(rhs))
+        divisor = _field_value(self.ring(rhs))
         if divisor is None:
             raise ParseError("can only divide by a base-field element",
                              tok.line, tok.column)
         if not divisor:
             raise DivisionByZero(self.zero_message)
-        inverse = divisor.inverse()
-        for x in _coefficients(value):
-            _check_product(x.num, inverse.num, tok)
-            _check_product(x.den, inverse.den, tok)
-        return value * inverse
+        return self.multiply(value, divisor.inverse(), tok)
 
     def power(self, base, k, tok):
-        """base^k, with negative powers taken in the base field."""
-        _check_power_bits(base, k, tok)
-        if type(base) is _Data and k >= 0 and len(base.terms) == 1:
+        """base^k as k left products base*result from 1, each charged;
+        negative powers exist only in the base field, as powers of the
+        inverse.  One term that commutes with itself is raised in closed
+        form, charged a quarter of the bits its integers gain."""
+        if k < 0:
+            base = _field_value(self.ring(base))
+            if base is None:
+                raise ParseError("negative power of an expression outside "
+                                 "the base field", tok.line, tok.column)
+            base, k = base.inverse(), -k
+        if type(base) is _Data and len(base.terms) == 1:
             (key, p), = base.terms.items()
             if len(p) == 1 and (key == self.scalar or 0 in p):
                 (e, c), = p.items()
-                v = self.config.v
+                self.spend(k * _bits(c, base.den) >> 2, tok)
                 if e:
-                    e = _pack([a * k for a in _unpack(e, v)])
+                    e = _pack([a * k for a in _unpack(e, self.config.v)])
                 return _Data({tuple(a * k for a in key): {e: c ** k}},
                              base.den ** k)
-        base = self.ring(base)
-        scalar = _field_value(base)
-        if scalar is not None and (len(scalar.num.terms) > 1
-                                   or len(scalar.den.terms) > 1):
-            degree = abs(k) * max(_shape(p)[0]
-                                  for p in (scalar.num, scalar.den))
-            if degree > MAX_FIELD_POWER_DEGREE:
-                raise ParseError(f"power of degree {degree} of a base-field "
-                                 f"element of more than one term; the limit "
-                                 f"is {MAX_FIELD_POWER_DEGREE}",
-                                 tok.line, tok.column)
-            terms = max(_power_terms(p, abs(k))
-                        for p in (scalar.num, scalar.den))
-            if terms > MAX_FIELD_POWER_TERMS:
-                raise ParseError(f"power of degree {degree} with up to "
-                                 f"{terms} terms; the limit is "
-                                 f"{MAX_FIELD_POWER_TERMS} terms",
-                                 tok.line, tok.column)
-        if isinstance(base, RatFun):
+        if isinstance(base, RatFun) \
+                and len(base.num.terms) == 1 == len(base.den.terms):
+            self.spend(k * _bits(*base.num.terms.values(),
+                                 *base.den.terms.values()) >> 2, tok)
             return base ** k
-        if k < 0:
-            if scalar is None:
-                raise ParseError("negative power of an expression outside "
-                                 "the base field", tok.line, tok.column)
-            return scalar ** k
-        if isinstance(base, OrePoly):
-            order = k * base.degree()
-            if order > MAX_POWER_ORDER and not (
-                    len(base.terms) == 1
-                    and next(iter(base.terms.values())).is_const()):
-                raise ParseError(f"power of order {order} of an operator "
-                                 f"that is not one constant-coefficient "
-                                 f"term; the limit is {MAX_POWER_ORDER}",
-                                 tok.line, tok.column)
-            degree = order * max((max(_shape(c.num)[0], _shape(c.den)[0])
-                                  for c in base.terms.values()
-                                  if len(c.den.terms) > 1), default=0)
-            if k > 1 and degree > MAX_POWER_COEFF_DEGREE:
-                raise ParseError(f"power of order {order} with coefficients "
-                                 f"of predicted degree {degree}; the limit "
-                                 f"is {MAX_POWER_COEFF_DEGREE}",
-                                 tok.line, tok.column)
-        return base ** k
+        result = _Data({self.scalar: {0: 1}})
+        for _ in range(k):
+            result = self.multiply(base, result, tok)
+        return result
 
     def parse_factor(self):
         """Signs, an atom with its primes, and `^` with its signed numeral;
@@ -589,11 +534,6 @@ def _field_value(value):
     if value.terms.keys() <= {one}:
         return value.terms.get(one, RatFun.from_const(value.config.v, 0))
     return None
-
-
-def _coefficients(value):
-    """The base-field coefficients of a ring value: a RatFun is its own."""
-    return (value,) if isinstance(value, RatFun) else value.terms.values()
 
 
 def _tokens(text, line):

@@ -236,5 +236,12 @@ def test_readme_constants_match_the_code(capsys):
         assert hasattr(module, name), f"README quotes missing {name}"
         assert getattr(module, name) == value, \
             f"README quotes {name} = {value}, not {getattr(module, name)}"
+    # and the other way: every cap of the modules that read input is quoted
+    named = {(module, name) for module, name, _, _ in quoted}
+    for module in ("parsing", "field", "cli"):
+        for name in vars(importlib.import_module(f"diffalg.{module}")):
+            if name.startswith("MAX_"):
+                assert (module, name) in named, \
+                    f"README does not quote diffalg.{module}.{name}"
     _report(capsys, f"{len(quoted)} constants quoted in README.md match the "
             f"code", 5, started)

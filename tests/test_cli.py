@@ -17,10 +17,10 @@ import diffalg.normalform
 from diffalg import DiffFieldConfig
 from diffalg.cli import main
 from diffalg.field import MAX_PRS_STEPS
-from diffalg.parsing import (MAX_DERIVATIONS, MAX_FIELD_POWER_DEGREE,
-                             MAX_FIELD_POWER_TERMS, MAX_MODULE_RANK,
-                             MAX_NESTING, MAX_POWER_COEFF_DEGREE, orepoly_str,
+from diffalg.parsing import (MAX_DERIVATIONS, MAX_MODULE_RANK, MAX_NESTING,
+                             MAX_PARSE_WORK, orepoly_str, parse_input,
                              parse_orepoly)
+from helpers import parse_lifted
 
 GENERIC = """\
 field: Q(t)
@@ -44,8 +44,7 @@ element: [d, t*d^2 + d - 2]
 """
 
 
-# in three variables, 22 written-out factors pass MAX_FIELD_POWER_TERMS
-# and the 23rd does not
+# 120 written-out factors of four terms in three variables took 52.6 s
 FACTOR = "(t1 + t2 + t3 + 1)"
 
 
@@ -55,6 +54,45 @@ def run(capsys, tmp_path, text, *argv):
     code = main([*argv[:1], str(path), *argv[1:]])
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+BUDGET = (f"the products of this expression need more than {MAX_PARSE_WORK} "
+          f"units of work")
+
+
+def over_budget(line, column):
+    """The error of a product that takes its expression past the work
+    budget, at the operator in `column` of `line`."""
+    return f"error: line {line}, column {column}: {BUDGET}\n"
+
+
+def charset_of_one(field, gens):
+    """The charset text of the one generator `[gens]` over `field`: the
+    oracle's value, made monic by its leading coefficient."""
+    config = parse_input(f"field: {field}\n").config
+    op = parse_lifted(gens, config)
+    lead = op.leading()[1]
+    return ("characteristic set (1 elements):\n  ["
+            f"{orepoly_str(op.scale_left(lead.inverse()), config)}]\n")
+
+
+def budget_verdict(capsys, tmp_path, field, gens, at, command="charset"):
+    """Run `command` on `gens: [gens]` over `field` in under a second.
+    With `at`, an operator and its index among the operators of that kind
+    in the line, it exits 2 at that operator, past the work budget; with
+    None, charset answers the oracle's generator."""
+    line = f"gens: [{gens}]"
+    start = time.perf_counter()
+    code, out, err = run(capsys, tmp_path,
+                         f"field: {field}\nmodule: 1\n{line}\n", command)
+    assert time.perf_counter() - start < 1.0
+    if at is None:
+        assert (code, err) == (0, "")
+        assert out == charset_of_one(field, gens)
+    else:
+        op, index = at
+        column = [i for i, c in enumerate(line) if c == op][index] + 1
+        assert (code, out, err) == (2, "", over_budget(3, column))
 
 
 def unmarked(text):
@@ -430,14 +468,11 @@ class TestRefusedInput:
         ("vars: y\npoint: y = 0\neqs: y^-1", "tangent", "^",
          "negative power of an expression outside the base field"),
         ("module: 1\ngens: [2^9999999999*d]", "charset", "^",
-         "power with integers of about 9999999999 bits; the limit is "
-         "1048576 bits"),
+         BUDGET),
         ("module: 1\ngens: [(2*t)^9999999999*d]", "charset", "^",
-         "power with integers of about 9999999999 bits; the limit is "
-         "1048576 bits"),
+         BUDGET),
         ("module: 1\ngens: [(t^2/t^2 + 1)^9999999999*d]", "charset", ")^",
-         "power with integers of about 9999999999 bits; the limit is "
-         "1048576 bits"),
+         BUDGET),
     ], ids=["divide-by-d", "d-inverse", "divide-by-y", "y-inverse",
             "integer-power", "monomial-power", "field-element-power"])
     def test_exit_2_with_position(self, capsys, tmp_path, section, command,
@@ -453,7 +488,7 @@ class TestRefusedInput:
         assert err == f"error: line {lineno}, column {column}: {message}\n"
 
     def test_power_under_the_integer_size_cap_runs(self, capsys, tmp_path):
-        # 2^1000000 has 1,000,001 bits, under the 2^20 of the size check
+        # 2^1000000 is charged its 10^6 bits / 4, half the work budget
         text = "field: Q(t)\nmodule: 1\ngens: [(2*t)^1000000*d + 1]\n"
         start = time.perf_counter()
         code, out, err = run(capsys, tmp_path, text, "dimpoly")
@@ -540,73 +575,41 @@ class TestRefusedInput:
         assert err == ("error: --order-bound is taken only by charset, "
                        "dimpoly, tangent\n")
 
+    # The tests below keep the inputs of the caps that the work budget
+    # replaced, each refused at its operator or answered exactly.
+
     @pytest.mark.parametrize("base", ["(t*d)", "(d + 1)"],
                              ids=["t-times-d", "d-plus-1"])
     def test_power_over_the_order_cap_exits_2(self, capsys, tmp_path, base):
-        line = f"gens: [{base}^3000]"
-        start = time.perf_counter()
-        code, out, err = run(capsys, tmp_path,
-                             f"field: Q(t)\nmodule: 1\n{line}\n", "decompose")
-        assert time.perf_counter() - start < 1.0
-        assert (code, out) == (2, "")
-        assert err.startswith(f"error: line 3, column {line.index('^') + 1}: "
-                              f"power of order 3000 ")
+        budget_verdict(capsys, tmp_path, "Q(t)", f"{base}^3000", ("^", 0),
+                       command="decompose")
 
-    @pytest.mark.parametrize("gens, degree", [
-        ("[(t + 1)^2000*d]", 2000),
-        ("[d + ((t^2 + 1)/(t - 1))^-251]", 502),
-        ("[(d - d + t + 1)^501]", 501),
+    @pytest.mark.parametrize("gens, at", [
+        ("(t + 1)^2000*d", ("^", 0)),
+        ("d + ((t^2 + 1)/(t - 1))^-251", None),
+        ("(d - d + t + 1)^501", None),
     ], ids=["field-power", "negative-power", "scalar-operator"])
     def test_field_power_over_the_degree_cap_exits_2(self, capsys, tmp_path,
-                                                     gens, degree):
-        line = f"gens: {gens}"
-        column = line.rindex("^") + 1       # the outermost power
-        text = f"field: Q(t)\nmodule: 1\n{line}\n"
-        start = time.perf_counter()
-        code, out, err = run(capsys, tmp_path, text, "charset")
-        assert time.perf_counter() - start < 1.0
-        assert (code, out) == (2, "")
-        assert err == (f"error: line 3, column {column}: power of degree "
-                       f"{degree} of a base-field element of more than one "
-                       f"term; the limit is {MAX_FIELD_POWER_DEGREE}\n")
+                                                     gens, at):
+        budget_verdict(capsys, tmp_path, "Q(t)", gens, at)
 
-    @pytest.mark.parametrize("field, gens, degree, terms", [
-        ("Q(t1,t2)", "[(t1 + t2 + 1)^100*d1]", 100, 5151),
-        ("Q(t1,t2,t3)", "[(t1 + t2 + t3 + 1)^50*d1]", 50, 23426),
-        ("Q(t1,t2,t3)", "[d2 + ((t1 + t2 + 1)/t3)^-80]", 80, 3321),
+    @pytest.mark.parametrize("field, gens, at", [
+        ("Q(t1,t2)", "(t1 + t2 + 1)^100*d1", ("^", 0)),
+        ("Q(t1,t2,t3)", "(t1 + t2 + t3 + 1)^50*d1", ("^", 0)),
+        ("Q(t1,t2,t3)", "d2 + ((t1 + t2 + 1)/t3)^-80", None),
     ], ids=["two-variables", "three-variables", "negative-power"])
     def test_field_power_over_the_term_cap_exits_2(
-            self, capsys, tmp_path, field, gens, degree, terms):
-        line = f"gens: {gens}"
-        column = line.index("^") + 1
-        text = f"field: {field}\nmodule: 1\n{line}\n"
-        start = time.perf_counter()
-        code, out, err = run(capsys, tmp_path, text, "charset")
-        assert time.perf_counter() - start < 1.0
-        assert (code, out) == (2, "")
-        assert err == (f"error: line 3, column {column}: power of degree "
-                       f"{degree} with up to {terms} terms; the limit is "
-                       f"{MAX_FIELD_POWER_TERMS} terms\n")
+            self, capsys, tmp_path, field, gens, at):
+        budget_verdict(capsys, tmp_path, field, gens, at)
 
-    @pytest.mark.parametrize("gens, op, index", [
-        ("*".join([FACTOR] * 120) + "*d1", "*", 21),
-        ("1" + f"/{FACTOR}" * 120 + "*d1", "/", 22),
-        ("d1" + f"*{FACTOR}" * 120, "*", 22),
+    @pytest.mark.parametrize("gens, at", [
+        ("*".join([FACTOR] * 120) + "*d1", ("*", 38)),
+        ("1" + f"/{FACTOR}" * 120 + "*d1", ("/", 37)),
+        ("d1" + f"*{FACTOR}" * 120, ("*", 28)),
     ], ids=["product", "quotient", "operator-first"])
     def test_written_out_field_product_over_the_term_cap_exits_2(
-            self, capsys, tmp_path, gens, op, index):
-        # 120 factors took 52.6 s while their power ^30 was refused; the
-        # 23rd factor would make C(23 + 3, 3) = 2,600 terms
-        line = f"gens: [{gens}]"
-        column = [i for i, c in enumerate(line) if c == op][index] + 1
-        text = f"field: Q(t1, t2, t3)\nmodule: 1\n{line}\n"
-        start = time.perf_counter()
-        code, out, err = run(capsys, tmp_path, text, "charset")
-        assert time.perf_counter() - start < 1.0
-        assert (code, out) == (2, "")
-        assert err == (f"error: line 3, column {column}: product of degree "
-                       f"23 with up to 2600 terms; the limit is "
-                       f"{MAX_FIELD_POWER_TERMS} terms\n")
+            self, capsys, tmp_path, gens, at):
+        budget_verdict(capsys, tmp_path, "Q(t1, t2, t3)", gens, at)
 
     def test_written_out_field_product_under_the_term_cap_runs(
             self, capsys, tmp_path):
@@ -617,41 +620,59 @@ class TestRefusedInput:
         assert (code, out) == (0, "characteristic set (1 elements):\n"
                                   "  [d1]\n")
 
-    @pytest.mark.parametrize("field, gens, order, degree", [
-        ("Q(t)", "[((t^2+1)/(t-1)*d + t)^40]", 40, 80),
-        ("Q(t1, t2)", "[((t1^2+t2)/(t1-t2)*d1 + t2*d2)^12]", 12, 24),
+    @pytest.mark.parametrize("field, gens", [
+        ("Q(t)", "((t^2+1)/(t-1)*d + t)^40"),
+        ("Q(t1, t2)", "((t1^2+t2)/(t1-t2)*d1 + t2*d2)^12"),
     ], ids=["one-derivation", "two-derivations"])
     def test_operator_power_over_the_coefficient_cap_exits_2(
-            self, capsys, tmp_path, field, gens, order, degree):
-        line = f"gens: {gens}"
-        column = line.rindex("^") + 1
-        text = f"field: {field}\nmodule: 1\n{line}\n"
-        start = time.perf_counter()
-        code, out, err = run(capsys, tmp_path, text, "charset")
-        assert time.perf_counter() - start < 1.0
-        assert (code, out) == (2, "")
-        assert err == (f"error: line 3, column {column}: power of order "
-                       f"{order} with coefficients of predicted degree "
-                       f"{degree}; the limit is {MAX_POWER_COEFF_DEGREE}\n")
+            self, capsys, tmp_path, field, gens):
+        budget_verdict(capsys, tmp_path, field, gens, ("^", 1))
 
-    @pytest.mark.parametrize("gens", [
-        f"[((t^{MAX_POWER_COEFF_DEGREE + 1} + 1)*d)^1]",
-        f"[((t + 1)*d)^{MAX_POWER_COEFF_DEGREE + 1}]",
-    ], ids=["first-power", "polynomial-coefficient"])
+    @pytest.mark.parametrize("gens", ["((t^21 + 1)*d)^1", "((t + 1)*d)^21"],
+                             ids=["first-power", "polynomial-coefficient"])
     def test_operator_powers_outside_the_coefficient_cap_run(
             self, capsys, tmp_path, gens):
-        text = f"field: Q(t)\nmodule: 1\ngens: {gens}\n"
-        code, out, _ = run(capsys, tmp_path, text, "charset")
-        assert code == 0 and out.startswith("characteristic set")
+        budget_verdict(capsys, tmp_path, "Q(t)", gens, None)
 
     def test_field_powers_under_the_degree_cap_or_of_monomials(
             self, capsys, tmp_path):
-        for gens in ("[(t + 1)^500*d]", "[((t + 1)/t)^-250*d]",
-                     "[(2*t)^5000*d + (3/t^2)^-900]"):
-            text = f"field: Q(t)\nmodule: 1\ngens: {gens}\n"
-            code, out, _ = run(capsys, tmp_path, text, "charset")
-            assert code == 0 and out.startswith("characteristic set (1 "), \
-                gens
+        for gens in ("(t + 1)^500*d", "((t + 1)/t)^-250*d",
+                     "(2*t)^5000*d + (3/t^2)^-900"):
+            budget_verdict(capsys, tmp_path, "Q(t)", gens, None)
+
+    @pytest.mark.parametrize("field, section, command, at", [
+        ("Q(t)", "module: 1\ngens: [((t^2+t+1)*d + t)^100]", "charset",
+         ("^", 1)),
+        ("Q(t1, t2)", "module: 1\ngens: [(t1*d1 + t2*d2)^50]", "charset",
+         ("^", 0)),
+        ("Q(t)", "module: 1\ngens: [(1/t*d + t)^100]", "charset",
+         ("^", 0)),
+        ("Q(t)", "module: 1\ngens: [d^1000*(1/t)]", "charset", ("*", 0)),
+        ("Q(t)", "module: 1\ngens: [(t/t*2*d)^9999999999]", "charset",
+         ("^", 0)),
+        ("Q(t)", "vars: y z\npoint: y = 0, z = 0\n"
+         "eqs: (y + z + y' + z' + t + 1)^25", "tangent", ("^", 0)),
+        ("Q(t)", "vars: y z\npoint: y = 0, z = 0\neqs: "
+         + "*".join(["(y + z + y' + z' + t + 1)"] * 25), "tangent",
+         ("*", 10)),
+    ], ids=["polynomial-coefficients", "two-derivations",
+            "coefficient-over-t", "derived-quotient", "constant-operator",
+            "differential-polynomial-power",
+            "written-out-differential-polynomials"])
+    def test_products_past_the_work_budget_exit_2(
+            self, capsys, tmp_path, field, section, command, at):
+        # before the work budget these took seconds of CPU, up to 68.6 s,
+        # but for the constant operator, which the integer size check
+        # refused
+        text = f"field: {field}\n{section}\n"
+        line = text.splitlines()[-1]
+        op, index = at
+        column = [i for i, c in enumerate(line) if c == op][index] + 1
+        start = time.perf_counter()
+        code, out, err = run(capsys, tmp_path, text, command)
+        assert time.perf_counter() - start < 1.0
+        assert (code, out, err) == (2, "", over_budget(len(
+            text.splitlines()), column))
 
 
 class TestSymbolsAndNumerals:

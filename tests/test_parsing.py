@@ -3,6 +3,7 @@ the symbol table, numerals and the exact text of the printers."""
 
 import random
 import sys
+import time
 
 import pytest
 
@@ -10,9 +11,8 @@ import diffalg.ore
 from diffalg import (DiffAlgError, DiffFieldConfig, ModElement,
                      NumericalPolynomial, OrePoly, ParseError, RatFun)
 from diffalg.errors import ExponentOverflow
-from diffalg.parsing import (MAX_FIELD_POWER_TERMS, MAX_POWER_COEFF_DEGREE,
-                             MAX_POWER_ORDER,
-                             modelement_str, orepoly_str, parse_input,
+from diffalg.parsing import (MAX_PARSE_WORK, modelement_str, orepoly_str,
+                             parse_input,
                              parse_diffpoly, parse_generator_vector,
                              parse_orepoly, parse_ratfun, term_label)
 from helpers import parse_lifted, parse_lifted_vector
@@ -30,6 +30,27 @@ def outcome(parse, *args):
         return parse(*args)
     except DiffAlgError as exc:
         return type(exc), str(exc)
+
+
+def parsed(parse, *args):
+    """The value parse(*args) returns, within a second."""
+    start = time.perf_counter()
+    value = parse(*args)
+    assert time.perf_counter() - start < 1.0
+    return value
+
+
+def over_budget(parse, text, *args):
+    """The text of the ParseError that parse(text, *args) raises, within a
+    second, checked to be the work budget's."""
+    start = time.perf_counter()
+    with pytest.raises(ParseError) as caught:
+        parse(text, *args)
+    assert time.perf_counter() - start < 1.0
+    message = str(caught.value)
+    assert message.endswith(f": the products of this expression need more "
+                            f"than {MAX_PARSE_WORK} units of work")
+    return message
 
 
 def field_atoms(config):
@@ -139,6 +160,28 @@ class TestBaseFieldEvaluation:
             assert outcome(parse_orepoly, text, config) == \
                 outcome(parse_lifted, text, config), text
 
+    @pytest.mark.parametrize("config, names", [
+        (CFG1, None), (CFG22, None), (CFG1, NAMES), (CFG22, NAMES)],
+        ids=["m1v1", "m2v2", "m1v1-diffpoly", "m2v2-diffpoly"])
+    def test_random_powers_of_sums(self, config, names):
+        # a power of several terms is taken as left products base*result;
+        # the oracle takes it by repeated squaring
+        rng = random.Random(5000 + 10 * config.m + config.v + bool(names))
+        field = field_atoms(config)
+        ring = polynomial_atoms(config) if names else operator_atoms(config)
+        args = (config,) if names is None else (config, names)
+        parse = parse_orepoly if names is None else parse_diffpoly
+        for _ in range(60):
+            in_ring = rng.random() < 0.7
+            atoms = field + ring if in_ring else field
+            base = " + ".join("*".join(rng.choice(atoms)
+                                       for _ in range(rng.randint(1, 2)))
+                              for _ in range(rng.randint(2, 4)))
+            k = rng.randint(0, 8) if in_ring else rng.randint(-3, 8)
+            text = f"({base})^{k}"
+            assert outcome(parse, text, *args) == \
+                outcome(parse_lifted, text, *args), text
+
     def test_left_and_right_field_factors(self):
         d, t = OrePoly.delta(CFG1, 0), RatFun.var(1, 0)
         assert parse_orepoly("d*t", CFG1) == t * d + 1
@@ -185,86 +228,72 @@ class TestRefusedInput:
         assert str(caught.value) == \
             "line 1, column 6: mixed prime and multi-index suffix"
 
+    # The four tests below keep the inputs of the power and product caps
+    # that the work budget replaced: each is refused at its operator or
+    # parsed to the oracle's value, in under a second.
+
     def test_written_out_field_products_share_the_power_term_cap(self):
         cfg = DiffFieldConfig(3, 3)
-        # 69 factors (t1 + t2 + 1) have 2,485 terms, as the power ^69 has
-        text = "*".join(["(t1 + t2 + 1)"] * 69)
-        assert parse_ratfun(text, cfg) == parse_ratfun("(t1 + t2 + 1)^69",
-                                                       cfg)
-        # the 70th would have 2,556: refused at its '*', as ^70 is
-        text += "*(t1 + t2 + 1)"
-        with pytest.raises(ParseError) as caught:
-            parse_orepoly(text + "*d1", cfg)
-        assert str(caught.value) == (
-            f"line 1, column {text.rindex('*') + 1}: product of degree 70 "
-            f"with up to 2556 terms; the limit is {MAX_FIELD_POWER_TERMS} "
-            f"terms")
+        # written-out factors are charged as the power's left products are
+        for count in (69, 70):
+            power = parsed(parse_ratfun, f"(t1 + t2 + 1)^{count}", cfg)
+            text = "*".join(["(t1 + t2 + 1)"] * count)
+            assert parsed(parse_ratfun, text, cfg) == power
+            assert parsed(parse_orepoly, text + "*d1", cfg) == \
+                parse_orepoly(f"(t1 + t2 + 1)^{count}*d1", cfg)
         # the same product as a quotient, and one built outside the data
-        for text, op in [("1" + "/(t1 + t2 + 1)" * 70, "/"),
-                         ("(t1 + t2 + 1)/t3" + "*(t1 + t2 + 1)" * 69, "*")]:
-            with pytest.raises(ParseError) as caught:
-                parse_ratfun(text, cfg)
-            assert str(caught.value).startswith(
-                f"line 1, column {text.rindex(op) + 1}: product of degree 70")
-        # a factor of one term never adds terms
-        many = " + ".join(f"t1^{k}" for k in range(2 * MAX_FIELD_POWER_TERMS))
-        assert len(parse_ratfun(f"2*t2*({many})*3", cfg).num.terms) == \
-            2 * MAX_FIELD_POWER_TERMS
+        for text, value in [("1" + "/(t1 + t2 + 1)" * 70, 1 / power),
+                            ("(t1 + t2 + 1)/t3" + "*(t1 + t2 + 1)" * 69,
+                             power / parse_ratfun("t3", cfg))]:
+            assert parsed(parse_ratfun, text, cfg) == value
+        # a factor of one term adds no terms
+        many = " + ".join(f"t1^{k}" for k in range(5000))
+        assert len(parsed(parse_ratfun, f"2*t2*({many})*3",
+                          cfg).num.terms) == 5000
+        # 100 factors, as the power ^100, pass the budget: at the 97th '*'
+        text = "*".join(["(t1 + t2 + 1)"] * 100)
+        column = [i for i, c in enumerate(text) if c == "*"][96] + 1
+        assert over_budget(parse_ratfun, text, cfg).startswith(
+            f"line 1, column {column}:")
+        assert over_budget(parse_ratfun, "(t1 + t2 + 1)^100", cfg) \
+            .startswith("line 1, column 14:")
 
     def test_power_cap_counts_the_order(self):
-        limit = MAX_POWER_ORDER
-        assert parse_orepoly(f"(t*d)^{limit}", CFG1).degree() == limit
-        with pytest.raises(ParseError, match="limit"):
-            parse_orepoly(f"(t*d)^{limit + 1}", CFG1)
-        with pytest.raises(ParseError, match="limit"):
-            parse_orepoly(f"(t*d^2)^{limit // 2 + 1}", CFG1)
-        # one constant-coefficient term stays one term: no cap
-        assert parse_orepoly(f"(2*d)^{10 * limit}", CFG1).degree() == \
-            10 * limit
-        # several constant-coefficient terms grow with the power
-        assert parse_orepoly(f"(d + 1)^{limit}", CFG1).degree() == limit
-        with pytest.raises(ParseError, match="limit"):
-            parse_orepoly(f"(d + 1)^{limit + 1}", CFG1)
+        for text in ("(t*d)^100", "(t*d)^101", "(t*d^2)^51", "(2*d)^1000",
+                     "(d + 1)^100", "(d + 1)^101"):
+            assert parsed(parse_orepoly, text, CFG1) == \
+                parse_lifted(text, CFG1), text
+        for text in ("(t*d)^3000", "(t*d^2)^1500", "(d + 1)^3000"):
+            assert over_budget(parse_orepoly, text, CFG1).startswith(
+                f"line 1, column {text.rindex('^') + 1}:")
 
     def test_power_coefficient_cap_counts_order_times_degree(self):
-        limit = MAX_POWER_COEFF_DEGREE
-        base = "((t^2 + 1)/(t - 1)*d + t)"         # coefficient degree 2
-        assert parse_orepoly(f"{base}^{limit // 2}", CFG1).degree() \
-            == limit // 2
-        with pytest.raises(ParseError, match=f"predicted degree "
-                                             f"{limit + 2}; the limit"):
-            parse_orepoly(f"{base}^{limit // 2 + 1}", CFG1)
-        # the larger of numerator and denominator degree counts
-        with pytest.raises(ParseError, match=f"predicted degree "
-                                             f"{3 * (limit // 3 + 1)};"):
-            parse_orepoly(f"(1/(t^3 - 1)*d)^{limit // 3 + 1}", CFG1)
-        # only coefficients over a denominator of several terms count,
-        # and only in a power that multiplies (k >= 2)
-        for text, order in [(f"(t^5/t^2*d + t)^{MAX_POWER_ORDER}",
-                             MAX_POWER_ORDER),
-                            (f"((t^{limit + 1} + 1)*d)^1", 1),
-                            (f"((t + 1)*d)^{limit + 1}", limit + 1),
-                            (f"((t^2 + 1)*d + t^3 + t)^{limit // 3 + 1}",
-                             limit // 3 + 1),
-                            (f"((t^2 + 1)/t*d + 1)^{limit + 1}", limit + 1),
-                            (f"((t^2 + 1)/(t - 1)*d^{limit + 1})^1",
-                             limit + 1)]:
-            assert parse_orepoly(text, CFG1).degree() == order
-
+        for text in ("((t^2 + 1)/(t - 1)*d + t)^10",
+                     "((t^2 + 1)/(t - 1)*d + t)^11", "(1/(t^3 - 1)*d)^7",
+                     "((t^21 + 1)*d)^1", "((t + 1)*d)^21",
+                     "((t^2 + 1)*d + t^3 + t)^7", "((t^2 + 1)/t*d + 1)^21",
+                     "((t^2 + 1)/(t - 1)*d^21)^1"):
+            assert parsed(parse_orepoly, text, CFG1) == \
+                parse_lifted(text, CFG1), text
+        # 1.4 s of CPU before the budget
+        text = "(t^5/t^2*d + t)^100"
+        assert over_budget(parse_orepoly, text, CFG1).startswith(
+            f"line 1, column {text.rindex('^') + 1}:")
 
     def test_field_power_term_cap_counts_the_variables_held(self):
         cfg = DiffFieldConfig(3, 3)
-        # C(69 + 2, 2) = 2485 terms, under the cap; ^70 would be 2556
-        p = parse_ratfun("(t1 + t2 + 1)^69", cfg)
-        assert len(p.num.terms) == 2485 <= MAX_FIELD_POWER_TERMS
-        with pytest.raises(ParseError, match="up to 2556 terms"):
-            parse_ratfun("(t1 + t2 + 1)^70", cfg)
-        # a base in one of the three variables has at most 501 terms, and a
-        # binomial's power at most |k| + 1, however many variables it holds
-        assert len(parse_ratfun("(t3 + 1)^500", cfg).num.terms) == 501
-        assert len(parse_ratfun("(t2*t3 + 1)^250", cfg).num.terms) == 251
-        assert parse_ratfun("((t1 + t3)/t2)^-70", cfg).den.terms \
+        # C(k + 2, 2) terms: 2,485 at ^69 and 2,556 at ^70
+        for k, terms in [(69, 2485), (70, 2556)]:
+            p = parsed(parse_ratfun, f"(t1 + t2 + 1)^{k}", cfg)
+            assert len(p.num.terms) == terms
+        # a base in one variable has |k| + 1 terms, as a binomial has
+        assert len(parsed(parse_ratfun, "(t3 + 1)^500",
+                          cfg).num.terms) == 501
+        assert len(parsed(parse_ratfun, "(t2*t3 + 1)^250",
+                          cfg).num.terms) == 251
+        assert parsed(parse_ratfun, "((t1 + t3)/t2)^-70", cfg).den.terms \
             == parse_ratfun("(t1 + t3)^70", cfg).num.terms
+
 
 class TestIntegerData:
     """Literals, field variables and derivations stay integer data: the
