@@ -21,10 +21,13 @@ operator arithmetic.  Anything else builds its `RatFun`, `OrePoly` or
 `t*d + 1`, division is by base-field elements only and negative powers
 exist only in the base field, as powers of the inverse.  Every product the
 parser computes is charged, before it is computed, an estimate of its cost
-taken from its operands (`_work`); a power of more than one term is k
-such products, and one term raised in closed form is charged a quarter of
-the bits its integers gain.  Past `MAX_PARSE_WORK` in one expression the
-product is a `ParseError` at its operator.
+taken from its operands (`_product_work`, `_work`); a data value of one
+term carries the bit length of its integer, so the product of two such
+looks at no coefficient.  A power is k such products, but zero is its
+own power and data, a field element or an operator of one term that
+commutes with itself is raised in closed form, charged a quarter of the
+bits its integers gain.  Past `MAX_PARSE_WORK` in one expression the product is a
+`ParseError` at its operator.
 
 A problem file is read a line at a time.  Each section body is tokenized
 once, where it sits in its line, so every error inside it names the column
@@ -132,15 +135,16 @@ def _int(tok):
 
 # The work one expression may spend on products, in the units of `_work`:
 # about one pair of terms multiplied, 0.3-0.5 us of CPU on a 2-core shared
-# machine.  The weights of `_work` were fitted on the CPU time of powers
-# and written-out products of every kind the parser builds.  Measured
-# in-process through `diffalg.cli.main` (CPU, 2-core shared machine), the
-# largest accepted inputs charge at most 310,000 and answer in at most
-# 0.1 s: `(t + 1)^500*d`, `(t*d)^100`, `(d + 1)^100`, `(t1 + t2 + 1)^69`
-# and `(2*t)^1000000*d + 1`.  Refused inputs stop at their operator within
-# 0.35 s, where they took seconds before: `((t^2+t+1)*d + t)^100` (7.8 s),
-# `(t1*d1 + t2*d2)^50` (4.6 s), `(1/t*d + t)^100` (2.0 s), `d^1000*(1/t)`
-# (19.5 s) and, in `eqs:`, `(y + z + y' + z' + t + 1)^25` (68.6 s).
+# machine.  The weights of `_product_work` and `_work` were fitted on the
+# CPU time of powers and written-out products of every kind the parser
+# builds.  Measured in-process through `diffalg.cli.main` (CPU, 2-core
+# shared machine), the largest accepted inputs charge at most 310,000 and
+# answer in at most 0.1 s: `(t + 1)^500*d`, `(t*d)^100`, `(d + 1)^100`,
+# `(t1 + t2 + 1)^69` and `(2*t)^1000000*d + 1`.  Refused inputs stop at
+# their operator within 0.35 s, where they took seconds before:
+# `((t^2+t+1)*d + t)^100` (7.8 s), `(t1*d1 + t2*d2)^50` (4.6 s),
+# `(1/t*d + t)^100` (2.0 s), `d^1000*(1/t)` (19.5 s) and, in `eqs:`,
+# `(y + z + y' + z' + t + 1)^25` (68.6 s).
 MAX_PARSE_WORK = 500_000
 
 # Caps on the counts in a problem file's header, checked as it is read,
@@ -169,13 +173,15 @@ class _Data:
     (an exponent tuple of length m) to a base-field polynomial, a dict from
     packed `MPoly` keys to nonzero ints, and every polynomial is over the one
     positive integer `den`.  Each dict belongs to this value alone, so a sum
-    or a sign changes it in place."""
+    or a sign changes it in place.  `bits` bounds the bit length of the
+    integer of a value built as one term, and is None on any other."""
 
-    __slots__ = ("terms", "den")
+    __slots__ = ("terms", "den", "bits")
 
-    def __init__(self, terms, den=1):
+    def __init__(self, terms, den=1, bits=None):
         self.terms = terms
         self.den = den
+        self.bits = bits
 
 
 def _scale(x, k):
@@ -225,6 +231,25 @@ def _words(p):
     return len(p) + (sum(map(int.bit_length, p.values())) >> 6)
 
 
+def _product_work(pairs, term_pairs, word_pairs):
+    """64 for a product, 16 per pair of coefficients of its factors, a unit
+    per pair of terms and 1/64 per pair of 64-bit words."""
+    return 64 + 16 * pairs + term_pairs + (word_pairs >> 6)
+
+
+# one term by one term, their integers under 64 bits
+_ONE_BY_ONE = _product_work(1, 1, 1)
+
+
+def _data_size(x):
+    """(coefficients, terms, words) of the _Data x, as `_size` of a ring
+    value."""
+    if x.bits is not None:
+        return 1, 1, 1 + (x.bits >> 6)
+    polys = x.terms.values()
+    return len(polys), sum(map(len, polys)), sum(map(_words, polys))
+
+
 def _size(value, orders=False):
     """(coefficients, terms, words, the sum of words squared over the
     quotients, whether a product with `value` on the right derives its
@@ -252,16 +277,15 @@ def _size(value, orders=False):
 
 
 def _work(left, right):
-    """Estimated cost of left*right, from the sizes of its factors: 64 for
-    the product, and each coefficient of left, of derivation order k,
-    meets every coefficient of right k + 1 times, at 16 per pair, a unit
-    per pair of terms and 1/64 per pair of words.  Deriving a quotient k
-    times costs k^3 times its words squared: each derivative grows by its
-    denominator.  The order counts only when some coefficient of right is
-    not a constant, since delta^k only shifts a constant."""
+    """Estimated cost of left*right, from the sizes of its factors: each
+    coefficient of left, of derivation order k, meets every coefficient of
+    right k + 1 times (`_product_work`).  Deriving a quotient k times costs
+    k^3 times its words squared: each derivative grows by its denominator.
+    The order counts only when some coefficient of right is not a
+    constant, since delta^k only shifts a constant."""
     n, terms, words, quotients, derives, _ = _size(right)
     n2, terms2, words2, _, _, cubes = _size(left, derives)
-    return 64 + 16 * n * n2 + terms * terms2 + (words * words2 >> 6) \
+    return _product_work(n * n2, terms * terms2, words * words2) \
         + cubes * quotients
 
 
@@ -341,6 +365,7 @@ class _ExprParser:
                 k = den // rhs.den
                 for key, p in rhs.terms.items():
                     _merge(value.terms, key, p, k if tok.kind == "+" else -k)
+                value.bits = None
             else:
                 value, rhs = self.ring(value), self.ring(rhs)
                 value = value + rhs if tok.kind == "+" else value - rhs
@@ -373,14 +398,20 @@ class _ExprParser:
             value, rhs = self.ring(value), self.ring(rhs)
             self.spend(_work(value, rhs), tok)
             return value * rhs
-        # on the data, each pair is charged as `_work` charges it at order 0
-        self.work += 64
-        v = self.config.v
+        v, a, b = self.config.v, value.bits, rhs.bits
+        if a is not None and b is not None:
+            # one term by one term, charged from the bits the two carry
+            self.spend(_ONE_BY_ONE if a < 64 > b else _product_work(
+                1, 1, (1 + (a >> 6)) * (1 + (b >> 6))), tok)
+            (dx, p), = value.terms.items()
+            (dy, q), = rhs.terms.items()
+            return _Data({tuple(map(add, dx, dy)): _product(p, q, v)},
+                         value.den * rhs.den, a + b)
+        (n, t, w), (n2, t2, w2) = _data_size(value), _data_size(rhs)
+        self.spend(_product_work(n * n2, t * t2, w * w2), tok)
         terms = {}
         for dx, p in value.terms.items():
             for dy, q in rhs.terms.items():
-                self.spend(16 + len(p) * len(q)
-                           + (_words(p) * _words(q) >> 6), tok)
                 _merge(terms, tuple(map(add, dx, dy)), _product(p, q, v))
         return _Data(terms, value.den * rhs.den)
 
@@ -390,8 +421,8 @@ class _ExprParser:
             # a nonzero numeral c: multiply by 1/c
             c = rhs.terms[self.scalar][0]
             return self.multiply(value, _Data(
-                {self.scalar: {0: rhs.den if c > 0 else -rhs.den}}, abs(c)),
-                tok)
+                {self.scalar: {0: rhs.den if c > 0 else -rhs.den}}, abs(c),
+                rhs.den.bit_length()), tok)
         divisor = _field_value(self.ring(rhs))
         if divisor is None:
             raise ParseError("can only divide by a base-field element",
@@ -403,29 +434,40 @@ class _ExprParser:
     def power(self, base, k, tok):
         """base^k as k left products base*result from 1, each charged;
         negative powers exist only in the base field, as powers of the
-        inverse.  One term that commutes with itself is raised in closed
-        form, charged a quarter of the bits its integers gain."""
+        inverse, and zero is its own power.  A field element or an
+        operator of one term with no derivation or a constant coefficient,
+        that coefficient a quotient of two monomials, is raised in closed
+        form, charged a quarter of the bits its integers gain; not so a
+        differential polynomial, whose powers grow the integers of its
+        values at a point."""
         if k < 0:
             base = _field_value(self.ring(base))
             if base is None:
                 raise ParseError("negative power of an expression outside "
                                  "the base field", tok.line, tok.column)
             base, k = base.inverse(), -k
-        if type(base) is _Data and len(base.terms) == 1:
-            (key, p), = base.terms.items()
-            if len(p) == 1 and (key == self.scalar or 0 in p):
-                (e, c), = p.items()
-                self.spend(k * _bits(c, base.den) >> 2, tok)
-                if e:
-                    e = _pack([a * k for a in _unpack(e, self.config.v)])
-                return _Data({tuple(a * k for a in key): {e: c ** k}},
-                             base.den ** k)
-        if isinstance(base, RatFun) \
-                and len(base.num.terms) == 1 == len(base.den.terms):
-            self.spend(k * _bits(*base.num.terms.values(),
-                                 *base.den.terms.values()) >> 2, tok)
-            return base ** k
-        result = _Data({self.scalar: {0: 1}})
+        if k and not (base if isinstance(base, RatFun) else base.terms):
+            return base
+        terms = {self.scalar: base} if isinstance(base, RatFun) \
+            else base.terms
+        if len(terms) == 1:
+            (key, coeff), = terms.items()
+            if type(base) is _Data:
+                if len(coeff) == 1 and (key == self.scalar or 0 in coeff):
+                    (e, c), = coeff.items()
+                    self.spend(k * _bits(c, base.den) >> 2, tok)
+                    if e:
+                        e = _pack([a * k for a in _unpack(e, self.config.v)])
+                    c **= k
+                    return _Data({tuple(a * k for a in key): {e: c}},
+                                 base.den ** k, c.bit_length())
+            elif len(coeff.num.terms) == 1 == len(coeff.den.terms) \
+                    and type(base) is not DiffPoly \
+                    and (key == self.scalar or coeff.is_const()):
+                self.spend(k * _bits(*coeff.num.terms.values(),
+                                     *coeff.den.terms.values()) >> 2, tok)
+                return base ** k
+        result = _Data({self.scalar: {0: 1}}, 1, 1)
         for _ in range(k):
             result = self.multiply(base, result, tok)
         return result
@@ -440,7 +482,8 @@ class _ExprParser:
         tok = self.next()
         if tok.kind == "num":
             k = _int(tok)
-            value = _Data({self.scalar: {0: k}} if k else {})
+            value = _Data({self.scalar: {0: k}}, 1, k.bit_length()) if k \
+                else _Data({})
         elif tok.kind == "name":
             primes = 0
             while (t := self.peek()) and t.kind == "'":
@@ -495,7 +538,7 @@ class _ExprParser:
         if dexps is None:
             symbol = _symbols(config).get(name)
             if symbol and (self.deltas or symbol[0] == self.scalar):
-                return _Data({symbol[0]: {symbol[1]: 1}})
+                return _Data({symbol[0]: {symbol[1]: 1}}, 1, 1)
         elif self.var_names is None:
             raise ParseError(f"{name!r} cannot carry a derivative suffix",
                              tok.line, tok.column)

@@ -500,6 +500,32 @@ class TestRefusedInput:
                        "below-leader count B = 1 (free term r = 1)\n"
                        "free components: none\n")
 
+    @pytest.mark.parametrize("command, section, out", [
+        ("charset", "module: 1\ngens: [0^9999999999*d]",
+         "characteristic set (0 elements):\n"),
+        ("charset", "module: 1\ngens: [(d - d)^9999999999*d]",
+         "characteristic set (0 elements):\n"),
+        ("charset", "module: 1\ngens: [d + (t/t - 1)^9999999999]",
+         "characteristic set (1 elements):\n  [d]\n"),
+        ("charset", "module: 1\ngens: [(t/t*2*d)^10000]",
+         "characteristic set (1 elements):\n  [d^10000]\n"),
+        ("tangent", "vars: y\npoint: y = 0\neqs: y' + (y - y)^9999999999",
+         "charset:\n  dy' = 0\n"
+         "dimension polynomial: 1 (valid for t >= 1)\n"
+         "differential dimension d = 0\n"
+         "tangent space: K^0 x C^1 (torsion degrees [1])\n"),
+    ], ids=["zero-numeral", "zero-data", "zero-field-element",
+            "one-term-operator", "zero-differential-polynomial"])
+    def test_powers_of_zero_or_of_one_term_answer_at_once(
+            self, capsys, tmp_path, command, section, out):
+        # zero is its own power and an operator of one constant term is
+        # raised in closed form: k charged products would refuse these
+        text = f"field: Q(t)\n{section}\n"
+        start = time.perf_counter()
+        code, got, err = run(capsys, tmp_path, text, command)
+        assert time.perf_counter() - start < 1.0
+        assert (code, got, err) == (0, out, "")
+
     @pytest.mark.parametrize("levels", [MAX_NESTING, 400, 10_000])
     def test_deep_nesting_exits_2_at_the_parenthesis(self, capsys, tmp_path,
                                                      levels):
@@ -655,15 +681,19 @@ class TestRefusedInput:
         ("Q(t)", "vars: y z\npoint: y = 0, z = 0\neqs: "
          + "*".join(["(y + z + y' + z' + t + 1)"] * 25), "tangent",
          ("*", 10)),
+        ("Q(t)", "vars: y\npoint: y = 0\neqs: y^6000", "tangent",
+         ("^", 0)),
     ], ids=["polynomial-coefficients", "two-derivations",
             "coefficient-over-t", "derived-quotient", "constant-operator",
             "differential-polynomial-power",
-            "written-out-differential-polynomials"])
+            "written-out-differential-polynomials", "indeterminate-power"])
     def test_products_past_the_work_budget_exit_2(
             self, capsys, tmp_path, field, section, command, at):
         # before the work budget these took seconds of CPU, up to 68.6 s,
         # but for the constant operator, which the integer size check
-        # refused
+        # refused, and y^6000, which took milliseconds: a power of a
+        # differential polynomial is k products, so that its values at a
+        # point keep their size (y^5952 passes)
         text = f"field: {field}\n{section}\n"
         line = text.splitlines()[-1]
         op, index = at
