@@ -237,10 +237,6 @@ def _product_work(pairs, term_pairs, word_pairs):
     return 64 + 16 * pairs + term_pairs + (word_pairs >> 6)
 
 
-# one term by one term, their integers under 64 bits
-_ONE_BY_ONE = _product_work(1, 1, 1)
-
-
 def _data_size(x):
     """(coefficients, terms, words) of the _Data x, as `_size` of a ring
     value."""
@@ -401,8 +397,8 @@ class _ExprParser:
         v, a, b = self.config.v, value.bits, rhs.bits
         if a is not None and b is not None:
             # one term by one term, charged from the bits the two carry
-            self.spend(_ONE_BY_ONE if a < 64 > b else _product_work(
-                1, 1, (1 + (a >> 6)) * (1 + (b >> 6))), tok)
+            self.spend(_product_work(1, 1, (1 + (a >> 6)) * (1 + (b >> 6))),
+                       tok)
             (dx, p), = value.terms.items()
             (dy, q), = rhs.terms.items()
             return _Data({tuple(map(add, dx, dy)): _product(p, q, v)},
