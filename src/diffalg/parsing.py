@@ -23,11 +23,11 @@ exist only in the base field, as powers of the inverse.  Every product the
 parser computes is charged, before it is computed, an estimate of its cost
 taken from its operands (`_product_work`, `_work`); a data value of one
 term carries the bit length of its integer, so the product of two such
-looks at no coefficient.  A power is k such products, but zero is its
-own power and data, a field element or an operator of one term that
+looks at no coefficient.  A power is k such products, but zero is its own
+power, and one term of data, of the base field or of an operator that
 commutes with itself is raised in closed form, charged a quarter of the
-bits its integers gain.  Past `MAX_PARSE_WORK` in one expression the product is a
-`ParseError` at its operator.
+bits its integers gain.  Past `MAX_PARSE_WORK` in one expression the
+product is a `ParseError` at its operator.
 
 A problem file is read a line at a time.  Each section body is tokenized
 once, where it sits in its line, so every error inside it names the column
