@@ -4,9 +4,10 @@ The command line prints `error: <message>` for every diffalg error and exits
 with the class's `exit_code`:
 
     1  any diffalg error not listed below (e.g. leaders that are not an
-       antichain, an --order-bound over its cap, ExponentOverflow, or
+       antichain, an --order-bound over its cap, ExponentOverflow,
        DegreeTooLarge: a gcd whose remainder sequence needs a
-       pseudo-division of more than `field.MAX_PRS_STEPS` steps)
+       pseudo-division of more than `field.MAX_PRS_STEPS` steps, or a
+       power of a value at a point past `variety.MAX_POINT_POWER_BITS`)
     2  ParseError, DivisionByZero
     3  PointNotOnVariety
     4  UnsupportedForPartial, OrderlyRequired

@@ -7,18 +7,26 @@ their Hilbert series is N_i(z) / (1 - z)^m and
 
     phi(t) = sum_i sum_c n_ic C(t - c + m, m),   N_i(z) = sum_c n_ic z^c,
 
-valid for t >= max_i |join(E_i)|.  The numerators come from the pivot
-recursion for Hilbert series of monomial ideals (Bayer and Stillman,
-"Computation of Hilbert functions", JSC 1992; Bigatti, "Computation of
-Hilbert-Poincare series", JPAA 1997) instead of a sum over all 2^|E_i|
-subsets of leaders.  Polynomials are stored in the binomial basis C(t+i, i),
-whose coefficients are the Kolchin invariants directly; `str` prints their
-ordinary coefficients in t with the front end's polynomial printer
+valid for t >= max_i |join(E_i)|, instead of a sum over all 2^|E_i|
+subsets of leaders.  In N^2 the numerator is read off the corners of the
+staircase, and in N^3 one sweep up the last coordinate keeps the 2-D
+staircase of the leaders at or below each height (`_staircase_numerator`);
+the same sweep finds the minimal vectors of a set.  Past N^3 such a sweep
+would grow like (k+1)^(m-2) in the k leaders, and the numerators come from
+the pivot recursion for Hilbert series of monomial ideals (Bayer and
+Stillman, "Computation of Hilbert functions", JSC 1992; Bigatti,
+"Computation of Hilbert-Poincare series", JPAA 1997), the minimal vectors
+from a test of each against the ones kept.  N^1 is a product.
+
+Polynomials are stored in the binomial basis C(t+i, i), whose coefficients
+are the Kolchin invariants directly; `str` prints their ordinary
+coefficients in t with the front end's polynomial printer
 (`parsing.mpoly_str`).
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from math import comb, factorial
 
@@ -126,24 +134,108 @@ class Antichain(FrozenRecord):
         return len(self.components)
 
 
+def _place(firsts, lows, a, b):
+    """Where (a, b) goes in the 2-D staircase whose corners, in order, are
+    (firsts[t], -lows[t]): both lists ascend, so both bisect.
+
+    None when (a, b) lies in the staircase already; otherwise (i, j) such
+    that the new corner takes the place of the corners i..j-1, which it
+    covers: `firsts[i:j] = [a]` and `lows[i:j] = [-b]` add it.
+    """
+    i = bisect_right(firsts, a)
+    if i and -lows[i - 1] <= b:
+        return None
+    i = bisect_left(firsts, a, 0, i)
+    return i, bisect_right(lows, -b, i)
+
+
+def _sweep_order(g):
+    """Last coordinate first, then the first and the second: in N^2 and
+    N^3 every vector that divides g comes before g."""
+    return g[2:] + g[:2]
+
+
 def _minimalize(gens):
     """The generators not divisible by another one.
 
-    In N^2 one pass in lexicographic order suffices: every earlier vector
-    has a first coordinate no larger, so a vector is divisible by one of
-    them exactly when its second coordinate is no smaller than the least
-    second coordinate kept so far.  Otherwise the vectors are taken
-    smallest weight first, each tested against the ones kept."""
-    gens, out = set(gens), []
-    if all(len(g) == 2 for g in gens):
-        for g in sorted(gens):
-            if not out or g[1] < out[-1][1]:
-                out.append(g)
-        return out
+    In N^2 and N^3 one sweep in `_sweep_order` suffices: a vector is
+    divisible by an earlier one exactly when its first two coordinates lie
+    in the 2-D staircase of those of the vectors kept so far.  Above N^3
+    each vector is tested against the ones kept, smallest weight first.
+    The kept vectors come in lexicographic order in N^2 and smallest
+    weight first above it, so that `Antichain` names the same comparable
+    pair in N^3 as that test did."""
+    gens = set(gens)
+    m = len(next(iter(gens), ()))
+    if m in (2, 3):
+        firsts, lows, kept = [], [], []
+        for g in sorted(gens, key=_sweep_order):
+            span = _place(firsts, lows, g[0], g[1])
+            if span is not None:
+                i, j = span
+                firsts[i:j] = [g[0]]
+                lows[i:j] = [-g[1]]
+                kept.append(g)
+        if m == 2:
+            return kept
+        kept = set(kept)
+        return [g for g in sorted(gens, key=sum) if g in kept]
+    out = []
     for g in sorted(gens, key=sum):
         if not any(all(a <= b for a, b in zip(h, g)) for h in out):
             out.append(g)
     return out
+
+
+def _staircase_numerator(E, m):
+    """Hilbert-series numerator {c: n_c} of the ideal of E in N^2 or N^3.
+
+    In N^2 E is an antichain, and sorted it is the staircase's corners
+    (a_1, b_1), ..., (a_k, b_k):
+
+        N_2 = 1 - sum_j z^(a_j + b_j) + sum_j z^(a_(j+1) + b_j).
+
+    In N^3 the points of height c outside the staircase are those outside
+    the 2-D staircase J(c) of the first two coordinates of the generators
+    at or below c.  With the levels c_0 = 0 < c_1 < ... of the last
+    coordinates and J_j = J(c_j), N = sum_j N_2(J_j) (z^(c_j) - z^(c_(j+1))),
+    the last level with no subtracted term.  Telescoped, that is 1 plus
+    z^c times the change to N_2 that each generator of height c makes,
+    taken in `_sweep_order`.  The change is local: the corners the new
+    one covers and the steps z^(a_(j+1) + b_j) from its left neighbour
+    through them to its right one go; the new corner and its two steps
+    come.
+    """
+    num = {0: 1}
+    if m == 2:
+        corners = sorted(E)
+        for a, b in corners:
+            num[a + b] = num.get(a + b, 0) - 1
+        for (_, b), (a, _) in zip(corners, corners[1:]):
+            num[a + b] = num.get(a + b, 0) + 1
+        return num
+    firsts, lows = [], []
+    for c, a, b in sorted((c, a, b) for a, b, c in E):
+        span = _place(firsts, lows, a, b)
+        if span is None:
+            continue
+        i, j = span
+        for t in range(i, j):
+            k = c + firsts[t] - lows[t]
+            num[k] = num.get(k, 0) + 1
+        for t in range(max(i - 1, 0), min(j, len(firsts) - 1)):
+            k = c + firsts[t + 1] - lows[t]
+            num[k] = num.get(k, 0) - 1
+        num[c + a + b] = num.get(c + a + b, 0) - 1
+        if i:
+            k = c + a - lows[i - 1]
+            num[k] = num.get(k, 0) + 1
+        if j < len(firsts):
+            k = c + firsts[j] + b
+            num[k] = num.get(k, 0) + 1
+        firsts[i:j] = [a]
+        lows[i:j] = [-b]
+    return num
 
 
 def _numerator(gens, m):
@@ -193,8 +285,13 @@ def count_cofilter(antichain):
     for E in antichain.components:
         if E:
             valid_from = max(valid_from, sum(map(max, zip(*E))))
-        for c, n in _numerator(list(E), m).items():
-            num[c] = num.get(c, 0) + n
+        if m in (2, 3):
+            part = _staircase_numerator(E, m)
+        else:
+            part = _numerator(list(E), m)
+        for c, n in part.items():
+            if n:
+                num[c] = num.get(c, 0) + n
     coeffs = tuple((-1) ** (m - i) * sum(n * comb(c, m - i)
                                          for c, n in num.items())
                    for i in range(m + 1))

@@ -11,6 +11,8 @@ so evaluation is a differential homomorphism.
 
 from __future__ import annotations
 
+from math import comb, prod
+
 from .errors import ConfigMismatch, DiffAlgError, PointNotOnVariety
 from .field import RatFun, _power
 from .ore import TermMap, _acc, _as_ratfun, _derivative
@@ -139,6 +141,38 @@ def formal_derive(f, i):
     return result
 
 
+# Bits of the integers that one power of a value at a point may reach,
+# bounded by `_power_bits` before the power is taken; past the cap
+# evaluation exits 1.  Unchecked, `tangent` with `point: y = N`, N a
+# numeral of 4,000 digits, and `eqs: y^1000 - 1` (13.3 million bits) took
+# 4.0-4.9 s before exiting 1 on a value too long to print, and
+# `y = t + 1` with `y^4000` (32 million) 16 s; just under the cap,
+# `y^723` at `y = t + 1` is evaluated in 0.06 s (in-process CPU, 2-core
+# shared machine).
+MAX_POINT_POWER_BITS = 1 << 20
+
+
+def _power_bits(x, k):
+    """An upper bound on the bits of the integers of x**k, x a RatFun.
+
+    Numerator and denominator are raised apart.  A polynomial of T terms
+    with coefficients of at most b bits has in its k-th power coefficients
+    of at most k*(b + log2 T) bits, and at most C(k + T - 1, T - 1) terms,
+    nor more than the box of exponents prod_i (k*deg_i + 1): for one term
+    that is k*b bits, exactly what the integers gain.
+    """
+    bits = 0
+    for p in (x.num, x.den):
+        coeffs = p.terms.values()
+        size = len(coeffs)
+        top = max(c.bit_length() for c in coeffs) + (size - 1).bit_length()
+        if size > 1:
+            top *= min(comb(k + size - 1, size - 1),
+                       prod(k * p.degree_in(i) + 1 for i in range(p.nvars)))
+        bits += k * top
+    return bits
+
+
 class VarietyPoint:
     """K-rational point: n base-field coordinates."""
 
@@ -167,7 +201,15 @@ def eval_diffpoly(f, x):
     for mono, coeff in f.terms.items():
         value = coeff
         for (comp, exps), power in mono:
-            value = value * x.derivative_of_coordinate(comp, exps) ** power
+            base = x.derivative_of_coordinate(comp, exps)
+            if power > 1 and base:
+                bits = _power_bits(base, power)
+                if bits > MAX_POINT_POWER_BITS:
+                    raise DiffAlgError(
+                        f"a value at the point raised to the power {power} "
+                        f"may need {bits} bits of integers; the limit is "
+                        f"{MAX_POINT_POWER_BITS} bits")
+            value = value * base ** power
         result = result + value
     return result
 

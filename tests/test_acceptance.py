@@ -238,7 +238,7 @@ def test_readme_constants_match_the_code(capsys):
             f"README quotes {name} = {value}, not {getattr(module, name)}"
     # and the other way: every cap of the modules that read input is quoted
     named = {(module, name) for module, name, _, _ in quoted}
-    for module in ("parsing", "field", "cli"):
+    for module in ("parsing", "field", "cli", "variety"):
         for name in vars(importlib.import_module(f"diffalg.{module}")):
             if name.startswith("MAX_"):
                 assert (module, name) in named, \

@@ -20,6 +20,7 @@ from diffalg.field import MAX_PRS_STEPS
 from diffalg.parsing import (MAX_DERIVATIONS, MAX_MODULE_RANK, MAX_NESTING,
                              MAX_PARSE_WORK, orepoly_str, parse_input,
                              parse_orepoly)
+from diffalg.variety import MAX_POINT_POWER_BITS
 from helpers import parse_lifted
 
 GENERIC = """\
@@ -385,6 +386,26 @@ class TestCountCommand:
                            f"leaders: [{leaders}]\n", "count")
         assert time.perf_counter() - start < 1.0
         assert (code, out) == (0, "2001000 (valid for t >= 4000)\n")
+
+    def test_every_leader_of_weight_60_in_n3_in_under_a_second(
+            self, capsys, tmp_path):
+        # 1,891 leaders (a, b, 60 - a - b): 5.4 s with the pairwise test
+        leaders = ", ".join(f"({a},{b},{60 - a - b})"
+                            for a in range(61) for b in range(61 - a))
+        start = time.perf_counter()
+        code, out, _ = run(capsys, tmp_path, "field: Q derivations: 3\n"
+                           f"leaders: [{leaders}]\n", "count")
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (0, "37820 (valid for t >= 180)\n")
+
+    def test_a_planar_and_a_spatial_group(self, capsys, tmp_path):
+        # the first group lies at height 0, an N^2 staircase; the second
+        # has leaders at four heights
+        text = ("field: Q derivations: 3\n"
+                "leaders: [(3,0,0), (1,2,0), (0,4,0)]; "
+                "[(2,1,0), (0,3,1), (1,0,2), (0,0,5)]\n")
+        code, out, _ = run(capsys, tmp_path, text, "count")
+        assert (code, out) == (0, "12*t + 7 (valid for t >= 10)\n")
 
 
 class TestLongSums:
@@ -961,6 +982,39 @@ class TestExponentLimit:
         code, out, _ = run(capsys, tmp_path, text, "charset")
         assert (code, out) == (0, "characteristic set (1 elements):\n"
                                   "  [d + 1/(t^1000000000000)]\n")
+
+
+class TestPointPowerLimit:
+    @pytest.mark.parametrize("point, eq, power, bits", [
+        ("7" * 4000, "y^1000 - 1", 1000, 13289000),     # took 4.9 s
+        ("t + 1", "y^4000 - 1", 4000, 32012000),        # took 16 s
+    ], ids=["long-numeral", "binomial"])
+    def test_past_the_cap_exits_1(self, capsys, tmp_path, point, eq, power,
+                                  bits):
+        text = f"field: Q(t)\nvars: y\npoint: y = {point}\neqs: {eq}\n"
+        start = time.perf_counter()
+        code, out, err = run(capsys, tmp_path, text, "tangent")
+        assert time.perf_counter() - start < 0.5
+        assert (code, out) == (1, "")
+        assert err == (f"error: a value at the point raised to the power "
+                       f"{power} may need {bits} bits of integers; the limit "
+                       f"is {MAX_POINT_POWER_BITS} bits\n")
+
+    @pytest.mark.parametrize("point, eq", [
+        ("2", "y^5000 - 2^5000"),
+        ("t + 1", "y^300 - (t + 1)^300"),
+    ], ids=["numeral", "binomial"])
+    def test_under_the_cap_answers(self, capsys, tmp_path, point, eq):
+        text = f"field: Q(t)\nvars: y\npoint: y = {point}\neqs: {eq}\n"
+        start = time.perf_counter()
+        code, out, _ = run(capsys, tmp_path, text, "tangent")
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (0, "charset:\n  dy = 0\n"
+                                  "dimension polynomial: 0 "
+                                  "(valid for t >= 0)\n"
+                                  "differential dimension d = 0\n"
+                                  "tangent space: K^0 x C^0 "
+                                  "(torsion degrees [])\n")
 
 
 class TestGcdDegreeLimit:

@@ -8,7 +8,7 @@ import pytest
 
 from diffalg import (Antichain, NotAntichain, NumericalPolynomial, ZERO_TYPE,
                      count_cofilter, standard_terms, type_and_heights)
-from diffalg.numpoly import _minimalize
+from diffalg.numpoly import _minimalize, _numerator, _staircase_numerator
 
 from helpers import (all_pairs_minimal, box_standard_terms, brute_count,
                      from_monomial, inclusion_exclusion_count, multiindices)
@@ -83,6 +83,41 @@ class TestMinimalize:
                 " componentwise").split(" <= "))
             assert a in E and b in E and a != b
             assert all(x <= y for x, y in zip(a, b))
+
+    def test_n3_sweep_keeps_the_order_of_the_pairwise_test(self):
+        # the kept vectors come smallest weight first, as the pairwise test
+        # took them, so a rejected antichain names the same pair
+        rng = random.Random(57)
+        for _ in range(300):
+            top = rng.randint(0, 6)
+            gens = [tuple(rng.randint(0, top) for _ in range(3))
+                    for _ in range(rng.randint(0, 40))]
+            minimal = all_pairs_minimal(gens)
+            assert _minimalize(gens) == [g for g in sorted(set(gens), key=sum)
+                                         if g in minimal]
+
+    @pytest.mark.parametrize("E, text", [
+        ({(1, 1, 1), (2, 2, 2)}, "(1, 1, 1) <= (2, 2, 2) componentwise"),
+        # (2, 2, 0) comes first in the sweep, (0, 0, 3) in weight
+        ({(0, 0, 3), (2, 2, 0), (2, 2, 3)},
+         "(0, 0, 3) <= (2, 2, 3) componentwise"),
+        ({(0, 1, 0), (3, 0, 0), (0, 2, 5), (4, 0, 1), (1, 0, 4)},
+         "(0, 1, 0) <= (0, 2, 5) componentwise"),
+        ({(0, 0, 0), (5, 5, 5)}, "(0, 0, 0) <= (5, 5, 5) componentwise"),
+    ], ids=["chain", "weight-order", "two-rejected", "zero"])
+    def test_n3_not_antichain_text(self, E, text):
+        with pytest.raises(NotAntichain) as caught:
+            anti(3, E)
+        assert str(caught.value) == text
+
+    def test_n3_staircase_of_a_weight_layer(self):
+        # every leader of weight 60: 1,891 in N^3, quadratic before the sweep
+        E = {(a, b, 60 - a - b) for a in range(61) for b in range(61 - a)}
+        start = time.perf_counter()
+        phi = count_cofilter(anti(3, E))
+        assert time.perf_counter() - start < 1.0
+        # the staircase is every term of weight >= 60
+        assert (phi.coeffs, phi.valid_from) == ((37820,), 180)
 
     def test_staircase_of_two_thousand_leaders(self):
         E = {(i, 2000 - i) for i in range(2001)}
@@ -160,6 +195,81 @@ class TestPivotCountAgainstInclusionExclusion:
             assert count_cofilter(E) == inclusion_exclusion_count(E)
         E = anti(2, wide_antichain(rng, 12, 20))
         assert count_cofilter(E) == inclusion_exclusion_count(E)
+
+
+def nonzero(num):
+    return {c: n for c, n in num.items() if n}
+
+
+class TestSweepAgainstPivot:
+    """In N^2 and N^3 `count_cofilter` takes the numerator from the corner
+    sweep; the pivot recursion, which counts N^4 and above, is its oracle
+    here, and inclusion-exclusion the oracle of both."""
+
+    @staticmethod
+    def check(E):
+        for comp in E.components:
+            assert nonzero(_staircase_numerator(comp, E.m)) == nonzero(
+                _numerator(list(comp), E.m)), comp
+        assert count_cofilter(E) == inclusion_exclusion_count(E)
+
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_seeded_antichains(self, m):
+        rng = random.Random(50 + m)
+        for _ in range(150):
+            self.check(rand_antichain(rng, m, max_entry=rng.choice((3, 6)),
+                                      max_vectors=8,
+                                      components=rng.randint(1, 3)))
+
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_empty_components_and_a_zero_leader(self, m):
+        rng = random.Random(52 + m)
+        others = rand_antichain(rng, m, max_vectors=6).components[0]
+        for E in (anti(m, set()), anti(m, set(), others, set()),
+                  anti(m, {(0,) * m}), anti(m, {(0,) * m}, others)):
+            self.check(E)
+        assert nonzero(_staircase_numerator({(0,) * m}, m)) == {}
+
+    def test_pure_powers(self):
+        for E in (anti(2, {(4, 0)}), anti(2, {(0, 3), (5, 0)}),
+                  anti(2, {(0, 3), (1, 1), (5, 0)}),
+                  anti(3, {(0, 0, 4)}),
+                  anti(3, {(3, 0, 0), (0, 2, 0), (0, 0, 5)}),
+                  anti(3, {(3, 0, 0), (0, 0, 1)}, {(0, 2, 0), (1, 0, 2)})):
+            self.check(E)
+
+    @pytest.mark.parametrize("m, leaders", [
+        (2, lambda rng: wide_antichain(rng, 30, 40)),
+        (3, lambda rng: layer_antichain(rng, 3, 30, 7)),
+        (3, lambda rng: layer_antichain(rng, 3, 30, 8, bumps=60)),
+    ], ids=["m2-wide", "m3-layer", "m3-bumped"])
+    def test_thirty_leader_layers(self, m, leaders):
+        # 2^30 subsets are out of reach for inclusion-exclusion: the pivot
+        # recursion is the oracle, and the values the brute count
+        E = anti(m, leaders(random.Random(54)))
+        comp, = E.components
+        assert len(comp) == 30
+        assert nonzero(_staircase_numerator(comp, m)) == nonzero(
+            _numerator(list(comp), m))
+        phi = count_cofilter(E)
+        assert phi(phi.valid_from) == brute_count(E, phi.valid_from)
+
+    def test_n3_generators_that_are_not_minimal(self):
+        # the sweep skips a generator inside the staircase and drops the
+        # corners a new one covers
+        rng = random.Random(55)
+        for _ in range(200):
+            gens = [tuple(rng.randint(0, 4) for _ in range(3))
+                    for _ in range(rng.randint(1, 12))]
+            assert nonzero(_staircase_numerator(gens, 3)) == nonzero(
+                _numerator(_minimalize(gens), 3))
+
+    def test_pivot_recursion_still_counts_n4(self):
+        rng = random.Random(56)
+        for _ in range(40):
+            E = rand_antichain(rng, 4, max_entry=2, max_vectors=6,
+                               components=rng.randint(1, 2))
+            assert count_cofilter(E) == inclusion_exclusion_count(E)
 
 
 class TestThirtyLeaders:
