@@ -183,21 +183,24 @@ def reduce(w, A, rk):
 
 
 def _reduce(w, active, rk):
-    """`reduce` by (index, element, leader) triples with known leaders."""
+    """`reduce` by (index, element, leader) triples with known leaders;
+    the shifts of each element are kept for the whole call (`_shifts`)."""
     current = w
+    chains = {}
     while True:
         target = None
         for term in sorted(current.terms, key=rk.key, reverse=True):
-            for _, f, lead in active:
+            for idx, f, lead in active:
                 if _divides(lead, term):
-                    target = (term, f, lead)
+                    target = (term, idx, f, lead)
                     break
             if target:
                 break
         if target is None:
             return current
-        term, f, lead = target
-        shifted = f.apply_theta(tuple(a - b for a, b in zip(term[1], lead[1])))
+        term, idx, f, lead = target
+        shifted = f.apply_theta(tuple(a - b for a, b in zip(term[1], lead[1])),
+                                chains.setdefault(idx, {}))
         c, lc = current.terms[term], shifted.terms[term]
         current = current.cancel(term, shifted, c if lc.is_one() else c / lc)
 

@@ -77,16 +77,17 @@ class OrderlyRequired(DiffAlgError):
 
 
 class PointNotOnVariety(DiffAlgError):
-    """A supplied point does not annihilate every equation."""
+    """A supplied point does not annihilate every equation: equation
+    `equation_index` takes the value `value`, printed as `printed`."""
 
     exit_code = 3
 
-    def __init__(self, equation_index, value):
+    def __init__(self, equation_index, value, printed):
         self.equation_index = equation_index
         self.value = value
         super().__init__(
             f"equation #{equation_index} does not vanish at the point "
-            f"(value {value})"
+            f"(value {printed})"
         )
 
 

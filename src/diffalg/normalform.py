@@ -21,8 +21,7 @@ column or row unrecomputed; the replay recomputes every entry in full.
 from __future__ import annotations
 
 from .errors import UnsupportedForPartial
-from .field import _gcd_cofactors
-from .ore import OrePoly, _shifts, ore_divmod, ore_mul
+from .ore import OrePoly, ore_divmod, ore_mul
 from .record import FrozenRecord
 
 
@@ -271,52 +270,46 @@ def diagonalize(A):
             row_op((p, p, OrePoly.from_scalar(config, lc.inverse())),
                    (p, p, OrePoly.from_scalar(config, lc)))
 
-    size = min(work.rows, work.cols)
-    for p in range(size):
-        # move a minimal-degree nonzero entry of the trailing block to (p,p)
-        pivot = None
-        for i in range(p, work.rows):
-            for j in range(p, work.cols):
-                e = work.entries[i][j]
-                if not e.is_zero() and (pivot is None
-                                        or e.degree() < pivot[2]):
-                    pivot = (i, j, e.degree())
-        if pivot is None:
-            break
-        swap_rows(p, pivot[0])
-        swap_cols(p, pivot[1])
-        while True:
-            make_monic(p)
-            # clear the column below/above the pivot with row operations
-            dirty = False
-            for i in range(work.rows):
-                if i == p or work.entries[i][p].is_zero():
-                    continue
+    def clear_column(p):
+        """Row operations by right division; True if a remainder is pivot."""
+        for i in range(work.rows):
+            if i != p and work.entries[i][p]:
                 q, r = ore_divmod(work.entries[i][p], work.entries[p][p],
                                   side="right")
                 row_op((i, p, q), (p, i, -q), p, r)
-                if not r.is_zero():
+                if r:
                     swap_rows(i, p)
-                    dirty = True
-                    break
-            if dirty:
-                continue
-            # clear the row with column operations (left division)
-            for j in range(work.cols):
-                if j == p or work.entries[p][j].is_zero():
-                    continue
+                    return True
+        return False
+
+    def clear_row(p):
+        """Column operations by left division; True if a remainder is pivot."""
+        for j in range(work.cols):
+            if j != p and work.entries[p][j]:
                 q, r = ore_divmod(work.entries[p][j], work.entries[p][p],
                                   side="left")
                 col_op((j, p, q), (p, j, -q), p, r)
-                if not r.is_zero():
+                if r:
                     swap_cols(j, p)
-                    dirty = True
-                    break
-            if dirty:
-                continue
-            if all(work.entries[i][p].is_zero()
-                   for i in range(work.rows) if i != p):
-                break
+                    return True
+        return False
+
+    for p in range(min(work.rows, work.cols)):
+        # move a minimal-degree nonzero entry of the trailing block to (p,p),
+        # the first in row-major order among those of that degree
+        pivot = min(((e.degree(), i, j)
+                     for i in range(p, work.rows)
+                     for j, e in enumerate(work.entries[i][p:], p) if e),
+                    default=None)
+        if pivot is None:
+            break
+        swap_rows(p, pivot[1])
+        swap_cols(p, pivot[2])
+        # the row sweep starts once column p is clear, and its operations
+        # col_j -= col_p*q leave that column clear: no re-check is needed
+        make_monic(p)
+        while clear_column(p) or clear_row(p):
+            make_monic(p)
 
     result = Diagonalization(U=U, D=work, V=V, U_inv=U_inv, V_inv=V_inv)
     _verify(A, result)
@@ -365,8 +358,8 @@ def _verify(A, res):
     V_inv and on A; in the inverse checks each intermediate is the inverse
     of the operations still to come, so nothing swells the way U itself
     does.  An explicit U or V is multiplied as an ordinary product.
-    U_inv*D only scales the columns of U_inv, and `_product_is` decides
-    it against A*V.  Every identity is decided exactly and in full.
+    U_inv*D only scales the columns of U_inv; it is compared with A*V entry
+    by entry.  Every identity is decided exactly and in full.
     """
     if not res.D.is_diagonal():
         raise AssertionError("result is not diagonal")
@@ -374,71 +367,8 @@ def _verify(A, res):
         raise AssertionError("U inverse check failed")
     if not (res.V_inv * res._V).is_identity():
         raise AssertionError("V inverse check failed")
-    if not _product_is(res.U_inv, res.D, A * res._V):
+    if res.U_inv * res.D != A * res._V:
         raise AssertionError("A*V != U_inv*D, so U*A*V != D")
-
-
-def _product_is(X, Y, Z):
-    """True exactly when X*Y == Z, decided without normalizing a sum.
-
-    Entry (i, j) of X*Y - Z is, at each delta-key, a sum of base-field
-    products c*d, with c a coefficient of X[i][k] at delta^e and d one of
-    delta^e * Y[k][j], minus Z[i][j]'s coefficient.  The products are kept
-    as unnormalized numerator/denominator pairs, grouped by denominator,
-    and the groups are combined over the lcm of their denominators: the sum
-    is zero exactly when that numerator is the zero polynomial.  Each shift
-    delta^e * Y[k][j] is built once per nonzero Y[k][j], over the keys of
-    column k of X, and serves every row of X; a row of X meets only the
-    nonzero shifts of its nonzero entries, so the check costs the nonzero
-    products, not rows * cols^2 index triples.
-    """
-    if (X.cols, X.rows, Y.cols) != (Y.rows, Z.rows, Z.cols):
-        return False
-    shifts = []     # k -> {j: delta-key -> delta^e * Y[k][j]}, Y[k][j] != 0
-    for k in range(X.cols):
-        keys = {e for row in X.entries for e in row[k].terms}
-        shifts.append({j: _shifts(y, keys) for j, y in enumerate(Y.entries[k])
-                       if y} if keys else {})
-    for x_row, z_row in zip(X.entries, Z.entries):
-        sums = {}       # j -> delta-key -> {denominator: numerator}
-        for x, column in zip(x_row, shifts):
-            if not x:
-                continue
-            for j, by_key in column.items():
-                entry = sums.setdefault(j, {})
-                for e, c in x.terms.items():
-                    for key, d in by_key[e].terms.items():
-                        _add_fraction(entry.setdefault(key, {}),
-                                      c.num * d.num, c.den * d.den)
-        for j, z in enumerate(z_row):
-            entry = sums.get(j, {})
-            for key, c in z.terms.items():
-                _add_fraction(entry.setdefault(key, {}), -c.num, c.den)
-            if not all(map(_sums_to_zero, entry.values())):
-                return False
-    return True
-
-
-def _add_fraction(groups, num, den):
-    """Add num/den to the sum held as {denominator: numerator}."""
-    acc = groups.get(den)
-    groups[den] = num if acc is None else acc + num
-
-
-def _sums_to_zero(groups):
-    """True when the sum of num/den over {den: num} is zero: its numerator
-    over the lcm of the denominators is the zero polynomial."""
-    num = den = None
-    for d, n in groups.items():
-        if not n:
-            continue
-        if num is None:
-            num, den = n, d
-            continue
-        _, den_r, d_r = _gcd_cofactors(den, d)
-        num = num * d_r + n * den_r
-        den = den * d_r
-    return num is None or not num
 
 
 def classify_tangent(R):

@@ -133,9 +133,9 @@ class TermMap:
                     _acc(terms, key, der)
         return self._new(terms)
 
-    def apply_theta(self, exps):
+    def apply_theta(self, exps, built=None):
         """Left multiplication by delta^exps (a tuple), by one `_shifts`."""
-        return _shifts(self, (exps,))[exps]
+        return _shifts(self, (exps,), built)[exps]
 
     # -- comparisons -----------------------------------------------------
 
@@ -303,18 +303,23 @@ def _left_mul(f, g):
     return g._new(terms)
 
 
-def _shifts(g, keys):
+def _shifts(g, keys, built=None):
     """{theta: delta^theta * g} for each theta in keys.
 
     Each theta is reached from the nearest key below it on the chain that
     lowers the last nonzero exponent; keys are visited in increasing lex
     order, so that key is already built and for m = 1 the whole product
-    costs max(k) applications of delta instead of sum(k).  When every
+    costs max(k) applications of delta instead of sum(k).  `built`, when
+    given, is a dict of shifts of g kept from earlier calls; every node of
+    each walked chain is stored in it, so a caller that shifts one divisor
+    many times pays each application of delta once.  When every
     coefficient of g is a constant, delta^theta * g only shifts its keys.
     """
     if g._raise_delta is None:
         raise TypeError(f"Delta does not act on {type(g).__name__}")
-    built = {(0,) * g.config.m: g}
+    if built is None:
+        built = {}
+    built.setdefault((0,) * g.config.m, g)
     if all(c.is_const() for c in g.terms.values()):
         raise_delta = g._raise_delta
         for theta in keys:
@@ -331,12 +336,11 @@ def _shifts(g, keys):
         cur = theta
         while cur not in built:
             i = max(j for j, k in enumerate(cur) if k)
-            path.append(i)
+            path.append((cur, i))
             cur = cur[:i] + (cur[i] - 1,) + cur[i + 1:]
         shifted = built[cur]
-        for i in reversed(path):
-            shifted = shifted.apply_delta(i)
-        built[theta] = shifted
+        for node, i in reversed(path):
+            shifted = built[node] = shifted.apply_delta(i)
     return built
 
 
@@ -354,13 +358,13 @@ def ore_divmod(f, g, side="right"):
         raise ValueError("side must be 'left' or 'right'")
     dg = g.degree()
     _, lc_g = g.leading()
-    quotient, r = {}, f
+    quotient, r, chain = {}, f, {}
     while not r.is_zero() and r.degree() >= dg:
         (dr,), lc_r = r.leading()
         k = dr - dg
         c = quotient[(k,)] = lc_r if lc_g.is_one() else lc_r / lc_g
         if side == "right":
-            r = r.cancel((dr,), g.apply_theta((k,)), c)
+            r = r.cancel((dr,), g.apply_theta((k,), chain), c)
         else:
             r = r.cancel((dr,), ore_mul(g, g._new({(k,): c})))
     return g._new(quotient), r

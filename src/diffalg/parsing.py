@@ -26,7 +26,8 @@ term carries the bit length of its integer, so the product of two such
 looks at no coefficient.  A power is k such products, but zero is its own
 power, and one term of data, of the base field or of an operator that
 commutes with itself is raised in closed form, charged a quarter of the
-bits its integers gain.  Past `MAX_PARSE_WORK` in one expression the
+bits its integers gain.  Past `MAX_PARSE_WORK` in all the expressions of
+one problem file, or in the one expression of a `parse_*` call, the
 product is a `ParseError` at its operator.
 
 A problem file is read a line at a time.  Each section body is tokenized
@@ -133,7 +134,7 @@ def _int(tok):
 # ---------------------------------------------------------------------------
 # expression parser
 
-# The work one expression may spend on products, in the units of `_work`:
+# The work one problem file may spend on products, in the units of `_work`:
 # about one pair of terms multiplied, 0.3-0.5 us of CPU on a 2-core shared
 # machine.  The weights of `_product_work` and `_work` were fitted on the
 # CPU time of powers and written-out products of every kind the parser
@@ -296,12 +297,13 @@ class _ExprParser:
     products with itself need no commutation rule.  Anything else builds
     its `RatFun`, `OrePoly` or `DiffPoly` once (`ring`) and goes through
     that ring's operators and the rules of `divide` and `power`, so `d*t`
-    is still `t*d + 1`.  Every product is charged to `work` first
-    (`spend`).
+    is still `t*d + 1`.  Every product is charged first (`spend`) to
+    `spent`, a one-item list of the work spent so far that the expressions
+    of one problem file share; a new one when it is None.
     """
 
     def __init__(self, tokens, config, line, unknown, deltas=False,
-                 var_names=None):
+                 var_names=None, spent=None):
         self.tokens = tokens
         self.pos = 0
         self.config = config
@@ -314,7 +316,7 @@ class _ExprParser:
             else "division by zero in the base field"
         self.scalar = (0,) * config.m
         self.depth = 0
-        self.work = 0
+        self.spent = [0] if spent is None else spent
 
     def peek(self):
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -377,10 +379,10 @@ class _ExprParser:
         return value
 
     def spend(self, work, tok):
-        """Charge `work` to this expression; past MAX_PARSE_WORK in all it
-        is a ParseError at `tok`, the operator that asked for it."""
-        self.work += work
-        if self.work > MAX_PARSE_WORK:
+        """Charge `work` to `spent`; past MAX_PARSE_WORK in all it is a
+        ParseError at `tok`, the operator that asked for it."""
+        self.spent[0] += work
+        if self.spent[0] > MAX_PARSE_WORK:
             raise ParseError(f"the products of this expression need more "
                              f"than {MAX_PARSE_WORK} units of work",
                              tok.line, tok.column)
@@ -394,22 +396,16 @@ class _ExprParser:
             value, rhs = self.ring(value), self.ring(rhs)
             self.spend(_work(value, rhs), tok)
             return value * rhs
-        v, a, b = self.config.v, value.bits, rhs.bits
-        if a is not None and b is not None:
-            # one term by one term, charged from the bits the two carry
-            self.spend(_product_work(1, 1, (1 + (a >> 6)) * (1 + (b >> 6))),
-                       tok)
-            (dx, p), = value.terms.items()
-            (dy, q), = rhs.terms.items()
-            return _Data({tuple(map(add, dx, dy)): _product(p, q, v)},
-                         value.den * rhs.den, a + b)
         (n, t, w), (n2, t2, w2) = _data_size(value), _data_size(rhs)
         self.spend(_product_work(n * n2, t * t2, w * w2), tok)
         terms = {}
         for dx, p in value.terms.items():
             for dy, q in rhs.terms.items():
-                _merge(terms, tuple(map(add, dx, dy)), _product(p, q, v))
-        return _Data(terms, value.den * rhs.den)
+                _merge(terms, tuple(map(add, dx, dy)),
+                       _product(p, q, self.config.v))
+        a, b = value.bits, rhs.bits
+        return _Data(terms, value.den * rhs.den,
+                     None if a is None or b is None else a + b)
 
     def divide(self, value, rhs, tok):
         if type(rhs) is _Data and rhs.terms.keys() == {self.scalar} \
@@ -626,29 +622,31 @@ def _symbols(config):
 # ---------------------------------------------------------------------------
 # expression entry points
 
-def parse_ratfun(text, config, line=1):
+def parse_ratfun(text, config, line=1, _spent=None):
     """Rational expression over the field variables."""
-    return _parse_with(text, config, line, "unknown field variable")
+    return _parse_with(text, config, line, "unknown field variable",
+                       spent=_spent)
 
 
-def parse_orepoly(text, config, line=1):
+def parse_orepoly(text, config, line=1, _spent=None):
     """Operator expression over field variables and d / d1..dm."""
-    value = _parse_with(text, config, line, "unknown symbol", deltas=True)
+    value = _parse_with(text, config, line, "unknown symbol", deltas=True,
+                        spent=_spent)
     if isinstance(value, RatFun):
         return OrePoly.from_scalar(config, value)
     return value
 
 
-def parse_diffpoly(text, config, var_names, line=1):
+def parse_diffpoly(text, config, var_names, line=1, _spent=None):
     """Differential polynomial over the declared variables."""
     value = _parse_with(text, config, line, "unknown variable",
-                        var_names=var_names)
+                        var_names=var_names, spent=_spent)
     if isinstance(value, RatFun):
         return DiffPoly.const(config, len(var_names), value)
     return value
 
 
-def parse_generator_vector(text, config, n, line=1):
+def parse_generator_vector(text, config, n, line=1, _spent=None):
     """`[oreexpr, ..., oreexpr]` with exactly n coordinates -> ModElement."""
     tokens = _tokens(text, line)
     column = tokens[0].column if tokens else None
@@ -658,7 +656,7 @@ def parse_generator_vector(text, config, n, line=1):
     if len(groups) != n:
         raise ParseError(f"expected {n} coordinates, found {len(groups)}",
                          line, column)
-    coords = [parse_orepoly(g, config, line) if g
+    coords = [parse_orepoly(g, config, line, _spent) if g
               else OrePoly.zero(config) for g in groups]
     return ModElement.from_operator_vector(coords, n)
 
@@ -929,8 +927,10 @@ def _parse_field_line(body, lineno, column):
 
 def _finish_sections(pf, pending):
     """Parse the deferred sections, given as {head: (tokens, lineno)}; each
-    list in them is split by `_split_tokens`."""
+    list in them is split by `_split_tokens`, and all their expressions
+    share one work budget, the `_spent` of the parse functions."""
     config = pf.config
+    spent = [0]
     if "point" in pending:
         tokens, lineno = pending["point"]
         coords = {}
@@ -942,7 +942,8 @@ def _finish_sections(pf, pending):
             if name.text not in pf.var_names:
                 raise ParseError(f"unknown variable {name.text!r} in point",
                                  name.line, name.column)
-            coords[name.text] = parse_ratfun(entry[2:], config, lineno)
+            coords[name.text] = parse_ratfun(entry[2:], config, lineno,
+                                             spent)
         missing = [v for v in pf.var_names if v not in coords]
         if missing:
             raise ParseError(f"point misses coordinates for {missing}", lineno)
@@ -952,7 +953,7 @@ def _finish_sections(pf, pending):
         tokens, lineno = pending["eqs"]
         if not pf.var_names:
             raise ParseError("'eqs:' needs a preceding 'vars:' line", lineno)
-        pf.eqs = [parse_diffpoly(group, config, pf.var_names, lineno)
+        pf.eqs = [parse_diffpoly(group, config, pf.var_names, lineno, spent)
                   for group in _split_tokens(tokens, ";") if group]
         if not pf.eqs:
             raise ParseError("empty equation list", lineno)
@@ -963,12 +964,12 @@ def _finish_sections(pf, pending):
     if "gens" in pending:
         tokens, lineno = pending["gens"]
         pf.gens = [parse_generator_vector(group, config, pf.module_rank,
-                                          lineno)
+                                          lineno, spent)
                    for group in _split_tokens(tokens, ";") if group]
     if "element" in pending:
         tokens, lineno = pending["element"]
         pf.element = parse_generator_vector(tokens, config, pf.module_rank,
-                                            lineno)
+                                            lineno, spent)
     if "leaders" in pending:
         tokens, lineno = pending["leaders"]
         pf.leaders = Antichain(config.m, tuple(

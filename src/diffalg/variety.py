@@ -246,7 +246,8 @@ def tangent_pipeline(eqs, x, rk=None):
     for idx, f in enumerate(eqs):
         value = eval_diffpoly(f, x)
         if value:
-            raise PointNotOnVariety(idx, value)
+            from .parsing import ratfun_str     # parsing imports this module
+            raise PointNotOnVariety(idx, value, ratfun_str(value, config))
     if rk is None:
         rk = orderly_ranking(n)
     lins = [linearize_at_point(f, x) for f in eqs]

@@ -154,6 +154,12 @@ class TestTangentCommand:
         assert code == 3
         assert "does not vanish" in err
 
+    def test_point_off_variety_prints_the_value(self, capsys, tmp_path):
+        text = "field: Q(t)\nvars: y\npoint: y = 2\neqs: y - t\n"
+        assert run(capsys, tmp_path, text, "tangent") == (
+            3, "", "error: equation #0 does not vanish at the point "
+                   "(value -t + 2)\n")
+
 
 class TestModuleCommands:
     def test_charset(self, capsys, tmp_path):
@@ -269,6 +275,25 @@ class TestModuleCommands:
         assert time.perf_counter() - start < 1.0
         assert code == 0
         assert "diagonal: ['d^2']" in out
+
+    @pytest.mark.parametrize("command, out", [
+        ("decompose", "d = 0, k = 0, torsion degrees []\ndiagonal: ['1']\n"),
+        ("dimpoly", "dimension polynomial: 0 (valid for t >= 0)\n"
+                    "differential dimension d = 0\n"
+                    "type = -inf, typical height = 0\n"
+                    "below-leader count B = 0 (free term r = 0)\n"
+                    "free components: none\n"),
+        ("charset", "characteristic set (1 elements):\n  [1]\n")],
+        ids=["decompose", "dimpoly", "charset"])
+    def test_one_shift_chain_per_divisor(self, capsys, tmp_path, command,
+                                         out):
+        # right division and reduction by t*d + 1 shift it once per degree,
+        # not once per quotient term from delta^0: 5.5-8.4 s before
+        text = "field: Q(t)\nmodule: 1\ngens: [d^100]; [t*d + 1]\n"
+        start = time.perf_counter()
+        result = run(capsys, tmp_path, text, command)
+        assert time.perf_counter() - start < 3.0
+        assert result == (0, out, "")
 
     def test_decompose_diagonalizes_once(self, capsys, tmp_path,
                                          monkeypatch):
@@ -476,6 +501,90 @@ class TestErrorHandling:
         code, _, err = run(capsys, tmp_path, "field Q(t)\n", "charset")
         assert code == 2
         assert "section" in err
+
+    @pytest.mark.parametrize("text, command, message", [
+        ("field: Q(t1, t2)\nvars: y\npoint: y = 0\neqs: y_(1,0\n", "tangent",
+         "line 4, column 6: unterminated multi-index"),
+        ("field: Q(t1, t2)\nvars: y\npoint: y = 0\neqs: y'\n", "tangent",
+         "line 4, column 6: 'y' needs a multi-index of length 2"),
+        ("field: Q(t1, t2)\nvars: y\npoint: y = 0\neqs: y_(1,0,0)\n",
+         "tangent", "line 4, column 6: multi-index of wrong length for 'y'"),
+        ("field: Q(t)\nmodule: 1\ngens: [t']\n", "charset",
+         "line 3, column 8: 't' cannot carry a derivative suffix"),
+        ("field: Q(t)\nmodule: 1\ngens: [d d]\n", "charset",
+         "line 3, column 10: trailing input 'd'"),
+        ("field: Q(t)\nmodule: 1\ngens: d\n", "charset",
+         "line 3, column 7: generator vector must be bracketed"),
+        ("field: Q(t)\nmodule: 2\ngens: [d]\n", "charset",
+         "line 3, column 7: expected 2 coordinates, found 1"),
+        ("module: 1\ngens: [d]\n", "charset", "line 1: missing 'field:' line"),
+        ("field: Q(t)\nmodule: 1\nmodule: 1\ngens: [d]\n", "charset",
+         "line 3: duplicate section 'module'"),
+        ("field: Q(t)\nvars: 1y\n", "charset",
+         "line 2: bad variable name '1y'"),
+        ("field: Q(t)\nranking: lex\nmodule: 1\ngens: [d]\n", "charset",
+         "line 2: unknown ranking 'lex'"),
+        ("field: Q(t)\nmodule: 0\n", "charset",
+         "line 2: module rank must be positive"),
+        ("field: Q(t)\nmodules: 1\n", "charset",
+         "line 2: unknown section 'modules'"),
+        ("field: Q(t)\nvars: y\npoint: y = 0\neqs: y'\nmodule: 1\n"
+         "gens: [d]\n", "charset",
+         "line 1: give either equations+point or a raw module, not both"),
+        ("field: R\n", "charset", "line 1: unrecognized field 'R'"),
+        ("field: Q(t1, t2) derivations: 1\n", "charset",
+         "line 1: derivation count below the variable count"),
+        ("field: Q(t)\nvars: y\npoint: y 0\neqs: y'\n", "tangent",
+         "line 3, column 8: point entries look like 'y = expr'"),
+        ("field: Q(t)\nvars: y z\npoint: y = 0\neqs: y'\n", "tangent",
+         "line 3: point misses coordinates for ['z']"),
+        ("field: Q(t)\neqs: d\n", "tangent",
+         "line 2: 'eqs:' needs a preceding 'vars:' line"),
+        ("field: Q(t)\nvars: y\npoint: y = 0\neqs: ;\n", "tangent",
+         "line 4: empty equation list"),
+        ("field: Q(t)\ngens: [d]\n", "charset",
+         "line 2: 'gens:' needs a preceding 'module:' line"),
+        ("field: Q derivations: 2\nleaders: (1,1)\n", "count",
+         "line 2, column 10: leader group must be bracketed"),
+        ("field: Q(t)\nvars: y\neqs: y'\n", "charset",
+         "'eqs:' needs a 'point:' line for linearization"),
+        ("field: Q(t)\n", "charset",
+         "need either a 'module:'+'gens:' or 'eqs:'+'point:' section"),
+        (MODULE, "count", "'count' needs a 'leaders:' line"),
+        (CONSTANT, "decompose",
+         "'decompose' needs a 'module:'+'gens:' section"),
+        ("field: Q(t)\nmodule: 1\ngens: [d]\n", "reduce",
+         "'reduce' needs 'module:', 'gens:' and 'element:' sections"),
+        (MODULE, "tangent", "'tangent' needs 'eqs:' and 'point:' sections"),
+    ], ids=["unterminated-multi-index", "primes-with-two-derivations",
+            "multi-index-length", "suffix-on-a-field-variable",
+            "trailing-input", "unbracketed-generator", "coordinate-count",
+            "no-field", "duplicate-section", "bad-variable-name",
+            "unknown-ranking", "zero-module-rank", "unknown-section",
+            "equations-and-module", "unknown-field", "too-few-derivations",
+            "point-entry", "point-coordinates", "eqs-before-vars",
+            "no-equations", "gens-before-module", "unbracketed-leaders",
+            "eqs-without-point", "no-system", "count-without-leaders",
+            "decompose-without-gens", "reduce-without-element",
+            "tangent-without-eqs"])
+    def test_exit_2_with_the_message(self, capsys, tmp_path, text, command,
+                                     message):
+        assert run(capsys, tmp_path, text, command) == (
+            2, "", f"error: {message}\n")
+
+    def test_ranking_section(self, capsys, tmp_path):
+        # the file's ranking, as --ranking elim gives it, and not orderly
+        text = "field: Q(t)\nmodule: 2\ngens: [d, 1]; [1, d]\n"
+        elimination = ("characteristic set (2 elements):\n"
+                       "  [d^2 - 1, 0]\n  [d, 1]\n")
+        assert run(capsys, tmp_path, text, "charset", "--ranking",
+                   "elim") == (0, elimination, "")
+        for name in ("elim", "elimination"):
+            assert run(capsys, tmp_path, f"ranking: {name}\n{text}",
+                       "charset") == (0, elimination, "")
+        assert run(capsys, tmp_path, f"ranking: orderly\n{text}",
+                   "charset") == (0, "characteristic set (2 elements):\n"
+                                     "  [d, 1]\n  [1, d]\n", "")
 
 
 class TestRefusedInput:
@@ -724,6 +833,22 @@ class TestRefusedInput:
         assert time.perf_counter() - start < 1.0
         assert (code, out, err) == (2, "", over_budget(len(
             text.splitlines()), column))
+
+    def test_one_work_budget_per_problem_file(self, capsys, tmp_path):
+        # each (t*d)^150 charges 460,621 units: one generator answers, and
+        # the second takes the file past the budget at its `^`; with a
+        # budget per expression the 40 parsed in 8-12 s
+        line = "gens: " + "; ".join(["[(t*d)^150]"] * 40)
+        text = f"field: Q(t)\nmodule: 1\n{line}\n"
+        start = time.perf_counter()
+        result = run(capsys, tmp_path, text, "charset")
+        assert time.perf_counter() - start < 1.0
+        column = [i for i, c in enumerate(line) if c == "^"][1] + 1
+        assert result == (2, "", over_budget(3, column))
+        code, _, err = run(capsys, tmp_path,
+                           "field: Q(t)\nmodule: 1\ngens: [(t*d)^150]\n",
+                           "charset")
+        assert (code, err) == (0, "")
 
 
 class TestSymbolsAndNumerals:

@@ -144,6 +144,24 @@ class TestReduce:
         assert not calls and expected != ws
 
 
+    def test_one_shift_chain_per_element(self, monkeypatch):
+        # each step shifts the reducer t*d + 1 from the shifts already
+        # made in this reduction, so delta is applied once per order
+        calls = []
+        original = ModElement.apply_delta
+
+        def counted(self, i):
+            calls.append(i)
+            return original(self, i)
+
+        w = elem(1, {(0, (120,)): 1})
+        f = elem(1, {(0, (1,)): T, (0, (0,)): 1})
+        expected = reduce_oracle(w, [f], orderly_ranking(1))
+        monkeypatch.setattr(ModElement, "apply_delta", counted)
+        assert reduce(w, [f], orderly_ranking(1)) == expected
+        assert len(calls) <= 120
+
+
 class TestAutoreduce:
     def test_derivative_eliminated(self):
         rk = orderly_ranking(2)

@@ -10,7 +10,7 @@ from diffalg import (Diagonalization, DiffFieldConfig, MPoly, OreMatrix,
                      dimension_report, ore_divmod, ore_mul,
                      orderly_ranking)
 from diffalg import normalform
-from diffalg.normalform import _product_is, _verify
+from diffalg.normalform import _verify
 from helpers import from_columns, rand_modelement, rand_orepoly
 
 CFG1 = DiffFieldConfig(1, 1)
@@ -181,11 +181,13 @@ class TestDiagonalize:
             diagonalize(A)
 
 
-def corrupted(rng, mat, kind):
-    """A copy of mat with one entry changed by one corruption of `kind`,
-    or None when mat has no entry that kind applies to."""
+def corrupted(rng, mat, kind, cells=None):
+    """A copy of mat with one entry among `cells` (all, if None) changed by
+    one corruption of `kind`, or None when no such entry is one that kind
+    applies to."""
     config = mat.config
-    cells = [(i, j) for i in range(mat.rows) for j in range(mat.cols)]
+    if cells is None:
+        cells = [(i, j) for i in range(mat.rows) for j in range(mat.cols)]
     if kind == "zero made nonzero":
         cells = [(i, j) for i, j in cells if mat[i, j].is_zero()]
     else:
@@ -221,38 +223,44 @@ CORRUPTIONS = ("numerator +-1", "denominator times (t+1)",
                "extra delta term", "zero made nonzero")
 
 
-class TestProductIs:
+class TestVerifyProductCheck:
     @pytest.mark.parametrize("config", [CFG1, CFG10], ids=["v1", "v0"])
-    def test_agrees_with_the_normalized_product(self, config):
+    def test_rejects_each_corruption(self, monkeypatch, config):
+        # with the diagonal and inverse checks passed, A*V = U_inv*D alone
+        # rejects a corrupted U_inv, D or A; a changed column k of U_inv
+        # shows in U_inv*D only where D[k, k] is not zero
+        monkeypatch.setattr(OreMatrix, "is_diagonal", lambda self: True)
+        monkeypatch.setattr(OreMatrix, "is_identity", lambda self: True)
         rng = random.Random(67 + config.v)
         zero = OrePoly.zero(config)
-        verdicts = []
+        rejected = dict.fromkeys(
+            ((kind, name) for kind in CORRUPTIONS
+             for name in ("U_inv", "D", "A")), 0)
         for _ in range(30):
-            rows, cols = rng.randint(0, 3), rng.randint(0, 3)
+            rows, cols = rng.randint(1, 3), rng.randint(1, 3)
             A = OreMatrix(config, [[rand_orepoly(rng, config, max_deg=1)
                                     if rng.random() < 0.7 else zero
                                     for _ in range(cols)]
                                    for _ in range(rows)], rows, cols)
             res = diagonalize(A)
-            identities = [
-                (res.U, res.U_inv, OreMatrix.identity(config, rows)),
-                (res.U_inv, res.U, OreMatrix.identity(config, rows)),
-                (res.V_inv, res.V, OreMatrix.identity(config, cols)),
-                (res.U, A, res.D * res.V_inv),
-                (res.U * A, res.V, res.D)]
-            for X, Y, Z in identities:
-                cases = [(X, Y, Z)]
-                for kind in CORRUPTIONS:
-                    for which in range(3):
-                        triple = [X, Y, Z]
-                        triple[which] = corrupted(rng, triple[which], kind)
-                        if triple[which] is not None:
-                            cases.append(tuple(triple))
-                for x, y, z in cases:
-                    verdict = _product_is(x, y, z)
-                    assert verdict == (x * y == z)
-                    verdicts.append(verdict)
-        assert verdicts.count(True) > 150 and verdicts.count(False) > 600
+            pivots = [k for k, e in enumerate(res.D.diagonal()) if e]
+            targets = {"U_inv": res.U_inv, "D": res.D, "A": A}
+            for kind, name in rejected:
+                cells = [(i, k) for i in range(rows) for k in pivots] \
+                    if name == "U_inv" else None
+                bad = corrupted(rng, targets[name], kind, cells)
+                if bad is None:
+                    continue
+                parts = {"U": res._U, "D": res.D, "V": res._V,
+                         "U_inv": res.U_inv, "V_inv": res.V_inv}
+                if name != "A":
+                    parts[name] = bad
+                with pytest.raises(AssertionError,
+                                   match=r"A\*V != U_inv\*D"):
+                    _verify(bad if name == "A" else A,
+                            Diagonalization(**parts))
+                rejected[kind, name] += 1
+        assert min(rejected.values()) >= 10, rejected
 
 
 class TestClassifyTangent:

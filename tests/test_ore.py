@@ -391,6 +391,27 @@ class TestDivmod:
                 and -lead not in products
 
 
+    def test_right_division_walks_one_shift_chain(self, monkeypatch):
+        # every quotient term shifts the divisor; the shifts of one
+        # division share one chain, so delta is applied once per degree
+        # (20,100 times when each shift started from delta^0)
+        calls = []
+        original = OrePoly.apply_delta
+
+        def counted(self, i):
+            calls.append(i)
+            return original(self, i)
+
+        d = OrePoly.delta(CFG1, 0)
+        f, g = d ** 201, t_scalar() * d + 1
+        monkeypatch.setattr(OrePoly, "apply_delta", counted)
+        q, r = ore_divmod(f, g, side="right")
+        assert len(calls) <= 201
+        monkeypatch.undo()
+        assert q.degree() == 200 and r.degree() == 0
+        assert ore_mul(q, g) + r == f
+
+
 class TestApply:
     def test_linear(self):
         d = OrePoly.delta(CFG1, 0)
