@@ -12,9 +12,12 @@ charset, dimpoly or tangent) and a file that cannot be read exit 2, and a
 result with an integer of more digits than the interpreter will print,
 `sys.get_int_max_str_digits()`, exits 1.
 
-The argument parser is built on the first call of `main` and reused by
-later calls in the same process; `json` is imported only by a call with
-`--format json`.
+A plain argv, the command and the file followed by distinct options
+spelled out in full, is read directly (`_read_argv`); any other argv goes
+to the argument parser, which alone prints help and the errors in an
+argv's form.  It is built on its first use and reused by later calls in
+the same process.
+`json` is imported only by a call with `--format json`.
 """
 
 from __future__ import annotations
@@ -40,7 +43,10 @@ from .variety import tangent_pipeline
 # charset call with labels and printing 0.75 s.
 MAX_LISTED_TERMS = 250_000
 
+COMMANDS = ("charset", "dimpoly", "decompose", "tangent", "reduce", "count")
 LISTING_COMMANDS = ("charset", "dimpoly", "tangent")
+FORMATS = ("text", "json")
+RANKINGS = ("orderly", "elim")
 
 
 @functools.cache
@@ -50,13 +56,10 @@ def _build_argparser():
         prog="diffalg",
         description="Exact linear differential algebra: characteristic sets, "
                     "dimension polynomials, tangent-space classification.")
-    parser.add_argument("command",
-                        choices=["charset", "dimpoly", "decompose", "tangent",
-                                 "reduce", "count"])
+    parser.add_argument("command", choices=COMMANDS)
     parser.add_argument("file", help="problem file ('-' for stdin)")
-    parser.add_argument("--format", choices=["text", "json"], default="text")
-    parser.add_argument("--ranking", choices=["orderly", "elim"],
-                        default=None,
+    parser.add_argument("--format", choices=FORMATS, default="text")
+    parser.add_argument("--ranking", choices=RANKINGS, default=None,
                         help="override the ranking declared in the file")
     parser.add_argument("--order-bound", type=int, default=None, metavar="K",
                         help="with charset, dimpoly or tangent, also dump "
@@ -64,13 +67,43 @@ def _build_argparser():
     return parser
 
 
+def _read_argv(argv):
+    """The Namespace the argument parser makes of `argv`, read directly when
+    argv is `<command> <file>` followed by distinct options among
+    `--format text|json`, `--ranking orderly|elim` and `--order-bound K`,
+    K ASCII digits the interpreter converts; None for any other argv.  The
+    file is `-` or a name that does not start with `-`."""
+    if len(argv) < 2 or len(argv) % 2 or argv[0] not in COMMANDS:
+        return None
+    file = argv[1]
+    if type(file) is not str or file.startswith("-") and file != "-":
+        return None
+    values = {"command": argv[0], "file": file, "format": "text",
+              "ranking": None, "order_bound": None}
+    options = argv[2::2]
+    for option, value in zip(options, argv[3::2]):
+        if option == "--format" and value in FORMATS:
+            values["format"] = value
+        elif option == "--ranking" and value in RANKINGS:
+            values["ranking"] = value
+        elif option == "--order-bound" and type(value) is str \
+                and value.isascii() and value.isdigit() \
+                and not 0 < sys.get_int_max_str_digits() < len(value):
+            values["order_bound"] = int(value)
+        else:
+            return None
+    if len(set(options)) < len(options):
+        return None
+    return argparse.Namespace(**values)
+
+
 def main(argv=None):
-    parser = _build_argparser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _read_argv(argv) or _build_argparser().parse_args(argv)
     if args.order_bound is not None:
         if args.order_bound < 0:
-            parser.error(f"argument --order-bound: K must be >= 0, "
-                         f"got {args.order_bound}")
+            _build_argparser().error(f"argument --order-bound: K must be "
+                                     f">= 0, got {args.order_bound}")
         if args.command not in LISTING_COMMANDS:
             print(f"error: --order-bound is taken only by "
                   f"{', '.join(LISTING_COMMANDS)}", file=sys.stderr)

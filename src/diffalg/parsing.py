@@ -24,15 +24,18 @@ parser computes is charged, before it is computed, an estimate of its cost
 taken from its operands (`_product_work`, `_work`); a data value of one
 term carries the bit length of its integer, so the product of two such
 looks at no coefficient.  A power is k such products, but zero is its own
-power, and one term of data, of the base field or of an operator that
-commutes with itself is raised in closed form, charged a quarter of the
-bits its integers gain.  Past `MAX_PARSE_WORK` in all the expressions of
-one problem file, or in the one expression of a `parse_*` call, the
-product is a `ParseError` at its operator.
+power, and one term of data, of the base field, of a differential
+polynomial or of an operator that commutes with itself is raised in
+closed form, charged a quarter of the bits its integers gain.  Past
+`MAX_PARSE_WORK` in all the expressions of one problem file, or in the
+one expression of a `parse_*` call, the product is a `ParseError` at its
+operator.
 
 A problem file is read a line at a time.  Each section body is tokenized
 once, where it sits in its line, so every error inside it names the column
-of the line, not of a piece; and every list in it (`;` between generators,
+of the line, not of a piece; only a well-formed `leaders:` body, which
+holds no parse error, is read directly with string methods
+(`_read_leaders`).  Every list in a tokenized body (`;` between generators,
 equations or leader groups, `,` between coordinates, point entries,
 leaders, the entries of a leader tuple and field variables) is split by one
 rule, `_split_tokens`, at bracket depth zero.  The counts in the header,
@@ -63,6 +66,7 @@ from .variety import DiffPoly, VarietyPoint
 
 _SYMBOLS = set("+-*/^()[],;='")
 _DIGITS = set("0123456789")
+_BLANKS = " \t"
 
 
 class Token(Record):
@@ -383,8 +387,8 @@ class _ExprParser:
         ParseError at `tok`, the operator that asked for it."""
         self.spent[0] += work
         if self.spent[0] > MAX_PARSE_WORK:
-            raise ParseError(f"the products of this expression need more "
-                             f"than {MAX_PARSE_WORK} units of work",
+            raise ParseError(f"the products of this problem file need "
+                             f"more than {MAX_PARSE_WORK} units of work",
                              tok.line, tok.column)
 
     def multiply(self, value, rhs, tok):
@@ -426,12 +430,13 @@ class _ExprParser:
     def power(self, base, k, tok):
         """base^k as k left products base*result from 1, each charged;
         negative powers exist only in the base field, as powers of the
-        inverse, and zero is its own power.  A field element or an
-        operator of one term with no derivation or a constant coefficient,
-        that coefficient a quotient of two monomials, is raised in closed
-        form, charged a quarter of the bits its integers gain; not so a
-        differential polynomial, whose powers grow the integers of its
-        values at a point."""
+        inverse, and zero is its own power.  A field element, a
+        differential polynomial of one term, or an operator of one term
+        with no derivation or a constant coefficient, that coefficient a
+        quotient of two monomials, is raised in closed form, charged a
+        quarter of the bits its integers gain; the values of such a power
+        at a point are bounded where they are computed
+        (`variety.MAX_POINT_POWER_BITS`)."""
         if k < 0:
             base = _field_value(self.ring(base))
             if base is None:
@@ -454,8 +459,8 @@ class _ExprParser:
                     return _Data({tuple(a * k for a in key): {e: c}},
                                  base.den ** k, c.bit_length())
             elif len(coeff.num.terms) == 1 == len(coeff.den.terms) \
-                    and type(base) is not DiffPoly \
-                    and (key == self.scalar or coeff.is_const()):
+                    and (key == self.scalar or coeff.is_const()
+                         or type(base) is DiffPoly):
                 self.spend(k * _bits(*coeff.num.terms.values(),
                                      *coeff.den.terms.values()) >> 2, tok)
                 return base ** k
@@ -818,7 +823,8 @@ class ProblemFile(Record):
 
 def parse_input(text):
     """Parse a problem file; `#` starts a comment, sections are line-oriented.
-    Each section body is tokenized once, with the columns of its line."""
+    Each section body but a well-formed `leaders:` one is tokenized once,
+    with the columns of its line."""
     sections = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0]
@@ -867,7 +873,11 @@ def parse_input(text):
                                             "module rank", MAX_MODULE_RANK)
             if pf.module_rank < 1:
                 raise ParseError("module rank must be positive", lineno)
-        elif head in ("point", "eqs", "gens", "leaders", "element"):
+        elif head == "leaders":
+            groups = _read_leaders(body, config.m)
+            pending[head] = (tokenize(body, lineno, column)
+                             if groups is None else groups, lineno)
+        elif head in ("point", "eqs", "gens", "element"):
             pending[head] = (tokenize(body, lineno, column), lineno)
         else:
             raise ParseError(f"unknown section {head!r}", lineno)
@@ -971,10 +981,50 @@ def _finish_sections(pf, pending):
         pf.element = parse_generator_vector(tokens, config, pf.module_rank,
                                             lineno, spent)
     if "leaders" in pending:
-        tokens, lineno = pending["leaders"]
-        pf.leaders = Antichain(config.m, tuple(
-            frozenset(_parse_leader_group(group, config.m, lineno))
-            for group in _split_tokens(tokens, ";")))
+        groups, lineno = pending["leaders"]
+        if type(groups) is list:        # tokens: `_read_leaders` declined
+            groups = tuple(
+                frozenset(_parse_leader_group(group, config.m, lineno))
+                for group in _split_tokens(groups, ";"))
+        pf.leaders = Antichain(config.m, groups)
+
+
+def _read_leaders(body, m):
+    """The leader groups of a well-formed `leaders:` body, read with string
+    methods: `[` tuples `]` groups between `;`, each tuple `(n1,...,nm)`
+    of m numerals of ASCII digits that the interpreter converts, blanks
+    (space or tab) anywhere between them, and `[]` for a group without
+    leaders.  The tuple of frozensets is the one `_parse_leader_group`
+    makes; None for any other body, which the tokens read and refuse."""
+    if not body.isascii():
+        return None
+    limit = sys.get_int_max_str_digits()
+    long = 0 < limit < len(body)    # only then may a numeral pass the limit
+    groups = []
+    for group in body.split(";"):
+        group = group.strip(_BLANKS)
+        if not (group.startswith("[") and group.endswith("]")):
+            return None
+        first, *tuples = group[1:-1].split("(")
+        if first.strip(_BLANKS):
+            return None
+        vectors = set()
+        # `after` is the comma between tuples, and nothing after the last
+        for after, entry in enumerate(tuples, 1 - len(tuples)):
+            numerals, close, rest = entry.partition(")")
+            if not close or rest.strip(_BLANKS) != ("," if after else ""):
+                return None
+            numerals = numerals.split(",")
+            if not "".join(numerals).isdigit():
+                numerals = [x.strip(_BLANKS) for x in numerals]
+                if not "".join(numerals).isdigit():
+                    return None
+            if len(numerals) != m or not all(numerals) \
+                    or long and max(map(len, numerals)) > limit:
+                return None
+            vectors.add(tuple(map(int, numerals)))
+        groups.append(frozenset(vectors))
+    return tuple(groups)
 
 
 def _parse_leader_group(tokens, m, lineno):

@@ -202,7 +202,9 @@ def eval_diffpoly(f, x):
         value = coeff
         for (comp, exps), power in mono:
             base = x.derivative_of_coordinate(comp, exps)
-            if power > 1 and base:
+            # the powers of 0, 1 and -1 gain no bits
+            if power > 1 and not (base.is_const()
+                                  and base.const_value() in (-1, 0, 1)):
                 bits = _power_bits(base, power)
                 if bits > MAX_POINT_POWER_BITS:
                     raise DiffAlgError(

@@ -57,8 +57,8 @@ def run(capsys, tmp_path, text, *argv):
     return code, captured.out, captured.err
 
 
-BUDGET = (f"the products of this expression need more than {MAX_PARSE_WORK} "
-          f"units of work")
+BUDGET = (f"the products of this problem file need more than "
+          f"{MAX_PARSE_WORK} units of work")
 
 
 def over_budget(line, column):
@@ -811,7 +811,7 @@ class TestRefusedInput:
         ("Q(t)", "vars: y z\npoint: y = 0, z = 0\neqs: "
          + "*".join(["(y + z + y' + z' + t + 1)"] * 25), "tangent",
          ("*", 10)),
-        ("Q(t)", "vars: y\npoint: y = 0\neqs: y^6000", "tangent",
+        ("Q(t)", "vars: y\npoint: y = 0\neqs: (2*y)^9999999999", "tangent",
          ("^", 0)),
     ], ids=["polynomial-coefficients", "two-derivations",
             "coefficient-over-t", "derived-quotient", "constant-operator",
@@ -821,9 +821,8 @@ class TestRefusedInput:
             self, capsys, tmp_path, field, section, command, at):
         # before the work budget these took seconds of CPU, up to 68.6 s,
         # but for the constant operator, which the integer size check
-        # refused, and y^6000, which took milliseconds: a power of a
-        # differential polynomial is k products, so that its values at a
-        # point keep their size (y^5952 passes)
+        # refused; a power of one term, like that of the indeterminate, is
+        # charged a quarter of the bits its integers gain
         text = f"field: {field}\n{section}\n"
         line = text.splitlines()[-1]
         op, index = at
@@ -1140,6 +1139,51 @@ class TestPointPowerLimit:
                                   "differential dimension d = 0\n"
                                   "tangent space: K^0 x C^0 "
                                   "(torsion degrees [])\n")
+
+
+class TestOneTermPowersOfIndeterminates:
+    """A differential polynomial of one term is raised in closed form; its
+    values at the point stay exact, or exit 1 at the point power cap."""
+
+    @pytest.mark.parametrize("eq", ["y^6000", "y^9999999999"])
+    def test_parsed_at_once(self, eq):
+        start = time.perf_counter()
+        problem = parse_input(f"field: Q(t)\nvars: y\npoint: y = 0\n"
+                              f"eqs: {eq}\n")
+        assert time.perf_counter() - start < 0.1
+        (mono, coeff), = problem.eqs[0].terms.items()
+        assert (mono, coeff.is_one()) == ((((0, (0,)), int(eq[2:])),), True)
+
+    @pytest.mark.parametrize("eq, point, charset, d", [
+        ("y^6000", "0", "", 1), ("y^9999999999", "0", "", 1),
+        ("y^9999999999 - y", "0", "  dy = 0\n", 0),
+        ("y^9999999999 - y", "1", "  dy = 0\n", 0),
+        ("y^9999999999 + 1", "-1", "  dy = 0\n", 0)])
+    def test_exact_at_zero_and_units(self, capsys, tmp_path, eq, point,
+                                     charset, d):
+        # y^6000 exited 2 at the work budget; the powers of 0, 1 and -1
+        # are 0, 1 and -1, so evaluation takes them exactly
+        text = f"field: Q(t)\nvars: y\npoint: y = {point}\neqs: {eq}\n"
+        start = time.perf_counter()
+        code, out, err = run(capsys, tmp_path, text, "tangent")
+        assert time.perf_counter() - start < 1.0
+        assert (code, err) == (0, "")
+        assert out == (f"charset:\n{charset}"
+                       f"dimension polynomial: {'t + 1' if d else '0'} "
+                       f"(valid for t >= 0)\n"
+                       f"differential dimension d = {d}\n"
+                       f"tangent space: K^{d} x C^0 (torsion degrees [])\n")
+
+    def test_past_the_point_power_cap_exits_1(self, capsys, tmp_path):
+        text = ("field: Q(t)\nvars: y\npoint: y = 2\n"
+                "eqs: y^9999999999 - y\n")
+        start = time.perf_counter()
+        code, out, err = run(capsys, tmp_path, text, "tangent")
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (1, "")
+        assert err == ("error: a value at the point raised to the power "
+                       "9999999999 may need 29999999997 bits of integers; the "
+                       f"limit is {MAX_POINT_POWER_BITS} bits\n")
 
 
 class TestGcdDegreeLimit:

@@ -48,8 +48,8 @@ def over_budget(parse, text, *args):
         parse(text, *args)
     assert time.perf_counter() - start < 1.0
     message = str(caught.value)
-    assert message.endswith(f": the products of this expression need more "
-                            f"than {MAX_PARSE_WORK} units of work")
+    assert message.endswith(f": the products of this problem file need "
+                            f"more than {MAX_PARSE_WORK} units of work")
     return message
 
 
