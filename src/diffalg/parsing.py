@@ -9,39 +9,30 @@ derivatives of the differential indeterminates.  The symbol table
 signed-sum joiner, which takes each term's sign as data, are each written
 once here.  A numeral too long to convert is a `ParseError`.
 
-An expression is read by `parse_expr` and `parse_term` over one factor
-step, `parse_factor` (signs, an atom with its primes, and `^`), that reads
-the tokens by index.  A subexpression stays integer data (`_Data`):
-derivation monomials mapped to integer polynomials, keyed like `MPoly`,
-over one positive integer denominator.  Numerals, field variables,
-`d`/`d_i`, sums, signs, products and powers that need no commutation rule
-and quotients by numerals stay data, so a literal costs no field or
-operator arithmetic.  Anything else builds its `RatFun`, `OrePoly` or
-`DiffPoly` once (`_ExprParser.ring`) and goes through that ring: `d*t` is
-`t*d + 1`, division is by base-field elements only and negative powers
-exist only in the base field, as powers of the inverse.  Every product the
-parser computes is charged, before it is computed, an estimate of its cost
-taken from its operands (`_product_work`, `_work`); a data value of one
-term carries the bit length of its integer, so the product of two such
-looks at no coefficient.  A power is k such products, but zero is its own
-power, and one term of data, of the base field, of a differential
-polynomial or of an operator that commutes with itself is raised in
-closed form, charged a quarter of the bits its integers gain.  Past
-`MAX_PARSE_WORK` in all the expressions of one problem file, or in the
-one expression of a `parse_*` call, the product is a `ParseError` at its
-operator.
+All problem text is read by one reader, `_Reader`: it scans a section
+body, or one expression, by index where it sits in its line, slices
+numerals and names with `str` methods and builds no tokens; an error's
+column is worked out from its offset.  The lexical rules are written once
+(`_Reader.end`), and every body's lexical errors are raised, in file
+order, before any body is read (`_check`).  The grammar consumes the `;`
+and `,` of every list itself; a bracketed group is refused as a whole (not
+`[` ... `]`, a wrong coordinate count, an empty leader entry) before
+anything inside it, which is checked only when reading it fails
+(`_shape`).  The header counts, `module:` and `derivations:`, are numerals
+like any other, capped by `MAX_MODULE_RANK` and `MAX_DERIVATIONS`.
 
-A problem file is read a line at a time.  Each section body is tokenized
-once, where it sits in its line, so every error inside it names the column
-of the line, not of a piece; only a well-formed `leaders:` body, which
-holds no parse error, is read directly with string methods
-(`_read_leaders`).  Every list in a tokenized body (`;` between generators,
-equations or leader groups, `,` between coordinates, point entries,
-leaders, the entries of a leader tuple and field variables) is split by one
-rule, `_split_tokens`, at bracket depth zero.  The counts in the header,
-`module:` and `derivations:`, are numerals of ASCII digits like any other,
-capped by `MAX_MODULE_RANK` and `MAX_DERIVATIONS`.
-`MAX_NESTING` keeps the recursion, one level per parenthesis, bounded.
+An expression is read by `parse_expr` and `parse_term` over one factor
+step, `parse_factor` (signs, an atom with its primes, and `^`).  A
+subexpression stays integer data (`_Data`) while it needs no commutation
+rule and divides only by numerals, so a literal costs no field or operator
+arithmetic; anything else builds its `RatFun`, `OrePoly` or `DiffPoly`
+once (`_ExprParser.ring`) and goes through that ring.  Every product, and
+every sum of ring values that brings denominators together, is charged
+before it is computed an estimate of its cost (`_work`, `_sum_work`);
+past `MAX_PARSE_WORK` in all the expressions of one problem file, or in
+the one expression of a `parse_*` call, the operation is a `ParseError` at
+its operator.  `MAX_NESTING` bounds the recursion, one level per
+parenthesis.
 """
 
 from __future__ import annotations
@@ -52,7 +43,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from operator import add
 
-from .errors import DivisionByZero, ParseError
+from .errors import DiffAlgError, DivisionByZero, ParseError
 from .field import DiffFieldConfig, MPoly, RatFun, _pack, _poly, _unpack
 from .ore import OrePoly
 from .diffmodule import ModElement, Ranking, orderly_ranking
@@ -62,93 +53,152 @@ from .variety import DiffPoly, VarietyPoint
 
 
 # ---------------------------------------------------------------------------
-# tokenizer
+# the reader
 
-_SYMBOLS = set("+-*/^()[],;='")
-_DIGITS = set("0123456789")
-_BLANKS = " \t"
-
-
-class Token(Record):
-    """One token of problem text, with its 1-based line and column."""
-
-    __slots__ = _fields = ("kind", "text", "line", "column")
-
-    # kind: "num", "name", or the symbol itself
-    def __init__(self, kind: str, text: str, line: int, column: int):
-        self.kind = kind
-        self.text = text
-        self.line = line
-        self.column = column
+_DIGITS = "0123456789"
+_SYMBOLS = "+-*/^()[],;='"
+# the characters of plain text, which holds no lexical error
+_PLAIN = (_DIGITS + _SYMBOLS + " \t").encode() + bytes(range(65, 91)) \
+    + bytes(range(97, 123))
 
 
-def tokenize(text, line=1, column=1):
-    """The tokens of `text`, found on line `line` with its first character
-    at column `column`; every column counts from the start of that line."""
-    tokens = []
-    i = 0
-    while i < len(text):
-        c = text[i]
+class _Reader:
+    """`text`, a section body or one expression at column `column` of line
+    `line`, read by index; `i` is the offset reached.  A token is a numeral
+    of ASCII digits, a name (a letter, then letters and digits) with an
+    optional suffix `_( ... )` up to the first `)`, or one of `_SYMBOLS`;
+    blanks (`str.isspace`) stand between tokens and drop out of a suffix."""
+
+    def __init__(self, text, line, column=1):
+        self.text, self.line, self.column, self.i = text, line, column, 0
+
+    def error(self, message, at):
+        return ParseError(message, self.line, self.column + at)
+
+    def peek(self):
+        """The first character of the next token, "" at the end of the
+        text; `i` moves past the blanks before it."""
+        c = self.text[self.i:self.i + 1]
         if c.isspace():
-            i += 1
-            continue
-        col = i + column
+            text, i = self.text, self.i
+            while c.isspace():
+                i += 1
+                c = text[i:i + 1]
+            self.i = i
+        return c
+
+    def end(self, at):
+        """The offset past the token at `at`, which must start one."""
+        text, j = self.text, at + 1
+        c = text[at]
         if c in _DIGITS:
-            j = i
-            while j < len(text) and text[j] in _DIGITS:
+            while True:     # the digits, 32 characters a step
+                chunk = text[j:j + 32]
+                rest = chunk.lstrip(_DIGITS)
+                j += len(chunk) - len(rest)
+                if rest or not chunk:
+                    return j
+        if c.isalpha():
+            while j < len(text) and text[j].isalnum():
                 j += 1
-            tokens.append(Token("num", text[i:j], line, col))
-            i = j
-        elif c.isalpha():
-            j = i
-            while j < len(text) and (text[j].isalnum()):
-                j += 1
-            name = text[i:j]
-            i = j
-            # optional derivative suffix: primes or _(k1,...,km)
-            if i < len(text) and text[i] == "_" and i + 1 < len(text) \
-                    and text[i + 1] == "(":
-                j = text.find(")", i)
-                if j < 0:
-                    raise ParseError("unterminated multi-index", line, col)
-                name += text[i:j + 1].replace(" ", "")
-                i = j + 1
-            tokens.append(Token("name", name, line, col))
-        elif c in _SYMBOLS:
-            tokens.append(Token(c, c, line, col))
-            i += 1
+            if text.startswith("_(", j):
+                j = text.find(")", j) + 1
+                if not j:
+                    raise self.error("unterminated multi-index", at)
         elif c == "_":
-            raise ParseError("stray '_' outside a name", line, col)
-        else:
-            raise ParseError(f"unexpected character {c!r}", line, col)
-    return tokens
+            raise self.error("stray '_' outside a name", at)
+        elif c not in _SYMBOLS:
+            raise self.error(f"unexpected character {c!r}", at)
+        return j
+
+    def token(self, at, end=None):
+        """The text of the token at `at`, which ends at `end` if given."""
+        word = self.text[at:end or self.end(at)]
+        return "".join(word.split()) if "_(" in word else word
+
+    def numeral(self, at, end):
+        """The value of the numeral text[at:end]; one too long for the
+        interpreter to convert is a ParseError at it."""
+        try:
+            return int(self.text[at:end])
+        except ValueError:
+            raise self.error(f"numeral of {end - at} digits; the limit is "
+                             f"{sys.get_int_max_str_digits()} digits",
+                             at) from None
+
+    def closes(self, groups):
+        """Whether the one-character token at `i` is the last of its group:
+        of the text or, with `groups`, before a `;`."""
+        i = self.i
+        self.i += 1
+        c = self.peek()
+        self.i = i
+        return not c or groups and c == ";"
 
 
-def _int(tok):
-    """The value of a numeral token; one too long for the interpreter to
-    convert (`sys.get_int_max_str_digits`) is a ParseError at the token."""
-    try:
-        return int(tok.text)
-    except ValueError:
-        raise ParseError(f"numeral of {len(tok.text)} digits; the limit is "
-                         f"{sys.get_int_max_str_digits()} digits",
-                         tok.line, tok.column) from None
+def _check(text, line, column=1):
+    """Raise the first lexical error of `text`, if it has one."""
+    if not text.isascii() or text.encode().translate(None, _PLAIN):
+        r = _Reader(text, line, column)
+        while r.peek():
+            r.i = r.end(r.i)
+
+
+def _shape(r, start, groups, what):
+    """The error, or None, that the group at `start` has as a whole: it is
+    `[` ... `]`, holds `what` coordinates or, when `what` is "leaders", no
+    empty entry between `,` directly inside its brackets.  With `groups` a
+    `;` outside brackets ends it; else it runs to the end of the text."""
+    r.i = start
+    depth = commas = 0
+    first = last = empty = None
+    sep = before = ""       # "[" or ",": a token that starts an entry
+    while (c := r.peek()) and not (groups and c == ";" and not depth):
+        at, before = r.i, sep
+        if first is None:
+            first = at
+        sep = c if c == "," and depth == 1 or at == first else ""
+        if sep == "," and before and empty is None:
+            empty = at
+        commas += sep == ","
+        depth += (c in "([") - (c in ")]")
+        last = at
+        r.i = r.end(at)
+    column = None if first is None else r.column + first
+    if first is None or r.text[first] != "[" or r.text[last] != "]":
+        noun = "leader group" if what == "leaders" else "generator vector"
+        return ParseError(f"{noun} must be bracketed", r.line, column)
+    if what != "leaders":
+        return None if commas + 1 == what else ParseError(
+            f"expected {what} coordinates, found {commas + 1}", r.line,
+            column)
+    if before == "," and empty is None:
+        empty = last
+    return None if empty is None else _unexpected(r, empty)
+
+
+def _unexpected(r, at):
+    return r.error(f"unexpected {r.token(at)!r} in leaders", at)
 
 
 # ---------------------------------------------------------------------------
 # expression parser
 
-# The work one problem file may spend on products, in the units of `_work`:
-# about one pair of terms multiplied, 0.3-0.5 us of CPU on a 2-core shared
-# machine.  The weights of `_product_work` and `_work` were fitted on the
-# CPU time of powers and written-out products of every kind the parser
-# builds.  Measured in-process through `diffalg.cli.main` (CPU, 2-core
-# shared machine), the largest accepted inputs charge at most 310,000 and
-# answer in at most 0.1 s: `(t + 1)^500*d`, `(t*d)^100`, `(d + 1)^100`,
-# `(t1 + t2 + 1)^69` and `(2*t)^1000000*d + 1`.  Refused inputs stop at
-# their operator within 0.35 s, where they took seconds before:
-# `((t^2+t+1)*d + t)^100` (7.8 s), `(t1*d1 + t2*d2)^50` (4.6 s),
-# `(1/t*d + t)^100` (2.0 s), `d^1000*(1/t)` (19.5 s) and, in `eqs:`,
+# The work one problem file may spend on products and on sums that bring
+# denominators together, in the units of `_work`: about one pair of terms
+# multiplied, 0.3-0.5 us of CPU on a 2-core shared machine.  The weights of
+# `_product_work` and `_work` were fitted on the CPU time of powers and
+# written-out products of every kind the parser builds.  The largest charge
+# of a text of the seed-71 benchmark corpora is 5,273 (pde-charset; sums
+# charge 0 on all three), and of an input the test suite accepts 460,621
+# (`[(t*d)^150]`).  Measured in-process through `diffalg.cli.main` (CPU,
+# 2-core shared machine), the largest accepted inputs answer in at most
+# 0.3 s: `(t + 1)^500*d`, `(t*d)^100`, `(d + 1)^100`, `(t1 + t2 + 1)^69`,
+# `(2*t)^1000000*d + 1` and `1/(t+1) + ... + 1/(t+400)` (272,504).
+# Refused inputs stop at their operator within 0.6 s, where they took
+# seconds before: `((t^2+t+1)*d + t)^100` (7.8 s), `(t1*d1 + t2*d2)^50`
+# (4.6 s), `(1/t*d + t)^100` (2.0 s), `d^1000*(1/t)` (19.5 s),
+# `1/(t+1) + ... + 1/(t+800)` (1.7 s) and, in `eqs:`,
 # `(y + z + y' + z' + t + 1)^25` (68.6 s).
 MAX_PARSE_WORK = 500_000
 
@@ -290,10 +340,38 @@ def _work(left, right):
         + cubes * quotients
 
 
-class _ExprParser:
-    """Parses tokens into a value over `config`: a base-field element, an
-    operator (with `deltas`) or a differential polynomial in the names of
-    `var_names`; any other name is a ParseError "<unknown> 'name'".
+def _sum_work(left, right):
+    """Estimated cost of left + right or left - right, ring values: each
+    pair of coefficients with one key over denominators that are not
+    constants takes a gcd of those, charged `_product_work(1, t1*t2,
+    w1*w2)` over their terms and words.  The coefficients of the operand
+    with fewer terms are looked up in the other, so that a long sum built
+    a term at a time costs a lookup a term."""
+    if not isinstance(left, RatFun) and (
+            isinstance(right, RatFun) or len(right.terms) <= len(left.terms)):
+        big, small = left, right
+    else:
+        big, small = right, left
+    if isinstance(big, RatFun):
+        pairs = ((big, small),)
+    else:
+        one = (0,) * big.config.m if isinstance(big, OrePoly) else ()
+        items = ((one, small),) if isinstance(small, RatFun) \
+            else small.terms.items()
+        pairs = [(c, big.terms[key]) for key, c in items if key in big.terms]
+    return sum(_product_work(1, len(p.terms) * len(q.terms),
+                             _words(p.terms) * _words(q.terms))
+               for c, d in pairs
+               if not (p := c.den).is_const() and not (q := d.den).is_const())
+
+
+class _ExprParser(_Reader):
+    """Reads expressions of `text` into values over `config`: a base-field
+    element, an operator (with `deltas`) or a differential polynomial in the
+    names of `var_names`; any other name is a ParseError
+    "<unknown> 'name'".  An expression ends at the end of the text, at a
+    separator of `stops` outside parentheses and, unless `groups` is None,
+    at the `]` that ends its group (`closes(groups)`).
 
     A subexpression stays `_Data` under numerals, field variables, d/d_i,
     `+`, `-`, signs, `*` unless a field factor stands right of a
@@ -301,17 +379,16 @@ class _ExprParser:
     products with itself need no commutation rule.  Anything else builds
     its `RatFun`, `OrePoly` or `DiffPoly` once (`ring`) and goes through
     that ring's operators and the rules of `divide` and `power`, so `d*t`
-    is still `t*d + 1`.  Every product is charged first (`spend`) to
-    `spent`, a one-item list of the work spent so far that the expressions
-    of one problem file share; a new one when it is None.
+    is still `t*d + 1`.  Every charge (`spend`) goes to `spent`, a one-item
+    list of the work spent so far that the expressions of one problem file
+    share; a new one when it is None.  The value builders, from `constant`
+    on, are told the offset of the token they stand for.
     """
 
-    def __init__(self, tokens, config, line, unknown, deltas=False,
-                 var_names=None, spent=None):
-        self.tokens = tokens
-        self.pos = 0
+    def __init__(self, text, config, line, unknown, column=1, deltas=False,
+                 var_names=None, spent=None, stops="", groups=None):
+        super().__init__(text, line, column)
         self.config = config
-        self.line = line
         self.unknown = unknown
         self.deltas = deltas
         self.var_names = var_names
@@ -321,23 +398,104 @@ class _ExprParser:
         self.scalar = (0,) * config.m
         self.depth = 0
         self.spent = [0] if spent is None else spent
+        self.stops = stops
+        self.groups = groups
 
-    def peek(self):
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
+    def at_end(self, c):
+        """Whether c, the character at `i`, ends the expression."""
+        return not c or c in self.stops and not self.depth or c == "]" \
+            and self.groups is not None \
+            and self.closes(self.groups and not self.depth)
 
-    def next(self):
-        tok = self.peek()
-        if tok is None:
+    def more(self, c):
+        """c, the character at `i`, unless the expression ends there."""
+        if self.at_end(c):
             raise ParseError("unexpected end of expression", self.line)
-        self.pos += 1
-        return tok
+        return c
 
-    def expect(self, kind):
-        tok = self.next()
-        if tok.kind != kind:
-            raise ParseError(f"expected {kind!r}, found {tok.text!r}",
-                             tok.line, tok.column)
-        return tok
+    def expression(self):
+        """The ring value of the expression at `i`, which must end after
+        it."""
+        value = self.parse_expr()
+        if not self.at_end(self.peek()):
+            raise self.error(f"trailing input {self.token(self.i)!r}",
+                             self.i)
+        return self.ring(value)
+
+    def parse_expr(self):
+        value = self.parse_term()
+        while (c := self.peek()) == "+" or c == "-":
+            at = self.i
+            self.i += 1
+            value = self.add(value, self.parse_term(), c == "-", at)
+        return value
+
+    def parse_term(self):
+        value = self.parse_factor()
+        while (c := self.peek()) == "*" or c == "/":
+            at = self.i
+            self.i += 1
+            rhs = self.parse_factor()
+            value = self.multiply(value, rhs, at) if c == "*" \
+                else self.divide(value, rhs, at)
+        return value
+
+    def parse_factor(self):
+        """Signs, an atom with its primes, and `^` with its signed numeral;
+        the signs apply to the power."""
+        negative = False
+        while (c := self.peek()) == "+" or c == "-":
+            negative ^= c == "-"
+            self.i += 1
+        at = self.i
+        if self.more(c) in _DIGITS:
+            self.i = self.end(at)
+            value = self.constant(self.numeral(at, self.i))
+        elif c.isalpha():
+            self.i = end = self.end(at)
+            primes = 0
+            while self.peek() == "'":
+                self.i += 1
+                primes += 1
+            value = self.resolve(self.token(at, end), primes, at)
+        elif c == "(":
+            self.depth += 1
+            if self.depth > MAX_NESTING:
+                raise self.error(f"parentheses nested deeper than "
+                                 f"{MAX_NESTING}", at)
+            self.i += 1
+            value = self.parse_expr()
+            if self.more(self.peek()) != ")":
+                raise self.error(f"expected ')', found "
+                                 f"{self.token(self.i)!r}", self.i)
+            self.i += 1
+            self.depth -= 1
+        else:
+            raise self.error(f"unexpected token {c!r}", at)
+        if self.peek() == "^":
+            hat = self.i
+            self.i += 1
+            sign = 1
+            while self.peek() == "-":
+                self.i += 1
+                sign = -sign
+            at = self.i
+            if self.more(self.peek()) not in _DIGITS:
+                raise self.error(f"expected 'num', found "
+                                 f"{self.token(at)!r}", at)
+            self.i = self.end(at)
+            value = self.power(value, sign * self.numeral(at, self.i), hat)
+        return self.negate(value) if negative else value
+
+    def constant(self, k):
+        return _Data({self.scalar: {0: k}}, 1, k.bit_length()) if k \
+            else _Data({})
+
+    def negate(self, value):
+        if type(value) is not _Data:
+            return -value
+        _scale(value, -1)
+        return value
 
     def ring(self, value):
         """`value` as a RatFun, OrePoly or DiffPoly; _Data is built here."""
@@ -354,54 +512,43 @@ class _ExprParser:
             return coeffs.get(self.scalar) or RatFun.from_const(v, 0)
         return OrePoly.zero(self.config)._new(coeffs)
 
-    def parse_expr(self):
-        value = self.parse_term()
-        while (tok := self.peek()) and tok.kind in ("+", "-"):
-            self.pos += 1
-            rhs = self.parse_term()
-            if type(value) is _Data and type(rhs) is _Data:
-                den = lcm(value.den, rhs.den)
-                if den != value.den:
-                    _scale(value, den // value.den)
-                    value.den = den
-                k = den // rhs.den
-                for key, p in rhs.terms.items():
-                    _merge(value.terms, key, p, k if tok.kind == "+" else -k)
-                value.bits = None
-            else:
-                value, rhs = self.ring(value), self.ring(rhs)
-                value = value + rhs if tok.kind == "+" else value - rhs
-        return value
-
-    def parse_term(self):
-        value = self.parse_factor()
-        while (tok := self.peek()) and tok.kind in ("*", "/"):
-            self.pos += 1
-            rhs = self.parse_factor()
-            value = self.multiply(value, rhs, tok) if tok.kind == "*" \
-                else self.divide(value, rhs, tok)
-        return value
-
-    def spend(self, work, tok):
+    def spend(self, work, at):
         """Charge `work` to `spent`; past MAX_PARSE_WORK in all it is a
-        ParseError at `tok`, the operator that asked for it."""
+        ParseError at `at`, the operator that asked for it."""
         self.spent[0] += work
         if self.spent[0] > MAX_PARSE_WORK:
-            raise ParseError(f"the products of this problem file need "
-                             f"more than {MAX_PARSE_WORK} units of work",
-                             tok.line, tok.column)
+            raise self.error(f"the arithmetic of this problem file needs "
+                             f"more than {MAX_PARSE_WORK} units of work", at)
 
-    def multiply(self, value, rhs, tok):
+    def add(self, value, rhs, negative, at):
+        """value + rhs, or value - rhs when `negative`."""
+        if type(value) is _Data and type(rhs) is _Data:
+            den = lcm(value.den, rhs.den)
+            if den != value.den:
+                _scale(value, den // value.den)
+                value.den = den
+            k = den // rhs.den
+            for key, p in rhs.terms.items():
+                _merge(value.terms, key, p, -k if negative else k)
+            value.bits = None
+            return value
+        value, rhs = self.ring(value), self.ring(rhs)
+        if work := _sum_work(value, rhs):
+            self.spend(work, at)
+        return value - rhs if negative else value + rhs
+
+
+    def multiply(self, value, rhs, at):
         # no commutation rule is needed when value holds no derivation or
         # rhs only constant coefficients
         if not (type(value) is _Data and type(rhs) is _Data and (
                 value.terms.keys() <= {self.scalar} or all(
                     p.keys() == {0} for p in rhs.terms.values()))):
             value, rhs = self.ring(value), self.ring(rhs)
-            self.spend(_work(value, rhs), tok)
+            self.spend(_work(value, rhs), at)
             return value * rhs
         (n, t, w), (n2, t2, w2) = _data_size(value), _data_size(rhs)
-        self.spend(_product_work(n * n2, t * t2, w * w2), tok)
+        self.spend(_product_work(n * n2, t * t2, w * w2), at)
         terms = {}
         for dx, p in value.terms.items():
             for dy, q in rhs.terms.items():
@@ -411,23 +558,22 @@ class _ExprParser:
         return _Data(terms, value.den * rhs.den,
                      None if a is None or b is None else a + b)
 
-    def divide(self, value, rhs, tok):
+    def divide(self, value, rhs, at):
         if type(rhs) is _Data and rhs.terms.keys() == {self.scalar} \
                 and rhs.terms[self.scalar].keys() == {0}:
             # a nonzero numeral c: multiply by 1/c
             c = rhs.terms[self.scalar][0]
             return self.multiply(value, _Data(
                 {self.scalar: {0: rhs.den if c > 0 else -rhs.den}}, abs(c),
-                rhs.den.bit_length()), tok)
+                rhs.den.bit_length()), at)
         divisor = _field_value(self.ring(rhs))
         if divisor is None:
-            raise ParseError("can only divide by a base-field element",
-                             tok.line, tok.column)
+            raise self.error("can only divide by a base-field element", at)
         if not divisor:
             raise DivisionByZero(self.zero_message)
-        return self.multiply(value, divisor.inverse(), tok)
+        return self.multiply(value, divisor.inverse(), at)
 
-    def power(self, base, k, tok):
+    def power(self, base, k, at):
         """base^k as k left products base*result from 1, each charged;
         negative powers exist only in the base field, as powers of the
         inverse, and zero is its own power.  A field element, a
@@ -440,8 +586,8 @@ class _ExprParser:
         if k < 0:
             base = _field_value(self.ring(base))
             if base is None:
-                raise ParseError("negative power of an expression outside "
-                                 "the base field", tok.line, tok.column)
+                raise self.error("negative power of an expression outside "
+                                 "the base field", at)
             base, k = base.inverse(), -k
         if k and not (base if isinstance(base, RatFun) else base.terms):
             return base
@@ -452,7 +598,7 @@ class _ExprParser:
             if type(base) is _Data:
                 if len(coeff) == 1 and (key == self.scalar or 0 in coeff):
                     (e, c), = coeff.items()
-                    self.spend(k * _bits(c, base.den) >> 2, tok)
+                    self.spend(k * _bits(c, base.den) >> 2, at)
                     if e:
                         e = _pack([a * k for a in _unpack(e, self.config.v)])
                     c **= k
@@ -462,74 +608,46 @@ class _ExprParser:
                     and (key == self.scalar or coeff.is_const()
                          or type(base) is DiffPoly):
                 self.spend(k * _bits(*coeff.num.terms.values(),
-                                     *coeff.den.terms.values()) >> 2, tok)
+                                     *coeff.den.terms.values()) >> 2, at)
                 return base ** k
         result = _Data({self.scalar: {0: 1}}, 1, 1)
         for _ in range(k):
-            result = self.multiply(base, result, tok)
+            result = self.multiply(base, result, at)
         return result
 
-    def parse_factor(self):
-        """Signs, an atom with its primes, and `^` with its signed numeral;
-        the signs apply to the power."""
-        negative = False
-        while (tok := self.peek()) and tok.kind in ("+", "-"):
-            negative ^= tok.kind == "-"
-            self.pos += 1
-        tok = self.next()
-        if tok.kind == "num":
-            k = _int(tok)
-            value = _Data({self.scalar: {0: k}}, 1, k.bit_length()) if k \
-                else _Data({})
-        elif tok.kind == "name":
-            primes = 0
-            while (t := self.peek()) and t.kind == "'":
-                self.pos += 1
-                primes += 1
-            value = self.resolve(tok, primes)
-        elif tok.kind == "(":
-            self.depth += 1
-            if self.depth > MAX_NESTING:
-                raise ParseError(f"parentheses nested deeper than "
-                                 f"{MAX_NESTING}", tok.line, tok.column)
-            value = self.parse_expr()
-            self.expect(")")
-            self.depth -= 1
-        else:
-            raise ParseError(f"unexpected token {tok.text!r}",
-                             tok.line, tok.column)
-        if (hat := self.peek()) and hat.kind == "^":
-            self.pos += 1
-            sign = 1
-            while (t := self.peek()) and t.kind == "-":
-                self.pos += 1
-                sign = -sign
-            value = self.power(value, sign * _int(self.expect("num")), hat)
-        if negative and type(value) is _Data:
-            _scale(value, -1)
-        elif negative:
-            value = -value
-        return value
 
-    def resolve(self, tok, primes):
-        """The value of the name `tok` followed by `primes` primes."""
-        name, dexps = _split_suffix(tok)
+    def resolve(self, word, primes, at):
+        """The value of the name `word`, the token at offset `at`, followed
+        by `primes` primes."""
+        name, dexps = word, None
+        if "_(" in word:
+            name, rest = word.split("_(", 1)
+            # ASCII digits, as in numerals, after an optional '-' that is
+            # refused below; int() alone would also take '1_0', '+1',
+            # Unicode digits and whitespace
+            entries = rest.rstrip(")").split(",")
+            try:
+                if not all((q := p.lstrip("-")) and q.isascii()
+                           and q.isdigit() for p in entries):
+                    raise ValueError
+                dexps = tuple(map(int, entries))
+            except ValueError:
+                raise self.error(f"bad multi-index in {word!r}", at) from None
+            if any(k < 0 for k in dexps):
+                raise self.error("negative entry in multi-index", at)
         if primes and dexps is not None:
-            raise ParseError("mixed prime and multi-index suffix",
-                             tok.line, tok.column)
+            raise self.error("mixed prime and multi-index suffix", at)
         if primes:
             dexps = (primes,)
         config = self.config
         if name in self.index:
             exps = dexps if dexps is not None else (0,) * config.m
             if len(exps) == 1 and config.m > 1:
-                raise ParseError(
-                    f"{name!r} needs a multi-index of length {config.m}",
-                    tok.line, tok.column)
+                raise self.error(f"{name!r} needs a multi-index of length "
+                                 f"{config.m}", at)
             if len(exps) != config.m:
-                raise ParseError(
-                    f"multi-index of wrong length for {name!r}",
-                    tok.line, tok.column)
+                raise self.error(f"multi-index of wrong length for {name!r}",
+                                 at)
             return DiffPoly.indeterminate(config, len(self.var_names),
                                           self.index[name], exps)
         if dexps is None:
@@ -537,32 +655,8 @@ class _ExprParser:
             if symbol and (self.deltas or symbol[0] == self.scalar):
                 return _Data({symbol[0]: {symbol[1]: 1}}, 1, 1)
         elif self.var_names is None:
-            raise ParseError(f"{name!r} cannot carry a derivative suffix",
-                             tok.line, tok.column)
-        raise ParseError(f"{self.unknown} {name!r}", tok.line, tok.column)
-
-
-def _split_suffix(tok):
-    name = tok.text
-    if "_(" not in name:
-        return name, None
-    base, rest = name.split("_(", 1)
-    entries = rest.rstrip(")").split(",")
-    # ASCII digits, as in numerals, after an optional '-' that is refused
-    # below; int() alone would also take '1_0', '+1', Unicode digits and
-    # whitespace
-    try:
-        if not all(p.lstrip("-") and _DIGITS.issuperset(p.lstrip("-"))
-                   for p in entries):
-            raise ValueError
-        dexps = tuple(int(p) for p in entries)
-    except ValueError:
-        raise ParseError(f"bad multi-index in {tok.text!r}",
-                         tok.line, tok.column)
-    if any(k < 0 for k in dexps):
-        raise ParseError("negative entry in multi-index",
-                         tok.line, tok.column)
-    return base, dexps
+            raise self.error(f"{name!r} cannot carry a derivative suffix", at)
+        raise self.error(f"{self.unknown} {name!r}", at)
 
 
 def _field_value(value):
@@ -574,22 +668,6 @@ def _field_value(value):
     if value.terms.keys() <= {one}:
         return value.terms.get(one, RatFun.from_const(value.config.v, 0))
     return None
-
-
-def _tokens(text, line):
-    """`text` as tokens; a token list (a group split off a line) is kept."""
-    return tokenize(text, line) if isinstance(text, str) else text
-
-
-def _parse_with(text, config, line, unknown, **options):
-    """Parse one expression over `config` (see `_ExprParser` for the
-    options); text may also be a token list."""
-    parser = _ExprParser(_tokens(text, line), config, line, unknown,
-                         **options)
-    value = parser.parse_expr()
-    if tok := parser.peek():
-        raise ParseError(f"trailing input {tok.text!r}", tok.line, tok.column)
-    return parser.ring(value)
 
 
 # ---------------------------------------------------------------------------
@@ -627,59 +705,66 @@ def _symbols(config):
 # ---------------------------------------------------------------------------
 # expression entry points
 
-def parse_ratfun(text, config, line=1, _spent=None):
+def _parse_with(text, config, line, unknown, **options):
+    """The one expression `text` (see `_ExprParser` for the options)."""
+    _check(text, line)
+    return _ExprParser(text, config, line, unknown, **options).expression()
+
+
+def _operator(config, value):
+    return OrePoly.from_scalar(config, value) if isinstance(value, RatFun) \
+        else value
+
+
+def _polynomial(config, n, value):
+    return DiffPoly.const(config, n, value) if isinstance(value, RatFun) \
+        else value
+
+
+def parse_ratfun(text, config, line=1):
     """Rational expression over the field variables."""
-    return _parse_with(text, config, line, "unknown field variable",
-                       spent=_spent)
+    return _parse_with(text, config, line, "unknown field variable")
 
 
-def parse_orepoly(text, config, line=1, _spent=None):
+def parse_orepoly(text, config, line=1):
     """Operator expression over field variables and d / d1..dm."""
-    value = _parse_with(text, config, line, "unknown symbol", deltas=True,
-                        spent=_spent)
-    if isinstance(value, RatFun):
-        return OrePoly.from_scalar(config, value)
-    return value
+    return _operator(config, _parse_with(text, config, line,
+                                         "unknown symbol", deltas=True))
 
 
-def parse_diffpoly(text, config, var_names, line=1, _spent=None):
+def parse_diffpoly(text, config, var_names, line=1):
     """Differential polynomial over the declared variables."""
-    value = _parse_with(text, config, line, "unknown variable",
-                        var_names=var_names, spent=_spent)
-    if isinstance(value, RatFun):
-        return DiffPoly.const(config, len(var_names), value)
-    return value
+    return _polynomial(config, len(var_names), _parse_with(
+        text, config, line, "unknown variable", var_names=var_names))
 
 
-def parse_generator_vector(text, config, n, line=1, _spent=None):
+def parse_generator_vector(text, config, n, line=1):
     """`[oreexpr, ..., oreexpr]` with exactly n coordinates -> ModElement."""
-    tokens = _tokens(text, line)
-    column = tokens[0].column if tokens else None
-    if not tokens or tokens[0].kind != "[" or tokens[-1].kind != "]":
-        raise ParseError("generator vector must be bracketed", line, column)
-    groups = _split_tokens(tokens[1:-1], ",")
-    if len(groups) != n:
-        raise ParseError(f"expected {n} coordinates, found {len(groups)}",
-                         line, column)
-    coords = [parse_orepoly(g, config, line, _spent) if g
-              else OrePoly.zero(config) for g in groups]
-    return ModElement.from_operator_vector(coords, n)
+    _check(text, line)
+    return _vector(_ExprParser(text, config, line, "unknown symbol",
+                               deltas=True, stops=",", groups=False), n)
 
 
-def _split_tokens(tokens, sep):
-    """Split a token list on a separator at bracket depth zero."""
-    groups = [[]]
-    depth = 0
-    for tok in tokens:
-        if tok.kind in "([":
-            depth += 1
-        elif tok.kind in ")]":
-            depth -= 1
-        if tok.kind == sep and depth == 0:
-            groups.append([])
-        else:
-            groups[-1].append(tok)
-    return groups
+def _vector(r, n):
+    """The generator vector `[c1, ..., cn]` at `i` of the operator reader r;
+    whatever fails in it is first checked against its shape (`_shape`)."""
+    start = r.i
+    try:
+        if r.peek() == "[":
+            r.i += 1
+            coords, c = [], ","
+            while c == ",":
+                coords.append(OrePoly.zero(r.config) if r.at_end(r.peek())
+                              else _operator(r.config, r.expression()))
+                c = r.peek()
+                r.i += 1
+            if c == "]" and len(coords) == n:
+                return ModElement.from_operator_vector(coords, n)
+    except DiffAlgError:
+        if error := _shape(r, start, r.groups, n):
+            raise error from None
+        raise
+    raise _shape(r, start, r.groups, n)
 
 
 # ---------------------------------------------------------------------------
@@ -823,8 +908,9 @@ class ProblemFile(Record):
 
 def parse_input(text):
     """Parse a problem file; `#` starts a comment, sections are line-oriented.
-    Each section body but a well-formed `leaders:` one is tokenized once,
-    with the columns of its line."""
+    Each section body is read where it sits in its line, and the lexical
+    errors of all the bodies are raised in the order of the file before
+    any of them is read."""
     sections = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0]
@@ -873,12 +959,9 @@ def parse_input(text):
                                             "module rank", MAX_MODULE_RANK)
             if pf.module_rank < 1:
                 raise ParseError("module rank must be positive", lineno)
-        elif head == "leaders":
-            groups = _read_leaders(body, config.m)
-            pending[head] = (tokenize(body, lineno, column)
-                             if groups is None else groups, lineno)
-        elif head in ("point", "eqs", "gens", "element"):
-            pending[head] = (tokenize(body, lineno, column), lineno)
+        elif head in ("point", "eqs", "gens", "element", "leaders"):
+            _check(body, lineno, column)
+            pending[head] = (body, lineno, column)
         else:
             raise ParseError(f"unknown section {head!r}", lineno)
 
@@ -892,14 +975,17 @@ def parse_input(text):
 def _header_number(text, line, column, what, limit):
     """The count in a header: one numeral of ASCII digits, at most `limit`;
     `text` starts at `column` of line `line`."""
-    tokens = tokenize(text, line, column)
-    if len(tokens) != 1 or tokens[0].kind != "num":
-        raise ParseError(f"{what} must be an integer", line)
-    value = _int(tokens[0])
-    if value > limit:
-        raise ParseError(f"{what} {value}; the limit is {limit}", line,
-                         tokens[0].column)
-    return value
+    _check(text, line, column)
+    r = _Reader(text, line, column)
+    c, at = r.peek(), r.i
+    if c and c in _DIGITS:
+        r.i = r.end(at)
+        if not r.peek():
+            value = r.numeral(at, r.i)
+            if value > limit:
+                raise r.error(f"{what} {value}; the limit is {limit}", at)
+            return value
+    raise ParseError(f"{what} must be an integer", line)
 
 
 def _parse_field_line(body, lineno, column):
@@ -910,19 +996,16 @@ def _parse_field_line(body, lineno, column):
         m = _header_number(count, lineno,
                            column + len(body) + len("derivations:"),
                            "derivation count", MAX_DERIVATIONS)
-    tokens = tokenize(body, lineno, column)
-    groups = []
-    if [tok.text for tok in tokens[:2]] == ["Q", "("] \
-            and tokens[-1].kind == ")":
-        groups = _split_tokens(tokens[2:-1], ",")
-    elif [tok.text for tok in tokens] != ["Q"]:
+    _check(body, lineno, column)
+    groups = _field_variables(_Reader(body, lineno, column))
+    if groups is None:
         raise ParseError(f"unrecognized field {body.strip()!r}", lineno)
-    names = [" ".join(tok.text for tok in group) for group in groups]
-    for i, (name, group) in enumerate(zip(names, groups)):
+    names = [name for _, name in groups]
+    for i, (at, name) in enumerate(groups):
         if name != f"t{i + 1}" and names != ["t"]:
             raise ParseError(
                 f"field variables must be t or t1..tv, got {name!r}",
-                lineno, group[0].column if group else None)
+                lineno, None if at is None else column + at)
     v = len(names)
     if v > MAX_DERIVATIONS:
         raise ParseError(f"{v} field variables; the limit is "
@@ -935,142 +1018,209 @@ def _parse_field_line(body, lineno, column):
     return DiffFieldConfig(num_derivations=m, num_vars=v)
 
 
+def _field_variables(r):
+    """The field variables of `Q(` ... `)`, split at `,` outside other
+    brackets: each the offset of its first token (None for none) and its
+    tokens' texts joined by spaces.  [] for `Q`; None for other text."""
+    if not r.peek() or r.token(r.i) != "Q":
+        return None
+    r.i += 1
+    if r.peek() != "(":
+        return None if r.peek() else []
+    groups, words, first, depth = [], [], None, 0
+    r.i += 1
+    while c := r.peek():
+        if c == "," and not depth or c == ")" and r.closes(False):
+            groups.append((first, " ".join(words)))
+            words, first = [], None
+            if c == ")":
+                return groups
+        else:
+            first = r.i if first is None else first
+            depth += (c in "([") - (c in ")]")
+            words.append(r.token(r.i))
+        r.i = r.end(r.i)
+    return None
+
+
 def _finish_sections(pf, pending):
-    """Parse the deferred sections, given as {head: (tokens, lineno)}; each
-    list in them is split by `_split_tokens`, and all their expressions
-    share one work budget, the `_spent` of the parse functions."""
-    config = pf.config
-    spent = [0]
+    """Read the deferred sections, given as {head: (body, lineno, column)};
+    all their expressions share one work budget."""
+    config, n, spent = pf.config, pf.module_rank, [0]
+
+    def reader(head, unknown, **options):
+        body, lineno, column = pending[head]
+        return _ExprParser(body, config, lineno, unknown, column,
+                           spent=spent, **options)
+
     if "point" in pending:
-        tokens, lineno = pending["point"]
+        r = reader("point", "unknown field variable", stops=",")
         coords = {}
-        for entry in _split_tokens(tokens, ","):
-            if len(entry) < 2 or entry[1].kind != "=":
-                raise ParseError("point entries look like 'y = expr'", lineno,
-                                 entry[0].column if entry else None)
-            name = entry[0]
-            if name.text not in pf.var_names:
-                raise ParseError(f"unknown variable {name.text!r} in point",
-                                 name.line, name.column)
-            coords[name.text] = parse_ratfun(entry[2:], config, lineno,
-                                             spent)
+        while True:
+            c, at = r.peek(), r.i
+            if not c or c == ",":
+                raise ParseError("point entries look like 'y = expr'", r.line)
+            r.i = r.end(at)
+            if r.peek() != "=":
+                raise r.error("point entries look like 'y = expr'", at)
+            name = r.token(at)
+            if name not in pf.var_names:
+                raise r.error(f"unknown variable {name!r} in point", at)
+            r.i += 1
+            coords[name] = r.expression()
+            if not r.peek():
+                break
+            r.i += 1
         missing = [v for v in pf.var_names if v not in coords]
         if missing:
-            raise ParseError(f"point misses coordinates for {missing}", lineno)
-        pf.point = VarietyPoint(config,
-                                [coords[v] for v in pf.var_names])
+            raise ParseError(f"point misses coordinates for {missing}",
+                             r.line)
+        pf.point = VarietyPoint(config, [coords[v] for v in pf.var_names])
     if "eqs" in pending:
-        tokens, lineno = pending["eqs"]
         if not pf.var_names:
-            raise ParseError("'eqs:' needs a preceding 'vars:' line", lineno)
-        pf.eqs = [parse_diffpoly(group, config, pf.var_names, lineno, spent)
-                  for group in _split_tokens(tokens, ";") if group]
+            raise ParseError("'eqs:' needs a preceding 'vars:' line",
+                             pending["eqs"][1])
+        r = reader("eqs", "unknown variable", var_names=pf.var_names,
+                   stops=";")
+        k = len(pf.var_names)
+        pf.eqs = _items(r, lambda: _polynomial(config, k, r.expression()))
         if not pf.eqs:
-            raise ParseError("empty equation list", lineno)
+            raise ParseError("empty equation list", r.line)
     for head in ("gens", "element"):
-        if head in pending and pf.module_rank is None:
+        if head in pending and n is None:
             raise ParseError(f"'{head}:' needs a preceding 'module:' line",
                              pending[head][1])
     if "gens" in pending:
-        tokens, lineno = pending["gens"]
-        pf.gens = [parse_generator_vector(group, config, pf.module_rank,
-                                          lineno, spent)
-                   for group in _split_tokens(tokens, ";") if group]
+        r = reader("gens", "unknown symbol", deltas=True, stops=",",
+                   groups=True)
+        pf.gens = _items(r, lambda: _vector(r, n))
     if "element" in pending:
-        tokens, lineno = pending["element"]
-        pf.element = parse_generator_vector(tokens, config, pf.module_rank,
-                                            lineno, spent)
+        r = reader("element", "unknown symbol", deltas=True, stops=",",
+                   groups=False)
+        pf.element = _vector(r, n)
     if "leaders" in pending:
-        groups, lineno = pending["leaders"]
-        if type(groups) is list:        # tokens: `_read_leaders` declined
-            groups = tuple(
-                frozenset(_parse_leader_group(group, config.m, lineno))
-                for group in _split_tokens(groups, ";"))
-        pf.leaders = Antichain(config.m, groups)
+        body, lineno, column = pending["leaders"]
+        pf.leaders = Antichain(config.m, _leader_groups(
+            _Reader(body, lineno, column), config.m))
 
 
-def _read_leaders(body, m):
-    """The leader groups of a well-formed `leaders:` body, read with string
-    methods: `[` tuples `]` groups between `;`, each tuple `(n1,...,nm)`
-    of m numerals of ASCII digits that the interpreter converts, blanks
-    (space or tab) anywhere between them, and `[]` for a group without
-    leaders.  The tuple of frozensets is the one `_parse_leader_group`
-    makes; None for any other body, which the tokens read and refuse."""
-    if not body.isascii():
-        return None
-    limit = sys.get_int_max_str_digits()
-    long = 0 < limit < len(body)    # only then may a numeral pass the limit
-    groups = []
-    for group in body.split(";"):
-        group = group.strip(_BLANKS)
-        if not (group.startswith("[") and group.endswith("]")):
-            return None
-        first, *tuples = group[1:-1].split("(")
-        if first.strip(_BLANKS):
-            return None
-        vectors = set()
-        # `after` is the comma between tuples, and nothing after the last
-        for after, entry in enumerate(tuples, 1 - len(tuples)):
-            numerals, close, rest = entry.partition(")")
-            if not close or rest.strip(_BLANKS) != ("," if after else ""):
-                return None
-            numerals = numerals.split(",")
-            if not "".join(numerals).isdigit():
-                numerals = [x.strip(_BLANKS) for x in numerals]
-                if not "".join(numerals).isdigit():
-                    return None
-            if len(numerals) != m or not all(numerals) \
-                    or long and max(map(len, numerals)) > limit:
-                return None
-            vectors.add(tuple(map(int, numerals)))
-        groups.append(frozenset(vectors))
+def _items(r, read):
+    """read() at each item of a list between `;`, skipping empty ones."""
+    items = []
+    while c := r.peek():
+        if c == ";":
+            r.i += 1
+        else:
+            items.append(read())
+    return items
+
+
+def _leader_groups(r, m):
+    """The groups of a `leaders:` body, between `;`."""
+    groups = [_leader_group(r, m)]
+    while r.peek():
+        r.i += 1
+        groups.append(_leader_group(r, m))
     return tuple(groups)
 
 
-def _parse_leader_group(tokens, m, lineno):
-    """`[(1,1), (0,2)]` -> set of exponent tuples; `[2]` works for m = 1,
-    and `[]` is a component without leaders."""
-    if not tokens or tokens[0].kind != "[" or tokens[-1].kind != "]":
-        raise ParseError("leader group must be bracketed", lineno,
-                         tokens[0].column if tokens else None)
+def _leader_group(r, m):
+    """The leaders of the group at `i`, `[` leaders between `,` `]`: tuples
+    of m numerals are read with string methods (`_plain_group`), anything
+    else a token at a time once the group's shape holds (`_shape`)."""
+    start = r.i
+    if r.peek() == "[" and (plain := _plain_group(r, m)) is not None:
+        return plain
+    if error := _shape(r, start, True, "leaders"):
+        raise error
+    r.i = r.text.index("[", start) + 1
     vectors = set()
-    for entry in _leader_list(tokens[1:-1], tokens[-1]):
-        first, coords = entry[0], [entry]
-        if first.kind == "(":
-            end = next((i for i, tok in enumerate(entry) if tok.kind == ")"),
-                       None)
-            if end is None:
-                raise ParseError("unterminated leader tuple", lineno,
-                                 first.column)
-            if end + 1 < len(entry):
-                raise _unexpected_in_leaders(entry[end + 1])
-            coords = _leader_list(entry[1:end], entry[end])
-        for coord in coords:
-            if coord[0].kind != "num" or len(coord) > 1:
-                raise _unexpected_in_leaders(
-                    coord[1] if coord[0].kind == "num" else coord[0])
-        vec = tuple(_int(coord[0]) for coord in coords)
-        if len(vec) != m:
-            raise ParseError(f"leader {vec} has length {len(vec)}, "
-                             f"expected {m}", lineno, first.column)
-        vectors.add(vec)
-    return vectors
+    while r.peek() != "]" or not r.closes(True):
+        vectors.add(_leader(r, m))
+        r.i += r.peek() == ","
+    r.i += 1
+    return frozenset(vectors)
 
 
-def _leader_list(tokens, after):
-    """The comma-separated entries of `tokens`, none when it is empty; an
-    empty entry is an error at the token after it, `after` for the last."""
-    if not tokens:
-        return []
-    entries = _split_tokens(tokens, ",")
-    end = -1
-    for entry in entries:
-        end += len(entry) + 1
-        if not entry:
-            raise _unexpected_in_leaders((tokens + [after])[end])
-    return entries
+def _plain_group(r, m):
+    """The leaders of the group at `i` when it is `[`, tuples of m numerals
+    that convert between `,`, and the `]` that ends the group; else
+    None."""
+    text, start = r.text, r.i
+    end = text.find("]", start)
+    pieces = text[start + 1:end].split(")")
+    if end < 0 or pieces[-1].strip():
+        return None
+    vectors = set()
+    for k, piece in enumerate(pieces[:-1]):
+        piece = piece.strip()
+        if k:
+            if piece[:1] != ",":
+                return None
+            piece = piece[1:].lstrip()
+        numerals = piece[1:].split(",")
+        digits = "".join(numerals)
+        if digits.lstrip(_DIGITS):      # blanks, or no numerals
+            numerals = [p.strip() for p in numerals]
+            digits = "".join(numerals)
+        if piece[:1] != "(" or len(numerals) != m or not all(numerals) \
+                or digits.lstrip(_DIGITS):
+            return None
+        try:
+            vectors.add(tuple(map(int, numerals)))
+        except ValueError:
+            return None
+    r.i = end
+    if not r.closes(True):
+        return None
+    r.i = end + 1
+    return frozenset(vectors)
 
 
-def _unexpected_in_leaders(tok):
-    return ParseError(f"unexpected {tok.text!r} in leaders", tok.line,
-                     tok.column)
+def _leader(r, m):
+    """The leader at `i`, `(n1, ..., nm)` or, when m = 1, a numeral,
+    checked in the token reader's order: a tuple ends at its first `)`,
+    after which its entry must end; then no coordinate may be empty, each
+    must be one numeral, each converts, and there are m."""
+    at = r.i
+    numerals, empty, invalid, depth = [], None, None, 0
+    if r.text[at] != "(":
+        if r.text[at] not in _DIGITS:
+            raise _unexpected(r, at)
+        r.i = r.end(at)
+        numerals.append((at, r.i))
+    else:
+        r.i += 1
+        k = None
+        count = 0       # the tokens of the coordinate being read
+        while (c := r.peek()) != ")":
+            k = r.i
+            # `depth` counts the brackets open in the tuple; its entry ends
+            # at a `,` directly inside the group's brackets or at its last `]`
+            if c == "," and depth == -1 or c == "]" and r.closes(depth == -1):
+                raise r.error("unterminated leader tuple", at)
+            r.i = r.end(k)
+            if c == "," and not depth:
+                if not count and empty is None:
+                    empty = k
+                count = 0
+                continue
+            count += 1
+            if count == 1 and c in _DIGITS:
+                numerals.append((k, r.i))
+            elif invalid is None:
+                invalid = k
+            depth += (c in "([") - (c == "]")
+        if k is not None and not count and empty is None:
+            empty = r.i
+        r.i += 1
+    c = r.peek()
+    if not (c == "," and not depth or c == "]" and r.closes(not depth)):
+        raise _unexpected(r, r.i)
+    if empty is not None or invalid is not None:
+        raise _unexpected(r, invalid if empty is None else empty)
+    vec = tuple(r.numeral(k, end) for k, end in numerals)
+    if len(vec) != m:
+        raise r.error(f"leader {vec} has length {len(vec)}, expected {m}",
+                      at)
+    return vec

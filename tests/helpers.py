@@ -16,18 +16,32 @@ Reduction, monic scaling, autoreduction and Euclidean division are
 re-derived by the generic step, which computes in full the term each step
 cancels, where the library drops that term without arithmetic.
 
-Every oracle and every tool that only the tests use lives here, and only
-public diffalg names are imported: the library holds no test-only code.
+Problem files are also read by the token reader that `diffalg.parsing`
+replaced (`token_parse_input`): it tokenizes each section body, splits
+each list before reading it and checks each group's shape before its
+contents, the order in which the library's one reader must report
+errors.  It builds values with the library's own builder
+(`diffalg.parsing._ExprParser`), since it checks reading, not arithmetic.
+
+Every oracle and every tool that only the tests use lives here; but for
+that builder, only public diffalg names are imported: the library holds no
+test-only code.
 """
 
+import functools
 import re
+import sys
 from fractions import Fraction
 from itertools import combinations
 from math import comb, factorial
+from operator import ge
 
-from diffalg import (DiffPoly, DivisionByZero, MPoly, ModElement,
-                     NumericalPolynomial, OreMatrix, OrePoly, ParseError,
-                     RatFun, leader, ore_apply, ore_mul)
+from diffalg import (Antichain, DiffFieldConfig, DiffPoly, DivisionByZero,
+                     MPoly, ModElement, NumericalPolynomial, OreMatrix,
+                     OrePoly, ParseError, RatFun, VarietyPoint, leader,
+                     ore_apply, ore_mul)
+from diffalg.parsing import (MAX_DERIVATIONS, MAX_MODULE_RANK, MAX_NESTING,
+                             ProblemFile, _ExprParser, _symbols)
 
 
 # ---------------------------------------------------------------------------
@@ -395,6 +409,402 @@ def parse_lifted_vector(text, config, n):
 
 
 # ---------------------------------------------------------------------------
+# token reader oracle
+
+_SYMBOLS = set("+-*/^()[],;='")
+_DIGITS = set("0123456789")
+
+
+class Token:
+    """One token of problem text, with its 1-based line and column."""
+
+    __slots__ = ("kind", "text", "line", "column")
+
+    def __init__(self, kind, text, line, column):
+        self.kind = kind        # "num", "name", or the symbol itself
+        self.text = text
+        self.line = line
+        self.column = column
+
+
+def tokenize(text, line=1, column=1):
+    """The tokens of `text`, found on line `line` with its first character
+    at column `column`; every blank, inside a multi-index too, is
+    skipped."""
+    tokens = []
+    i = 0
+    while i < len(text):
+        c = text[i]
+        if c.isspace():
+            i += 1
+            continue
+        col = i + column
+        if c in _DIGITS:
+            j = i
+            while j < len(text) and text[j] in _DIGITS:
+                j += 1
+            tokens.append(Token("num", text[i:j], line, col))
+            i = j
+        elif c.isalpha():
+            j = i
+            while j < len(text) and (text[j].isalnum()):
+                j += 1
+            name = text[i:j]
+            i = j
+            if i < len(text) and text[i] == "_" and i + 1 < len(text) \
+                    and text[i + 1] == "(":
+                j = text.find(")", i)
+                if j < 0:
+                    raise ParseError("unterminated multi-index", line, col)
+                name += "".join(text[i:j + 1].split())
+                i = j + 1
+            tokens.append(Token("name", name, line, col))
+        elif c in _SYMBOLS:
+            tokens.append(Token(c, c, line, col))
+            i += 1
+        elif c == "_":
+            raise ParseError("stray '_' outside a name", line, col)
+        else:
+            raise ParseError(f"unexpected character {c!r}", line, col)
+    return tokens
+
+
+def _int(tok):
+    try:
+        return int(tok.text)
+    except ValueError:
+        raise ParseError(f"numeral of {len(tok.text)} digits; the limit is "
+                         f"{sys.get_int_max_str_digits()} digits",
+                         tok.line, tok.column) from None
+
+
+def split_tokens(tokens, sep):
+    """Split a token list on a separator at bracket depth zero."""
+    groups = [[]]
+    depth = 0
+    for tok in tokens:
+        if tok.kind in "([":
+            depth += 1
+        elif tok.kind in ")]":
+            depth -= 1
+        if tok.kind == sep and depth == 0:
+            groups.append([])
+        else:
+            groups[-1].append(tok)
+    return groups
+
+
+class _TokenParser:
+    """The descent over a token list; each value is built by the library's
+    own builders (`diffalg.parsing._ExprParser`), which here are told each
+    token's column as its offset."""
+
+    def __init__(self, tokens, config, line, unknown, spent, **options):
+        self.tokens = tokens
+        self.pos = 0
+        self.line = line
+        self.build = _ExprParser("", config, line, unknown, 0, spent=spent,
+                                 **options)
+        self.depth = 0
+
+    def peek(self):
+        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
+
+    def next(self):
+        tok = self.peek()
+        if tok is None:
+            raise ParseError("unexpected end of expression", self.line)
+        self.pos += 1
+        return tok
+
+    def expect(self, kind):
+        tok = self.next()
+        if tok.kind != kind:
+            raise ParseError(f"expected {kind!r}, found {tok.text!r}",
+                             tok.line, tok.column)
+        return tok
+
+    def parse(self):
+        value = self.parse_expr()
+        if tok := self.peek():
+            raise ParseError(f"trailing input {tok.text!r}", tok.line,
+                             tok.column)
+        return self.build.ring(value)
+
+    def parse_expr(self):
+        value = self.parse_term()
+        while (tok := self.peek()) and tok.kind in ("+", "-"):
+            self.pos += 1
+            value = self.build.add(value, self.parse_term(), tok.kind == "-",
+                                   tok.column)
+        return value
+
+    def parse_term(self):
+        value = self.parse_factor()
+        while (tok := self.peek()) and tok.kind in ("*", "/"):
+            self.pos += 1
+            rhs = self.parse_factor()
+            op = self.build.multiply if tok.kind == "*" else self.build.divide
+            value = op(value, rhs, tok.column)
+        return value
+
+    def parse_factor(self):
+        negative = False
+        while (tok := self.peek()) and tok.kind in ("+", "-"):
+            negative ^= tok.kind == "-"
+            self.pos += 1
+        tok = self.next()
+        if tok.kind == "num":
+            value = self.build.constant(_int(tok))
+        elif tok.kind == "name":
+            primes = 0
+            while (t := self.peek()) and t.kind == "'":
+                self.pos += 1
+                primes += 1
+            value = self.build.resolve(tok.text, primes, tok.column)
+        elif tok.kind == "(":
+            self.depth += 1
+            if self.depth > MAX_NESTING:
+                raise ParseError(f"parentheses nested deeper than "
+                                 f"{MAX_NESTING}", tok.line, tok.column)
+            value = self.parse_expr()
+            self.expect(")")
+            self.depth -= 1
+        else:
+            raise ParseError(f"unexpected token {tok.text!r}",
+                             tok.line, tok.column)
+        if (hat := self.peek()) and hat.kind == "^":
+            self.pos += 1
+            sign = 1
+            while (t := self.peek()) and t.kind == "-":
+                self.pos += 1
+                sign = -sign
+            value = self.build.power(value, sign * _int(self.expect("num")),
+                                     hat.column)
+        return self.build.negate(value) if negative else value
+
+
+def _token_vector(tokens, config, n, line, spent):
+    column = tokens[0].column if tokens else None
+    if not tokens or tokens[0].kind != "[" or tokens[-1].kind != "]":
+        raise ParseError("generator vector must be bracketed", line, column)
+    groups = split_tokens(tokens[1:-1], ",")
+    if len(groups) != n:
+        raise ParseError(f"expected {n} coordinates, found {len(groups)}",
+                         line, column)
+    coords = [OrePoly.zero(config) if not group else _operator(
+        config, _TokenParser(group, config, line, "unknown symbol", spent,
+                             deltas=True).parse()) for group in groups]
+    return ModElement.from_operator_vector(coords, n)
+
+
+def _operator(config, value):
+    return OrePoly.from_scalar(config, value) if isinstance(value, RatFun) \
+        else value
+
+
+def _unexpected_in_leaders(tok):
+    return ParseError(f"unexpected {tok.text!r} in leaders", tok.line,
+                      tok.column)
+
+
+def _leader_list(tokens, after):
+    if not tokens:
+        return []
+    entries = split_tokens(tokens, ",")
+    end = -1
+    for entry in entries:
+        end += len(entry) + 1
+        if not entry:
+            raise _unexpected_in_leaders((tokens + [after])[end])
+    return entries
+
+
+def _leader_group(tokens, m, lineno):
+    if not tokens or tokens[0].kind != "[" or tokens[-1].kind != "]":
+        raise ParseError("leader group must be bracketed", lineno,
+                         tokens[0].column if tokens else None)
+    vectors = set()
+    for entry in _leader_list(tokens[1:-1], tokens[-1]):
+        first, coords = entry[0], [entry]
+        if first.kind == "(":
+            end = next((i for i, tok in enumerate(entry) if tok.kind == ")"),
+                       None)
+            if end is None:
+                raise ParseError("unterminated leader tuple", lineno,
+                                 first.column)
+            if end + 1 < len(entry):
+                raise _unexpected_in_leaders(entry[end + 1])
+            coords = _leader_list(entry[1:end], entry[end])
+        for coord in coords:
+            if coord[0].kind != "num" or len(coord) > 1:
+                raise _unexpected_in_leaders(
+                    coord[1] if coord[0].kind == "num" else coord[0])
+        vec = tuple(_int(coord[0]) for coord in coords)
+        if len(vec) != m:
+            raise ParseError(f"leader {vec} has length {len(vec)}, "
+                             f"expected {m}", lineno, first.column)
+        vectors.add(vec)
+    return frozenset(vectors)
+
+
+def _header_number(text, line, column, what, limit):
+    tokens = tokenize(text, line, column)
+    if len(tokens) != 1 or tokens[0].kind != "num":
+        raise ParseError(f"{what} must be an integer", line)
+    value = _int(tokens[0])
+    if value > limit:
+        raise ParseError(f"{what} {value}; the limit is {limit}", line,
+                         tokens[0].column)
+    return value
+
+
+def _field_line(body, lineno, column):
+    m = None
+    if "derivations" in body:
+        body, _, count = body.partition("derivations:")
+        m = _header_number(count, lineno,
+                           column + len(body) + len("derivations:"),
+                           "derivation count", MAX_DERIVATIONS)
+    tokens = tokenize(body, lineno, column)
+    groups = []
+    if [tok.text for tok in tokens[:2]] == ["Q", "("] \
+            and tokens[-1].kind == ")":
+        groups = split_tokens(tokens[2:-1], ",")
+    elif [tok.text for tok in tokens] != ["Q"]:
+        raise ParseError(f"unrecognized field {body.strip()!r}", lineno)
+    names = [" ".join(tok.text for tok in group) for group in groups]
+    for i, (name, group) in enumerate(zip(names, groups)):
+        if name != f"t{i + 1}" and names != ["t"]:
+            raise ParseError(
+                f"field variables must be t or t1..tv, got {name!r}",
+                lineno, group[0].column if group else None)
+    v = len(names)
+    if v > MAX_DERIVATIONS:
+        raise ParseError(f"{v} field variables; the limit is "
+                         f"{MAX_DERIVATIONS}", lineno)
+    m = max(v, 1) if m is None else m
+    if m < 1:
+        raise ParseError("derivation count must be positive", lineno)
+    if m < v:
+        raise ParseError("derivation count below the variable count", lineno)
+    return DiffFieldConfig(num_derivations=m, num_vars=v)
+
+
+def token_parse_input(text):
+    """A problem file read as the token reader that `diffalg.parsing`
+    replaced read it: each section body tokenized first, each list split
+    at its separators outside brackets before any of it is read, and each
+    group's shape checked before its contents; values come from the
+    library's builders, so every work charge is the library's."""
+    sections = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0]
+        if not line.strip():
+            continue
+        if ":" not in line:
+            raise ParseError("expected 'section: content'", lineno)
+        head, body = line.split(":", 1)
+        sections.append((head.strip(), body, lineno, len(head) + 2))
+    config = None
+    for head, body, lineno, column in sections:
+        if head == "field":
+            config = _field_line(body, lineno, column)
+    if config is None:
+        raise ParseError("missing 'field:' line", 1)
+    pf = ProblemFile(config=config)
+    pending = {}
+    seen = set()
+    for head, body, lineno, column in sections:
+        if head in seen and head != "field":
+            raise ParseError(f"duplicate section {head!r}", lineno)
+        seen.add(head)
+        if head == "field":
+            continue
+        elif head == "vars":
+            pf.var_names = body.split()
+            if len(pf.var_names) > MAX_MODULE_RANK:
+                raise ParseError(f"{len(pf.var_names)} variables; the limit "
+                                 f"is {MAX_MODULE_RANK}", lineno)
+            for name in pf.var_names:
+                if not name.isalnum() or not name[0].isalpha():
+                    raise ParseError(f"bad variable name {name!r}", lineno)
+                if name in _symbols(config):
+                    raise ParseError(
+                        f"variable name {name!r} collides with a built-in",
+                        lineno)
+        elif head == "ranking":
+            body = body.strip()
+            if body not in ("orderly", "elim", "elimination"):
+                raise ParseError(f"unknown ranking {body!r}", lineno)
+            pf.ranking_kind = "orderly" if body == "orderly" else "elimination"
+        elif head == "module":
+            pf.module_rank = _header_number(body, lineno, column,
+                                            "module rank", MAX_MODULE_RANK)
+            if pf.module_rank < 1:
+                raise ParseError("module rank must be positive", lineno)
+        elif head in ("point", "eqs", "gens", "element", "leaders"):
+            pending[head] = (tokenize(body, lineno, column), lineno)
+        else:
+            raise ParseError(f"unknown section {head!r}", lineno)
+    spent = [0]
+    if "point" in pending:
+        tokens, lineno = pending["point"]
+        coords = {}
+        for entry in split_tokens(tokens, ","):
+            if len(entry) < 2 or entry[1].kind != "=":
+                raise ParseError("point entries look like 'y = expr'", lineno,
+                                 entry[0].column if entry else None)
+            name = entry[0]
+            if name.text not in pf.var_names:
+                raise ParseError(f"unknown variable {name.text!r} in point",
+                                 name.line, name.column)
+            coords[name.text] = _TokenParser(
+                entry[2:], config, lineno, "unknown field variable",
+                spent).parse()
+        missing = [v for v in pf.var_names if v not in coords]
+        if missing:
+            raise ParseError(f"point misses coordinates for {missing}", lineno)
+        pf.point = VarietyPoint(config, [coords[v] for v in pf.var_names])
+    if "eqs" in pending:
+        tokens, lineno = pending["eqs"]
+        if not pf.var_names:
+            raise ParseError("'eqs:' needs a preceding 'vars:' line", lineno)
+        n = len(pf.var_names)
+        pf.eqs = []
+        for group in split_tokens(tokens, ";"):
+            if group:
+                value = _TokenParser(group, config, lineno,
+                                     "unknown variable", spent,
+                                     var_names=pf.var_names).parse()
+                pf.eqs.append(DiffPoly.const(config, n, value)
+                              if isinstance(value, RatFun) else value)
+        if not pf.eqs:
+            raise ParseError("empty equation list", lineno)
+    for head in ("gens", "element"):
+        if head in pending and pf.module_rank is None:
+            raise ParseError(f"'{head}:' needs a preceding 'module:' line",
+                             pending[head][1])
+    if "gens" in pending:
+        tokens, lineno = pending["gens"]
+        pf.gens = [_token_vector(group, config, pf.module_rank, lineno, spent)
+                   for group in split_tokens(tokens, ";") if group]
+    if "element" in pending:
+        tokens, lineno = pending["element"]
+        pf.element = _token_vector(tokens, config, pf.module_rank, lineno,
+                                   spent)
+    if "leaders" in pending:
+        tokens, lineno = pending["leaders"]
+        pf.leaders = Antichain(config.m, tuple(
+            _leader_group(group, config.m, lineno)
+            for group in split_tokens(tokens, ";")))
+    if (pf.eqs is not None) and (pf.gens is not None):
+        raise ParseError("give either equations+point or a raw module, "
+                         "not both", 1)
+    return pf
+
+
+# ---------------------------------------------------------------------------
 # exact Gaussian elimination over the base field
 
 class RowReducer:
@@ -520,22 +930,23 @@ def from_monomial(mono, valid_from=0):
     return NumericalPolynomial(tuple(reversed(coeffs)), valid_from)
 
 
+@functools.lru_cache(maxsize=None)
 def _weight_bounded(m, t):
     """Exponent tuples in N^m of weight <= t, in lexicographic order; none
-    when t < 0, for m = 0 too."""
+    when t < 0, for m = 0 too.  Each box is built once."""
     if t < 0:
-        return []
+        return ()
     prefixes = [((), t)]    # (first coordinates, weight left)
     for _ in range(m):
         prefixes = [(p + (h,), r - h) for p, r in prefixes
                     for h in range(r + 1)]
-    return [p for p, _ in prefixes]
+    return tuple(p for p, _ in prefixes)
 
 
 def brute_count(antichain, t):
     """count_cofilter at t by testing every term of weight <= t against
     every leader of its component."""
-    return sum(not any(all(x >= y for x, y in zip(v, e)) for e in E)
+    return sum(not any(all(map(ge, v, e)) for e in E)
                for E in antichain.components
                for v in _weight_bounded(antichain.m, t))
 
@@ -546,7 +957,7 @@ def box_standard_terms(antichain, bound):
     out = []
     for comp, E in enumerate(antichain.components):
         for exps in _weight_bounded(antichain.m, bound):
-            if any(all(a >= b for a, b in zip(exps, e)) for e in E):
+            if any(all(map(ge, exps, e)) for e in E):
                 continue
             out.append((comp, exps))
     return out

@@ -57,7 +57,7 @@ def run(capsys, tmp_path, text, *argv):
     return code, captured.out, captured.err
 
 
-BUDGET = (f"the products of this problem file need more than "
+BUDGET = (f"the arithmetic of this problem file needs more than "
           f"{MAX_PARSE_WORK} units of work")
 
 
@@ -448,6 +448,17 @@ class TestLongSums:
                               "  [d^4000 + 3999/4000*d^3999 + ")
         assert out.endswith(" + 1/2000*d^2 + 1/4000*d]\n")
 
+    def test_sum_of_indeterminates(self):
+        # each `+` of two ring values looks up the shorter one's terms in
+        # the other: looking at every term of the sum so far made 4,000
+        # derivatives take 1.3 s
+        eq = " + ".join(f"y_({k})" for k in range(1, 4001))
+        start = time.perf_counter()
+        problem = parse_input(f"field: Q(t)\nvars: y\npoint: y = 0\n"
+                              f"eqs: {eq}\n")
+        assert time.perf_counter() - start < 1.0
+        assert len(problem.eqs[0].terms) == 4000
+
     def test_field_sum_as_a_coefficient(self, capsys, tmp_path):
         terms = " + ".join(f"{k}*t^{k}" for k in range(1, 4001))
         text = f"field: Q(t)\nmodule: 1\ngens: [({terms})*d]\n"
@@ -833,6 +844,23 @@ class TestRefusedInput:
         assert (code, out, err) == (2, "", over_budget(len(
             text.splitlines()), column))
 
+    def test_sums_of_quotients_are_charged(self, capsys, tmp_path):
+        # each sum takes a gcd of the two denominators, and the sum of 800
+        # quotients 1/(t + k) ran 1.7 s before it was charged
+        def text(n):
+            terms = " + ".join(f"1/(t+{k})" for k in range(1, n + 1))
+            return f"field: Q(t)\nmodule: 1\ngens: [({terms})*d]\n"
+
+        start = time.perf_counter()
+        code, out, err = run(capsys, tmp_path, text(800), "charset")
+        assert time.perf_counter() - start < 1.0
+        line = text(800).splitlines()[2]
+        column = int(err.split("column ")[1].split(":")[0])
+        assert line[column - 1] == "+"
+        assert (code, out, err) == (2, "", over_budget(3, column))
+        assert run(capsys, tmp_path, text(400), "charset") == (
+            0, "characteristic set (1 elements):\n  [d]\n", "")
+
     def test_one_work_budget_per_problem_file(self, capsys, tmp_path):
         # each (t*d)^150 charges 460,621 units: one generator answers, and
         # the second takes the file past the budget at its `^`; with a
@@ -889,9 +917,8 @@ class TestSymbolsAndNumerals:
         ("1_0,0", "bad multi-index in 'y_(1_0,0)'"),
         ("\u0661,0", "bad multi-index in 'y_(\u0661,0)'"),
         ("+1,0", "bad multi-index in 'y_(+1,0)'"),
-        ("1,\t0", "bad multi-index in 'y_(1,\\t0)'"),
         ("-1,0", "negative entry in multi-index"),
-    ], ids=["underscore", "arabic-indic-digit", "plus", "tab", "negative"])
+    ], ids=["underscore", "arabic-indic-digit", "plus", "negative"])
     def test_multi_index_entries_are_ascii_digits(self, capsys, tmp_path,
                                                   index, message):
         line = f"eqs: y_(0,1) + y_({index})"
@@ -902,6 +929,18 @@ class TestSymbolsAndNumerals:
         assert time.perf_counter() - start < 1.0
         assert (code, out) == (2, "")
         assert err == f"error: line 4, column {column}: {message}\n"
+
+    def test_a_blank_in_a_multi_index_reads_like_a_space(self, capsys,
+                                                         tmp_path):
+        # a tab, or any other blank, inside `_( ... )` was kept in the
+        # index, and `y_(1,\t0)` exited 2 with "bad multi-index"
+        text = "field: Q(t1,t2)\nvars: y\npoint: y = 0\neqs: y_(1,{}0)\n"
+        expected = run(capsys, tmp_path, text.format(" "), "charset")
+        assert expected == (0, "characteristic set (1 elements):\n"
+                               "  dy_(1,0)\n", "")
+        for blank in ("\t", "\xa0", " \t\u2003"):
+            assert run(capsys, tmp_path, text.format(blank),
+                       "charset") == expected, repr(blank)
 
     def test_t01_is_a_legal_variable_name(self, capsys, tmp_path):
         text = ("field: Q(t1,t2)\nvars: t01\npoint: t01 = t1\n"

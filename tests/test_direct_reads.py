@@ -1,7 +1,11 @@
-"""The direct reads of a well-formed request, `cli._read_argv` and
-`parsing._read_leaders`, against the general readers they stand in front
-of: on every input each returns None or what the general reader makes of
-it, and `main` and `parse_input` answer as the general reader alone."""
+"""Direct reads against the readers they replace or stand in front of.
+
+`cli._read_argv` returns None or what the argument parser makes of an
+argv, and `main` answers as the argument parser alone.  `parse_input`,
+the one reader of problem text, reads every section body as the token
+reader it replaced (`helpers.token_parse_input`) reads it: an equal
+problem, or the same error at the same line and column, with the same
+work charged."""
 
 import argparse
 import contextlib
@@ -14,11 +18,11 @@ from pathlib import Path
 import pytest
 
 import diffalg.cli
-import diffalg.parsing
-from diffalg import DiffAlgError, ParseError
+from diffalg import DiffAlgError
+from diffalg.errors import NotAntichain
 from diffalg.cli import _build_argparser, _read_argv, main
-from diffalg.parsing import (_parse_leader_group, _read_leaders,
-                             _split_tokens, parse_input, tokenize)
+from diffalg.parsing import _ExprParser, parse_input
+from helpers import token_parse_input
 
 LIMIT = sys.get_int_max_str_digits()
 
@@ -120,23 +124,25 @@ class TestReadArgv:
         assert capsys.readouterr().out == expected
 
 
-def token_groups(body, m):
-    """The leader groups of the token path alone, or its ParseError."""
+def read(parse, text):
+    """What `parse` makes of a problem file: its fields, the point as its
+    coordinates, or the type, text, line and column of its error."""
     try:
-        return tuple(frozenset(_parse_leader_group(group, m, 2))
-                     for group in _split_tokens(tokenize(body, 2, 9), ";"))
-    except ParseError as exc:
-        return str(exc), exc.line, exc.column
-
-
-def parse_outcome(text):
-    """The leaders `parse_input` reads from text, or its error with its
-    position."""
-    try:
-        return parse_input(text).leaders
+        problem = parse(text)
     except DiffAlgError as exc:
         return (type(exc), str(exc), getattr(exc, "line", None),
                 getattr(exc, "column", None))
+    fields = {name: getattr(problem, name) for name in problem._fields}
+    fields["point"] = problem.point and problem.point.coordinates
+    return fields
+
+
+def reads_as_the_tokens_do(text):
+    """What `parse_input` reads from text, checked to be what the token
+    reader reads."""
+    reading = read(parse_input, text)
+    assert reading == read(token_parse_input, text), text
+    return reading
 
 
 def random_body(rng, m):
@@ -167,10 +173,9 @@ def random_body(rng, m):
     return ";".join(groups)
 
 
-def mutations(rng, body, positions=24):
-    """body with one character inserted, deleted or replaced, at up to
-    `positions` places."""
-    alphabet = "[](),; 0123456789\t\xa0x"
+def mutations(rng, body, positions=24, alphabet="[](),; 0123456789\t\xa0x"):
+    """body with one character of `alphabet` inserted, deleted or replaced,
+    at up to `positions` places."""
     places = range(len(body) + 1)
     if len(places) > positions:
         places = sorted(rng.sample(places, positions))
@@ -187,31 +192,25 @@ class TestReadLeaders:
     @pytest.mark.parametrize("m", [1, 2, 3, 4])
     def test_well_formed_bodies_are_read_directly(self, m):
         rng = random.Random(100 + m)
+        header = f"field: Q derivations: {m}\nleaders: "
         for _ in range(60):
-            body = random_body(rng, m)
-            groups = _read_leaders(body, m)
-            assert groups is not None, body
-            assert groups == token_groups(body, m)
+            reading = reads_as_the_tokens_do(header + random_body(rng, m))
+            # a long numeral may leave the groups no antichain
+            assert type(reading) is dict or reading[0] is NotAntichain
 
     @pytest.mark.parametrize("m", [1, 2, 3, 4])
-    def test_one_character_off_reads_as_the_tokens_do(self, m, monkeypatch):
+    def test_one_character_off_reads_as_the_tokens_do(self, m):
         rng = random.Random(200 + m)
         header = f"field: Q derivations: {m}\nleaders: "
-        bodies = [random_body(rng, m) for _ in range(5)]
-        cases = [mutated for body in bodies
-                 for mutated in mutations(rng, body)]
-        direct = [(body, _read_leaders(body, m),
-                   parse_outcome(header + body)) for body in cases]
-        monkeypatch.setattr(diffalg.parsing, "_read_leaders",
-                            lambda body, m: None)
-        accepted = 0
-        for body, groups, outcome in direct:
-            if groups is not None:
-                accepted += 1
-                assert groups == token_groups(body, m), body
-            assert outcome == parse_outcome(header + body), body
-        assert 0 < accepted < len(cases)
+        accepted = cases = 0
+        for body in [random_body(rng, m) for _ in range(5)]:
+            for mutated in mutations(rng, body):
+                cases += 1
+                accepted += type(reads_as_the_tokens_do(
+                    header + mutated)) is dict
+        assert 0 < accepted < cases
 
+    # bodies off the plain shape of tuples between `;` and `,`
     @pytest.mark.parametrize("body, m", [
         ("[2]", 1), ("[]; [2]", 1), ("[(1,1)]\xa0", 2), ("[(1,1)]\x0b", 2),
         ("[(1,1)]\x0c", 2), ("[(1,1)];", 2), (";[(1,1)]", 2), ("", 2),
@@ -222,7 +221,69 @@ class TestReadLeaders:
         ("[(" + "9" * (LIMIT + 1) + ",1)]", 2), ("[()]", 1), ("[( )]", 1),
     ])
     def test_other_bodies_are_declined(self, body, m):
-        assert _read_leaders(body, m) is None
+        reads_as_the_tokens_do(f"field: Q derivations: {m}\nleaders: {body}")
+
+
+def rand_expr(rng, atoms, depth=2):
+    """Random expression text over `atoms`, with every operator."""
+    if depth == 0 or rng.random() < 0.3:
+        return rng.choice(atoms)
+    op = rng.choice("+-*/^(")
+    a = rand_expr(rng, atoms, depth - 1)
+    if op == "^":
+        return f"({a})^{rng.randint(-1, 2)}"
+    if op == "(":
+        return f"-({a})"
+    return f"{a} {op} {rand_expr(rng, atoms, depth - 1)}"
+
+
+FIELD = ["t", "1", "2", "(t + 1)"]
+OPERATOR = FIELD + ["d", "t*d", "d^2"]
+POLYNOMIAL = FIELD + ["y", "z", "y'", "z''", "y*z"]
+# each section's body in a file whose other sections are well formed
+SECTIONS = {
+    "field": ("field:{}\nmodule: 1\ngens: [d1]\n", lambda rng: rng.choice([
+        " Q", " Q(t)", " Q(t1, t2)", " Q derivations: 2",
+        " Q(t1,t2) derivations: 3"])),
+    "module": ("field: Q(t)\nmodule:{}\ngens: [d, 1]\n",
+               lambda rng: f" {rng.randint(1, 3)} "),
+    "vars": ("field: Q(t)\nvars:{}\npoint: y = t, z = 1\neqs: y' - 1\n",
+             lambda rng: " y z" if rng.random() < 0.5 else " z\ty"),
+    "ranking": ("field: Q(t)\nranking:{}\nmodule: 1\ngens: [d]\n",
+                lambda rng: rng.choice([" orderly", " elim", "elimination"])),
+    "point": ("field: Q(t)\nvars: y z\npoint:{}\neqs: y' - 1\n",
+              lambda rng: f" y = {rand_expr(rng, FIELD)}, "
+                          f"z = {rand_expr(rng, FIELD)}"),
+    "eqs": ("field: Q(t)\nvars: y z\npoint: y = t, z = 1\neqs:{}\n",
+            lambda rng: " " + "; ".join(rand_expr(rng, POLYNOMIAL)
+                                        for _ in range(rng.randint(1, 2)))),
+    "gens": ("field: Q(t)\nmodule: 2\ngens:{}\n",
+             lambda rng: " " + "; ".join(
+                 f"[{rand_expr(rng, OPERATOR)}, {rand_expr(rng, OPERATOR)}]"
+                 for _ in range(rng.randint(1, 2)))),
+    "element": ("field: Q(t)\nmodule: 2\ngens: [d, 1]\nelement:{}\n",
+                lambda rng: f" [{rand_expr(rng, OPERATOR)}, "
+                            f"{rand_expr(rng, OPERATOR)}]"),
+    "leaders": ("field: Q derivations: 2\nleaders:{}\n",
+                lambda rng: " " + "; ".join(
+                    "[" + ", ".join(f"({k}, {w - k})" for k in range(w))
+                    + "]" for w in rng.sample(range(1, 4), 2))),
+}
+
+
+class TestEverySection:
+    @pytest.mark.parametrize("section", list(SECTIONS))
+    def test_seeded_bodies_one_character_off(self, section):
+        template, body = SECTIONS[section]
+        rng = random.Random(f"section {section}")
+        accepted = cases = 0
+        for text in [body(rng) for _ in range(2)]:
+            for mutated in [text, *mutations(
+                    rng, text, 8, "[](),;=^*/+-' _0123456789\t\xa0tdy")]:
+                cases += 1
+                accepted += type(reads_as_the_tokens_do(
+                    template.format(mutated))) is dict
+        assert 0 < accepted < cases
 
 
 @pytest.fixture(scope="module")
@@ -251,11 +312,25 @@ class TestBenchmarkTakesTheDirectReads:
     def test_every_staircase_leaders_body(self, bench_corpus):
         bodies = 0
         for problem in bench_corpus.staircase(71):
-            for line in problem.text.splitlines():
-                head, _, body = line.partition(":")
-                if head == "leaders":
-                    bodies += 1
-                    groups = _read_leaders(body, problem.m)
-                    assert groups is not None, problem.name
-                    assert groups == token_groups(body, problem.m)
+            bodies += "\nleaders:" in problem.text
+            assert type(reads_as_the_tokens_do(problem.text)) is dict
         assert bodies == 30
+
+    @pytest.mark.parametrize("workload", ["ode-torsion", "pde-charset",
+                                          "staircase"])
+    def test_every_text_reads_and_charges_as_the_tokens_do(
+            self, bench_corpus, workload, monkeypatch):
+        charges = []
+        spend = _ExprParser.spend
+
+        def logged(self, work, at):
+            charges.append(work)
+            spend(self, work, at)
+
+        monkeypatch.setattr(_ExprParser, "spend", logged)
+        for problem in bench_corpus.WORKLOADS[workload](71):
+            reading = read(parse_input, problem.text)
+            spent, charges[:] = sum(charges), []
+            assert reading == read(token_parse_input, problem.text)
+            assert sum(charges) == spent, problem.name
+            charges.clear()

@@ -48,7 +48,7 @@ def over_budget(parse, text, *args):
         parse(text, *args)
     assert time.perf_counter() - start < 1.0
     message = str(caught.value)
-    assert message.endswith(f": the products of this problem file need "
+    assert message.endswith(f": the arithmetic of this problem file needs "
                             f"more than {MAX_PARSE_WORK} units of work")
     return message
 

@@ -10,7 +10,7 @@ from diffalg import (Antichain, AutoreducedSet, CharSet, Diagonalization,
                      DiffFieldConfig, DimensionReport, NumericalPolynomial,
                      OreMatrix, OrePoly, Ranking, TangentClass, ZERO_TYPE,
                      characteristic_set, diagonalize, dimension_report)
-from diffalg.parsing import ProblemFile, Token, parse_input, tokenize
+from diffalg.parsing import ProblemFile, parse_input
 
 MODULE = """\
 field: Q(t)
@@ -119,14 +119,13 @@ class TestEqualityAndHash:
         assert hash(rk) == hash(("elimination", (2, 0, 1)))
 
     def test_mutable_records_are_unhashable(self):
-        token = Token("num", "3", 1, 2)
-        assert token == Token(kind="num", text="3", line=1, column=2)
-        assert token != Token("num", "3", 1, 3)
-        assert tokenize(" 3")[0] == token
         problem = ProblemFile(DiffFieldConfig(1, 1))
         assert problem == ProblemFile(config=DiffFieldConfig(1, 1))
         assert problem != ProblemFile(DiffFieldConfig(1, 1), ["y"])
-        for value in (token, problem):
+        read = parse_input(MODULE)
+        assert read == parse_input(MODULE)
+        assert read != parse_input(MODULE.replace("t*d", "d"))
+        for value in (problem, read):
             with pytest.raises(TypeError):
                 hash(value)
 
@@ -142,7 +141,7 @@ class TestCopyAndPickle:
 
     def test_mutable_records(self):
         problem = parse_input(MODULE)
-        for value in (Token("num", "3", 1, 2), problem):
+        for value in (ProblemFile(DiffFieldConfig(2, 0), ["y"]), problem):
             for clone in (copy.copy(value), copy.deepcopy(value),
                           pickle.loads(pickle.dumps(value))):
                 assert repr(clone) == repr(value)
@@ -161,8 +160,12 @@ class TestRepr:
          "NumericalPolynomial(coeffs=(1, 2), valid_from=0)"),
         (Antichain(1, ([(2,)],)),
          "Antichain(m=1, components=(frozenset({(2,)}),))"),
-        (Token("name", "y", 1, 3),
-         "Token(kind='name', text='y', line=1, column=3)"),
+        (ProblemFile(DiffFieldConfig(2, 0), ["y"],
+                     ranking_kind="elimination"),
+         "ProblemFile(config=DiffFieldConfig(num_derivations=2, num_vars=0), "
+         "var_names=['y'], point=None, eqs=None, module_rank=None, "
+         "gens=None, ranking_kind='elimination', leaders=None, "
+         "element=None)"),
         (DimensionReport(NumericalPolynomial(()), 0, ZERO_TYPE, 0, (), None,
                          Antichain(1, ())),
          "DimensionReport(dimpoly=NumericalPolynomial(coeffs=(), "
