@@ -9,17 +9,18 @@ derivatives of the differential indeterminates.  The symbol table
 signed-sum joiner, which takes each term's sign as data, are each written
 once here.  A numeral too long to convert is a `ParseError`.
 
-All problem text is read by one reader, `_Reader`: it scans a section
-body, or one expression, by index where it sits in its line, slices
-numerals and names with `str` methods and builds no tokens; an error's
-column is worked out from its offset.  The lexical rules are written once
-(`_Reader.end`), and every body's lexical errors are raised, in file
-order, before any body is read (`_check`).  The grammar consumes the `;`
-and `,` of every list itself; a bracketed group is refused as a whole (not
-`[` ... `]`, a wrong coordinate count, an empty leader entry) before
-anything inside it, which is checked only when reading it fails
-(`_shape`).  The header counts, `module:` and `derivations:`, are numerals
-like any other, capped by `MAX_MODULE_RANK` and `MAX_DERIVATIONS`.
+All problem text is read by one reader, `_Reader`, that scans a section
+body or one expression by index where it sits in its line and builds no
+tokens; a column is worked out from an offset only for an error.  The
+lexical rules are written once (`_Reader.end`), and the lexical errors of
+every body are raised, in file order, before any body is read (`_check`).
+The grammar consumes the `;` and `,` of every list itself.  A bracketed
+group (a generator vector, a leader group, the field variables) is walked
+once for its shape (`_shape`) before anything inside it is read.  Only a
+well-formed `leaders:` body is read with string methods instead
+(`_read_leaders`), since the reader takes six to seven times as long on
+it.  The header counts are numerals like any other, capped by
+`MAX_MODULE_RANK` and `MAX_DERIVATIONS`.
 
 An expression is read by `parse_expr` and `parse_term` over one factor
 step, `parse_factor` (signs, an atom with its primes, and `^`).  A
@@ -43,7 +44,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from operator import add
 
-from .errors import DiffAlgError, DivisionByZero, ParseError
+from .errors import DivisionByZero, ParseError
 from .field import DiffFieldConfig, MPoly, RatFun, _pack, _poly, _unpack
 from .ore import OrePoly
 from .diffmodule import ModElement, Ranking, orderly_ranking
@@ -57,40 +58,45 @@ from .variety import DiffPoly, VarietyPoint
 
 _DIGITS = "0123456789"
 _SYMBOLS = "+-*/^()[],;='"
+_BLANKS = " \t"
 # the characters of plain text, which holds no lexical error
-_PLAIN = (_DIGITS + _SYMBOLS + " \t").encode() + bytes(range(65, 91)) \
+_PLAIN = (_DIGITS + _SYMBOLS + _BLANKS).encode() + bytes(range(65, 91)) \
     + bytes(range(97, 123))
+# the characters that no bracket or separator token holds
+_INERT = _PLAIN.decode().translate({ord(c): None for c in "[](),;"})
 
 
 class _Reader:
     """`text`, a section body or one expression at column `column` of line
-    `line`, read by index; `i` is the offset reached.  A token is a numeral
-    of ASCII digits, a name (a letter, then letters and digits) with an
-    optional suffix `_( ... )` up to the first `)`, or one of `_SYMBOLS`;
-    blanks (`str.isspace`) stand between tokens and drop out of a suffix."""
+    `line`, read by index: `i` is the offset of the next token and `c` its
+    first character, "" at the end.  A token is a numeral of ASCII digits,
+    a name (a letter, then letters and digits) with an optional suffix
+    `_( ... )` up to the first `)`, or one of `_SYMBOLS`; blanks
+    (`str.isspace`) stand between tokens and drop out of a suffix."""
 
     def __init__(self, text, line, column=1):
-        self.text, self.line, self.column, self.i = text, line, column, 0
+        self.text, self.line, self.column = text, line, column
+        self.to(0)
 
     def error(self, message, at):
         return ParseError(message, self.line, self.column + at)
 
-    def peek(self):
-        """The first character of the next token, "" at the end of the
-        text; `i` moves past the blanks before it."""
-        c = self.text[self.i:self.i + 1]
+    def to(self, i):
+        """Move to offset i and past the blanks there."""
+        c = self.text[i:i + 1]
         if c.isspace():
-            text, i = self.text, self.i
+            text = self.text
             while c.isspace():
                 i += 1
                 c = text[i:i + 1]
-            self.i = i
-        return c
+        self.i, self.c = i, c
 
     def end(self, at):
         """The offset past the token at `at`, which must start one."""
         text, j = self.text, at + 1
         c = text[at]
+        if c in _SYMBOLS:
+            return j
         if c in _DIGITS:
             while True:     # the digits, 32 characters a step
                 chunk = text[j:j + 32]
@@ -99,7 +105,7 @@ class _Reader:
                 if rest or not chunk:
                     return j
         if c.isalpha():
-            while j < len(text) and text[j].isalnum():
+            while text[j:j + 1].isalnum():
                 j += 1
             if text.startswith("_(", j):
                 j = text.find(")", j) + 1
@@ -107,7 +113,7 @@ class _Reader:
                     raise self.error("unterminated multi-index", at)
         elif c == "_":
             raise self.error("stray '_' outside a name", at)
-        elif c not in _SYMBOLS:
+        else:
             raise self.error(f"unexpected character {c!r}", at)
         return j
 
@@ -126,55 +132,50 @@ class _Reader:
                              f"{sys.get_int_max_str_digits()} digits",
                              at) from None
 
-    def closes(self, groups):
-        """Whether the one-character token at `i` is the last of its group:
-        of the text or, with `groups`, before a `;`."""
-        i = self.i
-        self.i += 1
-        c = self.peek()
-        self.i = i
-        return not c or groups and c == ";"
-
 
 def _check(text, line, column=1):
     """Raise the first lexical error of `text`, if it has one."""
     if not text.isascii() or text.encode().translate(None, _PLAIN):
         r = _Reader(text, line, column)
-        while r.peek():
-            r.i = r.end(r.i)
+        while r.c:
+            r.to(r.end(r.i))
 
 
-def _shape(r, start, groups, what):
-    """The error, or None, that the group at `start` has as a whole: it is
-    `[` ... `]`, holds `what` coordinates or, when `what` is "leaders", no
-    empty entry between `,` directly inside its brackets.  With `groups` a
-    `;` outside brackets ends it; else it runs to the end of the text."""
-    r.i = start
-    depth = commas = 0
-    first = last = empty = None
-    sep = before = ""       # "[" or ",": a token that starts an entry
-    while (c := r.peek()) and not (groups and c == ";" and not depth):
-        at, before = r.i, sep
-        if first is None:
-            first = at
-        sep = c if c == "," and depth == 1 or at == first else ""
-        if sep == "," and before and empty is None:
-            empty = at
-        commas += sep == ","
-        depth += (c in "([") - (c in ")]")
-        last = at
-        r.i = r.end(at)
-    column = None if first is None else r.column + first
-    if first is None or r.text[first] != "[" or r.text[last] != "]":
-        noun = "leader group" if what == "leaders" else "generator vector"
-        return ParseError(f"{noun} must be bracketed", r.line, column)
-    if what != "leaders":
-        return None if commas + 1 == what else ParseError(
-            f"expected {what} coordinates, found {commas + 1}", r.line,
-            column)
-    if before == "," and empty is None:
-        empty = last
-    return None if empty is None else _unexpected(r, empty)
+def _shape(r, groups, noun, brackets="[]"):
+    """The offsets that bound the parts of the group at `i`: its first
+    token, each `,` one bracket deep and its last token, which with the
+    first must be `brackets`; else a ParseError "<noun> must be
+    bracketed" at the first token, or None with no `noun`.  With `groups`
+    a `;` outside brackets ends the group, else the text does; `i` is
+    left there.  The text is lexically checked (`_check`), so it is
+    walked a run of letters, digits, blanks and operators at a time:
+    outside the suffix `_( ... )` of a name each of `[](),;` is a token."""
+    text, k, n = r.text, r.i, len(r.text)
+    commas, depth, suffix = [], 0, None
+    while k < n:
+        c = text[k]
+        if c in "[](),;":
+            if c == ";" and groups and not depth:
+                break
+            if c == "," and depth == 1:
+                commas.append(k)
+            depth += (c in "([") - (c in ")]")
+        elif c == "_":
+            k = suffix = text.index(")", k)
+        else:
+            run = text[k:k + 64]
+            k += len(run) - len(run.lstrip(_INERT)) or 1
+            continue
+        k += 1
+    first = r.i
+    last = first + len(text[first:k].rstrip()) - 1
+    r.to(k)
+    if first <= last != suffix and text[first] + text[last] == brackets:
+        return [first, *commas, last]
+    if noun:
+        raise ParseError(f"{noun} must be bracketed", r.line,
+                         r.column + first if first <= last else None)
+    return None
 
 
 def _unexpected(r, at):
@@ -195,7 +196,7 @@ def _unexpected(r, at):
 # 2-core shared machine), the largest accepted inputs answer in at most
 # 0.3 s: `(t + 1)^500*d`, `(t*d)^100`, `(d + 1)^100`, `(t1 + t2 + 1)^69`,
 # `(2*t)^1000000*d + 1` and `1/(t+1) + ... + 1/(t+400)` (272,504).
-# Refused inputs stop at their operator within 0.6 s, where they took
+# Refused inputs stop at their operator within 0.7 s, where they took
 # seconds before: `((t^2+t+1)*d + t)^100` (7.8 s), `(t1*d1 + t2*d2)^50`
 # (4.6 s), `(1/t*d + t)^100` (2.0 s), `d^1000*(1/t)` (19.5 s),
 # `1/(t+1) + ... + 1/(t+800)` (1.7 s) and, in `eqs:`,
@@ -344,34 +345,33 @@ def _sum_work(left, right):
     """Estimated cost of left + right or left - right, ring values: each
     pair of coefficients with one key over denominators that are not
     constants takes a gcd of those, charged `_product_work(1, t1*t2,
-    w1*w2)` over their terms and words.  The coefficients of the operand
-    with fewer terms are looked up in the other, so that a long sum built
-    a term at a time costs a lookup a term."""
-    if not isinstance(left, RatFun) and (
-            isinstance(right, RatFun) or len(right.terms) <= len(left.terms)):
-        big, small = left, right
+    w1*w2)` over their terms and words.  The keys of the operand with
+    fewer terms are looked up in the other, so that a long sum built a
+    term at a time costs a lookup a term."""
+    if isinstance(left, RatFun):
+        left, right = right, left
+    if isinstance(right, RatFun):       # a coefficient at the key of 1
+        one = (0,) * left.config.m if type(left) is OrePoly else ()
+        small = {one: right}
+        big = {one: left} if isinstance(left, RatFun) else left.terms
     else:
-        big, small = right, left
-    if isinstance(big, RatFun):
-        pairs = ((big, small),)
-    else:
-        one = (0,) * big.config.m if isinstance(big, OrePoly) else ()
-        items = ((one, small),) if isinstance(small, RatFun) \
-            else small.terms.items()
-        pairs = [(c, big.terms[key]) for key, c in items if key in big.terms]
-    return sum(_product_work(1, len(p.terms) * len(q.terms),
-                             _words(p.terms) * _words(q.terms))
-               for c, d in pairs
-               if not (p := c.den).is_const() and not (q := d.den).is_const())
+        small, big = sorted((left.terms, right.terms), key=len)
+    work = 0
+    for key, c in small.items():
+        if (d := big.get(key)) is not None and not (p := c.den).is_const() \
+                and not (q := d.den).is_const():
+            work += _product_work(1, len(p.terms) * len(q.terms),
+                                  _words(p.terms) * _words(q.terms))
+    return work
 
 
 class _ExprParser(_Reader):
     """Reads expressions of `text` into values over `config`: a base-field
     element, an operator (with `deltas`) or a differential polynomial in the
     names of `var_names`; any other name is a ParseError
-    "<unknown> 'name'".  An expression ends at the end of the text, at a
-    separator of `stops` outside parentheses and, unless `groups` is None,
-    at the `]` that ends its group (`closes(groups)`).
+    "<unknown> 'name'".  An expression ends at the offset `stop` (the end
+    of the text unless a caller moves it) or at one of `stops` outside
+    parentheses.
 
     A subexpression stays `_Data` under numerals, field variables, d/d_i,
     `+`, `-`, signs, `*` unless a field factor stands right of a
@@ -381,60 +381,58 @@ class _ExprParser(_Reader):
     that ring's operators and the rules of `divide` and `power`, so `d*t`
     is still `t*d + 1`.  Every charge (`spend`) goes to `spent`, a one-item
     list of the work spent so far that the expressions of one problem file
-    share; a new one when it is None.  The value builders, from `constant`
-    on, are told the offset of the token they stand for.
+    share; a new one when it is None.
     """
 
     def __init__(self, text, config, line, unknown, column=1, deltas=False,
-                 var_names=None, spent=None, stops="", groups=None):
+                 var_names=None, spent=None, stops=""):
         super().__init__(text, line, column)
         self.config = config
         self.unknown = unknown
         self.deltas = deltas
         self.var_names = var_names
         self.index = {name: i for i, name in enumerate(var_names or ())}
+        self.symbols = _symbols(config)
         self.zero_message = "division by the zero operator" if deltas \
             else "division by zero in the base field"
         self.scalar = (0,) * config.m
         self.depth = 0
         self.spent = [0] if spent is None else spent
         self.stops = stops
-        self.groups = groups
+        self.stop = len(text)
 
-    def at_end(self, c):
-        """Whether c, the character at `i`, ends the expression."""
-        return not c or c in self.stops and not self.depth or c == "]" \
-            and self.groups is not None \
-            and self.closes(self.groups and not self.depth)
+    def at_end(self):
+        """Whether the expression ends at `i`."""
+        return self.i >= self.stop or self.c in self.stops and not self.depth
 
-    def more(self, c):
-        """c, the character at `i`, unless the expression ends there."""
-        if self.at_end(c):
+    def more(self):
+        """`c`, unless the expression ends at `i` (`at_end`, inlined)."""
+        if self.i >= self.stop or self.c in self.stops and not self.depth:
             raise ParseError("unexpected end of expression", self.line)
-        return c
+        return self.c
 
     def expression(self):
         """The ring value of the expression at `i`, which must end after
         it."""
         value = self.parse_expr()
-        if not self.at_end(self.peek()):
+        if not self.at_end():
             raise self.error(f"trailing input {self.token(self.i)!r}",
                              self.i)
         return self.ring(value)
 
     def parse_expr(self):
         value = self.parse_term()
-        while (c := self.peek()) == "+" or c == "-":
+        while (c := self.c) == "+" or c == "-":
             at = self.i
-            self.i += 1
+            self.to(at + 1)
             value = self.add(value, self.parse_term(), c == "-", at)
         return value
 
     def parse_term(self):
         value = self.parse_factor()
-        while (c := self.peek()) == "*" or c == "/":
+        while (c := self.c) == "*" or c == "/":
             at = self.i
-            self.i += 1
+            self.to(at + 1)
             rhs = self.parse_factor()
             value = self.multiply(value, rhs, at) if c == "*" \
                 else self.divide(value, rhs, at)
@@ -444,18 +442,20 @@ class _ExprParser(_Reader):
         """Signs, an atom with its primes, and `^` with its signed numeral;
         the signs apply to the power."""
         negative = False
-        while (c := self.peek()) == "+" or c == "-":
+        while (c := self.c) == "+" or c == "-":
             negative ^= c == "-"
-            self.i += 1
+            self.to(self.i + 1)
         at = self.i
-        if self.more(c) in _DIGITS:
-            self.i = self.end(at)
-            value = self.constant(self.numeral(at, self.i))
+        if self.more() in _DIGITS:
+            end = self.end(at)
+            value = self.constant(self.numeral(at, end))
+            self.to(end)
         elif c.isalpha():
-            self.i = end = self.end(at)
+            end = self.end(at)
+            self.to(end)
             primes = 0
-            while self.peek() == "'":
-                self.i += 1
+            while self.c == "'":
+                self.to(self.i + 1)
                 primes += 1
             value = self.resolve(self.token(at, end), primes, at)
         elif c == "(":
@@ -463,28 +463,29 @@ class _ExprParser(_Reader):
             if self.depth > MAX_NESTING:
                 raise self.error(f"parentheses nested deeper than "
                                  f"{MAX_NESTING}", at)
-            self.i += 1
+            self.to(at + 1)
             value = self.parse_expr()
-            if self.more(self.peek()) != ")":
+            if self.more() != ")":
                 raise self.error(f"expected ')', found "
                                  f"{self.token(self.i)!r}", self.i)
-            self.i += 1
+            self.to(self.i + 1)
             self.depth -= 1
         else:
             raise self.error(f"unexpected token {c!r}", at)
-        if self.peek() == "^":
+        if self.c == "^":
             hat = self.i
-            self.i += 1
+            self.to(hat + 1)
             sign = 1
-            while self.peek() == "-":
-                self.i += 1
+            while self.c == "-":
+                self.to(self.i + 1)
                 sign = -sign
             at = self.i
-            if self.more(self.peek()) not in _DIGITS:
+            if self.more() not in _DIGITS:
                 raise self.error(f"expected 'num', found "
                                  f"{self.token(at)!r}", at)
-            self.i = self.end(at)
-            value = self.power(value, sign * self.numeral(at, self.i), hat)
+            end = self.end(at)
+            value = self.power(value, sign * self.numeral(at, end), hat)
+            self.to(end)
         return self.negate(value) if negative else value
 
     def constant(self, k):
@@ -536,7 +537,6 @@ class _ExprParser(_Reader):
         if work := _sum_work(value, rhs):
             self.spend(work, at)
         return value - rhs if negative else value + rhs
-
 
     def multiply(self, value, rhs, at):
         # no commutation rule is needed when value holds no derivation or
@@ -615,7 +615,6 @@ class _ExprParser(_Reader):
             result = self.multiply(base, result, at)
         return result
 
-
     def resolve(self, word, primes, at):
         """The value of the name `word`, the token at offset `at`, followed
         by `primes` primes."""
@@ -651,7 +650,7 @@ class _ExprParser(_Reader):
             return DiffPoly.indeterminate(config, len(self.var_names),
                                           self.index[name], exps)
         if dexps is None:
-            symbol = _symbols(config).get(name)
+            symbol = self.symbols.get(name)
             if symbol and (self.deltas or symbol[0] == self.scalar):
                 return _Data({symbol[0]: {symbol[1]: 1}}, 1, 1)
         elif self.var_names is None:
@@ -742,29 +741,25 @@ def parse_generator_vector(text, config, n, line=1):
     """`[oreexpr, ..., oreexpr]` with exactly n coordinates -> ModElement."""
     _check(text, line)
     return _vector(_ExprParser(text, config, line, "unknown symbol",
-                               deltas=True, stops=",", groups=False), n)
+                               deltas=True), n)
 
 
-def _vector(r, n):
-    """The generator vector `[c1, ..., cn]` at `i` of the operator reader r;
-    whatever fails in it is first checked against its shape (`_shape`)."""
-    start = r.i
-    try:
-        if r.peek() == "[":
-            r.i += 1
-            coords, c = [], ","
-            while c == ",":
-                coords.append(OrePoly.zero(r.config) if r.at_end(r.peek())
-                              else _operator(r.config, r.expression()))
-                c = r.peek()
-                r.i += 1
-            if c == "]" and len(coords) == n:
-                return ModElement.from_operator_vector(coords, n)
-    except DiffAlgError:
-        if error := _shape(r, start, r.groups, n):
-            raise error from None
-        raise
-    raise _shape(r, start, r.groups, n)
+def _vector(r, n, groups=False):
+    """The generator vector `[c1, ..., cn]` at `i` of the operator reader
+    r, its shape checked before any coordinate is read (`_shape`); an
+    empty coordinate is zero."""
+    bounds = _shape(r, groups, "generator vector")
+    if len(bounds) != n + 1:
+        raise r.error(f"expected {n} coordinates, found {len(bounds) - 1}",
+                      bounds[0])
+    end, coords = r.i, []
+    for a, r.stop in zip(bounds, bounds[1:]):
+        r.to(a + 1)
+        coords.append(OrePoly.zero(r.config) if r.at_end()
+                      else _operator(r.config, r.expression()))
+    r.to(end)
+    r.stop = len(r.text)
+    return ModElement.from_operator_vector(coords, n)
 
 
 # ---------------------------------------------------------------------------
@@ -976,15 +971,12 @@ def _header_number(text, line, column, what, limit):
     """The count in a header: one numeral of ASCII digits, at most `limit`;
     `text` starts at `column` of line `line`."""
     _check(text, line, column)
-    r = _Reader(text, line, column)
-    c, at = r.peek(), r.i
-    if c and c in _DIGITS:
-        r.i = r.end(at)
-        if not r.peek():
-            value = r.numeral(at, r.i)
-            if value > limit:
-                raise r.error(f"{what} {value}; the limit is {limit}", at)
-            return value
+    r, word = _Reader(text, line, column), text.strip()
+    if word.isascii() and word.isdigit():       # one numeral
+        value = r.numeral(r.i, r.i + len(word))
+        if value > limit:
+            raise r.error(f"{what} {value}; the limit is {limit}", r.i)
+        return value
     raise ParseError(f"{what} must be an integer", line)
 
 
@@ -997,15 +989,26 @@ def _parse_field_line(body, lineno, column):
                            column + len(body) + len("derivations:"),
                            "derivation count", MAX_DERIVATIONS)
     _check(body, lineno, column)
-    groups = _field_variables(_Reader(body, lineno, column))
-    if groups is None:
+    r, bounds = _Reader(body, lineno, column), None
+    if r.c and r.token(r.i) == "Q":
+        r.to(r.i + 1)
+        bounds = _shape(r, False, None, "()") if r.c else []
+    if bounds is None:
         raise ParseError(f"unrecognized field {body.strip()!r}", lineno)
-    names = [name for _, name in groups]
-    for i, (at, name) in enumerate(groups):
-        if name != f"t{i + 1}" and names != ["t"]:
-            raise ParseError(
-                f"field variables must be t or t1..tv, got {name!r}",
-                lineno, None if at is None else column + at)
+    # a variable is right when its text is one name, `t` or `t<i>`; the
+    # message names a wrong one by its tokens, joined by spaces
+    parts = list(zip(bounds, bounds[1:]))
+    names = [body[a + 1:b].split() for a, b in parts]
+    for i, (a, b) in enumerate(parts):
+        if names[i] != [f"t{i + 1}"] and names != [["t"]]:
+            r.to(a + 1)
+            words = []
+            while r.i < b:
+                words.append(r.i)
+                r.to(r.end(r.i))
+            raise ParseError(f"field variables must be t or t1..tv, got "
+                             f"{' '.join(map(r.token, words))!r}", lineno,
+                             column + words[0] if words else None)
     v = len(names)
     if v > MAX_DERIVATIONS:
         raise ParseError(f"{v} field variables; the limit is "
@@ -1016,31 +1019,6 @@ def _parse_field_line(body, lineno, column):
     if m < v:
         raise ParseError("derivation count below the variable count", lineno)
     return DiffFieldConfig(num_derivations=m, num_vars=v)
-
-
-def _field_variables(r):
-    """The field variables of `Q(` ... `)`, split at `,` outside other
-    brackets: each the offset of its first token (None for none) and its
-    tokens' texts joined by spaces.  [] for `Q`; None for other text."""
-    if not r.peek() or r.token(r.i) != "Q":
-        return None
-    r.i += 1
-    if r.peek() != "(":
-        return None if r.peek() else []
-    groups, words, first, depth = [], [], None, 0
-    r.i += 1
-    while c := r.peek():
-        if c == "," and not depth or c == ")" and r.closes(False):
-            groups.append((first, " ".join(words)))
-            words, first = [], None
-            if c == ")":
-                return groups
-        else:
-            first = r.i if first is None else first
-            depth += (c in "([") - (c in ")]")
-            words.append(r.token(r.i))
-        r.i = r.end(r.i)
-    return None
 
 
 def _finish_sections(pf, pending):
@@ -1054,23 +1032,22 @@ def _finish_sections(pf, pending):
                            spent=spent, **options)
 
     if "point" in pending:
-        r = reader("point", "unknown field variable", stops=",")
-        coords = {}
-        while True:
-            c, at = r.peek(), r.i
-            if not c or c == ",":
+        r, coords = reader("point", "unknown field variable", stops=","), {}
+
+        def entry():
+            at = r.i
+            if r.c in ",":
                 raise ParseError("point entries look like 'y = expr'", r.line)
-            r.i = r.end(at)
-            if r.peek() != "=":
+            r.to(r.end(at))
+            if r.c != "=":
                 raise r.error("point entries look like 'y = expr'", at)
             name = r.token(at)
             if name not in pf.var_names:
                 raise r.error(f"unknown variable {name!r} in point", at)
-            r.i += 1
+            r.to(r.i + 1)
             coords[name] = r.expression()
-            if not r.peek():
-                break
-            r.i += 1
+
+        _items(r, entry, True)
         missing = [v for v in pf.var_names if v not in coords]
         if missing:
             raise ParseError(f"point misses coordinates for {missing}",
@@ -1091,135 +1068,122 @@ def _finish_sections(pf, pending):
             raise ParseError(f"'{head}:' needs a preceding 'module:' line",
                              pending[head][1])
     if "gens" in pending:
-        r = reader("gens", "unknown symbol", deltas=True, stops=",",
-                   groups=True)
-        pf.gens = _items(r, lambda: _vector(r, n))
+        r = reader("gens", "unknown symbol", deltas=True)
+        pf.gens = _items(r, lambda: _vector(r, n, True))
     if "element" in pending:
-        r = reader("element", "unknown symbol", deltas=True, stops=",",
-                   groups=False)
-        pf.element = _vector(r, n)
+        pf.element = _vector(reader("element", "unknown symbol",
+                                    deltas=True), n)
     if "leaders" in pending:
-        body, lineno, column = pending["leaders"]
-        pf.leaders = Antichain(config.m, _leader_groups(
-            _Reader(body, lineno, column), config.m))
+        groups = _read_leaders(pending["leaders"][0], config.m)
+        if groups is None:
+            r = _Reader(*pending["leaders"])
+            groups = tuple(_items(r, lambda: _leader_group(r, config.m),
+                                  True))
+        pf.leaders = Antichain(config.m, groups)
 
 
-def _items(r, read):
-    """read() at each item of a list between `;`, skipping empty ones."""
+def _items(r, read, empty=False):
+    """read() at each item of the list at `i`, between separators; an
+    empty item, at a `;` or the end, is skipped unless `empty`."""
     items = []
-    while c := r.peek():
-        if c == ";":
-            r.i += 1
-        else:
+    while True:
+        if empty or r.c not in ";":
             items.append(read())
-    return items
+        if not r.c:
+            return items
+        r.to(r.i + 1)
 
 
-def _leader_groups(r, m):
-    """The groups of a `leaders:` body, between `;`."""
-    groups = [_leader_group(r, m)]
-    while r.peek():
-        r.i += 1
-        groups.append(_leader_group(r, m))
+def _read_leaders(body, m):
+    """The leader groups of a well-formed `leaders:` body, read with string
+    methods: `[` tuples `]` groups between `;`, each tuple `(n1,...,nm)`
+    of m numerals of ASCII digits that the interpreter converts, blanks
+    (space or tab) anywhere between them, and `[]` for a group without
+    leaders.  The tuple of frozensets is the one `_leader_group` reads;
+    None for any other body, which `_leader_group` reads and refuses.
+    The reader takes six to seven times as long over the staircase
+    benchmark's bodies, so this path is kept beside it."""
+    if not body.isascii():
+        return None
+    limit = sys.get_int_max_str_digits()
+    long = 0 < limit < len(body)    # only then may a numeral pass the limit
+    groups = []
+    for group in body.split(";"):
+        group = group.strip(_BLANKS)
+        if not (group.startswith("[") and group.endswith("]")):
+            return None
+        first, *tuples = group[1:-1].split("(")
+        if first.strip(_BLANKS):
+            return None
+        vectors = set()
+        # `after` is the comma between tuples, and nothing after the last
+        for after, entry in enumerate(tuples, 1 - len(tuples)):
+            numerals, close, rest = entry.partition(")")
+            if not close or rest.strip(_BLANKS) != ("," if after else ""):
+                return None
+            numerals = numerals.split(",")
+            if not "".join(numerals).isdigit():
+                numerals = [x.strip(_BLANKS) for x in numerals]
+                if not "".join(numerals).isdigit():
+                    return None
+            if len(numerals) != m or not all(numerals) \
+                    or long and max(map(len, numerals)) > limit:
+                return None
+            vectors.add(tuple(map(int, numerals)))
+        groups.append(frozenset(vectors))
     return tuple(groups)
 
 
 def _leader_group(r, m):
-    """The leaders of the group at `i`, `[` leaders between `,` `]`: tuples
-    of m numerals are read with string methods (`_plain_group`), anything
-    else a token at a time once the group's shape holds (`_shape`)."""
-    start = r.i
-    if r.peek() == "[" and (plain := _plain_group(r, m)) is not None:
-        return plain
-    if error := _shape(r, start, True, "leaders"):
-        raise error
-    r.i = r.text.index("[", start) + 1
-    vectors = set()
-    while r.peek() != "]" or not r.closes(True):
-        vectors.add(_leader(r, m))
-        r.i += r.peek() == ","
-    r.i += 1
-    return frozenset(vectors)
+    """The leaders of the group at `i`, `[` leaders between `,` `]`: its
+    shape and then its empty entries are refused before any is read."""
+    bounds = _shape(r, True, "leader group")
+    end, entries = r.i, []
+    for a, b in zip(bounds, bounds[1:]):
+        r.to(a + 1)
+        if r.i < b:
+            entries.append((r.i, b))
+        elif len(bounds) > 2:
+            raise _unexpected(r, b)
+    group = frozenset(_leader(r, a, b, m) for a, b in entries)
+    r.to(end)
+    return group
 
 
-def _plain_group(r, m):
-    """The leaders of the group at `i` when it is `[`, tuples of m numerals
-    that convert between `,`, and the `]` that ends the group; else
-    None."""
-    text, start = r.text, r.i
-    end = text.find("]", start)
-    pieces = text[start + 1:end].split(")")
-    if end < 0 or pieces[-1].strip():
-        return None
-    vectors = set()
-    for k, piece in enumerate(pieces[:-1]):
-        piece = piece.strip()
-        if k:
-            if piece[:1] != ",":
-                return None
-            piece = piece[1:].lstrip()
-        numerals = piece[1:].split(",")
-        digits = "".join(numerals)
-        if digits.lstrip(_DIGITS):      # blanks, or no numerals
-            numerals = [p.strip() for p in numerals]
-            digits = "".join(numerals)
-        if piece[:1] != "(" or len(numerals) != m or not all(numerals) \
-                or digits.lstrip(_DIGITS):
-            return None
-        try:
-            vectors.add(tuple(map(int, numerals)))
-        except ValueError:
-            return None
-    r.i = end
-    if not r.closes(True):
-        return None
-    r.i = end + 1
-    return frozenset(vectors)
-
-
-def _leader(r, m):
-    """The leader at `i`, `(n1, ..., nm)` or, when m = 1, a numeral,
-    checked in the token reader's order: a tuple ends at its first `)`,
-    after which its entry must end; then no coordinate may be empty, each
-    must be one numeral, each converts, and there are m."""
-    at = r.i
-    numerals, empty, invalid, depth = [], None, None, 0
-    if r.text[at] != "(":
-        if r.text[at] not in _DIGITS:
-            raise _unexpected(r, at)
-        r.i = r.end(at)
-        numerals.append((at, r.i))
-    else:
-        r.i += 1
-        k = None
-        count = 0       # the tokens of the coordinate being read
-        while (c := r.peek()) != ")":
-            k = r.i
-            # `depth` counts the brackets open in the tuple; its entry ends
-            # at a `,` directly inside the group's brackets or at its last `]`
-            if c == "," and depth == -1 or c == "]" and r.closes(depth == -1):
+def _leader(r, at, stop, m):
+    """The leader from `at` to `stop`: a numeral when m = 1, or a tuple
+    `(n1, ..., nm)` that ends at its first `)`, its coordinates between
+    `,` outside other brackets.  What follows the tuple, then an empty
+    coordinate, then one that is not one numeral is refused before any
+    numeral is converted."""
+    is_tuple = r.text[at] == "("
+    r.to(at + is_tuple)
+    coords, after, depth = [[]], [], 0     # token offsets; what ends each
+    while (c := r.c) != ")" or not is_tuple:
+        if r.i >= stop:
+            if is_tuple:
                 raise r.error("unterminated leader tuple", at)
-            r.i = r.end(k)
-            if c == "," and not depth:
-                if not count and empty is None:
-                    empty = k
-                count = 0
-                continue
-            count += 1
-            if count == 1 and c in _DIGITS:
-                numerals.append((k, r.i))
-            elif invalid is None:
-                invalid = k
-            depth += (c in "([") - (c == "]")
-        if k is not None and not count and empty is None:
-            empty = r.i
-        r.i += 1
-    c = r.peek()
-    if not (c == "," and not depth or c == "]" and r.closes(not depth)):
-        raise _unexpected(r, r.i)
-    if empty is not None or invalid is not None:
-        raise _unexpected(r, invalid if empty is None else empty)
-    vec = tuple(r.numeral(k, end) for k, end in numerals)
+            break
+        if c == "," and is_tuple and not depth:
+            after.append(r.i)
+            coords.append([])
+        else:
+            coords[-1].append(r.i)
+            depth += (c in "([") - (c in ")]")
+        r.to(r.end(r.i))
+    if is_tuple:
+        after.append(r.i)
+        r.to(r.i + 1)
+        if r.i < stop:
+            raise _unexpected(r, r.i)
+        coords = [] if coords == [[]] else coords
+    for tokens, k in zip(coords, after):
+        if not tokens:
+            raise _unexpected(r, k)
+    for k, *rest in coords:
+        if rest or r.text[k] not in _DIGITS:
+            raise _unexpected(r, rest[0] if r.text[k] in _DIGITS else k)
+    vec = tuple(r.numeral(k, r.end(k)) for k, in coords)
     if len(vec) != m:
         raise r.error(f"leader {vec} has length {len(vec)}, expected {m}",
                       at)

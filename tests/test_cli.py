@@ -877,6 +877,20 @@ class TestRefusedInput:
                            "charset")
         assert (code, err) == (0, "")
 
+    @pytest.mark.parametrize("gens, message", [
+        ("[(t*d)^150, 1]", "expected 1 coordinates, found 2"),
+        ("[(t*d)^150] x", "generator vector must be bracketed"),
+    ], ids=["coordinate-count", "brackets"])
+    def test_a_misshapen_vector_is_refused_before_its_coordinates(
+            self, capsys, tmp_path, gens, message):
+        # (t*d)^150 takes 0.2 s of CPU to compute; the vector's shape is
+        # checked before any of its coordinates is read
+        start = time.process_time()
+        result = run(capsys, tmp_path,
+                     f"field: Q(t)\nmodule: 1\ngens: {gens}\n", "charset")
+        assert time.process_time() - start < 0.02
+        assert result == (2, "", f"error: line 3, column 7: {message}\n")
+
 
 class TestSymbolsAndNumerals:
     @pytest.mark.parametrize("field, gens, token, message", [

@@ -1,11 +1,12 @@
 """Direct reads against the readers they replace or stand in front of.
 
 `cli._read_argv` returns None or what the argument parser makes of an
-argv, and `main` answers as the argument parser alone.  `parse_input`,
-the one reader of problem text, reads every section body as the token
-reader it replaced (`helpers.token_parse_input`) reads it: an equal
-problem, or the same error at the same line and column, with the same
-work charged."""
+argv, and `main` answers as the argument parser alone.  `parse_input`
+reads every section body as the token reader it replaced
+(`helpers.token_parse_input`) reads it: an equal problem, or the same
+error at the same line and column, with the same work charged.  So does
+it without the string-method read of a `leaders:` body,
+`parsing._read_leaders`, which returns None or the reader's groups."""
 
 import argparse
 import contextlib
@@ -14,14 +15,16 @@ import random
 import sys
 import types
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
 import diffalg.cli
+import diffalg.parsing
 from diffalg import DiffAlgError
 from diffalg.errors import NotAntichain
 from diffalg.cli import _build_argparser, _read_argv, main
-from diffalg.parsing import _ExprParser, parse_input
+from diffalg.parsing import _ExprParser, _read_leaders, parse_input
 from helpers import token_parse_input
 
 LIMIT = sys.get_int_max_str_digits()
@@ -139,9 +142,13 @@ def read(parse, text):
 
 def reads_as_the_tokens_do(text):
     """What `parse_input` reads from text, checked to be what the token
-    reader reads."""
+    reader reads, with and without `_read_leaders`."""
     reading = read(parse_input, text)
     assert reading == read(token_parse_input, text), text
+    if "leaders:" in text:
+        with mock.patch.object(diffalg.parsing, "_read_leaders",
+                               lambda body, m: None):
+            assert read(parse_input, text) == reading, text
     return reading
 
 
@@ -194,7 +201,9 @@ class TestReadLeaders:
         rng = random.Random(100 + m)
         header = f"field: Q derivations: {m}\nleaders: "
         for _ in range(60):
-            reading = reads_as_the_tokens_do(header + random_body(rng, m))
+            body = random_body(rng, m)
+            assert _read_leaders(body, m) is not None, body
+            reading = reads_as_the_tokens_do(header + body)
             # a long numeral may leave the groups no antichain
             assert type(reading) is dict or reading[0] is NotAntichain
 
@@ -202,13 +211,14 @@ class TestReadLeaders:
     def test_one_character_off_reads_as_the_tokens_do(self, m):
         rng = random.Random(200 + m)
         header = f"field: Q derivations: {m}\nleaders: "
-        accepted = cases = 0
+        accepted = direct = cases = 0
         for body in [random_body(rng, m) for _ in range(5)]:
             for mutated in mutations(rng, body):
                 cases += 1
+                direct += _read_leaders(mutated, m) is not None
                 accepted += type(reads_as_the_tokens_do(
                     header + mutated)) is dict
-        assert 0 < accepted < cases
+        assert 0 < accepted < cases and 0 < direct < cases
 
     # bodies off the plain shape of tuples between `;` and `,`
     @pytest.mark.parametrize("body, m", [
@@ -221,6 +231,7 @@ class TestReadLeaders:
         ("[(" + "9" * (LIMIT + 1) + ",1)]", 2), ("[()]", 1), ("[( )]", 1),
     ])
     def test_other_bodies_are_declined(self, body, m):
+        assert _read_leaders(body, m) is None
         reads_as_the_tokens_do(f"field: Q derivations: {m}\nleaders: {body}")
 
 
@@ -312,7 +323,11 @@ class TestBenchmarkTakesTheDirectReads:
     def test_every_staircase_leaders_body(self, bench_corpus):
         bodies = 0
         for problem in bench_corpus.staircase(71):
-            bodies += "\nleaders:" in problem.text
+            for line in problem.text.splitlines():
+                head, _, body = line.partition(":")
+                if head == "leaders":
+                    bodies += 1
+                    assert _read_leaders(body, problem.m) is not None
             assert type(reads_as_the_tokens_do(problem.text)) is dict
         assert bodies == 30
 
@@ -330,7 +345,7 @@ class TestBenchmarkTakesTheDirectReads:
         monkeypatch.setattr(_ExprParser, "spend", logged)
         for problem in bench_corpus.WORKLOADS[workload](71):
             reading = read(parse_input, problem.text)
-            spent, charges[:] = sum(charges), []
+            library, charges[:] = charges[:], []
             assert reading == read(token_parse_input, problem.text)
-            assert sum(charges) == spent, problem.name
+            assert charges == library, problem.name
             charges.clear()
