@@ -216,14 +216,11 @@ def _dispatch(command, problem, args):
         charset, report, tc = tangent_pipeline(problem.eqs, problem.point,
                                                problem.ranking())
         names = _component_names(problem)
-        out_json = {
-            "charset": [modelement_str(w, config, names)
-                        for w in charset.elements],
-            **report.to_json(),
-        }
+        printed = [modelement_str(w, config, names)
+                   for w in charset.elements]
+        out_json = {"charset": printed, **report.to_json()}
         lines = ["charset:"]
-        lines += [f"  {modelement_str(w, config, names)} = 0"
-                  for w in charset.elements]
+        lines += [f"  {p} = 0" for p in printed]
         lines.append(f"dimension polynomial: {report.dimpoly} "
                      f"(valid for t >= {report.dimpoly.valid_from})")
         lines.append(f"differential dimension d = {report.diff_dimension}")

@@ -7,13 +7,15 @@ exponents).  Left multiplication by an operator runs the product loop of
 Buchberger-style completion for left submodules that starts from the monic
 generators, with S-pairs formed only between elements whose leaders share a
 component; the S-pairs do the interreduction, so the generators need no
-`autoreduce` pass.  Each pair is ranked once, by its lcm term, in a heap;
-Buchberger's chain criterion (Buchberger 1979; Gebauer and Moeller, JSC
-1988) skips the pairs whose S-pair is a combination of pairs already
-treated, and one pass of interreduction turns the complete basis into the
-unique reduced one.  The completeness check that ends every completion
-still reduces every generator and every same-component S-pair of the
-result, with no criterion.  A reduction step and an S-pair drop the term
+`autoreduce` pass.  Each pair is ranked once in a heap, by the larger size
+of its two elements and then by its lcm term, so that elements with small
+coefficients meet first (any order of the pairs gives the same reduced
+basis); Buchberger's chain criterion (Buchberger 1979; Gebauer and
+Moeller, JSC 1988) skips the pairs whose S-pair is a combination of pairs
+already treated, and one pass of interreduction turns the complete basis
+into the unique reduced one.  The completeness check that ends every
+completion still reduces every generator and every same-component S-pair
+of the result, with no criterion.  A reduction step and an S-pair drop the term
 they cancel without arithmetic: a shift keeps the leading coefficient,
 and the check first tests that every element is monic.
 """
@@ -324,11 +326,14 @@ def characteristic_set(gens, rk, config=None, n=None):
     Buchberger-style completion that starts from the nonzero generators,
     each made monic; their S-pairs do the interreduction.  Each element
     enters the basis once, with its leader, and queues its pairs with the
-    elements whose leaders share its component, ranked by their lcm term
-    in a heap.  Pairs are processed in increasing rank unless the chain
-    criterion shows them redundant, and one pass of interreduction turns
-    the complete basis into the final reduced monic one.  config and n
-    are inferred from the generators when any are present.
+    elements whose leaders share its component, ranked in a heap by the
+    larger size of the two elements and then by their lcm term; an
+    element's size is the largest total degree of a numerator or
+    denominator among its coefficients.  Pairs are processed in increasing
+    rank unless the chain criterion shows them redundant, and one pass of
+    interreduction turns the complete basis into the final reduced monic
+    one.  config and n are inferred from the generators when any are
+    present.
     """
     gens = list(gens)
     for g in gens:
@@ -336,25 +341,28 @@ def characteristic_set(gens, rk, config=None, n=None):
         n = n if n is not None else g.n
     if config is None or n is None:
         raise ValueError("need config and n for an empty generator list")
-    basis, leads, active, heap, queued = [], [], [], [], set()
+    basis, leads, sizes, active, heap, queued = [], [], [], [], [], set()
 
     def insert(w):
         k, lead = len(basis), leader(w, rk)
         w = _monic_at(w, lead)
         basis.append(w)
         leads.append(lead)
+        sizes.append(max(max(c.num.total_degree(), c.den.total_degree())
+                         for c in w.terms.values()))
         active.append((k, w, lead))
         for h in range(k):
             if leads[h][0] == lead[0]:
                 lcm = _lcm(leads[h], lead)
-                heapq.heappush(heap, (rk.key(lcm), h, k, lcm))
+                heapq.heappush(heap, (max(sizes[h], sizes[k]), rk.key(lcm),
+                                      h, k, lcm))
                 queued.add((h, k))
 
     for g in gens:
         if not g.is_zero():
             insert(g)
     while heap:
-        _, i, j, lcm = heapq.heappop(heap)
+        _, _, i, j, lcm = heapq.heappop(heap)
         queued.remove((i, j))
         if _chain_skips(i, j, lcm, leads, queued):
             continue

@@ -189,6 +189,16 @@ class MPoly:
         shift, mask = _digit(self.nvars, i)
         return max(e >> shift & mask for e in self.terms)
 
+    def total_degree(self):
+        """The largest total degree of a term, -1 for zero.  A key's digits
+        sum to its degree; below t1's digit that sum is read as the key
+        modulo 2^32 - 1, exact up to three variables and past them while
+        the other exponents sum to less than 2^32 - 1."""
+        shift = _BITS * max(self.nvars - 1, 0)
+        low = (1 << shift) - 1
+        return max(((e >> shift) + (e & low) % _MASK for e in self.terms),
+                   default=-1)
+
     # -- ring operations -----------------------------------------------
 
     def __add__(self, other):

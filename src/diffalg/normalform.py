@@ -242,16 +242,26 @@ def diagonalize(A):
     U_inv = OreMatrix.identity(config, A.rows)
     V = ElementaryProduct(config, A.cols, "cols")
     V_inv = OreMatrix.identity(config, A.cols)
+    # the least degree of the nonzero entries of each row of the trailing
+    # block, None for a zero row; an operation marks the rows it changes
+    # stale, and a column swap inside the block changes no row's least
+    # degree
+    low, stale = [None] * work.rows, set(range(work.rows))
 
     def row_op(op, inverse, k=None, e=None):
         """U <- E*U for the row operation E = op; U_inv <- U_inv*E^-1."""
         _row_op(work.entries, op, k, e)
+        stale.update(op[:2])
         U.ops.append(op)
         _col_op(U_inv.entries, inverse)
 
     def col_op(op, inverse, k=None, e=None):
-        """V <- V*F for the column operation F = op; V_inv <- F^-1*V_inv."""
+        """V <- V*F for the column operation F = op; V_inv <- F^-1*V_inv.
+        col_j -= col_p*q changes row p alone, since it runs once column p
+        is clear."""
         _col_op(work.entries, op, k, e)
+        if op[2] is not None:
+            stale.add(op[1])
         V.ops.append(op)
         _row_op(V_inv.entries, inverse)
 
@@ -296,15 +306,20 @@ def diagonalize(A):
 
     for p in range(min(work.rows, work.cols)):
         # move a minimal-degree nonzero entry of the trailing block to (p,p),
-        # the first in row-major order among those of that degree
-        pivot = min(((e.degree(), i, j)
-                     for i in range(p, work.rows)
-                     for j, e in enumerate(work.entries[i][p:], p) if e),
-                    default=None)
+        # the first in row-major order among those of that degree: the
+        # first in the first row of least degree
+        for i in stale:
+            low[i] = min((e.degree() for e in work.entries[i][p:] if e),
+                         default=None)
+        stale.clear()
+        pivot = min(((low[i], i) for i in range(p, work.rows)
+                     if low[i] is not None), default=None)
         if pivot is None:
             break
-        swap_rows(p, pivot[1])
-        swap_cols(p, pivot[2])
+        degree, i = pivot
+        swap_rows(p, i)
+        swap_cols(p, next(j for j, e in enumerate(work.entries[p][p:], p)
+                          if e and e.degree() == degree))
         # the row sweep starts once column p is clear, and its operations
         # col_j -= col_p*q leave that column clear: no re-check is needed
         make_monic(p)

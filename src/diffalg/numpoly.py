@@ -8,20 +8,21 @@ their Hilbert series is N_i(z) / (1 - z)^m and
     phi(t) = sum_i sum_c n_ic C(t - c + m, m),   N_i(z) = sum_c n_ic z^c,
 
 valid for t >= max_i |join(E_i)|, instead of a sum over all 2^|E_i|
-subsets of leaders.  In N^2 the numerator is read off the corners of the
-staircase, and in N^3 one sweep up the last coordinate keeps the 2-D
-staircase of the leaders at or below each height (`_staircase_numerator`);
-the same sweep finds the minimal vectors of a set.  Past N^3 such a sweep
-would grow like (k+1)^(m-2) in the k leaders, and the numerators come from
-the pivot recursion for Hilbert series of monomial ideals (Bayer and
-Stillman, "Computation of Hilbert functions", JSC 1992; Bigatti,
-"Computation of Hilbert-Poincare series", JPAA 1997), the minimal vectors
-from a test of each against the ones kept.  N^1 is a product.
+subsets of leaders.  In N^3 one sweep up the last coordinate keeps the 2-D
+staircase of the leaders at or below each height, and N^2 is N^3 at height
+0 (`_staircase_numerator`).  The same sweep finds the vectors that lie in
+the staircase of others, so `Antichain` validates each component of N^2
+and N^3 with it and keeps its numerator for `count_cofilter`.  Past N^3
+such a sweep would grow like (k+1)^(m-2) in the k leaders, and the
+numerators come from the pivot recursion for Hilbert series of monomial
+ideals (Bayer and Stillman, "Computation of Hilbert functions", JSC 1992;
+Bigatti, "Computation of Hilbert-Poincare series", JPAA 1997), the minimal
+vectors from a test of each against the ones kept.  N^1 is a product.
 
 Polynomials are stored in the binomial basis C(t+i, i), whose coefficients
 are the Kolchin invariants directly; `str` prints their ordinary
-coefficients in t with the front end's polynomial printer
-(`parsing.mpoly_str`).
+coefficients in t, d! times each an integer, with the front end's integer
+printer (`parsing.poly_str`).
 """
 
 from __future__ import annotations
@@ -77,11 +78,15 @@ class NumericalPolynomial(FrozenRecord):
                                    max(self.valid_from, other.valid_from))
 
     def monomial_coeffs(self):
-        """Ascending ordinary coefficients, as Fractions.
+        """Ascending ordinary coefficients, as Fractions."""
+        out, top = self._scaled_monomial_coeffs()
+        return [Fraction(c, top) for c in out]
 
-        With d the degree, d! * C(t+i, i) = (d!/i!) * (t+1)...(t+i) has
-        integer coefficients, so the rising products run in integers and
-        one division by d! ends the conversion.
+    def _scaled_monomial_coeffs(self):
+        """(ascending ordinary coefficients times d!, d!), d the degree.
+
+        d! * C(t+i, i) = (d!/i!) * (t+1)...(t+i) has integer coefficients,
+        so the rising products run in integers.
         """
         top = factorial(max(len(self.coeffs) - 1, 0))
         out = [0] * max(len(self.coeffs), 1)
@@ -94,40 +99,50 @@ class NumericalPolynomial(FrozenRecord):
             scale = a * (top // factorial(i))
             for k, b in enumerate(rising):
                 out[k] += scale * b
-        return [Fraction(c, top) for c in out]
+        return out, top
 
     def to_json(self):
         return {"binomial_coeffs": list(self.coeffs),
                 "valid_from": self.valid_from}
 
     def __str__(self):
-        from .parsing import mpoly_str      # parsing imports this module
-        return mpoly_str({(k,): c for k, c in
-                          enumerate(self.monomial_coeffs()) if c}, ("t",))
+        from .parsing import poly_str       # parsing imports this module
+        out, top = self._scaled_monomial_coeffs()
+        return poly_str({k: c for k, c in enumerate(out) if c}, ("t",), top)
 
 
 class Antichain(FrozenRecord):
     """Per-component sets of pairwise incomparable exponent vectors in N^m."""
 
-    __slots__ = _fields = ("m", "components")
+    _fields = ("m", "components")
+    # _numerators, the Hilbert-series numerator of each component from the
+    # sweep that validated it (None past N^3), is not a field
+    __slots__ = _fields + ("_numerators",)
 
     # components: tuple of frozensets of exponent tuples
     def __init__(self, m: int, components: tuple):
-        comps = []
+        comps, nums = [], []
         for E in components:
             E = frozenset(tuple(e) for e in E)
             for e in E:
                 if len(e) != m:
                     raise NotAntichain("exponent vector of wrong length")
             # an antichain is exactly its own set of minimal elements
-            minimal = _minimalize(E)
+            num, minimal = (_staircase_numerator(E, m) if m in (2, 3)
+                            else (None, _minimalize(E)))
             if len(minimal) < len(E):
+                if m == 3:      # name the pair the weight-order test names
+                    minimal = set(minimal)
+                    minimal = [g for g in sorted(set(E), key=sum)
+                               if g in minimal]
                 b = min(E.difference(minimal))
                 a = next(a for a in minimal
                          if all(x <= y for x, y in zip(a, b)))
                 raise NotAntichain(f"{a} <= {b} componentwise")
             comps.append(E)
+            nums.append(num)
         self._set_fields(m, tuple(comps))
+        object.__setattr__(self, "_numerators", tuple(nums))
 
     @property
     def n(self):
@@ -149,83 +164,57 @@ def _place(firsts, lows, a, b):
     return i, bisect_right(lows, -b, i)
 
 
-def _sweep_order(g):
-    """Last coordinate first, then the first and the second: in N^2 and
-    N^3 every vector that divides g comes before g."""
-    return g[2:] + g[:2]
-
-
 def _minimalize(gens):
-    """The generators not divisible by another one.
-
-    In N^2 and N^3 one sweep in `_sweep_order` suffices: a vector is
-    divisible by an earlier one exactly when its first two coordinates lie
-    in the 2-D staircase of those of the vectors kept so far.  Above N^3
-    each vector is tested against the ones kept, smallest weight first.
-    The kept vectors come in lexicographic order in N^2 and smallest
-    weight first above it, so that `Antichain` names the same comparable
-    pair in N^3 as that test did."""
-    gens = set(gens)
-    m = len(next(iter(gens), ()))
-    if m in (2, 3):
-        firsts, lows, kept = [], [], []
-        for g in sorted(gens, key=_sweep_order):
-            span = _place(firsts, lows, g[0], g[1])
-            if span is not None:
-                i, j = span
-                firsts[i:j] = [g[0]]
-                lows[i:j] = [-g[1]]
-                kept.append(g)
-        if m == 2:
-            return kept
-        kept = set(kept)
-        return [g for g in sorted(gens, key=sum) if g in kept]
+    """The generators not divisible by another one, smallest weight first:
+    each is tested against the ones kept."""
     out = []
-    for g in sorted(gens, key=sum):
+    for g in sorted(set(gens), key=sum):
         if not any(all(a <= b for a, b in zip(h, g)) for h in out):
             out.append(g)
     return out
 
 
+def _sweep_order(g):
+    """Last coordinate first, then the first and the second: in N^3 every
+    vector that divides g comes before g."""
+    return g[2], g[0], g[1]
+
+
 def _staircase_numerator(E, m):
-    """Hilbert-series numerator {c: n_c} of the ideal of E in N^2 or N^3.
+    """(Hilbert-series numerator {c: n_c} of the ideal of E in N^2 or N^3,
+    the minimal vectors of E in sweep order).
 
-    In N^2 E is an antichain, and sorted it is the staircase's corners
-    (a_1, b_1), ..., (a_k, b_k):
-
-        N_2 = 1 - sum_j z^(a_j + b_j) + sum_j z^(a_(j+1) + b_j).
-
-    In N^3 the points of height c outside the staircase are those outside
-    the 2-D staircase J(c) of the first two coordinates of the generators
-    at or below c.  With the levels c_0 = 0 < c_1 < ... of the last
+    The points of height c outside the staircase are those outside the
+    2-D staircase J(c) of the first two coordinates of the generators at
+    or below c; N^2 is N^3 at height 0.  With N_2(J) = 1 - sum_j
+    z^(a_j + b_j) + sum_j z^(a_(j+1) + b_j) for the corners (a_1, b_1),
+    ..., (a_k, b_k) of J, the levels c_0 = 0 < c_1 < ... of the last
     coordinates and J_j = J(c_j), N = sum_j N_2(J_j) (z^(c_j) - z^(c_(j+1))),
     the last level with no subtracted term.  Telescoped, that is 1 plus
     z^c times the change to N_2 that each generator of height c makes,
-    taken in `_sweep_order`.  The change is local: the corners the new
-    one covers and the steps z^(a_(j+1) + b_j) from its left neighbour
-    through them to its right one go; the new corner and its two steps
-    come.
+    taken by height and then lexicographically, so that every vector that
+    divides a generator comes before it: a generator is divisible by
+    another exactly when it lies in the staircase so far, and is skipped.
+    The change is local: the corners the new one covers and the steps
+    z^(a_(j+1) + b_j) from its left neighbour through them to its right
+    one go; the new corner and its two steps come.
     """
     num = {0: 1}
-    if m == 2:
-        corners = sorted(E)
-        for a, b in corners:
-            num[a + b] = num.get(a + b, 0) - 1
-        for (_, b), (a, _) in zip(corners, corners[1:]):
-            num[a + b] = num.get(a + b, 0) + 1
-        return num
-    firsts, lows = [], []
-    for c, a, b in sorted((c, a, b) for a, b, c in E):
+    firsts, lows, kept = [], [], []
+    for g in sorted(E) if m == 2 else sorted(E, key=_sweep_order):
+        a, b, c = g[0], g[1], g[2] if m == 3 else 0
         span = _place(firsts, lows, a, b)
         if span is None:
             continue
+        kept.append(g)
         i, j = span
-        for t in range(i, j):
-            k = c + firsts[t] - lows[t]
-            num[k] = num.get(k, 0) + 1
-        for t in range(max(i - 1, 0), min(j, len(firsts) - 1)):
-            k = c + firsts[t + 1] - lows[t]
-            num[k] = num.get(k, 0) - 1
+        if i < len(firsts):     # not past the last corner
+            for t in range(i, j):
+                k = c + firsts[t] - lows[t]
+                num[k] = num.get(k, 0) + 1
+            for t in range(max(i - 1, 0), min(j, len(firsts) - 1)):
+                k = c + firsts[t + 1] - lows[t]
+                num[k] = num.get(k, 0) - 1
         num[c + a + b] = num.get(c + a + b, 0) - 1
         if i:
             k = c + a - lows[i - 1]
@@ -235,7 +224,7 @@ def _staircase_numerator(E, m):
             num[k] = num.get(k, 0) + 1
         firsts[i:j] = [a]
         lows[i:j] = [-b]
-    return num
+    return num, kept
 
 
 def _numerator(gens, m):
@@ -282,12 +271,10 @@ def count_cofilter(antichain):
     m = antichain.m
     num = {}
     valid_from = 0
-    for E in antichain.components:
+    for E, part in zip(antichain.components, antichain._numerators):
         if E:
             valid_from = max(valid_from, sum(map(max, zip(*E))))
-        if m in (2, 3):
-            part = _staircase_numerator(E, m)
-        else:
+        if part is None:
             part = _numerator(list(E), m)
         for c, n in part.items():
             if n:

@@ -40,7 +40,6 @@ from __future__ import annotations
 
 import functools
 import sys
-from fractions import Fraction
 from math import gcd, lcm
 from operator import add
 
@@ -208,17 +207,16 @@ MAX_PARSE_WORK = 500_000
 # `derivations:`, or the number of field variables, which m may not be
 # below) costs about m^2: every d_i is keyed by an m-tuple, and the dimension
 # polynomial has degree up to m.  The rank n (`module:`, or the number of
-# `vars:`) costs about n^2 per n x n matrix of the diagonalization and n^3
-# in its pivot search, which scans the trailing block for every pivot.
+# `vars:`) costs about n^2 per n x n matrix of the diagonalization, whose
+# pivot search reads the least degree kept for each row.
 # Process wall times on a 2-core shared machine, best of three, about
 # 0.1 s of each the interpreter's start: `dimpoly` of `gens: [d1]` takes
 # 0.33 s at m = 500, 1.1 s at m = 1000 and 4.3 s at m = 2000; `decompose`
 # of one generator `[d, 0, ..., 0]` takes 0.25 s at n = 100, 0.27 s at
 # n = 200, 0.30 s at n = 300 and 0.68 s at n = 1000; `tangent` with n
 # `vars:` and the one equation `y0' - 1` 0.27-0.30 s at n = 100 and 200
-# and 0.90 s at n = 1000, and with the n equations `yi' - 1` 0.37 s,
-# 0.85 s and 1.8-2.1 s at n = 100, 200 and 300, most of it the pivot
-# search.
+# and 0.90 s at n = 1000, and with the n equations `yi' - 1` 0.16 s,
+# 0.25-0.29 s and 0.46-0.56 s at n = 100, 200 and 300.
 MAX_DERIVATIONS = 500
 MAX_MODULE_RANK = 100
 MAX_NESTING = 100
@@ -303,16 +301,17 @@ def _data_size(x):
 
 
 def _size(value, orders=False):
-    """(coefficients, terms, words, the sum of words squared over the
-    quotients, whether a product with `value` on the right derives its
-    coefficients, the sum of the cubes of the orders) of a RatFun, OrePoly
-    or DiffPoly; a quotient is a coefficient over a denominator that is not
-    a constant.  With `orders`, a coefficient of derivation order k counts
-    k + 1 times in the first three."""
+    """(coefficients, terms, words, the sums of words squared over the
+    quotients by a polynomial and by a monomial, whether a product with
+    `value` on the right derives its coefficients, the sums of k^3 and of
+    min(k, 8)*k^2 over the orders k) of a RatFun, OrePoly or DiffPoly; a
+    quotient is a coefficient over a denominator that is not a constant.
+    With `orders`, a coefficient of derivation order k counts k + 1 times
+    in the first three."""
     items = (((), value),) if isinstance(value, RatFun) \
         else value.terms.items()
     orders = orders and type(value) is OrePoly
-    n = terms = words = quotients = cubes = 0
+    n = terms = words = quotients = monomials = cubes = squares = 0
     derives = False
     for key, c in items:
         k = sum(key) if orders else 0
@@ -322,23 +321,29 @@ def _size(value, orders=False):
         terms += (k + 1) * t
         words += (k + 1) * w
         cubes += k ** 3
-        if not c.den.is_const():
+        squares += min(k, 8) * k * k
+        if len(c.den.terms) > 1:
             quotients += w * w
+        elif not c.den.is_const():
+            monomials += w * w
         derives = derives or not c.is_const()
-    return n, terms, words, quotients, derives, cubes
+    return n, terms, words, quotients, monomials, derives, cubes, squares
 
 
 def _work(left, right):
     """Estimated cost of left*right, from the sizes of its factors: each
     coefficient of left, of derivation order k, meets every coefficient of
     right k + 1 times (`_product_work`).  Deriving a quotient k times costs
-    k^3 times its words squared: each derivative grows by its denominator.
-    The order counts only when some coefficient of right is not a
-    constant, since delta^k only shifts a constant."""
-    n, terms, words, quotients, derives, _ = _size(right)
-    n2, terms2, words2, _, _, cubes = _size(left, derives)
+    k^3 times its words squared, since each derivative grows by its
+    denominator.  Over a monomial, past k = 8, it costs 8*k^2 times them:
+    each derivative gains only integer bits, since the k-th derivative of
+    c/t^b has one term, and `d^k*(1/t)` takes about 3.5 us per k^2
+    (2-core machine).  The order counts only when some coefficient of
+    right is not a constant, since delta^k only shifts a constant."""
+    n, terms, words, quotients, monomials, derives, _, _ = _size(right)
+    n2, terms2, words2, _, _, _, cubes, squares = _size(left, derives)
     return _product_work(n * n2, terms * terms2, words * words2) \
-        + cubes * quotients
+        + cubes * quotients + squares * monomials
 
 
 def _sum_work(left, right):
@@ -808,23 +813,31 @@ def _term(coeff, body, config, wrap_quotients=False):
                                        config), body, wrap_quotients)
 
 
-def mpoly_str(terms, names):
-    """Sum of {exponents: rational coefficient} terms, lex-descending."""
-    return _signed_sum((c < 0, _times(str(abs(c)), _monomial(names, e)))
-                       for e, c in sorted(terms.items(), reverse=True))
+def poly_str(terms, names, scale):
+    """The polynomial {packed monomial key: integer} in `names` divided by
+    the integer `scale`, lex-descending, each coefficient brought to
+    lowest terms by one gcd against the scale."""
+    nvars, pieces = len(names), []
+    for key in sorted(terms, reverse=True):
+        c = terms[key]
+        g = gcd(c, scale) if scale > 0 else -gcd(c, scale)
+        p, q = c // g, scale // g
+        pieces.append((p < 0, _times(str(abs(p)) if q == 1 else
+                                     f"{abs(p)}/{q}",
+                                     _monomial(names, _unpack(key, nvars)))))
+    return _signed_sum(pieces)
 
 
 def ratfun_str(r, config):
     """Printed with a monic denominator: numerator and denominator are both
     divided by the denominator's lex-leading coefficient."""
     names = field_var_names(config)
-    _, lead = r.den.lex_leading()
-    num, den = ({e: Fraction(c, lead) for e, c in p.exponents().items()}
-                for p in (r.num, r.den))
-    num_s = mpoly_str(num, names)
+    num, den = r.num.terms, r.den.terms
+    lead = den[max(den)]
+    num_s = poly_str(num, names, lead)
     if r.den.is_const():
         return num_s
-    den_s = mpoly_str(den, names)
+    den_s = poly_str(den, names, lead)
     if len(num) > 1 or " " in num_s:
         num_s = f"({num_s})"
     if len(den) > 1 or "*" in den_s or "^" in den_s:

@@ -23,6 +23,10 @@ contents, the order in which the library's one reader must report
 errors.  It builds values with the library's own builder
 (`diffalg.parsing._ExprParser`), since it checks reading, not arithmetic.
 
+Printed values are checked against the printer that `diffalg.parsing`
+replaced (`fraction_ratfun_str`, `fraction_numpoly_str`), which divides
+each coefficient as a Fraction.
+
 Every oracle and every tool that only the tests use lives here; but for
 that builder, only public diffalg names are imported: the library holds no
 test-only code.
@@ -859,6 +863,57 @@ class RowReducer:
                 else:
                     vec.pop(k, None)
         return True
+
+
+# ---------------------------------------------------------------------------
+# the Fraction printer that `diffalg.parsing.poly_str` replaced
+
+def _fraction_sum(terms, names):
+    """Sum of {exponents: Fraction} terms, lex-descending, as the library
+    prints it: `a + b - c`, a bare `-` before a negative first term, a
+    coefficient 1 left out and one with a space parenthesized."""
+    out = ""
+    for exps, c in sorted(terms.items(), reverse=True):
+        body = "*".join(name if e == 1 else f"{name}^{e}"
+                        for name, e in zip(names, exps) if e)
+        text = str(abs(c))
+        if body:
+            text = body if text == "1" else \
+                f"({text})*{body}" if " " in text else f"{text}*{body}"
+        if out:
+            out += " - " if c < 0 else " + "
+        elif c < 0:
+            out = "-"
+        out += text
+    return out or "0"
+
+
+def fraction_ratfun_str(r, config):
+    """`diffalg.parsing.ratfun_str` on Fractions: numerator and denominator
+    divided by the denominator's lex-leading coefficient."""
+    names = ["t"] if config.v == 1 else [f"t{i + 1}" for i in range(config.v)]
+    _, lead = r.den.lex_leading()
+    num, den = ({e: Fraction(c, lead) for e, c in p.exponents().items()}
+                for p in (r.num, r.den))
+    num_s = _fraction_sum(num, names)
+    if r.den.is_const():
+        return num_s
+    den_s = _fraction_sum(den, names)
+    if len(num) > 1 or " " in num_s:
+        num_s = f"({num_s})"
+    if len(den) > 1 or "*" in den_s or "^" in den_s:
+        den_s = f"({den_s})"
+    return f"{num_s}/{den_s}"
+
+
+def fraction_numpoly_str(phi):
+    """`str` of a NumericalPolynomial from its ordinary coefficients, each
+    binomial C(t+i, i) expanded in Fractions."""
+    mono = [Fraction(0)] * max(len(phi.coeffs), 1)
+    for i, a in enumerate(phi.coeffs):
+        for k, b in enumerate(_binomial_basis_poly(i)):
+            mono[k] += a * b
+    return _fraction_sum({(k,): c for k, c in enumerate(mono) if c}, ("t",))
 
 
 # ---------------------------------------------------------------------------

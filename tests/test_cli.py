@@ -14,6 +14,7 @@ import pytest
 import diffalg.cli
 import diffalg.dimension
 import diffalg.normalform
+import diffalg.parsing
 from diffalg import DiffFieldConfig
 from diffalg.cli import main
 from diffalg.field import MAX_PRS_STEPS
@@ -148,6 +149,22 @@ class TestTangentCommand:
                        f"tangent space: K^0 x C^{order} (torsion degrees "
                        f"[{order}])\n")
 
+    def test_three_hundred_equations(self, capsys, tmp_path, monkeypatch):
+        # past the rank cap: each pivot reads the least degree of each row
+        # of the trailing block, kept up to date, where it read the whole
+        # block (9.4 million is_zero calls, 1.8 s of CPU); 0.4 s now
+        monkeypatch.setattr(diffalg.parsing, "MAX_MODULE_RANK", 300)
+        names = [f"y{i}" for i in range(300)]
+        text = ("field: Q(t)\nvars: " + " ".join(names) + "\npoint: "
+                + ", ".join(f"{y} = t" for y in names) + "\neqs: "
+                + "; ".join(f"{y}' - 1" for y in names) + "\n")
+        start = time.perf_counter()
+        code, out, err = run(capsys, tmp_path, text, "tangent")
+        assert time.perf_counter() - start < 1.5
+        assert (code, err) == (0, "")
+        assert out.endswith("\ntangent space: K^0 x C^300 (torsion degrees "
+                            f"{[1] * 300})\n")
+
     def test_point_off_variety_exits_3(self, capsys, tmp_path):
         bad = CONSTANT.replace("y = 0", "y = 1")
         code, _, err = run(capsys, tmp_path, bad, "tangent")
@@ -232,6 +249,21 @@ class TestModuleCommands:
         first, second = out.splitlines()
         assert first == "d = 0, k = 9, torsion degrees [9]"
         assert second.startswith("diagonal: ['1', '1', 'd^9 + ")
+
+    def test_pairs_taken_by_coefficient_size(self, capsys, tmp_path,
+                                             bench_corpus):
+        # pde114 of the benchmark's pde-charset corpus: taken by lcm rank
+        # alone its pairs build coefficients of total degree 110 and ran
+        # past 150 s; taken by their parents' size first, 1.9-2.5 s
+        problem, = (p for p in bench_corpus.pde_charset(71)
+                    if p.name == "pde114.dimpoly")
+        start = time.perf_counter()
+        result = run(capsys, tmp_path, problem.text, "dimpoly")
+        assert time.perf_counter() - start < 10.0
+        assert result == (0, "dimension polynomial: 0 (valid for t >= 0)\n"
+                             "differential dimension d = 0\n"
+                             "type = -inf, typical height = 0\n"
+                             "free components: none\n", "")
 
     def test_decompose_hostile_degree(self, capsys, tmp_path):
         text = ("field: Q(t)\nmodule: 1\n"
@@ -843,6 +875,22 @@ class TestRefusedInput:
         assert time.perf_counter() - start < 1.0
         assert (code, out, err) == (2, "", over_budget(len(
             text.splitlines()), column))
+
+    @pytest.mark.parametrize("field, gens, phi", [
+        ("Q(t)", "d^50*(1/t)", "50"), ("Q(t)", "d^100*(3/t^2)", "100"),
+        ("Q(t1, t2)", "d1^30*d2^20*(1/(t1*t2))", "50*t - 1175")],
+        ids=["over-t", "over-a-power", "two-variables"])
+    def test_derived_monomial_quotients_answer(self, capsys, tmp_path,
+                                               field, gens, phi):
+        # deriving c/t^b k times keeps one term: charged k^3 times its
+        # words squared, as over a polynomial, d^50*(1/t) was refused
+        # although it takes milliseconds
+        text = f"field: {field}\nmodule: 1\ngens: [{gens}]\n"
+        start = time.perf_counter()
+        code, out, err = run(capsys, tmp_path, text, "dimpoly")
+        assert time.perf_counter() - start < 1.0
+        assert (code, err) == (0, "")
+        assert out.startswith(f"dimension polynomial: {phi} (valid for ")
 
     def test_sums_of_quotients_are_charged(self, capsys, tmp_path):
         # each sum takes a gcd of the two denominators, and the sum of 800

@@ -13,8 +13,6 @@ import contextlib
 import io
 import random
 import sys
-import types
-from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -295,20 +293,6 @@ class TestEverySection:
                 accepted += type(reads_as_the_tokens_do(
                     template.format(mutated))) is dict
         assert 0 < accepted < cases
-
-
-@pytest.fixture(scope="module")
-def bench_corpus():
-    """bench/corpus.py, executed from its text as a module of its own; the
-    file is only read."""
-    path = Path(__file__).resolve().parent.parent / "bench" / "corpus.py"
-    module = types.ModuleType("bench_corpus_text")
-    sys.modules[module.__name__] = module     # dataclasses look it up
-    try:
-        exec(compile(path.read_text(), str(path), "exec"), module.__dict__)
-    finally:
-        del sys.modules[module.__name__]
-    return module
 
 
 class TestBenchmarkTakesTheDirectReads:

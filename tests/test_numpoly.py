@@ -6,6 +6,7 @@ import time
 
 import pytest
 
+import diffalg.numpoly
 from diffalg import (Antichain, NotAntichain, NumericalPolynomial, ZERO_TYPE,
                      count_cofilter, standard_terms, type_and_heights)
 from diffalg.numpoly import _minimalize, _numerator, _staircase_numerator
@@ -67,6 +68,9 @@ class TestMinimalize:
             minimal = _minimalize(iter(gens))
             assert len(minimal) == len(set(minimal))
             assert set(minimal) == all_pairs_minimal(gens)
+            if m in (2, 3):     # the sweep keeps them in its own order
+                _, kept = _staircase_numerator(gens, m)
+                assert kept == sorted(minimal, key=lambda g: g[2:] + g[:2])
 
     @pytest.mark.parametrize("m", [1, 2, 3, 4])
     def test_antichain_names_a_comparable_pair(self, m):
@@ -187,6 +191,26 @@ class TestPivotCountAgainstInclusionExclusion:
                   anti(3, {(4, 0, 0), (0, 1, 0), (0, 0, 2)}, {(1, 0, 1)})):
             assert count_cofilter(E) == inclusion_exclusion_count(E)
 
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_one_sweep_per_component(self, m, monkeypatch):
+        # Antichain validates each component by the sweep that counts it,
+        # and count_cofilter reads the numerators it kept
+        calls = []
+        place = diffalg.numpoly._place
+
+        def counted(*args):
+            calls.append(args)
+            return place(*args)
+
+        monkeypatch.setattr(diffalg.numpoly, "_place", counted)
+        rng = random.Random(58 + m)
+        E = anti(m, layer_antichain(rng, m, 8, 9), set(),
+                 layer_antichain(rng, m, 5, 5))
+        assert len(calls) == 13
+        phi = count_cofilter(E)
+        assert len(calls) == 13
+        assert phi == inclusion_exclusion_count(E)
+
     def test_seeded_layers(self):
         rng = random.Random(47)
         for m, weight, size in ((2, 9, 8), (3, 4, 9), (3, 6, 10)):
@@ -209,7 +233,7 @@ class TestSweepAgainstPivot:
     @staticmethod
     def check(E):
         for comp in E.components:
-            assert nonzero(_staircase_numerator(comp, E.m)) == nonzero(
+            assert nonzero(_staircase_numerator(comp, E.m)[0]) == nonzero(
                 _numerator(list(comp), E.m)), comp
         assert count_cofilter(E) == inclusion_exclusion_count(E)
 
@@ -228,7 +252,7 @@ class TestSweepAgainstPivot:
         for E in (anti(m, set()), anti(m, set(), others, set()),
                   anti(m, {(0,) * m}), anti(m, {(0,) * m}, others)):
             self.check(E)
-        assert nonzero(_staircase_numerator({(0,) * m}, m)) == {}
+        assert nonzero(_staircase_numerator({(0,) * m}, m)[0]) == {}
 
     def test_pure_powers(self):
         for E in (anti(2, {(4, 0)}), anti(2, {(0, 3), (5, 0)}),
@@ -249,7 +273,7 @@ class TestSweepAgainstPivot:
         E = anti(m, leaders(random.Random(54)))
         comp, = E.components
         assert len(comp) == 30
-        assert nonzero(_staircase_numerator(comp, m)) == nonzero(
+        assert nonzero(_staircase_numerator(comp, m)[0]) == nonzero(
             _numerator(list(comp), m))
         phi = count_cofilter(E)
         assert phi(phi.valid_from) == brute_count(E, phi.valid_from)
@@ -261,7 +285,7 @@ class TestSweepAgainstPivot:
         for _ in range(200):
             gens = [tuple(rng.randint(0, 4) for _ in range(3))
                     for _ in range(rng.randint(1, 12))]
-            assert nonzero(_staircase_numerator(gens, 3)) == nonzero(
+            assert nonzero(_staircase_numerator(gens, 3)[0]) == nonzero(
                 _numerator(_minimalize(gens), 3))
 
     def test_pivot_recursion_still_counts_n4(self):

@@ -8,14 +8,16 @@ import time
 import pytest
 
 import diffalg.ore
-from diffalg import (DiffAlgError, DiffFieldConfig, ModElement,
+from diffalg import (DiffAlgError, DiffFieldConfig, MPoly, ModElement,
                      NumericalPolynomial, OrePoly, ParseError, RatFun)
 from diffalg.errors import ExponentOverflow
-from diffalg.parsing import (MAX_PARSE_WORK, modelement_str, orepoly_str,
-                             parse_input,
+from diffalg.parsing import (MAX_PARSE_WORK, field_var_names,
+                             modelement_str, orepoly_str, parse_input,
+                             poly_str, ratfun_str,
                              parse_diffpoly, parse_generator_vector,
                              parse_orepoly, parse_ratfun, term_label)
-from helpers import parse_lifted, parse_lifted_vector
+from helpers import (fraction_numpoly_str, fraction_ratfun_str, parse_lifted,
+                     parse_lifted_vector)
 
 CFG1 = DiffFieldConfig(1, 1)
 CFG22 = DiffFieldConfig(2, 2)
@@ -425,6 +427,36 @@ class TestPrinters:
         ((), "0")])
     def test_numerical_polynomials(self, coeffs, printed):
         assert str(NumericalPolynomial(coeffs)) == printed
+
+    @pytest.mark.parametrize("v", [0, 1, 2, 3])
+    def test_integer_printer_against_fractions(self, v):
+        # seeded quotients with signed, non-monic numerators and
+        # denominators, printed as the Fraction printer printed them
+        rng = random.Random(80 + v)
+        config = DiffFieldConfig(max(v, 1), v)
+
+        def poly(terms, top):
+            return MPoly(v, {tuple(rng.randint(0, top) for _ in range(v)):
+                             rng.choice((-1, 1)) * rng.randint(1, 12)
+                             for _ in range(terms)})
+
+        for _ in range(1000):
+            num = poly(rng.randint(0, 4), 3)
+            den = poly(rng.randint(1, 3), 2) or MPoly.const(v, -6)
+            r = RatFun(num, den)
+            assert ratfun_str(r, config) == fraction_ratfun_str(r, config)
+            # a negative scale, which no canonical denominator has
+            scale = -rng.randint(1, 30)
+            assert poly_str(num.terms, field_var_names(config), scale) == \
+                fraction_ratfun_str(RatFun(num, MPoly.const(v, scale),
+                                           _canonical=True), config)
+
+    def test_numerical_polynomials_against_fractions(self):
+        rng = random.Random(84)
+        for _ in range(1000):
+            phi = NumericalPolynomial(tuple(
+                rng.randint(-60, 60) for _ in range(rng.randint(0, 5))))
+            assert str(phi) == fraction_numpoly_str(phi)
 
     @pytest.mark.parametrize("exps, label", [
         ((0,), "y"), ((2,), "y''"), ((0, 0), "y"), ((1, 2), "y_(1,2)"),
