@@ -6,8 +6,10 @@ with the class's `exit_code`:
     1  any diffalg error not listed below (e.g. leaders that are not an
        antichain, an --order-bound over its cap, ExponentOverflow,
        DegreeTooLarge: a gcd whose remainder sequence needs a
-       pseudo-division of more than `field.MAX_PRS_STEPS` steps, or a
-       power of a value at a point past `variety.MAX_POINT_POWER_BITS`)
+       pseudo-division of more than `field.MAX_PRS_STEPS` steps, or one
+       that multiplies in more than `field._HEU_MAX_BITS` bits of leading
+       coefficients, or a power of a value at a point past
+       `variety.MAX_POINT_POWER_BITS`)
     2  ParseError, DivisionByZero
     3  PointNotOnVariety
     4  UnsupportedForPartial, OrderlyRequired
@@ -40,12 +42,15 @@ class ExponentOverflow(DiffAlgError):
 
 class DegreeTooLarge(DiffAlgError):
     """A gcd needs a pseudo-division of more than `field.MAX_PRS_STEPS`
-    steps; one of degree D by degree E takes at most D - E + 1."""
+    steps, one of degree D by degree E taking at most D - E + 1, or one
+    whose steps multiply the remainder by more than `field._HEU_MAX_BITS`
+    bits of the divisor's leading coefficient."""
 
-    def __init__(self, degree, divisor, cap):
-        super().__init__(f"gcd needs more than {cap} steps of "
-                         f"pseudo-division (degree {degree} by degree "
-                         f"{divisor} in one field variable)")
+    def __init__(self, degree, divisor, cap,
+                 what="steps of pseudo-division"):
+        super().__init__(f"gcd needs more than {cap} {what} (degree "
+                         f"{degree} by degree {divisor} in one field "
+                         f"variable)")
 
 
 class BadDerivation(DiffAlgError):

@@ -26,7 +26,8 @@ level.  After a few evaluation points, or past its size guards, the
 primitive pseudo-remainder sequence (PRS) takes over; it is also the tests'
 oracle.  The PRS recurses on the main variable for every variable count,
 so its work is the steps of its pseudo-divisions, few on sparse inputs of
-huge degree; a pseudo-division past MAX_PRS_STEPS steps raises
+huge degree; a pseudo-division past MAX_PRS_STEPS steps, or past
+_HEU_MAX_BITS bits of leading coefficients multiplied in, raises
 DegreeTooLarge.
 
 Products by a unit cost nothing: an MPoly product with a constant factor
@@ -470,7 +471,12 @@ def _main_var(f, g):
 # two 2^20-bit integers takes about a second) or the main variable's
 # degree passes _HEU_MAX_DEGREE (rebuilding a candidate costs a big-integer
 # division per digit, while the sparse PRS takes three steps on
-# t^N + 1 and t^N + 2 whatever N is).
+# t^N + 1 and t^N + 2 whatever N is).  The PRS is bounded by the same bits:
+# a pseudo-division whose steps multiply in more than _HEU_MAX_BITS bits
+# of the divisor's leading coefficient raises DegreeTooLarge.  `dimpoly`
+# refuses `[(t^16000 + 1)*d + 10^300*t - 2]` (10^300 written out) after
+# 1,052 steps in 0.9 s, where the step cap alone let it run 54 s (process
+# wall time, 2-core shared machine).
 _HEU_TRIES = 6
 _HEU_MAX_BITS = 1 << 20
 _HEU_MAX_DEGREE = 1 << 12
@@ -739,9 +745,12 @@ def _lead_in(f, x):
 
 def _prem(f, g, x):
     """Pseudo-remainder of f by g with respect to t_x, or DegreeTooLarge
-    past MAX_PRS_STEPS steps; a step cancels the leading t_x-degree, so
-    there are at most deg f - deg g + 1."""
+    past MAX_PRS_STEPS steps, or once the steps have multiplied the
+    remainder by more than _HEU_MAX_BITS bits of g's leading coefficient;
+    a step cancels the leading t_x-degree, so there are at most
+    deg f - deg g + 1."""
     dg, lc_g = _lead_in(g, x)
+    grow = max(map(abs, lc_g.terms.values())).bit_length()
     unit = 1 << _digit(f.nvars, x)[0]
     rem = f
     steps = 0
@@ -752,6 +761,10 @@ def _prem(f, g, x):
         steps += 1
         if steps > MAX_PRS_STEPS:
             raise DegreeTooLarge(f.degree_in(x), dg, MAX_PRS_STEPS)
+        if steps * grow > _HEU_MAX_BITS:
+            raise DegreeTooLarge(f.degree_in(x), dg, _HEU_MAX_BITS,
+                                 "bits of leading coefficients in one "
+                                 "pseudo-division")
         rem = rem * lc_g - lc_r * _poly(f.nvars, {(dr - dg) * unit: 1}) * g
     return rem
 

@@ -9,18 +9,18 @@ derivatives of the differential indeterminates.  The symbol table
 signed-sum joiner, which takes each term's sign as data, are each written
 once here.  A numeral too long to convert is a `ParseError`.
 
-All problem text is read by one reader, `_Reader`, that scans a section
-body or one expression by index where it sits in its line and builds no
-tokens; a column is worked out from an offset only for an error.  The
-lexical rules are written once (`_Reader.end`), and the lexical errors of
-every body are raised, in file order, before any body is read (`_check`).
-The grammar consumes the `;` and `,` of every list itself.  A bracketed
-group (a generator vector, a leader group, the field variables) is walked
-once for its shape (`_shape`) before anything inside it is read.  Only a
-well-formed `leaders:` body is read with string methods instead
-(`_read_leaders`), since the reader takes six to seven times as long on
-it.  The header counts are numerals like any other, capped by
-`MAX_MODULE_RANK` and `MAX_DERIVATIONS`.
+The lexical rules are written once (`_Reader.end`), and the lexical errors
+of every section body are raised, in file order, before any body is read
+(`_check`).  The data sections `field:`, `module:` and `leaders:` are read
+with string methods (`_read_field`, `_read_count`, `_leader_groups`); only
+an error builds a reader, to find the separators inside brackets
+(`_shape`) and name the token at fault.  The header counts are capped by
+`MAX_MODULE_RANK` and `MAX_DERIVATIONS`.  The expressions of the other
+sections are read by one reader, `_Reader`, that scans a body by index
+where it sits in its line and builds no tokens; a column is worked out
+from an offset only for an error.  The grammar consumes the `;` and `,` of
+every list itself, and a generator vector is walked once for its shape
+(`_shape`) before any coordinate is read.
 
 An expression is read by `parse_expr` and `parse_term` over one factor
 step, `parse_factor` (signs, an atom with its primes, and `^`).  A
@@ -122,14 +122,18 @@ class _Reader:
         return "".join(word.split()) if "_(" in word else word
 
     def numeral(self, at, end):
-        """The value of the numeral text[at:end]; one too long for the
-        interpreter to convert is a ParseError at it."""
-        try:
-            return int(self.text[at:end])
-        except ValueError:
-            raise self.error(f"numeral of {end - at} digits; the limit is "
-                             f"{sys.get_int_max_str_digits()} digits",
-                             at) from None
+        return _numeral(self.text[at:end], self.line, self.column + at)
+
+
+def _numeral(word, line, column):
+    """The value of the numeral `word` at `column` of line `line`; one too
+    long for the interpreter to convert is a ParseError at it."""
+    try:
+        return int(word)
+    except ValueError:
+        raise ParseError(f"numeral of {len(word)} digits; the limit is "
+                         f"{sys.get_int_max_str_digits()} digits", line,
+                         column) from None
 
 
 def _check(text, line, column=1):
@@ -144,11 +148,11 @@ def _shape(r, groups, noun, brackets="[]"):
     """The offsets that bound the parts of the group at `i`: its first
     token, each `,` one bracket deep and its last token, which with the
     first must be `brackets`; else a ParseError "<noun> must be
-    bracketed" at the first token, or None with no `noun`.  With `groups`
-    a `;` outside brackets ends the group, else the text does; `i` is
-    left there.  The text is lexically checked (`_check`), so it is
-    walked a run of letters, digits, blanks and operators at a time:
-    outside the suffix `_( ... )` of a name each of `[](),;` is a token."""
+    bracketed" at the first token.  With `groups` a `;` outside brackets
+    ends the group, else the text does; `i` is left there.  The text is
+    lexically checked (`_check`), so it is walked a run of letters,
+    digits, blanks and operators at a time: outside the suffix `_( ... )`
+    of a name each of `[](),;` is a token."""
     text, k, n = r.text, r.i, len(r.text)
     commas, depth, suffix = [], 0, None
     while k < n:
@@ -171,14 +175,8 @@ def _shape(r, groups, noun, brackets="[]"):
     r.to(k)
     if first <= last != suffix and text[first] + text[last] == brackets:
         return [first, *commas, last]
-    if noun:
-        raise ParseError(f"{noun} must be bracketed", r.line,
-                         r.column + first if first <= last else None)
-    return None
-
-
-def _unexpected(r, at):
-    return r.error(f"unexpected {r.token(at)!r} in leaders", at)
+    raise ParseError(f"{noun} must be bracketed", r.line,
+                     r.column + first if first <= last else None)
 
 
 # ---------------------------------------------------------------------------
@@ -932,7 +930,7 @@ def parse_input(text):
     config = None
     for head, body, lineno, column in sections:
         if head == "field":
-            config = _parse_field_line(body, lineno, column)
+            config = _read_field(body, lineno, column)
     if config is None:
         raise ParseError("missing 'field:' line", 1)
 
@@ -963,8 +961,8 @@ def parse_input(text):
                 raise ParseError(f"unknown ranking {body!r}", lineno)
             pf.ranking_kind = "orderly" if body == "orderly" else "elimination"
         elif head == "module":
-            pf.module_rank = _header_number(body, lineno, column,
-                                            "module rank", MAX_MODULE_RANK)
+            pf.module_rank = _read_count(body, lineno, column, "module rank",
+                                         MAX_MODULE_RANK)
             if pf.module_rank < 1:
                 raise ParseError("module rank must be positive", lineno)
         elif head in ("point", "eqs", "gens", "element", "leaders"):
@@ -980,57 +978,63 @@ def parse_input(text):
     return pf
 
 
-def _header_number(text, line, column, what, limit):
-    """The count in a header: one numeral of ASCII digits, at most `limit`;
-    `text` starts at `column` of line `line`."""
+def _read_count(text, line, column, what, limit):
+    """The count in a header, read with string methods: one numeral of
+    ASCII digits, at most `limit`; `text` starts at `column` of line
+    `line`."""
     _check(text, line, column)
-    r, word = _Reader(text, line, column), text.strip()
-    if word.isascii() and word.isdigit():       # one numeral
-        value = r.numeral(r.i, r.i + len(word))
-        if value > limit:
-            raise r.error(f"{what} {value}; the limit is {limit}", r.i)
-        return value
-    raise ParseError(f"{what} must be an integer", line)
+    word = text.strip()     # `_check` refuses the other digits
+    if not word.isdigit():
+        raise ParseError(f"{what} must be an integer", line)
+    column += len(text) - len(text.lstrip())
+    value = _numeral(word, line, column)
+    if value > limit:
+        raise ParseError(f"{what} {value}; the limit is {limit}", line,
+                         column)
+    return value
 
 
-def _parse_field_line(body, lineno, column):
-    """`Q`, `Q(t)` or `Q(t1, ..., tv)`, then optionally `derivations: m`."""
+def _read_field(body, line, column):
+    """`Q`, `Q(t)` or `Q(t1, ..., tv)`, then optionally `derivations: m`,
+    read with string methods.  A wrong field variable is named by the
+    tokens of its part of the parentheses, joined by spaces."""
     m = None
     if "derivations" in body:
         body, _, count = body.partition("derivations:")
-        m = _header_number(count, lineno,
-                           column + len(body) + len("derivations:"),
-                           "derivation count", MAX_DERIVATIONS)
-    _check(body, lineno, column)
-    r, bounds = _Reader(body, lineno, column), None
-    if r.c and r.token(r.i) == "Q":
-        r.to(r.i + 1)
-        bounds = _shape(r, False, None, "()") if r.c else []
-    if bounds is None:
-        raise ParseError(f"unrecognized field {body.strip()!r}", lineno)
-    # a variable is right when its text is one name, `t` or `t<i>`; the
-    # message names a wrong one by its tokens, joined by spaces
-    parts = list(zip(bounds, bounds[1:]))
-    names = [body[a + 1:b].split() for a, b in parts]
-    for i, (a, b) in enumerate(parts):
-        if names[i] != [f"t{i + 1}"] and names != [["t"]]:
-            r.to(a + 1)
-            words = []
-            while r.i < b:
-                words.append(r.i)
-                r.to(r.end(r.i))
-            raise ParseError(f"field variables must be t or t1..tv, got "
-                             f"{' '.join(map(r.token, words))!r}", lineno,
-                             column + words[0] if words else None)
+        m = _read_count(count, line,
+                        column + len(body) + len("derivations:"),
+                        "derivation count", MAX_DERIVATIONS)
+    _check(body, line, column)
+    head, paren, inner = body.strip().partition("(")
+    # the last `)` must be a token, not the end of a name's suffix `_(...)`
+    if head.rstrip() != "Q" or paren and (inner[-1:] != ")" or "_" in inner[
+            inner.rfind(")", 0, -1) + 1:]):
+        raise ParseError(f"unrecognized field {body.strip()!r}", line)
+    names = [x.strip() for x in inner[:-1].split(",")] if paren else []
+    wrong = next((i for i, x in enumerate(names) if x != f"t{i + 1}"), None)
+    if wrong is not None and names != ["t"]:
+        # the parts before it are one name each, so the variable that the
+        # separators outside brackets bound starts where this part does
+        r = _Reader(body, line, column)
+        r.to(body.index("("))
+        a, b = _shape(r, False, "field variables", "()")[wrong:wrong + 2]
+        r.to(a + 1)
+        words = []
+        while r.i < b:
+            words.append(r.i)
+            r.to(r.end(r.i))
+        raise ParseError(f"field variables must be t or t1..tv, got "
+                         f"{' '.join(map(r.token, words))!r}", line,
+                         column + words[0] if words else None)
     v = len(names)
     if v > MAX_DERIVATIONS:
         raise ParseError(f"{v} field variables; the limit is "
-                         f"{MAX_DERIVATIONS}", lineno)
+                         f"{MAX_DERIVATIONS}", line)
     m = max(v, 1) if m is None else m
     if m < 1:
-        raise ParseError("derivation count must be positive", lineno)
+        raise ParseError("derivation count must be positive", line)
     if m < v:
-        raise ParseError("derivation count below the variable count", lineno)
+        raise ParseError("derivation count below the variable count", line)
     return DiffFieldConfig(num_derivations=m, num_vars=v)
 
 
@@ -1087,12 +1091,8 @@ def _finish_sections(pf, pending):
         pf.element = _vector(reader("element", "unknown symbol",
                                     deltas=True), n)
     if "leaders" in pending:
-        groups = _read_leaders(pending["leaders"][0], config.m)
-        if groups is None:
-            r = _Reader(*pending["leaders"])
-            groups = tuple(_items(r, lambda: _leader_group(r, config.m),
-                                  True))
-        pf.leaders = Antichain(config.m, groups)
+        pf.leaders = Antichain(config.m,
+                               _leader_groups(*pending["leaders"], config.m))
 
 
 def _items(r, read, empty=False):
@@ -1107,97 +1107,103 @@ def _items(r, read, empty=False):
         r.to(r.i + 1)
 
 
-def _read_leaders(body, m):
-    """The leader groups of a well-formed `leaders:` body, read with string
-    methods: `[` tuples `]` groups between `;`, each tuple `(n1,...,nm)`
-    of m numerals of ASCII digits that the interpreter converts, blanks
-    (space or tab) anywhere between them, and `[]` for a group without
-    leaders.  The tuple of frozensets is the one `_leader_group` reads;
-    None for any other body, which `_leader_group` reads and refuses.
-    The reader takes six to seven times as long over the staircase
-    benchmark's bodies, so this path is kept beside it."""
-    if not body.isascii():
-        return None
-    limit = sys.get_int_max_str_digits()
-    long = 0 < limit < len(body)    # only then may a numeral pass the limit
-    groups = []
+def _leader_groups(body, line, column, m):
+    """The leader groups of the `leaders:` body at `column` of line `line`,
+    read with string methods: `[` leaders between `,` `]` groups between
+    `;`, a leader a tuple `(n1, ..., nm)` of m numerals of ASCII digits or,
+    with m = 1, a numeral; blanks anywhere between them.  The first group
+    that is not so holds the body's first error (`_leader_error`)."""
+    groups, at = [], 0
     for group in body.split(";"):
-        group = group.strip(_BLANKS)
-        if not (group.startswith("[") and group.endswith("]")):
-            return None
-        first, *tuples = group[1:-1].split("(")
-        if first.strip(_BLANKS):
-            return None
-        vectors = set()
-        # `after` is the comma between tuples, and nothing after the last
-        for after, entry in enumerate(tuples, 1 - len(tuples)):
-            numerals, close, rest = entry.partition(")")
-            if not close or rest.strip(_BLANKS) != ("," if after else ""):
-                return None
-            numerals = numerals.split(",")
-            if not "".join(numerals).isdigit():
-                numerals = [x.strip(_BLANKS) for x in numerals]
-                if not "".join(numerals).isdigit():
-                    return None
-            if len(numerals) != m or not all(numerals) \
-                    or long and max(map(len, numerals)) > limit:
-                return None
-            vectors.add(tuple(map(int, numerals)))
-        groups.append(frozenset(vectors))
+        try:
+            groups.append(_plain_group(group.strip(), m))
+        except ValueError:      # not plain, or a numeral past the limit
+            _leader_error(body, line, column, at, m)
+        at += len(group) + 1
     return tuple(groups)
 
 
-def _leader_group(r, m):
-    """The leaders of the group at `i`, `[` leaders between `,` `]`: its
-    shape and then its empty entries are refused before any is read."""
-    bounds = _shape(r, True, "leader group")
-    end, entries = r.i, []
-    for a, b in zip(bounds, bounds[1:]):
+def _plain_group(text, m):
+    """The leaders of the group `text`, `[` leaders `]`, as a frozenset, or
+    a ValueError.  With no sign in the text, `int` takes a numeral of
+    ASCII digits with blanks around it and refuses all else: `_check`
+    refuses the other digits, and a `_` that follows no name."""
+    if text[:1] != "[" or text[-1:] != "]" or "-" in text or "+" in text:
+        raise ValueError
+    text, vectors = text[1:-1], set()
+    if m == 1:      # numerals, bare or in parentheses
+        for entry in text.split(",") if text.strip() else ():
+            entry = entry.strip()
+            if entry[:1] == "(" and entry[-1:] == ")":
+                entry = entry[1:-1]
+            vectors.add((int(entry),))
+        return frozenset(vectors)
+    first, *tuples = text.split("(")
+    if first.strip():
+        raise ValueError
+    # `after` is the comma between tuples, and nothing after the last
+    for after, entry in enumerate(tuples, 1 - len(tuples)):
+        numerals, close, rest = entry.partition(")")
+        numerals = numerals.split(",")
+        if not close or rest.strip() != ("," if after else "") \
+                or len(numerals) != m:
+            raise ValueError
+        vectors.add(tuple(map(int, numerals)))
+    return frozenset(vectors)
+
+
+def _leader_error(body, line, column, at, m):
+    """Raise the first error of the group at offset `at` of the `leaders:`
+    body, the first group that `_plain_group` does not read: its brackets,
+    then its empty leaders; then, leader by leader, what follows a tuple's
+    first `)`, an empty coordinate, a coordinate that is not one numeral,
+    a numeral past the limit and the length.  `_shape` finds the
+    separators, and the reader names the token at fault."""
+    r = _Reader(body, line, column)
+
+    def unexpected(k):
+        return r.error(f"unexpected {r.token(k)!r} in leaders", k)
+
+    def parts(cuts):
+        """The spans between the separators `cuts`, none when they hold
+        only blanks; an empty one among others is an error at its end."""
+        if not body[cuts[0] + 1:cuts[-1]].strip():
+            return []
+        for a, b in zip(cuts, cuts[1:]):
+            if not body[a + 1:b].strip():
+                raise unexpected(b)
+        return list(zip(cuts, cuts[1:]))
+
+    r.to(at)
+    for a, b in parts(_shape(r, True, "leader group")):
         r.to(a + 1)
-        if r.i < b:
-            entries.append((r.i, b))
-        elif len(bounds) > 2:
-            raise _unexpected(r, b)
-    group = frozenset(_leader(r, a, b, m) for a, b in entries)
-    r.to(end)
-    return group
-
-
-def _leader(r, at, stop, m):
-    """The leader from `at` to `stop`: a numeral when m = 1, or a tuple
-    `(n1, ..., nm)` that ends at its first `)`, its coordinates between
-    `,` outside other brackets.  What follows the tuple, then an empty
-    coordinate, then one that is not one numeral is refused before any
-    numeral is converted."""
-    is_tuple = r.text[at] == "("
-    r.to(at + is_tuple)
-    coords, after, depth = [[]], [], 0     # token offsets; what ends each
-    while (c := r.c) != ")" or not is_tuple:
-        if r.i >= stop:
-            if is_tuple:
-                raise r.error("unterminated leader tuple", at)
-            break
-        if c == "," and is_tuple and not depth:
-            after.append(r.i)
-            coords.append([])
-        else:
-            coords[-1].append(r.i)
-            depth += (c in "([") - (c in ")]")
-        r.to(r.end(r.i))
-    if is_tuple:
-        after.append(r.i)
-        r.to(r.i + 1)
-        if r.i < stop:
-            raise _unexpected(r, r.i)
-        coords = [] if coords == [[]] else coords
-    for tokens, k in zip(coords, after):
-        if not tokens:
-            raise _unexpected(r, k)
-    for k, *rest in coords:
-        if rest or r.text[k] not in _DIGITS:
-            raise _unexpected(r, rest[0] if r.text[k] in _DIGITS else k)
-    vec = tuple(r.numeral(k, r.end(k)) for k, in coords)
-    if len(vec) != m:
-        raise r.error(f"leader {vec} has length {len(vec)}, expected {m}",
-                      at)
-    return vec
+        start, coords = r.i, [(a, b)]
+        if body[start] == "(":
+            k = start       # a `)` after a `_` ends that name's suffix
+            while (close := body.find(")", k, b)) >= 0 \
+                    and "_" in body[k:close]:
+                k = close + 1
+            if close < 0:
+                raise r.error("unterminated leader tuple", start)
+            r.to(close + 1)
+            if r.i < b:
+                raise unexpected(r.i)
+            # `_shape` walks to the end of its text, here the tuple's `)`
+            t = _Reader(body[:close + 1], line, column)
+            t.to(start)
+            coords = parts(_shape(t, False, "leader tuple", "()"))
+        numerals = []
+        for x, y in coords:
+            r.to(x + 1)
+            k = r.i
+            if body[k] not in _DIGITS:
+                raise unexpected(k)
+            end = y - len(body[k:y].lstrip(_DIGITS))
+            r.to(end)
+            if r.i < y:
+                raise unexpected(r.i)
+            numerals.append((k, end))
+        vec = tuple(r.numeral(k, end) for k, end in numerals)
+        if len(vec) != m:
+            raise r.error(f"leader {vec} has length {len(vec)}, expected "
+                          f"{m}", start)

@@ -17,7 +17,7 @@ import diffalg.normalform
 import diffalg.parsing
 from diffalg import DiffFieldConfig
 from diffalg.cli import main
-from diffalg.field import MAX_PRS_STEPS
+from diffalg.field import _HEU_MAX_BITS, MAX_PRS_STEPS
 from diffalg.parsing import (MAX_DERIVATIONS, MAX_MODULE_RANK, MAX_NESTING,
                              MAX_PARSE_WORK, orepoly_str, parse_input,
                              parse_orepoly)
@@ -1320,6 +1320,20 @@ class TestGcdDegreeLimit:
         assert err == (f"error: gcd needs more than {MAX_PRS_STEPS} steps of "
                        f"pseudo-division (degree 100000 by degree 1 in one "
                        f"field variable)\n")
+
+    def test_pseudo_division_past_the_bit_cap_exits_1(self, capsys,
+                                                       tmp_path):
+        # each step multiplies the remainder by 10^300, 997 bits, so the
+        # step cap alone would let the integers grow for 8,192 steps
+        text = (f"field: Q(t)\nmodule: 1\n"
+                f"gens: [(t^16000 + 1)*d + {10 ** 300}*t - 2]\n")
+        start = time.perf_counter()
+        code, out, err = run(capsys, tmp_path, text, "dimpoly")
+        assert time.perf_counter() - start < 2.0
+        assert (code, out) == (1, "")
+        assert err == (f"error: gcd needs more than {_HEU_MAX_BITS} bits of "
+                       f"leading coefficients in one pseudo-division "
+                       f"(degree 16000 by degree 1 in one field variable)\n")
 
     def test_degree_under_the_cap_runs(self, capsys, tmp_path):
         text = ("field: Q(t)\nmodule: 1\n"

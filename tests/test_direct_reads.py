@@ -4,16 +4,15 @@
 argv, and `main` answers as the argument parser alone.  `parse_input`
 reads every section body as the token reader it replaced
 (`helpers.token_parse_input`) reads it: an equal problem, or the same
-error at the same line and column, with the same work charged.  So does
-it without the string-method read of a `leaders:` body,
-`parsing._read_leaders`, which returns None or the reader's groups."""
+error at the same line and column, with the same work charged.  The data
+sections (`field:`, `module:`, `leaders:`) are read with string methods
+alone, so these checks are what ties each string split to the tokens."""
 
 import argparse
 import contextlib
 import io
 import random
 import sys
-from unittest import mock
 
 import pytest
 
@@ -22,7 +21,7 @@ import diffalg.parsing
 from diffalg import DiffAlgError
 from diffalg.errors import NotAntichain
 from diffalg.cli import _build_argparser, _read_argv, main
-from diffalg.parsing import _ExprParser, _read_leaders, parse_input
+from diffalg.parsing import _ExprParser, parse_input
 from helpers import token_parse_input
 
 LIMIT = sys.get_int_max_str_digits()
@@ -140,13 +139,9 @@ def read(parse, text):
 
 def reads_as_the_tokens_do(text):
     """What `parse_input` reads from text, checked to be what the token
-    reader reads, with and without `_read_leaders`."""
+    reader reads."""
     reading = read(parse_input, text)
     assert reading == read(token_parse_input, text), text
-    if "leaders:" in text:
-        with mock.patch.object(diffalg.parsing, "_read_leaders",
-                               lambda body, m: None):
-            assert read(parse_input, text) == reading, text
     return reading
 
 
@@ -200,7 +195,6 @@ class TestReadLeaders:
         header = f"field: Q derivations: {m}\nleaders: "
         for _ in range(60):
             body = random_body(rng, m)
-            assert _read_leaders(body, m) is not None, body
             reading = reads_as_the_tokens_do(header + body)
             # a long numeral may leave the groups no antichain
             assert type(reading) is dict or reading[0] is NotAntichain
@@ -209,16 +203,16 @@ class TestReadLeaders:
     def test_one_character_off_reads_as_the_tokens_do(self, m):
         rng = random.Random(200 + m)
         header = f"field: Q derivations: {m}\nleaders: "
-        accepted = direct = cases = 0
+        accepted = cases = 0
         for body in [random_body(rng, m) for _ in range(5)]:
             for mutated in mutations(rng, body):
                 cases += 1
-                direct += _read_leaders(mutated, m) is not None
                 accepted += type(reads_as_the_tokens_do(
                     header + mutated)) is dict
-        assert 0 < accepted < cases and 0 < direct < cases
+        assert 0 < accepted < cases
 
-    # bodies off the plain shape of tuples between `;` and `,`
+    # bodies off the plain shape of tuples between `;` and `,`: the string
+    # read declines the group, and its first error is searched for
     @pytest.mark.parametrize("body, m", [
         ("[2]", 1), ("[]; [2]", 1), ("[(1,1)]\xa0", 2), ("[(1,1)]\x0b", 2),
         ("[(1,1)]\x0c", 2), ("[(1,1)];", 2), (";[(1,1)]", 2), ("", 2),
@@ -227,10 +221,76 @@ class TestReadLeaders:
         ("[(0,2), (1,1,1)]", 2), ("[((1,1))]", 2), ("[[(1,1)]]", 2),
         ("[(١,1)]", 2), ("[(+1,1)]", 2), ("[(1_0,1)]", 2),
         ("[(" + "9" * (LIMIT + 1) + ",1)]", 2), ("[()]", 1), ("[( )]", 1),
+        ("[(1;2)]", 2), ("[(y_(1),2)]", 2), ("[(1,(2,3))]", 2),
+        ("[(" + "9" * (LIMIT + 1) + ",x)]", 2),
     ])
     def test_other_bodies_are_declined(self, body, m):
-        assert _read_leaders(body, m) is None
         reads_as_the_tokens_do(f"field: Q derivations: {m}\nleaders: {body}")
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_names_suffixes_and_separators_one_character_off(self, m):
+        # a name with a suffix `_( ... )` holds brackets and commas that
+        # no string split may take for the body's own
+        rng = random.Random(300 + m)
+        header = f"field: Q derivations: {m}\nleaders: "
+        bodies = [random_body(rng, m) for _ in range(2)]
+        bodies += [body.replace("(", "y_(", 1) for body in bodies]
+        accepted = cases = 0
+        for body in bodies:
+            for mutated in mutations(rng, body, 16, "[](),;_+- 0123y\t"):
+                cases += 1
+                accepted += type(reads_as_the_tokens_do(
+                    header + mutated)) is dict
+        assert 0 < accepted < cases
+
+
+class TestReadHeaders:
+    @pytest.mark.parametrize("field", [
+        "Q(t1,(t2,t3))", "Q(t 1)", "Q(t1, t 2)", "Q(t_(1))", "Q(t_(1)",
+        "Q(t1, t_(2, 3), t3)", "Q(t1,t2", "Q()", "Q( , )", "Q(t1),(t2)",
+        "Q(t))", "Q((t))", "Q_(1)(t)", "Q\t( t1 ,\xa0t2 )", "Q [t]", "QQ",
+        "Q(t2, t1)", "Q(t,)", "Q(t1,]t2)", "Q(t1;t2)",
+    ])
+    def test_field_variables_read_as_the_tokens_do(self, field):
+        reads_as_the_tokens_do(f"field: {field}\nmodule: 1\ngens: [d1]\n")
+
+    @pytest.mark.parametrize("text", [
+        f"field: Q derivations: {'0' * (LIMIT - 1)}2\nmodule: 1\n",
+        f"field: Q derivations: {'0' * LIMIT}2\nmodule: 1\n",
+        f"field: Q\nmodule:  {'0' * (LIMIT - 1)}1\ngens: [d]\n",
+        f"field: Q\nmodule:  {'0' * LIMIT}1\ngens: [d]\n",
+        f"field: Q\nmodule: {'9' * LIMIT}\n",
+    ], ids=["derivations-at-limit", "derivations-past-limit",
+            "module-at-limit", "module-past-limit", "module-over-cap"])
+    def test_counts_as_long_as_the_digit_limit(self, text):
+        reads_as_the_tokens_do(text)
+
+    def test_data_sections_build_no_reader(self, monkeypatch,
+                                           bench_corpus):
+        # text of other characters than ASCII letters, digits, symbols,
+        # spaces and tabs is walked by the reader for its lexical errors
+        built = []
+        init = diffalg.parsing._Reader.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(args[0])
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(diffalg.parsing._Reader, "__init__", counted)
+        texts = [
+            "field: Q derivations: 2\nleaders: [(1,1), (0,2)]; [(2,0)]\n",
+            "field: Q(t1, t2) derivations: 3\nmodule: 4\n",
+            "field:\tQ( t )\t\nmodule:\t2 \n",
+            "field: Q\nleaders: []; [2]; [ 0 ]; [(3), 3]\n",
+            *(problem.text for problem in bench_corpus.staircase(71)
+              if problem.command == "count"),
+        ]
+        for text in texts:
+            assert type(read(parse_input, text)) is dict, text
+        assert built == []
+        with pytest.raises(DiffAlgError):
+            parse_input("field: Q derivations: 2\nleaders: [(1,,2)]\n")
+        assert built
 
 
 def rand_expr(rng, atoms, depth=2):
@@ -311,7 +371,6 @@ class TestBenchmarkTakesTheDirectReads:
                 head, _, body = line.partition(":")
                 if head == "leaders":
                     bodies += 1
-                    assert _read_leaders(body, problem.m) is not None
             assert type(reads_as_the_tokens_do(problem.text)) is dict
         assert bodies == 30
 
