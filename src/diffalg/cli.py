@@ -30,7 +30,7 @@ from math import comb
 from .errors import DiffAlgError, ParseError
 from .diffmodule import characteristic_set, reduce as nf_reduce
 from .dimension import dimension_report, leader_antichain
-from .normalform import OreMatrix, TangentClass, diagonalize
+from .normalform import classify_presentation
 from .numpoly import count_cofilter, standard_terms
 from .parsing import (modelement_str, orepoly_str, parse_input, term_label,
                       vector_str)
@@ -186,11 +186,8 @@ def _dispatch(command, problem, args):
     if command == "decompose":
         if problem.gens is None:
             raise ParseError("'decompose' needs a 'module:'+'gens:' section")
-        n = problem.module_rank
-        relations = OreMatrix(config, [w.operator_vector()
-                                       for w in problem.gens if w], cols=n)
-        diagonal = diagonalize(relations).D.diagonal()
-        tc = TangentClass.from_diagonal(n, diagonal)
+        tc, diagonal = classify_presentation(config, problem.gens,
+                                             problem.module_rank)
         diag = [orepoly_str(e, config) for e in diagonal]
         return {"json": {**tc.to_json(), "diagonal": diag},
                 "text": f"d = {tc.d}, k = {tc.k}, torsion degrees "

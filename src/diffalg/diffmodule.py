@@ -105,7 +105,6 @@ class ModElement(TermMap):
                 if coeff:
                     clean[(comp, exps)] = coeff
         self.terms = clean
-        self._hash = None
 
     # -- constructors ----------------------------------------------------
 

@@ -7,9 +7,9 @@ with the class's `exit_code`:
        antichain, an --order-bound over its cap, ExponentOverflow,
        DegreeTooLarge: a gcd whose remainder sequence needs a
        pseudo-division of more than `field.MAX_PRS_STEPS` steps, or one
-       that multiplies in more than `field._HEU_MAX_BITS` bits of leading
-       coefficients, or a power of a value at a point past
-       `variety.MAX_POINT_POWER_BITS`)
+       that multiplies in more than `field.MAX_BITS` bits of leading
+       coefficients, or a power of a value at a point whose integers may
+       pass the same `field.MAX_BITS`)
     2  ParseError, DivisionByZero
     3  PointNotOnVariety
     4  UnsupportedForPartial, OrderlyRequired
@@ -43,8 +43,8 @@ class ExponentOverflow(DiffAlgError):
 class DegreeTooLarge(DiffAlgError):
     """A gcd needs a pseudo-division of more than `field.MAX_PRS_STEPS`
     steps, one of degree D by degree E taking at most D - E + 1, or one
-    whose steps multiply the remainder by more than `field._HEU_MAX_BITS`
-    bits of the divisor's leading coefficient."""
+    whose steps multiply the remainder by more than `field.MAX_BITS` bits
+    of the divisor's leading coefficient."""
 
     def __init__(self, degree, divisor, cap,
                  what="steps of pseudo-division"):

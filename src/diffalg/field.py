@@ -22,13 +22,16 @@ integer lists: Horner evaluation, the digits straight into a list and one
 exact dense division per cofactor.  Inputs in more
 variables take the sparse recursive form (Liao and Fateman, 1995): the
 images are gcds in one variable fewer, so the recursion ends in the dense
-level.  After a few evaluation points, or past its size guards, the
-primitive pseudo-remainder sequence (PRS) takes over; it is also the tests'
-oracle.  The PRS recurses on the main variable for every variable count,
-so its work is the steps of its pseudo-divisions, few on sparse inputs of
-huge degree; a pseudo-division past MAX_PRS_STEPS steps, or past
-_HEU_MAX_BITS bits of leading coefficients multiplied in, raises
-DegreeTooLarge.
+level.  Both levels take their points from one schedule, `_points` (see
+the comment above `_HEU_TRIES`).  When it runs out, or past the degree
+guard, the primitive pseudo-remainder sequence (PRS) takes over; it is
+also the tests' oracle.  The PRS recurses on the main variable for every
+variable count, so its work is the steps of its pseudo-divisions, few on
+sparse inputs of huge degree; a pseudo-division past MAX_PRS_STEPS steps,
+or past MAX_BITS bits of leading coefficients multiplied in, raises
+DegreeTooLarge.  MAX_BITS is the one size limit on the integers of the
+algebra: GCDHEU's images, the PRS's leading coefficients and, in
+`variety`, a power of a value at a point.
 
 Products by a unit cost nothing: an MPoly product with a constant factor
 scales the other factor (returns it when the constant is 1), and a RatFun
@@ -79,10 +82,11 @@ class DiffFieldConfig(FrozenRecord):
             raise ValueError("need 0 <= num_vars <= num_derivations")
         self._set_fields(num_derivations, num_vars)
 
-    # Term maps compare configs (with !=) on every operation, often two
-    # equal ones built apart (the parser's symbol cache hands out operators
-    # of an earlier equal config), so both tests check identity and then
-    # the two ints, with no tuple built.
+    # Term maps compare configs (with !=) on every operation, nearly always
+    # one object with itself, since a problem's values share the config its
+    # reader built (the parser's `_symbols` cache holds exponent tuples and
+    # packed keys, no values), so both tests check identity first, then the
+    # two ints, with no tuple built.
     def __eq__(self, other):
         if self is other:
             return True
@@ -125,7 +129,7 @@ _GUARD = 1 << (_BITS - 1)
 class MPoly:
     """Sparse polynomial in Z[t1..tv]: packed monomial key -> nonzero int."""
 
-    __slots__ = ("nvars", "terms", "_hash")
+    __slots__ = ("nvars", "terms")
 
     def __init__(self, nvars, terms=None):
         """`terms` maps exponent tuples of length nvars to integers."""
@@ -140,7 +144,6 @@ class MPoly:
                         raise ValueError(f"non-integer coefficient {coeff}")
                     clean[_pack(exps)] = int(coeff)
         self.terms = clean
-        self._hash = None
 
     # -- constructors -------------------------------------------------
 
@@ -281,9 +284,7 @@ class MPoly:
         return self.nvars == other.nvars and self.terms == other.terms
 
     def __hash__(self):
-        if self._hash is None:
-            self._hash = hash((self.nvars, frozenset(self.terms.items())))
-        return self._hash
+        return hash((self.nvars, frozenset(self.terms.items())))
 
     def __bool__(self):
         return bool(self.terms)
@@ -357,7 +358,6 @@ def _poly(nvars, terms):
     p = object.__new__(MPoly)
     p.nvars = nvars
     p.terms = terms
-    p._hash = None
     return p
 
 
@@ -402,14 +402,19 @@ def _norm(p):
     return max(map(abs, p.terms.values()))
 
 
-def _digitwise(pick, keys, nvars):
-    """Key of the monomial whose exponent of each variable is `pick` (min
-    or max) of that exponent over keys, which holds at least one key."""
-    key = 0
-    for i in range(nvars):
-        shift, mask = _digit(nvars, i)
-        key |= pick(e >> shift & mask for e in keys) << shift
-    return key
+def _corners(keys, nvars):
+    """(low, top): the keys of the monomials whose exponent of each
+    variable is the least, and the largest, of that exponent over keys,
+    which holds at least one key.  t1's digit is the top one, so its two
+    exponents are those of the least and the largest key."""
+    shift = _BITS * max(nvars - 1, 0)
+    low, top = min(keys) >> shift << shift, max(keys) >> shift << shift
+    while shift:
+        shift -= _BITS
+        digits = [e >> shift & _MASK for e in keys]
+        low |= min(digits) << shift
+        top |= max(digits) << shift
+    return low, top
 
 
 def _borrows(a, b, guards):
@@ -425,13 +430,16 @@ def _quotient(f, h):
     divide f."""
     if not f.terms:
         return f
-    # f = h*q gives deg_i q = deg_i f - deg_i h for every variable, which
-    # bounds the steps of a division that turns out inexact
+    # f = h*q gives both deg_i q = deg_i f - deg_i h and the same for the
+    # lowest exponents, for every variable: every quotient key lies in the
+    # box between those corners, which bounds the steps of a division that
+    # turns out inexact
     guards = _guards(f.nvars)
-    top_f, top_h = (_digitwise(max, p.terms, p.nvars) for p in (f, h))
-    if _borrows(top_f, top_h, guards):
+    (low_f, top_f), (low_h, top_h) = (_corners(p.terms, p.nvars)
+                                      for p in (f, h))
+    if _borrows(top_f, top_h, guards) or _borrows(low_f, low_h, guards):
         return None
-    box = top_f - top_h
+    top, low = top_f - top_h, low_f - low_h
     lead_e = max(h.terms)
     lead_c = h.terms[lead_e]
     tail = [(e, c) for e, c in h.terms.items() if e != lead_e]
@@ -441,7 +449,8 @@ def _quotient(f, h):
         re = max(rem)
         qc, r = divmod(rem.pop(re), lead_c)
         qe = re - lead_e
-        if r or _borrows(re, lead_e, guards) or _borrows(box, qe, guards):
+        if (r or _borrows(re, lead_e, guards) or _borrows(top, qe, guards)
+                or _borrows(qe, low, guards)):
             return None
         quo[qe] = qc
         # every term of qc*t^qe*tail lies lex-below re
@@ -466,19 +475,34 @@ def _main_var(f, g):
 
 # -- gcd: GCDHEU with cofactors -------------------------------------------
 
-# GCDHEU leaves the gcd to the PRS after _HEU_TRIES evaluation points, or
-# before evaluating where an image would pass _HEU_MAX_BITS bits (a gcd of
-# two 2^20-bit integers takes about a second) or the main variable's
-# degree passes _HEU_MAX_DEGREE (rebuilding a candidate costs a big-integer
-# division per digit, while the sparse PRS takes three steps on
-# t^N + 1 and t^N + 2 whatever N is).  The PRS is bounded by the same bits:
-# a pseudo-division whose steps multiply in more than _HEU_MAX_BITS bits
-# of the divisor's leading coefficient raises DegreeTooLarge.  `dimpoly`
-# refuses `[(t^16000 + 1)*d + 10^300*t - 2]` (10^300 written out) after
-# 1,052 steps in 0.9 s, where the step cap alone let it run 54 s (process
-# wall time, 2-core shared machine).
+# The one size limit on the integers of the algebra, in bits; a gcd of two
+# 2^20-bit integers takes about a second.
+# - GCDHEU's schedule (`_points`, shared by both levels) ends before a
+#   point whose images could pass it, and the PRS takes the gcd.
+# - A pseudo-division of the PRS whose steps multiply in more than
+#   MAX_BITS bits of the divisor's leading coefficient raises
+#   DegreeTooLarge.  `dimpoly` refuses `[(t^16000 + 1)*d + 10^300*t - 2]`
+#   (10^300 written out) after 1,052 steps in 0.9 s, where the step cap
+#   alone let it run 54 s (process wall time, 2-core shared machine).
+# - `variety.eval_diffpoly` refuses a power of a value at a point whose
+#   integers may pass it, bounded before the power is taken.  Unchecked,
+#   `tangent` with `point: y = N`, N a numeral of 4,000 digits, and
+#   `eqs: y^1000 - 1` (13.3 million bits) took 4.0-4.9 s before exiting 1
+#   on a value too long to print, and `y = t + 1` with `y^4000`
+#   (32 million) 16 s; just under the limit, `y^723` at `y = t + 1` is
+#   evaluated in 0.06 s (in-process CPU, 2-core shared machine).
+MAX_BITS = 1 << 20
+
+# GCDHEU's evaluation schedule: the first point is 2*min(|f|, |g|) + 2,
+# the bound of the theorem, and each next one is
+# 73794*xi*isqrt(isqrt(xi))//27011, about 2.73*xi^(5/4).  It yields at
+# most _HEU_TRIES points and ends before a point xi at which an image, of
+# at most deg*bits(xi) + bits(max(|f|, |g|)) bits, could pass MAX_BITS.
+# GCDHEU also gives up, before evaluating, where the main variable's
+# degree passes _HEU_MAX_DEGREE: rebuilding a candidate costs a
+# big-integer division per digit, while the sparse PRS takes three steps
+# on t^N + 1 and t^N + 2 whatever N is.
 _HEU_TRIES = 6
-_HEU_MAX_BITS = 1 << 20
 _HEU_MAX_DEGREE = 1 << 12
 
 # A pseudo-division of the PRS raises DegreeTooLarge past this many steps.
@@ -546,18 +570,18 @@ def _univariate_in(f, x):
     return keys == (keys >> shift & mask) << shift
 
 
-def _dense(p, x):
-    """Ascending integer coefficient list of a nonzero p univariate in t_x."""
-    shift, mask = _digit(p.nvars, x)
-    coeffs = [0] * (p.degree_in(x) + 1)
+def _dense(p, shift, degree):
+    """Ascending integer coefficient list of a nonzero p of the given
+    degree, univariate in the variable whose digit starts at bit shift."""
+    coeffs = [0] * (degree + 1)
     for e, c in p.terms.items():
-        coeffs[e >> shift & mask] = c
+        coeffs[e >> shift] = c
     return coeffs
 
 
-def _sparse(coeffs, nvars, x):
-    """The MPoly in t_x with the ascending integer coefficient list coeffs."""
-    shift = _digit(nvars, x)[0]
+def _sparse(coeffs, nvars, shift):
+    """The MPoly in the variable whose digit starts at bit shift with the
+    ascending integer coefficient list coeffs."""
     return _poly(nvars, {i << shift: c for i, c in enumerate(coeffs) if c})
 
 
@@ -591,17 +615,24 @@ def _dense_quotient(f, h):
     return quo
 
 
-def _heuristic_dense(a, b):
+def _points(width, nf, ng):
+    """GCDHEU's evaluation points for operands of degree at most width in
+    the main variable and largest coefficients nf and ng in absolute value
+    (see the comment above _HEU_TRIES)."""
+    xi = 2 * min(nf, ng) + 2
+    bits = max(nf, ng).bit_length()
+    for _ in range(_HEU_TRIES):
+        if width * xi.bit_length() + bits > MAX_BITS:
+            return
+        yield xi
+        xi = 73794 * xi * isqrt(isqrt(xi)) // 27011
+
+
+def _heuristic_dense(a, b, points):
     """GCDHEU at the innermost level: (h, a/h, b/h) on ascending integer
     lists, with the cofactors `a` and `b` themselves when h is 1, or None
-    when it gives up."""
-    width = max(len(a), len(b)) - 1
-    na, nb = max(map(abs, a)), max(map(abs, b))
-    xi = 2 * min(na, nb) + 2
-    bits = max(na, nb).bit_length()
-    for _ in range(_HEU_TRIES):
-        if width * xi.bit_length() + bits > _HEU_MAX_BITS:
-            return None
+    when the points run out."""
+    for xi in points:
         ae, be = _horner(a, xi), _horner(b, xi)
         if ae and be:
             h = _digits(_int_gcd(ae, be), xi)
@@ -617,7 +648,6 @@ def _heuristic_dense(a, b):
                 cb = _dense_quotient(b, h)
                 if cb is not None:
                     return h, ca, cb
-        xi = 73794 * xi * isqrt(isqrt(xi)) // 27011
     return None
 
 
@@ -633,22 +663,21 @@ def _heuristic(f, g):
     other variables are handled recursively down to that dense level.
     """
     x = 0 if f.nvars == 1 else _main_var(f, g)
-    width = max(f.degree_in(x), g.degree_in(x))
-    if width > _HEU_MAX_DEGREE:
+    shift, mask = _digit(f.nvars, x)
+    df = max(e >> shift & mask for e in f.terms)
+    dg = max(e >> shift & mask for e in g.terms)
+    if max(df, dg) > _HEU_MAX_DEGREE:
         return None
+    points = _points(max(df, dg), _norm(f), _norm(g))
     if _univariate_in(f, x) and _univariate_in(g, x):
-        found = _heuristic_dense(_dense(f, x), _dense(g, x))
+        found = _heuristic_dense(_dense(f, shift, df), _dense(g, shift, dg),
+                                 points)
         if found is None:
             return None
         if len(found[0]) == 1:
             return MPoly.const(f.nvars, 1), f, g
-        return tuple(_sparse(p, f.nvars, x) for p in found)
-    nf, ng = _norm(f), _norm(g)
-    xi = 2 * min(nf, ng) + 2
-    bits = max(nf, ng).bit_length()
-    for _ in range(_HEU_TRIES):
-        if width * xi.bit_length() + bits > _HEU_MAX_BITS:
-            return None
+        return tuple(_sparse(p, f.nvars, shift) for p in found)
+    for xi in points:
         fe, ge = _evaluate(f, x, xi), _evaluate(g, x, xi)
         if fe and ge:
             h = _interpolate(_gcd_cofactors(fe, ge)[0], x, xi)
@@ -660,7 +689,6 @@ def _heuristic(f, g):
                 cg = _quotient(g, h)
                 if cg is not None:
                     return h, cf, cg
-        xi = 73794 * xi * isqrt(isqrt(xi)) // 27011
     return None
 
 
@@ -684,7 +712,7 @@ def _gcd_cofactors(f, g):
         # the divisors of a single term are single terms, so with the
         # integer content gone the gcd is t^low, the largest monomial
         # dividing every term of f and g
-        low = _digitwise(min, (*f.terms, *g.terms), f.nvars)
+        low = _corners((*f.terms, *g.terms), f.nvars)[0]
         return (_poly(f.nvars, {low: content}), _shifted_down(f, low),
                 _shifted_down(g, low))
     found = _heuristic(f, g)
@@ -746,7 +774,7 @@ def _lead_in(f, x):
 def _prem(f, g, x):
     """Pseudo-remainder of f by g with respect to t_x, or DegreeTooLarge
     past MAX_PRS_STEPS steps, or once the steps have multiplied the
-    remainder by more than _HEU_MAX_BITS bits of g's leading coefficient;
+    remainder by more than MAX_BITS bits of g's leading coefficient;
     a step cancels the leading t_x-degree, so there are at most
     deg f - deg g + 1."""
     dg, lc_g = _lead_in(g, x)
@@ -761,8 +789,8 @@ def _prem(f, g, x):
         steps += 1
         if steps > MAX_PRS_STEPS:
             raise DegreeTooLarge(f.degree_in(x), dg, MAX_PRS_STEPS)
-        if steps * grow > _HEU_MAX_BITS:
-            raise DegreeTooLarge(f.degree_in(x), dg, _HEU_MAX_BITS,
+        if steps * grow > MAX_BITS:
+            raise DegreeTooLarge(f.degree_in(x), dg, MAX_BITS,
                                  "bits of leading coefficients in one "
                                  "pseudo-division")
         rem = rem * lc_g - lc_r * _poly(f.nvars, {(dr - dg) * unit: 1}) * g
@@ -798,7 +826,7 @@ class RatFun:
     with lex-positive denominator."""
 
     # _derived memoizes derive: derivation index -> derivative
-    __slots__ = ("num", "den", "_hash", "_derived")
+    __slots__ = ("num", "den", "_derived")
 
     def __init__(self, num, den=None, _canonical=False, _coprime=False):
         if den is None:
@@ -807,7 +835,6 @@ class RatFun:
             num, den = _normalize(num, den, coprime=_coprime)
         self.num = num
         self.den = den
-        self._hash = None
         self._derived = None
 
     @property
@@ -963,9 +990,7 @@ class RatFun:
         return self.num == other.num and self.den == other.den
 
     def __hash__(self):
-        if self._hash is None:
-            self._hash = hash((self.num, self.den))
-        return self._hash
+        return hash((self.num, self.den))
 
     def __bool__(self):
         return not self.is_zero()

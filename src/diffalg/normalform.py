@@ -393,9 +393,18 @@ def classify_tangent(R):
     that trivializes the torsion part lives over the differential closure
     and is not constructed here.
     """
-    return _classify_relations(R.transpose_data())
+    return _classify_relations(R.transpose_data())[0]
+
+
+def classify_presentation(config, gens, n):
+    """(class, diagonal of D) of K[delta]^n / leftspan(gens), the module
+    elements gens read as the rows of the relation matrix."""
+    return _classify_relations(OreMatrix(
+        config, [w.operator_vector() for w in gens if w], cols=n))
 
 
 def _classify_relations(A):
-    """The class of K[delta]^n / leftspan(rows of A), A with n columns."""
-    return TangentClass.from_diagonal(A.cols, diagonalize(A).D.diagonal())
+    """(class, diagonal of D) of K[delta]^n / leftspan(rows of A), A with
+    n columns."""
+    diagonal = diagonalize(A).D.diagonal()
+    return TangentClass.from_diagonal(A.cols, diagonal), diagonal

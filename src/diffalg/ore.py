@@ -37,7 +37,7 @@ class TermMap:
     Subclasses validate their keys in `__init__` and set the hooks below.
     """
 
-    __slots__ = ("config", "n", "terms", "_hash")
+    __slots__ = ("config", "n", "terms")
 
     # key with its delta_i exponent raised by one; None for a ring on
     # which Delta does not act by left multiplication
@@ -49,7 +49,6 @@ class TermMap:
         out.config = self.config
         out.n = self.n
         out.terms = terms
-        out._hash = None
         return out
 
     def _lift(self, value):
@@ -147,10 +146,7 @@ class TermMap:
         return self.terms == other.terms
 
     def __hash__(self):
-        if self._hash is None:
-            self._hash = hash((self.config, self.n,
-                               frozenset(self.terms.items())))
-        return self._hash
+        return hash((self.config, self.n, frozenset(self.terms.items())))
 
     def __bool__(self):
         return bool(self.terms)
@@ -175,7 +171,6 @@ class OrePoly(TermMap):
                 if coeff:
                     clean[exps] = coeff
         self.terms = clean
-        self._hash = None
 
     # -- constructors ----------------------------------------------------
 

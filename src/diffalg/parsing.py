@@ -584,8 +584,8 @@ class _ExprParser(_Reader):
         with no derivation or a constant coefficient, that coefficient a
         quotient of two monomials, is raised in closed form, charged a
         quarter of the bits its integers gain; the values of such a power
-        at a point are bounded where they are computed
-        (`variety.MAX_POINT_POWER_BITS`)."""
+        at a point are bounded where they are computed, by `field.MAX_BITS`
+        (`variety.eval_diffpoly`)."""
         if k < 0:
             base = _field_value(self.ring(base))
             if base is None:

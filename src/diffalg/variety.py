@@ -14,11 +14,12 @@ from __future__ import annotations
 from math import comb, prod
 
 from .errors import ConfigMismatch, DiffAlgError, PointNotOnVariety
+from . import field
 from .field import RatFun, _power
 from .ore import TermMap, _acc, _as_ratfun, _derivative
 from .diffmodule import ModElement, characteristic_set, orderly_ranking
 from .dimension import dimension_report
-from .normalform import OreMatrix, _classify_relations
+from .normalform import classify_presentation
 
 
 class DiffPoly(TermMap):
@@ -42,7 +43,6 @@ class DiffPoly(TermMap):
                         raise ValueError("malformed monomial")
                 clean[tuple(sorted(mono))] = coeff
         self.terms = clean
-        self._hash = None
 
     # -- constructors ----------------------------------------------------
 
@@ -141,19 +141,9 @@ def formal_derive(f, i):
     return result
 
 
-# Bits of the integers that one power of a value at a point may reach,
-# bounded by `_power_bits` before the power is taken; past the cap
-# evaluation exits 1.  Unchecked, `tangent` with `point: y = N`, N a
-# numeral of 4,000 digits, and `eqs: y^1000 - 1` (13.3 million bits) took
-# 4.0-4.9 s before exiting 1 on a value too long to print, and
-# `y = t + 1` with `y^4000` (32 million) 16 s; just under the cap,
-# `y^723` at `y = t + 1` is evaluated in 0.06 s (in-process CPU, 2-core
-# shared machine).
-MAX_POINT_POWER_BITS = 1 << 20
-
-
 def _power_bits(x, k):
-    """An upper bound on the bits of the integers of x**k, x a RatFun.
+    """An upper bound on the bits of the integers of x**k, x a RatFun;
+    `eval_diffpoly` takes no power past `field.MAX_BITS` of them.
 
     Numerator and denominator are raised apart.  A polynomial of T terms
     with coefficients of at most b bits has in its k-th power coefficients
@@ -206,11 +196,11 @@ def eval_diffpoly(f, x):
             if power > 1 and not (base.is_const()
                                   and base.const_value() in (-1, 0, 1)):
                 bits = _power_bits(base, power)
-                if bits > MAX_POINT_POWER_BITS:
+                if bits > field.MAX_BITS:
                     raise DiffAlgError(
                         f"a value at the point raised to the power {power} "
                         f"may need {bits} bits of integers; the limit is "
-                        f"{MAX_POINT_POWER_BITS} bits")
+                        f"{field.MAX_BITS} bits")
             value = value * base ** power
         result = result + value
     return result
@@ -260,9 +250,7 @@ def tangent_pipeline(eqs, x, rk=None):
         n)
     tangent = None
     if config.m == 1:
-        relations = OreMatrix(config, [w.operator_vector()
-                                       for w in lins if w], cols=n)
-        tangent = _classify_relations(relations)
+        tangent, _ = classify_presentation(config, lins, n)
         # both read the same module: the free ranks agree and the torsion
         # fits below the leaders
         if (tangent.d != report.diff_dimension

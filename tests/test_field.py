@@ -3,14 +3,15 @@
 import math
 import random
 import time
-from collections import Counter
+from collections import Counter, defaultdict
 from fractions import Fraction
 
 import pytest
 
 from diffalg import (BadDerivation, DegreeTooLarge, DiffAlgError,
-                     DiffFieldConfig, DivisionByZero, ExponentOverflow, MPoly,
-                     RatFun, field, mpoly_gcd)
+                     DiffFieldConfig, DiffPoly, DivisionByZero,
+                     ExponentOverflow, ModElement, MPoly, OrePoly, RatFun,
+                     field, mpoly_gcd)
 from diffalg.field import _gcd_cofactors, _prs_gcd, _quotient
 from helpers import rand_mpoly, rand_ratfun, tuple_mul, tuple_quotient
 
@@ -251,6 +252,21 @@ def rand_upoly(rng, nvars, x, degree):
     return upoly(nvars, x, coeffs + [rng.choice([-3, -1, 1, 2])])
 
 
+def points_drawn(monkeypatch):
+    """The xi of every call of _horner (the dense level) and of _evaluate
+    (the sparse level), listed per name in call order."""
+    drawn = defaultdict(list)
+    for name in ("_horner", "_evaluate"):
+        original = getattr(field, name)
+
+        def recorded(*args, _name=name, _original=original):
+            drawn[_name].append(args[-1])
+            return _original(*args)
+
+        monkeypatch.setattr(field, name, recorded)
+    return drawn
+
+
 def counting(monkeypatch, *names):
     """Count the calls of the named functions of `field` per name."""
     calls = Counter()
@@ -301,6 +317,43 @@ class TestDenseHeuristic:
         assert gcd_against_prs(f, g) == h
         assert calls["_horner"] == 4
 
+    def test_two_variables_draw_the_same_points(self, monkeypatch):
+        # the pairs above, and one of them times t1: in t2 it runs the
+        # sparse level, whose points are the dense level's 6 and 16
+        drawn = points_drawn(monkeypatch)
+        for nvars, x in UNIVARIATE_CASES:
+            h = upoly(nvars, x, [1, 1])
+            gcd_against_prs(upoly(nvars, x, [0, 2]) * h,
+                            upoly(nvars, x, [-2, 1]) * h)
+        assert drawn.pop("_horner") == [6, 6, 16, 16] * len(UNIVARIATE_CASES)
+        h = upoly(2, 1, [1, 1]) * MPoly.var(2, 0)
+        f, g = upoly(2, 1, [0, 2]) * h, upoly(2, 1, [-2, 1]) * h
+        assert gcd_against_prs(f, g) == h
+        assert drawn == {"_evaluate": [6, 6, 16, 16]}
+
+    def test_both_levels_give_up_before_the_same_point(self, monkeypatch):
+        # t - xi vanishes at the first point xi = 2*|t^2 + big| + 2, and the
+        # images at the next point could pass MAX_BITS: each level
+        # evaluates at xi alone and leaves the gcd to the PRS
+        big = 2 ** 340000
+        xi = 2 * big + 2
+        after = 73794 * xi * math.isqrt(math.isqrt(xi)) // 27011
+        bits = xi.bit_length()
+        assert 2 * bits + bits <= field.MAX_BITS
+        assert 2 * after.bit_length() + bits > field.MAX_BITS
+        drawn = points_drawn(monkeypatch)
+        t1 = MPoly.var(2, 0)
+        for (nvars, x), factor, level in (((1, 0), 1, "_horner"),
+                                          ((2, 1), 1, "_horner"),
+                                          ((2, 1), t1, "_evaluate")):
+            f = upoly(nvars, x, [-xi, 1]) * factor
+            g = upoly(nvars, x, [big, 0, 1]) * factor
+            before = field.prs_fallbacks
+            assert gcd_against_prs(f, g) == MPoly.const(nvars, 1) * factor
+            assert field.prs_fallbacks == before + 1
+            assert drawn == {level: [xi, xi]}
+            drawn.clear()
+
     @pytest.mark.parametrize("nvars, x", [(1, 0), (2, 1), (3, 0)])
     def test_sparse_pair_past_the_degree_guard(self, nvars, x):
         degree = field._HEU_MAX_DEGREE + 1
@@ -329,6 +382,34 @@ class TestDenseHeuristic:
         assert gcd_against_prs(f, g) == h
         assert calls["_evaluate"] >= 2
         assert calls["_heuristic_dense"] >= 1
+
+
+class TestHashOnDemand:
+    def test_equal_values_built_apart_hash_equal(self):
+        # the ring values keep no hash; each hash is computed when asked
+        def values(cfg):
+            t = RatFun.var(1, 0)
+            num = MPoly(2, {(1, 0): 3}) + MPoly(2, {(0, 2): -1})
+            return [num, (t + 1) / (t * t - 1),
+                    OrePoly.delta(cfg, 0) * t + 1,      # t*d + 1 + 1
+                    ModElement(cfg, 2, {(1, (1,)): t}) + ModElement(
+                        cfg, 2, {(0, (0,)): 1}),
+                    DiffPoly.indeterminate(cfg, 1, 0, (1,)) ** 2 * t]
+
+        def direct(cfg):
+            t = RatFun.var(1, 0)
+            return [MPoly(2, {(0, 2): -1, (1, 0): 3}),
+                    RatFun(MPoly(1, {(0,): 1}), MPoly(1, {(1,): 1,
+                                                          (0,): -1})),
+                    OrePoly(cfg, {(1,): t, (0,): 2}),
+                    ModElement(cfg, 2, {(0, (0,)): 1, (1, (1,)): t}),
+                    DiffPoly(cfg, 1, {(((0, (1,)), 2),): t})]
+
+        for a, b in zip(values(DiffFieldConfig(1, 1)),
+                        direct(DiffFieldConfig(1, 1))):
+            assert a == b and a is not b
+            assert hash(a) == hash(b)
+            assert len({a, b}) == 1
 
 
 class TestFromConst:
@@ -485,9 +566,9 @@ class TestPackedKeys:
                 if terms:
                     lead = max(terms)
                     assert p.lex_leading() == (lead, terms[lead])
-            # f*g + 1 is divided only down to its constant term; a quotient
-            # of two unrelated operands is taken only with small exponents,
-            # since an inexact division walks the whole degree box
+            # f*g + 1 is divided only down to its constant term; the oracle
+            # divides two unrelated operands only with small exponents,
+            # since it walks the whole degree box
             one = (0,) * nvars
             inexact = {**product, one: product.get(one, 0) + 1}
             inexact = {e: c for e, c in inexact.items() if c}
@@ -495,6 +576,16 @@ class TestPackedKeys:
                      (inexact, f, None)]
             if small:
                 cases += [(f, g, None), (g, f, None)]
+            else:
+                # _quotient stops at the corners of the quotient's box
+                for num, den in ((f, g), (g, f)):
+                    if den:
+                        num, den = MPoly(nvars, num), MPoly(nvars, den)
+                        start = time.perf_counter()
+                        got = _quotient(num, den)
+                        assert time.perf_counter() - start < 0.1
+                        assert got is None or got * den == num
+                        verdicts["unrelated", got is None] += 1
             for num, den, exact in cases:
                 if not den:
                     continue
@@ -509,6 +600,23 @@ class TestPackedKeys:
                 assert got is None or got.exponents() == expected
         assert verdicts[True] > 100 and verdicts[False] > 100
         assert verdicts["limit"] > 10 or nvars < 2
+        assert (verdicts["unrelated", True] > 50
+                and verdicts["unrelated", False] > 10) or nvars < 1
+
+    @pytest.mark.parametrize("nvars", [1, 2, 3])
+    def test_inexact_division_stops_at_the_lower_corner(self, nvars):
+        # every exponent of t1 in a quotient of (t1^(N+3) + t1^N)*m by
+        # t1^2 + 1 is at least N, so the division stops at its second key
+        # rather than walk N keys down
+        m = MPoly(nvars, {(0,) + (LIMIT - 6,) * (nvars - 1): 1})
+        f = MPoly(nvars, {(10 ** 12 + 3,) + (0,) * (nvars - 1): 1,
+                          (10 ** 12,) + (0,) * (nvars - 1): 1}) * m
+        h = MPoly(nvars, {(2,) + (0,) * (nvars - 1): 1, (0,) * nvars: 1})
+        start = time.perf_counter()
+        assert _quotient(f, h) is None
+        assert _quotient(f * h + m, h) is None
+        assert _quotient(f * h, h) == f
+        assert time.perf_counter() - start < 0.1
 
     @pytest.mark.parametrize("nvars", [1, 2, 3])
     def test_gcd_cofactors_match_the_tuple_oracle(self, nvars):
