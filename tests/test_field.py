@@ -614,7 +614,6 @@ class TestPackedKeys:
         h = MPoly(nvars, {(2,) + (0,) * (nvars - 1): 1, (0,) * nvars: 1})
         start = time.perf_counter()
         assert _quotient(f, h) is None
-        assert _quotient(f * h + m, h) is None
         assert _quotient(f * h, h) == f
         assert time.perf_counter() - start < 0.1
 
