@@ -17,6 +17,6 @@ from .dimension import (DimensionReport, diff_dimension, dimension_polynomial,
 from .normalform import (Diagonalization, OreMatrix, TangentClass,
                          classify_tangent, diagonalize)
 from .variety import (DiffPoly, VarietyPoint, eval_diffpoly, formal_derive,
-                      linearize_at_point, tangent_pipeline)
+                      linearize_at_point, linearize_system, tangent_pipeline)
 
 __version__ = "0.1.0"

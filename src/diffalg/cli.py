@@ -3,7 +3,10 @@
     diffalg <command> <file> [--format text|json] [--ranking ...]
                              [--order-bound k]
 
-Commands: charset, dimpoly, decompose, tangent, reduce, count.
+Commands: charset, dimpoly, decompose, tangent, reduce, count.  Each runs
+only the stages it prints: on an `eqs:`+`point:` problem, `charset` and
+`dimpoly` linearize at the point and complete, and only `tangent`
+diagonalizes and cross-checks the class against the dimension report.
 Exit codes: 0 ok; a diffalg error exits with its class's `exit_code`, from
 the table in `diffalg.errors` (1 by default, 2 parse error, 3 point not on
 the variety, 4 unsupported operation).  Besides those, a usage error (a
@@ -34,7 +37,7 @@ from .normalform import classify_presentation
 from .numpoly import count_cofilter, standard_terms
 from .parsing import (modelement_str, orepoly_str, parse_input, term_label,
                       vector_str)
-from .variety import tangent_pipeline
+from .variety import linearize_system, tangent_pipeline
 
 # Most derivative terms --order-bound may ask for: n*C(K+m, m) terms have
 # order <= K.  The listing walks only the terms outside the staircase, so
@@ -156,8 +159,8 @@ def _charset_of(problem):
     if problem.eqs is not None:
         if problem.point is None:
             raise ParseError("'eqs:' needs a 'point:' line for linearization")
-        charset, _, _ = tangent_pipeline(problem.eqs, problem.point, rk)
-        return charset
+        return characteristic_set(
+            linearize_system(problem.eqs, problem.point), rk)
     raise ParseError("need either a 'module:'+'gens:' or 'eqs:'+'point:' "
                      "section")
 
@@ -216,11 +219,8 @@ def _dispatch(command, problem, args):
         printed = [modelement_str(w, config, names)
                    for w in charset.elements]
         out_json = {"charset": printed, **report.to_json()}
-        lines = ["charset:"]
-        lines += [f"  {p} = 0" for p in printed]
-        lines.append(f"dimension polynomial: {report.dimpoly} "
-                     f"(valid for t >= {report.dimpoly.valid_from})")
-        lines.append(f"differential dimension d = {report.diff_dimension}")
+        lines = ["charset:", *(f"  {p} = 0" for p in printed),
+                 *_report_lines(report)]
         if tc is not None:
             out_json["tangent"] = tc.to_json()
             lines.append(f"tangent space: K^{tc.d} x C^{tc.k} "
@@ -240,17 +240,15 @@ def _dispatch(command, problem, args):
                    else modelement_str(w, config, names)
                    for w in charset.elements]
         out_json = {"charset": printed}
-        lines = [f"characteristic set ({len(printed)} elements):"]
-        lines += [f"  {p}" for p in printed]
+        lines = [f"characteristic set ({len(printed)} elements):",
+                 *(f"  {p}" for p in printed)]
         _append_basis_dump(out_json, lines, charset, problem, args)
         return {"json": out_json, "text": "\n".join(lines)}
 
     if command == "dimpoly":
-        report = dimension_report(charset, problem.n)
+        report = dimension_report(charset)
         out_json = report.to_json()
-        lines = [f"dimension polynomial: {report.dimpoly} "
-                 f"(valid for t >= {report.dimpoly.valid_from})",
-                 f"differential dimension d = {report.diff_dimension}",
+        lines = [*_report_lines(report),
                  f"type = {report.type}, typical height = "
                  f"{report.typical_height}"]
         if report.below_leader_count is not None:
@@ -267,13 +265,21 @@ def _dispatch(command, problem, args):
     raise AssertionError(f"unhandled command {command}")
 
 
+def _report_lines(report):
+    """The dimension polynomial and differential dimension lines, printed
+    by both `tangent` and `dimpoly`."""
+    return [f"dimension polynomial: {report.dimpoly} "
+            f"(valid for t >= {report.dimpoly.valid_from})",
+            f"differential dimension d = {report.diff_dimension}"]
+
+
 def _append_basis_dump(out_json, lines, charset, problem, args, anti=None):
     """Add the standard terms up to --order-bound, read off `anti` or, if
     that is None, off the leaders of `charset`."""
     if args.order_bound is None:
         return
     if anti is None:
-        anti = leader_antichain(charset, problem.n)
+        anti = leader_antichain(charset)
     labels = _standard_terms(anti, args.order_bound,
                              _component_names(problem))
     out_json["standard_terms"] = labels

@@ -55,41 +55,34 @@ class DimensionReport(FrozenRecord):
         return out
 
 
-def leader_antichain(charset, n=None):
+def leader_antichain(charset):
     """Leader exponents of a characteristic set, grouped by component."""
-    rk = charset.ranking
-    if n is None:
-        n = charset.n
-    sets = [set() for _ in range(n)]
+    sets = [set() for _ in range(charset.n)]
     for f in charset.elements:
-        comp, exps = leader(f, rk)
+        comp, exps = leader(f, charset.ranking)
         sets[comp].add(exps)
     return Antichain(charset.config.m, tuple(frozenset(s) for s in sets))
 
 
-def _require_orderly(charset):
-    if charset.ranking.kind != "orderly":
-        raise OrderlyRequired("dimension computations need an orderly ranking")
-
-
-def dimension_polynomial(charset, n=None):
+def dimension_polynomial(charset):
     """phi(k) = dim_K M_k for M = K[Delta]^n / N."""
-    return dimension_report(charset, n).dimpoly
+    return dimension_report(charset).dimpoly
 
 
-def diff_dimension(charset, n=None):
+def diff_dimension(charset):
     """Differential dimension: m! times the leading t^m coefficient of phi.
 
     Cross-checked against the count of components without leaders; the two
     agree for any complete characteristic set under an orderly ranking.
     """
-    return dimension_report(charset, n).diff_dimension
+    return dimension_report(charset).diff_dimension
 
 
-def dimension_report(charset, n=None):
+def dimension_report(charset):
     """Assemble the full report for K[Delta]^n / N from one staircase count."""
-    _require_orderly(charset)
-    anti = leader_antichain(charset, n)
+    if charset.ranking.kind != "orderly":
+        raise OrderlyRequired("dimension computations need an orderly ranking")
+    anti = leader_antichain(charset)
     phi = count_cofilter(anti)
     m = anti.m
     d = phi.coeffs[m] if len(phi.coeffs) > m else 0

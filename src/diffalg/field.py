@@ -828,13 +828,10 @@ class RatFun:
     # _derived memoizes derive: derivation index -> derivative
     __slots__ = ("num", "den", "_derived")
 
-    def __init__(self, num, den=None, _canonical=False, _coprime=False):
+    def __init__(self, num, den=None):
         if den is None:
             den = MPoly.const(num.nvars, 1)
-        if not _canonical:
-            num, den = _normalize(num, den, coprime=_coprime)
-        self.num = num
-        self.den = den
+        self.num, self.den = _normalize(num, den)
         self._derived = None
 
     @property
@@ -844,16 +841,14 @@ class RatFun:
     @classmethod
     def from_const(cls, nvars, value):
         if type(value) is int:
-            return cls(MPoly.const(nvars, value), MPoly.const(nvars, 1),
-                       _canonical=True)
+            return _ratfun(MPoly.const(nvars, value), MPoly.const(nvars, 1))
         value = Fraction(value)
-        return cls(MPoly.const(nvars, value.numerator),
-                   MPoly.const(nvars, value.denominator), _canonical=True)
+        return _ratfun(MPoly.const(nvars, value.numerator),
+                       MPoly.const(nvars, value.denominator))
 
     @classmethod
     def var(cls, nvars, i):
-        return cls(MPoly.var(nvars, i), MPoly.const(nvars, 1),
-                   _canonical=True)
+        return _ratfun(MPoly.var(nvars, i), MPoly.const(nvars, 1))
 
     def is_zero(self):
         return self.num.is_zero()
@@ -884,23 +879,23 @@ class RatFun:
             return self
         if self.den.is_one() and other.den.is_one():
             # polynomials: their sum over 1 is already canonical
-            return RatFun(self.num + other.num, self.den, _canonical=True)
+            return _ratfun(self.num + other.num, self.den)
         # with coprime inputs, any common factor of the raw sum divides
         # g = gcd of the denominators, so only small gcds are ever taken
         g, d1r, d2r = _gcd_cofactors(self.den, other.den)
         num = self.num * d2r + other.num * d1r
         if g.is_one():
             # coprime denominators: a zero sum has denominator 1*1 = 1
-            return RatFun(num, d1r * d2r, _canonical=True)
+            return _ratfun(num, d1r * d2r)
         if num.is_zero():
             return RatFun.from_const(self.nvars, 0)
         _, num, g = _gcd_cofactors(num, g)
-        return RatFun(num, g * d1r * d2r, _canonical=True)
+        return _ratfun(num, g * d1r * d2r)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return RatFun(-self.num, self.den, _canonical=True)
+        return _ratfun(-self.num, self.den)
 
     def __sub__(self, other):
         other = _coerce(other, self.nvars)
@@ -922,11 +917,11 @@ class RatFun:
         if self.is_one():
             return other
         if self.den.is_one() and other.den.is_one():
-            return RatFun(self.num * other.num, self.den, _canonical=True)
+            return _ratfun(self.num * other.num, self.den)
         # cross-cancel before multiplying: the result is already coprime
         _, n1, d2 = _gcd_cofactors(self.num, other.den)
         _, n2, d1 = _gcd_cofactors(other.num, self.den)
-        return RatFun(n1 * n2, d1 * d2, _canonical=True)
+        return _ratfun(n1 * n2, d1 * d2)
 
     __rmul__ = __mul__
 
@@ -947,12 +942,13 @@ class RatFun:
     def inverse(self):
         if self.is_zero():
             raise DivisionByZero("inverse of zero")
-        return RatFun(self.den, self.num, _coprime=True)
+        s = _sign(self.num)
+        return _ratfun(_scaled(self.den, s), _scaled(self.num, s))
 
     def __pow__(self, k):
         if k < 0:
             return self.inverse() ** (-k)
-        return RatFun(self.num ** k, self.den ** k, _canonical=True)
+        return _ratfun(self.num ** k, self.den ** k)
 
     def derive(self, i):
         """Partial derivative; zero for indices past the variable count."""
@@ -977,9 +973,9 @@ class RatFun:
         # then r*den/h2 = r*r2
         h, num, r = _gcd_cofactors(num, den)
         if h.is_one():
-            return RatFun(num, den * den, _canonical=True)
+            return _ratfun(num, den * den)
         _, num, r2 = _gcd_cofactors(num, den)
-        return RatFun(num, r * r2, _canonical=True)
+        return _ratfun(num, r * r2)
 
     # -- comparisons -----------------------------------------------------
 
@@ -1007,14 +1003,23 @@ def _coerce(value, nvars):
     return NotImplemented
 
 
-def _normalize(num, den, coprime=False):
+def _normalize(num, den):
     """Coprime pair over Z with lex-positive denominator; zero is 0/1."""
     if den.is_zero():
         raise DivisionByZero("zero denominator")
     if num.is_zero():
         return num, MPoly.const(num.nvars, 1)
-    if not coprime:
-        _, num, den = _gcd_cofactors(num, den)
+    _, num, den = _gcd_cofactors(num, den)
     if _lead_coeff(den) < 0:
         return -num, -den
     return num, den
+
+
+def _ratfun(num, den):
+    """RatFun of num/den taken as is, the pair already coprime with a
+    lex-positive denominator (no checks, no gcd)."""
+    r = object.__new__(RatFun)
+    r.num = num
+    r.den = den
+    r._derived = None
+    return r

@@ -43,8 +43,9 @@ import sys
 from math import gcd, lcm
 from operator import add
 
-from .errors import DivisionByZero, ParseError
-from .field import DiffFieldConfig, MPoly, RatFun, _pack, _poly, _unpack
+from .errors import DivisionByZero, NotAntichain, ParseError
+from .field import (DiffFieldConfig, MPoly, RatFun, _pack, _poly, _ratfun,
+                    _unpack)
 from .ore import OrePoly
 from .diffmodule import ModElement, Ranking, orderly_ranking
 from .numpoly import Antichain
@@ -509,9 +510,9 @@ class _ExprParser(_Reader):
         coeffs = {}
         for key, p in value.terms.items():
             g = gcd(den, *p.values()) if den > 1 else 1
-            coeffs[key] = RatFun(
+            coeffs[key] = _ratfun(
                 _poly(v, {e: c // g for e, c in p.items()} if g > 1 else p),
-                MPoly.const(v, den // g), _canonical=True)
+                MPoly.const(v, den // g))
         if coeffs.keys() <= {self.scalar}:
             return coeffs.get(self.scalar) or RatFun.from_const(v, 0)
         return OrePoly.zero(self.config)._new(coeffs)
@@ -1091,8 +1092,12 @@ def _finish_sections(pf, pending):
         pf.element = _vector(reader("element", "unknown symbol",
                                     deltas=True), n)
     if "leaders" in pending:
-        pf.leaders = Antichain(config.m,
-                               _leader_groups(*pending["leaders"], config.m))
+        body, line, column = pending["leaders"]
+        groups = _leader_groups(body, line, column, config.m)
+        try:
+            pf.leaders = Antichain(config.m, groups)
+        except NotAntichain as exc:
+            raise NotAntichain(f"line {line}: {exc}") from None
 
 
 def _items(r, read, empty=False):

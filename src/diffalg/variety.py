@@ -7,6 +7,12 @@ monomial is a sorted tuple of ((component, theta exponents), power).  Delta
 acts on it by `formal_derive`, not by left multiplication.  At a K-rational
 point every derivative of a coordinate is induced by the field derivations,
 so evaluation is a differential homomorphism.
+
+`linearize_system` is the one route from equations and a point to the
+linearized module: it checks the point and linearizes each equation there.
+The CLI's `charset` and `dimpoly` complete its result; `tangent_pipeline`
+also reports on it and, for m = 1, diagonalizes it and cross-checks the
+class against the report.
 """
 
 from __future__ import annotations
@@ -210,47 +216,45 @@ def linearize_at_point(f, x):
     """The differential df at x: coefficient of theta*e_i is df/d(theta*y_i)(x)."""
     if f.n != x.n or f.config != x.config:
         raise ConfigMismatch("polynomial and point of different shapes")
-    terms = {}
-    keys = set()
-    for mono in f.terms:
-        keys.update(key for key, _ in mono)
-    for comp, exps in keys:
-        coeff = eval_diffpoly(f.partial_indeterminate(comp, exps), x)
-        if coeff:
-            terms[(comp, exps)] = coeff
-    return ModElement(f.config, f.n, terms)
+    keys = {key for mono in f.terms for key, _ in mono}
+    # ModElement drops the zero coefficients
+    return ModElement(f.config, f.n, {
+        key: eval_diffpoly(f.partial_indeterminate(*key), x) for key in keys})
+
+
+def linearize_system(eqs, x):
+    """The linearized module at x: the differential of each equation, once
+    every equation is checked to vanish at x (PointNotOnVariety if one
+    does not)."""
+    eqs = list(eqs)
+    if not eqs:
+        raise ValueError("need at least one equation")
+    for idx, f in enumerate(eqs):
+        value = eval_diffpoly(f, x)
+        if value:
+            from .parsing import ratfun_str     # parsing imports this module
+            raise PointNotOnVariety(idx, value, ratfun_str(value, f.config))
+    return [linearize_at_point(f, x) for f in eqs]
 
 
 def tangent_pipeline(eqs, x, rk=None):
     """Linearize at x, complete to a CharSet, and report (phi, d, k).
 
-    Every equation must vanish at x.  The TangentClass is computed only
-    for m = 1 (the operator ring is Euclidean there); callers with m >= 2
+    The report always counts an orderly charset, completed apart when rk
+    is an elimination ranking.  The TangentClass is computed only for
+    m = 1 (the operator ring is Euclidean there); callers with m >= 2
     receive None in that slot.  For m = 1 the class is cross-checked
     against the report: DiffAlgError unless d equals the differential
     dimension and k <= B.
     """
-    eqs = list(eqs)
-    if not eqs:
-        raise ValueError("need at least one equation")
-    config = eqs[0].config
-    n = eqs[0].n
-    for idx, f in enumerate(eqs):
-        value = eval_diffpoly(f, x)
-        if value:
-            from .parsing import ratfun_str     # parsing imports this module
-            raise PointNotOnVariety(idx, value, ratfun_str(value, config))
-    if rk is None:
-        rk = orderly_ranking(n)
-    lins = [linearize_at_point(f, x) for f in eqs]
-    charset = characteristic_set(lins, rk, config=config, n=n)
-    report = dimension_report(
-        charset if rk.kind == "orderly"
-        else characteristic_set(lins, orderly_ranking(n), config=config, n=n),
-        n)
+    lins = linearize_system(eqs, x)
+    orderly = orderly_ranking(x.n)
+    charset = characteristic_set(lins, rk or orderly)
+    report = dimension_report(charset if charset.ranking.kind == "orderly"
+                              else characteristic_set(lins, orderly))
     tangent = None
-    if config.m == 1:
-        tangent, _ = classify_presentation(config, lins, n)
+    if x.config.m == 1:
+        tangent, _ = classify_presentation(x.config, lins, x.n)
         # both read the same module: the free ranks agree and the torsion
         # fits below the leaders
         if (tangent.d != report.diff_dimension

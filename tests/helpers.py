@@ -41,9 +41,9 @@ from math import comb, factorial
 from operator import ge
 
 from diffalg import (Antichain, DiffFieldConfig, DiffPoly, DivisionByZero,
-                     MPoly, ModElement, NumericalPolynomial, OreMatrix,
-                     OrePoly, ParseError, RatFun, VarietyPoint, leader,
-                     ore_apply, ore_mul)
+                     MPoly, ModElement, NotAntichain, NumericalPolynomial,
+                     OreMatrix, OrePoly, ParseError, RatFun, VarietyPoint,
+                     leader, ore_apply, ore_mul)
 from diffalg.parsing import (MAX_DERIVATIONS, MAX_MODULE_RANK, MAX_NESTING,
                              ProblemFile, _ExprParser, _symbols)
 
@@ -799,9 +799,12 @@ def token_parse_input(text):
                                    spent)
     if "leaders" in pending:
         tokens, lineno = pending["leaders"]
-        pf.leaders = Antichain(config.m, tuple(
-            _leader_group(group, config.m, lineno)
-            for group in split_tokens(tokens, ";")))
+        groups = tuple(_leader_group(group, config.m, lineno)
+                       for group in split_tokens(tokens, ";"))
+        try:
+            pf.leaders = Antichain(config.m, groups)
+        except NotAntichain as exc:
+            raise NotAntichain(f"line {lineno}: {exc}") from None
     if (pf.eqs is not None) and (pf.gens is not None):
         raise ParseError("give either equations+point or a raw module, "
                          "not both", 1)

@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import diffalg.cli
+import diffalg.diffmodule
 import diffalg.dimension
 import diffalg.field
 import diffalg.normalform
@@ -176,6 +177,67 @@ class TestTangentCommand:
         assert run(capsys, tmp_path, text, "tangent") == (
             3, "", "error: equation #0 does not vanish at the point "
                    "(value -t + 2)\n")
+
+
+def count_calls(monkeypatch, *functions):
+    """Replace each library function, in every diffalg module that binds
+    it, by one that counts its calls; returns the counts by name."""
+    counts = {f.__name__: 0 for f in functions}
+    modules = [m for name, m in sys.modules.items()
+               if name.split(".")[0] == "diffalg"]
+    for f in functions:
+        def counted(*args, _f=f, **kwargs):
+            counts[_f.__name__] += 1
+            return _f(*args, **kwargs)
+
+        for module in modules:
+            for attr in [a for a, v in vars(module).items() if v is f]:
+                monkeypatch.setattr(module, attr, counted)
+    return counts
+
+
+class TestEquationRoutes:
+    """`charset`, `dimpoly` and `tangent` on an `eqs:` problem run only the
+    stages they print."""
+
+    @pytest.mark.parametrize("command, ranking, code, counts", [
+        ("charset", "orderly", 0, (0, 1, 0)),
+        ("charset", "elim", 0, (0, 1, 0)),
+        ("dimpoly", "orderly", 0, (0, 1, 1)),
+        ("dimpoly", "elim", 4, (0, 1, 1)),
+        # the report counts an orderly charset, completed apart under elim
+        ("tangent", "orderly", 0, (1, 1, 1)),
+        ("tangent", "elim", 0, (1, 2, 1)),
+    ])
+    def test_stage_counts(self, capsys, tmp_path, monkeypatch, command,
+                          ranking, code, counts):
+        calls = count_calls(monkeypatch, diffalg.normalform.diagonalize,
+                            diffalg.diffmodule.characteristic_set,
+                            diffalg.dimension.dimension_report)
+        assert run(capsys, tmp_path, CONSTANT, command, "--ranking",
+                   ranking)[0] == code
+        assert tuple(calls.values()) == counts
+
+    def test_point_off_variety_exits_3_on_every_route(self, capsys,
+                                                      tmp_path):
+        bad = CONSTANT.replace("y = 0", "y = 1")
+        for command in ("charset", "dimpoly", "tangent"):
+            code, out, err = run(capsys, tmp_path, bad, command)
+            assert (code, out) == (3, "")
+            assert err == ("error: equation #0 does not vanish at the "
+                           "point (value -1)\n")
+
+    def test_a_module_line_leaves_the_equations_rank(self, capsys,
+                                                     tmp_path):
+        # the linearized module has one component per variable, on every
+        # route; `charset` and `dimpoly` crashed on such a file
+        text = ("field: Q(t)\nvars: y\nmodule: 3\neqs: y'\n"
+                "point: y = 0\n")
+        for command in ("charset", "dimpoly", "tangent"):
+            code, out, err = run(capsys, tmp_path, text, command,
+                                 "--order-bound", "1")
+            assert (code, err) == (0, "")
+            assert out.endswith("standard terms up to order 1 (1): y\n")
 
 
 class TestModuleCommands:
@@ -521,7 +583,7 @@ class TestErrorHandling:
         text = "field: Q derivations: 2\nleaders: [(0,0), (1,1)]\n"
         code, out, err = run(capsys, tmp_path, text, "count")
         assert code == 1 and out == ""
-        assert err == "error: (0, 0) <= (1, 1) componentwise\n"
+        assert err == "error: line 2: (0, 0) <= (1, 1) componentwise\n"
 
     def test_dimension_from_an_elimination_ranking_exits_4(self, capsys,
                                                            tmp_path):

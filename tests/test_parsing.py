@@ -11,6 +11,7 @@ import diffalg.ore
 from diffalg import (DiffAlgError, DiffFieldConfig, MPoly, ModElement,
                      NumericalPolynomial, OrePoly, ParseError, RatFun)
 from diffalg.errors import ExponentOverflow
+from diffalg.field import _ratfun
 from diffalg.parsing import (MAX_PARSE_WORK, field_var_names,
                              modelement_str, orepoly_str, parse_input,
                              poly_str, ratfun_str,
@@ -448,8 +449,8 @@ class TestPrinters:
             # a negative scale, which no canonical denominator has
             scale = -rng.randint(1, 30)
             assert poly_str(num.terms, field_var_names(config), scale) == \
-                fraction_ratfun_str(RatFun(num, MPoly.const(v, scale),
-                                           _canonical=True), config)
+                fraction_ratfun_str(_ratfun(num, MPoly.const(v, scale)),
+                                    config)
 
     def test_numerical_polynomials_against_fractions(self):
         rng = random.Random(84)

@@ -23,7 +23,7 @@ def charset_and_report():
     problem = parse_input(MODULE)
     charset = characteristic_set(problem.gens, problem.ranking(),
                                  config=problem.config, n=problem.n)
-    return charset, dimension_report(charset, problem.n)
+    return charset, dimension_report(charset)
 
 
 def diagonalization():
@@ -72,7 +72,8 @@ def equal_pairs_and_other():
                            AutoreducedSet(cs1.elements[:-1], cs1.ranking)),
         "CharSet": (cs1, cs2, CharSet(cs1.autoreduced, cs1.generators,
                                       cs1.config, cs1.n + 1)),
-        "DimensionReport": (report1, report2, dimension_report(cs1, 3)),
+        "DimensionReport": (report1, report2, dimension_report(CharSet(
+            cs1.autoreduced, cs1.generators, cs1.config, cs1.n + 1))),
         "Diagonalization": (Diagonalization(*parts),
                             Diagonalization(*parts),
                             Diagonalization(res.U, OreMatrix.zero(

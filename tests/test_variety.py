@@ -8,7 +8,8 @@ import diffalg.normalform
 from diffalg import (Diagonalization, DiffAlgError, DiffFieldConfig, DiffPoly,
                      ModElement, OreMatrix, OrePoly, PointNotOnVariety, RatFun,
                      TangentClass, VarietyPoint, eval_diffpoly, formal_derive,
-                     linearize_at_point, ore_mul, tangent_pipeline)
+                     linearize_at_point, linearize_system, ore_mul,
+                     tangent_pipeline)
 from diffalg.parsing import parse_diffpoly, parse_ratfun
 
 CFG1 = DiffFieldConfig(1, 1)
@@ -119,6 +120,14 @@ class TestLinearize:
             # apply_theta agrees with left multiplication by delta
             ops = linearize_at_point(f, x).operator_vector()
             assert rhs.operator_vector() == [ore_mul(delta, e) for e in ops]
+
+
+class TestLinearizeSystem:
+    def test_one_differential_per_equation(self):
+        eqs = [dp("z - y'"), dp("y'' - 2")]
+        x = point("2*t", "t^2")
+        assert linearize_system(eqs, x) == [linearize_at_point(f, x)
+                                            for f in eqs]
 
 
 class TestTangentPipeline:
