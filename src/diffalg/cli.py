@@ -145,9 +145,7 @@ def main(argv=None):
 
 
 def _component_names(problem):
-    if problem.var_names:
-        return problem.var_names
-    return [f"e{i + 1}" for i in range(problem.n)]
+    return problem.var_names or [f"e{i + 1}" for i in range(problem.n)]
 
 
 def _charset_of(problem):

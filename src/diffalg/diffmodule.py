@@ -18,6 +18,11 @@ completion still reduces every generator and every same-component S-pair
 of the result, with no criterion.  A reduction step and an S-pair drop the term
 they cancel without arithmetic: a shift keeps the leading coefficient,
 and the check first tests that every element is monic.
+
+A characteristic set is one record, `CharSet`: the reduced elements, their
+ranking, the generators and the ring.  Membership of w is
+`reduce(w, charset.elements, charset.ranking).is_zero()`.  `autoreduce`
+runs in no command; it stays while `bench/tracing.py` traces it.
 """
 
 from __future__ import annotations
@@ -73,10 +78,6 @@ class Ranking(FrozenRecord):
 
 def orderly_ranking(n):
     return Ranking("orderly", tuple(range(n)))
-
-
-def elimination_ranking(n):
-    return Ranking("elimination", tuple(range(n)))
 
 
 def _raise_term(term, i, k=1):
@@ -206,26 +207,9 @@ def _reduce(w, active, rk):
         current = current.cancel(term, shifted, c if lc.is_one() else c / lc)
 
 
-class AutoreducedSet(FrozenRecord):
-    """Monic, pairwise-reduced elements sorted by increasing leader rank."""
-
-    __slots__ = _fields = ("elements", "ranking")
-
-    def __init__(self, elements: tuple, ranking: Ranking):
-        self._set_fields(elements, ranking)
-
-    def leaders(self):
-        return [leader(f, self.ranking) for f in self.elements]
-
-    def __len__(self):
-        return len(self.elements)
-
-    def __iter__(self):
-        return iter(self.elements)
-
-
 def autoreduce(S, rk):
-    """Interreduce a list of elements into an autoreduced set."""
+    """Interreduce a list of elements into an autoreduced set: a tuple of
+    monic, pairwise-reduced elements sorted by increasing leader rank."""
     elems = [monic(w, rk) for w in S if not w.is_zero()]
     while True:
         elems.sort(key=lambda w: rk.key(leader(w, rk)))
@@ -242,31 +226,22 @@ def autoreduce(S, rk):
                 break
         if not changed:
             break
-    return AutoreducedSet(tuple(elems), rk)
+    return tuple(elems)
 
 
 class CharSet(FrozenRecord):
-    """Complete characteristic set: an autoreduced Groebner-style basis."""
+    """Complete characteristic set of the module spanned by `generators`:
+    the monic, pairwise-reduced `elements`, sorted by increasing leader
+    rank under `ranking`, of a Groebner-style basis in K[Delta]^n."""
 
-    __slots__ = _fields = ("autoreduced", "generators", "config", "n")
+    __slots__ = _fields = ("elements", "ranking", "generators", "config", "n")
 
-    def __init__(self, autoreduced: AutoreducedSet, generators: tuple,
+    def __init__(self, elements: tuple, ranking: Ranking, generators: tuple,
                  config: object, n: int):
-        self._set_fields(autoreduced, generators, config, n)
+        self._set_fields(elements, ranking, generators, config, n)
 
-    @property
-    def ranking(self):
-        return self.autoreduced.ranking
-
-    @property
-    def elements(self):
-        return self.autoreduced.elements
-
-    def __iter__(self):
-        return iter(self.elements)
-
-    def __len__(self):
-        return len(self.elements)
+    def leaders(self):
+        return [leader(f, self.ranking) for f in self.elements]
 
 
 def _lcm(a, b):
@@ -314,9 +289,8 @@ def _reduced_basis(basis, leads, rk):
                        for j, other in enumerate(leads) if j != i)]
     keep.sort(key=lambda i: rk.key(leads[i]))
     active = [(i, basis[i], leads[i]) for i in keep]
-    return AutoreducedSet(
-        tuple(_reduce(basis[i], [a for a in active if a[0] != i], rk)
-              for i in keep), rk)
+    return tuple(_reduce(basis[i], [a for a in active if a[0] != i], rk)
+                 for i in keep)
 
 
 def characteristic_set(gens, rk, config=None, n=None):
@@ -369,7 +343,7 @@ def characteristic_set(gens, rk, config=None, n=None):
                      active, rk)
         if not nf.is_zero():
             insert(nf)
-    charset = CharSet(_reduced_basis(basis, leads, rk), tuple(gens),
+    charset = CharSet(_reduced_basis(basis, leads, rk), rk, tuple(gens),
                       config, n)
     _verify_complete(charset)
     return charset
@@ -384,7 +358,7 @@ def _verify_complete(charset):
     """
     rk = charset.ranking
     elems = list(charset.elements)
-    leads = charset.autoreduced.leaders()
+    leads = charset.leaders()
     if not all(w.terms[lead].is_one() for w, lead in zip(elems, leads)):
         raise AssertionError("element not monic at its leader")
     active = list(zip(range(len(elems)), elems, leads))
@@ -398,8 +372,3 @@ def _verify_complete(charset):
             s = _spair(elems[i], leads[i], elems[j], leads[j])
             if not _reduce(s, active, rk).is_zero():
                 raise AssertionError("S-pair does not reduce to zero")
-
-
-def member(w, charset):
-    """Exact membership of w in the submodule presented by the CharSet."""
-    return reduce(w, list(charset.elements), charset.ranking).is_zero()

@@ -64,22 +64,14 @@ def leader_antichain(charset):
     return Antichain(charset.config.m, tuple(frozenset(s) for s in sets))
 
 
-def dimension_polynomial(charset):
-    """phi(k) = dim_K M_k for M = K[Delta]^n / N."""
-    return dimension_report(charset).dimpoly
-
-
-def diff_dimension(charset):
-    """Differential dimension: m! times the leading t^m coefficient of phi.
-
-    Cross-checked against the count of components without leaders; the two
-    agree for any complete characteristic set under an orderly ranking.
-    """
-    return dimension_report(charset).diff_dimension
-
-
 def dimension_report(charset):
-    """Assemble the full report for K[Delta]^n / N from one staircase count."""
+    """Assemble the full report for K[Delta]^n / N from one staircase count.
+
+    `dimpoly` is phi(k) = dim_K M_k.  `diff_dimension` is m! times the
+    leading t^m coefficient of phi, cross-checked against the count of
+    components without leaders; the two agree for any complete
+    characteristic set under an orderly ranking.
+    """
     if charset.ranking.kind != "orderly":
         raise OrderlyRequired("dimension computations need an orderly ranking")
     anti = leader_antichain(charset)

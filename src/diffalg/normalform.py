@@ -1,11 +1,12 @@
 """Diagonalization over the Euclidean ring K[delta] and tangent classification.
 
-A presentation matrix R (n rows = module coordinates, s columns = relations)
-describes M = K[delta]^n / leftspan(columns).  Internally the relations are
-laid out as rows: in that orientation left multiplication recombines
-relations and right multiplication changes the free-module basis, so both
-are valid for left modules and the exact identity U*A*V = D holds with
-ordinary matrix products.
+M = K[delta]^n / leftspan(relations) is presented by the matrix A whose s
+rows are the relations and whose n columns are the module coordinates: in
+that orientation left multiplication recombines relations and right
+multiplication changes the free-module basis, so both are valid for left
+modules and the exact identity U*A*V = D holds with ordinary matrix
+products.  `classify_presentation` is the one classification entry: it
+lays module elements out as those rows and reads K^d x C^k off D.
 
 The elimination keeps U_inv and V_inv as matrices but U and V as the
 elementary operations that built them: when there are more relations
@@ -67,13 +68,6 @@ class OreMatrix:
     def __getitem__(self, ij):
         i, j = ij
         return self.entries[i][j]
-
-    def transpose_data(self):
-        """Plain data transpose (no adjoint); entries are shared."""
-        return OreMatrix._of(self.config,
-                             [[self.entries[i][j] for i in range(self.rows)]
-                              for j in range(self.cols)],
-                             self.cols, self.rows)
 
     def __mul__(self, other):
         if not isinstance(other, OreMatrix):
@@ -386,25 +380,14 @@ def _verify(A, res):
         raise AssertionError("A*V != U_inv*D, so U*A*V != D")
 
 
-def classify_tangent(R):
-    """Classify M = K[delta]^n / leftspan(columns of R) as K^d x C^k.
+def classify_presentation(config, gens, n):
+    """(class, diagonal of D) of K[delta]^n / leftspan(gens), the module
+    elements gens read as the rows of the relation matrix.
 
     Only the invariants (d, k) are produced; the constants-basis change
     that trivializes the torsion part lives over the differential closure
     and is not constructed here.
     """
-    return _classify_relations(R.transpose_data())[0]
-
-
-def classify_presentation(config, gens, n):
-    """(class, diagonal of D) of K[delta]^n / leftspan(gens), the module
-    elements gens read as the rows of the relation matrix."""
-    return _classify_relations(OreMatrix(
-        config, [w.operator_vector() for w in gens if w], cols=n))
-
-
-def _classify_relations(A):
-    """(class, diagonal of D) of K[delta]^n / leftspan(rows of A), A with
-    n columns."""
-    diagonal = diagonalize(A).D.diagonal()
-    return TangentClass.from_diagonal(A.cols, diagonal), diagonal
+    diagonal = diagonalize(OreMatrix(
+        config, [w.operator_vector() for w in gens if w], cols=n)).D.diagonal()
+    return TangentClass.from_diagonal(n, diagonal), diagonal

@@ -28,7 +28,6 @@ printer (`parsing.poly_str`).
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from fractions import Fraction
 from math import comb, factorial
 
 from .errors import NotAntichain
@@ -76,11 +75,6 @@ class NumericalPolynomial(FrozenRecord):
             for i in range(n))
         return NumericalPolynomial(coeffs,
                                    max(self.valid_from, other.valid_from))
-
-    def monomial_coeffs(self):
-        """Ascending ordinary coefficients, as Fractions."""
-        out, top = self._scaled_monomial_coeffs()
-        return [Fraction(c, top) for c in out]
 
     def _scaled_monomial_coeffs(self):
         """(ascending ordinary coefficients times d!, d!), d the degree.

@@ -365,15 +365,6 @@ def ore_divmod(f, g, side="right"):
     return g._new(quotient), r
 
 
-def ore_apply(f, a):
-    """Action of the operator f on a base-field element a."""
-    a = _as_ratfun(a, f.config)
-    result = RatFun.from_const(f.config.v, 0)
-    for exps, coeff in f.terms.items():
-        result = result + coeff * _derivative(a, exps)
-    return result
-
-
 def _derivative(a, exps):
     """The derivative delta^exps(a) of the RatFun a; it stops at a zero."""
     for i, k in enumerate(exps):

@@ -877,7 +877,9 @@ def modelement_str(w, config, var_names):
 # problem files
 
 class ProblemFile(Record):
-    """Parsed input: field layout plus one of equations+point or raw module.
+    """Parsed input: field layout plus one of equations+point, a raw
+    module or leaders; `parse_input` refuses `module:` beside `vars:`,
+    `eqs:` or `point:`, so the rank `n` has one source.
 
     A ProblemFile built without `var_names` gets a new empty list.
     """
@@ -905,9 +907,8 @@ class ProblemFile(Record):
 
     @property
     def n(self):
-        if self.module_rank is not None:
-            return self.module_rank
-        return len(self.var_names)
+        """The rank: `module:` of a raw module, else one per `vars:` name."""
+        return self.module_rank or len(self.var_names)
 
     def ranking(self):
         return Ranking(self.ranking_kind, tuple(range(self.n)))
@@ -949,13 +950,16 @@ def parse_input(text):
             if len(pf.var_names) > MAX_MODULE_RANK:
                 raise ParseError(f"{len(pf.var_names)} variables; the limit "
                                  f"is {MAX_MODULE_RANK}", lineno)
-            for name in pf.var_names:
+            for i, name in enumerate(pf.var_names):
                 if not name.isalnum() or not name[0].isalpha():
                     raise ParseError(f"bad variable name {name!r}", lineno)
                 if name in _symbols(config):
                     raise ParseError(
                         f"variable name {name!r} collides with a built-in",
                         lineno)
+                if name in pf.var_names[:i]:
+                    raise ParseError(f"variable {name!r} declared twice",
+                                     lineno)
         elif head == "ranking":
             body = body.strip()
             if body not in ("orderly", "elim", "elimination"):
@@ -973,7 +977,7 @@ def parse_input(text):
             raise ParseError(f"unknown section {head!r}", lineno)
 
     _finish_sections(pf, pending)
-    if (pf.eqs is not None) and (pf.gens is not None):
+    if "module" in seen and seen & {"vars", "eqs", "point"}:
         raise ParseError("give either equations+point or a raw module, "
                          "not both", 1)
     return pf
@@ -1062,6 +1066,8 @@ def _finish_sections(pf, pending):
             name = r.token(at)
             if name not in pf.var_names:
                 raise r.error(f"unknown variable {name!r} in point", at)
+            if name in coords:
+                raise r.error(f"second coordinate for {name!r} in point", at)
             r.to(r.i + 1)
             coords[name] = r.expression()
 

@@ -4,9 +4,11 @@ A differential polynomial lives in K{y_1..y_n}: a sum of monomials in the
 derivative indeterminates theta*y_i with base-field coefficients.  `DiffPoly`
 is a `TermMap` (the sparse kernel of `ore.OrePoly`) keyed by monomials: a
 monomial is a sorted tuple of ((component, theta exponents), power).  Delta
-acts on it by `formal_derive`, not by left multiplication.  At a K-rational
-point every derivative of a coordinate is induced by the field derivations,
-so evaluation is a differential homomorphism.
+acts on it by formal derivation, not by left multiplication; no command
+derives a system, so formal derivation lives in the test suite, as an
+oracle for linearization.  At a K-rational point every derivative of a
+coordinate is induced by the field derivations, so evaluation is a
+differential homomorphism.
 
 `linearize_system` is the one route from equations and a point to the
 linearized module: it checks the point and linearizes each equation there.
@@ -122,29 +124,6 @@ def _merge_monomials(m1, m2):
     for key, power in m2:
         entries[key] = entries.get(key, 0) + power
     return tuple(sorted(entries.items()))
-
-
-def formal_derive(f, i):
-    """delta_i applied in K{y}: Leibniz over coefficient and indeterminates."""
-    f.config.check_derivation(i)
-    result = DiffPoly.zero(f.config, f.n)
-    for mono, coeff in f.terms.items():
-        der = coeff.derive(i)
-        if der:
-            result = result + DiffPoly(f.config, f.n, {mono: der})
-        for idx, ((comp, exps), power) in enumerate(mono):
-            raised = list(exps)
-            raised[i] += 1
-            factor = DiffPoly.indeterminate(f.config, f.n, comp, raised)
-            rest = dict(mono)
-            if power == 1:
-                del rest[(comp, exps)]
-            else:
-                rest[(comp, exps)] = power - 1
-            piece = DiffPoly(f.config, f.n,
-                             {tuple(sorted(rest.items())): coeff * power})
-            result = result + piece * factor
-    return result
 
 
 def _power_bits(x, k):

@@ -27,9 +27,11 @@ Printed values are checked against the printer that `diffalg.parsing`
 replaced (`fraction_ratfun_str`, `fraction_numpoly_str`), which divides
 each coefficient as a Fraction.
 
-Every oracle and every tool that only the tests use lives here; but for
-that builder, only public diffalg names are imported: the library holds no
-test-only code.
+Every oracle and every tool that only the tests use lives here, among them
+the action of an operator on a field element (`ore_apply`), formal
+derivation in K{y} (`formal_derive`) and the ordinary coefficients of a
+numerical polynomial (`monomial_coeffs`); but for that builder, only public
+diffalg names are imported.
 """
 
 import functools
@@ -42,8 +44,8 @@ from operator import ge
 
 from diffalg import (Antichain, DiffFieldConfig, DiffPoly, DivisionByZero,
                      MPoly, ModElement, NotAntichain, NumericalPolynomial,
-                     OreMatrix, OrePoly, ParseError, RatFun, VarietyPoint,
-                     leader, ore_apply, ore_mul)
+                     OrePoly, ParseError, RatFun, VarietyPoint, leader,
+                     ore_mul)
 from diffalg.parsing import (MAX_DERIVATIONS, MAX_MODULE_RANK, MAX_NESTING,
                              ProblemFile, _ExprParser, _symbols)
 
@@ -111,21 +113,10 @@ def max_order(w):
     return max((sum(exps) for _, exps in w.terms), default=-1)
 
 
-def from_columns(config, columns, rows):
-    """The OreMatrix with the given columns, lists of `rows` operators."""
-    entries = [[OrePoly.zero(config)] * len(columns) for _ in range(rows)]
-    for j, col in enumerate(columns):
-        for i, e in enumerate(col):
-            entries[i][j] = e
-    return OreMatrix(config, entries, rows, len(columns))
-
-
-def compare_autoreduced(A, B):
+def compare_autoreduced(A, B, rk):
     """'lower' / 'equal' / 'higher': the Ritt-Kolchin rank order on two
-    autoreduced sets under one ranking."""
-    assert A.ranking == B.ranking
-    rk = A.ranking
-    ua, ub = A.leaders(), B.leaders()
+    autoreduced sets, tuples of elements sorted by leader, under rk."""
+    ua, ub = [leader(f, rk) for f in A], [leader(f, rk) for f in B]
     for la, lb in zip(ua, ub):
         c = rk.compare(la, lb)
         if c:
@@ -133,6 +124,40 @@ def compare_autoreduced(A, B):
     if len(ua) == len(ub):
         return "equal"
     return "lower" if len(ua) > len(ub) else "higher"
+
+
+def ore_apply(f, a):
+    """Action of the operator f on a base-field element a: each coefficient
+    times the derivative of a that its monomial names."""
+    if not isinstance(a, RatFun):
+        a = RatFun.from_const(f.config.v, a)
+    result = RatFun.from_const(f.config.v, 0)
+    for exps, coeff in f.terms.items():
+        derived = a
+        for i, k in enumerate(exps):
+            for _ in range(k):
+                derived = derived.derive(i)
+        result = result + coeff * derived
+    return result
+
+
+def formal_derive(f, i):
+    """delta_i applied in K{y}: Leibniz over the coefficient and each
+    indeterminate of every monomial, built from DiffPoly arithmetic."""
+    f.config.check_derivation(i)
+    result = DiffPoly.zero(f.config, f.n)
+    for mono, coeff in f.terms.items():
+        result = result + DiffPoly(f.config, f.n, {mono: coeff.derive(i)})
+        for (comp, exps), power in mono:
+            rest = dict(mono)
+            rest[(comp, exps)] -= 1
+            raised = list(exps)
+            raised[i] += 1
+            result = result + DiffPoly(
+                f.config, f.n,
+                {tuple((k, e) for k, e in rest.items() if e): coeff * power}
+            ) * DiffPoly.indeterminate(f.config, f.n, comp, raised)
+    return result
 
 
 def eval_point(w, xs):
@@ -730,13 +755,16 @@ def token_parse_input(text):
             if len(pf.var_names) > MAX_MODULE_RANK:
                 raise ParseError(f"{len(pf.var_names)} variables; the limit "
                                  f"is {MAX_MODULE_RANK}", lineno)
-            for name in pf.var_names:
+            for i, name in enumerate(pf.var_names):
                 if not name.isalnum() or not name[0].isalpha():
                     raise ParseError(f"bad variable name {name!r}", lineno)
                 if name in _symbols(config):
                     raise ParseError(
                         f"variable name {name!r} collides with a built-in",
                         lineno)
+                if name in pf.var_names[:i]:
+                    raise ParseError(f"variable {name!r} declared twice",
+                                     lineno)
         elif head == "ranking":
             body = body.strip()
             if body not in ("orderly", "elim", "elimination"):
@@ -763,6 +791,9 @@ def token_parse_input(text):
             if name.text not in pf.var_names:
                 raise ParseError(f"unknown variable {name.text!r} in point",
                                  name.line, name.column)
+            if name.text in coords:
+                raise ParseError(f"second coordinate for {name.text!r} in "
+                                 f"point", name.line, name.column)
             coords[name.text] = _TokenParser(
                 entry[2:], config, lineno, "unknown field variable",
                 spent).parse()
@@ -805,7 +836,7 @@ def token_parse_input(text):
             pf.leaders = Antichain(config.m, groups)
         except NotAntichain as exc:
             raise NotAntichain(f"line {lineno}: {exc}") from None
-    if (pf.eqs is not None) and (pf.gens is not None):
+    if "module" in seen and seen & {"vars", "eqs", "point"}:
         raise ParseError("give either equations+point or a raw module, "
                          "not both", 1)
     return pf
@@ -909,14 +940,21 @@ def fraction_ratfun_str(r, config):
     return f"{num_s}/{den_s}"
 
 
-def fraction_numpoly_str(phi):
-    """`str` of a NumericalPolynomial from its ordinary coefficients, each
-    binomial C(t+i, i) expanded in Fractions."""
+def monomial_coeffs(phi):
+    """Ascending ordinary coefficients of a NumericalPolynomial, as
+    Fractions: each binomial C(t+i, i) expanded."""
     mono = [Fraction(0)] * max(len(phi.coeffs), 1)
     for i, a in enumerate(phi.coeffs):
         for k, b in enumerate(_binomial_basis_poly(i)):
             mono[k] += a * b
-    return _fraction_sum({(k,): c for k, c in enumerate(mono) if c}, ("t",))
+    return mono
+
+
+def fraction_numpoly_str(phi):
+    """`str` of a NumericalPolynomial from its ordinary coefficients
+    (`monomial_coeffs`)."""
+    return _fraction_sum({(k,): c for k, c in enumerate(monomial_coeffs(phi))
+                          if c}, ("t",))
 
 
 # ---------------------------------------------------------------------------

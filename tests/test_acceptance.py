@@ -16,13 +16,13 @@ import pytest
 
 from diffalg import (Antichain, DiffFieldConfig, OreMatrix, RatFun,
                      TangentClass, VarietyPoint, characteristic_set,
-                     classify_tangent, count_cofilter, diagonalize,
+                     classify_presentation, count_cofilter, diagonalize,
                      dimension_report, eval_diffpoly, leader_antichain,
                      linearize_at_point, ore_divmod, ore_mul,
                      orderly_ranking, tangent_pipeline, type_and_heights)
 from diffalg.parsing import parse_diffpoly, parse_ratfun
-from helpers import (brute_count, from_columns, ore_mul_binomial,
-                     rand_modelement, rand_orepoly, truncated_module_dims)
+from helpers import (brute_count, ore_mul_binomial, rand_modelement,
+                     rand_orepoly, truncated_module_dims)
 
 CFG1 = DiffFieldConfig(1, 1)
 
@@ -91,8 +91,7 @@ def test_torsion_bounds_on_random_presentations(capsys):
                 for _ in range(rng.randint(1, 3))]
         cs = characteristic_set(gens, orderly_ranking(n), config=CFG1, n=n)
         report = dimension_report(cs)
-        R = from_columns(CFG1, [g.operator_vector() for g in gens], n)
-        tc = classify_tangent(R)
+        tc, _ = classify_presentation(CFG1, gens, n)
         assert tc.d == report.diff_dimension
         assert tc.k <= report.free_term
         assert tc.k <= report.below_leader_count

@@ -51,6 +51,9 @@ element: [d, t*d^2 + d - 2]
 FACTOR = "(t1 + t2 + t3 + 1)"
 
 
+NOT_BOTH = "line 1: give either equations+point or a raw module, not both"
+
+
 def run(capsys, tmp_path, text, *argv):
     path = tmp_path / "problem.txt"
     path.write_text(text)
@@ -229,15 +232,23 @@ class TestEquationRoutes:
 
     def test_a_module_line_leaves_the_equations_rank(self, capsys,
                                                      tmp_path):
-        # the linearized module has one component per variable, on every
-        # route; `charset` and `dimpoly` crashed on such a file
+        # a file gives its rank once: `module:` beside the equations is
+        # refused on every route, as `gens:` beside them is
         text = ("field: Q(t)\nvars: y\nmodule: 3\neqs: y'\n"
                 "point: y = 0\n")
         for command in ("charset", "dimpoly", "tangent"):
-            code, out, err = run(capsys, tmp_path, text, command,
-                                 "--order-bound", "1")
-            assert (code, err) == (0, "")
-            assert out.endswith("standard terms up to order 1 (1): y\n")
+            assert run(capsys, tmp_path, text, command, "--order-bound",
+                       "1") == (2, "", f"error: {NOT_BOTH}\n")
+
+    @pytest.mark.parametrize("argv", [["dimpoly"],
+                                      ["charset", "--order-bound", "1"]])
+    def test_a_vars_line_beside_a_module_exits_2(self, capsys, tmp_path,
+                                                 argv):
+        # the names of `vars:` labelled the components of a rank-2 module
+        # and ran out: an IndexError traceback
+        text = "field: Q(t)\nmodule: 2\ngens: [d, 0]\nvars: y\n"
+        assert run(capsys, tmp_path, text, *argv) == (
+            2, "", f"error: {NOT_BOTH}\n")
 
 
 class TestModuleCommands:
@@ -632,8 +643,14 @@ class TestErrorHandling:
         ("field: Q(t)\nmodules: 1\n", "charset",
          "line 2: unknown section 'modules'"),
         ("field: Q(t)\nvars: y\npoint: y = 0\neqs: y'\nmodule: 1\n"
-         "gens: [d]\n", "charset",
-         "line 1: give either equations+point or a raw module, not both"),
+         "gens: [d]\n", "charset", NOT_BOTH),
+        # with no `vars:` line the point names no variable
+        ("field: Q(t)\nmodule: 1\npoint: y = 0\n", "charset",
+         "line 3, column 8: unknown variable 'y' in point"),
+        ("field: Q(t)\nvars: y y\neqs: y'\npoint: y = 0\n", "tangent",
+         "line 2: variable 'y' declared twice"),
+        ("field: Q(t)\nvars: y\neqs: y'\npoint: y = 0, y = 1\n", "tangent",
+         "line 4, column 15: second coordinate for 'y' in point"),
         ("field: R\n", "charset", "line 1: unrecognized field 'R'"),
         ("field: Q(t1, t2) derivations: 1\n", "charset",
          "line 1: derivation count below the variable count"),
@@ -664,7 +681,8 @@ class TestErrorHandling:
             "trailing-input", "unbracketed-generator", "coordinate-count",
             "no-field", "duplicate-section", "bad-variable-name",
             "unknown-ranking", "zero-module-rank", "unknown-section",
-            "equations-and-module", "unknown-field", "too-few-derivations",
+            "equations-and-module", "point-and-module", "duplicate-vars",
+            "duplicate-point-entries", "unknown-field", "too-few-derivations",
             "point-entry", "point-coordinates", "eqs-before-vars",
             "no-equations", "gens-before-module", "unbracketed-leaders",
             "eqs-without-point", "no-system", "count-without-leaders",

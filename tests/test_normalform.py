@@ -4,14 +4,14 @@ import random
 
 import pytest
 
-from diffalg import (Diagonalization, DiffFieldConfig, MPoly, OreMatrix,
-                     OrePoly, RatFun, TangentClass, UnsupportedForPartial,
-                     characteristic_set, classify_tangent, diagonalize,
-                     dimension_report, ore_divmod, ore_mul,
-                     orderly_ranking)
+from diffalg import (Diagonalization, DiffFieldConfig, MPoly, ModElement,
+                     OreMatrix, OrePoly, RatFun, TangentClass,
+                     UnsupportedForPartial, characteristic_set,
+                     classify_presentation, diagonalize, dimension_report,
+                     ore_divmod, ore_mul, orderly_ranking)
 from diffalg import normalform
 from diffalg.normalform import _verify
-from helpers import from_columns, rand_modelement, rand_orepoly
+from helpers import rand_modelement, rand_orepoly
 
 CFG1 = DiffFieldConfig(1, 1)
 CFG10 = DiffFieldConfig(1, 0)
@@ -42,9 +42,6 @@ class TestOreMatrix:
     def test_internal_copies_keep_shape_and_config(self):
         d = delta()
         A = relation_matrix([d, op(T)], [op(1), d * d], [op(0), d])
-        assert A.transpose_data() == OreMatrix(
-            CFG1, [[d, op(1), op(0)], [op(T), d * d, d]])
-        assert A.transpose_data().transpose_data() == A
         B = A.copy()
         B.entries[0][0] = op(2)
         assert A[0, 0] == d and B == relation_matrix(
@@ -265,18 +262,19 @@ class TestVerifyProductCheck:
 
 class TestClassifyTangent:
     def test_mixed_free_and_torsion(self):
-        d = delta()
-        R = from_columns(CFG1, [[OrePoly.zero(CFG1), d - 1]], 2)
-        assert classify_tangent(R) == TangentClass(1, 1, (1,))
+        gens = [ModElement.from_operator_vector([OrePoly.zero(CFG1),
+                                                 delta() - 1])]
+        assert classify_presentation(CFG1, gens, 2)[0] \
+            == TangentClass(1, 1, (1,))
 
     def test_unit_coordinate_gives_free_quotient(self):
-        d = delta()
-        R = from_columns(CFG1, [[OrePoly.one(CFG1), op(T) * d - 1]], 2)
-        assert classify_tangent(R) == TangentClass(1, 0, ())
+        gens = [ModElement.from_operator_vector([OrePoly.one(CFG1),
+                                                 op(T) * delta() - 1])]
+        assert classify_presentation(CFG1, gens, 2)[0] \
+            == TangentClass(1, 0, ())
 
     def test_zero_submodule(self):
-        R = from_columns(CFG1, [], 2)
-        assert classify_tangent(R) == TangentClass(2, 0, ())
+        assert classify_presentation(CFG1, [], 2)[0] == TangentClass(2, 0, ())
 
     def test_class_from_diagonal(self):
         d = delta()
@@ -291,8 +289,7 @@ class TestClassifyTangent:
             n = rng.randint(2, 3)
             gens = [rand_modelement(rng, CFG1, n, max_ord=2, nonzero=True)
                     for _ in range(rng.randint(1, 2))]
-            R = from_columns(CFG1, [g.operator_vector() for g in gens], n)
-            base = classify_tangent(R)
+            base, _ = classify_presentation(CFG1, gens, n)
 
             # appending a left combination of existing relations
             combo = [OrePoly.zero(CFG1)] * n
@@ -300,22 +297,20 @@ class TestClassifyTangent:
                 q = rand_orepoly(rng, CFG1, max_deg=1)
                 for i, e in enumerate(g.operator_vector()):
                     combo[i] = combo[i] + ore_mul(q, e)
-            R2 = from_columns(
-                CFG1, [g.operator_vector() for g in gens] + [combo], n)
-            appended = classify_tangent(R2)
+            appended, _ = classify_presentation(
+                CFG1, gens + [ModElement.from_operator_vector(combo)], n)
             assert (appended.d, appended.k) == (base.d, base.k)
 
-            # unimodular change of the free-module basis: on the transposed
-            # (rows-as-relations) layout this is right multiplication by an
+            # unimodular change of the free-module basis: on the
+            # rows-as-relations layout this is right multiplication by an
             # elementary matrix, i.e. col_j += col_i * q
-            A = R.transpose_data()
             i, j = rng.sample(range(n), 2)
             q = rand_orepoly(rng, CFG1, max_deg=1)
-            entries = [list(row) for row in A.entries]
+            entries = [g.operator_vector() for g in gens]
             for row in entries:
                 row[j] = row[j] + ore_mul(row[i], q)
-            R3 = OreMatrix(CFG1, entries).transpose_data()
-            got = classify_tangent(R3)
+            got = TangentClass.from_diagonal(
+                n, diagonalize(OreMatrix(CFG1, entries)).D.diagonal())
             assert (got.d, got.k) == (base.d, base.k)
 
     def test_consistency_with_dimension_report(self):
@@ -327,8 +322,7 @@ class TestClassifyTangent:
             cs = characteristic_set(gens, orderly_ranking(n),
                                     config=CFG1, n=n)
             report = dimension_report(cs)
-            R = from_columns(CFG1, [g.operator_vector() for g in gens], n)
-            tc = classify_tangent(R)
+            tc, _ = classify_presentation(CFG1, gens, n)
             assert tc.d == report.diff_dimension
             assert tc.k <= report.free_term
             assert tc.k <= report.below_leader_count

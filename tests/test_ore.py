@@ -6,10 +6,10 @@ import pytest
 
 from diffalg import (ConfigMismatch, DiffFieldConfig, DiffPoly, DivisionByZero,
                      ModElement, OrePoly, RatFun, UnsupportedForPartial,
-                     ore_apply, ore_divmod, ore_mul)
+                     ore_divmod, ore_mul)
 from diffalg.ore import _left_mul
-from helpers import (divmod_oracle, ore_mul_binomial, rand_modelement,
-                     rand_orepoly, rand_ratfun)
+from helpers import (divmod_oracle, ore_apply, ore_mul_binomial,
+                     rand_modelement, rand_orepoly, rand_ratfun)
 
 CFG1 = DiffFieldConfig(1, 1)
 

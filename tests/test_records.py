@@ -6,9 +6,9 @@ import pickle
 
 import pytest
 
-from diffalg import (Antichain, AutoreducedSet, CharSet, Diagonalization,
-                     DiffFieldConfig, DimensionReport, NumericalPolynomial,
-                     OreMatrix, OrePoly, Ranking, TangentClass, ZERO_TYPE,
+from diffalg import (Antichain, CharSet, Diagonalization, DiffFieldConfig,
+                     DimensionReport, NumericalPolynomial, OreMatrix,
+                     OrePoly, Ranking, TangentClass, ZERO_TYPE,
                      characteristic_set, diagonalize, dimension_report)
 from diffalg.parsing import ProblemFile, parse_input
 
@@ -37,8 +37,7 @@ FIELDS = {
     "NumericalPolynomial": ("coeffs", "valid_from"),
     "Antichain": ("m", "components"),
     "TangentClass": ("d", "k", "torsion_degrees"),
-    "AutoreducedSet": ("elements", "ranking"),
-    "CharSet": ("autoreduced", "generators", "config", "n"),
+    "CharSet": ("elements", "ranking", "generators", "config", "n"),
     "DimensionReport": ("dimpoly", "diff_dimension", "type", "typical_height",
                         "free_components", "below_leader_count",
                         "antichain"),
@@ -50,6 +49,8 @@ def equal_pairs_and_other():
     """(a, b, c) per frozen record: a == b built apart, c different."""
     cs1, report1 = charset_and_report()
     cs2, report2 = charset_and_report()
+    wider = CharSet(cs1.elements, cs1.ranking, cs1.generators, cs1.config,
+                    cs1.n + 1)
     rk = Ranking("orderly", (1, 0))
     res = diagonalization()
     parts = (res.U, res.D, res.V, res.U_inv, res.V_inv)
@@ -68,12 +69,8 @@ def equal_pairs_and_other():
         "TangentClass": (TangentClass(1, 1, (1,)),
                          TangentClass(d=1, k=1, torsion_degrees=(1,)),
                          TangentClass(1, 2, (2,))),
-        "AutoreducedSet": (cs1.autoreduced, cs2.autoreduced,
-                           AutoreducedSet(cs1.elements[:-1], cs1.ranking)),
-        "CharSet": (cs1, cs2, CharSet(cs1.autoreduced, cs1.generators,
-                                      cs1.config, cs1.n + 1)),
-        "DimensionReport": (report1, report2, dimension_report(CharSet(
-            cs1.autoreduced, cs1.generators, cs1.config, cs1.n + 1))),
+        "CharSet": (cs1, cs2, wider),
+        "DimensionReport": (report1, report2, dimension_report(wider)),
         "Diagonalization": (Diagonalization(*parts),
                             Diagonalization(*parts),
                             Diagonalization(res.U, OreMatrix.zero(
@@ -188,7 +185,9 @@ class TestRepr:
                              "U_inv=OreMatrix(1x1), V_inv=OreMatrix(1x1))")
         charset, _ = charset_and_report()
         assert repr(charset).startswith(
-            "CharSet(autoreduced=AutoreducedSet(elements=(ModElement(")
+            "CharSet(elements=(ModElement(")
+        assert f"ranking={charset.ranking!r}, generators=(ModElement(" \
+            in repr(charset)
         assert repr(charset).endswith(
             f"config={charset.config!r}, n=2)")
 

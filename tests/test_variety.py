@@ -7,10 +7,11 @@ import pytest
 import diffalg.normalform
 from diffalg import (Diagonalization, DiffAlgError, DiffFieldConfig, DiffPoly,
                      ModElement, OreMatrix, OrePoly, PointNotOnVariety, RatFun,
-                     TangentClass, VarietyPoint, eval_diffpoly, formal_derive,
+                     TangentClass, VarietyPoint, eval_diffpoly,
                      linearize_at_point, linearize_system, ore_mul,
                      tangent_pipeline)
 from diffalg.parsing import parse_diffpoly, parse_ratfun
+from helpers import formal_derive
 
 CFG1 = DiffFieldConfig(1, 1)
 T = RatFun.var(1, 0)
