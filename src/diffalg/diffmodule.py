@@ -2,8 +2,11 @@
 
 A module element is a `ModElement`, a `TermMap` (the sparse kernel shared
 with `ore.OrePoly`) keyed by module terms (component, derivation
-exponents).  Left multiplication by an operator runs the product loop of
-`ore_mul` over the same shift chain.  Characteristic sets are computed by a
+exponents).  Its constructor checks outside input; the problem-file
+reader, and the library wherever it builds an element or a coordinate
+(`operator_vector`) of checked values, build trusted, by `TermMap._new`.
+Left multiplication by an operator runs the product loop of `ore_mul`
+over the same shift chain.  Characteristic sets are computed by a
 Buchberger-style completion for left submodules that starts from the monic
 generators, with S-pairs formed only between elements whose leaders share a
 component; the S-pairs do the interreduction, so the generators need no
@@ -29,7 +32,7 @@ from __future__ import annotations
 
 import heapq
 
-from .errors import ConfigMismatch, ZeroElement
+from .errors import ZeroElement
 from .field import RatFun
 from .ore import OrePoly, TermMap, monomial_ord, _as_ratfun, _raise_exponent
 from .record import FrozenRecord
@@ -119,26 +122,13 @@ class ModElement(TermMap):
             exps = (0,) * config.m
         return cls(config, n, {(comp, tuple(exps)): coeff})
 
-    @classmethod
-    def from_operator_vector(cls, ops, n=None):
-        """Build from a list of OrePoly coordinates."""
-        if n is None:
-            n = len(ops)
-        config = ops[0].config
-        terms = {}
-        for comp, op in enumerate(ops):
-            if op.config != config:
-                raise ConfigMismatch("mixed configurations in a vector")
-            for exps, coeff in op.terms.items():
-                terms[(comp, exps)] = coeff
-        return cls(config, n, terms)
-
     def operator_vector(self):
         """Coordinates as a list of n OrePoly."""
-        coords = [dict() for _ in range(self.n)]
+        coords = [{} for _ in range(self.n)]
         for (comp, exps), coeff in self.terms.items():
             coords[comp][exps] = coeff
-        return [OrePoly(self.config, c) for c in coords]
+        zero = OrePoly.zero(self.config)
+        return [zero._new(c) for c in coords]
 
     def __repr__(self):
         return f"ModElement(n={self.n}, {self.terms!r})"

@@ -6,7 +6,8 @@ that orientation left multiplication recombines relations and right
 multiplication changes the free-module basis, so both are valid for left
 modules and the exact identity U*A*V = D holds with ordinary matrix
 products.  `classify_presentation` is the one classification entry: it
-lays module elements out as those rows and reads K^d x C^k off D.
+lays module elements out as those rows, trusted (`OreMatrix._of`), and
+reads K^d x C^k off D.
 
 The elimination keeps U_inv and V_inv as matrices but U and V as the
 elementary operations that built them: when there are more relations
@@ -388,6 +389,7 @@ def classify_presentation(config, gens, n):
     that trivializes the torsion part lives over the differential closure
     and is not constructed here.
     """
-    diagonal = diagonalize(OreMatrix(
-        config, [w.operator_vector() for w in gens if w], cols=n)).D.diagonal()
+    rows = [w.operator_vector() for w in gens if w]
+    A = OreMatrix._of(config, rows, len(rows), n)
+    diagonal = diagonalize(A).D.diagonal()
     return TangentClass.from_diagonal(n, diagonal), diagonal

@@ -8,10 +8,16 @@ exponents.  An `OrePoly` key is a derivation monomial, an exponent tuple of
 length m.  Products are computed by iterated single-delta commutation over
 one shared shift chain (`_left_mul`), for operators and module elements
 alike; the closed binomial formula lives in the test suite as an
-independent oracle.  A scalar times an operator only scales coefficients,
-since no delta stands to its left.  Powers use repeated squaring
-(`field._power`).  A term that cancels by construction (in reduction,
-S-pairs, division, elimination) is dropped uncomputed, by `TermMap.cancel`.
+independent oracle.  A scalar times an operator or a module element only
+scales coefficients (`ore_mul` takes `TermMap.scale_left`), since no delta
+stands to its left.  Powers use repeated squaring (`field._power`).  A
+term that cancels by construction (in reduction, S-pairs, division,
+elimination) is dropped uncomputed, by `TermMap.cancel`.
+
+The public constructors (`OrePoly(config, terms)`, `from_scalar`,
+`monomial`) check what they are given; a value built from checked values
+is built trusted by `TermMap._new`, as every result here is, and as
+`OrePoly.one` is.
 """
 
 from __future__ import annotations
@@ -180,12 +186,13 @@ class OrePoly(TermMap):
 
     @classmethod
     def one(cls, config):
-        return cls.from_scalar(config, 1)
+        return cls(config)._new({(0,) * config.m:
+                                 RatFun.from_const(config.v, 1)})
 
     @classmethod
     def from_scalar(cls, config, value):
         value = _as_ratfun(value, config)
-        return cls(config, {(0,) * config.m: value})
+        return cls(config)._new({(0,) * config.m: value} if value else {})
 
     @classmethod
     def delta(cls, config, i):
@@ -203,7 +210,8 @@ class OrePoly(TermMap):
     # -- views -----------------------------------------------------------
 
     def is_scalar(self):
-        return all(not any(e) for e in self.terms)
+        """No derivation: at most one term, at the empty monomial."""
+        return len(self.terms) <= 1 and not any(next(iter(self.terms), ()))
 
     def scalar_value(self):
         if self.is_zero():
@@ -222,8 +230,8 @@ class OrePoly(TermMap):
         return exps, self.terms[exps]
 
     def is_one(self):
-        c = self.terms.get((0,) * self.config.m)
-        return len(self.terms) == 1 and c is not None and c.is_one()
+        return len(self.terms) == 1 and self.is_scalar() \
+            and self.scalar_value().is_one()
 
     # -- multiplicative structure -------------------------------------------
 
@@ -278,13 +286,15 @@ def _as_ratfun(value, config):
 
 
 def ore_mul(f, g):
-    """Exact product in K[Delta]."""
+    """Exact product f*g in K[Delta], or of the operator f and the module
+    element g; a scalar f only scales g's coefficients."""
     if f.config != g.config:
         raise ConfigMismatch("operators over different configurations")
-    if g.is_one():
+    if f.is_scalar():
+        c = f.scalar_value()
+        return g if c.is_one() else g.scale_left(c)
+    if type(g) is OrePoly and g.is_one():
         return f
-    if f.is_one():
-        return g
     return _left_mul(f, g)
 
 

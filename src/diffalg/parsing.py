@@ -34,6 +34,12 @@ past `MAX_PARSE_WORK` in all the expressions of one problem file, or in
 the one expression of a `parse_*` call, the operation is a `ParseError` at
 its operator.  `MAX_NESTING` bounds the recursion, one level per
 parenthesis.
+
+Every value is checked once, here, as it is read, and the values built
+from checked parts are built trusted (`field._ratfun`, `TermMap._new`),
+with no second pass through a validating constructor: the coefficients
+of each coordinate of a generator vector go straight into its module
+element's terms (`_vector`, through `_ExprParser.coefficients`).
 """
 
 from __future__ import annotations
@@ -418,11 +424,16 @@ class _ExprParser(_Reader):
     def expression(self):
         """The ring value of the expression at `i`, which must end after
         it."""
+        return self.ring(self.raw_expression())
+
+    def raw_expression(self):
+        """The value of the expression at `i`, which must end after it, as
+        read: _Data or a ring value."""
         value = self.parse_expr()
         if not self.at_end():
             raise self.error(f"trailing input {self.token(self.i)!r}",
                              self.i)
-        return self.ring(value)
+        return value
 
     def parse_expr(self):
         value = self.parse_term()
@@ -503,9 +514,24 @@ class _ExprParser(_Reader):
         return value
 
     def ring(self, value):
-        """`value` as a RatFun, OrePoly or DiffPoly; _Data is built here."""
+        """`value` as a RatFun, OrePoly or DiffPoly; _Data is built here,
+        its coefficients by `coefficients`."""
         if type(value) is not _Data:
             return value
+        coeffs = self.coefficients(value)
+        if coeffs.keys() <= {self.scalar}:
+            return coeffs.get(self.scalar) \
+                or RatFun.from_const(self.config.v, 0)
+        return OrePoly.zero(self.config)._new(coeffs)
+
+    def coefficients(self, value):
+        """{derivation monomial: nonzero RatFun} of `value`, _Data, a
+        RatFun or an OrePoly; a _Data coefficient is built here, each
+        polynomial over the integer denominator in lowest terms."""
+        if type(value) is not _Data:
+            if isinstance(value, RatFun):
+                return {self.scalar: value} if value else {}
+            return value.terms
         v, den = self.config.v, value.den
         coeffs = {}
         for key, p in value.terms.items():
@@ -513,9 +539,7 @@ class _ExprParser(_Reader):
             coeffs[key] = _ratfun(
                 _poly(v, {e: c // g for e, c in p.items()} if g > 1 else p),
                 MPoly.const(v, den // g))
-        if coeffs.keys() <= {self.scalar}:
-            return coeffs.get(self.scalar) or RatFun.from_const(v, 0)
-        return OrePoly.zero(self.config)._new(coeffs)
+        return coeffs
 
     def spend(self, work, at):
         """Charge `work` to `spent`; past MAX_PARSE_WORK in all it is a
@@ -714,11 +738,6 @@ def _parse_with(text, config, line, unknown, **options):
     return _ExprParser(text, config, line, unknown, **options).expression()
 
 
-def _operator(config, value):
-    return OrePoly.from_scalar(config, value) if isinstance(value, RatFun) \
-        else value
-
-
 def _polynomial(config, n, value):
     return DiffPoly.const(config, n, value) if isinstance(value, RatFun) \
         else value
@@ -731,8 +750,9 @@ def parse_ratfun(text, config, line=1):
 
 def parse_orepoly(text, config, line=1):
     """Operator expression over field variables and d / d1..dm."""
-    return _operator(config, _parse_with(text, config, line,
-                                         "unknown symbol", deltas=True))
+    value = _parse_with(text, config, line, "unknown symbol", deltas=True)
+    return OrePoly.from_scalar(config, value) if isinstance(value, RatFun) \
+        else value
 
 
 def parse_diffpoly(text, config, var_names, line=1):
@@ -751,19 +771,22 @@ def parse_generator_vector(text, config, n, line=1):
 def _vector(r, n, groups=False):
     """The generator vector `[c1, ..., cn]` at `i` of the operator reader
     r, its shape checked before any coordinate is read (`_shape`); an
-    empty coordinate is zero."""
+    empty coordinate is zero.  Each coordinate's coefficients go straight
+    into the module element's terms (`coefficients`), checked once, as
+    they are read."""
     bounds = _shape(r, groups, "generator vector")
     if len(bounds) != n + 1:
         raise r.error(f"expected {n} coordinates, found {len(bounds) - 1}",
                       bounds[0])
-    end, coords = r.i, []
-    for a, r.stop in zip(bounds, bounds[1:]):
+    end, terms = r.i, {}
+    for comp, (a, r.stop) in enumerate(zip(bounds, bounds[1:])):
         r.to(a + 1)
-        coords.append(OrePoly.zero(r.config) if r.at_end()
-                      else _operator(r.config, r.expression()))
+        if not r.at_end():
+            for exps, c in r.coefficients(r.raw_expression()).items():
+                terms[comp, exps] = c
     r.to(end)
     r.stop = len(r.text)
-    return ModElement.from_operator_vector(coords, n)
+    return ModElement.zero(r.config, n)._new(terms)
 
 
 # ---------------------------------------------------------------------------
@@ -879,7 +902,8 @@ def modelement_str(w, config, var_names):
 class ProblemFile(Record):
     """Parsed input: field layout plus one of equations+point, a raw
     module or leaders; `parse_input` refuses `module:` beside `vars:`,
-    `eqs:` or `point:`, so the rank `n` has one source.
+    `eqs:` or `point:`, so the rank `n` has one source, and `leaders:`
+    beside any of them.
 
     A ProblemFile built without `var_names` gets a new empty list.
     """
@@ -980,6 +1004,9 @@ def parse_input(text):
     if "module" in seen and seen & {"vars", "eqs", "point"}:
         raise ParseError("give either equations+point or a raw module, "
                          "not both", 1)
+    if "leaders" in seen and seen & {"module", "vars", "eqs", "point"}:
+        raise ParseError("give leaders alone, without a module or "
+                         "equations+point", pending["leaders"][1])
     return pf
 
 

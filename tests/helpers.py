@@ -42,10 +42,10 @@ from itertools import combinations
 from math import comb, factorial
 from operator import ge
 
-from diffalg import (Antichain, DiffFieldConfig, DiffPoly, DivisionByZero,
-                     MPoly, ModElement, NotAntichain, NumericalPolynomial,
-                     OrePoly, ParseError, RatFun, VarietyPoint, leader,
-                     ore_mul)
+from diffalg import (Antichain, ConfigMismatch, DiffFieldConfig, DiffPoly,
+                     DivisionByZero, MPoly, ModElement, NotAntichain,
+                     NumericalPolynomial, OrePoly, ParseError, RatFun,
+                     VarietyPoint, leader, ore_mul)
 from diffalg.parsing import (MAX_DERIVATIONS, MAX_MODULE_RANK, MAX_NESTING,
                              ProblemFile, _ExprParser, _symbols)
 
@@ -107,6 +107,19 @@ def rand_modelement(rng, config, n, max_ord=3, max_terms=3, nonzero=False,
 
 # ---------------------------------------------------------------------------
 # module, matrix and point tools
+
+def from_operator_vector(ops, n=None):
+    """The module element of the OrePoly coordinates `ops`, n of them unless
+    given, through the validating `ModElement` constructor."""
+    if n is None:
+        n = len(ops)
+    config = ops[0].config
+    if any(op.config != config for op in ops):
+        raise ConfigMismatch("mixed configurations in a vector")
+    return ModElement(config, n, {(comp, exps): coeff
+                                  for comp, op in enumerate(ops)
+                                  for exps, coeff in op.terms.items()})
+
 
 def max_order(w):
     """Highest derivation order among the terms of w; -1 for zero."""
@@ -434,7 +447,7 @@ def parse_lifted_vector(text, config, n):
     assert len(groups) == n
     coords = [parse_lifted(group, config) if group else OrePoly.zero(config)
               for group in groups]
-    return ModElement.from_operator_vector(coords, n)
+    return from_operator_vector(coords, n)
 
 
 # ---------------------------------------------------------------------------
@@ -624,7 +637,7 @@ def _token_vector(tokens, config, n, line, spent):
     coords = [OrePoly.zero(config) if not group else _operator(
         config, _TokenParser(group, config, line, "unknown symbol", spent,
                              deltas=True).parse()) for group in groups]
-    return ModElement.from_operator_vector(coords, n)
+    return from_operator_vector(coords, n)
 
 
 def _operator(config, value):
@@ -839,6 +852,9 @@ def token_parse_input(text):
     if "module" in seen and seen & {"vars", "eqs", "point"}:
         raise ParseError("give either equations+point or a raw module, "
                          "not both", 1)
+    if "leaders" in seen and seen & {"module", "vars", "eqs", "point"}:
+        raise ParseError("give leaders alone, without a module or "
+                         "equations+point", pending["leaders"][1])
     return pf
 
 

@@ -2,6 +2,7 @@
 
 import argparse
 import json
+import math
 import os
 import subprocess
 import sys
@@ -52,6 +53,7 @@ FACTOR = "(t1 + t2 + t3 + 1)"
 
 
 NOT_BOTH = "line 1: give either equations+point or a raw module, not both"
+LEADERS_ALONE = "give leaders alone, without a module or equations+point"
 
 
 def run(capsys, tmp_path, text, *argv):
@@ -651,6 +653,17 @@ class TestErrorHandling:
          "line 2: variable 'y' declared twice"),
         ("field: Q(t)\nvars: y\neqs: y'\npoint: y = 0, y = 1\n", "tangent",
          "line 4, column 15: second coordinate for 'y' in point"),
+        # `count` answered 5 and `charset` [d], each ignoring a section
+        ("field: Q(t)\nmodule: 1\ngens: [d]\nleaders: [5]\n", "count",
+         f"line 4: {LEADERS_ALONE}"),
+        ("field: Q(t)\nmodule: 1\ngens: [d]\nleaders: [5]\n", "charset",
+         f"line 4: {LEADERS_ALONE}"),
+        ("field: Q(t)\nleaders: [5]\nvars: y\n", "count",
+         f"line 2: {LEADERS_ALONE}"),
+        ("field: Q(t)\nvars: y\neqs: y'\nleaders: [5]\n", "count",
+         f"line 4: {LEADERS_ALONE}"),
+        ("field: Q(t)\nvars: y\npoint: y = 0\nleaders: [5]\n", "count",
+         f"line 4: {LEADERS_ALONE}"),
         ("field: R\n", "charset", "line 1: unrecognized field 'R'"),
         ("field: Q(t1, t2) derivations: 1\n", "charset",
          "line 1: derivation count below the variable count"),
@@ -682,12 +695,14 @@ class TestErrorHandling:
             "no-field", "duplicate-section", "bad-variable-name",
             "unknown-ranking", "zero-module-rank", "unknown-section",
             "equations-and-module", "point-and-module", "duplicate-vars",
-            "duplicate-point-entries", "unknown-field", "too-few-derivations",
-            "point-entry", "point-coordinates", "eqs-before-vars",
-            "no-equations", "gens-before-module", "unbracketed-leaders",
-            "eqs-without-point", "no-system", "count-without-leaders",
-            "decompose-without-gens", "reduce-without-element",
-            "tangent-without-eqs"])
+            "duplicate-point-entries", "leaders-and-module",
+            "leaders-and-module-charset", "leaders-and-vars",
+            "leaders-and-eqs", "leaders-and-point", "unknown-field",
+            "too-few-derivations", "point-entry", "point-coordinates",
+            "eqs-before-vars", "no-equations", "gens-before-module",
+            "unbracketed-leaders", "eqs-without-point", "no-system",
+            "count-without-leaders", "decompose-without-gens",
+            "reduce-without-element", "tangent-without-eqs"])
     def test_exit_2_with_the_message(self, capsys, tmp_path, text, command,
                                      message):
         assert run(capsys, tmp_path, text, command) == (
@@ -1318,6 +1333,30 @@ class TestPointPowerLimit:
                                   "differential dimension d = 0\n"
                                   "tangent space: K^0 x C^0 "
                                   "(torsion degrees [])\n")
+
+
+class TestPointDerivativeLimit:
+    def test_past_the_cap_exits_1(self, capsys, tmp_path):
+        # 1/t derived 50,000 times kept a chain of 2.4 GB and took 13.4 s,
+        # to exit 1 on a value too long to print
+        text = "field: Q(t)\nvars: y\npoint: y = 1/t\neqs: y_(50000)\n"
+        start = time.perf_counter()
+        code, out, err = run(capsys, tmp_path, text, "tangent")
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (1, "")
+        assert err == (f"error: the derivatives of a coordinate of the point "
+                       f"up to order 50000 may need more than the limit of "
+                       f"{MAX_BITS} bits of integers\n")
+
+    def test_under_the_cap_evaluates(self, capsys, tmp_path):
+        # the 300th derivative of 1/t is 300!/t^301
+        text = "field: Q(t)\nvars: y\npoint: y = 1/t\neqs: y_(300)\n"
+        start = time.perf_counter()
+        code, out, err = run(capsys, tmp_path, text, "tangent")
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (3, "")
+        assert err == (f"error: equation #0 does not vanish at the point "
+                       f"(value {math.factorial(300)}/(t^301))\n")
 
 
 class TestOneTermPowersOfIndeterminates:

@@ -12,8 +12,9 @@ from diffalg import diffmodule
 from diffalg.diffmodule import _verify_complete
 from diffalg.ore import _left_mul
 from helpers import (autoreduce_oracle, compare_autoreduced,
-                     completion_oracle, eval_point, in_span_truncated,
-                     rand_modelement, rand_orepoly, reduce_oracle)
+                     completion_oracle, eval_point, from_operator_vector,
+                     in_span_truncated, rand_modelement, rand_orepoly,
+                     reduce_oracle)
 
 CFG1 = DiffFieldConfig(1, 1)
 T = RatFun.var(1, 0)
@@ -229,8 +230,8 @@ class TestCharacteristicSet:
     def test_unit_combination_collapses(self):
         rk = orderly_ranking(1)
         d = OrePoly.delta(CFG1, 0)
-        g1 = ModElement.from_operator_vector([d - 1])
-        g2 = ModElement.from_operator_vector([d + 1])
+        g1 = from_operator_vector([d - 1])
+        g2 = from_operator_vector([d + 1])
         cs = characteristic_set([g1, g2], rk)
         assert cs.elements == (elem(1, {(0, (0,)): 1}),)
 
@@ -257,8 +258,7 @@ class TestCharacteristicSet:
         d1 = OrePoly.delta(cfg, 0)
         d2 = OrePoly.delta(cfg, 1)
         # [d1*e1, d2*e1]: S-pair closes with d1d2*e1 already covered
-        gens = [ModElement.from_operator_vector([d1]),
-                ModElement.from_operator_vector([d2])]
+        gens = [from_operator_vector([d1]), from_operator_vector([d2])]
         cs = characteristic_set(gens, rk)
         assert {leader(f, rk) for f in cs.elements} == {(0, (1, 0)),
                                                         (0, (0, 1))}
@@ -308,7 +308,7 @@ class TestCharacteristicSet:
         zero, one = OrePoly.zero(CFG1), OrePoly.one(CFG1)
 
         def vec(*ops):
-            return ModElement.from_operator_vector(list(ops))
+            return from_operator_vector(list(ops))
 
         g = vec(t * d + one, d ** 2 - t)
         gens = {
@@ -355,8 +355,8 @@ class TestCharacteristicSet:
         rk = orderly_ranking(1)
         d1, d2 = OrePoly.delta(cfg, 0), OrePoly.delta(cfg, 1)
         t1 = OrePoly.from_scalar(cfg, RatFun.var(1, 0))
-        gens = (ModElement.from_operator_vector([d1 - 1]),
-                ModElement.from_operator_vector([d2 - t1]))
+        gens = (from_operator_vector([d1 - 1]),
+                from_operator_vector([d2 - t1]))
         incomplete = CharSet(gens, rk, gens, cfg, 1)
         with pytest.raises(AssertionError, match="S-pair"):
             _verify_complete(incomplete)
@@ -369,7 +369,7 @@ class TestCharacteristicSet:
         # of monic elements
         rk = orderly_ranking(1)
         d = OrePoly.delta(CFG1, 0)
-        gens = (ModElement.from_operator_vector([T * d - 1]),)
+        gens = (from_operator_vector([T * d - 1]),)
         loose = CharSet(gens, rk, gens, CFG1, 1)
         with pytest.raises(AssertionError, match="not monic"):
             _verify_complete(loose)
@@ -380,16 +380,16 @@ class TestCharacteristicSet:
         # d*(d^2 - t) - (d^3 + 1) = -t*d - 2
         rk = orderly_ranking(1)
         d, t = OrePoly.delta(CFG1, 0), OrePoly.from_scalar(CFG1, T)
-        f = ModElement.from_operator_vector([d ** 2 - t])
-        g = ModElement.from_operator_vector([d ** 3 + 1])
+        f = from_operator_vector([d ** 2 - t])
+        g = from_operator_vector([d ** 3 + 1])
         s = diffmodule._spair(f, leader(f, rk), g, leader(g, rk))
-        assert s == ModElement.from_operator_vector([-t * d - 2])
+        assert s == from_operator_vector([-t * d - 2])
 
 
 class TestEvalPoint:
     def test_derivative_relation(self):
         d = OrePoly.delta(CFG1, 0)
-        xi = ModElement.from_operator_vector([d, -OrePoly.one(CFG1)])
+        xi = from_operator_vector([d, -OrePoly.one(CFG1)])
         assert eval_point(xi, [T, RatFun.from_const(1, 1)]).is_zero()
 
     def test_zero_element(self):
@@ -398,7 +398,7 @@ class TestEvalPoint:
     def test_tangent_family_point(self):
         # xi = (1, t*d - 1) vanishes on points (y - t*y', y); take y = t^2
         d = OrePoly.delta(CFG1, 0)
-        xi = ModElement.from_operator_vector(
+        xi = from_operator_vector(
             [OrePoly.one(CFG1), OrePoly.from_scalar(CFG1, T) * d - 1])
         y = T ** 2
         x = [y - T * (2 * T), y]

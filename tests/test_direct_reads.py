@@ -18,8 +18,8 @@ import pytest
 
 import diffalg.cli
 import diffalg.parsing
-from diffalg import DiffAlgError
-from diffalg.errors import NotAntichain
+from diffalg import DiffAlgError, ModElement, OrePoly
+from diffalg.errors import NotAntichain, ParseError
 from diffalg.cli import _build_argparser, _read_argv, main
 from diffalg.parsing import _ExprParser, parse_input
 from helpers import token_parse_input
@@ -137,11 +137,29 @@ def read(parse, text):
     return fields
 
 
+def built_as_checked(reading):
+    """The module elements of a reading, each checked to be what the
+    validating constructors build of its terms: the same element, no zero
+    coefficient, and coordinates equal to `OrePoly`'s; their count."""
+    elements = [*(reading["gens"] or ()),
+                *[w for w in [reading["element"]] if w is not None]]
+    for w in elements:
+        assert w == ModElement(w.config, w.n, dict(w.terms))
+        assert all(w.terms.values())
+        coords = [{} for _ in range(w.n)]
+        for (comp, exps), c in w.terms.items():
+            coords[comp][exps] = c
+        assert w.operator_vector() == [OrePoly(w.config, c) for c in coords]
+    return len(elements)
+
+
 def reads_as_the_tokens_do(text):
     """What `parse_input` reads from text, checked to be what the token
-    reader reads."""
+    reader reads, with its module elements built as checked."""
     reading = read(parse_input, text)
     assert reading == read(token_parse_input, text), text
+    if type(reading) is dict:
+        built_as_checked(reading)
     return reading
 
 
@@ -354,6 +372,27 @@ class TestEverySection:
                     template.format(mutated))) is dict
         assert 0 < accepted < cases
 
+    # each coordinate's value is a ring value or integer data, and each
+    # cancels to zero in one of them
+    @pytest.mark.parametrize("vector, terms", [
+        ("[t/t - 1, d]", 1), ("[1/t - 1/t, 1/t]", 1), ("[d - d, 0]", 0),
+        ("[(1/(t + 1) - 1/(t + 1))*d, (t/t)*d]", 1),
+        ("[, (2*t)/(2*t)]", 1)])
+    def test_coordinates_that_cancel_leave_no_term(self, vector, terms):
+        reading = reads_as_the_tokens_do(
+            f"field: Q(t)\nmodule: 2\ngens: {vector}\n")
+        assert built_as_checked(reading) == 1
+        assert len(reading["gens"][0].terms) == terms
+
+    @pytest.mark.parametrize("other", [
+        "module: 1\ngens: [d]", "module: 1", "vars: y", "vars: y\neqs: y'",
+        "vars: y\npoint: y = 0"])
+    def test_leaders_beside_another_shape(self, other):
+        text = f"field: Q(t)\nleaders: [5]\n{other}\n"
+        assert reads_as_the_tokens_do(text)[:3] == (
+            ParseError, "line 2: give leaders alone, without a module or "
+                        "equations+point", 2)
+
 
 class TestBenchmarkTakesTheDirectReads:
     @pytest.mark.parametrize("workload", ["ode-torsion", "pde-charset",
@@ -392,3 +431,12 @@ class TestBenchmarkTakesTheDirectReads:
             assert reading == read(token_parse_input, problem.text)
             assert charges == library, problem.name
             charges.clear()
+
+    @pytest.mark.parametrize("workload, elements", [
+        ("ode-torsion", 394), ("pde-charset", 437), ("staircase", 54)])
+    def test_every_module_element_is_built_as_checked(
+            self, bench_corpus, workload, elements):
+        # the named rows too: the corpus holds every call
+        assert sum(built_as_checked(read(parse_input, problem.text))
+                   for problem in bench_corpus.WORKLOADS[workload](71)) \
+            == elements

@@ -4,14 +4,13 @@ import random
 
 import pytest
 
-from diffalg import (Diagonalization, DiffFieldConfig, MPoly, ModElement,
-                     OreMatrix, OrePoly, RatFun, TangentClass,
-                     UnsupportedForPartial, characteristic_set,
-                     classify_presentation, diagonalize, dimension_report,
-                     ore_divmod, ore_mul, orderly_ranking)
+from diffalg import (Diagonalization, DiffFieldConfig, MPoly, OreMatrix,
+                     OrePoly, RatFun, TangentClass, UnsupportedForPartial,
+                     characteristic_set, classify_presentation, diagonalize,
+                     dimension_report, ore_divmod, ore_mul, orderly_ranking)
 from diffalg import normalform
 from diffalg.normalform import _verify
-from helpers import rand_modelement, rand_orepoly
+from helpers import from_operator_vector, rand_modelement, rand_orepoly
 
 CFG1 = DiffFieldConfig(1, 1)
 CFG10 = DiffFieldConfig(1, 0)
@@ -262,14 +261,13 @@ class TestVerifyProductCheck:
 
 class TestClassifyTangent:
     def test_mixed_free_and_torsion(self):
-        gens = [ModElement.from_operator_vector([OrePoly.zero(CFG1),
-                                                 delta() - 1])]
+        gens = [from_operator_vector([OrePoly.zero(CFG1), delta() - 1])]
         assert classify_presentation(CFG1, gens, 2)[0] \
             == TangentClass(1, 1, (1,))
 
     def test_unit_coordinate_gives_free_quotient(self):
-        gens = [ModElement.from_operator_vector([OrePoly.one(CFG1),
-                                                 op(T) * delta() - 1])]
+        gens = [from_operator_vector([OrePoly.one(CFG1),
+                                      op(T) * delta() - 1])]
         assert classify_presentation(CFG1, gens, 2)[0] \
             == TangentClass(1, 0, ())
 
@@ -298,7 +296,7 @@ class TestClassifyTangent:
                 for i, e in enumerate(g.operator_vector()):
                     combo[i] = combo[i] + ore_mul(q, e)
             appended, _ = classify_presentation(
-                CFG1, gens + [ModElement.from_operator_vector(combo)], n)
+                CFG1, gens + [from_operator_vector(combo)], n)
             assert (appended.d, appended.k) == (base.d, base.k)
 
             # unimodular change of the free-module basis: on the

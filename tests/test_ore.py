@@ -1,15 +1,18 @@
 """Operator ring K[Delta]: commutation, products, Euclidean division, action."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
+import diffalg.ore
 from diffalg import (ConfigMismatch, DiffFieldConfig, DiffPoly, DivisionByZero,
                      ModElement, OrePoly, RatFun, UnsupportedForPartial,
                      ore_divmod, ore_mul)
 from diffalg.ore import _left_mul
-from helpers import (divmod_oracle, ore_apply, ore_mul_binomial,
-                     rand_modelement, rand_orepoly, rand_ratfun)
+from helpers import (divmod_oracle, from_operator_vector, ore_apply,
+                     ore_mul_binomial, rand_modelement, rand_orepoly,
+                     rand_ratfun)
 
 CFG1 = DiffFieldConfig(1, 1)
 
@@ -84,10 +87,10 @@ class TestProduct:
             product = ore_mul(f, t)
             expected = ore_mul_binomial(f, t)
         else:
-            w = ModElement.from_operator_vector([t, d + 1])
+            w = from_operator_vector([t, d + 1])
             calls.clear()
             product = _left_mul(f, w)
-            expected = ModElement.from_operator_vector(
+            expected = from_operator_vector(
                 [ore_mul_binomial(f, c) for c in w.operator_vector()])
         assert len(calls) == 4
         assert product == expected
@@ -100,8 +103,7 @@ class TestProduct:
             op = rand_orepoly(rng, cfg, max_deg=3, max_terms=4)
             w = rand_modelement(rng, cfg, rng.randint(1, 3))
             expected = [ore_mul_binomial(op, c) for c in w.operator_vector()]
-            assert _left_mul(op, w) == \
-                ModElement.from_operator_vector(expected)
+            assert _left_mul(op, w) == from_operator_vector(expected)
 
     @pytest.mark.parametrize("m", [1, 2])
     def test_constant_coefficient_shifts(self, monkeypatch, m):
@@ -126,7 +128,7 @@ class TestProduct:
                                 coeff_deg=0)
             assert ore_mul(f, g) == ore_mul_binomial(f, g)
             expected = [ore_mul_binomial(f, c) for c in w.operator_vector()]
-            assert _left_mul(f, w) == ModElement.from_operator_vector(expected)
+            assert _left_mul(f, w) == from_operator_vector(expected)
         assert not calls
 
     def test_identity_factor(self):
@@ -177,6 +179,34 @@ def rand_diffpoly(rng, cfg, n):
             term = term * DiffPoly.indeterminate(cfg, n, rng.randrange(n), exps)
         x = x + term
     return x
+
+
+class TestScalarLeftProducts:
+    @pytest.mark.parametrize("m, v", [(1, 0), (1, 1), (2, 0), (2, 1),
+                                      (2, 2)])
+    def test_a_scalar_only_scales(self, monkeypatch, m, v):
+        # no shift chain: the product loop never runs
+        loops = []
+        monkeypatch.setattr(diffalg.ore, "_left_mul",
+                            lambda f, g: loops.append(f))
+        rng = random.Random(f"scalar {m} {v}")
+        cfg = DiffFieldConfig(m, v)
+        scalars = [1, -1, 0, Fraction(-3, 4), 7, *(
+            rand_ratfun(rng, cfg, frac_prob=0.7, nonzero=True)
+            for _ in range(6))]
+        if v:
+            assert any(not c.den.is_const() for c in scalars[5:])
+        for c in scalars:
+            f = OrePoly.from_scalar(cfg, c)
+            for n in (1, 2):
+                g = rand_orepoly(rng, cfg, max_deg=3, max_terms=3)
+                assert ore_mul(f, g) == g.scale_left(c) \
+                    == ore_mul_binomial(f, g)
+                w = rand_modelement(rng, cfg, n)
+                assert ore_mul(f, w) == w.scale_left(c) \
+                    == from_operator_vector([ore_mul_binomial(f, x)
+                                             for x in w.operator_vector()])
+        assert loops == []
 
 
 class TestApplyTheta:

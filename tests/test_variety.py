@@ -11,7 +11,8 @@ from diffalg import (Diagonalization, DiffAlgError, DiffFieldConfig, DiffPoly,
                      linearize_at_point, linearize_system, ore_mul,
                      tangent_pipeline)
 from diffalg.parsing import parse_diffpoly, parse_ratfun
-from helpers import formal_derive
+from diffalg.variety import _derivative_bits
+from helpers import formal_derive, rand_ratfun
 
 CFG1 = DiffFieldConfig(1, 1)
 T = RatFun.var(1, 0)
@@ -63,6 +64,44 @@ class TestEval:
                 eval_diffpoly(f, x) * eval_diffpoly(g, x)
             assert eval_diffpoly(f + g, x) == \
                 eval_diffpoly(f, x) + eval_diffpoly(g, x)
+
+
+def chain_bits(x, exps):
+    """The bits of the integers of the derivatives kept on the way from x
+    to delta^exps(x), as `VarietyPoint.derivative_of_coordinate` derives."""
+    bits = 0
+    for i, k in enumerate(exps):
+        for _ in range(k):
+            if not x:
+                return bits
+            x = x.derive(i)
+            bits += sum(c.bit_length() for p in (x.num, x.den)
+                        for c in p.terms.values())
+    return bits
+
+
+class TestDerivativeBound:
+    @pytest.mark.parametrize("config", [CFG1, DiffFieldConfig(2, 2),
+                                        DiffFieldConfig(3, 2)])
+    def test_the_estimate_bounds_the_chain(self, config):
+        # every derivation derives along a variable of the denominator
+        rng = random.Random(f"chain {config.m} {config.v}")
+        checked = 0
+        while checked < 40:
+            x = rand_ratfun(rng, config, frac_prob=1, coeff_deg=3)
+            if not all(x.den.degree_in(i) for i in range(config.v)):
+                continue
+            exps = tuple(rng.randint(0, 6) if i < config.v else 0
+                         for i in range(config.m))
+            assert chain_bits(x, exps) <= _derivative_bits(x, exps), (x, exps)
+            checked += 1
+
+    def test_polynomial_steps_count_nothing(self):
+        # along t2 the quotient is a polynomial over t1 + 1
+        x = parse_ratfun("t2^3/(t1 + 1)", DiffFieldConfig(2, 2))
+        assert _derivative_bits(x, (0, 1000)) == 0
+        assert _derivative_bits(x, (1, 1000)) \
+            == _derivative_bits(x, (1, 0)) > 0
 
 
 class TestFormalDerive:
