@@ -6,8 +6,9 @@ that orientation left multiplication recombines relations and right
 multiplication changes the free-module basis, so both are valid for left
 modules and the exact identity U*A*V = D holds with ordinary matrix
 products.  `classify_presentation` is the one classification entry: it
-lays module elements out as those rows, trusted (`OreMatrix._of`), and
-reads K^d x C^k off D.
+lays module elements out as those rows, checked once for their rank and
+configuration and then trusted (`OreMatrix._of`), and reads K^d x C^k off
+D.
 
 The elimination keeps U_inv and V_inv as matrices but U and V as the
 elementary operations that built them: when there are more relations
@@ -15,14 +16,17 @@ than columns, U's extra rows are left syzygies and swell far past A,
 U_inv and V_inv.  The certificate checks D diagonal, U*U_inv = I and
 V_inv*V = I by replaying the operations on the small inverses, and
 A*V = U_inv*D by replaying V's operations on A; together these give
-U*A*V = D with U and V unimodular, and the big U is never formed.  An
+U*A*V = D with U and V unimodular, and the big U is never formed.  A
+row scaling that makes a pivot monic is recorded by its base-field
+scalar, which only scales the row's entries (no delta stands to its
+left); its inverse, on U_inv's column, is a product in K[delta].  An
 elimination step writes the remainder of its division into the pivot
 column or row unrecomputed; the replay recomputes every entry in full.
 """
 
 from __future__ import annotations
 
-from .errors import UnsupportedForPartial
+from .errors import ConfigMismatch, UnsupportedForPartial
 from .ore import OrePoly, ore_divmod, ore_mul
 from .record import FrozenRecord
 
@@ -272,7 +276,7 @@ def diagonalize(A):
         """row_p = row_p / lc; column p of U_inv takes lc on the right."""
         _, lc = work.entries[p][p].leading()
         if not lc.is_one():
-            row_op((p, p, OrePoly.from_scalar(config, lc.inverse())),
+            row_op((p, p, lc.inverse()),
                    (p, p, OrePoly.from_scalar(config, lc)))
 
     def clear_column(p):
@@ -328,13 +332,14 @@ def diagonalize(A):
 
 def _row_op(rows, op, k=None, e=None):
     """Apply the row operation op = (i, j, q) to a list of rows in place:
-    swap rows i and j when q is None, row_i = q*row_i when i == j, and
-    row_i -= q*row_j otherwise; entry k of the new row_i becomes e."""
+    swap rows i and j when q is None, row_i = q*row_i when i == j, q a
+    base-field scalar, so each entry is only scaled, and row_i -= q*row_j
+    otherwise; entry k of the new row_i becomes e."""
     i, j, q = op
     if q is None:
         rows[i], rows[j] = rows[j], rows[i]
     elif i == j:
-        rows[i] = [ore_mul(q, b) for b in rows[i]]
+        rows[i] = [b.scale_left(q) for b in rows[i]]
     else:
         rows[i] = [e if c == k else a - ore_mul(q, b) if b else a
                    for c, (a, b) in enumerate(zip(rows[i], rows[j]))]
@@ -389,6 +394,8 @@ def classify_presentation(config, gens, n):
     that trivializes the torsion part lives over the differential closure
     and is not constructed here.
     """
+    if any(w.n != n or w.config != config for w in gens):
+        raise ConfigMismatch("generators of another rank or configuration")
     rows = [w.operator_vector() for w in gens if w]
     A = OreMatrix._of(config, rows, len(rows), n)
     diagonal = diagonalize(A).D.diagonal()

@@ -8,11 +8,10 @@ exponents.  An `OrePoly` key is a derivation monomial, an exponent tuple of
 length m.  Products are computed by iterated single-delta commutation over
 one shared shift chain (`_left_mul`), for operators and module elements
 alike; the closed binomial formula lives in the test suite as an
-independent oracle.  A scalar times an operator or a module element only
-scales coefficients (`ore_mul` takes `TermMap.scale_left`), since no delta
-stands to its left.  Powers use repeated squaring (`field._power`).  A
-term that cancels by construction (in reduction, S-pairs, division,
-elimination) is dropped uncomputed, by `TermMap.cancel`.
+independent oracle.  A scalar times an operator only scales coefficients,
+since no delta stands to its left.  Powers use repeated squaring
+(`field._power`).  A term that cancels by construction (in reduction,
+S-pairs, division, elimination) is dropped uncomputed, by `TermMap.cancel`.
 
 The public constructors (`OrePoly(config, terms)`, `from_scalar`,
 `monomial`) check what they are given; a value built from checked values
@@ -210,8 +209,7 @@ class OrePoly(TermMap):
     # -- views -----------------------------------------------------------
 
     def is_scalar(self):
-        """No derivation: at most one term, at the empty monomial."""
-        return len(self.terms) <= 1 and not any(next(iter(self.terms), ()))
+        return all(not any(e) for e in self.terms)
 
     def scalar_value(self):
         if self.is_zero():
@@ -230,8 +228,8 @@ class OrePoly(TermMap):
         return exps, self.terms[exps]
 
     def is_one(self):
-        return len(self.terms) == 1 and self.is_scalar() \
-            and self.scalar_value().is_one()
+        c = self.terms.get((0,) * self.config.m)
+        return len(self.terms) == 1 and c is not None and c.is_one()
 
     # -- multiplicative structure -------------------------------------------
 
@@ -286,15 +284,13 @@ def _as_ratfun(value, config):
 
 
 def ore_mul(f, g):
-    """Exact product f*g in K[Delta], or of the operator f and the module
-    element g; a scalar f only scales g's coefficients."""
+    """Exact product in K[Delta]."""
     if f.config != g.config:
         raise ConfigMismatch("operators over different configurations")
-    if f.is_scalar():
-        c = f.scalar_value()
-        return g if c.is_one() else g.scale_left(c)
-    if type(g) is OrePoly and g.is_one():
+    if g.is_one():
         return f
+    if f.is_one():
+        return g
     return _left_mul(f, g)
 
 
@@ -373,13 +369,3 @@ def ore_divmod(f, g, side="right"):
         else:
             r = r.cancel((dr,), ore_mul(g, g._new({(k,): c})))
     return g._new(quotient), r
-
-
-def _derivative(a, exps):
-    """The derivative delta^exps(a) of the RatFun a; it stops at a zero."""
-    for i, k in enumerate(exps):
-        for _ in range(k):
-            if a.is_zero():
-                return a
-            a = a.derive(i)
-    return a

@@ -39,7 +39,7 @@ Every value is checked once, here, as it is read, and the values built
 from checked parts are built trusted (`field._ratfun`, `TermMap._new`),
 with no second pass through a validating constructor: the coefficients
 of each coordinate of a generator vector go straight into its module
-element's terms (`_vector`, through `_ExprParser.coefficients`).
+element's terms (`_vector`).
 """
 
 from __future__ import annotations
@@ -424,16 +424,11 @@ class _ExprParser(_Reader):
     def expression(self):
         """The ring value of the expression at `i`, which must end after
         it."""
-        return self.ring(self.raw_expression())
-
-    def raw_expression(self):
-        """The value of the expression at `i`, which must end after it, as
-        read: _Data or a ring value."""
         value = self.parse_expr()
         if not self.at_end():
             raise self.error(f"trailing input {self.token(self.i)!r}",
                              self.i)
-        return value
+        return self.ring(value)
 
     def parse_expr(self):
         value = self.parse_term()
@@ -514,24 +509,9 @@ class _ExprParser(_Reader):
         return value
 
     def ring(self, value):
-        """`value` as a RatFun, OrePoly or DiffPoly; _Data is built here,
-        its coefficients by `coefficients`."""
+        """`value` as a RatFun, OrePoly or DiffPoly; _Data is built here."""
         if type(value) is not _Data:
             return value
-        coeffs = self.coefficients(value)
-        if coeffs.keys() <= {self.scalar}:
-            return coeffs.get(self.scalar) \
-                or RatFun.from_const(self.config.v, 0)
-        return OrePoly.zero(self.config)._new(coeffs)
-
-    def coefficients(self, value):
-        """{derivation monomial: nonzero RatFun} of `value`, _Data, a
-        RatFun or an OrePoly; a _Data coefficient is built here, each
-        polynomial over the integer denominator in lowest terms."""
-        if type(value) is not _Data:
-            if isinstance(value, RatFun):
-                return {self.scalar: value} if value else {}
-            return value.terms
         v, den = self.config.v, value.den
         coeffs = {}
         for key, p in value.terms.items():
@@ -539,7 +519,9 @@ class _ExprParser(_Reader):
             coeffs[key] = _ratfun(
                 _poly(v, {e: c // g for e, c in p.items()} if g > 1 else p),
                 MPoly.const(v, den // g))
-        return coeffs
+        if coeffs.keys() <= {self.scalar}:
+            return coeffs.get(self.scalar) or RatFun.from_const(v, 0)
+        return OrePoly.zero(self.config)._new(coeffs)
 
     def spend(self, work, at):
         """Charge `work` to `spent`; past MAX_PARSE_WORK in all it is a
@@ -771,9 +753,8 @@ def parse_generator_vector(text, config, n, line=1):
 def _vector(r, n, groups=False):
     """The generator vector `[c1, ..., cn]` at `i` of the operator reader
     r, its shape checked before any coordinate is read (`_shape`); an
-    empty coordinate is zero.  Each coordinate's coefficients go straight
-    into the module element's terms (`coefficients`), checked once, as
-    they are read."""
+    empty coordinate is zero.  Each coordinate's coefficients, checked as
+    they are read, go straight into the module element's terms."""
     bounds = _shape(r, groups, "generator vector")
     if len(bounds) != n + 1:
         raise r.error(f"expected {n} coordinates, found {len(bounds) - 1}",
@@ -781,8 +762,14 @@ def _vector(r, n, groups=False):
     end, terms = r.i, {}
     for comp, (a, r.stop) in enumerate(zip(bounds, bounds[1:])):
         r.to(a + 1)
-        if not r.at_end():
-            for exps, c in r.coefficients(r.raw_expression()).items():
+        if r.at_end():
+            continue
+        value = r.expression()
+        if isinstance(value, RatFun):
+            if value:
+                terms[comp, r.scalar] = value
+        else:
+            for exps, c in value.terms.items():
                 terms[comp, exps] = c
     r.to(end)
     r.stop = len(r.text)

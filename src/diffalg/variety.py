@@ -24,7 +24,7 @@ from math import comb, prod
 from .errors import ConfigMismatch, DiffAlgError, PointNotOnVariety
 from . import field
 from .field import RatFun, _power
-from .ore import TermMap, _acc, _as_ratfun, _derivative
+from .ore import TermMap, _acc, _as_ratfun
 from .diffmodule import ModElement, characteristic_set, orderly_ranking
 from .dimension import dimension_report
 from .normalform import classify_presentation
@@ -148,54 +148,6 @@ def _power_bits(x, k):
     return bits
 
 
-def _spans(p):
-    """The span of each variable's exponents in the nonzero polynomial p:
-    its largest less its least."""
-    low, top = field._corners(p.terms, p.nvars)
-    return [b - a for a, b in zip(field._unpack(low, p.nvars),
-                                  field._unpack(top, p.nvars))]
-
-
-def _derivative_bits(x, exps):
-    """An estimate of the bits of the integers of the derivatives of x, a
-    RatFun, up to delta^exps, all of which `_derivative` keeps (in
-    `RatFun._derived`); `eval_diffpoly` takes no derivative whose chain
-    may pass `field.MAX_BITS` of them, and the count stops past that.
-
-    Only the steps along a variable of the denominator q count: along the
-    others x is a polynomial over q, whose derivatives vanish within its
-    degree.  After j of them x is P_j/q^(j+1), as written before any
-    cancellation, with P_0 = p the numerator and P_(j+1) = dP_j*q -
-    (j+1)*P_j*dq.  With d and e the total degrees of p and q, P_j has
-    degree at most d + j*(e - 1), and each step multiplies the sum of the
-    absolute values of its coefficients, which bounds each of them, by at
-    most (deg P_j + (j+1)*e) times that of q; that of q^(j+1) is at most
-    that of q to the power j + 1.  A step widens the span of each
-    variable's exponents by at most its span in q, so the terms of P_j
-    and of q^(j+1) are bounded by the box of their spans, those of P_j
-    also by the monomials of its degree in the variables of p and q, and
-    those of q^(j+1) as in `_power_bits`.
-    """
-    p, q = x.num, x.den
-    k = sum(a for i, a in enumerate(exps[:q.nvars]) if q.degree_in(i))
-    r = sum(1 for i in range(q.nvars) if p.degree_in(i) or q.degree_in(i))
-    spans = list(zip(_spans(p), _spans(q)))
-    d, e, size = p.total_degree(), q.total_degree(), len(q.terms)
-    q_norm = sum(map(abs, q.terms.values()))
-    num_norm, den_norm, bits = sum(map(abs, p.terms.values())), q_norm, 0
-    for j in range(1, k + 1):
-        degree = d + (j - 1) * (e - 1)
-        num_norm *= (degree + j * e) * q_norm
-        den_norm *= q_norm
-        bits += num_norm.bit_length() * min(
-            comb(degree + e - 1 + r, r), prod(a + j * b + 1 for a, b in spans))
-        bits += den_norm.bit_length() * min(
-            comb(j + size, size - 1), prod((j + 1) * b + 1 for _, b in spans))
-        if bits > field.MAX_BITS:
-            break
-    return bits
-
-
 class VarietyPoint:
     """K-rational point: n base-field coordinates."""
 
@@ -210,7 +162,29 @@ class VarietyPoint:
         return len(self.coordinates)
 
     def derivative_of_coordinate(self, comp, exps):
-        return _derivative(self.coordinates[comp], exps)
+        """delta^exps of coordinate comp; it stops at a zero.
+
+        Every derivative on the way is kept (in `RatFun._derived`).  A
+        polynomial's derivatives vanish past its degree, but a quotient's
+        grow with each one: the bits of their integers are counted as
+        they are built, and past `field.MAX_BITS` of them it raises.
+        """
+        a, bits = self.coordinates[comp], 0
+        for i, k in enumerate(exps):
+            for _ in range(k):
+                if a.is_zero():
+                    return a
+                a = a.derive(i)
+                if a.den.is_const():
+                    continue
+                bits += sum(c.bit_length() for p in (a.num, a.den)
+                            for c in p.terms.values())
+                if bits > field.MAX_BITS:
+                    raise DiffAlgError(
+                        f"the derivatives of a coordinate of the point up "
+                        f"to order {sum(exps)} need more than the limit "
+                        f"of {field.MAX_BITS} bits of integers")
+        return a
 
     def __repr__(self):
         return f"VarietyPoint({self.coordinates!r})"
@@ -224,14 +198,6 @@ def eval_diffpoly(f, x):
     for mono, coeff in f.terms.items():
         value = coeff
         for (comp, exps), power in mono:
-            coordinate = x.coordinates[comp]
-            # a polynomial's derivatives vanish past its degree
-            if not coordinate.den.is_const() and _derivative_bits(
-                    coordinate, exps) > field.MAX_BITS:
-                raise DiffAlgError(
-                    f"the derivatives of a coordinate of the point up to "
-                    f"order {sum(exps)} may need more than the limit of "
-                    f"{field.MAX_BITS} bits of integers")
             base = x.derivative_of_coordinate(comp, exps)
             # the powers of 0, 1 and -1 gain no bits
             if power > 1 and not (base.is_const()

@@ -1345,7 +1345,7 @@ class TestPointDerivativeLimit:
         assert time.perf_counter() - start < 1.0
         assert (code, out) == (1, "")
         assert err == (f"error: the derivatives of a coordinate of the point "
-                       f"up to order 50000 may need more than the limit of "
+                       f"up to order 50000 need more than the limit of "
                        f"{MAX_BITS} bits of integers\n")
 
     def test_under_the_cap_evaluates(self, capsys, tmp_path):

@@ -4,10 +4,11 @@ import random
 
 import pytest
 
-from diffalg import (Diagonalization, DiffFieldConfig, MPoly, OreMatrix,
-                     OrePoly, RatFun, TangentClass, UnsupportedForPartial,
-                     characteristic_set, classify_presentation, diagonalize,
-                     dimension_report, ore_divmod, ore_mul, orderly_ranking)
+from diffalg import (ConfigMismatch, Diagonalization, DiffFieldConfig, MPoly,
+                     ModElement, OreMatrix, OrePoly, RatFun, TangentClass,
+                     UnsupportedForPartial, characteristic_set,
+                     classify_presentation, diagonalize, dimension_report,
+                     ore_divmod, ore_mul, orderly_ranking)
 from diffalg import normalform
 from diffalg.normalform import _verify
 from helpers import from_operator_vector, rand_modelement, rand_orepoly
@@ -273,6 +274,15 @@ class TestClassifyTangent:
 
     def test_zero_submodule(self):
         assert classify_presentation(CFG1, [], 2)[0] == TangentClass(2, 0, ())
+
+    @pytest.mark.parametrize("config, rank", [(CFG1, 3), (CFG10, 2)],
+                             ids=["rank", "configuration"])
+    def test_generators_of_another_ring(self, config, rank):
+        # the rows are laid out trusted, so their ring is checked first
+        gens = [from_operator_vector([delta(), op(T)]),
+                ModElement.zero(config, rank)]
+        with pytest.raises(ConfigMismatch):
+            classify_presentation(CFG1, gens, 2)
 
     def test_class_from_diagonal(self):
         d = delta()

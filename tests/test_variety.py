@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+import diffalg.field
 import diffalg.normalform
 from diffalg import (Diagonalization, DiffAlgError, DiffFieldConfig, DiffPoly,
                      ModElement, OreMatrix, OrePoly, PointNotOnVariety, RatFun,
@@ -11,7 +12,6 @@ from diffalg import (Diagonalization, DiffAlgError, DiffFieldConfig, DiffPoly,
                      linearize_at_point, linearize_system, ore_mul,
                      tangent_pipeline)
 from diffalg.parsing import parse_diffpoly, parse_ratfun
-from diffalg.variety import _derivative_bits
 from helpers import formal_derive, rand_ratfun
 
 CFG1 = DiffFieldConfig(1, 1)
@@ -67,41 +67,71 @@ class TestEval:
 
 
 def chain_bits(x, exps):
-    """The bits of the integers of the derivatives kept on the way from x
-    to delta^exps(x), as `VarietyPoint.derivative_of_coordinate` derives."""
+    """The bits of the integers of the quotients among the derivatives
+    kept on the way from x to delta^exps(x)."""
     bits = 0
     for i, k in enumerate(exps):
         for _ in range(k):
             if not x:
                 return bits
             x = x.derive(i)
-            bits += sum(c.bit_length() for p in (x.num, x.den)
-                        for c in p.terms.values())
+            if not x.den.is_const():
+                bits += sum(c.bit_length() for p in (x.num, x.den)
+                            for c in p.terms.values())
     return bits
+
+
+def derive_formally(x, exps):
+    for i, k in enumerate(exps):
+        for _ in range(k):
+            x = x.derive(i)
+    return x
 
 
 class TestDerivativeBound:
     @pytest.mark.parametrize("config", [CFG1, DiffFieldConfig(2, 2),
                                         DiffFieldConfig(3, 2)])
-    def test_the_estimate_bounds_the_chain(self, config):
-        # every derivation derives along a variable of the denominator
+    def test_the_cap_is_the_chain_kept(self, monkeypatch, config):
+        # steps along variables the denominator lacks are counted too
         rng = random.Random(f"chain {config.m} {config.v}")
-        checked = 0
-        while checked < 40:
-            x = rand_ratfun(rng, config, frac_prob=1, coeff_deg=3)
-            if not all(x.den.degree_in(i) for i in range(config.v)):
-                continue
-            exps = tuple(rng.randint(0, 6) if i < config.v else 0
-                         for i in range(config.m))
-            assert chain_bits(x, exps) <= _derivative_bits(x, exps), (x, exps)
-            checked += 1
+        refused = 0
+        for draw in range(40):
+            # three quotients to each polynomial
+            x = rand_ratfun(rng, config, frac_prob=0, coeff_deg=3)
+            while draw % 4 and x.den.is_const():
+                x = rand_ratfun(rng, config, frac_prob=1, coeff_deg=3)
+            exps = tuple(rng.randint(0, 6) for _ in range(config.m))
+            # the chain is built, and kept, before the cap is lowered
+            bits, expected = chain_bits(x, exps), derive_formally(x, exps)
+            point = VarietyPoint(config, [x])
+            with monkeypatch.context() as patch:
+                patch.setattr(diffalg.field, "MAX_BITS", bits)
+                assert point.derivative_of_coordinate(0, exps) == expected
+                if bits:
+                    patch.setattr(diffalg.field, "MAX_BITS", bits - 1)
+                    with pytest.raises(DiffAlgError,
+                                       match=f"order {sum(exps)} "):
+                        point.derivative_of_coordinate(0, exps)
+                    refused += 1
+        assert refused >= 20
 
-    def test_polynomial_steps_count_nothing(self):
-        # along t2 the quotient is a polynomial over t1 + 1
-        x = parse_ratfun("t2^3/(t1 + 1)", DiffFieldConfig(2, 2))
-        assert _derivative_bits(x, (0, 1000)) == 0
-        assert _derivative_bits(x, (1, 1000)) \
-            == _derivative_bits(x, (1, 0)) > 0
+    @pytest.mark.parametrize("text, exps, refused", [
+        ("t2^1000/(t1 + 1)", (1, 1000), True),
+        ("t2^1000/(t1 + 1)", (0, 1000), True),
+        ("t2^3/(t1 + 1)", (1, 1000), False),
+        ("t2^1000", (0, 1000), False),
+    ])
+    def test_mixed_variables(self, text, exps, refused):
+        # along t2 the quotient is t2's polynomial over t1 + 1, and its
+        # coefficients grow to 1000!; a polynomial stays unbounded
+        config = DiffFieldConfig(2, 2)
+        x = VarietyPoint(config, [parse_ratfun(text, config)])
+        if refused:
+            with pytest.raises(DiffAlgError, match=f"order {sum(exps)} "):
+                x.derivative_of_coordinate(0, exps)
+        else:
+            assert x.derivative_of_coordinate(0, exps) \
+                == derive_formally(parse_ratfun(text, config), exps)
 
 
 class TestFormalDerive:
