@@ -34,7 +34,7 @@ import heapq
 
 from .errors import ZeroElement
 from .field import RatFun
-from .ore import OrePoly, TermMap, monomial_ord, _as_ratfun, _raise_exponent
+from .ore import OrePoly, TermMap, monomial_ord, _raise_exponent
 from .record import FrozenRecord
 
 
@@ -95,20 +95,13 @@ class ModElement(TermMap):
 
     _raise_delta = staticmethod(_raise_term)
 
-    def __init__(self, config, n, terms=None):
-        self.config = config
-        self.n = n
-        clean = {}
-        if terms:
-            for (comp, exps), coeff in terms.items():
-                if not 0 <= comp < n:
-                    raise ValueError(f"component {comp} out of range")
-                if len(exps) != config.m:
-                    raise ValueError("derivation monomial of wrong length")
-                coeff = _as_ratfun(coeff, config)
-                if coeff:
-                    clean[(comp, exps)] = coeff
-        self.terms = clean
+    def _key(self, term):
+        comp, exps = term
+        if not 0 <= comp < self.n:
+            raise ValueError(f"component {comp} out of range")
+        if len(exps) != self.config.m:
+            raise ValueError("derivation monomial of wrong length")
+        return term
 
     # -- constructors ----------------------------------------------------
 

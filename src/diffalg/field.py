@@ -33,6 +33,11 @@ DegreeTooLarge.  MAX_BITS is the one size limit on the integers of the
 algebra: GCDHEU's images, the PRS's leading coefficients and, in
 `variety`, a power of a value at a point.
 
+The scalars that enter the algebra are ints and RatFuns, nothing else:
+`RatFun.from_const` takes an int, the arithmetic takes an int or a RatFun
+operand, and a quotient such as 1/2 is `RatFun.from_const(v, 1) / 2`.
+Only `MPoly`'s checked constructor takes other integer-valued numbers.
+
 Products by a unit cost nothing: an MPoly product with a constant factor
 scales the other factor (returns it when the constant is 1), and a RatFun
 product with the factor 1 returns the other factor.  MPoly and RatFun
@@ -55,7 +60,6 @@ are the tuple form at the edges.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cache, reduce
 from math import gcd as _int_gcd, isqrt
 from operator import or_
@@ -840,11 +844,9 @@ class RatFun:
 
     @classmethod
     def from_const(cls, nvars, value):
-        if type(value) is int:
-            return _ratfun(MPoly.const(nvars, value), MPoly.const(nvars, 1))
-        value = Fraction(value)
-        return _ratfun(MPoly.const(nvars, value.numerator),
-                       MPoly.const(nvars, value.denominator))
+        if not isinstance(value, int):
+            raise TypeError(f"cannot use {value!r} as a base-field constant")
+        return _ratfun(MPoly.const(nvars, value), MPoly.const(nvars, 1))
 
     @classmethod
     def var(cls, nvars, i):
@@ -858,9 +860,6 @@ class RatFun:
 
     def is_const(self):
         return self.num.is_const() and self.den.is_const()
-
-    def const_value(self):
-        return Fraction(self.num.const_value(), self.den.const_value())
 
     # -- field arithmetic -----------------------------------------------
     #
@@ -996,9 +995,11 @@ class RatFun:
 
 
 def _coerce(value, nvars):
+    """An int or a RatFun as a RatFun; NotImplemented for anything else,
+    so that an operator defers to the other operand or raises TypeError."""
     if isinstance(value, RatFun):
         return value
-    if isinstance(value, (int, Fraction)):
+    if isinstance(value, int):
         return RatFun.from_const(nvars, value)
     return NotImplemented
 

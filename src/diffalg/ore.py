@@ -11,17 +11,21 @@ alike; the closed binomial formula lives in the test suite as an
 independent oracle.  A scalar times an operator only scales coefficients,
 since no delta stands to its left.  Powers use repeated squaring
 (`field._power`).  A term that cancels by construction (in reduction,
-S-pairs, division, elimination) is dropped uncomputed, by `TermMap.cancel`.
+S-pairs, division, elimination) is dropped uncomputed, by `TermMap.cancel`,
+and a difference is the same call with no term to drop.
 
-The public constructors (`OrePoly(config, terms)`, `from_scalar`,
-`monomial`) check what they are given; a value built from checked values
-is built trusted by `TermMap._new`, as every result here is, and as
-`OrePoly.one` is.
+The one checked way in is the constructor `TermMap(config, n, terms)`
+(`OrePoly(config, terms)` passes n = None): it checks every key by the
+class's `_key`, then takes its coefficient, an int or a RatFun, the only
+scalars, and drops zeros.  `from_scalar`, and a scalar operand of an
+operator, enter by `_lift`, which takes the same two types; a
+`fractions.Fraction` is refused with TypeError.  A value built from checked
+values is built trusted by `TermMap._new`, as every result here is, and as
+`OrePoly.one` is.  `TermMap.scalar()` reads the base-field element an
+operator or a differential polynomial is, for division.
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
 
 from .errors import ConfigMismatch, DivisionByZero, UnsupportedForPartial
 from .field import RatFun, _power
@@ -39,7 +43,9 @@ class TermMap:
     """Sparse map from keys to nonzero RatFun coefficients over one ring.
 
     The ring is fixed by `config` and the rank `n` (None for an operator).
-    Subclasses validate their keys in `__init__` and set the hooks below.
+    The constructor is the one checked way in: each key passes the
+    subclass's `_key`, and each coefficient must be an int or a RatFun
+    over the config's variables.  Subclasses set the hooks below.
     """
 
     __slots__ = ("config", "n", "terms")
@@ -47,6 +53,15 @@ class TermMap:
     # key with its delta_i exponent raised by one; None for a ring on
     # which Delta does not act by left multiplication
     _raise_delta = None
+
+    def __init__(self, config, n, terms=None):
+        self.config = config
+        self.n = n
+        self.terms = clean = {}
+        for key, coeff in (terms or {}).items():
+            key = self._key(key)
+            if coeff := _as_ratfun(coeff, config):
+                clean[key] = coeff
 
     def _new(self, terms):
         """Element of this ring from terms already nonzero and well formed."""
@@ -56,14 +71,22 @@ class TermMap:
         out.terms = terms
         return out
 
+    def _unit(self):
+        """The key of the ring's unit; None for a module, which has none."""
+        return None
+
     def _lift(self, value):
         """A base-field scalar as an element of this ring, or NotImplemented."""
-        return NotImplemented
+        unit = self._unit()
+        if unit is None:
+            return NotImplemented
+        value = _as_ratfun(value, self.config)
+        return self._new({unit: value} if value else {})
 
     def _coerce(self, other):
         if type(other) is type(self):
             return other
-        if isinstance(other, (int, Fraction, RatFun)):
+        if isinstance(other, (int, RatFun)):
             return self._lift(other)
         return NotImplemented
 
@@ -74,6 +97,15 @@ class TermMap:
 
     def is_zero(self):
         return not self.terms
+
+    def scalar(self):
+        """The base-field element that self is: its coefficient at the unit
+        key, zero for the empty map; None when another key holds a
+        coefficient or self is a module element."""
+        unit = self._unit()
+        if unit is None or self.terms.keys() - {unit}:
+            return None
+        return self.terms.get(unit) or RatFun.from_const(self.config.v, 0)
 
     # -- linear structure ----------------------------------------------------
 
@@ -96,10 +128,13 @@ class TermMap:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return self + (-other)
+        return self.cancel(None, other)
 
     def __rsub__(self, other):
-        return (-self) + other
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return other.cancel(None, self)
 
     def scale_left(self, c):
         """Left multiplication by a base-field scalar."""
@@ -108,11 +143,22 @@ class TermMap:
             return self._new({})
         return self._new({k: c * a for k, a in self.terms.items()})
 
+    def __truediv__(self, other):
+        """Right multiplication by the inverse of a base-field element."""
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        divisor = other.scalar()
+        if divisor is None:
+            raise ValueError("can only divide by a base-field element")
+        return self * divisor.inverse()
+
     def cancel(self, key, s, c=None):
-        """self - c*s, c = 1 if None; drops the term at key, which cancels."""
+        """self - c*s, c = 1 if None; drops the term at key, which cancels
+        (no key: a plain difference)."""
         self._check(s)
         terms = dict(self.terms)
-        del terms[key]
+        terms.pop(key, None)
         neg = None if c is None or c.is_one() else -c
         for k, a in s.terms.items():
             if k != key:
@@ -165,17 +211,15 @@ class OrePoly(TermMap):
     _raise_delta = staticmethod(_raise_exponent)
 
     def __init__(self, config, terms=None):
-        self.config = config
-        self.n = None
-        clean = {}
-        if terms:
-            for exps, coeff in terms.items():
-                if len(exps) != config.m:
-                    raise ValueError("derivation monomial of wrong length")
-                coeff = _as_ratfun(coeff, config)
-                if coeff:
-                    clean[exps] = coeff
-        self.terms = clean
+        super().__init__(config, None, terms)
+
+    def _key(self, exps):
+        if len(exps) != self.config.m:
+            raise ValueError("derivation monomial of wrong length")
+        return exps
+
+    def _unit(self):
+        return (0,) * self.config.m
 
     # -- constructors ----------------------------------------------------
 
@@ -190,8 +234,7 @@ class OrePoly(TermMap):
 
     @classmethod
     def from_scalar(cls, config, value):
-        value = _as_ratfun(value, config)
-        return cls(config)._new({(0,) * config.m: value} if value else {})
+        return cls(config)._lift(value)
 
     @classmethod
     def delta(cls, config, i):
@@ -201,20 +244,9 @@ class OrePoly(TermMap):
 
     @classmethod
     def monomial(cls, config, exps, coeff=1):
-        return cls(config, {tuple(exps): _as_ratfun(coeff, config)})
-
-    def _lift(self, value):
-        return OrePoly.from_scalar(self.config, value)
+        return cls(config, {tuple(exps): coeff})
 
     # -- views -----------------------------------------------------------
-
-    def is_scalar(self):
-        return all(not any(e) for e in self.terms)
-
-    def scalar_value(self):
-        if self.is_zero():
-            return RatFun.from_const(self.config.v, 0)
-        return self.terms[(0,) * self.config.m]
 
     def degree(self):
         """Total order; -1 for the zero operator."""
@@ -241,21 +273,9 @@ class OrePoly(TermMap):
 
     def __rmul__(self, other):
         """A base-field scalar times self: left scaling, no commutation."""
-        if isinstance(other, (RatFun, int, Fraction)):
+        if isinstance(other, (RatFun, int)):
             return self.scale_left(other)
         return NotImplemented
-
-    def __truediv__(self, other):
-        """Right multiplication by the inverse of a scalar operator."""
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if other.is_zero():
-            raise DivisionByZero("division by the zero operator")
-        if not other.is_scalar():
-            raise ValueError("can only divide by a scalar operator")
-        return ore_mul(self, OrePoly.from_scalar(
-            self.config, other.scalar_value().inverse()))
 
     def __pow__(self, k):
         return _power(self, k, OrePoly.one(self.config))
@@ -278,7 +298,7 @@ def _as_ratfun(value, config):
         if value.nvars != config.v:
             raise ConfigMismatch("coefficient over a different variable count")
         return value
-    if isinstance(value, (int, Fraction)):
+    if isinstance(value, int):
         return RatFun.from_const(config.v, value)
     raise TypeError(f"cannot use {value!r} as a base-field coefficient")
 

@@ -671,12 +671,7 @@ class _ExprParser(_Reader):
 def _field_value(value):
     """The base-field element that `value` is, or None when it holds a
     derivation operator or an indeterminate."""
-    if isinstance(value, RatFun):
-        return value
-    one = (0,) * value.config.m if isinstance(value, OrePoly) else ()
-    if value.terms.keys() <= {one}:
-        return value.terms.get(one, RatFun.from_const(value.config.v, 0))
-    return None
+    return value if isinstance(value, RatFun) else value.scalar()
 
 
 # ---------------------------------------------------------------------------

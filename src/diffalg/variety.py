@@ -3,7 +3,8 @@
 A differential polynomial lives in K{y_1..y_n}: a sum of monomials in the
 derivative indeterminates theta*y_i with base-field coefficients.  `DiffPoly`
 is a `TermMap` (the sparse kernel of `ore.OrePoly`) keyed by monomials: a
-monomial is a sorted tuple of ((component, theta exponents), power).  Delta
+monomial is a sorted tuple of ((component, theta exponents), power), which
+the shared constructor checks (`DiffPoly._key`) and sorts.  Delta
 acts on it by formal derivation, not by left multiplication; no command
 derives a system, so formal derivation lives in the test suite, as an
 oracle for linearization.  At a K-rational point every derivative of a
@@ -35,22 +36,16 @@ class DiffPoly(TermMap):
 
     __slots__ = ()
 
-    def __init__(self, config, n, terms=None):
-        self.config = config
-        self.n = n
-        clean = {}
-        if terms:
-            for mono, coeff in terms.items():
-                coeff = _as_ratfun(coeff, config)
-                if not coeff:
-                    continue
-                for (comp, exps), power in mono:
-                    if not 0 <= comp < n:
-                        raise ValueError(f"variable index {comp} out of range")
-                    if len(exps) != config.m or power <= 0:
-                        raise ValueError("malformed monomial")
-                clean[tuple(sorted(mono))] = coeff
-        self.terms = clean
+    def _key(self, mono):
+        for (comp, exps), power in mono:
+            if not 0 <= comp < self.n:
+                raise ValueError(f"variable index {comp} out of range")
+            if len(exps) != self.config.m or power <= 0:
+                raise ValueError("malformed monomial")
+        return tuple(sorted(mono))
+
+    def _unit(self):
+        return ()
 
     # -- constructors ----------------------------------------------------
 
@@ -60,16 +55,13 @@ class DiffPoly(TermMap):
 
     @classmethod
     def const(cls, config, n, value):
-        return cls(config, n, {(): _as_ratfun(value, config)})
+        return cls(config, n)._lift(value)
 
     @classmethod
     def indeterminate(cls, config, n, comp, exps=None):
         if exps is None:
             exps = (0,) * config.m
         return cls(config, n, {(((comp, tuple(exps)), 1),): 1})
-
-    def _lift(self, value):
-        return DiffPoly.const(self.config, self.n, value)
 
     # -- ring structure (commutative) --------------------------------------
 
@@ -85,14 +77,6 @@ class DiffPoly(TermMap):
         return self._new(terms)
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, DiffPoly):
-            if other.terms and set(other.terms) == {()}:
-                other = other.terms[()]
-            else:
-                raise ValueError("can only divide by a base-field element")
-        return self * _as_ratfun(other, self.config).inverse()
 
     def __pow__(self, k):
         return _power(self, k, DiffPoly.const(self.config, self.n, 1))
@@ -200,8 +184,8 @@ def eval_diffpoly(f, x):
         for (comp, exps), power in mono:
             base = x.derivative_of_coordinate(comp, exps)
             # the powers of 0, 1 and -1 gain no bits
-            if power > 1 and not (base.is_const()
-                                  and base.const_value() in (-1, 0, 1)):
+            if power > 1 and not (base.den.is_one() and base.num.is_const()
+                                  and abs(base.num.const_value()) <= 1):
                 bits = _power_bits(base, power)
                 if bits > field.MAX_BITS:
                     raise DiffAlgError(

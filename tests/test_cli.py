@@ -1551,7 +1551,8 @@ class TestColdStart:
         (tmp_path / "module.txt").write_text(MODULE)
         probe = _python(["-c", """\
 import sys
-watched = {"dataclasses", "inspect", "json"}
+watched = {"dataclasses", "decimal", "fractions", "inspect", "json",
+           "numbers"}
 before = set(sys.modules)
 import diffalg.cli
 loaded = [sorted(watched & (set(sys.modules) - before))]

@@ -3,13 +3,16 @@ used by the library's own code, or kept for a reason written here.
 
 Run as a script, this file prints the code lines of each module of
 `src/diffalg` (or of the directory given) and their total, counted without
-comments, docstrings or blank lines:
+comments, docstrings or blank lines, then the standard-library modules that
+`import diffalg.cli` adds to a fresh interpreter, the package taken from the
+directory's parent:
 
     python tests/test_library_surface.py [directory]
 """
 
 import ast
 import io
+import subprocess
 import sys
 import tokenize
 from pathlib import Path
@@ -128,14 +131,26 @@ def test_code_lines_skip_comments_docstrings_and_blanks():
     assert code_lines(text) == 3
 
 
+def cli_imports(src):
+    """The standard-library modules that `import diffalg.cli` adds to a
+    fresh interpreter that imports the package from the directory `src`."""
+    probe = (f"import sys; sys.path.insert(0, {str(src)!r}); "
+             "before = set(sys.modules); import diffalg.cli; "
+             "print(*sorted(m for m in set(sys.modules) - before "
+             "if m.partition('.')[0] in sys.stdlib_module_names))")
+    return subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          text=True, check=True).stdout.split()
+
+
 def main(argv):
-    directory = Path(argv[0]) if argv else SRC
+    directory = Path(argv[0]).resolve() if argv else SRC
     total = 0
     for path in sorted(directory.glob("*.py")):
         count = code_lines(path.read_text())
         total += count
         print(f"{path.name:16} {count:6,}")
     print(f"{'total':16} {total:6,}")
+    print("import diffalg.cli adds:", *cli_imports(directory.parent))
 
 
 if __name__ == "__main__":

@@ -1,7 +1,6 @@
 """Operator ring K[Delta]: commutation, products, Euclidean division, action."""
 
 import random
-from fractions import Fraction
 
 import pytest
 
@@ -188,7 +187,7 @@ class TestScalarLeftProducts:
         calls = TestApplyTheta.counting(monkeypatch)
         rng = random.Random(f"scalar {m} {v}")
         cfg = DiffFieldConfig(m, v)
-        scalars = [1, -1, 0, Fraction(-3, 4), 7, *(
+        scalars = [1, -1, 0, RatFun.from_const(v, -3) / 4, 7, *(
             rand_ratfun(rng, cfg, frac_prob=0.7, nonzero=True)
             for _ in range(6))]
         if v:
@@ -328,6 +327,46 @@ class TestRingMismatch:
             OrePoly.delta(CFG1, 0) + ModElement.basis(CFG1, 1, 0)
         with pytest.raises(TypeError):
             ModElement.basis(CFG1, 1, 0) + OrePoly.delta(CFG1, 0)
+
+
+class TestCheckedConstructor:
+    # per class: a builder from terms, two well-formed keys, malformed keys
+    RINGS = {
+        "ore": (lambda terms: OrePoly(CFG1, terms), [(1,), (0,)],
+                [(), (0, 1)]),
+        "module": (lambda terms: ModElement(CFG1, 1, terms),
+                   [(0, (1,)), (0, (0,))], [(5, (0,)), (-1, (0,)), (0, ())]),
+        "diffpoly": (lambda terms: DiffPoly(CFG1, 1, terms),
+                     [(((0, (1,)), 2),), ()],
+                     [(((5, (0,)), 1),), (((0, ()), 1),), (((0, (0,)), 0),)]),
+    }
+
+    @pytest.mark.parametrize("ring", sorted(RINGS))
+    def test_every_key_is_checked_and_zeros_dropped(self, ring):
+        build, (key, other), malformed = self.RINGS[ring]
+        t = RatFun.var(1, 0)
+        for bad in malformed:
+            for coeff in (0, 1, t):
+                with pytest.raises(ValueError):
+                    build({bad: coeff, key: 1})
+        assert build({key: t, other: 0}).terms == {key: t}
+        assert build({key: t - t}).is_zero()
+
+
+class TestDivision:
+    @pytest.mark.parametrize("ring", ["ore", "diffpoly"])
+    def test_divisor_must_be_a_nonzero_scalar(self, ring):
+        t = RatFun.var(1, 0)
+        if ring == "ore":
+            x, zero = OrePoly.delta(CFG1, 0), OrePoly.zero(CFG1)
+        else:
+            x, zero = DiffPoly.indeterminate(CFG1, 1, 0), DiffPoly.zero(CFG1, 1)
+        assert x / (zero + t) * t == x / t * t == x
+        for divisor in (zero, 0):
+            with pytest.raises(DivisionByZero):
+                x / divisor
+        with pytest.raises(ValueError):
+            x / (x + 1)
 
 
 class TestDivmod:
