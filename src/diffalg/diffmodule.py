@@ -20,7 +20,12 @@ into the unique reduced one.  The completeness check that ends every
 completion still reduces every generator and every same-component S-pair
 of the result, with no criterion.  A reduction step and an S-pair drop the term
 they cancel without arithmetic: a shift keeps the leading coefficient,
-and the check first tests that every element is monic.
+and the check first tests that every element is monic.  An element of
+one term with a constant coefficient costs no Ore arithmetic at all: its
+derivative is zero, so each of its shifts is that coefficient at the
+shifted term alone.  A reduction step by it only drops the target term,
+the S-pair of two of them is zero, and the reduced basis keeps it as it
+is (`_one_term`); each still checks that its operands share a ring.
 
 A characteristic set is one record, `CharSet`: the reduced elements, their
 ranking, the generators and the ring.  Membership of w is
@@ -155,6 +160,12 @@ def _divides(lead, term):
     return lc == tc and all(a <= b for a, b in zip(le, te))
 
 
+def _one_term(w):
+    """Has w one term, with a constant coefficient?  Every shift of w is
+    then that coefficient at the shifted term alone."""
+    return len(w.terms) == 1 and next(iter(w.terms.values())).is_const()
+
+
 def reduce(w, A, rk):
     """Normal form of w modulo the left span of A.
 
@@ -169,7 +180,13 @@ def reduce(w, A, rk):
 
 def _reduce(w, active, rk):
     """`reduce` by (index, element, leader) triples with known leaders;
-    the shifts of each element are kept for the whole call (`_shifts`)."""
+    the shifts of each element are kept for the whole call (`_shifts`).
+
+    A step by a one-term reducer with a constant coefficient (`_one_term`)
+    drops the target term: the shift is a multiple of that term alone,
+    so the step is exact for any such coefficient, and builds no shift and
+    divides by nothing.  `cancel` by the reducer's zero still checks the
+    rings."""
     current = w
     chains = {}
     while True:
@@ -184,6 +201,9 @@ def _reduce(w, active, rk):
         if target is None:
             return current
         term, idx, f, lead = target
+        if _one_term(f):
+            current = current.cancel(term, f._new({}))
+            continue
         shifted = f.apply_theta(tuple(a - b for a, b in zip(term[1], lead[1])),
                                 chains.setdefault(idx, {}))
         c, lc = current.terms[term], shifted.terms[term]
@@ -235,7 +255,13 @@ def _lcm(a, b):
 def _spair(f, lf, g, lg):
     """S-pair of the monic f and g, whose leaders lf and lg share a
     component: a shift of a monic element is monic at the shifted leader,
-    so the S-pair is the plain difference of the two shifts."""
+    so the S-pair is the plain difference of the two shifts.  When f and
+    g are one-term elements with constant coefficients (`_one_term`), each
+    shift is the single term at the lcm and the two cancel: the S-pair is
+    the zero of their ring, read off after the ring check of `cancel`."""
+    if _one_term(f) and _one_term(g):
+        f._check(g)
+        return f._new({})
     lt = _lcm(lf, lg)
     return f.apply_theta(tuple(a - b for a, b in zip(lt[1], lf[1]))).cancel(
         lt, g.apply_theta(tuple(a - b for a, b in zip(lt[1], lg[1]))))
@@ -265,14 +291,17 @@ def _reduced_basis(basis, leads, rk):
 
     Only the elements whose leaders are minimal are kept, one per leader,
     and each tail is reduced once by the other kept elements.  No step
-    reaches a kept leader, so every element stays monic.
+    reaches a kept leader, so every element stays monic.  A one-term
+    element is kept as it is: its only term is its leader, which no other
+    kept leader divides.
     """
     keep = [i for i, lead in enumerate(leads)
             if not any(_divides(other, lead) and (other != lead or j < i)
                        for j, other in enumerate(leads) if j != i)]
     keep.sort(key=lambda i: rk.key(leads[i]))
     active = [(i, basis[i], leads[i]) for i in keep]
-    return tuple(_reduce(basis[i], [a for a in active if a[0] != i], rk)
+    return tuple(basis[i] if _one_term(basis[i])
+                 else _reduce(basis[i], [a for a in active if a[0] != i], rk)
                  for i in keep)
 
 
@@ -320,7 +349,9 @@ def characteristic_set(gens, rk, config=None, n=None):
     while heap:
         _, _, i, j, lcm = heapq.heappop(heap)
         queued.remove((i, j))
-        if _chain_skips(i, j, lcm, leads, queued):
+        # the zero S-pair of two one-term elements costs less than the scan
+        if (not (_one_term(basis[i]) and _one_term(basis[j]))
+                and _chain_skips(i, j, lcm, leads, queued)):
             continue
         nf = _reduce(_spair(basis[i], leads[i], basis[j], leads[j]),
                      active, rk)
@@ -337,7 +368,10 @@ def _verify_complete(charset):
     S-pair reduces to zero.
 
     No criterion applies here, so a pair wrongly skipped during the
-    completion raises instead of giving a wrong basis.
+    completion raises instead of giving a wrong basis.  A one-term element
+    with a constant coefficient costs no arithmetic here either: the
+    closed forms of `_spair` and `_reduce` give exactly what the shifts
+    would, so every pair is still visited and every step still taken.
     """
     rk = charset.ranking
     elems = list(charset.elements)

@@ -141,12 +141,14 @@ class MPoly:
         clean = {}
         if terms:
             for exps, coeff in terms.items():
+                # every key is checked, whatever its coefficient
+                if len(exps) != nvars:
+                    raise ValueError("exponent vector of wrong length")
+                key = _pack(exps)
                 if coeff:
-                    if len(exps) != nvars:
-                        raise ValueError("exponent vector of wrong length")
                     if int(coeff) != coeff:
                         raise ValueError(f"non-integer coefficient {coeff}")
-                    clean[_pack(exps)] = int(coeff)
+                    clean[key] = int(coeff)
         self.terms = clean
 
     # -- constructors -------------------------------------------------

@@ -10,7 +10,8 @@ from diffalg import (CharSet, ConfigMismatch, DiffFieldConfig, ModElement,
                      reduce)
 from diffalg import diffmodule
 from diffalg.diffmodule import _verify_complete
-from diffalg.ore import _left_mul
+from diffalg.ore import TermMap, _left_mul
+from diffalg.parsing import parse_input
 from helpers import (autoreduce_oracle, compare_autoreduced,
                      completion_oracle, eval_point, from_operator_vector,
                      in_span_truncated, rand_modelement, rand_orepoly,
@@ -384,6 +385,153 @@ class TestCharacteristicSet:
         g = from_operator_vector([d ** 3 + 1])
         s = diffmodule._spair(f, leader(f, rk), g, leader(g, rk))
         assert s == from_operator_vector([-t * d - 2])
+
+
+def rand_theta(rng, m, max_ord=3):
+    return tuple(rng.randint(0, max_ord) for _ in range(m))
+
+
+def count_calls(monkeypatch, owner, name):
+    """A list that gets one entry per call of owner.name."""
+    calls, wrapped = [], getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return wrapped(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+class TestOneTermClosedForms:
+    """An element of one term with a constant coefficient has shifts of one
+    term each, so S-pairs and reduction steps by it are read off, not
+    computed; each closed form against the arithmetic it replaces."""
+
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_spair_is_the_difference_of_the_full_shifts(self, m, n):
+        cfg = DiffFieldConfig(m, 1)
+        rng = random.Random(900 + 10 * m + n)
+        for rk in (orderly_ranking(n), Ranking("elimination",
+                                              tuple(reversed(range(n))))):
+            for _ in range(40):
+                comp = rng.randrange(n)
+                f = ModElement.basis(cfg, n, comp, rand_theta(rng, m))
+                g = ModElement.basis(cfg, n, comp, rand_theta(rng, m))
+                lf, lg = leader(f, rk), leader(g, rk)
+                lt = diffmodule._lcm(lf, lg)
+                full = (f.apply_theta(tuple(a - b for a, b in
+                                            zip(lt[1], lf[1])))
+                        - g.apply_theta(tuple(a - b for a, b in
+                                              zip(lt[1], lg[1]))))
+                s = diffmodule._spair(f, lf, g, lg)
+                assert s == full and s.is_zero()
+                assert (type(s), s.config, s.n) == (ModElement, cfg, n)
+
+    def test_spair_keeps_the_ring_check(self):
+        f = ModElement.basis(CFG1, 1, 0, (2,))
+        g = ModElement.basis(CFG1, 2, 0, (1,))
+        with pytest.raises(ConfigMismatch):
+            diffmodule._spair(f, (0, (2,)), g, (0, (1,)))
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_reduce_by_one_term_reducers_matches_the_oracle(self, m,
+                                                           monkeypatch):
+        cfg = DiffFieldConfig(m, 1)
+        rng = random.Random(950 + m)
+        coeffs = [1, 3, -2, RatFun.from_const(1, 5) / 7]
+        cases = []
+        for _ in range(30):
+            n = rng.randint(1, 2)
+            rk = (orderly_ranking(n) if rng.random() < 0.5
+                  else Ranking("elimination", tuple(range(n))))
+            A = [ModElement.basis(cfg, n, rng.randrange(n),
+                                  rand_theta(rng, m, 2), rng.choice(coeffs))
+                 for _ in range(rng.randint(1, 3))]
+            ws = [rand_modelement(rng, cfg, n, max_ord=4, max_terms=5)
+                  for _ in range(3)]
+            cases += [(w, A, rk, reduce_oracle(w, A, rk)) for w in ws]
+        # the closed form builds no shift and divides by nothing
+        shifts = count_calls(monkeypatch, TermMap, "apply_theta")
+
+        def refuse(*args):
+            raise AssertionError("a one-term reduction step divided")
+
+        monkeypatch.setattr(RatFun, "inverse", refuse)
+        monkeypatch.setattr(RatFun, "__truediv__", refuse)
+        assert [reduce(w, A, rk) for w, A, rk, _ in cases] \
+            == [expected for *_, expected in cases]
+        assert shifts == []
+
+    def test_non_monic_one_term_reducer(self):
+        # 3*e1*d2 removes every term that d2 divides, whatever its
+        # coefficient; the rest of w stays as it is
+        cfg = DiffFieldConfig(2, 1)
+        rk = orderly_ranking(1)
+        t = RatFun.var(1, 0)
+        w = ModElement(cfg, 1, {(0, (1, 1)): t, (0, (0, 3)): 2,
+                                (0, (2, 0)): t + 1, (0, (0, 0)): 5})
+        reducer = ModElement.basis(cfg, 1, 0, (0, 1), 3)
+        expected = ModElement(cfg, 1, {(0, (2, 0)): t + 1, (0, (0, 0)): 5})
+        assert reduce(w, [reducer], rk) == expected
+        assert reduce_oracle(w, [reducer], rk) == expected
+
+    def test_a_non_constant_coefficient_takes_the_shift_path(
+            self, monkeypatch):
+        # d*(t*e1*d) = t*e1*d^2 + e1*d has two terms, so t*e1*d is no
+        # closed form and its shifts are computed
+        rk = orderly_ranking(1)
+        f = ModElement.basis(CFG1, 1, 0, (1,), T)
+        assert len(f.apply_theta((1,)).terms) == 2
+        assert not diffmodule._one_term(f)
+        w = ModElement(CFG1, 1, {(0, (4,)): 1, (0, (2,)): T, (0, (0,)): 3})
+        expected = reduce_oracle(w, [f], rk)
+        shifts = count_calls(monkeypatch, TermMap, "apply_theta")
+        assert reduce(w, [f], rk) == expected
+        assert shifts
+        assert expected == ModElement(CFG1, 1, {(0, (0,)): 3})
+
+    def test_missing_leader_fails_the_check(self):
+        cfg = DiffFieldConfig(2, 0)
+        rk = orderly_ranking(1)
+        d1sq = ModElement.basis(cfg, 1, 0, (2, 0))
+        d2sq = ModElement.basis(cfg, 1, 0, (0, 2))
+        _verify_complete(CharSet((d1sq, d2sq), rk, (d1sq, d2sq), cfg, 1))
+        incomplete = CharSet((d1sq,), rk, (d1sq, d2sq), cfg, 1)
+        with pytest.raises(AssertionError,
+                           match="generator does not reduce to zero"):
+            _verify_complete(incomplete)
+
+    def test_coefficient_two_fails_the_check(self):
+        cfg = DiffFieldConfig(2, 0)
+        rk = orderly_ranking(1)
+        gens = (ModElement.basis(cfg, 1, 0, (2, 0), 2),
+                ModElement.basis(cfg, 1, 0, (0, 2)))
+        loose = CharSet(gens, rk, gens, cfg, 1)
+        with pytest.raises(AssertionError,
+                           match="element not monic at its leader"):
+            _verify_complete(loose)
+
+    def test_staircase_charsets_shift_nothing(self, bench_corpus,
+                                              monkeypatch):
+        # the six `charset` modules of the staircase workload: monic
+        # one-term generators over Q, whose completion and check shifted
+        # 46, 100, 46, 100, 46 and 104 times before the closed forms
+        problems = [parse_input(p.text) for p in bench_corpus.staircase(71)
+                    if p.command == "charset"]
+        assert len(problems) == 6
+        shifts = count_calls(monkeypatch, TermMap, "apply_theta")
+        counts = []
+        for pf in problems:
+            charset = characteristic_set(pf.gens, pf.ranking(),
+                                         config=pf.config, n=pf.module_rank)
+            counts.append(len(shifts))
+            shifts.clear()
+            assert charset.leaders() == sorted(
+                (leader(g, charset.ranking) for g in pf.gens),
+                key=charset.ranking.key)
+        assert counts == [0] * 6
 
 
 class TestEvalPoint:

@@ -684,6 +684,30 @@ class TestNormalize:
         with pytest.raises(ValueError):
             MPoly(1, {(1,): Fraction(1, 2)})
 
+    @pytest.mark.parametrize("nvars, exps, message", [
+        (1, (1, 2, 3), "wrong length"),
+        (2, (1,), "wrong length"),
+        (0, (0,), "wrong length"),
+        (2, (-1, 0), "negative exponent"),
+        (1, (-3,), "negative exponent"),
+    ])
+    @pytest.mark.parametrize("coeff", [0, 1, -5])
+    def test_every_key_is_checked(self, nvars, exps, coeff, message):
+        # a zero coefficient is dropped, but not before its key is read
+        with pytest.raises(ValueError, match=message):
+            MPoly(nvars, {exps: coeff})
+
+    def test_a_digit_past_its_guard_overflows_with_a_zero_coefficient(self):
+        for coeff in (0, 1):
+            with pytest.raises(ExponentOverflow):
+                MPoly(2, {(0, 2 ** 31): coeff})
+
+    def test_zero_coefficients_of_good_keys_are_dropped(self):
+        p = MPoly(2, {(1, 0): 0, (0, 1): 3, (2, 2): 0})
+        assert p == MPoly(2, {(0, 1): 3})
+        assert p.exponents() == {(0, 1): 3}
+        assert MPoly(1, {(4,): 0}).is_zero()
+
     def test_common_polynomial_factor(self):
         num = MPoly(1, {(2,): 1, (0,): -1})   # t^2 - 1
         den = MPoly(1, {(1,): 1, (0,): -1})   # t - 1
