@@ -19,15 +19,15 @@ A plain argv, the command and the file followed by distinct options
 spelled out in full, is read directly (`_read_argv`); any other argv goes
 to the argument parser, which alone prints help and the errors in an
 argv's form.  It is built on its first use and reused by later calls in
-the same process.
+the same process; `argparse` is imported only then.
 `json` is imported only by a call with `--format json`.
 """
 
 from __future__ import annotations
 
-import argparse
 import functools
 import sys
+import types
 from math import comb
 
 from .errors import DiffAlgError, ParseError
@@ -55,6 +55,7 @@ RANKINGS = ("orderly", "elim")
 @functools.cache
 def _build_argparser():
     """The argument parser, built on the first call and then reused."""
+    import argparse     # here, so that a directly read argv never loads it
     parser = argparse.ArgumentParser(
         prog="diffalg",
         description="Exact linear differential algebra: characteristic sets, "
@@ -71,11 +72,12 @@ def _build_argparser():
 
 
 def _read_argv(argv):
-    """The Namespace the argument parser makes of `argv`, read directly when
-    argv is `<command> <file>` followed by distinct options among
-    `--format text|json`, `--ranking orderly|elim` and `--order-bound K`,
-    K ASCII digits the interpreter converts; None for any other argv.  The
-    file is `-` or a name that does not start with `-`."""
+    """The attributes the argument parser makes of `argv`, in a
+    `types.SimpleNamespace`, read directly when argv is `<command> <file>`
+    followed by distinct options among `--format text|json`, `--ranking
+    orderly|elim` and `--order-bound K`, K ASCII digits the interpreter
+    converts; None for any other argv.  The file is `-` or a name that
+    does not start with `-`."""
     if len(argv) < 2 or len(argv) % 2 or argv[0] not in COMMANDS:
         return None
     file = argv[1]
@@ -97,7 +99,7 @@ def _read_argv(argv):
             return None
     if len(set(options)) < len(options):
         return None
-    return argparse.Namespace(**values)
+    return types.SimpleNamespace(**values)
 
 
 def main(argv=None):

@@ -44,48 +44,32 @@ from .record import FrozenRecord
 
 
 class Ranking(FrozenRecord):
-    """Total order on module terms (component, exponents).
+    """Total order on the terms (component, exponents) of K[Delta]^n.
 
-    orderly: order of derivation dominates, ties broken by component
-    position (earlier in component_order = lower), then lex on exponents.
-    elimination: component position dominates, then order, then lex.
-    component_order lists 0-based components from lowest to highest.
+    orderly: order of derivation dominates, ties broken by component (a
+    lower index is lower), then lex on exponents.
+    elimination: component dominates, then order, then lex.
+    Components rank by their index alone, the last highest: to rank them
+    in another order, relabel them, as a problem file's `vars:` line does
+    by naming the unknowns from lowest to highest.
     """
 
-    _fields = ("kind", "component_order")
-    # _position, the inverse permutation, is not a field: equality,
-    # hashing and repr see only kind and component_order
-    __slots__ = _fields + ("_position",)
+    __slots__ = _fields = ("kind",)
 
-    def __init__(self, kind: str, component_order: tuple):
+    def __init__(self, kind: str):
         if kind not in ("orderly", "elimination"):
             raise ValueError(f"unknown ranking kind {kind!r}")
-        if sorted(component_order) != list(range(len(component_order))):
-            raise ValueError("component_order must be a permutation of 0..n-1")
-        self._set_fields(kind, component_order)
-        object.__setattr__(self, "_position",
-                           {c: i for i, c in enumerate(component_order)})
-
-    @property
-    def n(self):
-        return len(self.component_order)
-
-    def position(self, comp):
-        return self._position[comp]
+        self._set_fields(kind)
 
     def key(self, term):
         comp, exps = term
         if self.kind == "orderly":
-            return (monomial_ord(exps), self._position[comp], exps)
-        return (self._position[comp], monomial_ord(exps), exps)
-
-    def compare(self, a, b):
-        ka, kb = self.key(a), self.key(b)
-        return (ka > kb) - (ka < kb)
+            return (monomial_ord(exps), comp, exps)
+        return (comp, monomial_ord(exps), exps)
 
 
-def orderly_ranking(n):
-    return Ranking("orderly", tuple(range(n)))
+def orderly_ranking():
+    return Ranking("orderly")
 
 
 def _raise_term(term, i, k=1):

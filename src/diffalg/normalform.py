@@ -10,18 +10,21 @@ lays module elements out as those rows, checked once for their rank and
 configuration and then trusted (`OreMatrix._of`), and reads K^d x C^k off
 D.
 
-The elimination keeps U_inv and V_inv as matrices but U and V as the
-elementary operations that built them: when there are more relations
-than columns, U's extra rows are left syzygies and swell far past A,
-U_inv and V_inv.  The certificate checks D diagonal, U*U_inv = I and
-V_inv*V = I by replaying the operations on the small inverses, and
-A*V = U_inv*D by replaying V's operations on A; together these give
-U*A*V = D with U and V unimodular, and the big U is never formed.  A
-row scaling that makes a pivot monic is recorded by its base-field
-scalar, which only scales the row's entries (no delta stands to its
-left); its inverse, on U_inv's column, is a product in K[delta].  An
-elimination step writes the remainder of its division into the pivot
-column or row unrecomputed; the replay recomputes every entry in full.
+The elimination keeps U_inv and V_inv as matrices but U and V only as
+the elementary operations that built them, tuples of triples (i, j, q):
+when there are more relations than columns, U's extra rows are left
+syzygies and swell far past A, U_inv and V_inv.  Each operation is
+applied to the working matrix and its inverse (`_inverse`) to U_inv or
+V_inv.  The certificate checks D diagonal, U*U_inv = I and V_inv*V = I
+by replaying the operations on the small inverses, and A*V = U_inv*D by
+replaying V's operations on A (`_replay`); together these give
+U*A*V = D with U and V unimodular, and the big U is formed only when a
+caller reads `Diagonalization.U`.  A row scaling that makes a pivot
+monic is recorded by its base-field scalar, which only scales the row's
+entries (no delta stands to its left); its inverse, on U_inv's column,
+is a product in K[delta].  An elimination step writes the remainder of
+its division into the pivot column or row unrecomputed; the replay
+recomputes every entry in full.
 """
 
 from __future__ import annotations
@@ -116,78 +119,33 @@ class OreMatrix:
         return f"OreMatrix({self.rows}x{self.cols})"
 
 
-class ElementaryProduct:
-    """A square matrix kept as the elementary operations that built it.
-
-    Each operation is a triple (i, j, q) as `_row_op` and `_col_op` read
-    it.  With side "rows" the matrix is E_k*...*E_1 for the row operations
-    E_1, ..., E_k in the order recorded, and X*M replays them on a copy of
-    M; with side "cols" it is F_1*...*F_k for column operations, and M*X
-    replays them on a copy of M.  `matrix` multiplies the product out.
-    """
-
-    __slots__ = ("config", "size", "side", "ops")
-
-    def __init__(self, config, size, side):
-        self.config = config
-        self.size = size
-        self.side = side
-        self.ops = []
-
-    def _replay(self, other, side, apply):
-        if self.side != side or not isinstance(other, OreMatrix):
-            return NotImplemented
-        if (other.rows if side == "rows" else other.cols) != self.size:
-            raise ValueError("dimension mismatch")
-        out = other.copy()
-        for op in self.ops:
-            apply(out.entries, op)
-        return out
-
-    def __mul__(self, other):
-        return self._replay(other, "rows", _row_op)
-
-    def __rmul__(self, other):
-        return self._replay(other, "cols", _col_op)
-
-    def matrix(self):
-        one = OreMatrix.identity(self.config, self.size)
-        return self * one if self.side == "rows" else one * self
-
-
 class Diagonalization(FrozenRecord):
     """U * A * V = D, with U_inv and V_inv; all identities exact.
 
     D is canonical up to the pivot path: each nonzero diagonal entry is
     monic (leading coefficient 1), so a unit entry is exactly 1.  U and V
-    may be given as ElementaryProducts, as `diagonalize` gives them:
-    reading the field `U` or `V` multiplies it out once and keeps the
-    matrix.  `_verify` checks either form without multiplying it out.
+    are kept as the elementary operations that built them, each a triple
+    (i, j, q) as `_row_op` and `_col_op` read it: U = E_k*...*E_1 for the
+    row operations E_1, ..., E_k of U_ops in the order recorded, and
+    V = F_1*...*F_k for the column operations of V_ops.  Reading `U` or
+    `V` replays them on the identity, afresh on every read.
     """
 
-    __slots__ = ("_U", "D", "_V", "U_inv", "V_inv")
-    _fields = ("U", "D", "V", "U_inv", "V_inv")
+    __slots__ = _fields = ("U_ops", "D", "V_ops", "U_inv", "V_inv")
 
-    def __init__(self, U: OreMatrix | ElementaryProduct, D: OreMatrix,
-                 V: OreMatrix | ElementaryProduct, U_inv: OreMatrix,
-                 V_inv: OreMatrix):
-        for slot, value in zip(self.__slots__, (U, D, V, U_inv, V_inv)):
-            object.__setattr__(self, slot, value)
+    def __init__(self, U_ops: tuple, D: OreMatrix, V_ops: tuple,
+                 U_inv: OreMatrix, V_inv: OreMatrix):
+        self._set_fields(U_ops, D, V_ops, U_inv, V_inv)
 
     @property
     def U(self):
-        return self._multiplied_out("_U")
+        return _replay(self.U_ops, OreMatrix.identity(self.D.config,
+                                                      self.D.rows), _row_op)
 
     @property
     def V(self):
-        return self._multiplied_out("_V")
-
-    def _multiplied_out(self, slot):
-        value = getattr(self, slot)
-        if isinstance(value, ElementaryProduct):
-            value = value.matrix()
-            object.__setattr__(self, slot, value)
-        return value
+        return _replay(self.V_ops, OreMatrix.identity(self.D.config,
+                                                      self.D.cols), _col_op)
 
 
 class TangentClass(FrozenRecord):
@@ -214,12 +172,6 @@ class TangentClass(FrozenRecord):
                 "torsion_degrees": list(self.torsion_degrees)}
 
 
-def _require_ordinary(config):
-    if config.m != 1:
-        raise UnsupportedForPartial("diagonalization needs m = 1 "
-                                    "(K[Delta] is not Euclidean otherwise)")
-
-
 def diagonalize(A):
     """Diagonalize A over K[delta] by exact two-sided elementary operations.
 
@@ -229,55 +181,54 @@ def diagonalize(A):
     corner terminates by the Euclidean property.  Whenever the pivot
     changes, its row is left-scaled by the inverse of its leading
     coefficient, so every nonzero entry of D is monic and a unit entry is
-    1.  Each operation is applied to the working matrix, its inverse to
-    U_inv or V_inv, and the operation itself is recorded in U or V (see
-    ElementaryProduct).  Verifies the result exactly (see _verify) before
-    returning.
+    1.  Each operation is applied to the working matrix, its inverse
+    (`_inverse`) to U_inv or V_inv, and the operation itself is recorded
+    in U_ops or V_ops (see Diagonalization).  Verifies the result exactly
+    (see _verify) before returning.
     """
-    _require_ordinary(A.config)
     config = A.config
+    if config.m != 1:
+        raise UnsupportedForPartial("diagonalization needs m = 1 "
+                                    "(K[Delta] is not Euclidean otherwise)")
     work = A.copy()
-    U = ElementaryProduct(config, A.rows, "rows")
-    U_inv = OreMatrix.identity(config, A.rows)
-    V = ElementaryProduct(config, A.cols, "cols")
-    V_inv = OreMatrix.identity(config, A.cols)
+    U_ops, U_inv = [], OreMatrix.identity(config, A.rows)
+    V_ops, V_inv = [], OreMatrix.identity(config, A.cols)
     # the least degree of the nonzero entries of each row of the trailing
     # block, None for a zero row; an operation marks the rows it changes
     # stale, and a column swap inside the block changes no row's least
     # degree
     low, stale = [None] * work.rows, set(range(work.rows))
 
-    def row_op(op, inverse, k=None, e=None):
+    def row_op(op, k=None, e=None):
         """U <- E*U for the row operation E = op; U_inv <- U_inv*E^-1."""
         _row_op(work.entries, op, k, e)
         stale.update(op[:2])
-        U.ops.append(op)
-        _col_op(U_inv.entries, inverse)
+        U_ops.append(op)
+        _col_op(U_inv.entries, _inverse(op))
 
-    def col_op(op, inverse, k=None, e=None):
+    def col_op(op, k=None, e=None):
         """V <- V*F for the column operation F = op; V_inv <- F^-1*V_inv.
         col_j -= col_p*q changes row p alone, since it runs once column p
         is clear."""
         _col_op(work.entries, op, k, e)
         if op[2] is not None:
             stale.add(op[1])
-        V.ops.append(op)
-        _row_op(V_inv.entries, inverse)
+        V_ops.append(op)
+        _row_op(V_inv.entries, _inverse(op))
 
     def swap_rows(i, j):
         if i != j:
-            row_op((i, j, None), (i, j, None))
+            row_op((i, j, None))
 
     def swap_cols(i, j):
         if i != j:
-            col_op((i, j, None), (i, j, None))
+            col_op((i, j, None))
 
     def make_monic(p):
         """row_p = row_p / lc; column p of U_inv takes lc on the right."""
         _, lc = work.entries[p][p].leading()
         if not lc.is_one():
-            row_op((p, p, lc.inverse()),
-                   (p, p, OrePoly.from_scalar(config, lc)))
+            row_op((p, p, lc.inverse()))
 
     def clear_column(p):
         """Row operations by right division; True if a remainder is pivot."""
@@ -285,7 +236,7 @@ def diagonalize(A):
             if i != p and work.entries[i][p]:
                 q, r = ore_divmod(work.entries[i][p], work.entries[p][p],
                                   side="right")
-                row_op((i, p, q), (p, i, -q), p, r)
+                row_op((i, p, q), p, r)
                 if r:
                     swap_rows(i, p)
                     return True
@@ -297,7 +248,7 @@ def diagonalize(A):
             if j != p and work.entries[p][j]:
                 q, r = ore_divmod(work.entries[p][j], work.entries[p][p],
                                   side="left")
-                col_op((j, p, q), (p, j, -q), p, r)
+                col_op((j, p, q), p, r)
                 if r:
                     swap_cols(j, p)
                     return True
@@ -325,9 +276,30 @@ def diagonalize(A):
         while clear_column(p) or clear_row(p):
             make_monic(p)
 
-    result = Diagonalization(U=U, D=work, V=V, U_inv=U_inv, V_inv=V_inv)
+    result = Diagonalization(tuple(U_ops), work, tuple(V_ops), U_inv, V_inv)
     _verify(A, result)
     return result
+
+
+def _replay(ops, matrix, apply):
+    """A copy of matrix with the operations ops applied in order by apply,
+    `_row_op` (E_k*...*E_1*matrix) or `_col_op` (matrix*F_1*...*F_k)."""
+    out = matrix.copy()
+    for op in ops:
+        apply(out.entries, op)
+    return out
+
+
+def _inverse(op):
+    """The inverse of the operation op = (i, j, q), as an operation of the
+    other side: a swap is its own, row_i -= q*row_j is undone on the right
+    by col_j += col_i*q and col_i -= col_j*q on the left by
+    row_j += q*row_i, both (j, i, -q), and a scaling by the base-field
+    scalar q by the product with 1/q."""
+    i, j, q = op
+    if q is None:
+        return op
+    return (i, i, q.inverse()) if i == j else (j, i, -q)
 
 
 def _row_op(rows, op, k=None, e=None):
@@ -348,13 +320,14 @@ def _row_op(rows, op, k=None, e=None):
 def _col_op(rows, op, k=None, e=None):
     """Apply the column operation op = (i, j, q) to a list of rows in
     place: swap columns i and j when q is None, col_i = col_i*q when
-    i == j, and col_i -= col_j*q otherwise; row k of col_i becomes e."""
+    i == j, q a base-field scalar, a product in K[delta], and
+    col_i -= col_j*q otherwise; row k of col_i becomes e."""
     i, j, q = op
     for c, row in enumerate(rows):
         if q is None:
             row[i], row[j] = row[j], row[i]
         elif i == j:
-            row[i] = ore_mul(row[i], q)
+            row[i] = row[i] * q
         elif c == k:
             row[i] = e
         elif row[j]:
@@ -367,22 +340,21 @@ def _verify(A, res):
     Four identities: D is diagonal, U*U_inv = I, V_inv*V = I and
     A*V = U_inv*D.  Together they give U*A*V = U*U_inv*D = D, and since a
     one-sided inverse of a square matrix over the Noetherian domain
-    K[delta] is two-sided, U and V are unimodular.  When U and V are kept
-    as their elementary operations, U*U_inv replays U's row operations on
-    a copy of U_inv, and V_inv*V and A*V replay V's column operations on
-    V_inv and on A; in the inverse checks each intermediate is the inverse
-    of the operations still to come, so nothing swells the way U itself
-    does.  An explicit U or V is multiplied as an ordinary product.
-    U_inv*D only scales the columns of U_inv; it is compared with A*V entry
-    by entry.  Every identity is decided exactly and in full.
+    K[delta] is two-sided, U and V are unimodular.  U*U_inv replays U's
+    row operations on a copy of U_inv, and V_inv*V and A*V replay V's
+    column operations on V_inv and on A (`_replay`); in the inverse checks
+    each intermediate is the inverse of the operations still to come, so
+    nothing swells the way U itself does.  U_inv*D only scales the columns
+    of U_inv; it is compared with A*V entry by entry.  Every identity is
+    decided exactly and in full.
     """
     if not res.D.is_diagonal():
         raise AssertionError("result is not diagonal")
-    if not (res._U * res.U_inv).is_identity():
+    if not _replay(res.U_ops, res.U_inv, _row_op).is_identity():
         raise AssertionError("U inverse check failed")
-    if not (res.V_inv * res._V).is_identity():
+    if not _replay(res.V_ops, res.V_inv, _col_op).is_identity():
         raise AssertionError("V inverse check failed")
-    if res.U_inv * res.D != A * res._V:
+    if res.U_inv * res.D != _replay(res.V_ops, A, _col_op):
         raise AssertionError("A*V != U_inv*D, so U*A*V != D")
 
 

@@ -871,7 +871,7 @@ def term_label(name, exps):
 
 def modelement_str(w, config, var_names):
     """Human-oriented form: sum of coeff*theta(e_var) pieces."""
-    rk = orderly_ranking(w.n)
+    rk = orderly_ranking()
     return _signed_sum(
         _term(w.terms[key], "d" + term_label(var_names[key[0]], key[1]),
               config)
@@ -917,7 +917,7 @@ class ProblemFile(Record):
         return self.module_rank or len(self.var_names)
 
     def ranking(self):
-        return Ranking(self.ranking_kind, tuple(range(self.n)))
+        return Ranking(self.ranking_kind)
 
 
 def parse_input(text):

@@ -235,7 +235,7 @@ def tangent_pipeline(eqs, x, rk=None):
     dimension and k <= B.
     """
     lins = linearize_system(eqs, x)
-    orderly = orderly_ranking(x.n)
+    orderly = orderly_ranking()
     charset = characteristic_set(lins, rk or orderly)
     report = dimension_report(charset if charset.ranking.kind == "orderly"
                               else characteristic_set(lins, orderly))

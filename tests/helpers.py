@@ -126,14 +126,24 @@ def max_order(w):
     return max((sum(exps) for _, exps in w.terms), default=-1)
 
 
+def relabel(w, order):
+    """w with component order[k] renamed k, for each k: a ranking of the
+    result ranks the terms of w as if its components ran from lowest to
+    highest in `order`."""
+    position = {comp: k for k, comp in enumerate(order)}
+    return ModElement(w.config, w.n, {(position[comp], exps): coeff
+                                      for (comp, exps), coeff
+                                      in w.terms.items()})
+
+
 def compare_autoreduced(A, B, rk):
     """'lower' / 'equal' / 'higher': the Ritt-Kolchin rank order on two
     autoreduced sets, tuples of elements sorted by leader, under rk."""
     ua, ub = [leader(f, rk) for f in A], [leader(f, rk) for f in B]
     for la, lb in zip(ua, ub):
-        c = rk.compare(la, lb)
-        if c:
-            return "lower" if c < 0 else "higher"
+        ka, kb = rk.key(la), rk.key(lb)
+        if ka != kb:
+            return "lower" if ka < kb else "higher"
     if len(ua) == len(ub):
         return "equal"
     return "lower" if len(ua) > len(ub) else "higher"

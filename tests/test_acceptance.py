@@ -89,7 +89,7 @@ def test_torsion_bounds_on_random_presentations(capsys):
         gens = [rand_modelement(rng, CFG1, n, max_ord=3, nonzero=True,
                                 frac_prob=0.05, coeff_deg=1)
                 for _ in range(rng.randint(1, 3))]
-        cs = characteristic_set(gens, orderly_ranking(n), config=CFG1, n=n)
+        cs = characteristic_set(gens, orderly_ranking(), config=CFG1, n=n)
         report = dimension_report(cs)
         tc, _ = classify_presentation(CFG1, gens, n)
         assert tc.d == report.diff_dimension
@@ -135,7 +135,7 @@ def test_characteristic_set_dimensions_match_gaussian_elimination(capsys):
                                     max_terms=2, nonzero=True,
                                     frac_prob=0.0, coeff_deg=1)
                     for _ in range(rng.randint(1, 2))]
-            cs = characteristic_set(gens, orderly_ranking(n),
+            cs = characteristic_set(gens, orderly_ranking(),
                                     config=config, n=n)
             anti = leader_antichain(cs)
             dims = truncated_module_dims(gens, n, config, 6)
@@ -197,7 +197,7 @@ def test_dimension_polynomials_are_kolchin_integral(capsys):
         gens = [rand_modelement(rng, CFG1, n, max_ord=2, nonzero=True,
                                 frac_prob=0.0, coeff_deg=1)
                 for _ in range(rng.randint(1, 2))]
-        cs = characteristic_set(gens, orderly_ranking(n), config=CFG1, n=n)
+        cs = characteristic_set(gens, orderly_ranking(), config=CFG1, n=n)
         phi = dimension_report(cs).dimpoly
         assert all(isinstance(c, int) for c in phi.coeffs)
         if not phi.is_zero():

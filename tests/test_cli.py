@@ -424,20 +424,27 @@ class TestModuleCommands:
     def test_transforms_are_never_multiplied_out(self, capsys, tmp_path,
                                                   monkeypatch, command,
                                                   text):
-        # both commands read only D, so U and V stay elementary operations
+        # both commands read only D; U and V are kept only as the
+        # elementary operations that built them, and reading `.U` or `.V`
+        # would multiply them out
         original = diffalg.normalform.diagonalize
         records = []
+        reads = []
 
         def kept(A):
             records.append(original(A))
             return records[-1]
 
         monkeypatch.setattr(diffalg.normalform, "diagonalize", kept)
+        for name in ("U", "V"):
+            monkeypatch.setattr(diffalg.normalform.Diagonalization, name,
+                                property(lambda _, name=name:
+                                         reads.append(name)))
         code, _, _ = run(capsys, tmp_path, text, command)
-        assert code == 0 and len(records) == 1
-        factored = diffalg.normalform.ElementaryProduct
-        assert isinstance(records[0]._U, factored)
-        assert isinstance(records[0]._V, factored)
+        assert code == 0 and len(records) == 1 and reads == []
+        for ops in (records[0].U_ops, records[0].V_ops):
+            assert type(ops) is tuple
+            assert all(type(op) is tuple and len(op) == 3 for op in ops)
 
     def test_decompose_without_relations(self, capsys, tmp_path):
         text = "field: Q(t)\nmodule: 2\ngens: [0, 0]\n"
@@ -1547,12 +1554,13 @@ class TestRepeatedCalls:
 
 class TestColdStart:
     def test_import_loads_no_dataclasses_inspect_or_json(self, tmp_path):
-        # json loads on the first --format json call, and only then
+        # json loads on the first --format json call, and only then;
+        # argparse (with gettext) only when an argv is not read directly
         (tmp_path / "module.txt").write_text(MODULE)
         probe = _python(["-c", """\
 import sys
-watched = {"dataclasses", "decimal", "fractions", "inspect", "json",
-           "numbers"}
+watched = {"argparse", "dataclasses", "decimal", "fractions", "gettext",
+           "inspect", "json", "numbers"}
 before = set(sys.modules)
 import diffalg.cli
 loaded = [sorted(watched & (set(sys.modules) - before))]

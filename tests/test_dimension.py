@@ -8,7 +8,8 @@ import diffalg.dimension
 from diffalg import (DiffFieldConfig, ModElement, OrderlyRequired, Ranking,
                      RatFun, characteristic_set, dimension_report,
                      leader_antichain, orderly_ranking)
-from helpers import brute_count, rand_modelement, truncated_module_dims
+from helpers import (brute_count, rand_modelement, relabel,
+                     truncated_module_dims)
 
 CFG1 = DiffFieldConfig(1, 1)
 T = RatFun.var(1, 0)
@@ -19,7 +20,7 @@ def elem(n, terms):
 
 
 def charset(gens, n):
-    return characteristic_set(gens, orderly_ranking(n), config=CFG1, n=n)
+    return characteristic_set(gens, orderly_ranking(), config=CFG1, n=n)
 
 
 class TestDimensionPolynomial:
@@ -41,7 +42,7 @@ class TestDimensionPolynomial:
 
     def test_orderly_ranking_required(self):
         g = elem(2, {(1, (1,)): 1})
-        cs = characteristic_set([g], Ranking("elimination", (0, 1)))
+        cs = characteristic_set([g], Ranking("elimination"))
         with pytest.raises(OrderlyRequired):
             dimension_report(cs)
 
@@ -66,8 +67,8 @@ class TestDiffDimension:
                     for _ in range(rng.randint(1, 2))]
             values = set()
             for order in ((0, 1, 2), (2, 0, 1), (1, 2, 0)):
-                cs = characteristic_set(gens, Ranking("orderly", order),
-                                        config=CFG1, n=3)
+                cs = characteristic_set([relabel(g, order) for g in gens],
+                                        orderly_ranking(), config=CFG1, n=3)
                 values.add(dimension_report(cs).diff_dimension)
             assert len(values) == 1
 
@@ -119,7 +120,7 @@ class TestReport:
     def test_partial_case_has_no_below_count(self):
         cfg = DiffFieldConfig(2, 1)
         g = ModElement(cfg, 1, {(0, (1, 0)): 1})
-        cs = characteristic_set([g], orderly_ranking(1))
+        cs = characteristic_set([g], orderly_ranking())
         report = dimension_report(cs)
         assert report.below_leader_count is None and report.free_term is None
 

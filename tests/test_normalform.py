@@ -103,7 +103,7 @@ class TestDiagonalize:
                     if e.degree() == 0:
                         assert e == OrePoly.one(CFG1)
 
-    @pytest.mark.parametrize("field", ["U", "V", "U_inv", "V_inv", "D"])
+    @pytest.mark.parametrize("field", ["U_inv", "V_inv", "D"])
     def test_verify_rejects_corrupted_entry(self, field):
         rng = random.Random(65)
         for _ in range(6):
@@ -119,14 +119,11 @@ class TestDiagonalize:
             j = rng.randrange(mat.cols)
             mat.entries[i][j] = mat.entries[i][j] + rand_orepoly(
                 rng, CFG1, max_deg=1, nonzero=True)
-            parts = {name: getattr(res, name)
-                     for name in ("U", "D", "V", "U_inv", "V_inv")}
-            parts[field] = mat
             with pytest.raises(AssertionError):
-                _verify(A, Diagonalization(**parts))
+                _verify(A, with_field(res, field, mat))
 
-    @pytest.mark.parametrize("side", ["_U", "_V"])
-    def test_verify_rejects_a_changed_recorded_multiplier(self, side):
+    @pytest.mark.parametrize("field", ["U_ops", "V_ops"], ids=["_U", "_V"])
+    def test_verify_rejects_a_changed_recorded_multiplier(self, field):
         rng = random.Random(66)
         changed = 0
         for _ in range(12):
@@ -136,7 +133,7 @@ class TestDiagonalize:
                                   for _ in range(cols)]
                                  for _ in range(rows)])
             res = diagonalize(A)
-            ops = getattr(res, side).ops
+            ops = list(getattr(res, field))
             subtractions = [k for k, (i, j, q) in enumerate(ops)
                             if q is not None and i != j]
             if not subtractions:
@@ -146,9 +143,49 @@ class TestDiagonalize:
             ops[k] = (i, j, q + rand_orepoly(rng, CFG1, max_deg=1,
                                              nonzero=True))
             with pytest.raises(AssertionError):
-                _verify(A, res)
+                _verify(A, with_field(res, field, tuple(ops)))
             changed += 1
         assert changed >= 6
+
+    @pytest.mark.parametrize("side", ["U", "V"])
+    def test_verify_rejects_a_corrupted_operation(self, side):
+        # each corruption changes the product of the recorded operations,
+        # which the inverse check then rejects (a changed multiplier: the
+        # test above); an operation that is the identity, a subtraction of
+        # a zero multiple, is never picked
+        rng = random.Random(68)
+        field = f"{side}_ops"
+        applies = {"dropped": lambda i, j, q: q is None or q,
+                   "swapped indices": lambda i, j, q: i != j and q,
+                   "rescaled": lambda i, j, q: i == j}
+        rejected = dict.fromkeys(applies, 0)
+        for _ in range(30):
+            rows, cols = rng.randint(1, 3), rng.randint(1, 3)
+            A = OreMatrix(CFG1, [[rand_orepoly(rng, CFG1, max_deg=2)
+                                  for _ in range(cols)]
+                                 for _ in range(rows)])
+            res = diagonalize(A)
+            ops = getattr(res, field)
+            for kind, applies_to in applies.items():
+                picks = [k for k, op in enumerate(ops) if applies_to(*op)]
+                if not picks:
+                    continue
+                k = rng.choice(picks)
+                i, j, q = ops[k]
+                if kind == "dropped":
+                    bad = []
+                elif kind == "swapped indices":
+                    bad = [(j, i, q)]
+                else:
+                    bad = [(i, i, q * rng.choice([2, -1, T]))]
+                corrupt = ops[:k] + tuple(bad) + ops[k + 1:]
+                with pytest.raises(AssertionError,
+                                   match=f"{side} inverse check failed"):
+                    _verify(A, with_field(res, field, corrupt))
+                rejected[kind] += 1
+        if side == "V":     # no column is ever scaled
+            assert rejected.pop("rescaled") == 0
+        assert min(rejected.values()) >= 10, rejected
 
     @pytest.mark.parametrize("side", ["right", "left"])
     def test_verify_rejects_a_wrong_known_remainder(self, monkeypatch, side):
@@ -176,6 +213,13 @@ class TestDiagonalize:
         A = OreMatrix(cfg, [[OrePoly.delta(cfg, 0)]])
         with pytest.raises(UnsupportedForPartial):
             diagonalize(A)
+
+
+def with_field(res, name, value):
+    """The diagonalization res with its field `name` replaced by value."""
+    parts = {field: getattr(res, field) for field in Diagonalization._fields}
+    parts[name] = value
+    return Diagonalization(**parts)
 
 
 def corrupted(rng, mat, kind, cells=None):
@@ -248,14 +292,12 @@ class TestVerifyProductCheck:
                 bad = corrupted(rng, targets[name], kind, cells)
                 if bad is None:
                     continue
-                parts = {"U": res._U, "D": res.D, "V": res._V,
-                         "U_inv": res.U_inv, "V_inv": res.V_inv}
-                if name != "A":
-                    parts[name] = bad
                 with pytest.raises(AssertionError,
                                    match=r"A\*V != U_inv\*D"):
-                    _verify(bad if name == "A" else A,
-                            Diagonalization(**parts))
+                    if name == "A":
+                        _verify(bad, res)
+                    else:
+                        _verify(A, with_field(res, name, bad))
                 rejected[kind, name] += 1
         assert min(rejected.values()) >= 10, rejected
 
@@ -327,7 +369,7 @@ class TestClassifyTangent:
             n = rng.randint(1, 3)
             gens = [rand_modelement(rng, CFG1, n, max_ord=2, nonzero=True)
                     for _ in range(rng.randint(1, 2))]
-            cs = characteristic_set(gens, orderly_ranking(n),
+            cs = characteristic_set(gens, orderly_ranking(),
                                     config=CFG1, n=n)
             report = dimension_report(cs)
             tc, _ = classify_presentation(CFG1, gens, n)

@@ -250,8 +250,8 @@ class TestTangentPipeline:
             D = OreMatrix.zero(A.config, A.rows, A.cols)
             if entry == "delta^5":
                 D.entries[0][0] = OrePoly.delta(A.config, 0) ** 5
-            return Diagonalization(result.U, D, result.V, result.U_inv,
-                                   result.V_inv)
+            return Diagonalization(result.U_ops, D, result.V_ops,
+                                   result.U_inv, result.V_inv)
 
         monkeypatch.setattr(diffalg.normalform, "diagonalize", wrong)
         with pytest.raises(DiffAlgError, match="contradicts"):
