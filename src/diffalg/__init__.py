@@ -1,5 +1,5 @@
 """Exact linear differential algebra: characteristic sets, dimension
-polynomials, and tangent-space classification over Q(t1..tm)."""
+polynomials, and tangent-space classification over Q(t1..tv)."""
 
 from .errors import (BadDerivation, ConfigMismatch, DegreeTooLarge,
                      DiffAlgError, DivisionByZero, ExponentOverflow,

@@ -98,12 +98,6 @@ class ModElement(TermMap):
     def zero(cls, config, n):
         return cls(config, n)
 
-    @classmethod
-    def basis(cls, config, n, comp, exps=None, coeff=1):
-        if exps is None:
-            exps = (0,) * config.m
-        return cls(config, n, {(comp, tuple(exps)): coeff})
-
     def operator_vector(self):
         """Coordinates as a list of n OrePoly."""
         coords = [{} for _ in range(self.n)]

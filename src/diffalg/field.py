@@ -163,10 +163,6 @@ class MPoly:
             return cls(nvars, {(0,) * nvars: value})
         return _poly(nvars, {0: value} if value else {})
 
-    @classmethod
-    def var(cls, nvars, i):
-        return _poly(nvars, {1 << _digit(nvars, i)[0]: 1})
-
     # -- predicates and views ------------------------------------------
 
     def is_zero(self):
@@ -849,10 +845,6 @@ class RatFun:
         if not isinstance(value, int):
             raise TypeError(f"cannot use {value!r} as a base-field constant")
         return _ratfun(MPoly.const(nvars, value), MPoly.const(nvars, 1))
-
-    @classmethod
-    def var(cls, nvars, i):
-        return _ratfun(MPoly.var(nvars, i), MPoly.const(nvars, 1))
 
     def is_zero(self):
         return self.num.is_zero()

@@ -51,10 +51,6 @@ class NumericalPolynomial(FrozenRecord):
                 raise ValueError("binomial-basis coefficients must be integers")
         self._set_fields(tuple(int(c) for c in coeffs), valid_from)
 
-    @classmethod
-    def zero(cls):
-        return cls(())
-
     def degree(self):
         """Degree, or the ZERO_TYPE sentinel for the zero polynomial."""
         if not self.coeffs:

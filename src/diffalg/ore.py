@@ -17,12 +17,12 @@ and a difference is the same call with no term to drop.
 The one checked way in is the constructor `TermMap(config, n, terms)`
 (`OrePoly(config, terms)` passes n = None): it checks every key by the
 class's `_key`, then takes its coefficient, an int or a RatFun, the only
-scalars, and drops zeros.  `from_scalar`, and a scalar operand of an
-operator, enter by `_lift`, which takes the same two types; a
-`fractions.Fraction` is refused with TypeError.  A value built from checked
-values is built trusted by `TermMap._new`, as every result here is, and as
-`OrePoly.one` is.  `TermMap.scalar()` reads the base-field element an
-operator or a differential polynomial is, for division.
+scalars, and drops zeros.  A scalar operand of an operator enters by
+`_lift`, which takes the same two types; a `fractions.Fraction` is refused
+with TypeError.  A value built from checked values is built trusted by
+`TermMap._new`, as every result here is, and as `OrePoly.one` is.
+`TermMap.scalar()` reads the base-field element an operator or a
+differential polynomial is, for division.
 """
 
 from __future__ import annotations
@@ -231,20 +231,6 @@ class OrePoly(TermMap):
     def one(cls, config):
         return cls(config)._new({(0,) * config.m:
                                  RatFun.from_const(config.v, 1)})
-
-    @classmethod
-    def from_scalar(cls, config, value):
-        return cls(config)._lift(value)
-
-    @classmethod
-    def delta(cls, config, i):
-        config.check_derivation(i)
-        exps = tuple(1 if j == i else 0 for j in range(config.m))
-        return cls(config, {exps: RatFun.from_const(config.v, 1)})
-
-    @classmethod
-    def monomial(cls, config, exps, coeff=1):
-        return cls(config, {tuple(exps): coeff})
 
     # -- views -----------------------------------------------------------
 

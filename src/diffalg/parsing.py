@@ -30,10 +30,9 @@ arithmetic; anything else builds its `RatFun`, `OrePoly` or `DiffPoly`
 once (`_ExprParser.ring`) and goes through that ring.  Every product, and
 every sum of ring values that brings denominators together, is charged
 before it is computed an estimate of its cost (`_work`, `_sum_work`);
-past `MAX_PARSE_WORK` in all the expressions of one problem file, or in
-the one expression of a `parse_*` call, the operation is a `ParseError` at
-its operator.  `MAX_NESTING` bounds the recursion, one level per
-parenthesis.
+past `MAX_PARSE_WORK` in all the expressions of one problem file, the
+operation is a `ParseError` at its operator.  `MAX_NESTING` bounds the
+recursion, one level per parenthesis.
 
 Every value is checked once, here, as it is read, and the values built
 from checked parts are built trusted (`field._ratfun`, `TermMap._new`),
@@ -391,11 +390,11 @@ class _ExprParser(_Reader):
     that ring's operators and the rules of `divide` and `power`, so `d*t`
     is still `t*d + 1`.  Every charge (`spend`) goes to `spent`, a one-item
     list of the work spent so far that the expressions of one problem file
-    share; a new one when it is None.
+    share.
     """
 
-    def __init__(self, text, config, line, unknown, column=1, deltas=False,
-                 var_names=None, spent=None, stops=""):
+    def __init__(self, text, config, line, unknown, spent, column=1,
+                 deltas=False, var_names=None, stops=""):
         super().__init__(text, line, column)
         self.config = config
         self.unknown = unknown
@@ -407,7 +406,7 @@ class _ExprParser(_Reader):
             else "division by zero in the base field"
         self.scalar = (0,) * config.m
         self.depth = 0
-        self.spent = [0] if spent is None else spent
+        self.spent = spent
         self.stops = stops
         self.stop = len(text)
 
@@ -707,42 +706,11 @@ def _symbols(config):
 
 
 # ---------------------------------------------------------------------------
-# expression entry points
-
-def _parse_with(text, config, line, unknown, **options):
-    """The one expression `text` (see `_ExprParser` for the options)."""
-    _check(text, line)
-    return _ExprParser(text, config, line, unknown, **options).expression()
-
+# values of a section
 
 def _polynomial(config, n, value):
     return DiffPoly.const(config, n, value) if isinstance(value, RatFun) \
         else value
-
-
-def parse_ratfun(text, config, line=1):
-    """Rational expression over the field variables."""
-    return _parse_with(text, config, line, "unknown field variable")
-
-
-def parse_orepoly(text, config, line=1):
-    """Operator expression over field variables and d / d1..dm."""
-    value = _parse_with(text, config, line, "unknown symbol", deltas=True)
-    return OrePoly.from_scalar(config, value) if isinstance(value, RatFun) \
-        else value
-
-
-def parse_diffpoly(text, config, var_names, line=1):
-    """Differential polynomial over the declared variables."""
-    return _polynomial(config, len(var_names), _parse_with(
-        text, config, line, "unknown variable", var_names=var_names))
-
-
-def parse_generator_vector(text, config, n, line=1):
-    """`[oreexpr, ..., oreexpr]` with exactly n coordinates -> ModElement."""
-    _check(text, line)
-    return _vector(_ExprParser(text, config, line, "unknown symbol",
-                               deltas=True), n)
 
 
 def _vector(r, n, groups=False):
@@ -1059,8 +1027,8 @@ def _finish_sections(pf, pending):
 
     def reader(head, unknown, **options):
         body, lineno, column = pending[head]
-        return _ExprParser(body, config, lineno, unknown, column,
-                           spent=spent, **options)
+        return _ExprParser(body, config, lineno, unknown, spent, column,
+                           **options)
 
     if "point" in pending:
         r, coords = reader("point", "unknown field variable", stops=","), {}

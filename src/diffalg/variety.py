@@ -50,10 +50,6 @@ class DiffPoly(TermMap):
     # -- constructors ----------------------------------------------------
 
     @classmethod
-    def zero(cls, config, n):
-        return cls(config, n)
-
-    @classmethod
     def const(cls, config, n, value):
         return cls(config, n)._lift(value)
 

@@ -29,9 +29,11 @@ each coefficient as a Fraction.
 
 Every oracle and every tool that only the tests use lives here, among them
 the action of an operator on a field element (`ore_apply`), formal
-derivation in K{y} (`formal_derive`) and the ordinary coefficients of a
-numerical polynomial (`monomial_coeffs`); but for that builder, only public
-diffalg names are imported.
+derivation in K{y} (`formal_derive`), the ordinary coefficients of a
+numerical polynomial (`monomial_coeffs`) and the readers of one expression
+(`parse_ratfun` and its kin, each with a work budget of its own); but for
+that builder and the reader's parts, only public diffalg names are
+imported.
 """
 
 import functools
@@ -47,7 +49,74 @@ from diffalg import (Antichain, ConfigMismatch, DiffFieldConfig, DiffPoly,
                      NumericalPolynomial, OrePoly, ParseError, RatFun,
                      VarietyPoint, leader, ore_mul)
 from diffalg.parsing import (MAX_DERIVATIONS, MAX_MODULE_RANK, MAX_NESTING,
-                             ProblemFile, _ExprParser, _symbols)
+                             ProblemFile, _check, _ExprParser, _polynomial,
+                             _symbols, _vector)
+
+
+# ---------------------------------------------------------------------------
+# single values and expressions
+
+def field_var(nvars, i):
+    """The field variable t_(i+1) of Q(t1..t_nvars)."""
+    return RatFun(MPoly(nvars, {tuple(int(j == i) for j in range(nvars)): 1}))
+
+
+def delta(config, i):
+    """The operator delta_(i+1)."""
+    return OrePoly(config, {tuple(int(j == i) for j in range(config.m)): 1})
+
+
+def operator(config, value):
+    """`value`, an operator or a base-field element, as an operator."""
+    return value if isinstance(value, OrePoly) \
+        else OrePoly(config, {(0,) * config.m: value})
+
+
+def count_calls(monkeypatch, owner, name):
+    """The list of the arguments of each call of `owner.name`, a function of
+    a module or a class, from here on: it is replaced on `owner` and in
+    every loaded diffalg module that binds it."""
+    calls, original = [], getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    for module in [m for key, m in sys.modules.items()
+                   if key.partition(".")[0] == "diffalg" and m is not owner]:
+        for attr in [a for a, v in vars(module).items() if v is original]:
+            monkeypatch.setattr(module, attr, counted)
+    return calls
+
+
+def _reader(text, config, unknown, **options):
+    """The library's reader over the one expression `text`, which gets a
+    work budget of its own; a problem file's sections share one."""
+    _check(text, 1)
+    return _ExprParser(text, config, 1, unknown, [0], **options)
+
+
+def parse_ratfun(text, config):
+    """Rational expression over the field variables."""
+    return _reader(text, config, "unknown field variable").expression()
+
+
+def parse_orepoly(text, config):
+    """Operator expression over field variables and d / d1..dm."""
+    return operator(config, _reader(text, config, "unknown symbol",
+                                    deltas=True).expression())
+
+
+def parse_diffpoly(text, config, var_names):
+    """Differential polynomial over the declared variables."""
+    return _polynomial(config, len(var_names), _reader(
+        text, config, "unknown variable", var_names=var_names).expression())
+
+
+def parse_generator_vector(text, config, n):
+    """`[oreexpr, ..., oreexpr]` with exactly n coordinates -> ModElement."""
+    return _vector(_reader(text, config, "unknown symbol", deltas=True), n)
 
 
 # ---------------------------------------------------------------------------
@@ -168,7 +237,7 @@ def formal_derive(f, i):
     """delta_i applied in K{y}: Leibniz over the coefficient and each
     indeterminate of every monomial, built from DiffPoly arithmetic."""
     f.config.check_derivation(i)
-    result = DiffPoly.zero(f.config, f.n)
+    result = DiffPoly(f.config, f.n)
     for mono, coeff in f.terms.items():
         result = result + DiffPoly(f.config, f.n, {mono: coeff.derive(i)})
         for (comp, exps), power in mono:
@@ -412,7 +481,7 @@ def parse_lifted(text, config, var_names=None):
         zero_message = "division by the zero operator"
 
         def lift(value):
-            return OrePoly.from_scalar(config, value)
+            return operator(config, value)
     else:
         n = len(var_names)
         scalar_key = ()
@@ -429,10 +498,10 @@ def parse_lifted(text, config, var_names=None):
         if var_names is None and dexps is None:
             i = _symbol_index(name, "d", config.m)
             if i is not None:
-                return OrePoly.delta(config, i)
+                return delta(config, i)
         i = _symbol_index(name, "t", config.v)
         if i is not None and dexps is None:
-            return lift(RatFun.var(config.v, i))
+            return lift(field_var(config.v, i))
         raise ParseError(f"unknown symbol {name!r}", 1, column)
 
     tokens = _lifted_tokens(text) if isinstance(text, str) else text
@@ -555,7 +624,7 @@ class _TokenParser:
         self.tokens = tokens
         self.pos = 0
         self.line = line
-        self.build = _ExprParser("", config, line, unknown, 0, spent=spent,
+        self.build = _ExprParser("", config, line, unknown, spent, 0,
                                  **options)
         self.depth = 0
 
@@ -644,15 +713,10 @@ def _token_vector(tokens, config, n, line, spent):
     if len(groups) != n:
         raise ParseError(f"expected {n} coordinates, found {len(groups)}",
                          line, column)
-    coords = [OrePoly.zero(config) if not group else _operator(
+    coords = [OrePoly.zero(config) if not group else operator(
         config, _TokenParser(group, config, line, "unknown symbol", spent,
                              deltas=True).parse()) for group in groups]
     return from_operator_vector(coords, n)
-
-
-def _operator(config, value):
-    return OrePoly.from_scalar(config, value) if isinstance(value, RatFun) \
-        else value
 
 
 def _unexpected_in_leaders(tok):
@@ -1146,7 +1210,7 @@ def divmod_oracle(f, g, side="right"):
     while not r.is_zero() and r.degree() >= dg:
         dr = r.degree()
         _, lc_r = r.leading()
-        step = OrePoly.monomial(f.config, (dr - dg,), lc_r / lc_g)
+        step = OrePoly(f.config, {(dr - dg,): lc_r / lc_g})
         q = q + step
         r = r - (ore_mul(step, g) if side == "right" else ore_mul(g, step))
     return q, r

@@ -20,9 +20,9 @@ from diffalg import (Antichain, DiffFieldConfig, OreMatrix, RatFun,
                      dimension_report, eval_diffpoly, leader_antichain,
                      linearize_at_point, ore_divmod, ore_mul,
                      orderly_ranking, tangent_pipeline, type_and_heights)
-from diffalg.parsing import parse_diffpoly, parse_ratfun
-from helpers import (brute_count, ore_mul_binomial, rand_modelement,
-                     rand_orepoly, truncated_module_dims)
+from helpers import (brute_count, field_var, ore_mul_binomial, parse_diffpoly,
+                     parse_ratfun, rand_modelement, rand_orepoly,
+                     truncated_module_dims)
 
 CFG1 = DiffFieldConfig(1, 1)
 
@@ -45,7 +45,7 @@ def _worked_example():
 def test_worked_example_tangent_classification(capsys):
     started = time.monotonic()
     eq, generic, constant = _worked_example()
-    T = RatFun.var(1, 0)
+    T = field_var(1, 0)
 
     for x in (generic, constant):
         assert not eval_diffpoly(eq, x)

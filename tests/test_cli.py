@@ -17,14 +17,14 @@ import diffalg.diffmodule
 import diffalg.dimension
 import diffalg.field
 import diffalg.normalform
+import diffalg.ore
 import diffalg.parsing
 from diffalg import DiffFieldConfig
 from diffalg.cli import main
 from diffalg.field import MAX_BITS, MAX_PRS_STEPS
 from diffalg.parsing import (MAX_DERIVATIONS, MAX_MODULE_RANK, MAX_NESTING,
-                             MAX_PARSE_WORK, orepoly_str, parse_input,
-                             parse_orepoly)
-from helpers import parse_lifted
+                             MAX_PARSE_WORK, orepoly_str, parse_input)
+from helpers import count_calls, parse_lifted, parse_orepoly
 
 GENERIC = """\
 field: Q(t)
@@ -184,23 +184,6 @@ class TestTangentCommand:
                    "(value -t + 2)\n")
 
 
-def count_calls(monkeypatch, *functions):
-    """Replace each library function, in every diffalg module that binds
-    it, by one that counts its calls; returns the counts by name."""
-    counts = {f.__name__: 0 for f in functions}
-    modules = [m for name, m in sys.modules.items()
-               if name.split(".")[0] == "diffalg"]
-    for f in functions:
-        def counted(*args, _f=f, **kwargs):
-            counts[_f.__name__] += 1
-            return _f(*args, **kwargs)
-
-        for module in modules:
-            for attr in [a for a, v in vars(module).items() if v is f]:
-                monkeypatch.setattr(module, attr, counted)
-    return counts
-
-
 class TestEquationRoutes:
     """`charset`, `dimpoly` and `tangent` on an `eqs:` problem run only the
     stages they print."""
@@ -216,12 +199,13 @@ class TestEquationRoutes:
     ])
     def test_stage_counts(self, capsys, tmp_path, monkeypatch, command,
                           ranking, code, counts):
-        calls = count_calls(monkeypatch, diffalg.normalform.diagonalize,
-                            diffalg.diffmodule.characteristic_set,
-                            diffalg.dimension.dimension_report)
+        calls = [count_calls(monkeypatch, module, name) for module, name in (
+            (diffalg.normalform, "diagonalize"),
+            (diffalg.diffmodule, "characteristic_set"),
+            (diffalg.dimension, "dimension_report"))]
         assert run(capsys, tmp_path, CONSTANT, command, "--ranking",
                    ranking)[0] == code
-        assert tuple(calls.values()) == counts
+        assert tuple(map(len, calls)) == counts
 
     def test_point_off_variety_exits_3_on_every_route(self, capsys,
                                                       tmp_path):
@@ -404,14 +388,7 @@ class TestModuleCommands:
 
     def test_decompose_diagonalizes_once(self, capsys, tmp_path,
                                          monkeypatch):
-        original = diffalg.normalform.diagonalize
-        calls = []
-
-        def counted(A):
-            calls.append(A)
-            return original(A)
-
-        monkeypatch.setattr(diffalg.normalform, "diagonalize", counted)
+        calls = count_calls(monkeypatch, diffalg.normalform, "diagonalize")
         text = "field: Q(t)\nmodule: 2\ngens: [0, t*d - 1]\n"
         code, out, _ = run(capsys, tmp_path, text, "decompose")
         assert code == 0
@@ -476,15 +453,8 @@ class TestModuleCommands:
                              ids=["dimpoly", "tangent"])
     def test_order_bound_builds_one_antichain(self, capsys, tmp_path,
                                               monkeypatch, command, text):
-        original = diffalg.dimension.leader_antichain
-        calls = []
-
-        def counted(*args):
-            calls.append(args)
-            return original(*args)
-
-        monkeypatch.setattr(diffalg.dimension, "leader_antichain", counted)
-        monkeypatch.setattr(diffalg.cli, "leader_antichain", counted)
+        calls = count_calls(monkeypatch, diffalg.dimension,
+                            "leader_antichain")
         code, out, _ = run(capsys, tmp_path, text, command,
                            "--order-bound", "3")
         assert code == 0
@@ -1519,14 +1489,7 @@ class TestRepeatedCalls:
                  ["tangent", "generic.txt", "--format", "json"],
                  ["tangent", "generic.txt"],
                  ["charset", "module.txt", "--order-bound", "2"]]
-        built = []
-        original = argparse.ArgumentParser.__init__
-
-        def counted(self, *args, **kwargs):
-            built.append(1)
-            original(self, *args, **kwargs)
-
-        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+        built = count_calls(monkeypatch, argparse.ArgumentParser, "__init__")
         monkeypatch.chdir(tmp_path)
         diffalg.cli._build_argparser.cache_clear()
         try:
@@ -1600,3 +1563,43 @@ class TestOperatorRoundTrip:
         config = DiffFieldConfig(2, 2)
         op = parse_orepoly("d1*d2 + t1*d2^2 - t2", config)
         assert parse_orepoly(orepoly_str(op, config), config) == op
+
+
+def _underived_shifts(g, keys, built=None):
+    """`ore._shifts` with the commutation rule dropped: delta^theta * g
+    only raises the keys of g, and its coefficients stay underived."""
+    built = {} if built is None else built
+    for theta in keys:
+        terms = {}
+        for key, c in g.terms.items():
+            for i, k in enumerate(theta):
+                if k:
+                    key = g._raise_delta(key, i, k)
+            terms[key] = c
+        built[theta] = g._new(terms)
+    return built
+
+
+class TestSelfChecksShareNoKernel:
+    # The completion and its check both shift through `ore._shifts`, so
+    # with the shift above `dimpoly` prints 2 (valid for t >= 3) where the
+    # answer is 0, `charset` prints two elements where it is [1], and both
+    # exit 0.  A check of its own (ROADMAP item 4) must refuse them.
+    TEXT = ("field: Q(t1,t2) derivations: 2\nmodule: 1\n"
+            "gens: [t1*d1 - 1]; [d2^2 - t2*d1]\n")
+    WRONG = {"charset": "characteristic set (2 elements):\n",
+             "dimpoly": "dimension polynomial: 2 (valid for t >= 3)\n"}
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="ROADMAP item 4")
+    @pytest.mark.parametrize("command", ["charset", "dimpoly"])
+    def test_a_wrong_shift_fails_a_self_check(self, capsys, tmp_path,
+                                              monkeypatch, command):
+        monkeypatch.setattr(diffalg.ore, "_shifts", _underived_shifts)
+        try:
+            code, out, _ = run(capsys, tmp_path, self.TEXT, command)
+        except AssertionError:      # a self-check refused the answer
+            return
+        if code == 0 and not out.startswith(self.WRONG[command]):
+            pytest.fail(f"the shift no longer changes the answer: {out!r}")
+        assert code != 0

@@ -13,12 +13,13 @@ from diffalg.diffmodule import _verify_complete
 from diffalg.ore import TermMap, _left_mul
 from diffalg.parsing import parse_input
 from helpers import (autoreduce_oracle, compare_autoreduced,
-                     completion_oracle, eval_point, from_operator_vector,
-                     in_span_truncated, rand_modelement, rand_orepoly,
-                     reduce_oracle, relabel)
+                     completion_oracle, count_calls, delta, eval_point,
+                     field_var, from_operator_vector, in_span_truncated,
+                     operator, rand_modelement, rand_orepoly, reduce_oracle,
+                     relabel)
 
 CFG1 = DiffFieldConfig(1, 1)
-T = RatFun.var(1, 0)
+T = field_var(1, 0)
 
 
 def elem(n, terms):
@@ -123,9 +124,9 @@ class TestReduce:
                     assert reduce(w, A, rk) == reduce_oracle(w, A, rk)
 
     def test_operands_over_different_rings(self):
-        w = ModElement.basis(CFG1, 2, 0, (2,))
+        w = ModElement(CFG1, 2, {(0, (2,)): 1})
         with pytest.raises(ConfigMismatch):
-            reduce(w, [ModElement.basis(CFG1, 3, 0, (1,))], orderly_ranking())
+            reduce(w, [ModElement(CFG1, 3, {(0, (1,)): 1})], orderly_ranking())
 
     def test_monic_basis_reduction_divides_by_nothing(self, monkeypatch):
         # a shift of a monic element is monic at the shifted leader, so
@@ -139,32 +140,19 @@ class TestReduce:
         ws = [rand_modelement(rng, cfg, 2, max_ord=3, max_terms=4)
               for _ in range(6)]
         expected = [reduce_oracle(w, basis, rk) for w in ws]
-        calls = []
-
-        def counted(*args):
-            calls.append(args)
-            raise AssertionError("reduction by a monic basis divided")
-
-        monkeypatch.setattr(RatFun, "inverse", counted)
-        monkeypatch.setattr(RatFun, "__truediv__", counted)
+        calls = [count_calls(monkeypatch, RatFun, name)
+                 for name in ("inverse", "__truediv__")]
         assert [reduce(w, basis, rk) for w in ws] == expected
-        assert not calls and expected != ws
+        assert calls == [[], []] and expected != ws
 
 
     def test_one_shift_chain_per_element(self, monkeypatch):
         # each step shifts the reducer t*d + 1 from the shifts already
         # made in this reduction, so delta is applied once per order
-        calls = []
-        original = ModElement.apply_delta
-
-        def counted(self, i):
-            calls.append(i)
-            return original(self, i)
-
         w = elem(1, {(0, (120,)): 1})
         f = elem(1, {(0, (1,)): T, (0, (0,)): 1})
         expected = reduce_oracle(w, [f], orderly_ranking())
-        monkeypatch.setattr(ModElement, "apply_delta", counted)
+        calls = count_calls(monkeypatch, ModElement, "apply_delta")
         assert reduce(w, [f], orderly_ranking()) == expected
         assert len(calls) <= 120
 
@@ -235,7 +223,7 @@ class TestCharacteristicSet:
 
     def test_unit_combination_collapses(self):
         rk = orderly_ranking()
-        d = OrePoly.delta(CFG1, 0)
+        d = delta(CFG1, 0)
         g1 = from_operator_vector([d - 1])
         g2 = from_operator_vector([d + 1])
         cs = characteristic_set([g1, g2], rk)
@@ -261,8 +249,8 @@ class TestCharacteristicSet:
     def test_partial_derivations(self):
         cfg = DiffFieldConfig(2, 2)
         rk = orderly_ranking()
-        d1 = OrePoly.delta(cfg, 0)
-        d2 = OrePoly.delta(cfg, 1)
+        d1 = delta(cfg, 0)
+        d2 = delta(cfg, 1)
         # [d1*e1, d2*e1]: S-pair closes with d1d2*e1 already covered
         gens = [from_operator_vector([d1]), from_operator_vector([d2])]
         cs = characteristic_set(gens, rk)
@@ -310,8 +298,8 @@ class TestCharacteristicSet:
         # the completion starts from the raw generators, made monic, and
         # leaves their interreduction to the S-pairs and the one final
         # pass; autoreduce must not run
-        d = OrePoly.delta(CFG1, 0)
-        t = OrePoly.from_scalar(CFG1, T)
+        d = delta(CFG1, 0)
+        t = operator(CFG1, T)
         zero, one = OrePoly.zero(CFG1), OrePoly.one(CFG1)
 
         def vec(*ops):
@@ -349,7 +337,7 @@ class TestCharacteristicSet:
         gens = [ModElement(cfg, 1, {(0, (3, 0)): 1}),
                 ModElement(cfg, 1, {(0, (2, 1)): 1, (0, (1, 1)): -1,
                                     (0, (0, 0)): 2})]
-        one = ModElement.basis(cfg, 1, 0)
+        one = ModElement(cfg, 1, {(0, (0, 0)): 1})
         for rk in (orderly_ranking(), Ranking("elimination")):
             assert characteristic_set(gens, rk).elements == (one,)
             assert completion_oracle(gens, rk) == (one,)
@@ -360,14 +348,14 @@ class TestCharacteristicSet:
         # basis lacks
         cfg = DiffFieldConfig(2, 1)
         rk = orderly_ranking()
-        d1, d2 = OrePoly.delta(cfg, 0), OrePoly.delta(cfg, 1)
-        t1 = OrePoly.from_scalar(cfg, RatFun.var(1, 0))
+        d1, d2 = delta(cfg, 0), delta(cfg, 1)
+        t1 = operator(cfg, field_var(1, 0))
         gens = (from_operator_vector([d1 - 1]),
                 from_operator_vector([d2 - t1]))
         incomplete = CharSet(gens, rk, gens, cfg, 1)
         with pytest.raises(AssertionError, match="S-pair"):
             _verify_complete(incomplete)
-        one = ModElement.basis(cfg, 1, 0)
+        one = ModElement(cfg, 1, {(0, (0, 0)): 1})
         assert characteristic_set(gens, rk).elements == (one,)
 
     def test_verify_complete_rejects_a_non_monic_element(self):
@@ -375,7 +363,7 @@ class TestCharacteristicSet:
         # generator reduces to zero, but S-pairs are plain differences only
         # of monic elements
         rk = orderly_ranking()
-        d = OrePoly.delta(CFG1, 0)
+        d = delta(CFG1, 0)
         gens = (from_operator_vector([T * d - 1]),)
         loose = CharSet(gens, rk, gens, CFG1, 1)
         with pytest.raises(AssertionError, match="not monic"):
@@ -386,7 +374,7 @@ class TestCharacteristicSet:
         # the leaders d^2 and d^3 have the lcm d^3, so the S-pair is
         # d*(d^2 - t) - (d^3 + 1) = -t*d - 2
         rk = orderly_ranking()
-        d, t = OrePoly.delta(CFG1, 0), OrePoly.from_scalar(CFG1, T)
+        d, t = delta(CFG1, 0), operator(CFG1, T)
         f = from_operator_vector([d ** 2 - t])
         g = from_operator_vector([d ** 3 + 1])
         s = diffmodule._spair(f, leader(f, rk), g, leader(g, rk))
@@ -395,18 +383,6 @@ class TestCharacteristicSet:
 
 def rand_theta(rng, m, max_ord=3):
     return tuple(rng.randint(0, max_ord) for _ in range(m))
-
-
-def count_calls(monkeypatch, owner, name):
-    """A list that gets one entry per call of owner.name."""
-    calls, wrapped = [], getattr(owner, name)
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return wrapped(*args, **kwargs)
-
-    monkeypatch.setattr(owner, name, counted)
-    return calls
 
 
 class TestOneTermClosedForms:
@@ -423,10 +399,10 @@ class TestOneTermClosedForms:
                           (Ranking("elimination"), range(n - 1, -1, -1))):
             for _ in range(40):
                 comp = rng.randrange(n)
-                f = relabel(ModElement.basis(cfg, n, comp,
-                                             rand_theta(rng, m)), order)
-                g = relabel(ModElement.basis(cfg, n, comp,
-                                             rand_theta(rng, m)), order)
+                f = relabel(ModElement(cfg, n, {
+                    (comp, rand_theta(rng, m)): 1}), order)
+                g = relabel(ModElement(cfg, n, {
+                    (comp, rand_theta(rng, m)): 1}), order)
                 lf, lg = leader(f, rk), leader(g, rk)
                 lt = diffmodule._lcm(lf, lg)
                 full = (f.apply_theta(tuple(a - b for a, b in
@@ -438,8 +414,8 @@ class TestOneTermClosedForms:
                 assert (type(s), s.config, s.n) == (ModElement, cfg, n)
 
     def test_spair_keeps_the_ring_check(self):
-        f = ModElement.basis(CFG1, 1, 0, (2,))
-        g = ModElement.basis(CFG1, 2, 0, (1,))
+        f = ModElement(CFG1, 1, {(0, (2,)): 1})
+        g = ModElement(CFG1, 2, {(0, (1,)): 1})
         with pytest.raises(ConfigMismatch):
             diffmodule._spair(f, (0, (2,)), g, (0, (1,)))
 
@@ -454,8 +430,8 @@ class TestOneTermClosedForms:
             n = rng.randint(1, 2)
             rk = (orderly_ranking() if rng.random() < 0.5
                   else Ranking("elimination"))
-            A = [ModElement.basis(cfg, n, rng.randrange(n),
-                                  rand_theta(rng, m, 2), rng.choice(coeffs))
+            A = [ModElement(cfg, n, {(rng.randrange(n), rand_theta(rng, m, 2)):
+                                    rng.choice(coeffs)})
                  for _ in range(rng.randint(1, 3))]
             ws = [rand_modelement(rng, cfg, n, max_ord=4, max_terms=5)
                   for _ in range(3)]
@@ -477,10 +453,10 @@ class TestOneTermClosedForms:
         # coefficient; the rest of w stays as it is
         cfg = DiffFieldConfig(2, 1)
         rk = orderly_ranking()
-        t = RatFun.var(1, 0)
+        t = field_var(1, 0)
         w = ModElement(cfg, 1, {(0, (1, 1)): t, (0, (0, 3)): 2,
                                 (0, (2, 0)): t + 1, (0, (0, 0)): 5})
-        reducer = ModElement.basis(cfg, 1, 0, (0, 1), 3)
+        reducer = ModElement(cfg, 1, {(0, (0, 1)): 3})
         expected = ModElement(cfg, 1, {(0, (2, 0)): t + 1, (0, (0, 0)): 5})
         assert reduce(w, [reducer], rk) == expected
         assert reduce_oracle(w, [reducer], rk) == expected
@@ -490,7 +466,7 @@ class TestOneTermClosedForms:
         # d*(t*e1*d) = t*e1*d^2 + e1*d has two terms, so t*e1*d is no
         # closed form and its shifts are computed
         rk = orderly_ranking()
-        f = ModElement.basis(CFG1, 1, 0, (1,), T)
+        f = elem(1, {(0, (1,)): T})
         assert len(f.apply_theta((1,)).terms) == 2
         assert not diffmodule._one_term(f)
         w = ModElement(CFG1, 1, {(0, (4,)): 1, (0, (2,)): T, (0, (0,)): 3})
@@ -503,8 +479,8 @@ class TestOneTermClosedForms:
     def test_missing_leader_fails_the_check(self):
         cfg = DiffFieldConfig(2, 0)
         rk = orderly_ranking()
-        d1sq = ModElement.basis(cfg, 1, 0, (2, 0))
-        d2sq = ModElement.basis(cfg, 1, 0, (0, 2))
+        d1sq = ModElement(cfg, 1, {(0, (2, 0)): 1})
+        d2sq = ModElement(cfg, 1, {(0, (0, 2)): 1})
         _verify_complete(CharSet((d1sq, d2sq), rk, (d1sq, d2sq), cfg, 1))
         incomplete = CharSet((d1sq,), rk, (d1sq, d2sq), cfg, 1)
         with pytest.raises(AssertionError,
@@ -514,8 +490,8 @@ class TestOneTermClosedForms:
     def test_coefficient_two_fails_the_check(self):
         cfg = DiffFieldConfig(2, 0)
         rk = orderly_ranking()
-        gens = (ModElement.basis(cfg, 1, 0, (2, 0), 2),
-                ModElement.basis(cfg, 1, 0, (0, 2)))
+        gens = (ModElement(cfg, 1, {(0, (2, 0)): 2}),
+                ModElement(cfg, 1, {(0, (0, 2)): 1}))
         loose = CharSet(gens, rk, gens, cfg, 1)
         with pytest.raises(AssertionError,
                            match="element not monic at its leader"):
@@ -544,7 +520,7 @@ class TestOneTermClosedForms:
 
 class TestEvalPoint:
     def test_derivative_relation(self):
-        d = OrePoly.delta(CFG1, 0)
+        d = delta(CFG1, 0)
         xi = from_operator_vector([d, -OrePoly.one(CFG1)])
         assert eval_point(xi, [T, RatFun.from_const(1, 1)]).is_zero()
 
@@ -553,9 +529,9 @@ class TestEvalPoint:
 
     def test_tangent_family_point(self):
         # xi = (1, t*d - 1) vanishes on points (y - t*y', y); take y = t^2
-        d = OrePoly.delta(CFG1, 0)
+        d = delta(CFG1, 0)
         xi = from_operator_vector(
-            [OrePoly.one(CFG1), OrePoly.from_scalar(CFG1, T) * d - 1])
+            [OrePoly.one(CFG1), operator(CFG1, T) * d - 1])
         y = T ** 2
         x = [y - T * (2 * T), y]
         assert eval_point(xi, x).is_zero()

@@ -21,7 +21,7 @@ from diffalg import DiffAlgError, ModElement, OrePoly
 from diffalg.errors import NotAntichain, ParseError
 from diffalg.cli import _build_argparser, _read_argv, main
 from diffalg.parsing import _ExprParser, parse_input
-from helpers import token_parse_input
+from helpers import count_calls, token_parse_input
 
 LIMIT = sys.get_int_max_str_digits()
 
@@ -284,14 +284,7 @@ class TestReadHeaders:
                                            bench_corpus):
         # text of other characters than ASCII letters, digits, symbols,
         # spaces and tabs is walked by the reader for its lexical errors
-        built = []
-        init = diffalg.parsing._Reader.__init__
-
-        def counted(self, *args, **kwargs):
-            built.append(args[0])
-            init(self, *args, **kwargs)
-
-        monkeypatch.setattr(diffalg.parsing._Reader, "__init__", counted)
+        built = count_calls(monkeypatch, diffalg.parsing._Reader, "__init__")
         texts = [
             "field: Q derivations: 2\nleaders: [(1,1), (0,2)]; [(2,0)]\n",
             "field: Q(t1, t2) derivations: 3\nmodule: 4\n",

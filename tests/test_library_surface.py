@@ -1,5 +1,7 @@
-"""The library holds what its commands run: every name `diffalg` exports is
-used by the library's own code, or kept for a reason written here.
+"""The library holds what its commands run: every public function of
+`src/diffalg`, every name `diffalg` exports and every public member of an
+exported class is used by the library's own code, or kept for a reason
+written here.
 
 Run as a script, this file prints the code lines of each module of
 `src/diffalg` (or of the directory given) and their total, counted without
@@ -20,10 +22,15 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "diffalg"
 
-# Exported names that no library code uses, each with the reason it stays.
+# Names that no library code uses, each with the reason it stays: a
+# module's function as `module.name`, a class's member as `Class.name`.
 KEEP = {
-    "mpoly_gcd": "bench/tracing.py traces it (ROADMAP item 1)",
-    "autoreduce": "bench/tracing.py traces it (ROADMAP item 1)",
+    "field.mpoly_gcd": "bench/tracing.py traces it (ROADMAP item 1)",
+    "diffmodule.autoreduce": "bench/tracing.py traces it (ROADMAP item 1)",
+    "Diagonalization.U": "bench/tracing.py reads it for "
+                         "normalform.transform_max_bits (ROADMAP item 1)",
+    "Diagonalization.V": "bench/tracing.py reads it for "
+                         "normalform.transform_max_bits (ROADMAP item 1)",
 }
 
 _NOT_CODE = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
@@ -58,10 +65,14 @@ def exports():
 
 
 def uses(path):
-    """The (module, name) pairs that the code of the module at `path` reads,
-    each outside the definition that binds it: names imported from a
-    sibling module or defined at its top level, and attributes of a
-    sibling module imported whole."""
+    """(site, target) for each name the code of the module at `path`
+    reads.  The site is the definition that holds the reference, as
+    `(module, name)` or `(module, "Class.name")`, or None for the module's
+    own top-level code.  The target is `(module, name)` for a name imported
+    from a sibling module or defined at this one's top level, or an
+    attribute of a sibling module imported whole; `(module, "Class.name")`
+    for an attribute of such a name; and `(None, name)` for any other
+    attribute."""
     tree = ast.parse(path.read_text())
     home, bound, modules = path.stem, {}, {}
     for node in ast.walk(tree):
@@ -81,10 +92,12 @@ def uses(path):
                     bound[target.id] = (home, target.id)
     used = set()
 
-    def visit(node, inside, local):
+    def visit(node, site, owner, local):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                             ast.ClassDef)):
-            inside = inside | {node.name}
+                             ast.ClassDef)) and site is None:
+            site = (home, f"{owner}.{node.name}" if owner else node.name)
+            if isinstance(node, ast.ClassDef) and owner is None:
+                owner, site = node.name, None
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
                              ast.Lambda)):
             # a parameter or a local variable hides a module-level name
@@ -96,32 +109,99 @@ def uses(path):
                 if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)}
         if isinstance(node, ast.Name) and node.id in bound \
                 and node.id not in local:
-            module, name = bound[node.id]
-            if module != home or name not in inside:
-                used.add((module, name))
-        elif isinstance(node, ast.Attribute) \
-                and isinstance(node.value, ast.Name) \
-                and node.value.id in modules:
-            used.add((modules[node.value.id], node.attr))
+            used.add((site, bound[node.id]))
+        elif isinstance(node, ast.Attribute):
+            value = node.value
+            if isinstance(value, ast.Name) and value.id in modules:
+                used.add((site, (modules[value.id], node.attr)))
+            elif isinstance(value, ast.Name) and value.id in bound \
+                    and value.id not in local:
+                module, name = bound[value.id]
+                used.add((site, (module, f"{name}.{node.attr}")))
+            used.add((site, (None, node.attr)))
         for child in ast.iter_child_nodes(node):
-            visit(child, inside, local)
+            visit(child, site, owner, local)
 
-    visit(tree, frozenset(), frozenset())
+    visit(tree, None, None, frozenset())
     return used
 
 
-def test_every_export_is_used_by_the_library_or_kept():
-    used = set().union(*(uses(path) for path in SRC.glob("*.py")
-                         if path.name != "__init__.py"))
-    unused = {name for name, module in exports().items()
-              if (module, name) not in used}
-    assert unused == set(KEEP)
+def surface():
+    """{definition: what must use it} of the public definitions the check
+    covers: each public module-level function, and each public method,
+    property or class attribute of an exported class, keyed as `uses`
+    names sites; a classmethod must be read as `Class.name`, any other
+    member by its name."""
+    defined = {}
+    exported = exports()
+    for path in SRC.glob("*.py"):
+        home = path.stem
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.FunctionDef) \
+                    and not node.name.startswith("_"):
+                defined[(home, node.name)] = {(home, node.name)}
+            if not (isinstance(node, ast.ClassDef)
+                    and exported.get(node.name) == home):
+                continue
+            for member in node.body:
+                if isinstance(member, ast.FunctionDef):
+                    names = [member.name]
+                    by_class = any(isinstance(d, ast.Name)
+                                   and d.id == "classmethod"
+                                   for d in member.decorator_list)
+                else:
+                    names = [t.id for t in getattr(member, "targets", ())
+                             if isinstance(t, ast.Name)]
+                    by_class = False
+                for name in names:
+                    if not name.startswith("_"):
+                        qualified = f"{node.name}.{name}"
+                        defined[(home, qualified)] = \
+                            {(home, qualified)} if by_class \
+                            else {(home, qualified), (None, name)}
+    for name, module in exported.items():
+        defined.setdefault((module, name), {(module, name)})
+    return defined
+
+
+def unused():
+    """The covered definitions that no used library code reads, by their
+    `module.name` or `Class.name`: a reference counts only from a module's
+    top-level code, a kept definition or a definition that is itself used,
+    and never from the definition it names."""
+    references = set().union(*(uses(path) for path in SRC.glob("*.py")
+                               if path.name != "__init__.py"))
+
+    def label(key):
+        module, name = key
+        return name if "." in name else f"{module}.{name}"
+
+    defined, dead = surface(), set()
+    while True:
+        readers = {}
+        for site, target in references:
+            if site not in dead:
+                readers.setdefault(target, set()).add(site)
+        unread = {key for key, targets in defined.items()
+                  if not any(readers.get(t, set()) - {key} for t in targets)}
+        found = {key for key in unread if label(key) not in KEEP}
+        if found == dead:
+            return set(map(label, unread))
+        dead = found
+
+
+def test_every_public_definition_is_used_by_the_library_or_kept():
+    assert unused() == set(KEEP)
 
 
 def test_kept_names_are_traced_by_the_bench():
-    tracing = (ROOT / "bench" / "tracing.py").read_text()
+    tree = ast.parse((ROOT / "bench" / "tracing.py").read_text())
+    read = {node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)} | {
+        node.value for node in ast.walk(tree)
+        if isinstance(node, ast.Constant) and isinstance(node.value, str)}
     for name in KEEP:
-        assert f'"{name}"' in tracing, name
+        assert name.rpartition(".")[2] in read, name
 
 
 def test_code_lines_skip_comments_docstrings_and_blanks():

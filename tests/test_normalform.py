@@ -11,19 +11,20 @@ from diffalg import (ConfigMismatch, Diagonalization, DiffFieldConfig, MPoly,
                      ore_divmod, ore_mul, orderly_ranking)
 from diffalg import normalform
 from diffalg.normalform import _verify
-from helpers import from_operator_vector, rand_modelement, rand_orepoly
+from helpers import (field_var, from_operator_vector, operator,
+                     rand_modelement, rand_orepoly)
 
 CFG1 = DiffFieldConfig(1, 1)
 CFG10 = DiffFieldConfig(1, 0)
-T = RatFun.var(1, 0)
+T = field_var(1, 0)
 
 
 def op(value):
-    return OrePoly.from_scalar(CFG1, value)
+    return operator(CFG1, value)
 
 
 def delta():
-    return OrePoly.delta(CFG1, 0)
+    return OrePoly(CFG1, {(1,): 1})
 
 
 def relation_matrix(*rows):
@@ -210,7 +211,7 @@ class TestDiagonalize:
 
     def test_partial_rejected(self):
         cfg = DiffFieldConfig(2, 1)
-        A = OreMatrix(cfg, [[OrePoly.delta(cfg, 0)]])
+        A = OreMatrix(cfg, [[OrePoly(cfg, {(1, 0): 1})]])
         with pytest.raises(UnsupportedForPartial):
             diagonalize(A)
 
@@ -240,8 +241,7 @@ def corrupted(rng, mat, kind, cells=None):
     if kind == "zero made nonzero":
         e = rand_orepoly(rng, config, max_deg=2, nonzero=True)
     elif kind == "extra delta term":
-        e = e + OrePoly.monomial(config, (e.degree() + 1,),
-                                 rng.choice([1, -2, 3]))
+        e = e + OrePoly(config, {(e.degree() + 1,): rng.choice([1, -2, 3])})
     else:
         key = rng.choice(sorted(e.terms))
         c = e.terms[key]

@@ -12,8 +12,8 @@ from diffalg import (Antichain, NotAntichain, NumericalPolynomial, ZERO_TYPE,
 from diffalg.numpoly import _minimalize, _numerator, _staircase_numerator
 
 from helpers import (all_pairs_minimal, box_standard_terms, brute_count,
-                     from_monomial, inclusion_exclusion_count, monomial_coeffs,
-                     multiindices)
+                     count_calls, from_monomial, inclusion_exclusion_count,
+                     monomial_coeffs, multiindices)
 
 
 def anti(m, *components):
@@ -196,14 +196,7 @@ class TestPivotCountAgainstInclusionExclusion:
     def test_one_sweep_per_component(self, m, monkeypatch):
         # Antichain validates each component by the sweep that counts it,
         # and count_cofilter reads the numerators it kept
-        calls = []
-        place = diffalg.numpoly._place
-
-        def counted(*args):
-            calls.append(args)
-            return place(*args)
-
-        monkeypatch.setattr(diffalg.numpoly, "_place", counted)
+        calls = count_calls(monkeypatch, diffalg.numpoly, "_place")
         rng = random.Random(58 + m)
         E = anti(m, layer_antichain(rng, m, 8, 9), set(),
                  layer_antichain(rng, m, 5, 5))
@@ -386,7 +379,7 @@ class TestEval:
         assert phi(3) == 5
 
     def test_zero(self):
-        assert NumericalPolynomial.zero()(10) == 0
+        assert NumericalPolynomial(())(10) == 0
 
     def test_quadratic(self):
         phi = NumericalPolynomial((0, 0, 2))
@@ -404,7 +397,7 @@ class TestTypeAndHeights:
         assert type_and_heights(NumericalPolynomial((0, 0, 2)), 2) == (2, 2, 2)
 
     def test_zero_polynomial(self):
-        level, d_l, d_m = type_and_heights(NumericalPolynomial.zero(), 2)
+        level, d_l, d_m = type_and_heights(NumericalPolynomial(()), 2)
         assert level is ZERO_TYPE and d_l == 0 and d_m == 0
 
 

@@ -7,8 +7,9 @@ import pytest
 from diffalg import (ConfigMismatch, DiffFieldConfig, DiffPoly, DivisionByZero,
                      ModElement, OrePoly, RatFun, UnsupportedForPartial,
                      ore_divmod, ore_mul)
-from diffalg.ore import _left_mul
-from helpers import (divmod_oracle, from_operator_vector, ore_apply,
+from diffalg.ore import TermMap, _left_mul
+from helpers import (count_calls, delta, divmod_oracle, field_var,
+                     from_operator_vector, operator, ore_apply,
                      ore_mul_binomial, rand_modelement, rand_orepoly,
                      rand_ratfun)
 
@@ -16,22 +17,22 @@ CFG1 = DiffFieldConfig(1, 1)
 
 
 def t_scalar(cfg=CFG1):
-    return OrePoly.from_scalar(cfg, RatFun.var(cfg.v, 0))
+    return operator(cfg, field_var(cfg.v, 0))
 
 
 class TestProduct:
     def test_delta_times_t(self):
-        d = OrePoly.delta(CFG1, 0)
+        d = delta(CFG1, 0)
         t = t_scalar()
         assert d * t == t * d + 1
 
     def test_delta_squared_times_t(self):
-        d = OrePoly.delta(CFG1, 0)
+        d = delta(CFG1, 0)
         t = t_scalar()
         assert d * d * t == t * d ** 2 + 2 * d
 
     def test_difference_of_factors(self):
-        d = OrePoly.delta(CFG1, 0)
+        d = delta(CFG1, 0)
         t = t_scalar()
         assert (d + t) * (d - t) == d ** 2 - t * t - 1
 
@@ -41,11 +42,11 @@ class TestProduct:
             cfg = DiffFieldConfig(m, v)
             for _ in range(20):
                 a = rand_ratfun(rng, cfg)
-                sa = OrePoly.from_scalar(cfg, a)
+                sa = operator(cfg, a)
                 for i in range(m):
-                    di = OrePoly.delta(cfg, i)
+                    di = delta(cfg, i)
                     assert di * sa - sa * di == \
-                        OrePoly.from_scalar(cfg, a.derive(i))
+                        operator(cfg, a.derive(i))
 
     def test_binomial_formula_oracle(self):
         rng = random.Random(22)
@@ -69,15 +70,8 @@ class TestProduct:
 
     @pytest.mark.parametrize("cls", [OrePoly, ModElement])
     def test_one_shift_per_order(self, monkeypatch, cls):
-        calls = []
-        original = cls.apply_delta
-
-        def counted(self, i):
-            calls.append(i)
-            return original(self, i)
-
-        monkeypatch.setattr(cls, "apply_delta", counted)
-        d = OrePoly.delta(CFG1, 0)
+        calls = count_calls(monkeypatch, cls, "apply_delta")
+        d = delta(CFG1, 0)
         t = t_scalar()
         f = d ** 4 + t * d ** 3 + d + 1
         if cls is OrePoly:
@@ -107,15 +101,7 @@ class TestProduct:
     def test_constant_coefficient_shifts(self, monkeypatch, m):
         # with constant coefficients, delta^theta * g is a shift of g's keys,
         # built without applying delta
-        calls = []
-        for cls in (OrePoly, ModElement):
-            original = cls.apply_delta
-
-            def counted(self, i, _original=original):
-                calls.append(i)
-                return _original(self, i)
-
-            monkeypatch.setattr(cls, "apply_delta", counted)
+        calls = count_calls(monkeypatch, TermMap, "apply_delta")
         rng = random.Random(34 + m)
         cfg = DiffFieldConfig(m, 1)
         for _ in range(20):
@@ -134,8 +120,8 @@ class TestProduct:
         one = OrePoly.one(CFG1)
         assert one.is_one()
         assert not OrePoly.zero(CFG1).is_one()
-        assert not OrePoly.delta(CFG1, 0).is_one()
-        assert not OrePoly.from_scalar(CFG1, 2).is_one()
+        assert not delta(CFG1, 0).is_one()
+        assert not operator(CFG1, 2).is_one()
         for _ in range(10):
             f = rand_orepoly(rng, CFG1)
             assert ore_mul(one, f) == f == ore_mul(f, one)
@@ -169,7 +155,7 @@ class TestProduct:
 
 
 def rand_diffpoly(rng, cfg, n):
-    x = DiffPoly.zero(cfg, n)
+    x = DiffPoly(cfg, n)
     for _ in range(rng.randint(1, 3)):
         term = DiffPoly.const(cfg, n, rand_ratfun(rng, cfg))
         for _ in range(rng.randint(0, 2)):
@@ -184,7 +170,7 @@ class TestScalarLeftProducts:
                                       (2, 2)])
     def test_a_scalar_only_scales(self, monkeypatch, m, v):
         # no delta stands left of g, so its shift chain is g alone
-        calls = TestApplyTheta.counting(monkeypatch)
+        calls = count_calls(monkeypatch, TermMap, "apply_delta")
         rng = random.Random(f"scalar {m} {v}")
         cfg = DiffFieldConfig(m, v)
         scalars = [1, -1, 0, RatFun.from_const(v, -3) / 4, 7, *(
@@ -193,7 +179,7 @@ class TestScalarLeftProducts:
         if v:
             assert any(not c.den.is_const() for c in scalars[5:])
         for c in scalars:
-            f = OrePoly.from_scalar(cfg, c)
+            f = operator(cfg, c)
             for n in (1, 2):
                 g = rand_orepoly(rng, cfg, max_deg=3, max_terms=3)
                 assert ore_mul(f, g) == g.scale_left(c) \
@@ -207,19 +193,6 @@ class TestScalarLeftProducts:
 
 class TestApplyTheta:
     """Left multiplication by delta^theta runs on the product's shift walk."""
-
-    @staticmethod
-    def counting(monkeypatch):
-        calls = []
-        for cls in (OrePoly, ModElement):
-            original = cls.apply_delta
-
-            def counted(self, i, _original=original):
-                calls.append(i)
-                return _original(self, i)
-
-            monkeypatch.setattr(cls, "apply_delta", counted)
-        return calls
 
     @staticmethod
     def stepwise(g, theta):
@@ -240,7 +213,7 @@ class TestApplyTheta:
                       rand_modelement(rng, cfg, 2, frac_prob=0.0,
                                       coeff_deg=0)):
                 cases.append((g, theta, self.stepwise(g, theta)))
-        calls = self.counting(monkeypatch)
+        calls = count_calls(monkeypatch, TermMap, "apply_delta")
         for g, theta, expected in cases:
             assert g.apply_theta(theta) == expected
         assert not calls
@@ -250,24 +223,24 @@ class TestApplyTheta:
                                                          m):
         rng = random.Random(50 + m)
         cfg = DiffFieldConfig(m, 1)
-        t = RatFun.var(1, 0)
+        t = field_var(1, 0)
         cases = []
         for _ in range(20):
             theta = tuple(rng.randint(0, 3) for _ in range(m))
-            op = rand_orepoly(rng, cfg, max_deg=2) + OrePoly.from_scalar(cfg,
+            op = rand_orepoly(rng, cfg, max_deg=2) + operator(cfg,
                                                                         t)
-            w = rand_modelement(rng, cfg, 2) + ModElement.basis(
-                cfg, 2, 0, coeff=t)
+            w = rand_modelement(rng, cfg, 2) + ModElement(
+                cfg, 2, {(0, (0,) * m): t})
             for g in (op, w):
                 cases.append((g, theta, self.stepwise(g, theta)))
             assert cases[-2][2] == ore_mul_binomial(
-                OrePoly.monomial(cfg, theta), op)
-        calls = self.counting(monkeypatch)
+                OrePoly(cfg, {theta: 1}), op)
+        calls = count_calls(monkeypatch, TermMap, "apply_delta")
         for g, theta, expected in cases:
             calls.clear()
             assert g.apply_theta(theta) == expected
-            assert sorted(calls) == [i for i, k in enumerate(theta)
-                                     for _ in range(k)]
+            assert sorted(i for _, i in calls) == [
+                i for i, k in enumerate(theta) for _ in range(k)]
 
     def test_differential_polynomials_refuse_delta(self):
         y = DiffPoly.indeterminate(CFG1, 1, 0)
@@ -294,7 +267,7 @@ class TestPower:
                 product = product * x
 
     def test_negative_power_rejected(self):
-        x = OrePoly.delta(CFG1, 0)
+        x = delta(CFG1, 0)
         with pytest.raises(ValueError):
             x ** -1
         with pytest.raises(ValueError):
@@ -306,11 +279,11 @@ class TestRingMismatch:
     @pytest.mark.parametrize("op", ["add", "sub", "eq"])
     def test_operands_over_different_rings(self, pair, op):
         if pair == "ore":
-            a = OrePoly.delta(CFG1, 0)
-            b = OrePoly.delta(DiffFieldConfig(1, 0), 0)
+            a = delta(CFG1, 0)
+            b = delta(DiffFieldConfig(1, 0), 0)
         elif pair == "module":
-            a = ModElement.basis(CFG1, 1, 0)
-            b = ModElement.basis(CFG1, 2, 0)
+            a = ModElement(CFG1, 1, {(0, (0,)): 1})
+            b = ModElement(CFG1, 2, {(0, (0,)): 1})
         else:
             a = DiffPoly.indeterminate(CFG1, 1, 0)
             b = DiffPoly.indeterminate(CFG1, 2, 0)
@@ -324,9 +297,9 @@ class TestRingMismatch:
 
     def test_operator_plus_module_element(self):
         with pytest.raises(TypeError):
-            OrePoly.delta(CFG1, 0) + ModElement.basis(CFG1, 1, 0)
+            delta(CFG1, 0) + ModElement(CFG1, 1, {(0, (0,)): 1})
         with pytest.raises(TypeError):
-            ModElement.basis(CFG1, 1, 0) + OrePoly.delta(CFG1, 0)
+            ModElement(CFG1, 1, {(0, (0,)): 1}) + delta(CFG1, 0)
 
 
 class TestCheckedConstructor:
@@ -344,7 +317,7 @@ class TestCheckedConstructor:
     @pytest.mark.parametrize("ring", sorted(RINGS))
     def test_every_key_is_checked_and_zeros_dropped(self, ring):
         build, (key, other), malformed = self.RINGS[ring]
-        t = RatFun.var(1, 0)
+        t = field_var(1, 0)
         for bad in malformed:
             for coeff in (0, 1, t):
                 with pytest.raises(ValueError):
@@ -356,11 +329,11 @@ class TestCheckedConstructor:
 class TestDivision:
     @pytest.mark.parametrize("ring", ["ore", "diffpoly"])
     def test_divisor_must_be_a_nonzero_scalar(self, ring):
-        t = RatFun.var(1, 0)
+        t = field_var(1, 0)
         if ring == "ore":
-            x, zero = OrePoly.delta(CFG1, 0), OrePoly.zero(CFG1)
+            x, zero = delta(CFG1, 0), OrePoly.zero(CFG1)
         else:
-            x, zero = DiffPoly.indeterminate(CFG1, 1, 0), DiffPoly.zero(CFG1, 1)
+            x, zero = DiffPoly.indeterminate(CFG1, 1, 0), DiffPoly(CFG1, 1)
         assert x / (zero + t) * t == x / t * t == x
         for divisor in (zero, 0):
             with pytest.raises(DivisionByZero):
@@ -371,7 +344,7 @@ class TestDivision:
 
 class TestDivmod:
     def test_right_division_paper_product(self):
-        d = OrePoly.delta(CFG1, 0)
+        d = delta(CFG1, 0)
         t = t_scalar()
         f = d ** 2 - t * t - 1
         g = d - t
@@ -380,24 +353,24 @@ class TestDivmod:
         assert ore_mul(q, g) + r == f
 
     def test_self_division(self):
-        d = OrePoly.delta(CFG1, 0)
+        d = delta(CFG1, 0)
         q, r = ore_divmod(d, d)
         assert q == OrePoly.one(CFG1) and r.is_zero()
 
     def test_zero_divisor(self):
-        d = OrePoly.delta(CFG1, 0)
+        d = delta(CFG1, 0)
         with pytest.raises(DivisionByZero):
             ore_divmod(d, OrePoly.zero(CFG1))
 
     @pytest.mark.parametrize("side", ["right", "left"])
     def test_operands_over_different_rings(self, side):
-        d = OrePoly.delta(CFG1, 0)
+        d = delta(CFG1, 0)
         with pytest.raises(ConfigMismatch):
-            ore_divmod(d * d, OrePoly.delta(DiffFieldConfig(1, 0), 0), side)
+            ore_divmod(d * d, delta(DiffFieldConfig(1, 0), 0), side)
 
     def test_partial_case_rejected(self):
         cfg = DiffFieldConfig(2, 1)
-        d1 = OrePoly.delta(cfg, 0)
+        d1 = delta(cfg, 0)
         with pytest.raises(UnsupportedForPartial):
             ore_divmod(d1, d1)
 
@@ -431,24 +404,18 @@ class TestDivmod:
         # deg f = deg g: one step, whose leading term cancels; no base-field
         # sum comes out zero, and a right division forms no product equal
         # to the leading coefficient it cancels
-        t = RatFun.var(1, 0)
+        t = field_var(1, 0)
         f = OrePoly(CFG1, {(2,): (t + 1) / (t - 1), (1,): t, (0,): 1})
         g = OrePoly(CFG1, {(2,): t * t + 2, (1,): 1 / t, (0,): 3 * t})
         expected = divmod_oracle(f, g, side)
-        sums, products = [], []
-        add, mul = RatFun.__add__, RatFun.__mul__
-
-        def counted(record, op):
-            def call(a, b):
-                record.append(op(a, b))
-                return record[-1]
-            return call
-
-        monkeypatch.setattr(RatFun, "__add__", counted(sums, add))
-        monkeypatch.setattr(RatFun, "__radd__", counted(sums, add))
-        monkeypatch.setattr(RatFun, "__mul__", counted(products, mul))
-        monkeypatch.setattr(RatFun, "__rmul__", counted(products, mul))
+        calls = {name: count_calls(monkeypatch, RatFun, name) for name in
+                 ("__add__", "__radd__", "__mul__", "__rmul__")}
         q, r = ore_divmod(f, g, side)
+        monkeypatch.undo()
+        sums = [a + b for name in ("__add__", "__radd__")
+                for a, b in calls[name]]
+        products = [a * b for name in ("__mul__", "__rmul__")
+                    for a, b in calls[name]]
         assert (q, r) == expected and q.degree() == 0 and r.degree() == 1
         assert sums and not any(s.is_zero() for s in sums)
         if side == "right":
@@ -461,16 +428,9 @@ class TestDivmod:
         # every quotient term shifts the divisor; the shifts of one
         # division share one chain, so delta is applied once per degree
         # (20,100 times when each shift started from delta^0)
-        calls = []
-        original = OrePoly.apply_delta
-
-        def counted(self, i):
-            calls.append(i)
-            return original(self, i)
-
-        d = OrePoly.delta(CFG1, 0)
+        d = delta(CFG1, 0)
         f, g = d ** 201, t_scalar() * d + 1
-        monkeypatch.setattr(OrePoly, "apply_delta", counted)
+        calls = count_calls(monkeypatch, OrePoly, "apply_delta")
         q, r = ore_divmod(f, g, side="right")
         assert len(calls) <= 201
         monkeypatch.undo()
@@ -480,18 +440,18 @@ class TestDivmod:
 
 class TestApply:
     def test_linear(self):
-        d = OrePoly.delta(CFG1, 0)
-        t = RatFun.var(1, 0)
+        d = delta(CFG1, 0)
+        t = field_var(1, 0)
         assert ore_apply(d - 1, t) == 1 - t
 
     def test_second_derivative(self):
-        d = OrePoly.delta(CFG1, 0)
-        t = RatFun.var(1, 0)
+        d = delta(CFG1, 0)
+        t = field_var(1, 0)
         assert ore_apply(d * d, t ** 3) == 6 * t
 
     def test_annihilator(self):
-        d = OrePoly.delta(CFG1, 0)
-        t = RatFun.var(1, 0)
+        d = delta(CFG1, 0)
+        t = field_var(1, 0)
         op = t_scalar() * d + 1
         assert ore_apply(op, 1 / t).is_zero()
 

@@ -7,7 +7,9 @@ stdout) rows must equal the digest recorded for the workload.  A fourth
 digest pins the ode-torsion named rows, the heaviest diagonalizations of
 that corpus.  A fifth pins `charset`, `dimpoly` and `tangent`, each with and
 without `--ranking elim`, on every ode-torsion tangent text: the three
-commands that start from equations and a point.
+commands that start from equations and a point.  Two more sets pin every
+timed call of each workload again, once with `--ranking elim` appended
+(no workload ranks by elimination) and once with `--format json`.
 
 A change that means to alter the output records the new digests and says
 why in CHANGES.md.  Run as a script, this file prints the current (calls,
@@ -56,10 +58,10 @@ def _digest(rows):
     return calls, digest.hexdigest()
 
 
-def _timed_rows(workload):
+def _timed_rows(workload, extra=()):
     named = set(bench_run.NAMED_ROWS[workload])
-    return [(p.name, p.argv, p.text) for p in corpus.WORKLOADS[workload](SEED)
-            if p.name not in named]
+    return [(p.name, [*p.argv, *extra], p.text)
+            for p in corpus.WORKLOADS[workload](SEED) if p.name not in named]
 
 
 # The three named ode-torsion rows, in corpus order.
@@ -119,11 +121,44 @@ def test_equation_commands_output_is_unchanged():
     assert _digest(_equation_rows()) == EQUATION_DIGEST
 
 
+# Recorded at commit c294d0f, each set over the timed calls of a workload
+# with the options of its key appended.
+VARIANT_DIGESTS = {
+    ("--ranking", "elim"): {
+        "ode-torsion": (221, "8c20a757e25e59fa5ba3a9fd01e70e87"
+                             "81095a08b3d2400ab5bfb421ad46e120"),
+        "pde-charset": (192, "39cc04271a28f7b3216b3f244960ef99"
+                             "74b923d9f183070c7af7e903ee0b3888"),
+        "staircase": (36, "08d179f0566e9d93a689d10eaa5d3503"
+                          "4234ae04b11a2398986822d6ac9a9531"),
+    },
+    ("--format", "json"): {
+        "ode-torsion": (221, "68387cbed51ac86b4fce15a05e5bfd02"
+                             "4fedc937c82b02831b0962253db3e04c"),
+        "pde-charset": (192, "a0074f9f72195e72ee1a8aeabf136f92"
+                             "f86f6b65b28b64df5097b338e072e511"),
+        "staircase": (36, "d4b26a8ff047bdf0b95aa164d75e41e4"
+                          "6a12ed2ad4fa7468a78051ed524fa3fa"),
+    },
+}
+
+
+@pytest.mark.parametrize("extra,workload", [
+    pytest.param(extra, workload, id=f"{workload} {' '.join(extra)}")
+    for extra, digests in VARIANT_DIGESTS.items() for workload in digests])
+def test_timed_corpus_variant_output_is_unchanged(extra, workload):
+    assert _digest(_timed_rows(workload, extra)) \
+        == VARIANT_DIGESTS[extra][workload]
+
+
 if __name__ == "__main__":
     print(f"diffalg from {Path(diffalg.cli.__file__).parent}")
     pinned = {**{w: _timed_rows(w) for w in DIGESTS},
               "ode-torsion named": _named_rows(),
-              "ode-torsion equations": _equation_rows()}
+              "ode-torsion equations": _equation_rows(),
+              **{f"{w} {' '.join(extra)}": _timed_rows(w, extra)
+                 for extra, digests in VARIANT_DIGESTS.items()
+                 for w in digests}}
     for name, rows in pinned.items():
         calls, digest = _digest(rows)
         print(f"{name}: ({calls}, \"{digest[:32]}\"\n"

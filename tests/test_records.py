@@ -28,7 +28,7 @@ def charset_and_report():
 
 def diagonalization():
     cfg = DiffFieldConfig(1, 1)
-    return diagonalize(OreMatrix(cfg, [[OrePoly.delta(cfg, 0)]]))
+    return diagonalize(OreMatrix(cfg, [[OrePoly(cfg, {(1,): 1})]]))
 
 
 FIELDS = {

@@ -7,15 +7,15 @@ import pytest
 import diffalg.field
 import diffalg.normalform
 from diffalg import (Diagonalization, DiffAlgError, DiffFieldConfig, DiffPoly,
-                     ModElement, OreMatrix, OrePoly, PointNotOnVariety, RatFun,
+                     ModElement, OreMatrix, PointNotOnVariety, RatFun,
                      TangentClass, VarietyPoint, eval_diffpoly,
                      linearize_at_point, linearize_system, ore_mul,
                      tangent_pipeline)
-from diffalg.parsing import parse_diffpoly, parse_ratfun
-from helpers import formal_derive, rand_ratfun
+from helpers import (delta, field_var, formal_derive, parse_diffpoly,
+                     parse_ratfun, rand_ratfun)
 
 CFG1 = DiffFieldConfig(1, 1)
-T = RatFun.var(1, 0)
+T = field_var(1, 0)
 
 
 def dp(text, names=("z", "y")):
@@ -178,7 +178,7 @@ class TestLinearize:
 
     def test_chain_rule_at_vanishing_points(self):
         # when f(x) = 0, linearize(delta f, x) = delta . linearize(f, x)
-        delta = OrePoly.delta(CFG1, 0)
+        d = delta(CFG1, 0)
         cases = [(dp("z*y' - y"), point("t", "t")),
                  (dp("z*y' - y"), point("1", "0")),
                  (dp("y'*y' - 4*y"), point("0", "t^2"))]
@@ -189,7 +189,7 @@ class TestLinearize:
             assert lhs == rhs
             # apply_theta agrees with left multiplication by delta
             ops = linearize_at_point(f, x).operator_vector()
-            assert rhs.operator_vector() == [ore_mul(delta, e) for e in ops]
+            assert rhs.operator_vector() == [ore_mul(d, e) for e in ops]
 
 
 class TestLinearizeSystem:
@@ -249,7 +249,7 @@ class TestTangentPipeline:
             result = real(A)
             D = OreMatrix.zero(A.config, A.rows, A.cols)
             if entry == "delta^5":
-                D.entries[0][0] = OrePoly.delta(A.config, 0) ** 5
+                D.entries[0][0] = delta(A.config, 0) ** 5
             return Diagonalization(result.U_ops, D, result.V_ops,
                                    result.U_inv, result.V_inv)
 
