@@ -8,8 +8,7 @@ from .errors import (BadDerivation, ConfigMismatch, DegreeTooLarge,
 from .field import DiffFieldConfig, MPoly, RatFun, mpoly_gcd
 from .ore import OrePoly, ore_divmod, ore_mul
 from .diffmodule import (CharSet, ModElement, Ranking, autoreduce,
-                         characteristic_set, leader, monic, orderly_ranking,
-                         reduce)
+                         characteristic_set, leader, orderly_ranking, reduce)
 from .numpoly import (Antichain, NumericalPolynomial, ZERO_TYPE,
                       count_cofilter, standard_terms, type_and_heights)
 from .dimension import DimensionReport, dimension_report, leader_antichain

@@ -29,15 +29,19 @@ is (`_one_term`); each still checks that its operands share a ring.
 
 A characteristic set is one record, `CharSet`: the reduced elements, their
 ranking, the generators and the ring.  Membership of w is
-`reduce(w, charset.elements, charset.ranking).is_zero()`.  `autoreduce`
-runs in no command; it stays while `bench/tracing.py` traces it.
+`reduce(w, charset.elements, charset.ranking).is_zero()`.  Where they
+start, `characteristic_set` and `reduce` check that every operand has the
+one rank and configuration (`_check_generators`, which
+`normalform.classify_presentation` shares).  `autoreduce` runs in no
+command; it stays while `bench/tracing.py` traces it, and makes its
+elements monic by `_monic_at`, as the completion does.
 """
 
 from __future__ import annotations
 
 import heapq
 
-from .errors import ZeroElement
+from .errors import ConfigMismatch, ZeroElement
 from .field import RatFun
 from .ore import OrePoly, TermMap, monomial_ord, _raise_exponent
 from .record import FrozenRecord
@@ -117,8 +121,10 @@ def leader(w, rk):
     return max(w.terms, key=rk.key)
 
 
-def monic(w, rk):
-    return _monic_at(w, leader(w, rk)) if w else w
+def _check_generators(gens, config, n):
+    """ConfigMismatch unless every element of gens has rank n over config."""
+    if any(w.n != n or w.config != config for w in gens):
+        raise ConfigMismatch("generators of another rank or configuration")
 
 
 def _monic_at(w, lead):
@@ -149,8 +155,10 @@ def reduce(w, A, rk):
 
     Cancels the highest reducible term first; the result is free of every
     derivative theta*u_f (theta = identity included) of every leader in A,
-    and differs from w by an element of the span.
+    and differs from w by an element of the span.  Every element of A
+    must share w's ring (ConfigMismatch).
     """
+    _check_generators(A, w.config, w.n)
     active = [(idx, f, leader(f, rk)) for idx, f in enumerate(A)
               if not f.is_zero()]
     return _reduce(w, active, rk)
@@ -191,7 +199,7 @@ def _reduce(w, active, rk):
 def autoreduce(S, rk):
     """Interreduce a list of elements into an autoreduced set: a tuple of
     monic, pairwise-reduced elements sorted by increasing leader rank."""
-    elems = [monic(w, rk) for w in S if not w.is_zero()]
+    elems = [_monic_at(w, leader(w, rk)) for w in S if not w.is_zero()]
     while True:
         elems.sort(key=lambda w: rk.key(leader(w, rk)))
         changed = False
@@ -203,7 +211,7 @@ def autoreduce(S, rk):
                 if r.is_zero():
                     del elems[i]
                 else:
-                    elems[i] = monic(r, rk)
+                    elems[i] = _monic_at(r, leader(r, rk))
                 break
         if not changed:
             break
@@ -295,15 +303,16 @@ def characteristic_set(gens, rk, config=None, n=None):
     denominator among its coefficients.  Pairs are processed in increasing
     rank unless the chain criterion shows them redundant, and one pass of
     interreduction turns the complete basis into the final reduced monic
-    one.  config and n are inferred from the generators when any are
-    present.
+    one.  config and n, each when not given, are the first generator's;
+    every generator must have them (ConfigMismatch).
     """
     gens = list(gens)
-    for g in gens:
-        config = config or g.config
-        n = n if n is not None else g.n
+    if gens:
+        config = config or gens[0].config
+        n = gens[0].n if n is None else n
     if config is None or n is None:
         raise ValueError("need config and n for an empty generator list")
+    _check_generators(gens, config, n)
     basis, leads, sizes, active, heap, queued = [], [], [], [], [], set()
 
     def insert(w):

@@ -241,11 +241,6 @@ class MPoly:
                 terms[e] = get(e, 0) + c1 * c2
         return _carry_free(self.nvars, {e: c for e, c in terms.items() if c})
 
-    def __rmul__(self, other):
-        if isinstance(other, int):
-            return self.scale(other)
-        return NotImplemented
-
     def scale(self, k):
         """Multiply every coefficient by the integer k."""
         if type(k) is not int:

@@ -29,7 +29,8 @@ recomputes every entry in full.
 
 from __future__ import annotations
 
-from .errors import ConfigMismatch, UnsupportedForPartial
+from .errors import UnsupportedForPartial
+from .diffmodule import _check_generators
 from .ore import OrePoly, ore_divmod, ore_mul
 from .record import FrozenRecord
 
@@ -366,8 +367,7 @@ def classify_presentation(config, gens, n):
     that trivializes the torsion part lives over the differential closure
     and is not constructed here.
     """
-    if any(w.n != n or w.config != config for w in gens):
-        raise ConfigMismatch("generators of another rank or configuration")
+    _check_generators(gens, config, n)
     rows = [w.operator_vector() for w in gens if w]
     A = OreMatrix._of(config, rows, len(rows), n)
     diagonal = diagonalize(A).D.diagonal()

@@ -63,15 +63,6 @@ class NumericalPolynomial(FrozenRecord):
     def __call__(self, t):
         return sum(a * comb(t + i, i) for i, a in enumerate(self.coeffs))
 
-    def __add__(self, other):
-        n = max(len(self.coeffs), len(other.coeffs))
-        coeffs = tuple(
-            (self.coeffs[i] if i < len(self.coeffs) else 0)
-            + (other.coeffs[i] if i < len(other.coeffs) else 0)
-            for i in range(n))
-        return NumericalPolynomial(coeffs,
-                                   max(self.valid_from, other.valid_from))
-
     def _scaled_monomial_coeffs(self):
         """(ascending ordinary coefficients times d!, d!), d the degree.
 
@@ -133,10 +124,6 @@ class Antichain(FrozenRecord):
             nums.append(num)
         self._set_fields(m, tuple(comps))
         object.__setattr__(self, "_numerators", tuple(nums))
-
-    @property
-    def n(self):
-        return len(self.components)
 
 
 def _place(firsts, lows, a, b):

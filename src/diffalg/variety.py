@@ -13,6 +13,10 @@ differential homomorphism.
 
 `linearize_system` is the one route from equations and a point to the
 linearized module: it checks the point and linearizes each equation there.
+The differential is taken by the product rule (`linearize_at_point`),
+from the values of each monomial's factors at the point; every power of
+such a value, in the check and in the differential, is bounded by one
+helper (`_power_at`).
 The CLI's `charset` and `dimpoly` complete its result; `tangent_pipeline`
 also reports on it and, for m = 1, diagonalizes it and cross-checks the
 class against the report.
@@ -80,24 +84,6 @@ class DiffPoly(TermMap):
     def __repr__(self):
         return f"DiffPoly(n={self.n}, {self.terms!r})"
 
-    # -- calculus ----------------------------------------------------------
-
-    def partial_indeterminate(self, comp, exps):
-        """Formal partial derivative with respect to the indeterminate."""
-        key = (comp, tuple(exps))
-        terms = {}
-        for mono, coeff in self.terms.items():
-            entries = dict(mono)
-            power = entries.get(key)
-            if not power:
-                continue
-            if power == 1:
-                del entries[key]
-            else:
-                entries[key] = power - 1
-            _acc(terms, tuple(sorted(entries.items())), coeff * power)
-        return self._new(terms)
-
 
 def _merge_monomials(m1, m2):
     entries = dict(m1)
@@ -108,7 +94,7 @@ def _merge_monomials(m1, m2):
 
 def _power_bits(x, k):
     """An upper bound on the bits of the integers of x**k, x a RatFun;
-    `eval_diffpoly` takes no power past `field.MAX_BITS` of them.
+    `_power_at` takes no power past `field.MAX_BITS` of them.
 
     Numerator and denominator are raised apart.  A polynomial of T terms
     with coefficients of at most b bits has in its k-th power coefficients
@@ -170,6 +156,21 @@ class VarietyPoint:
         return f"VarietyPoint({self.coordinates!r})"
 
 
+def _power_at(base, power):
+    """base**power, base a value at the point: DiffAlgError when its
+    integers may need more than `field.MAX_BITS` bits (`_power_bits`)."""
+    # the powers of 0, 1 and -1 gain no bits
+    if power > 1 and not (base.den.is_one() and base.num.is_const()
+                          and abs(base.num.const_value()) <= 1):
+        bits = _power_bits(base, power)
+        if bits > field.MAX_BITS:
+            raise DiffAlgError(
+                f"a value at the point raised to the power {power} "
+                f"may need {bits} bits of integers; the limit is "
+                f"{field.MAX_BITS} bits")
+    return base ** power
+
+
 def eval_diffpoly(f, x):
     """Substitute theta*y_i -> the theta-derivative of x_i, exactly."""
     if f.n != x.n or f.config != x.config:
@@ -177,31 +178,28 @@ def eval_diffpoly(f, x):
     result = RatFun.from_const(f.config.v, 0)
     for mono, coeff in f.terms.items():
         value = coeff
-        for (comp, exps), power in mono:
-            base = x.derivative_of_coordinate(comp, exps)
-            # the powers of 0, 1 and -1 gain no bits
-            if power > 1 and not (base.den.is_one() and base.num.is_const()
-                                  and abs(base.num.const_value()) <= 1):
-                bits = _power_bits(base, power)
-                if bits > field.MAX_BITS:
-                    raise DiffAlgError(
-                        f"a value at the point raised to the power {power} "
-                        f"may need {bits} bits of integers; the limit is "
-                        f"{field.MAX_BITS} bits")
-            value = value * base ** power
+        for key, power in mono:
+            value = value * _power_at(x.derivative_of_coordinate(*key), power)
         result = result + value
     return result
 
 
 def linearize_at_point(f, x):
-    """The differential df at x: coefficient of theta*e_i is df/d(theta*y_i)(x)."""
+    """The differential df at x, by the product rule: a monomial
+    c * b_1^p_1 * ... * b_k^p_k, each b_i the value at x of its factor's
+    indeterminate theta*y, adds c * p_i * b_i^(p_i - 1) times the other
+    factors' values to the coefficient of theta*e of each factor i."""
     if f.n != x.n or f.config != x.config:
         raise ConfigMismatch("polynomial and point of different shapes")
-    keys = {key for mono in f.terms for key, _ in mono}
     terms = {}
-    for key in keys:
-        if value := eval_diffpoly(f.partial_indeterminate(*key), x):
-            terms[key] = value
+    for mono, coeff in f.terms.items():
+        bases = [x.derivative_of_coordinate(*key) for key, _ in mono]
+        for i, (key, power) in enumerate(mono):
+            value = coeff * power * _power_at(bases[i], power - 1)
+            for j, (_, other) in enumerate(mono):
+                if j != i:
+                    value = value * _power_at(bases[j], other)
+            _acc(terms, key, value)
     return ModElement.zero(f.config, f.n)._new(terms)
 
 

@@ -29,10 +29,11 @@ each coefficient as a Fraction.
 
 Every oracle and every tool that only the tests use lives here, among them
 the action of an operator on a field element (`ore_apply`), formal
-derivation in K{y} (`formal_derive`), the ordinary coefficients of a
-numerical polynomial (`monomial_coeffs`) and the readers of one expression
-(`parse_ratfun` and its kin, each with a work budget of its own); but for
-that builder and the reader's parts, only public diffalg names are
+derivation and partial derivatives in K{y} (`formal_derive`,
+`formal_partial`), the ordinary coefficients of a numerical polynomial
+(`monomial_coeffs`) and the readers of one expression (`parse_ratfun`
+and its kin, each with a work budget of its own); but for that builder
+and the reader's parts, only public diffalg names are
 imported.
 """
 
@@ -249,6 +250,22 @@ def formal_derive(f, i):
                 f.config, f.n,
                 {tuple((k, e) for k, e in rest.items() if e): coeff * power}
             ) * DiffPoly.indeterminate(f.config, f.n, comp, raised)
+    return result
+
+
+def formal_partial(f, key):
+    """d f / d(theta*y_i) in K{y}, key = (i, theta): the power p of that
+    indeterminate in each monomial lowered to p - 1, times p, built from
+    DiffPoly arithmetic."""
+    result = DiffPoly(f.config, f.n)
+    for mono, coeff in f.terms.items():
+        rest = dict(mono)
+        power = rest.pop(key, 0)
+        if power:
+            if power > 1:
+                rest[key] = power - 1
+            result = result + DiffPoly(f.config, f.n,
+                                       {tuple(rest.items()): coeff * power})
     return result
 
 

@@ -551,6 +551,37 @@ class TestLongSums:
                                   "  [d]\n")
 
 
+class TestComments:
+    # README: `#` starts a comment
+    @pytest.mark.parametrize("text, argv", [
+        (GENERIC, ("tangent",)), (GENERIC, ("tangent", "--format", "json")),
+        (CONSTANT, ("tangent",)), (MODULE, ("charset",)),
+        (MODULE, ("reduce",)), (MODULE, ("dimpoly",)),
+        (MODULE, ("decompose",)),
+        ("field: Q derivations: 2\nleaders: [(1,2), (3,0)]\n", ("count",)),
+    ])
+    def test_comments_and_blank_lines_answer_as_the_plain_file(
+            self, capsys, tmp_path, text, argv):
+        # before each line a comment-only line, indented or not, and a blank
+        # or white line; after it a comment, with or without a space
+        commented = "".join(
+            f"{' ' * (i % 2)}# line {i}: {line}\n{' ' * (i % 3)}\n"
+            f"{line}{' ' * (i % 2)}#{line}\n"
+            for i, line in enumerate(text.splitlines()))
+        plain = run(capsys, tmp_path, text, *argv)
+        assert plain[0] == 0 and plain[1]
+        assert run(capsys, tmp_path, commented, *argv) == plain
+
+    def test_an_error_after_comments_keeps_its_position(self, capsys,
+                                                        tmp_path):
+        text = ("# a tangent problem\nfield: Q(t)  # the base field\n\n"
+                "   # q is no name of this file\n"
+                "vars: y\neqs: t*y' - q  # y = t\npoint: y = t\n")
+        code, out, err = run(capsys, tmp_path, text, "tangent")
+        assert (code, out) == (2, "")
+        assert err == "error: line 6, column 13: unknown variable 'q'\n"
+
+
 class TestErrorHandling:
     def test_division_by_zero_exits_2(self, capsys, tmp_path):
         bad = CONSTANT.replace("y = 0", "y = 1/0")

@@ -6,8 +6,7 @@ import pytest
 
 from diffalg import (CharSet, ConfigMismatch, DiffFieldConfig, ModElement,
                      OrePoly, Ranking, RatFun, ZeroElement, autoreduce,
-                     characteristic_set, leader, monic, orderly_ranking,
-                     reduce)
+                     characteristic_set, leader, orderly_ranking, reduce)
 from diffalg import diffmodule
 from diffalg.diffmodule import _verify_complete
 from diffalg.ore import TermMap, _left_mul
@@ -127,6 +126,13 @@ class TestReduce:
         w = ModElement(CFG1, 2, {(0, (2,)): 1})
         with pytest.raises(ConfigMismatch):
             reduce(w, [ModElement(CFG1, 3, {(0, (1,)): 1})], orderly_ranking())
+        # checked where reduce starts, even when no leader divides a term
+        g2, g3 = elem(2, {(0, (1,)): 1}), elem(3, {(2, (2,)): 1})
+        for w, A in ((g3, [g2]), (g2, [g3]),
+                     (g2, [ModElement(DiffFieldConfig(2, 1), 2,
+                                      {(1, (1, 0)): 1})])):
+            with pytest.raises(ConfigMismatch, match="another rank"):
+                reduce(w, A, orderly_ranking())
 
     def test_monic_basis_reduction_divides_by_nothing(self, monkeypatch):
         # a shift of a monic element is monic at the shifted leader, so
@@ -232,6 +238,22 @@ class TestCharacteristicSet:
     def test_empty_generators(self):
         cs = characteristic_set([], orderly_ranking(), config=CFG1, n=2)
         assert isinstance(cs, CharSet) and len(cs.elements) == 0 and cs.n == 2
+        for ring in ({}, {"config": CFG1}, {"n": 2}):
+            with pytest.raises(ValueError, match="need config and n"):
+                characteristic_set([], orderly_ranking(), **ring)
+
+    def test_generators_of_another_ring(self):
+        # each generator is checked against the ring given, or else the
+        # first generator's, before the completion starts
+        rk = orderly_ranking()
+        g2, g3 = elem(2, {(0, (1,)): 1}), elem(3, {(2, (2,)): 1})
+        for gens, ring in (([g2, g3], {}), ([g3, g2], {}), ([g2], {"n": 3}),
+                           ([g2], {"config": DiffFieldConfig(2, 1)}),
+                           ([g2, g2], {"config": CFG1, "n": 1})):
+            with pytest.raises(ConfigMismatch, match="another rank"):
+                characteristic_set(gens, rk, **ring)
+        cs = characteristic_set([g2], rk, config=CFG1, n=2)
+        assert (cs.config, cs.n) == (CFG1, 2)
 
     def test_rank_not_above_plain_autoreduction(self):
         rng = random.Random(34)

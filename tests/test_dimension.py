@@ -5,9 +5,9 @@ import random
 import pytest
 
 import diffalg.dimension
-from diffalg import (DiffFieldConfig, ModElement, OrderlyRequired, Ranking,
-                     characteristic_set, dimension_report, leader_antichain,
-                     orderly_ranking)
+from diffalg import (DiffFieldConfig, ModElement, NumericalPolynomial,
+                     OrderlyRequired, Ranking, characteristic_set,
+                     dimension_report, leader_antichain, orderly_ranking)
 from helpers import (brute_count, count_calls, field_var, rand_modelement,
                      relabel, truncated_module_dims)
 
@@ -132,6 +132,19 @@ class TestReport:
         assert report.diff_dimension == 1 and report.below_leader_count == 1
         assert {name: len(c) for name, c in calls.items()} \
             == {"leader_antichain": 1, "count_cofilter": 1}
+
+    def test_cross_check_of_the_free_components(self, monkeypatch):
+        # a count whose t^m coefficient is not the number of components
+        # without leaders is refused
+        g = elem(2, {(1, (1,)): T, (0, (0,)): 1, (1, (0,)): -1})
+        cs = charset([g], 2)
+        real = diffalg.dimension.count_cofilter
+        monkeypatch.setattr(diffalg.dimension, "count_cofilter",
+                            lambda anti: NumericalPolynomial(
+                                (real(anti).coeffs[0], 2)))
+        with pytest.raises(AssertionError,
+                           match="a_m = 2, free components = 1"):
+            dimension_report(cs)
 
 
 class TestBruteForceAgreement:

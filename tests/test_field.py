@@ -671,6 +671,12 @@ class TestNormalize:
     def test_integer_coefficients_only(self):
         with pytest.raises(ValueError):
             MPoly(1, {(1,): Fraction(1, 2)})
+        # a constant that is no int is checked, and an integral one stored
+        # as an int
+        with pytest.raises(ValueError, match="non-integer"):
+            MPoly.const(1, Fraction(1, 2))
+        two = MPoly.const(2, Fraction(4, 2))
+        assert two == MPoly.const(2, 2) and type(two.terms[0]) is int
 
     @pytest.mark.parametrize("nvars, exps, message", [
         (1, (1, 2, 3), "wrong length"),
@@ -704,6 +710,13 @@ class TestNormalize:
         assert num.divexact(den) == MPoly(1, {(1,): 1, (0,): 1})
         assert result == t_() + 1
 
+    def test_exact_division_only(self):
+        num = MPoly(1, {(2,): 1, (0,): -1})   # t^2 - 1
+        with pytest.raises(DivisionByZero):
+            num.divexact(MPoly.zero(1))
+        with pytest.raises(ArithmeticError, match="inexact"):
+            num.divexact(MPoly(1, {(1,): 1}))
+
     def test_sign_convention(self):
         num = MPoly(1, {(1,): 1})
         den = MPoly.const(1, -1)
@@ -724,6 +737,12 @@ class TestConfig:
             DiffFieldConfig(0, 0)
         with pytest.raises(ValueError):
             DiffFieldConfig(1, 2)
+
+    @pytest.mark.parametrize("i", [-1, 1, 2])
+    def test_delta_index_past_the_derivation_count(self, i):
+        for x in (delta(CFG1, 0), ModElement(CFG1, 1, {(0, (0,)): 1})):
+            with pytest.raises(BadDerivation, match=r"not in \[0, 1\)"):
+                x.apply_delta(i)
 
     def test_constants_field_allowed(self):
         cfg = DiffFieldConfig(2, 0)

@@ -51,6 +51,8 @@ class TestOreMatrix:
         assert (one.rows, one.cols, one.config) == (2, 2, CFG1)
         assert A * one == A and OreMatrix.identity(CFG1, 3) * A == A
         assert (A * OreMatrix.zero(CFG1, 2, 4)) == OreMatrix.zero(CFG1, 3, 4)
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            A * A
 
 
 class TestDiagonalize:

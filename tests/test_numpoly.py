@@ -53,6 +53,12 @@ class TestCountCofilter:
         with pytest.raises(NotAntichain):
             anti(2, {(1, 1), (2, 2)})
 
+    @pytest.mark.parametrize("m, E", [(1, {(0, 1)}), (2, {(1, 2, 3)}),
+                                      (3, {(1, 2)}), (4, {(1, 0, 0, 0), (2,)})])
+    def test_vector_of_wrong_length_rejected(self, m, E):
+        with pytest.raises(NotAntichain, match="wrong length"):
+            anti(m, E)
+
     def test_multiple_components_sum(self):
         phi = count_cofilter(anti(2, {(1, 1), (0, 2)}, {(2, 0)}))
         assert str(phi) == "3*t + 3"
@@ -399,6 +405,10 @@ class TestTypeAndHeights:
     def test_zero_polynomial(self):
         level, d_l, d_m = type_and_heights(NumericalPolynomial(()), 2)
         assert level is ZERO_TYPE and d_l == 0 and d_m == 0
+
+    def test_degree_above_the_derivation_count(self):
+        with pytest.raises(ValueError, match="degree 2 exceeds"):
+            type_and_heights(NumericalPolynomial((0, 0, 2)), 1)
 
 
 class TestProperties:

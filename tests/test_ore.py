@@ -295,6 +295,25 @@ class TestRingMismatch:
             else:
                 a == b
 
+    def test_operator_product_of_two_rings(self):
+        a, b = delta(CFG1, 0), delta(DiffFieldConfig(1, 0), 0)
+        for f, g in ((a, b), (b, a)):
+            with pytest.raises(ConfigMismatch, match="different config"):
+                ore_mul(f, g)
+            with pytest.raises(ConfigMismatch, match="different config"):
+                f * g
+
+    def test_a_coefficient_over_another_field(self):
+        # t1 of Q(t1, t2) is no element of Q(t)
+        t1 = field_var(2, 0)
+        for build in (lambda: OrePoly(CFG1, {(1,): t1}),
+                      lambda: ModElement(CFG1, 1, {(0, (0,)): t1}),
+                      lambda: DiffPoly(CFG1, 1, {(): t1}),
+                      lambda: OrePoly.one(CFG1) + t1,
+                      lambda: delta(CFG1, 0).scale_left(t1)):
+            with pytest.raises(ConfigMismatch, match="variable count"):
+                build()
+
     def test_operator_plus_module_element(self):
         with pytest.raises(TypeError):
             delta(CFG1, 0) + ModElement(CFG1, 1, {(0, (0,)): 1})
@@ -367,6 +386,11 @@ class TestDivmod:
         d = delta(CFG1, 0)
         with pytest.raises(ConfigMismatch):
             ore_divmod(d * d, delta(DiffFieldConfig(1, 0), 0), side)
+
+    def test_unknown_side(self):
+        d = delta(CFG1, 0)
+        with pytest.raises(ValueError, match="side must be"):
+            ore_divmod(d * d, d, side="top")
 
     def test_partial_case_rejected(self):
         cfg = DiffFieldConfig(2, 1)

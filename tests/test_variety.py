@@ -6,13 +6,14 @@ import pytest
 
 import diffalg.field
 import diffalg.normalform
-from diffalg import (Diagonalization, DiffAlgError, DiffFieldConfig, DiffPoly,
-                     ModElement, OreMatrix, PointNotOnVariety, RatFun,
-                     TangentClass, VarietyPoint, eval_diffpoly,
-                     linearize_at_point, linearize_system, ore_mul,
-                     tangent_pipeline)
-from helpers import (delta, field_var, formal_derive, parse_diffpoly,
-                     parse_ratfun, rand_ratfun)
+from diffalg import (ConfigMismatch, Diagonalization, DiffAlgError,
+                     DiffFieldConfig, DiffPoly, ModElement, OreMatrix,
+                     PointNotOnVariety, RatFun, TangentClass, VarietyPoint,
+                     eval_diffpoly, linearize_at_point, linearize_system,
+                     ore_mul, tangent_pipeline)
+from diffalg.variety import _power_bits
+from helpers import (delta, field_var, formal_derive, formal_partial,
+                     parse_diffpoly, parse_ratfun, rand_ratfun)
 
 CFG1 = DiffFieldConfig(1, 1)
 T = field_var(1, 0)
@@ -191,6 +192,56 @@ class TestLinearize:
             ops = linearize_at_point(f, x).operator_vector()
             assert rhs.operator_vector() == [ore_mul(d, e) for e in ops]
 
+    def test_agrees_with_the_formal_partials(self):
+        # the coefficient of theta*e_i is d f / d(theta*y_i) at x, whether
+        # or not f vanishes there; powers up to 6 in one indeterminate
+        rng = random.Random(83)
+        points = [point("t", "t^2 + 1"), point("1/t", "0"),
+                  point("2", "(t - 1)/(t + 3)"), point("-1", "t^3")]
+        for draw in range(40):
+            f = _rand_diffpoly(rng, max_power=3)
+            x = points[draw % len(points)]
+            keys = {key for mono in f.terms for key, _ in mono}
+            expected = ModElement(CFG1, 2, {
+                key: eval_diffpoly(formal_partial(f, key), x)
+                for key in keys})
+            assert linearize_at_point(f, x) == expected
+
+    @pytest.mark.parametrize("shape", ["rank", "configuration"])
+    def test_polynomial_and_point_of_different_shapes(self, shape):
+        f = dp("z*y' - y")
+        if shape == "rank":
+            x = point("t")
+        else:
+            x = VarietyPoint(DiffFieldConfig(1, 0), [1, 0])
+        for call in (eval_diffpoly, linearize_at_point):
+            with pytest.raises(ConfigMismatch, match="different shapes"):
+                call(f, x)
+
+    def test_no_power_past_the_one_the_check_took(self, monkeypatch):
+        # y^3 - (t + 2)^3 at y = t + 2: the check raises t + 2 to the power
+        # 3, the differential 3*(t + 2)^2 only to 2; the differential alone
+        # bounds each power it takes, that of another factor's value too
+        f, g = dp("y^3 - (t + 2)^3"), dp("z^3*y")
+        x = point("t + 2", "t + 2")
+        b = parse_ratfun("t + 2", CFG1)
+        cube, square = _power_bits(b, 3), _power_bits(b, 2)
+        assert square < cube
+        expected = linear_elem(2, {(1, (0,)): 3 * b ** 2})
+        monkeypatch.setattr(diffalg.field, "MAX_BITS", cube)
+        assert linearize_system([f], x) == [expected]
+        assert linearize_at_point(g, x) == linear_elem(
+            2, {(0, (0,)): 3 * b ** 3, (1, (0,)): b ** 3})
+        monkeypatch.setattr(diffalg.field, "MAX_BITS", cube - 1)
+        for call in (lambda: linearize_system([f], x),
+                     lambda: linearize_at_point(g, x)):
+            with pytest.raises(DiffAlgError, match="to the power 3 "):
+                call()
+        assert linearize_at_point(f, x) == expected
+        monkeypatch.setattr(diffalg.field, "MAX_BITS", square - 1)
+        with pytest.raises(DiffAlgError, match="to the power 2 "):
+            linearize_at_point(f, x)
+
 
 class TestLinearizeSystem:
     def test_one_differential_per_equation(self):
@@ -198,6 +249,10 @@ class TestLinearizeSystem:
         x = point("2*t", "t^2")
         assert linearize_system(eqs, x) == [linearize_at_point(f, x)
                                             for f in eqs]
+
+    def test_no_equations(self):
+        with pytest.raises(ValueError, match="at least one equation"):
+            linearize_system([], point("t", "t"))
 
 
 class TestTangentPipeline:
@@ -265,7 +320,7 @@ class TestTangentPipeline:
         assert tc.d == 0 and tc.k == 2
 
 
-def _rand_diffpoly(rng, names=("z", "y")):
+def _rand_diffpoly(rng, names=("z", "y"), max_power=1):
     n = len(names)
     terms = {}
     for _ in range(rng.randint(1, 3)):
@@ -273,7 +328,8 @@ def _rand_diffpoly(rng, names=("z", "y")):
         for _ in range(rng.randint(0, 2)):
             comp = rng.randrange(n)
             ordr = rng.randint(0, 2)
-            mono.append(((comp, (ordr,)), 1))
+            power = rng.randint(1, max_power) if max_power > 1 else 1
+            mono.append(((comp, (ordr,)), power))
         merged = {}
         for key, p in mono:
             merged[key] = merged.get(key, 0) + p
